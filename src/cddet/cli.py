@@ -2,11 +2,11 @@
 run directory, ``eval`` recomputes metrics from persisted artifacts, and
 ``verify`` runs the embedded oracle battery.
 
-Configuration comes from an optional key=value text file (``#`` comments)
-with command-line flags taking precedence; ``CDD_SEED`` serves as the seed
-fallback. A ``seeds`` key in the file expands into one sub-run per seed
-(written to ``<out>/<seed>/``), optionally fanned out across ``--jobs``
-worker threads. Exit codes: 0 success, 1 runtime failure, 2 invalid usage
+Configuration comes from an optional key=value text file (``#`` comments;
+an unknown key is an error naming its line) with command-line flags taking
+precedence; ``CDD_SEED`` serves as the seed fallback. A ``seeds`` key in
+the file expands into one sub-run per seed (written to ``<out>/<seed>/``),
+optionally fanned out across ``--jobs`` worker threads. Exit codes: 0 success, 1 runtime failure, 2 invalid usage
 or validation failure.
 """
 
@@ -45,6 +45,11 @@ from .trainer import TrainConfig, resolve_profile, run_scenario_over_sessions
 from .verify import format_report, run_battery
 
 _PROFILE_OVERRIDE_KEYS = ("gamma_d", "gamma_m", "T", "tau", "J", "distill_form", "replay_payload")
+_CONFIG_KEYS = frozenset((
+    "scenario", "data", "profile", "system", "aggregation", "memory", "seed", "seeds",
+    "epochs", "lr", "batch_size", "lambda", "label_smooth", "mixup", "warmup", "out", "jobs",
+    *_PROFILE_OVERRIDE_KEYS,
+))
 
 
 @dataclass
@@ -121,7 +126,10 @@ def _parse_config_file(path: str) -> dict:
             if "=" not in line:
                 raise ParseError("expected key = value", line=lineno)
             key, _, value = line.partition("=")
-            values[key.strip()] = value.strip()
+            key = key.strip()
+            if key not in _CONFIG_KEYS:
+                raise ParseError(f"unknown config key {key!r}", line=lineno)
+            values[key] = value.strip()
     return values
 
 

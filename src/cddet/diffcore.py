@@ -3,8 +3,17 @@
 Values are numpy arrays. Each operation records its parent tensors and a
 backward closure; ``Tape.trace`` linearises the resulting graph so that a
 backward sweep visits every recorded operation exactly once, parents first.
-There is no broadcasting beyond the row-wise bias addition in ``affine``;
-shapes must match exactly everywhere else, which keeps the tape auditable.
+There is no broadcasting beyond the row-wise bias addition in ``affine``,
+``affine_relu`` and ``linear``; shapes must match exactly everywhere else,
+which keeps the tape auditable.
+
+Every operation checks its output for non-finite entries and raises
+``NumericsError``; ``checked`` applies the same check to plain arrays, for
+inference that records no tape. Layers are fused where that saves tape
+nodes: a hidden layer is one ``affine_relu`` op and a linear classifier
+head one ``linear`` op. The loss terms in ``losses`` are single ops built
+on ``_op``, with closed-form gradients and log-probabilities from
+``np_log_softmax``, so no probability is clamped before a log.
 """
 
 from __future__ import annotations
@@ -23,9 +32,6 @@ from .errors import (
 
 Array = np.ndarray
 
-# Probabilities are clamped into this range before entering a log.
-PROB_FLOOR = 1e-12
-
 
 def _as_array(values) -> Array:
     return np.asarray(values, dtype=np.float64)
@@ -38,7 +44,7 @@ class Tensor:
 
     def __init__(self, values, requires_grad: bool = False):
         data = _as_array(values)
-        if not np.all(np.isfinite(data)):
+        if not np.isfinite(data).all():
             raise NumericsError("tensor holds non-finite entries")
         self.data = data
         self.requires_grad = requires_grad
@@ -62,9 +68,6 @@ class Tensor:
         """Run a full backward sweep from this scalar output."""
         Tape.trace(self).backward(self)
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data.copy())
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
@@ -86,16 +89,24 @@ def constant(values) -> Tensor:
 
 
 def _accumulate(t: Tensor, g: Array) -> None:
+    """Add ``g`` into ``t.grad``; the first contribution is stored as is.
+
+    Gradients are never updated in place, so a stored array may be shared.
+    """
     if not t.requires_grad:
         return
-    if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad = t.grad + g
+    t.grad = g if t.grad is None else t.grad + g
+
+
+def checked(data: Array) -> Array:
+    """Return ``data`` unchanged, or raise if it holds a non-finite entry."""
+    if not np.isfinite(data).all():
+        raise NumericsError("operation produced non-finite entries")
+    return data
 
 
 def _op(data: Array, parents: Sequence[Tensor], backward) -> Tensor:
-    if not np.all(np.isfinite(data)):
-        raise NumericsError("operation produced non-finite entries")
+    checked(data)
     out = Tensor.__new__(Tensor)
     out.data = data
     out.requires_grad = any(p.requires_grad for p in parents)
@@ -146,14 +157,6 @@ class Tape:
         for node in reversed(self.nodes):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
-
-    def verify_topological(self) -> bool:
-        position = {id(n): i for i, n in enumerate(self.nodes)}
-        for i, node in enumerate(self.nodes):
-            for parent in node._parents:
-                if position.get(id(parent), i) >= i:
-                    return False
-        return True
 
 
 # ---------------------------------------------------------------------------
@@ -221,17 +224,6 @@ def add_scalar(x: Tensor, c: float) -> Tensor:
     return _op(x.data + c, (x,), backward)
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise DimensionError(f"matmul: incompatible shapes {a.shape} @ {b.shape}")
-
-    def backward(g: Array) -> None:
-        _accumulate(a, g @ b.data.T)
-        _accumulate(b, a.data.T @ g)
-
-    return _op(a.data @ b.data, (a, b), backward)
-
-
 def transpose(x: Tensor) -> Tensor:
     if x.data.ndim != 2:
         raise DimensionError("transpose expects a 2-d tensor")
@@ -242,21 +234,69 @@ def transpose(x: Tensor) -> Tensor:
     return _op(np.ascontiguousarray(x.data.T), (x,), backward)
 
 
+def _check_affine(opname: str, x: Tensor, w_rows: int, k: int, b: Tensor) -> None:
+    if x.data.ndim != 2:
+        raise DimensionError(f"{opname} expects a 2-d x")
+    if x.shape[1] != w_rows:
+        raise DimensionError(f"{opname}: inner dims {x.shape[1]} vs {w_rows}")
+    if b.data.ndim != 1 or b.shape[0] != k:
+        raise DimensionError(f"{opname}: bias shape {b.shape} does not match k={k}")
+
+
+def _affine_backward(x: Tensor, w: Tensor, b: Tensor, g: Array) -> None:
+    if x.requires_grad:
+        _accumulate(x, g @ w.data.T)
+    _accumulate(w, x.data.T @ g)
+    _accumulate(b, g.sum(axis=0))
+
+
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Row batch times weight matrix plus per-column bias: x[n,d] @ w[d,k] + b[k]."""
-    if x.data.ndim != 2 or w.data.ndim != 2:
-        raise DimensionError("affine expects 2-d x and w")
-    if x.shape[1] != w.shape[0]:
-        raise DimensionError(f"affine: inner dims {x.shape[1]} vs {w.shape[0]}")
-    if b.data.ndim != 1 or b.shape[0] != w.shape[1]:
-        raise DimensionError(f"affine: bias shape {b.shape} does not match k={w.shape[1]}")
+    if w.data.ndim != 2:
+        raise DimensionError("affine expects a 2-d w")
+    _check_affine("affine", x, w.shape[0], w.shape[1], b)
 
     def backward(g: Array) -> None:
-        _accumulate(x, g @ w.data.T)
-        _accumulate(w, x.data.T @ g)
-        _accumulate(b, g.sum(axis=0))
+        _affine_backward(x, w, b, g)
 
     return _op(x.data @ w.data + b.data, (x, w, b), backward)
+
+
+def np_relu(h: Array) -> Array:
+    return np.where(h > 0, h, 0.0)
+
+
+def affine_relu(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """One hidden layer, relu(x @ w + b), as a single op.
+
+    The pre-activation is checked for finiteness too, so an overflow that
+    the relu would hide still raises.
+    """
+    if w.data.ndim != 2:
+        raise DimensionError("affine_relu expects a 2-d w")
+    _check_affine("affine_relu", x, w.shape[0], w.shape[1], b)
+    h = checked(x.data @ w.data + b.data)
+    mask = h > 0
+
+    def backward(g: Array) -> None:
+        _affine_backward(x, w, b, g * mask)
+
+    return _op(np_relu(h), (x, w, b), backward)
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """Rows against per-class weight rows: x[n,f] @ w[k,f].T + b[k]."""
+    if w.data.ndim != 2:
+        raise DimensionError("linear expects a 2-d w")
+    _check_affine("linear", x, w.shape[1], w.shape[0], b)
+
+    def backward(g: Array) -> None:
+        if x.requires_grad:
+            _accumulate(x, g @ w.data)
+        _accumulate(w, g.T @ x.data)
+        _accumulate(b, g.sum(axis=0))
+
+    return _op(x.data @ w.data.T + b.data, (x, w, b), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +309,7 @@ def relu(x: Tensor) -> Tensor:
     def backward(g: Array) -> None:
         _accumulate(x, g * mask)
 
-    return _op(np.where(mask, x.data, 0.0), (x,), backward)
+    return _op(np_relu(x.data), (x,), backward)
 
 
 def np_sigmoid(z: Array) -> Array:
@@ -289,15 +329,6 @@ def sigmoid(x: Tensor) -> Tensor:
         _accumulate(x, g * s * (1.0 - s))
 
     return _op(s, (x,), backward)
-
-
-def exp(x: Tensor) -> Tensor:
-    e = np.exp(x.data)
-
-    def backward(g: Array) -> None:
-        _accumulate(x, g * e)
-
-    return _op(e, (x,), backward)
 
 
 def log(x: Tensor) -> Tensor:
@@ -335,6 +366,13 @@ def np_softmax(z: Array, axis: int = -1) -> Array:
     shifted = z - np.max(z, axis=axis, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=axis, keepdims=True)
+
+
+def np_log_softmax(z: Array, axis: int = -1) -> Array:
+    """Log-softmax on a plain array, from max-shifted logits: finite for any
+    finite input, with no floor on small probabilities."""
+    shifted = z - np.max(z, axis=axis, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -403,40 +441,30 @@ def tmax(x: Tensor, axis: int | None = None) -> Tensor:
 # similarity
 
 
-def cosine(a: Tensor, b: Tensor) -> Tensor:
-    """Cosine similarity of two vectors, in [-1, 1]."""
-    if a.data.ndim != 1 or b.data.ndim != 1 or a.shape != b.shape:
-        raise DimensionError("cosine expects two vectors of equal length")
-    na = float(np.linalg.norm(a.data))
-    nb = float(np.linalg.norm(b.data))
-    if na == 0.0 or nb == 0.0:
-        raise DegenerateInputError("cosine of a zero-norm vector")
-    dot = float(a.data @ b.data)
-    value = dot / (na * nb)
-
-    def backward(g: Array) -> None:
-        _accumulate(a, g * (b.data / (na * nb) - value * a.data / (na * na)))
-        _accumulate(b, g * (a.data / (na * nb) - value * b.data / (nb * nb)))
-
-    return _op(np.asarray(value), (a, b), backward)
-
-
-def _row_norms(m: Array, what: str) -> Array:
-    norms = np.linalg.norm(m, axis=1)
+def row_norms(m: Array, what: str) -> Array:
+    """Euclidean norm of each row (as ``np.linalg.norm(m, axis=1)`` computes
+    it); a zero-norm row has no direction."""
+    norms = np.sqrt((m * m).sum(axis=1))
     if np.any(norms == 0.0):
         raise DegenerateInputError(f"zero-norm row in {what}")
     return norms
+
+
+def np_cosine_matrix(a: Array, b: Array) -> tuple[Array, Array, Array, Array, Array]:
+    """All-pairs cosines of rows of a[n,f] and b[k,f] on plain arrays, plus
+    the row norms and unit rows of both operands."""
+    na = row_norms(a, "left operand")
+    nb = row_norms(b, "right operand")
+    an = a / na[:, None]
+    bn = b / nb[:, None]
+    return an @ bn.T, na, nb, an, bn
 
 
 def cosine_matrix(a: Tensor, b: Tensor) -> Tensor:
     """All-pairs cosine similarity between rows of a[n,f] and rows of b[k,f]."""
     if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[1]:
         raise DimensionError("cosine_matrix expects [n,f] and [k,f]")
-    na = _row_norms(a.data, "left operand")
-    nb = _row_norms(b.data, "right operand")
-    an = a.data / na[:, None]
-    bn = b.data / nb[:, None]
-    c = an @ bn.T
+    c, na, nb, an, bn = np_cosine_matrix(a.data, b.data)
 
     def backward(g: Array) -> None:
         ga = (g @ bn - (g * c).sum(axis=1, keepdims=True) * an) / na[:, None]
@@ -451,8 +479,8 @@ def cosine_pairs(a: Tensor, b: Tensor) -> Tensor:
     """Row-wise cosine similarity between matching rows of a[n,f] and b[n,f]."""
     if a.shape != b.shape or a.data.ndim != 2:
         raise DimensionError("cosine_pairs expects two [n,f] tensors")
-    na = _row_norms(a.data, "left operand")
-    nb = _row_norms(b.data, "right operand")
+    na = row_norms(a.data, "left operand")
+    nb = row_norms(b.data, "right operand")
     dots = np.einsum("ij,ij->i", a.data, b.data)
     values = dots / (na * nb)
 
@@ -485,13 +513,20 @@ def gather_pairs(x: Tensor, rows, cols) -> Tensor:
 
 
 def take_rows(x: Tensor, rows) -> Tensor:
-    rows = np.asarray(rows, dtype=np.intp)
-    if x.data.ndim != 2 or rows.ndim != 1:
+    """Rows of a matrix by index vector, or by slice; backward scatter-adds."""
+    if not isinstance(rows, slice):
+        rows = np.asarray(rows, dtype=np.intp)
+        if rows.ndim != 1:
+            raise DimensionError("take_rows expects a matrix and an index vector")
+    if x.data.ndim != 2:
         raise DimensionError("take_rows expects a matrix and an index vector")
 
     def backward(g: Array) -> None:
         gx = np.zeros_like(x.data)
-        np.add.at(gx, rows, g)
+        if isinstance(rows, slice):
+            gx[rows] = g
+        else:
+            np.add.at(gx, rows, g)
         _accumulate(x, gx)
 
     return _op(x.data[rows], (x,), backward)

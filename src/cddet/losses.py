@@ -3,7 +3,9 @@ multi-task binary aggregation, plus label smoothing and mixup.
 
 All losses return scalar tensors and are differentiable through the live
 model only; snapshot outputs enter as plain arrays and never receive
-gradients. Probabilities are clamped to [1e-12, 1 - 1e-12] before any log.
+gradients. Each loss term is one tape op whose gradient is written in
+closed form. Log-probabilities come from a max-shifted log-softmax or a
+softplus, so they stay finite without any probability floor.
 """
 
 from __future__ import annotations
@@ -13,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import diffcore as dc
-from .diffcore import PROB_FLOOR, Array, Tensor
-from .errors import ConfigError, ContractError, ProtocolError
+from .diffcore import Array, Tensor
+from .errors import ConfigError, ContractError, DimensionError, ProtocolError
 from .model import BC, FAKE, MC, MT, Model
 
 SUMLOG = "sumlog"
@@ -48,30 +50,59 @@ class LossWeights:
 
 @dataclass
 class Batch:
-    """Aligned sample rows: raw inputs first, then latent payload rows."""
+    """Aligned sample rows: raw inputs first, then latent payload rows.
+
+    ``old_features`` and ``old_logits`` optionally carry the snapshot's
+    outputs for the same rows, so distillation need not recompute them.
+    """
 
     x: Array | None = None
     latents: Array | None = None
     classes: Array | None = None
     polarity: Array | None = None
     target_rows: Array | None = None
+    old_features: Array | None = None
+    old_logits: Array | None = None
 
     def __len__(self) -> int:
         n = 0 if self.x is None else self.x.shape[0]
         m = 0 if self.latents is None else self.latents.shape[0]
         return n + m
 
-
-def _clamped_log(p: Tensor) -> Tensor:
-    return dc.log(dc.clamp(p, PROB_FLOOR, 1.0 - PROB_FLOOR))
-
-
-def _np_clamped_log(p: Array) -> Array:
-    return np.log(np.clip(p, PROB_FLOOR, 1.0 - PROB_FLOOR))
+    def take(self, rows) -> "Batch":
+        """The given rows of a batch that holds one payload kind only."""
+        return Batch(**{name: None if v is None else v[rows] for name, v in vars(self).items()})
 
 
-def _mask_matrix(mask: Array, n: int) -> Tensor:
-    return dc.constant(np.broadcast_to(mask.astype(np.float64), (n, mask.size)).copy())
+def _loss_op(parent: Tensor, value, grad: Array) -> Tensor:
+    """A loss term as one tape op; ``grad`` is d(value)/d(parent)."""
+
+    def backward(g: Array) -> None:
+        dc._accumulate(parent, g * grad)
+
+    return dc._op(np.asarray(value, dtype=np.float64), (parent,), backward)
+
+
+def _target_rows(targets, n: int, k: int) -> Array:
+    """Dense [n,k] target rows from class indices or soft label rows."""
+    targets = np.asarray(targets)
+    if targets.ndim == 2:
+        if targets.shape != (n, k):
+            raise ContractError(f"soft targets shape {targets.shape} != {(n, k)}")
+        return targets.astype(np.float64)
+    targets = targets.astype(np.intp)
+    if targets.min(initial=0) < 0 or targets.max(initial=0) >= k:
+        raise ContractError("target class out of range")
+    return _one_hot(targets, k)
+
+
+def _ce_parts(logp: Array, rows: Array) -> tuple[float, Array]:
+    """-mean_i sum_k rows[i,k] logp[i,k] for logp = log softmax(z), and its
+    gradient in z."""
+    n = logp.shape[0]
+    value = -(rows * logp).sum() / n
+    grad = (np.exp(logp) * rows.sum(axis=1, keepdims=True) - rows) / n
+    return value, grad
 
 
 def multiclass_ce(logits: Tensor, targets) -> Tensor:
@@ -80,71 +111,68 @@ def multiclass_ce(logits: Tensor, targets) -> Tensor:
     ``targets`` may be integer class indices or soft label rows.
     """
     n, k = logits.shape
-    logp = _clamped_log(dc.softmax(logits, axis=1))
-    targets = np.asarray(targets)
-    if targets.ndim == 2:
-        if targets.shape != (n, k):
-            raise ContractError(f"soft targets shape {targets.shape} != {(n, k)}")
-        picked = dc.tsum(dc.mul(dc.constant(targets.astype(np.float64)), logp), axis=1)
-    else:
-        targets = targets.astype(np.intp)
-        if targets.min(initial=0) < 0 or targets.max(initial=0) >= k:
-            raise ContractError("target class out of range")
-        picked = dc.gather_pairs(logp, np.arange(n), targets)
-    return dc.scale(dc.tmean(picked), -1.0)
+    logp = dc.np_log_softmax(logits.data, axis=1)
+    return _loss_op(logits, *_ce_parts(logp, _target_rows(targets, n, k)))
 
 
 def binary_ce(logit: Tensor, targets) -> Tensor:
-    """Mean binary cross-entropy of sigmoid outputs against 0/1 targets."""
+    """Mean binary cross-entropy of sigmoid outputs against 0/1 targets,
+    computed from the logits: softplus(-z) for fakes, softplus(z) for reals."""
     y = np.asarray(targets, dtype=np.float64)
     if not np.all((y == 0.0) | (y == 1.0)):
         raise ContractError("binary targets must be 0 or 1")
-    z = dc.take_cols(logit, np.array([0])) if logit.data.ndim == 2 else logit
-    z = dc.tsum(z, axis=1) if z.data.ndim == 2 else z
+    z = logit.data[:, 0] if logit.data.ndim == 2 else logit.data
     if z.shape != y.shape:
         raise ContractError(f"logit shape {z.shape} does not match targets {y.shape}")
-    s = dc.clamp(dc.sigmoid(z), PROB_FLOOR, 1.0 - PROB_FLOOR)
-    pos = dc.mul(dc.constant(y), dc.log(s))
-    neg = dc.mul(dc.constant(1.0 - y), dc.log(dc.sub(dc.constant(np.ones_like(y)), s)))
-    return dc.scale(dc.tmean(dc.add(pos, neg)), -1.0)
+    value = np.mean(y * np.logaddexp(0.0, -z) + (1.0 - y) * np.logaddexp(0.0, z))
+    dz = (dc.np_sigmoid(z) - y) / y.size
+    if logit.data.ndim == 2:
+        grad = np.zeros_like(logit.data)
+        grad[:, 0] = dz
+    else:
+        grad = dz
+    return _loss_op(logit, value, grad)
 
 
 def kd_kl(old_logits: Array, new_logits: Tensor, T: float, class_mask) -> Tensor:
     """Temperature-scaled KL from the frozen old outputs to the live ones.
 
-    The old distribution is the target and receives no gradient. A
-    single-column mask compares the sigmoid output as a 2-point distribution.
+    The old distribution is the target and receives no gradient; the
+    gradient in the live logits is (softmax(z/T) - p) * T per row. A
+    single-column mask compares the sigmoid output as the 2-point
+    distribution softmax([0, z]).
     """
     mask = np.asarray(class_mask)
     cols = np.flatnonzero(mask) if mask.dtype == bool else mask.astype(np.intp)
     if cols.size == 0:
         raise ContractError("distillation mask selects no classes")
     old = np.atleast_2d(np.asarray(old_logits, dtype=np.float64))[:, cols]
-    t = float(T)
-
+    new = new_logits.data[:, cols]
     if cols.size == 1:
-        p1 = np.clip(dc.np_sigmoid(old[:, 0] / t), PROB_FLOOR, 1.0 - PROB_FLOOR)
-        p0 = 1.0 - p1
-        z = dc.scale(dc.tsum(dc.take_cols(new_logits, cols), axis=1), 1.0 / t)
-        q1 = dc.clamp(dc.sigmoid(z), PROB_FLOOR, 1.0 - PROB_FLOOR)
-        q0 = dc.sub(dc.constant(np.ones_like(p1)), q1)
-        rows = dc.add(
-            dc.mul(dc.constant(p1), dc.sub(dc.constant(np.log(p1)), dc.log(q1))),
-            dc.mul(dc.constant(p0), dc.sub(dc.constant(np.log(p0)), dc.log(q0))),
-        )
-        return dc.scale(dc.tmean(rows), t * t)
-
-    p = np.clip(dc.np_softmax(old / t, axis=1), PROB_FLOOR, 1.0 - PROB_FLOOR)
-    logq = _clamped_log(dc.softmax(dc.scale(dc.take_cols(new_logits, cols), 1.0 / t), axis=1))
-    rows = dc.tsum(dc.mul(dc.constant(p), dc.sub(dc.constant(np.log(p)), logq)), axis=1)
-    return dc.scale(dc.tmean(rows), t * t)
+        old = np.hstack([np.zeros_like(old), old])
+        new = np.hstack([np.zeros_like(new), new])
+    t = float(T)
+    n = new.shape[0]
+    logp = dc.np_log_softmax(old / t, axis=1)
+    logq = dc.np_log_softmax(new / t, axis=1)
+    p = np.exp(logp)
+    value = (p * (logp - logq)).sum(axis=1).mean() * (t * t)
+    grad = np.zeros_like(new_logits.data)
+    grad[:, cols] = ((np.exp(logq) - p) * (t / n))[:, -cols.size :]
+    return _loss_op(new_logits, value, grad)
 
 
 def kd_feature(old_feats: Array, new_feats: Tensor) -> Tensor:
     """Mean cosine distance between frozen and live feature rows; range [0, 2]."""
-    old = dc.constant(np.asarray(old_feats, dtype=np.float64))
-    cos = dc.cosine_pairs(old, new_feats)
-    return dc.tmean(dc.add_scalar(dc.neg(cos), 1.0))
+    old = np.asarray(old_feats, dtype=np.float64)
+    new = new_feats.data
+    if old.shape != new.shape or old.ndim != 2:
+        raise DimensionError("kd_feature expects two [n,f] feature blocks")
+    na = dc.row_norms(old, "old features")
+    nb = dc.row_norms(new, "new features")
+    cos = np.einsum("ij,ij->i", old, new) / (na * nb)
+    dcos = old / (na * nb)[:, None] - cos[:, None] * new / (nb * nb)[:, None]
+    return _loss_op(new_feats, np.mean(1.0 - cos), dcos * (-1.0 / cos.size))
 
 
 def margin_ranking(features: Tensor, embeddings: Tensor, targets, tau: float, J: int) -> Tensor:
@@ -157,18 +185,20 @@ def margin_ranking(features: Tensor, embeddings: Tensor, targets, tau: float, J:
         return dc.constant(0.0)
     targets = np.asarray(targets, dtype=np.intp)
     sims = dc.cosine_matrix(features, embeddings)
+    rows = np.arange(n)
 
-    sel_rows = np.repeat(np.arange(n), J)
-    sel_cols = np.empty(n * J, dtype=np.intp)
-    for i in range(n):
-        order = np.argsort(-sims.data[i], kind="stable")
-        rivals = order[order != targets[i]][:J]
-        sel_cols[i * J : (i + 1) * J] = rivals
+    # rivals: the J highest cosines besides the target's. The stable sort
+    # breaks ties toward the lower class, and the target, keyed +inf, sorts last.
+    keyed = -sims.data
+    keyed[rows, targets] = np.inf
+    rivals = np.argsort(keyed, axis=1, kind="stable")[:, :J]
+    gaps = sims.data[rows[:, None], rivals] - sims.data[rows, targets][:, None] + float(tau)
+    active = gaps > 0
 
-    rival_sims = dc.gather_pairs(sims, sel_rows, sel_cols)
-    target_sims = dc.gather_pairs(sims, sel_rows, np.repeat(targets, J))
-    hinge = dc.relu(dc.add_scalar(dc.sub(rival_sims, target_sims), float(tau)))
-    return dc.scale(dc.tsum(hinge), 1.0 / n)
+    grad = np.zeros_like(sims.data)
+    grad[rows[:, None], rivals] = active / n
+    grad[rows, targets] = -active.sum(axis=1) / n
+    return _loss_op(sims, np.where(active, gaps, 0.0).sum() * (1.0 / n), grad)
 
 
 def _fake_mask_of(registry) -> Array:
@@ -177,45 +207,64 @@ def _fake_mask_of(registry) -> Array:
     return np.asarray(registry) == FAKE
 
 
-def aggregate_batch(logits: Tensor, activations: Tensor, fake_mask: Array, rule: str):
-    """Per-row fake and real log scores (d_F, d_R) under the chosen rule."""
+def _group_score(logp: Array, p: Array, group: Array, rule: str) -> tuple[Array, Array]:
+    """One polarity's log score per row under a softmax-based rule, and its
+    gradient in the logits."""
+    if rule == SUMLOG:
+        return logp[:, group].sum(axis=1), group - group.sum() * p
+    grad = -p
+    if rule == SUMLOGIT:
+        # log of the group's probability mass, and the in-group softmax
+        inside = logp[:, group]
+        top = inside.max(axis=1)
+        d = top + np.log(np.exp(inside - top[:, None]).sum(axis=1))
+        grad[:, group] += np.exp(inside - d[:, None])
+        return d, grad
+    # MAX: the group's largest activation; ties go to the lowest class
+    rows = np.arange(logp.shape[0])
+    best = np.flatnonzero(group)[np.argmax(logp[:, group], axis=1)]
+    grad[rows, best] += 1.0
+    return logp[rows, best], grad
+
+
+def aggregate_batch(logits: Array, fake_mask: Array, rule: str):
+    """Per-row fake and real log scores (d_F, d_R) of logits[n,k] under the
+    chosen rule, and their gradients in the logits: (d_F, d_R, grad_F, grad_R)."""
+    mask = _polarity_mask(fake_mask, rule)
+    z = np.atleast_2d(np.asarray(logits, dtype=np.float64))
+    return _aggregate(z, dc.np_log_softmax(z, axis=1), mask, rule)
+
+
+def _polarity_mask(fake_mask, rule: str) -> Array:
     if rule not in AGG_RULES:
         raise ConfigError(f"unknown aggregation rule {rule!r}")
     mask = np.asarray(fake_mask, dtype=bool)
     if not mask.any() or mask.all():
         raise ContractError("aggregation needs at least one fake and one real class")
-    n = logits.shape[0]
-    fm = _mask_matrix(mask, n)
-    rm = _mask_matrix(~mask, n)
-
-    if rule == SUMLOG:
-        logg = _clamped_log(activations)
-        return dc.tsum(dc.mul(logg, fm), axis=1), dc.tsum(dc.mul(logg, rm), axis=1)
-    if rule == SUMLOGIT:
-        d_f = _clamped_log(dc.tsum(dc.mul(activations, fm), axis=1))
-        d_r = _clamped_log(dc.tsum(dc.mul(activations, rm), axis=1))
-        return d_f, d_r
-    if rule == MAX:
-        d_f = _clamped_log(dc.tmax(dc.mul(activations, fm), axis=1))
-        d_r = _clamped_log(dc.tmax(dc.mul(activations, rm), axis=1))
-        return d_f, d_r
-    # SUMFEAT: polarity-summed logits through a two-way softmax, log taken
-    s_f = dc.tsum(dc.mul(logits, fm), axis=1)
-    s_r = dc.tsum(dc.mul(logits, rm), axis=1)
-    d_f = dc.neg(dc.softplus(dc.sub(s_r, s_f)))
-    d_r = dc.neg(dc.softplus(dc.sub(s_f, s_r)))
-    return d_f, d_r
+    return mask
 
 
-def aggregate(logits_row, activations_row, registry, rule: str) -> tuple[float, float]:
+def _aggregate(z: Array, logp: Array, mask: Array, rule: str):
+    if rule == SUMFEAT:
+        # polarity-summed logits through a two-way softmax, log taken
+        u = z[:, mask].sum(axis=1) - z[:, ~mask].sum(axis=1)
+        sign = np.where(mask, 1.0, -1.0)
+        grad_f = dc.np_sigmoid(-u)[:, None] * sign
+        grad_r = -dc.np_sigmoid(u)[:, None] * sign
+        return -np.logaddexp(0.0, -u), -np.logaddexp(0.0, u), grad_f, grad_r
+    p = np.exp(logp)
+    d_f, grad_f = _group_score(logp, p, mask, rule)
+    d_r, grad_r = _group_score(logp, p, ~mask, rule)
+    return d_f, d_r, grad_f, grad_r
+
+
+def aggregate(logits_row, registry, rule: str) -> tuple[float, float]:
     """Single-row aggregation returning plain (d_F, d_R) values."""
-    logits = dc.constant(np.atleast_2d(np.asarray(logits_row, dtype=np.float64)))
-    acts = dc.constant(np.atleast_2d(np.asarray(activations_row, dtype=np.float64)))
-    d_f, d_r = aggregate_batch(logits, acts, _fake_mask_of(registry), rule)
-    return float(d_f.data[0]), float(d_r.data[0])
+    d_f, d_r, _, _ = aggregate_batch(logits_row, _fake_mask_of(registry), rule)
+    return float(d_f[0]), float(d_r[0])
 
 
-def mt_class_loss(logits: Tensor, activations: Tensor, targets, registry, lam: float, rule: str) -> Tensor:
+def mt_class_loss(logits: Tensor, targets, registry, lam: float, rule: str) -> Tensor:
     """Convex mix of the multi-class loss and the aggregated binary one.
 
     At lam = 0 this returns the multi-class cross-entropy itself, so the
@@ -226,22 +275,17 @@ def mt_class_loss(logits: Tensor, activations: Tensor, targets, registry, lam: f
     if lam == 0.0:
         return multiclass_ce(logits, targets)
 
-    mask = _fake_mask_of(registry)
-    targets_arr = np.asarray(targets)
-    if targets_arr.ndim == 2:
-        w_fake = targets_arr[:, mask].sum(axis=1)
-    else:
-        w_fake = mask[targets_arr.astype(np.intp)].astype(np.float64)
-    d_f, d_r = aggregate_batch(logits, activations, mask, rule)
-    picked = dc.add(
-        dc.mul(d_f, dc.constant(w_fake)),
-        dc.mul(d_r, dc.constant(1.0 - w_fake)),
-    )
-    binary_term = dc.scale(dc.tmean(picked), -1.0)
-    if lam == 1.0:
-        return binary_term
-    ce = multiclass_ce(logits, targets)
-    return dc.add(dc.scale(ce, 1.0 - lam), dc.scale(binary_term, lam))
+    n, k = logits.shape
+    rows = _target_rows(targets, n, k)
+    mask = _polarity_mask(_fake_mask_of(registry), rule)
+    w_fake = rows[:, mask].sum(axis=1)
+    logp = dc.np_log_softmax(logits.data, axis=1)
+    d_f, d_r, grad_f, grad_r = _aggregate(logits.data, logp, mask, rule)
+    binary = -np.mean(w_fake * d_f + (1.0 - w_fake) * d_r)
+    grad_binary = -(w_fake[:, None] * grad_f + (1.0 - w_fake)[:, None] * grad_r) / n
+    ce, grad_ce = _ce_parts(logp, rows)
+    value = ce * (1.0 - lam) + binary * lam
+    return _loss_op(logits, value, grad_ce * (1.0 - lam) + grad_binary * lam)
 
 
 def label_smooth(targets, k: int, eps: float) -> Array:
@@ -277,18 +321,20 @@ def mixup(batch_a, batch_b, alpha: float, rng: np.random.Generator):
 
 
 def _forward_joint(model: Model, raw: Array | None, latents: Array | None):
+    """Features and logits of the live model, on the tape."""
     parts = []
     if raw is not None and raw.shape[0]:
-        parts.append(model.extractor.forward(raw))
+        parts.append(model.extractor.forward(raw, tape=True))
     if latents is not None and latents.shape[0]:
-        parts.append(model.extractor.forward_from_latent(latents))
+        parts.append(model.extractor.forward_from_latent(latents, tape=True))
     if not parts:
         raise ContractError("no rows to train on")
     features = parts[0] if len(parts) == 1 else dc.concat_rows(parts[0], parts[1])
-    return features, model.head.logits(features)
+    return features, model.head.logits(features, tape=True)
 
 
 def _np_forward_joint(snapshot: Model, raw: Array | None, latents: Array | None):
+    """The snapshot's features and logits as plain arrays, raw rows first."""
     parts_f, parts_z = [], []
     if raw is not None and raw.shape[0]:
         f, z = snapshot.forward(raw)
@@ -330,7 +376,7 @@ def total_loss(
 
     n_new = 0 if batch_new.x is None else batch_new.x.shape[0]
     n_total = logits.shape[0]
-    ex_slice = np.arange(n_new, n_total)
+    ex_slice = slice(n_new, n_total)
 
     polarity = _stack(batch_new.polarity, ex.polarity if ex else None)
     classes = _stack(batch_new.classes, ex.classes if ex else None)
@@ -344,22 +390,25 @@ def total_loss(
         elif system == MT:
             if rule is None:
                 raise ConfigError("multi-task loss needs an aggregation rule")
-            activations = dc.softmax(logits, axis=1)
-            class_loss = mt_class_loss(
-                logits, activations, targets, model.head.registry, weights.lam, rule
-            )
+            class_loss = mt_class_loss(logits, targets, model.head.registry, weights.lam, rule)
         else:
             raise ConfigError(f"unknown learning system {system!r}")
 
     total = class_loss
-    if ex is not None and weights.gamma_d > 0:
-        old_feats, old_logits = _np_forward_joint(snapshot, ex.x, ex.latents)
-        ex_logits = dc.take_rows(logits, ex_slice)
+    wants_distill = ex is not None and weights.gamma_d > 0
+    wants_margin = ex is not None and weights.gamma_m > 0 and system != BC
+    if wants_distill or wants_margin:
         ex_feats = dc.take_rows(features, ex_slice)
+
+    if wants_distill:
+        if ex.old_logits is not None:
+            old_feats, old_logits = ex.old_features, ex.old_logits
+        else:
+            old_feats, old_logits = _np_forward_joint(snapshot, ex.x, ex.latents)
         distill_terms = []
         if distill_form in ("logit", "logit+feature"):
             mask = np.arange(logits.shape[1]) < old_logits.shape[1]
-            distill_terms.append(kd_kl(old_logits, ex_logits, weights.T, mask))
+            distill_terms.append(kd_kl(old_logits, dc.take_rows(logits, ex_slice), weights.T, mask))
         if distill_form in ("feature", "logit+feature"):
             distill_terms.append(kd_feature(old_feats, ex_feats))
         if not distill_terms:
@@ -369,8 +418,7 @@ def total_loss(
             distill = dc.add(distill, term)
         total = dc.add(total, dc.scale(distill, weights.gamma_d))
 
-    if ex is not None and weights.gamma_m > 0 and system != BC:
-        ex_feats = dc.take_rows(features, ex_slice)
+    if wants_margin:
         ex_classes = classes[n_new:]
         supp = margin_ranking(ex_feats, model.head.theta, ex_classes, weights.tau, weights.J)
         total = dc.add(total, dc.scale(supp, weights.gamma_m))

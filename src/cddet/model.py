@@ -1,5 +1,11 @@
 """Network model: an MLP feature extractor plus an expandable classifier head.
 
+Forward passes run in one of two modes. With ``tape=True`` each layer is
+one recorded op (``affine_relu`` for hidden layers, ``linear`` for the
+linfc and sigmoid heads), for training. The default records no tape: layers
+run on plain arrays, with the same arithmetic and the same per-layer
+finiteness check, for evaluation, herding, latent capture and snapshots.
+
 Three head variants are supported: a plain linear head ("linfc"), a
 cosine-normalised head with a learnable positive scale ("cosfc"), and a
 single-unit sigmoid head ("sigmoid") whose output never grows with the
@@ -123,40 +129,49 @@ class FeatureExtractor:
     def _as_tensor(self, x) -> Tensor:
         return x if isinstance(x, Tensor) else Tensor(np.atleast_2d(np.asarray(x, dtype=np.float64)))
 
-    def forward(self, x) -> Tensor:
-        features, _ = self.forward_with_capture(x)
+    def forward(self, x, tape: bool = False) -> Tensor:
+        features, _ = self.forward_with_capture(x, tape)
         return features
 
-    def forward_with_capture(self, x) -> tuple[Tensor, Array]:
+    def forward_with_capture(self, x, tape: bool = False) -> tuple[Tensor, Array]:
         """Full forward; also returns the capture-layer activation as an array."""
         h = self._as_tensor(x)
         if h.shape[1] != self.input_width:
             raise ContractError(f"input width {h.shape[1]} != {self.input_width}")
         if h.shape[0] == 0:
             raise ContractError("empty batch")
-        latent: Array | None = None
-        n_layers = len(self.weights)
-        for i in range(n_layers):
-            h = dc.affine(h, self.weights[i], self.biases[i])
-            if i < n_layers - 1:
-                h = dc.relu(h)
-                if i == self.capture_layer:
-                    latent = h.data.copy()
+        features, latent = self._layers(h, 0, tape)
         if latent is None:  # single linear layer: capture the input itself
-            latent = self._as_tensor(x).data.copy()
-        return h, latent
+            latent = h.data.copy()
+        return features, latent
 
-    def forward_from_latent(self, latent) -> Tensor:
+    def forward_from_latent(self, latent, tape: bool = False) -> Tensor:
         """Resume the forward pass from a stored capture-layer activation."""
         h = self._as_tensor(latent)
         if h.shape[1] != self.latent_width:
             raise ContractError(f"latent width {h.shape[1]} != {self.latent_width}")
-        n_layers = len(self.weights)
-        for i in range(self.capture_layer + 1, n_layers):
-            h = dc.affine(h, self.weights[i], self.biases[i])
-            if i < n_layers - 1:
-                h = dc.relu(h)
-        return h
+        features, _ = self._layers(h, self.capture_layer + 1, tape)
+        return features
+
+    def _layers(self, h: Tensor, start: int, tape: bool) -> tuple[Tensor, Array | None]:
+        """Layers ``start`` onward, plus the capture-layer activation if passed."""
+        last = len(self.weights) - 1
+        latent: Array | None = None
+        if tape:
+            for i in range(start, last + 1):
+                layer = dc.affine_relu if i < last else dc.affine
+                h = layer(h, self.weights[i], self.biases[i])
+                if i == self.capture_layer and i < last:
+                    latent = h.data.copy()
+            return h, latent
+        z = h.data
+        for i in range(start, last + 1):
+            z = dc.checked(z @ self.weights[i].data + self.biases[i].data)
+            if i < last:
+                z = dc.np_relu(z)
+                if i == self.capture_layer:
+                    latent = z
+        return Tensor(z), latent
 
     def parameters(self) -> list[Tensor]:
         return list(self.weights) + list(self.biases)
@@ -202,17 +217,20 @@ class ClassifierHead:
             raise ProtocolError("argmax heads must expand, not merely register")
         self.registry.add_task(task_id)
 
-    def logits(self, features: Tensor) -> Tensor:
+    def logits(self, features: Tensor, tape: bool = False) -> Tensor:
         if features.shape[0] == 0:
             raise ContractError("empty batch")
-        if self.variant == SIGMOID:
-            return dc.affine(features, dc.transpose(self.theta), self.bias)
-        if self.num_classes == 0:
+        if self.variant != SIGMOID and self.num_classes == 0:
             raise ProtocolError("head has no classes; expand it first")
-        if self.variant == LINFC:
-            return dc.affine(features, dc.transpose(self.theta), self.bias)
-        cos = dc.cosine_matrix(features, self.theta)
-        return dc.mul(cos, _broadcast_scalar(self.scale, cos.shape))
+        if self.variant == COSFC:
+            if tape:
+                cos = dc.cosine_matrix(features, self.theta)
+                return dc.mul(cos, _broadcast_scalar(self.scale, cos.shape))
+            cos = dc.np_cosine_matrix(features.data, self.theta.data)[0]
+            return Tensor(cos * self.scale.data)
+        if tape:
+            return dc.linear(features, self.theta, self.bias)
+        return Tensor(features.data @ self.theta.data.T + self.bias.data)
 
     def parameters(self) -> list[Tensor]:
         params = [self.theta]
@@ -260,10 +278,12 @@ class Model:
         return cls(extractor, head)
 
     def forward(self, x) -> tuple[Tensor, Tensor]:
+        """Features and logits, recording no tape."""
         features = self.extractor.forward(x)
         return features, self.head.logits(features)
 
     def forward_from_latent(self, latent) -> tuple[Tensor, Tensor]:
+        """Features and logits from a capture-layer activation, recording no tape."""
         features = self.extractor.forward_from_latent(latent)
         return features, self.head.logits(features)
 
@@ -280,14 +300,6 @@ class Model:
             param.requires_grad = False
             param.grad = None
         return clone
-
-
-def snapshot(model: Model) -> Model:
-    return model.snapshot()
-
-
-def expand_head(head: ClassifierHead, task_id: int) -> None:
-    head.expand(task_id)
 
 
 def predict_binary(head: ClassifierHead, logits: Array, system: str) -> Array:
@@ -348,22 +360,64 @@ def _model_payload(model: Model) -> dict:
     }
 
 
+def _stored_array(value, shape: tuple[int, ...], field: str) -> Array:
+    """A stored parameter array, which must have exactly the expected shape."""
+    try:
+        arr = np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise ConfigError(f"checkpoint field {field}: not a numeric array") from None
+    if arr.size == 0 and 0 in shape:
+        arr = arr.reshape(shape)  # an empty head is stored as []
+    if arr.shape != shape:
+        raise ConfigError(f"checkpoint field {field}: shape {arr.shape}, expected {shape}")
+    return arr
+
+
+def _stored_list(value, count: int, field: str) -> list:
+    if not isinstance(value, list) or len(value) != count:
+        found = len(value) if isinstance(value, list) else type(value).__name__
+        raise ConfigError(f"checkpoint field {field}: expected {count} entries, found {found}")
+    return value
+
+
 def _model_from_payload(payload: dict) -> Model:
-    rng = np.random.default_rng(0)  # placeholder; parameters are overwritten
-    extractor = FeatureExtractor(tuple(payload["widths"]), payload["capture_layer"], rng)
-    for tensor, stored in zip(extractor.weights, payload["extractor"]["weights"]):
-        tensor.data = np.asarray(stored, dtype=np.float64)
-    for tensor, stored in zip(extractor.biases, payload["extractor"]["biases"]):
-        tensor.data = np.asarray(stored, dtype=np.float64)
-    head = ClassifierHead(payload["variant"], extractor.feature_width, rng)
-    head.theta = Tensor(np.asarray(payload["head"]["theta"], dtype=np.float64).reshape(-1, extractor.feature_width), requires_grad=True)
-    if "bias" in payload["head"]:
-        head.bias = Tensor(np.asarray(payload["head"]["bias"], dtype=np.float64), requires_grad=True)
-    if "scale" in payload["head"]:
-        head.scale = Tensor(np.asarray(payload["head"]["scale"], dtype=np.float64), requires_grad=True)
-    head.registry = ClassRegistry([tuple(entry) for entry in payload["registry"]])
-    model = Model(extractor, head)
-    model.sessions_trained = payload["sessions_trained"]
+    """Rebuild a model, checking every stored array against ``widths`` and
+    the registry, so a truncated or reshaped checkpoint cannot load."""
+    try:
+        widths = tuple(int(w) for w in payload["widths"])
+        rng = np.random.default_rng(0)  # placeholder; every parameter is replaced
+        extractor = FeatureExtractor(widths, payload["capture_layer"], rng)
+        n_layers = len(widths) - 1
+        weights = _stored_list(payload["extractor"]["weights"], n_layers, "model.extractor.weights")
+        biases = _stored_list(payload["extractor"]["biases"], n_layers, "model.extractor.biases")
+        for i in range(n_layers):
+            extractor.weights[i].data = _stored_array(
+                weights[i], (widths[i], widths[i + 1]), f"model.extractor.weights[{i}]"
+            )
+            extractor.biases[i].data = _stored_array(
+                biases[i], (widths[i + 1],), f"model.extractor.biases[{i}]"
+            )
+        entries = [tuple(entry) for entry in payload["registry"]]
+        if any(len(entry) != 2 or entry[1] not in (REAL, FAKE) for entry in entries):
+            raise ConfigError("checkpoint field model.registry: entries must be [task_id, polarity]")
+        head = ClassifierHead(payload["variant"], extractor.feature_width, rng)
+        head.registry = ClassRegistry(entries)
+        stored = payload["head"]
+        rows = 1 if head.variant == SIGMOID else len(entries)
+        head.theta = Tensor(
+            _stored_array(stored["theta"], (rows, extractor.feature_width), "model.head.theta"),
+            requires_grad=True,
+        )
+        if head.bias is not None:
+            head.bias = Tensor(_stored_array(stored["bias"], (rows,), "model.head.bias"), requires_grad=True)
+        if head.scale is not None:
+            head.scale = Tensor(_stored_array(stored["scale"], (), "model.head.scale"), requires_grad=True)
+        model = Model(extractor, head)
+        model.sessions_trained = int(payload["sessions_trained"])
+    except KeyError as exc:
+        raise ConfigError(f"checkpoint lacks field {exc.args[0]!r}") from None
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"malformed checkpoint: {exc}") from None
     return model
 
 
@@ -380,6 +434,9 @@ def save_checkpoint(path, model: Model, memory_payload: dict | None = None) -> N
 def load_checkpoint(path) -> tuple[Model, dict | None]:
     with open(path, encoding="utf-8") as fh:
         blob = json.load(fh)
-    if blob.get("format") != CHECKPOINT_FORMAT:
-        raise ConfigError(f"unsupported checkpoint format {blob.get('format')!r}")
+    found = blob.get("format") if isinstance(blob, dict) else None
+    if found != CHECKPOINT_FORMAT:
+        raise ConfigError(f"unsupported checkpoint format {found!r}")
+    if not isinstance(blob.get("model"), dict):
+        raise ConfigError("checkpoint lacks field 'model'")
     return _model_from_payload(blob["model"]), blob.get("memory")

@@ -16,7 +16,15 @@ import numpy as np
 
 from . import diffcore as dc
 from .errors import ConfigError, ProtocolError
-from .losses import AGG_RULES, Batch, LossWeights, label_smooth, mixup, total_loss
+from .losses import (
+    AGG_RULES,
+    Batch,
+    LossWeights,
+    _np_forward_joint,
+    label_smooth,
+    mixup,
+    total_loss,
+)
 from .memory import LATENT, RAW, ExemplarMemory, capture, herd_select
 from .model import (
     BC,
@@ -109,17 +117,29 @@ class RunRecord:
 
 
 class Adam:
-    """Adaptive-moment optimizer with the standard defaults."""
+    """Adaptive-moment optimizer with the standard defaults.
+
+    The trainable parameters' values live in one flat buffer: each
+    parameter's ``data`` becomes a view into it, and a step updates the
+    buffer and both moment buffers in place. Frozen parameters stay out.
+    """
 
     def __init__(self, params, lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-        self.params = list(params)
+        self.params = [p for p in params if p.requires_grad]
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m = [np.zeros_like(p.data) for p in self.params]
-        self.v = [np.zeros_like(p.data) for p in self.params]
+        bounds = np.cumsum([0] + [p.data.size for p in self.params])
+        self.spans = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
+        self.flat = np.zeros(bounds[-1])
+        for p, span in zip(self.params, self.spans):
+            self.flat[span] = p.data.ravel()
+            p.data = self.flat[span].reshape(p.data.shape)
+        self.m = np.zeros_like(self.flat)
+        self.v = np.zeros_like(self.flat)
+        self.g = np.zeros_like(self.flat)
 
     def zero_grad(self) -> None:
         for p in self.params:
@@ -127,15 +147,26 @@ class Adam:
 
     def step(self) -> None:
         self.t += 1
-        for i, p in enumerate(self.params):
-            if p.grad is None:
-                continue
-            g = p.grad
-            self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * g
-            self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * g * g
-            m_hat = self.m[i] / (1.0 - self.beta1**self.t)
-            v_hat = self.v[i] / (1.0 - self.beta2**self.t)
-            p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        live = []
+        for p, span in zip(self.params, self.spans):
+            if p.grad is not None:
+                self.g[span] = p.grad.ravel()
+                live.append(span)
+        if len(live) == len(self.spans):
+            self._update(slice(None))
+        else:  # a parameter without a gradient keeps its value and moments
+            for span in live:
+                self._update(span)
+
+    def _update(self, span: slice) -> None:
+        g, m, v = self.g[span], self.m[span], self.v[span]
+        m *= self.beta1
+        m += (1.0 - self.beta1) * g
+        v *= self.beta2
+        v += (1.0 - self.beta2) * g * g
+        m_hat = m / (1.0 - self.beta1**self.t)
+        v_hat = v / (1.0 - self.beta2**self.t)
+        self.flat[span] -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
 # ---------------------------------------------------------------------------
@@ -210,28 +241,41 @@ def _class_targets(registry, task_id: int, polarity: np.ndarray) -> np.ndarray:
     return np.where(polarity == FAKE, fake_cls, real_cls).astype(np.intp)
 
 
+def _exemplar_pool(
+    exemplars: list, payload_kind: str, class_polarity: np.ndarray, snapshot: Model | None
+) -> Batch | None:
+    """Every stored exemplar as one batch of rows, built once per session;
+    with a snapshot, its outputs on those rows ride along for distillation."""
+    if not exemplars:
+        return None
+    payloads = np.vstack([e.payload for e in exemplars])
+    classes = np.array([e.class_idx for e in exemplars], dtype=np.intp)
+    pool = Batch(
+        x=payloads if payload_kind == RAW else None,
+        latents=payloads if payload_kind == LATENT else None,
+        classes=classes,
+        polarity=class_polarity[classes].astype(np.int64),
+    )
+    if snapshot is not None:
+        pool.old_features, pool.old_logits = _np_forward_joint(snapshot, pool.x, pool.latents)
+    return pool
+
+
 def _assemble_batches(
     idxs: np.ndarray,
-    new_x: np.ndarray,
-    new_classes: np.ndarray,
-    new_polarity: np.ndarray,
-    exemplars: list,
-    payload_kind: str,
-    class_polarity: np.ndarray,
+    new: Batch,
+    pool: Batch | None,
+    k: int,
     system: str,
     profile: MethodProfile,
     mixup_rng: np.random.Generator,
 ) -> tuple[Batch, Batch | None]:
-    k = class_polarity.size
-    n_new = new_x.shape[0]
+    """Split one shuffled index window into new-task rows and pool rows."""
+    n_new = new.x.shape[0]
     new_sel = idxs[idxs < n_new]
     ex_sel = idxs[idxs >= n_new] - n_new
 
-    batch_new = Batch(
-        x=new_x[new_sel],
-        classes=new_classes[new_sel],
-        polarity=new_polarity[new_sel],
-    )
+    batch_new = new.take(new_sel)
     if system != BC and profile.label_smooth_eps > 0 and len(new_sel):
         batch_new.target_rows = label_smooth(batch_new.classes, k, profile.label_smooth_eps)
     if system != BC and profile.mixup_alpha > 0 and len(new_sel) > 1:
@@ -255,18 +299,9 @@ def _assemble_batches(
     if len(ex_sel) == 0:
         return batch_new, None
 
-    chosen = [exemplars[i] for i in ex_sel]
-    payloads = np.vstack([e.payload for e in chosen])
-    classes = np.array([e.class_idx for e in chosen], dtype=np.intp)
-    polarity = class_polarity[classes].astype(np.int64)
-    batch_ex = Batch(
-        x=payloads if payload_kind == RAW else None,
-        latents=payloads if payload_kind == LATENT else None,
-        classes=classes,
-        polarity=polarity,
-    )
+    batch_ex = pool.take(ex_sel)
     if system != BC and profile.label_smooth_eps > 0:
-        batch_ex.target_rows = label_smooth(classes, k, profile.label_smooth_eps)
+        batch_ex.target_rows = label_smooth(batch_ex.classes, k, profile.label_smooth_eps)
     return batch_new, batch_ex
 
 
@@ -303,15 +338,23 @@ def run_session(
     registry = model.head.registry
     class_polarity = np.array([pol for _, pol in registry.entries], dtype=np.int64)
 
-    new_x = session.train.x
     new_polarity = session.train.y.astype(np.int64)
-    new_classes = _class_targets(registry, session.task_id, new_polarity)
-    exemplars = memory.all_exemplars() if memory is not None else []
+    new = Batch(
+        x=session.train.x,
+        classes=_class_targets(registry, session.task_id, new_polarity),
+        polarity=new_polarity,
+    )
 
     weights = profile.weights
     if snapshot is None:
         # no old model yet: the distillation and margin terms are skipped
         weights = replace(weights, gamma_d=0.0, gamma_m=0.0)
+    pool = _exemplar_pool(
+        memory.all_exemplars() if memory is not None else [],
+        memory.payload_kind if memory is not None else RAW,
+        class_polarity,
+        snapshot if weights.gamma_d > 0 else None,
+    )
 
     if profile.replay_payload == LATENT and memory is not None and model.sessions_trained >= 1:
         # latent replay keeps stored activations valid (and saves the
@@ -327,7 +370,7 @@ def run_session(
     mixup_rng = substream(config.seed, f"mixup:{session.task_id}")
     distill_form = profile.distill_form if profile.distill_form != "none" else "logit"
 
-    pool_size = new_x.shape[0] + len(exemplars)
+    pool_size = len(new) + (len(pool) if pool is not None else 0)
     for epoch in range(config.epochs):
         decay_steps = sum(1 for m in config.milestones if m <= epoch)
         optimizer.lr = base_lr / (config.lr_divisor**decay_steps)
@@ -335,9 +378,7 @@ def run_session(
         for start in range(0, pool_size, config.batch_size):
             idxs = perm[start : start + config.batch_size]
             batch_new, batch_ex = _assemble_batches(
-                idxs, new_x, new_classes, new_polarity, exemplars,
-                memory.payload_kind if memory is not None else RAW,
-                class_polarity, system, profile, mixup_rng,
+                idxs, new, pool, class_polarity.size, system, profile, mixup_rng
             )
             if len(batch_new) + (len(batch_ex) if batch_ex else 0) == 0:
                 continue

@@ -45,11 +45,38 @@ def check_loss_gradients(seed: int, points: int = 10, tol: float = 1e-6) -> Chec
         for rule in ls.AGG_RULES:
             track(
                 dc.grad_check(
-                    lambda z: ls.mt_class_loss(z, dc.softmax(z, 1), targets, pol, 0.3, rule),
+                    lambda z: ls.mt_class_loss(z, targets, pol, 0.3, rule),
                     dc.Tensor(rng.normal(size=(3, 4))),
                 )
             )
+        emb = dc.Tensor(rng.normal(size=(5, 4)))
+        rank_targets = rng.integers(0, 5, size=3)
+        point = _off_kinks(rng, lambda p: _margin_kinks(p, emb.data, rank_targets, 0.2, 2), (3, 4))
+        track(dc.grad_check(lambda f: ls.margin_ranking(f, emb, rank_targets, 0.2, 2), dc.Tensor(point)))
+        w, b = dc.Tensor(rng.normal(size=(4, 3))), dc.Tensor(rng.normal(size=3))
+        point = _off_kinks(rng, lambda p: np.abs(p @ w.data + b.data).min(), (5, 4))
+        track(dc.grad_check(lambda x: dc.tsum(dc.affine_relu(x, w, b)), dc.Tensor(point)))
     return CheckResult("loss-gradient-suite", worst < tol, f"max rel err {worst:.3e}")
+
+
+def _off_kinks(rng, distance, shape, margin: float = 0.05):
+    """A normal draw whose distance to the nearest kink is at least ``margin``."""
+    while True:
+        point = rng.normal(size=shape)
+        if distance(point) >= margin:
+            return point
+
+
+def _margin_kinks(feats, emb, targets, tau, J) -> float:
+    """Distance to the nearest hinge kink or rival-rank swap of margin ranking."""
+    fn = feats / np.linalg.norm(feats, axis=1, keepdims=True)
+    en = emb / np.linalg.norm(emb, axis=1, keepdims=True)
+    sims = fn @ en.T
+    nearest = np.inf
+    for i, target in enumerate(targets):
+        rival = np.sort(np.delete(sims[i], target))[::-1]
+        nearest = min(nearest, np.abs(rival[:J] - sims[i, target] + tau).min(), rival[J - 1] - rival[J])
+    return nearest
 
 
 def check_herding_oracle(seed: int, trials: int = 20) -> CheckResult:
@@ -109,13 +136,12 @@ def check_aggregation_coincidence(seed: int, trials: int = 1000) -> CheckResult:
     worst = 0.0
     for _ in range(trials):
         logits = rng.normal(size=2)
-        acts = dc.np_softmax(logits)
-        base = ls.aggregate(logits, acts, pol_pair, "sumlog")
+        base = ls.aggregate(logits, pol_pair, "sumlog")
         for rule in ("sumlogit", "max"):
-            other = ls.aggregate(logits, acts, pol_pair, rule)
+            other = ls.aggregate(logits, pol_pair, rule)
             worst = max(worst, abs(other[0] - base[0]), abs(other[1] - base[1]))
         wide = rng.normal(size=5)
-        d_f, d_r = ls.aggregate(wide, dc.np_softmax(wide), pol_many, "sumlogit")
+        d_f, d_r = ls.aggregate(wide, pol_many, "sumlogit")
         worst = max(worst, abs(np.exp(d_f) + np.exp(d_r) - 1.0))
     return CheckResult("aggregation-coincidence", worst < 1e-12, f"max deviation {worst:.3e}")
 

@@ -163,3 +163,20 @@ class TestVerify:
         names = [line.split()[1] for line in first.strip().splitlines()[:-1]]
         assert len(names) >= 5
         assert all(line.startswith("PASS") for line in first.strip().splitlines()[:-1])
+
+
+class TestConfigKeys:
+    def test_unknown_key_names_key_and_line(self, tmp_path, dataset_paths, capsys):
+        config_file = tmp_path / "typo.cfg"
+        config_file.write_text(
+            "profile = finetune\n"
+            "system = mc\n"
+            "epoch = 1\n"
+            "memroy = 10\n"
+            f"data = {dataset_paths[0]}\n"
+        )
+        out = tmp_path / "typo-run"
+        assert run_cli("run", "--config", str(config_file), "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert "line 3" in err and "'epoch'" in err
+        assert not out.exists()

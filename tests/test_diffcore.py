@@ -69,24 +69,29 @@ class TestActivations:
         assert np.all(np.isfinite(out.data))
 
 
+def _row_cosine(a, b):
+    """Cosine of two vectors through the row-wise op."""
+    return dc.cosine_pairs(dc.Tensor([a]), dc.Tensor([b])).data[0]
+
+
 class TestReductions:
     def test_cosine_self(self):
         rng = np.random.default_rng(2)
         for _ in range(5):
             v = rng.normal(size=6)
-            assert dc.cosine(dc.Tensor(v), dc.Tensor(v)).item() == pytest.approx(1.0)
+            assert _row_cosine(v, v) == pytest.approx(1.0)
 
     def test_cosine_orthogonal(self):
-        assert dc.cosine(dc.Tensor([1.0, 0.0]), dc.Tensor([0.0, 1.0])).item() == 0.0
+        assert _row_cosine([1.0, 0.0], [0.0, 1.0]) == 0.0
 
     def test_cosine_half_overlap(self):
-        got = dc.cosine(dc.Tensor([1.0, 1.0]), dc.Tensor([1.0, 0.0])).item()
+        got = _row_cosine([1.0, 1.0], [1.0, 0.0])
         assert got == pytest.approx(1.0 / np.sqrt(2.0), abs=1e-12)
         assert round(got, 4) == 0.7071
 
     def test_cosine_zero_norm(self):
         with pytest.raises(DegenerateInputError):
-            dc.cosine(dc.Tensor([0.0, 0.0]), dc.Tensor([1.0, 0.0]))
+            _row_cosine([0.0, 0.0], [1.0, 0.0])
 
     def test_max_tie_routes_to_lowest_index(self):
         x = dc.Tensor([3.0, 7.0, 7.0, 1.0], requires_grad=True)
@@ -127,13 +132,14 @@ class TestPrimitiveGradients:
     CASES = {
         "relu": lambda x: dc.tsum(dc.relu(x)),
         "sigmoid": lambda x: dc.tsum(dc.sigmoid(x)),
-        "exp": lambda x: dc.tsum(dc.exp(x)),
         "softplus": lambda x: dc.tsum(dc.softplus(x)),
         "softmax": lambda x: dc.tsum(dc.mul(dc.softmax(x, axis=1), dc.softmax(x, axis=1))),
         "mean": lambda x: dc.tmean(x),
         "mean_axis": lambda x: dc.tsum(dc.tmean(x, axis=0)),
         "max_axis": lambda x: dc.tsum(dc.tmax(x, axis=1)),
         "transpose": lambda x: dc.tsum(dc.mul(dc.transpose(x), dc.transpose(x))),
+        "linear": lambda x: dc.tsum(dc.mul(dc.linear(x, x, dc.Tensor(np.ones(3))), dc.linear(x, x, dc.Tensor(np.ones(3))))),
+        "affine_relu": lambda x: dc.tsum(dc.affine_relu(dc.transpose(x), x, dc.Tensor(np.full(4, 0.5)))),
     }
 
     @pytest.mark.parametrize("name", sorted(CASES))
@@ -145,6 +151,8 @@ class TestPrimitiveGradients:
             if name == "relu":
                 # keep away from the kink at zero
                 point = point + np.sign(point) * 0.2
+            if name == "affine_relu" and np.abs(point.T @ point + 0.5).min() < 0.05:
+                continue
             worst = max(worst, dc.grad_check(f, dc.Tensor(point)))
         assert worst < 1e-6
 
@@ -153,13 +161,6 @@ class TestPrimitiveGradients:
         for _ in range(100):
             point = rng.uniform(0.2, 3.0, size=(3, 3))
             assert dc.grad_check(lambda x: dc.tsum(dc.log(x)), dc.Tensor(point)) < 1e-6
-
-    def test_cosine_gradient(self):
-        rng = np.random.default_rng(8)
-        for _ in range(50):
-            a = rng.normal(size=5)
-            b = dc.Tensor(rng.normal(size=5))
-            assert dc.grad_check(lambda t: dc.cosine(t, b), dc.Tensor(a)) < 1e-6
 
     def test_cosine_matrix_gradient(self):
         rng = np.random.default_rng(9)
@@ -219,7 +220,10 @@ class TestTape:
         x = dc.Tensor(rng.normal(size=(2, 2)), requires_grad=True)
         y = dc.tsum(dc.relu(dc.add(dc.mul(x, x), x)))
         tape = dc.Tape.trace(y)
-        assert tape.verify_topological()
+        position = {id(node): i for i, node in enumerate(tape.nodes)}
+        assert len(position) == len(tape.nodes) == 5
+        for i, node in enumerate(tape.nodes):
+            assert all(position[id(parent)] < i for parent in node._parents)
 
     def test_shared_subexpression_visited_once(self):
         x = dc.Tensor(np.asarray(2.0), requires_grad=True)

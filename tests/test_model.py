@@ -1,9 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 
 from cddet import diffcore as dc
 from cddet import model as mdl
-from cddet.errors import ContractError, ProtocolError
+from cddet.errors import ConfigError, ContractError, ProtocolError
 from cddet.model import BC, COSFC, FAKE, LINFC, MC, REAL, SIGMOID, Model
 
 
@@ -195,3 +197,33 @@ class TestCheckpoint:
         assert loaded.head.registry.entries == model.head.registry.entries
         x = np.random.default_rng(7).normal(size=(4, 6))
         np.testing.assert_array_equal(loaded.forward(x)[1].data, model.forward(x)[1].data)
+
+
+class TestCheckpointValidation:
+    def _saved_payload(self, tmp_path):
+        model = make_model(LINFC, tasks=2, seed=3)
+        model.sessions_trained = 2
+        path = tmp_path / "ckpt.json"
+        mdl.save_checkpoint(path, model)
+        return path, json.loads(path.read_text())
+
+    def test_truncated_layer_list_rejected(self, tmp_path):
+        path, blob = self._saved_payload(tmp_path)
+        del blob["model"]["extractor"]["weights"][2]
+        path.write_text(json.dumps(blob))
+        with pytest.raises(ConfigError, match=r"model\.extractor\.weights: expected 3 entries, found 2"):
+            mdl.load_checkpoint(path)
+
+    def test_wrong_bias_shape_rejected(self, tmp_path):
+        path, blob = self._saved_payload(tmp_path)
+        blob["model"]["extractor"]["biases"][1] = [0.0] * 7
+        path.write_text(json.dumps(blob))
+        with pytest.raises(ConfigError, match=r"model\.extractor\.biases\[1\]: shape \(7,\), expected \(8,\)"):
+            mdl.load_checkpoint(path)
+
+    def test_head_rows_follow_the_registry(self, tmp_path):
+        path, blob = self._saved_payload(tmp_path)
+        blob["model"]["head"]["theta"].pop()
+        path.write_text(json.dumps(blob))
+        with pytest.raises(ConfigError, match=r"model\.head\.theta"):
+            mdl.load_checkpoint(path)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from conftest import tiny_scenario, tiny_spec
 
-from cddet.errors import ConfigError, ProtocolError
+from cddet.errors import ConfigError, NumericsError, ProtocolError
 from cddet.memory import ExemplarMemory, LATENT, RAW
 from cddet.model import BC, LINFC, MC, MT, SIGMOID, Model
 from cddet.seeding import substream
@@ -10,6 +10,8 @@ from cddet.stream import Scenario, synth_generate
 from cddet.trainer import (
     MethodProfile,
     TrainConfig,
+    _evaluate,
+    _store_exemplars,
     builtin_profiles,
     resolve_profile,
     run_scenario,
@@ -193,3 +195,31 @@ class TestRunScenario:
         assert record.task_ids == [2]
         # warm-up classes still occupy the head
         assert len(record.logs[2].record_ids) == 2 * tasks[0].n_test
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+class TestNumericsErrors:
+    """An overflowing weight raises NumericsError on every path that runs
+    the model: a training step, evaluation and herding."""
+
+    def _poisoned(self):
+        model, memory, sessions, profile = fresh_setup(system=MC, profile_name="replay")
+        run_session(model, memory, sessions[0], profile, FAST, MC)
+        model.extractor.weights[0].data[...] = 1e308
+        return model, memory, sessions, profile
+
+    def test_training_step(self):
+        model, memory, sessions, profile = self._poisoned()
+        with pytest.raises(NumericsError):
+            run_session(model, memory, sessions[1], profile, FAST, MC)
+
+    def test_evaluate(self):
+        model, _, sessions, _ = self._poisoned()
+        with pytest.raises(NumericsError):
+            _evaluate(model, MC, sessions[0].test)
+
+    def test_herding(self):
+        model, memory, sessions, profile = self._poisoned()
+        model.head.expand(sessions[1].task_id)
+        with pytest.raises(NumericsError):
+            _store_exemplars(model, memory, sessions[1], profile, model.head.registry)
