@@ -6,8 +6,8 @@ Configuration comes from an optional key=value text file (``#`` comments;
 an unknown key is an error naming its line) with command-line flags taking
 precedence; ``CDD_SEED`` serves as the seed fallback. A ``seeds`` key in
 the file expands into one sub-run per seed (written to ``<out>/<seed>/``),
-optionally fanned out across ``--jobs`` worker threads. Exit codes: 0 success, 1 runtime failure, 2 invalid usage
-or validation failure.
+optionally fanned out across ``--jobs`` worker threads. Exit codes: 0
+success, 1 runtime failure, 2 invalid usage or validation failure.
 """
 
 from __future__ import annotations

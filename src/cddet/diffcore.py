@@ -234,11 +234,12 @@ def transpose(x: Tensor) -> Tensor:
     return _op(np.ascontiguousarray(x.data.T), (x,), backward)
 
 
-def _check_affine(opname: str, x: Tensor, w_rows: int, k: int, b: Tensor) -> None:
-    if x.data.ndim != 2:
-        raise DimensionError(f"{opname} expects a 2-d x")
-    if x.shape[1] != w_rows:
-        raise DimensionError(f"{opname}: inner dims {x.shape[1]} vs {w_rows}")
+def _check_affine(opname: str, x: Tensor, w: Tensor, b: Tensor, transposed: bool = False) -> None:
+    if x.data.ndim != 2 or w.data.ndim != 2:
+        raise DimensionError(f"{opname} expects 2-d x and w")
+    d, k = w.shape[::-1] if transposed else w.shape
+    if x.shape[1] != d:
+        raise DimensionError(f"{opname}: inner dims {x.shape[1]} vs {d}")
     if b.data.ndim != 1 or b.shape[0] != k:
         raise DimensionError(f"{opname}: bias shape {b.shape} does not match k={k}")
 
@@ -252,9 +253,7 @@ def _affine_backward(x: Tensor, w: Tensor, b: Tensor, g: Array) -> None:
 
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Row batch times weight matrix plus per-column bias: x[n,d] @ w[d,k] + b[k]."""
-    if w.data.ndim != 2:
-        raise DimensionError("affine expects a 2-d w")
-    _check_affine("affine", x, w.shape[0], w.shape[1], b)
+    _check_affine("affine", x, w, b)
 
     def backward(g: Array) -> None:
         _affine_backward(x, w, b, g)
@@ -272,9 +271,7 @@ def affine_relu(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     The pre-activation is checked for finiteness too, so an overflow that
     the relu would hide still raises.
     """
-    if w.data.ndim != 2:
-        raise DimensionError("affine_relu expects a 2-d w")
-    _check_affine("affine_relu", x, w.shape[0], w.shape[1], b)
+    _check_affine("affine_relu", x, w, b)
     h = checked(x.data @ w.data + b.data)
     mask = h > 0
 
@@ -286,9 +283,7 @@ def affine_relu(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Rows against per-class weight rows: x[n,f] @ w[k,f].T + b[k]."""
-    if w.data.ndim != 2:
-        raise DimensionError("linear expects a 2-d w")
-    _check_affine("linear", x, w.shape[1], w.shape[0], b)
+    _check_affine("linear", x, w, b, transposed=True)
 
     def backward(g: Array) -> None:
         if x.requires_grad:

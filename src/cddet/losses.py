@@ -227,14 +227,6 @@ def _group_score(logp: Array, p: Array, group: Array, rule: str) -> tuple[Array,
     return logp[rows, best], grad
 
 
-def aggregate_batch(logits: Array, fake_mask: Array, rule: str):
-    """Per-row fake and real log scores (d_F, d_R) of logits[n,k] under the
-    chosen rule, and their gradients in the logits: (d_F, d_R, grad_F, grad_R)."""
-    mask = _polarity_mask(fake_mask, rule)
-    z = np.atleast_2d(np.asarray(logits, dtype=np.float64))
-    return _aggregate(z, dc.np_log_softmax(z, axis=1), mask, rule)
-
-
 def _polarity_mask(fake_mask, rule: str) -> Array:
     if rule not in AGG_RULES:
         raise ConfigError(f"unknown aggregation rule {rule!r}")
@@ -244,7 +236,16 @@ def _polarity_mask(fake_mask, rule: str) -> Array:
     return mask
 
 
+def aggregate_batch(logits: Array, fake_mask: Array, rule: str):
+    """Per-row fake and real log scores (d_F, d_R) of logits[n,k] under the
+    chosen rule, and their gradients in the logits: (d_F, d_R, grad_F, grad_R)."""
+    mask = _polarity_mask(fake_mask, rule)
+    z = np.atleast_2d(np.asarray(logits, dtype=np.float64))
+    return _aggregate(z, dc.np_log_softmax(z, axis=1), mask, rule)
+
+
 def _aggregate(z: Array, logp: Array, mask: Array, rule: str):
+    """``aggregate_batch`` on validated input, given logp = log softmax(z)."""
     if rule == SUMFEAT:
         # polarity-summed logits through a two-way softmax, log taken
         u = z[:, mask].sum(axis=1) - z[:, ~mask].sum(axis=1)

@@ -242,17 +242,18 @@ def _class_targets(registry, task_id: int, polarity: np.ndarray) -> np.ndarray:
 
 
 def _exemplar_pool(
-    exemplars: list, payload_kind: str, class_polarity: np.ndarray, snapshot: Model | None
+    memory: ExemplarMemory | None, class_polarity: np.ndarray, snapshot: Model | None
 ) -> Batch | None:
     """Every stored exemplar as one batch of rows, built once per session;
     with a snapshot, its outputs on those rows ride along for distillation."""
+    exemplars = memory.all_exemplars() if memory is not None else []
     if not exemplars:
         return None
     payloads = np.vstack([e.payload for e in exemplars])
     classes = np.array([e.class_idx for e in exemplars], dtype=np.intp)
     pool = Batch(
-        x=payloads if payload_kind == RAW else None,
-        latents=payloads if payload_kind == LATENT else None,
+        x=payloads if memory.payload_kind == RAW else None,
+        latents=payloads if memory.payload_kind == LATENT else None,
         classes=classes,
         polarity=class_polarity[classes].astype(np.int64),
     )
@@ -349,12 +350,7 @@ def run_session(
     if snapshot is None:
         # no old model yet: the distillation and margin terms are skipped
         weights = replace(weights, gamma_d=0.0, gamma_m=0.0)
-    pool = _exemplar_pool(
-        memory.all_exemplars() if memory is not None else [],
-        memory.payload_kind if memory is not None else RAW,
-        class_polarity,
-        snapshot if weights.gamma_d > 0 else None,
-    )
+    pool = _exemplar_pool(memory, class_polarity, snapshot if weights.gamma_d > 0 else None)
 
     if profile.replay_payload == LATENT and memory is not None and model.sessions_trained >= 1:
         # latent replay keeps stored activations valid (and saves the
