@@ -376,8 +376,7 @@ def total_loss(
     features, logits = _forward_joint(model, raw, latents)
 
     n_new = 0 if batch_new.x is None else batch_new.x.shape[0]
-    n_total = logits.shape[0]
-    ex_slice = slice(n_new, n_total)
+    ex_slice = slice(n_new, None)
 
     polarity = _stack(batch_new.polarity, ex.polarity if ex else None)
     classes = _stack(batch_new.classes, ex.classes if ex else None)

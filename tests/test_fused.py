@@ -266,11 +266,12 @@ class TestAgainstComposed:
         rng = np.random.default_rng(107)
         x = dc.Tensor(rng.normal(size=(5, 4)))
         b = dc.Tensor(rng.normal(size=3))
-        weight = lambda f: lambda t: dc.tsum(dc.mul(f(x, t, b), f(x, t, b)))
+
+        def squared(layer):
+            return lambda w: dc.tsum(dc.mul(layer(x, w, b), layer(x, w, b)))
+
         for _ in range(10):
-            assert_matches_composed(
-                weight(dc.linear), weight(composed_linear), rng.normal(size=(3, 4))
-            )
+            assert_matches_composed(squared(dc.linear), squared(composed_linear), rng.normal(size=(3, 4)))
 
     def test_affine_relu_bitwise_forward(self):
         rng = np.random.default_rng(108)

@@ -52,6 +52,22 @@ class TestForward:
         with pytest.raises(ContractError):
             model.forward(np.zeros((0, 6)))
 
+    @pytest.mark.parametrize("variant", [LINFC, COSFC, SIGMOID])
+    def test_tape_free_path_matches_the_tape_bitwise(self, variant):
+        model = make_model(variant, tasks=2, seed=4)
+        x = np.random.default_rng(5).normal(size=(6, 6))
+        taped, taped_latent = model.extractor.forward_with_capture(x, tape=True)
+        free, free_latent = model.extractor.forward_with_capture(x)
+        np.testing.assert_array_equal(free.data, taped.data)
+        np.testing.assert_array_equal(free_latent, taped_latent)
+        np.testing.assert_array_equal(
+            model.head.logits(free).data, model.head.logits(taped, tape=True).data
+        )
+        np.testing.assert_array_equal(
+            model.extractor.forward_from_latent(free_latent).data,
+            model.extractor.forward_from_latent(free_latent, tape=True).data,
+        )
+
     def test_sigmoid_head_single_output(self):
         model = make_model(SIGMOID, tasks=4)
         x = np.random.default_rng(1).normal(size=(3, 6))
