@@ -6,18 +6,29 @@ model only; snapshot outputs enter as plain arrays and never receive
 gradients. Each loss term is one tape op whose gradient is written in
 closed form. Log-probabilities come from a max-shifted log-softmax or a
 softplus, so they stay finite without any probability floor.
+
+Each term's value and gradient are computed by one plain-array function
+(``_ce_parts``, ``_bce_parts``, ``_kd_parts``, ``_kd_feature_parts``,
+``_margin_parts``, ``_mt_parts``) that both its tape op and the training
+step call. Training runs ``loss_and_gradients``: the forward pass, these
+terms and the backward sweep written out by hand on plain arrays, with the
+tape's operands, memory layouts and order of summation, so every parameter
+gradient equals ``total_loss(...).backward()`` bit for bit. ``total_loss``
+on the tape is kept as the reference the tests and ``cddet verify`` check
+the step against.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import diffcore as dc
 from .diffcore import Array, Tensor
-from .errors import ConfigError, ContractError, DimensionError, ProtocolError
-from .model import BC, FAKE, MC, MT, Model
+from .errors import ConfigError, ContractError, DimensionError, NumericsError, ProtocolError
+from .model import BC, COSFC, FAKE, MC, MT, Model
 
 SUMLOG = "sumlog"
 SUMLOGIT = "sumlogit"
@@ -53,7 +64,10 @@ class Batch:
     """Aligned sample rows: raw inputs first, then latent payload rows.
 
     ``old_features`` and ``old_logits`` optionally carry the snapshot's
-    outputs for the same rows, so distillation need not recompute them.
+    outputs for the same rows, so distillation need not recompute them;
+    ``kd_logp``/``kd_p`` (its distillation targets, from ``kd_targets``) and
+    ``old_norms`` (the row norms of ``old_features``) are per-row constants
+    the training step reads when present.
     """
 
     x: Array | None = None
@@ -63,6 +77,9 @@ class Batch:
     target_rows: Array | None = None
     old_features: Array | None = None
     old_logits: Array | None = None
+    kd_logp: Array | None = None
+    kd_p: Array | None = None
+    old_norms: Array | None = None
 
     def __len__(self) -> int:
         n = 0 if self.x is None else self.x.shape[0]
@@ -74,13 +91,21 @@ class Batch:
         return Batch(**{name: None if v is None else v[rows] for name, v in vars(self).items()})
 
 
-def _loss_op(parent: Tensor, value, grad: Array) -> Tensor:
+def _loss_op(parent: Tensor, value, grad: Array, name: str) -> Tensor:
     """A loss term as one tape op; ``grad`` is d(value)/d(parent)."""
 
     def backward(g: Array) -> None:
         dc._accumulate(parent, g * grad)
 
-    return dc._op(np.asarray(value, dtype=np.float64), (parent,), backward)
+    return dc._op(np.asarray(value, dtype=np.float64), (parent,), backward, f"loss {name}")
+
+
+def _checked_loss(value, name: str) -> float:
+    """A loss term's value as a float, or ``NumericsError`` naming the term."""
+    value = float(value)
+    if not math.isfinite(value):
+        raise NumericsError(f"loss {name} produced non-finite entries")
+    return value
 
 
 def _target_rows(targets, n: int, k: int) -> Array:
@@ -112,7 +137,7 @@ def multiclass_ce(logits: Tensor, targets) -> Tensor:
     """
     n, k = logits.shape
     logp = dc.np_log_softmax(logits.data, axis=1)
-    return _loss_op(logits, *_ce_parts(logp, _target_rows(targets, n, k)))
+    return _loss_op(logits, *_ce_parts(logp, _target_rows(targets, n, k)), "multiclass_ce")
 
 
 def binary_ce(logit: Tensor, targets) -> Tensor:
@@ -121,17 +146,22 @@ def binary_ce(logit: Tensor, targets) -> Tensor:
     y = np.asarray(targets, dtype=np.float64)
     if not np.all((y == 0.0) | (y == 1.0)):
         raise ContractError("binary targets must be 0 or 1")
-    z = logit.data[:, 0] if logit.data.ndim == 2 else logit.data
+    return _loss_op(logit, *_bce_parts(logit.data, y), "binary_ce")
+
+
+def _bce_parts(logits: Array, y: Array) -> tuple[float, Array]:
+    """``binary_ce``'s value and its gradient in ``logits`` ([n] or [n,1])."""
+    z = logits[:, 0] if logits.ndim == 2 else logits
     if z.shape != y.shape:
         raise ContractError(f"logit shape {z.shape} does not match targets {y.shape}")
     value = np.mean(y * np.logaddexp(0.0, -z) + (1.0 - y) * np.logaddexp(0.0, z))
     dz = (dc.np_sigmoid(z) - y) / y.size
-    if logit.data.ndim == 2:
-        grad = np.zeros_like(logit.data)
+    if logits.ndim == 2:
+        grad = np.zeros_like(logits)
         grad[:, 0] = dz
     else:
         grad = dz
-    return _loss_op(logit, value, grad)
+    return value, grad
 
 
 def kd_kl(old_logits: Array, new_logits: Tensor, T: float, class_mask) -> Tensor:
@@ -146,20 +176,37 @@ def kd_kl(old_logits: Array, new_logits: Tensor, T: float, class_mask) -> Tensor
     cols = np.flatnonzero(mask) if mask.dtype == bool else mask.astype(np.intp)
     if cols.size == 0:
         raise ContractError("distillation mask selects no classes")
-    old = np.atleast_2d(np.asarray(old_logits, dtype=np.float64))[:, cols]
-    new = new_logits.data[:, cols]
-    if cols.size == 1:
-        old = np.hstack([np.zeros_like(old), old])
-        new = np.hstack([np.zeros_like(new), new])
+    logp, p = kd_targets(old_logits, cols, T)
+    return _loss_op(new_logits, *_kd_parts(logp, p, new_logits.data, cols, T), "kd_kl")
+
+
+def _kd_columns(logits: Array, cols: Array) -> Array:
+    """The distilled columns; a single column becomes the pair [0, z]."""
+    picked = logits[:, cols]
+    return np.hstack([np.zeros_like(picked), picked]) if cols.size == 1 else picked
+
+
+def kd_targets(old_logits: Array, cols: Array, T: float) -> tuple[Array, Array]:
+    """The old model's distillation targets: log-probabilities and
+    probabilities at temperature T over the given columns.
+
+    A row's targets depend on its batch only through the memory layout:
+    a one-row batch sums its row in another order than a taller one.
+    """
+    old = _kd_columns(np.atleast_2d(np.asarray(old_logits, dtype=np.float64)), cols)
+    logp = dc.np_log_softmax(old / float(T), axis=1)
+    return logp, np.exp(logp)
+
+
+def _kd_parts(logp: Array, p: Array, new_logits: Array, cols: Array, T: float) -> tuple[float, Array]:
+    """``kd_kl``'s value and its gradient in ``new_logits``, given the targets."""
     t = float(T)
-    n = new.shape[0]
-    logp = dc.np_log_softmax(old / t, axis=1)
-    logq = dc.np_log_softmax(new / t, axis=1)
-    p = np.exp(logp)
+    logq = dc.np_log_softmax(_kd_columns(new_logits, cols) / t, axis=1)
+    n = logq.shape[0]
     value = (p * (logp - logq)).sum(axis=1).mean() * (t * t)
-    grad = np.zeros_like(new_logits.data)
+    grad = np.zeros_like(new_logits)
     grad[:, cols] = ((np.exp(logq) - p) * (t / n))[:, -cols.size :]
-    return _loss_op(new_logits, value, grad)
+    return value, grad
 
 
 def kd_feature(old_feats: Array, new_feats: Tensor) -> Tensor:
@@ -169,10 +216,16 @@ def kd_feature(old_feats: Array, new_feats: Tensor) -> Tensor:
     if old.shape != new.shape or old.ndim != 2:
         raise DimensionError("kd_feature expects two [n,f] feature blocks")
     na = dc.row_norms(old, "old features")
+    return _loss_op(new_feats, *_kd_feature_parts(old, na, new), "kd_feature")
+
+
+def _kd_feature_parts(old: Array, na: Array, new: Array) -> tuple[float, Array]:
+    """``kd_feature``'s value and its gradient in ``new``; ``na`` holds the
+    row norms of ``old``."""
     nb = dc.row_norms(new, "new features")
     cos = np.einsum("ij,ij->i", old, new) / (na * nb)
     dcos = old / (na * nb)[:, None] - cos[:, None] * new / (nb * nb)[:, None]
-    return _loss_op(new_feats, np.mean(1.0 - cos), dcos * (-1.0 / cos.size))
+    return np.mean(1.0 - cos), dcos * (-1.0 / cos.size)
 
 
 def margin_ranking(features: Tensor, embeddings: Tensor, targets, tau: float, J: int) -> Tensor:
@@ -183,22 +236,28 @@ def margin_ranking(features: Tensor, embeddings: Tensor, targets, tau: float, J:
     n = features.shape[0]
     if J == 0 or n == 0:
         return dc.constant(0.0)
-    targets = np.asarray(targets, dtype=np.intp)
     sims = dc.cosine_matrix(features, embeddings)
+    return _loss_op(sims, *_margin_parts(sims.data, targets, tau, J), "margin_ranking")
+
+
+def _margin_parts(sims: Array, targets, tau: float, J: int) -> tuple[float, Array]:
+    """``margin_ranking``'s value and its gradient in the cosines sims[n,k]."""
+    n = sims.shape[0]
+    targets = np.asarray(targets, dtype=np.intp)
     rows = np.arange(n)
 
     # rivals: the J highest cosines besides the target's. The stable sort
     # breaks ties toward the lower class, and the target, keyed +inf, sorts last.
-    keyed = -sims.data
+    keyed = -sims
     keyed[rows, targets] = np.inf
     rivals = np.argsort(keyed, axis=1, kind="stable")[:, :J]
-    gaps = sims.data[rows[:, None], rivals] - sims.data[rows, targets][:, None] + float(tau)
+    gaps = sims[rows[:, None], rivals] - sims[rows, targets][:, None] + float(tau)
     active = gaps > 0
 
-    grad = np.zeros_like(sims.data)
+    grad = np.zeros_like(sims)
     grad[rows[:, None], rivals] = active / n
     grad[rows, targets] = -active.sum(axis=1) / n
-    return _loss_op(sims, np.where(active, gaps, 0.0).sum() * (1.0 / n), grad)
+    return np.where(active, gaps, 0.0).sum() * (1.0 / n), grad
 
 
 def _fake_mask_of(registry) -> Array:
@@ -279,14 +338,21 @@ def mt_class_loss(logits: Tensor, targets, registry, lam: float, rule: str) -> T
     n, k = logits.shape
     rows = _target_rows(targets, n, k)
     mask = _polarity_mask(_fake_mask_of(registry), rule)
+    return _loss_op(logits, *_mt_parts(logits.data, rows, mask, lam, rule), "mt_class_loss")
+
+
+def _mt_parts(z: Array, rows: Array, mask: Array, lam: float, rule: str) -> tuple[float, Array]:
+    """``mt_class_loss``'s value and its gradient in the logits z[n,k], for
+    0 < lam <= 1, dense target rows and a validated fake-class mask."""
+    n = z.shape[0]
     w_fake = rows[:, mask].sum(axis=1)
-    logp = dc.np_log_softmax(logits.data, axis=1)
-    d_f, d_r, grad_f, grad_r = _aggregate(logits.data, logp, mask, rule)
+    logp = dc.np_log_softmax(z, axis=1)
+    d_f, d_r, grad_f, grad_r = _aggregate(z, logp, mask, rule)
     binary = -np.mean(w_fake * d_f + (1.0 - w_fake) * d_r)
     grad_binary = -(w_fake[:, None] * grad_f + (1.0 - w_fake)[:, None] * grad_r) / n
     ce, grad_ce = _ce_parts(logp, rows)
     value = ce * (1.0 - lam) + binary * lam
-    return _loss_op(logits, value, grad_ce * (1.0 - lam) + grad_binary * lam)
+    return value, grad_ce * (1.0 - lam) + grad_binary * lam
 
 
 def label_smooth(targets, k: int, eps: float) -> Array:
@@ -450,3 +516,160 @@ def _one_hot(targets: Array, k: int) -> Array:
     rows = np.zeros((targets.size, k), dtype=np.float64)
     rows[np.arange(targets.size), targets] = 1.0
     return rows
+
+
+# ---------------------------------------------------------------------------
+# the training step: total_loss and its backward sweep on plain arrays
+
+
+def _np_layers(extractor, x: Array, start: int) -> tuple[list[Array], list[Array], Array]:
+    """Layers ``start`` onward as ``FeatureExtractor`` runs them on the tape;
+    returns each layer's input, each hidden layer's relu mask and the output."""
+    last = len(extractor.weights) - 1
+    inputs, masks = [], []
+    for i in range(start, last + 1):
+        inputs.append(x)
+        x = dc.checked(x @ extractor.weights[i].data + extractor.biases[i].data, f"layer {i} pre-activation")
+        if i < last:
+            masks.append(x > 0)
+            x = dc.np_relu(x)
+    return inputs, masks, x
+
+
+def _add_grad(grads: dict, param: Tensor, g: Array) -> None:
+    grads[param] = g if param not in grads else grads[param] + g
+
+
+def _np_layers_backward(extractor, start: int, inputs, masks, g: Array, grads: dict) -> None:
+    """The tape's backward through layers ``start`` onward: a layer's input
+    gradient is formed only where a layer below it trains."""
+    weights, biases = extractor.weights, extractor.biases
+    trains = [w.requires_grad or b.requires_grad for w, b in zip(weights, biases)]
+    last = len(weights) - 1
+    for i in range(last, start - 1, -1):
+        if i < last:
+            g = g * masks[i - start]
+        x = inputs[i - start]
+        if weights[i].requires_grad:
+            _add_grad(grads, weights[i], x.T @ g)
+        if biases[i].requires_grad:
+            _add_grad(grads, biases[i], g.sum(axis=0))
+        if not any(trains[start:i]):
+            return
+        g = g @ weights[i].data.T
+
+
+def loss_and_gradients(
+    system: str,
+    batch_new: Batch,
+    batch_exemplar: Batch | None,
+    model: Model,
+    weights: LossWeights,
+    rule: str | None = None,
+    distill_form: str = "logit",
+) -> tuple[float, dict]:
+    """``total_loss``'s value and the gradient of every trainable parameter,
+    without the tape: a ``{parameter: gradient}`` map for ``Adam.step``.
+
+    The forward pass, the loss terms and the backward sweep use the tape's
+    operands, memory layouts and order of summation, so each gradient equals
+    ``total_loss(...).backward()`` bit for bit; the value agrees to rounding.
+    Distilling needs the snapshot's outputs on the exemplar batch
+    (``old_features``/``old_logits``); its per-row constants are used when the
+    batch carries them. Inputs are not checked here: every row is checked
+    once, when the session's plan is built.
+    """
+    ex = batch_exemplar if batch_exemplar is not None and len(batch_exemplar) else None
+    ext, head = model.extractor, model.head
+    raw = _stack(batch_new.x, ex.x if ex else None)
+    chains = []
+    if raw is not None:
+        chains.append((0, *_np_layers(ext, raw, 0)))
+    if ex is not None and ex.latents is not None and ex.latents.shape[0]:
+        start = ext.capture_layer + 1
+        chains.append((start, *_np_layers(ext, ex.latents, start)))
+    if not chains:
+        raise ContractError("no rows to train on")
+    feats = chains[0][3] if len(chains) == 1 else np.concatenate([chains[0][3], chains[1][3]], axis=0)
+
+    theta = head.theta.data
+    if head.variant == COSFC:
+        cos, na, nb, an, bn = dc.np_cosine_matrix(feats, theta)
+        logits = dc.checked(dc.checked(cos, "head cosines") * head.scale.data, "logits")
+    else:
+        logits = dc.checked(feats @ theta.T + head.bias.data, "logits")
+
+    n_new = 0 if batch_new.x is None else batch_new.x.shape[0]
+    if system == BC:
+        polarity = _stack(batch_new.polarity, ex.polarity if ex else None)
+        value, d_logits = _bce_parts(logits, np.asarray(polarity, dtype=np.float64))
+        total = _checked_loss(value, "binary_ce")
+    elif system in (MC, MT):
+        classes = _stack(batch_new.classes, ex.classes if ex else None)
+        rows = _target_rows(_combined_targets(batch_new, ex, logits.shape[1], classes), *logits.shape)
+        if system == MT and rule is None:
+            raise ConfigError("multi-task loss needs an aggregation rule")
+        if system == MT and weights.lam > 0:
+            mask = _polarity_mask(head.registry.fake_mask(), rule)
+            value, d_logits = _mt_parts(logits, rows, mask, weights.lam, rule)
+            total = _checked_loss(value, "mt_class_loss")
+        else:
+            value, d_logits = _ce_parts(dc.np_log_softmax(logits, axis=1), rows)
+            total = _checked_loss(value, "multiclass_ce")
+    else:
+        raise ConfigError(f"unknown learning system {system!r}")
+
+    d_feats_ex = None  # gradient into the exemplar rows of the features
+    d_theta_margin = None
+    gamma_d, gamma_m = weights.gamma_d, weights.gamma_m
+    if ex is not None and gamma_d > 0:
+        if ex.old_logits is None or ex.old_features is None:
+            raise ContractError("distillation needs the snapshot's outputs on the exemplar rows")
+        if distill_form not in ("logit", "feature", "logit+feature"):
+            raise ConfigError(f"unknown distillation form {distill_form!r}")
+        distill = []
+        if distill_form in ("logit", "logit+feature"):
+            cols = np.arange(ex.old_logits.shape[1])
+            if ex.kd_logp is not None and len(ex) > 1:
+                logp, p = ex.kd_logp, ex.kd_p
+            else:
+                logp, p = kd_targets(ex.old_logits, cols, weights.T)
+            value, g = _kd_parts(logp, p, logits[n_new:], cols, weights.T)
+            distill.append(_checked_loss(value, "kd_kl"))
+            d_logits[n_new:] += gamma_d * g
+        if distill_form in ("feature", "logit+feature"):
+            norms = ex.old_norms if ex.old_norms is not None else dc.row_norms(ex.old_features, "old features")
+            value, g = _kd_feature_parts(ex.old_features, norms, feats[n_new:])
+            distill.append(_checked_loss(value, "kd_feature"))
+            d_feats_ex = gamma_d * g
+        total = total + (distill[0] if len(distill) == 1 else distill[0] + distill[1]) * gamma_d
+
+    if ex is not None and gamma_m > 0 and system != BC:
+        if weights.J > theta.shape[0] - 1:
+            raise ContractError(f"J={weights.J} exceeds the {theta.shape[0] - 1} available rival classes")
+        supp = 0.0
+        if weights.J > 0:
+            sims, sna, snb, san, sbn = dc.np_cosine_matrix(feats[n_new:], theta)
+            value, g = _margin_parts(dc.checked(sims, "margin cosines"), ex.classes, weights.tau, weights.J)
+            supp = _checked_loss(value, "margin_ranking")
+            d_ex, d_theta_margin = dc.np_cosine_backward(gamma_m * g, sims, sna, snb, san, sbn)
+            d_feats_ex = d_ex if d_feats_ex is None else d_feats_ex + d_ex
+        total = total + supp * gamma_m
+
+    grads: dict = {}
+    if head.variant == COSFC:
+        grads[head.scale] = np.asarray((d_logits * cos).sum())
+        d_feats, d_theta = dc.np_cosine_backward(d_logits * head.scale.data, cos, na, nb, an, bn)
+    else:
+        d_feats = d_logits @ theta
+        d_theta = d_logits.T @ feats
+        grads[head.bias] = d_logits.sum(axis=0)
+    grads[head.theta] = d_theta if d_theta_margin is None else d_theta + d_theta_margin
+    if d_feats_ex is not None:
+        d_feats[n_new:] += d_feats_ex
+    row = 0
+    for start, inputs, masks, out in chains:
+        g = d_feats if len(chains) == 1 else d_feats[row : row + out.shape[0]]
+        _np_layers_backward(ext, start, inputs, masks, g, grads)
+        row += out.shape[0]
+    return _checked_loss(total, "total"), grads

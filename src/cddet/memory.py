@@ -135,12 +135,52 @@ class ExemplarMemory:
         }
 
     @classmethod
-    def from_payload(cls, payload: dict) -> "ExemplarMemory":
-        memory = cls(payload["budget"], payload["kind"])
-        for key, entry in payload["classes"].items():
+    def from_payload(cls, payload: dict, extractor=None) -> "ExemplarMemory":
+        """Rebuild a memory from ``to_payload`` output.
+
+        A payload that ``to_payload`` could not have written raises
+        ``ConfigError`` naming the field: an unknown kind, a budget that is
+        not a positive integer, a class key that is not a non-negative
+        integer, ragged rows, or more exemplars than the budget. Given the
+        model's ``extractor``, every row must also have its input width (raw
+        payloads) or its latent width (latent payloads).
+        """
+        try:
+            kind, budget, classes = payload["kind"], payload["budget"], payload["classes"]
+        except KeyError as exc:
+            raise ConfigError(f"checkpoint lacks field 'memory.{exc.args[0]}'") from None
+        except TypeError:
+            raise ConfigError("checkpoint field memory: not an object") from None
+        if kind not in PAYLOAD_KINDS:
+            raise ConfigError(f"checkpoint field memory.kind: unknown payload kind {kind!r}")
+        if not isinstance(budget, int) or isinstance(budget, bool) or budget < 1:
+            raise ConfigError(f"checkpoint field memory.budget: {budget!r} is not a positive integer")
+        if not isinstance(classes, dict):
+            raise ConfigError("checkpoint field memory.classes: not an object")
+        width = None
+        if extractor is not None:
+            width = extractor.input_width if kind == RAW else extractor.latent_width
+        memory = cls(budget, kind)
+        for key, entry in classes.items():
+            where = f"memory.classes[{key!r}]"
+            if not key.isdigit():
+                raise ConfigError(f"checkpoint field {where}: class key is not a non-negative integer")
+            try:
+                task_id, rows = entry["task_id"], entry["rows"]
+                arr = np.asarray(rows, dtype=np.float64)
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ConfigError(f"checkpoint field {where}: malformed entry ({exc})") from None
+            if arr.shape == (0,):  # a class with no rows left
+                arr = arr.reshape(0, width or 0)
+            if arr.ndim != 2:
+                raise ConfigError(f"checkpoint field {where}.rows: not a list of equal-length rows")
+            if width is not None and arr.shape[1] != width:
+                raise ConfigError(
+                    f"checkpoint field {where}.rows: rows have {arr.shape[1]} entries, "
+                    f"the model's {kind} width is {width}"
+                )
             class_idx = int(key)
-            memory.classes[class_idx] = [
-                Exemplar(np.asarray(row, dtype=np.float64), class_idx, entry["task_id"])
-                for row in entry["rows"]
-            ]
+            memory.classes[class_idx] = [Exemplar(row, class_idx, task_id) for row in arr]
+        if memory.total() > budget:
+            raise ConfigError(f"checkpoint field memory: {memory.total()} exemplars exceed budget {budget}")
         return memory

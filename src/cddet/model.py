@@ -36,6 +36,7 @@ import numpy as np
 from . import diffcore as dc
 from .diffcore import Array, Tensor
 from .errors import ConfigError, ContractError, DegenerateInputError, ProtocolError
+from .memory import ExemplarMemory
 
 REAL = 0
 FAKE = 1
@@ -166,7 +167,7 @@ class FeatureExtractor:
             return h, latent
         z = h.data
         for i in range(start, last + 1):
-            z = dc.checked(z @ self.weights[i].data + self.biases[i].data)
+            z = dc.checked(z @ self.weights[i].data + self.biases[i].data, f"layer {i} pre-activation")
             if i < last:
                 z = dc.np_relu(z)
                 if i == self.capture_layer:
@@ -428,7 +429,8 @@ def save_checkpoint(path, model: Model, memory_payload: dict | None = None) -> N
         "memory": memory_payload,
     }
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(blob, fh, sort_keys=True)
+        # json.dump to a file always runs the pure-Python encoder; dumps uses the C one
+        fh.write(json.dumps(blob, sort_keys=True))
 
 
 def load_checkpoint(path) -> tuple[Model, dict | None]:
@@ -439,4 +441,8 @@ def load_checkpoint(path) -> tuple[Model, dict | None]:
         raise ConfigError(f"unsupported checkpoint format {found!r}")
     if not isinstance(blob.get("model"), dict):
         raise ConfigError("checkpoint lacks field 'model'")
-    return _model_from_payload(blob["model"]), blob.get("memory")
+    model = _model_from_payload(blob["model"])
+    memory = blob.get("memory")
+    if memory is not None:
+        ExemplarMemory.from_payload(memory, model.extractor)
+    return model, memory

@@ -5,6 +5,16 @@ Learning-rate pattern: the first trained session uses the base rate and all
 later sessions a tenth of it; optional milestone epochs divide the rate
 further within a session. The optimizer state is rebuilt per session because
 head expansion changes the parameter set.
+
+Training records no tape. Each session first builds a ``SessionPlan``: its
+new rows and stored exemplars, checked once, with the per-row constants
+that do not change within the session (target rows, the snapshot's outputs
+and distillation targets on the exemplars, the norms of their old
+features). A step gathers a batch from the plan (``_assemble_batches``),
+computes the loss and every gradient on plain arrays
+(``losses.loss_and_gradients``) and hands the gradients to ``Adam.step``.
+Those gradients equal the tape's (``total_loss(...).backward()``) bit for
+bit; the tape stays as the reference the tests and ``cddet verify`` use.
 """
 
 from __future__ import annotations
@@ -15,15 +25,16 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import diffcore as dc
-from .errors import ConfigError, ProtocolError
+from .errors import ConfigError, NumericsError, ProtocolError
 from .losses import (
     AGG_RULES,
     Batch,
     LossWeights,
     _np_forward_joint,
+    kd_targets,
     label_smooth,
+    loss_and_gradients,
     mixup,
-    total_loss,
 )
 from .memory import LATENT, RAW, ExemplarMemory, capture, herd_select
 from .model import (
@@ -142,15 +153,19 @@ class Adam:
         self.g = np.zeros_like(self.flat)
 
     def zero_grad(self) -> None:
+        """Clear the gradients a tape sweep stored on the parameters."""
         for p in self.params:
             p.zero_grad()
 
-    def step(self) -> None:
+    def step(self, grads: dict) -> None:
+        """One update from ``grads``, a ``{parameter: gradient}`` map; a
+        parameter it leaves out keeps its value and moments."""
         self.t += 1
         live = []
         for p, span in zip(self.params, self.spans):
-            if p.grad is not None:
-                self.g[span] = p.grad.ravel()
+            g = grads.get(p)
+            if g is not None:
+                self.g[span] = g.ravel()
                 live.append(span)
         if len(live) == len(self.spans):
             self._update(slice(None))
@@ -241,15 +256,33 @@ def _class_targets(registry, task_id: int, polarity: np.ndarray) -> np.ndarray:
     return np.where(polarity == FAKE, fake_cls, real_cls).astype(np.intp)
 
 
+@dataclass
+class SessionPlan:
+    """What a session trains on, built once before its first step: the new
+    rows and the stored exemplars (``pool``), each with its per-row
+    constants, the loss weights in force and the snapshot they refer to."""
+
+    new: Batch
+    pool: Batch | None
+    weights: LossWeights
+    distill_form: str
+    snapshot: Model | None
+
+
 def _exemplar_pool(
-    memory: ExemplarMemory | None, class_polarity: np.ndarray, snapshot: Model | None
+    memory: ExemplarMemory | None,
+    class_polarity: np.ndarray,
+    snapshot: Model | None,
+    weights: LossWeights,
+    distill_form: str,
 ) -> Batch | None:
-    """Every stored exemplar as one batch of rows, built once per session;
-    with a snapshot, its outputs on those rows ride along for distillation."""
+    """Every stored exemplar as one batch of rows; with a snapshot, its
+    outputs on those rows and the distillation constants derived from them
+    ride along."""
     exemplars = memory.all_exemplars() if memory is not None else []
     if not exemplars:
         return None
-    payloads = np.vstack([e.payload for e in exemplars])
+    payloads = dc.checked(np.vstack([e.payload for e in exemplars]), "exemplar payloads")
     classes = np.array([e.class_idx for e in exemplars], dtype=np.intp)
     pool = Batch(
         x=payloads if memory.payload_kind == RAW else None,
@@ -259,63 +292,23 @@ def _exemplar_pool(
     )
     if snapshot is not None:
         pool.old_features, pool.old_logits = _np_forward_joint(snapshot, pool.x, pool.latents)
+        if distill_form in ("logit", "logit+feature"):
+            cols = np.arange(pool.old_logits.shape[1])
+            pool.kd_logp, pool.kd_p = kd_targets(pool.old_logits, cols, weights.T)
+        if distill_form in ("feature", "logit+feature"):
+            pool.old_norms = dc.row_norms(pool.old_features, "old features")
     return pool
 
 
-def _assemble_batches(
-    idxs: np.ndarray,
-    new: Batch,
-    pool: Batch | None,
-    k: int,
-    system: str,
-    profile: MethodProfile,
-    mixup_rng: np.random.Generator,
-) -> tuple[Batch, Batch | None]:
-    """Split one shuffled index window into new-task rows and pool rows."""
-    n_new = new.x.shape[0]
-    new_sel = idxs[idxs < n_new]
-    ex_sel = idxs[idxs >= n_new] - n_new
-
-    batch_new = new.take(new_sel)
-    if system != BC and profile.label_smooth_eps > 0 and len(new_sel):
-        batch_new.target_rows = label_smooth(batch_new.classes, k, profile.label_smooth_eps)
-    if system != BC and profile.mixup_alpha > 0 and len(new_sel) > 1:
-        rows = batch_new.target_rows
-        if rows is None:
-            rows = label_smooth(batch_new.classes, k, 0.0)
-        partner = mixup_rng.permutation(len(new_sel))
-        (mixed_x, mixed_rows), _ = mixup(
-            (batch_new.x, rows),
-            (batch_new.x[partner], rows[partner]),
-            profile.mixup_alpha,
-            mixup_rng,
-        )
-        batch_new = Batch(
-            x=mixed_x,
-            classes=batch_new.classes,
-            polarity=batch_new.polarity,
-            target_rows=mixed_rows,
-        )
-
-    if len(ex_sel) == 0:
-        return batch_new, None
-
-    batch_ex = pool.take(ex_sel)
-    if system != BC and profile.label_smooth_eps > 0:
-        batch_ex.target_rows = label_smooth(batch_ex.classes, k, profile.label_smooth_eps)
-    return batch_new, batch_ex
-
-
-def run_session(
+def _plan_session(
     model: Model,
     memory: ExemplarMemory | None,
     session: SessionData,
     profile: MethodProfile,
-    config: TrainConfig,
     system: str,
-) -> None:
-    """One incremental step: snapshot, expand, fit on new plus replayed data,
-    then select exemplars for the new classes and rebalance all quotas."""
+) -> SessionPlan:
+    """Validate the session, snapshot the model, expand its head, freeze the
+    layers latent replay needs fixed, and build the session's plan."""
     if system not in SYSTEMS:
         raise ConfigError(f"unknown learning system {system!r}")
     if (system == BC) != (profile.head_variant == SIGMOID):
@@ -341,7 +334,7 @@ def run_session(
 
     new_polarity = session.train.y.astype(np.int64)
     new = Batch(
-        x=session.train.x,
+        x=dc.checked(session.train.x, "training inputs"),
         classes=_class_targets(registry, session.task_id, new_polarity),
         polarity=new_polarity,
     )
@@ -350,7 +343,14 @@ def run_session(
     if snapshot is None:
         # no old model yet: the distillation and margin terms are skipped
         weights = replace(weights, gamma_d=0.0, gamma_m=0.0)
-    pool = _exemplar_pool(memory, class_polarity, snapshot if weights.gamma_d > 0 else None)
+    distill_form = profile.distill_form if profile.distill_form != "none" else "logit"
+    pool = _exemplar_pool(
+        memory, class_polarity, snapshot if weights.gamma_d > 0 else None, weights, distill_form
+    )
+    if system != BC:
+        for batch in (new, pool):
+            if batch is not None:
+                batch.target_rows = label_smooth(batch.classes, class_polarity.size, profile.label_smooth_eps)
 
     if profile.replay_payload == LATENT and memory is not None and model.sessions_trained >= 1:
         # latent replay keeps stored activations valid (and saves the
@@ -359,36 +359,86 @@ def run_session(
         for i in range(model.extractor.capture_layer + 1):
             model.extractor.weights[i].requires_grad = False
             model.extractor.biases[i].requires_grad = False
+    return SessionPlan(new, pool, weights, distill_form, snapshot)
 
+
+def _assemble_batches(
+    new: Batch,
+    pool: Batch | None,
+    new_rows: slice,
+    pool_rows: slice,
+    profile: MethodProfile,
+    mixup_rng: np.random.Generator,
+) -> tuple[Batch, Batch | None]:
+    """One step's new-task rows and pool rows, sliced from the epoch's
+    shuffled plan, with the new rows mixed when the profile asks for mixup."""
+    batch_new = new.take(new_rows)
+    n = len(batch_new)
+    if profile.mixup_alpha > 0 and n > 1:
+        rows = batch_new.target_rows
+        partner = mixup_rng.permutation(n)
+        (mixed_x, mixed_rows), _ = mixup(
+            (batch_new.x, rows),
+            (batch_new.x[partner], rows[partner]),
+            profile.mixup_alpha,
+            mixup_rng,
+        )
+        batch_new = Batch(
+            x=mixed_x,
+            classes=batch_new.classes,
+            polarity=batch_new.polarity,
+            target_rows=mixed_rows,
+        )
+    return batch_new, pool.take(pool_rows) if pool_rows.stop > pool_rows.start else None
+
+
+def run_session(
+    model: Model,
+    memory: ExemplarMemory | None,
+    session: SessionData,
+    profile: MethodProfile,
+    config: TrainConfig,
+    system: str,
+) -> None:
+    """One incremental step: snapshot, expand, fit on new plus replayed data,
+    then select exemplars for the new classes and rebalance all quotas."""
+    plan = _plan_session(model, memory, session, profile, system)
     base_lr = config.lr if model.sessions_trained == 0 else config.lr / 10.0
     optimizer = Adam(model.parameters(), lr=base_lr)
     batching_rng = substream(config.seed, f"batch:{session.task_id}")
     mixup_rng = substream(config.seed, f"mixup:{session.task_id}")
-    distill_form = profile.distill_form if profile.distill_form != "none" else "logit"
 
-    pool_size = len(new) + (len(pool) if pool is not None else 0)
+    n_new = len(plan.new)
+    pool_size = n_new + (len(plan.pool) if plan.pool is not None else 0)
     for epoch in range(config.epochs):
         decay_steps = sum(1 for m in config.milestones if m <= epoch)
         optimizer.lr = base_lr / (config.lr_divisor**decay_steps)
+        # Shuffle the plan once per epoch. A window of the permutation then
+        # holds a run of the shuffled new rows and a run of the shuffled
+        # pool rows, in permutation order, so each step slices the two.
         perm = batching_rng.permutation(pool_size)
+        is_new = perm < n_new
+        new = plan.new.take(perm[is_new])
+        pool = plan.pool.take(perm[~is_new] - n_new) if plan.pool is not None else None
+        new_before = np.concatenate([[0], np.cumsum(is_new)])
         for start in range(0, pool_size, config.batch_size):
-            idxs = perm[start : start + config.batch_size]
+            stop = min(start + config.batch_size, pool_size)
+            a, b = new_before[start], new_before[stop]
             batch_new, batch_ex = _assemble_batches(
-                idxs, new, pool, class_polarity.size, system, profile, mixup_rng
+                new, pool, slice(a, b), slice(start - a, stop - b), profile, mixup_rng
             )
-            if len(batch_new) + (len(batch_ex) if batch_ex else 0) == 0:
-                continue
-            loss = total_loss(
-                system, batch_new, batch_ex, model, snapshot, weights,
-                rule=profile.aggregation, distill_form=distill_form,
-            )
-            optimizer.zero_grad()
-            loss.backward()
-            optimizer.step()
+            try:
+                _, grads = loss_and_gradients(
+                    system, batch_new, batch_ex, model, plan.weights,
+                    rule=profile.aggregation, distill_form=plan.distill_form,
+                )
+            except NumericsError as exc:
+                raise NumericsError(f"session {session.task_id}, epoch {epoch}: {exc}") from exc
+            optimizer.step(grads)
 
     if memory is not None:
-        _store_exemplars(model, memory, session, profile, registry)
-        memory.rebalance(len(registry))
+        _store_exemplars(model, memory, session, profile, model.head.registry)
+        memory.rebalance(len(model.head.registry))
         memory.assert_within_budget()
 
     model.sessions_trained += 1

@@ -10,9 +10,9 @@ import numpy as np
 
 from . import diffcore as dc
 from . import losses as ls
-from .memory import herd_select
+from .memory import LATENT, RAW, herd_select
 from .metrics import ap, pr_curve
-from .model import FAKE, LINFC, REAL, Model
+from .model import BC, COSFC, FAKE, LINFC, MC, MT, REAL, SIGMOID, Model
 from .seeding import substream
 
 
@@ -64,6 +64,72 @@ def check_loss_gradients(seed: int, points: int = 10, tol: float = 1e-6) -> Chec
         if np.abs(x @ w.data + b.data).min() > 0.05:  # away from the relu kink
             track(dc.grad_check(lambda t: dc.tsum(dc.affine_relu(t, w, b)), dc.Tensor(x)))
     return CheckResult("loss-gradient-suite", worst < tol, f"max rel err {worst:.3e}")
+
+
+def _step_case(rng, variant: str, payload: str):
+    """A small model one session in, a snapshot, and a new and a replayed
+    batch that switch on every loss term of the system the head serves."""
+    model = Model.build(6, variant, rng, hidden=(8, 7), feature_width=5)
+    if variant == SIGMOID:
+        model.head.register_task(1)
+    else:
+        model.head.expand(1)
+    model.sessions_trained = 1
+    snap = model.snapshot()
+    if variant == SIGMOID:
+        model.head.register_task(2)
+    else:
+        model.head.expand(2)
+    new_pol = rng.integers(0, 2, size=4)
+    ex_pol = np.array([REAL, FAKE, FAKE])
+    new = ls.Batch(x=rng.normal(size=(4, 6)), classes=2 + new_pol, polarity=new_pol)
+    ex = ls.Batch(classes=ex_pol.copy(), polarity=ex_pol)
+    if payload == LATENT:
+        ex.latents = np.abs(rng.normal(size=(3, model.extractor.latent_width)))
+        ex.old_features, ex.old_logits = ls._np_forward_joint(snap, None, ex.latents)
+    else:
+        ex.x = rng.normal(size=(3, 6))
+        ex.old_features, ex.old_logits = ls._np_forward_joint(snap, ex.x, None)
+    return model, new, ex
+
+
+def check_step_gradients(seed: int, coords: int = 3, step: float = 1e-6, tol: float = 1e-6) -> CheckResult:
+    """The training step's gradients against central differences of the
+    step's own loss value, a few coordinates of every parameter, with no
+    tape involved. tau > 2 keeps every margin hinge active and J ranks every
+    rival, so the loss is smooth away from the relu kinks."""
+    rng = substream(seed, "verify:step")
+    weights = ls.LossWeights(gamma_d=0.7, gamma_m=0.4, lam=0.3, T=2.0, tau=2.5, J=3)
+    cases = [
+        (MT, LINFC, RAW, ls.SUMLOGIT),
+        (MC, COSFC, LATENT, None),
+        (BC, SIGMOID, RAW, None),
+    ]
+    worst, checked = 0.0, 0
+    for system, variant, payload, rule in cases:
+        model, new, ex = _step_case(rng, variant, payload)
+
+        def value():
+            return ls.loss_and_gradients(
+                system, new, ex, model, weights, rule=rule, distill_form="logit+feature"
+            )[0]
+
+        _, grads = ls.loss_and_gradients(
+            system, new, ex, model, weights, rule=rule, distill_form="logit+feature"
+        )
+        for p in model.parameters():
+            for flat in rng.choice(p.data.size, size=min(coords, p.data.size), replace=False):
+                idx = np.unravel_index(flat, p.data.shape)
+                base = p.data[idx]
+                p.data[idx] = base + step
+                hi = value()
+                p.data[idx] = base - step
+                lo = value()
+                p.data[idx] = base
+                numeric = (hi - lo) / (2.0 * step)
+                worst = max(worst, abs(float(grads[p][idx]) - numeric) / max(1.0, abs(numeric)))
+                checked += 1
+    return CheckResult("step-central-differences", worst < tol, f"{checked} coordinates, max rel err {worst:.3e}")
 
 
 def check_herding_oracle(seed: int, trials: int = 20) -> CheckResult:
@@ -174,6 +240,7 @@ def check_metric_bruteforce(seed: int, trials: int = 50) -> CheckResult:
 def run_battery(seed: int = 0) -> list[CheckResult]:
     return [
         check_loss_gradients(seed),
+        check_step_gradients(seed),
         check_herding_oracle(seed),
         check_ap_oracle(seed),
         check_aggregation_coincidence(seed),

@@ -129,6 +129,74 @@ class TestMemory:
                 np.testing.assert_array_equal(g, w)
 
 
+class TestPayloadValidation:
+    """``from_payload`` rejects what ``to_payload`` cannot write, naming the field."""
+
+    def _payload(self):
+        memory = ExemplarMemory(budget=4, payload_kind=mem.RAW)
+        rng = np.random.default_rng(8)
+        memory.add_class(0, rng.normal(size=(2, 5)), task_id=1)
+        memory.add_class(1, rng.normal(size=(2, 5)), task_id=1)
+        return memory.to_payload()
+
+    def _extractor(self):
+        return Model.build(5, LINFC, np.random.default_rng(9), hidden=(7,), feature_width=4).extractor
+
+    def test_valid_payload_checked_against_the_model(self):
+        restored = ExemplarMemory.from_payload(self._payload(), self._extractor())
+        assert restored.total() == 4
+
+    def test_unknown_kind(self):
+        payload = self._payload()
+        payload["kind"] = "pixels"
+        with pytest.raises(ConfigError, match=r"memory\.kind"):
+            ExemplarMemory.from_payload(payload)
+
+    def test_missing_field(self):
+        payload = self._payload()
+        del payload["budget"]
+        with pytest.raises(ConfigError, match=r"memory\.budget"):
+            ExemplarMemory.from_payload(payload)
+
+    def test_non_integer_budget(self):
+        payload = self._payload()
+        payload["budget"] = 2.5
+        with pytest.raises(ConfigError, match=r"memory\.budget"):
+            ExemplarMemory.from_payload(payload)
+
+    def test_total_over_budget(self):
+        payload = self._payload()
+        payload["budget"] = 1
+        with pytest.raises(ConfigError, match=r"4 exemplars exceed budget 1"):
+            ExemplarMemory.from_payload(payload)
+
+    def test_non_integer_class_key(self):
+        payload = self._payload()
+        payload["classes"]["first"] = payload["classes"].pop("0")
+        with pytest.raises(ConfigError, match=r"memory\.classes\['first'\]"):
+            ExemplarMemory.from_payload(payload)
+
+    def test_ragged_rows(self):
+        payload = self._payload()
+        payload["classes"]["1"]["rows"][1].pop()
+        with pytest.raises(ConfigError, match=r"memory\.classes\['1'\]"):
+            ExemplarMemory.from_payload(payload)
+
+    def test_row_width_must_match_the_model(self):
+        payload = self._payload()
+        for row in payload["classes"]["0"]["rows"] + payload["classes"]["1"]["rows"]:
+            row.pop()
+        ExemplarMemory.from_payload(payload)  # consistent on its own
+        with pytest.raises(ConfigError, match=r"rows have 4 entries, the model's raw width is 5"):
+            ExemplarMemory.from_payload(payload, self._extractor())
+
+    def test_latent_rows_must_have_the_latent_width(self):
+        payload = self._payload()
+        payload["kind"] = mem.LATENT
+        with pytest.raises(ConfigError, match=r"the model's latent width is 7"):
+            ExemplarMemory.from_payload(payload, self._extractor())
+
+
 class TestCapture:
     def _extractor(self):
         rng = np.random.default_rng(6)

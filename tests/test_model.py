@@ -205,9 +205,9 @@ class TestCheckpoint:
         model = make_model(COSFC, tasks=2, seed=13)
         model.sessions_trained = 2
         path = tmp_path / "ckpt.json"
-        mdl.save_checkpoint(path, model, memory_payload={"kind": "raw", "classes": {}})
+        mdl.save_checkpoint(path, model, memory_payload={"kind": "raw", "budget": 1, "classes": {}})
         loaded, memory_payload = mdl.load_checkpoint(path)
-        assert memory_payload == {"kind": "raw", "classes": {}}
+        assert memory_payload == {"kind": "raw", "budget": 1, "classes": {}}
         assert loaded.sessions_trained == 2
         assert loaded.head.variant == COSFC
         assert loaded.head.registry.entries == model.head.registry.entries
@@ -236,6 +236,28 @@ class TestCheckpointValidation:
         path.write_text(json.dumps(blob))
         with pytest.raises(ConfigError, match=r"model\.extractor\.biases\[1\]: shape \(7,\), expected \(8,\)"):
             mdl.load_checkpoint(path)
+
+    def test_memory_rows_checked_against_the_model(self, tmp_path):
+        path, blob = self._saved_payload(tmp_path)
+        rows = np.zeros((5, 5)).tolist()  # 5 exemplars, 5 wide, for a 6-input model under budget 1
+        blob["memory"] = {"kind": "raw", "budget": 1, "classes": {"0": {"task_id": 1, "rows": rows}}}
+        path.write_text(json.dumps(blob))
+        with pytest.raises(ConfigError, match=r"memory\.classes\['0'\]\.rows: rows have 5 entries"):
+            mdl.load_checkpoint(path)
+        blob["memory"]["classes"]["0"]["rows"] = np.zeros((5, 6)).tolist()
+        path.write_text(json.dumps(blob))
+        with pytest.raises(ConfigError, match=r"5 exemplars exceed budget 1"):
+            mdl.load_checkpoint(path)
+
+    def test_save_writes_what_json_dump_writes(self, tmp_path):
+        model = make_model(LINFC, tasks=2, seed=4)
+        memory = {"kind": "raw", "budget": 3, "classes": {"0": {"task_id": 1, "rows": [[0.1, 1e-300, -2.5]]}}}
+        path = tmp_path / "ckpt.json"
+        mdl.save_checkpoint(path, model, memory)
+        blob = {"format": mdl.CHECKPOINT_FORMAT, "model": mdl._model_payload(model), "memory": memory}
+        with open(tmp_path / "dumped.json", "w", encoding="utf-8") as fh:
+            json.dump(blob, fh, sort_keys=True)
+        assert path.read_bytes() == (tmp_path / "dumped.json").read_bytes()
 
     def test_head_rows_follow_the_registry(self, tmp_path):
         path, blob = self._saved_payload(tmp_path)

@@ -210,16 +210,23 @@ class TestNumericsErrors:
 
     def test_training_step(self):
         model, memory, sessions, profile = self._poisoned()
-        with pytest.raises(NumericsError):
+        with pytest.raises(NumericsError, match=r"session 2, epoch 0: layer 0 pre-activation"):
             run_session(model, memory, sessions[1], profile, FAST, MC)
 
     def test_evaluate(self):
         model, _, sessions, _ = self._poisoned()
-        with pytest.raises(NumericsError):
+        with pytest.raises(NumericsError, match="layer 0 pre-activation"):
             _evaluate(model, MC, sessions[0].test)
 
     def test_herding(self):
         model, memory, sessions, profile = self._poisoned()
         model.head.expand(sessions[1].task_id)
-        with pytest.raises(NumericsError):
+        with pytest.raises(NumericsError, match="layer 0 pre-activation"):
             _store_exemplars(model, memory, sessions[1], profile, model.head.registry)
+
+    def test_loss_term_is_named(self):
+        model, memory, sessions, _ = fresh_setup(system=MC, profile_name="distill")
+        profile = resolve_profile("distill", MC, T=1e-320)  # a temperature that overflows the KD logits
+        run_session(model, memory, sessions[0], profile, FAST, MC)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericsError, match="loss kd_kl"):
+            run_session(model, memory, sessions[1], profile, FAST, MC)
