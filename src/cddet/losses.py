@@ -522,34 +522,21 @@ def _one_hot(targets: Array, k: int) -> Array:
 # the training step: total_loss and its backward sweep on plain arrays
 
 
-def _np_layers(extractor, x: Array, start: int) -> tuple[list[Array], list[Array], Array]:
-    """Layers ``start`` onward as ``FeatureExtractor`` runs them on the tape;
-    returns each layer's input, each hidden layer's relu mask and the output."""
-    last = len(extractor.weights) - 1
-    inputs, masks = [], []
-    for i in range(start, last + 1):
-        inputs.append(x)
-        x = dc.checked(x @ extractor.weights[i].data + extractor.biases[i].data, f"layer {i} pre-activation")
-        if i < last:
-            masks.append(x > 0)
-            x = dc.np_relu(x)
-    return inputs, masks, x
-
-
 def _add_grad(grads: dict, param: Tensor, g: Array) -> None:
     grads[param] = g if param not in grads else grads[param] + g
 
 
-def _np_layers_backward(extractor, start: int, inputs, masks, g: Array, grads: dict) -> None:
-    """The tape's backward through layers ``start`` onward: a layer's input
-    gradient is formed only where a layer below it trains."""
+def _np_layers_backward(extractor, start: int, acts: list[Array], g: Array, grads: dict) -> None:
+    """The tape's backward through layers ``start`` onward, given their
+    ``np_activations``: a layer's input gradient is formed only where a
+    layer below it trains."""
     weights, biases = extractor.weights, extractor.biases
     trains = [w.requires_grad or b.requires_grad for w, b in zip(weights, biases)]
     last = len(weights) - 1
     for i in range(last, start - 1, -1):
         if i < last:
-            g = g * masks[i - start]
-        x = inputs[i - start]
+            g = g * (acts[i - start + 1] > 0)  # relu(z) > 0 exactly where z > 0
+        x = acts[i - start]
         if weights[i].requires_grad:
             _add_grad(grads, weights[i], x.T @ g)
         if biases[i].requires_grad:
@@ -582,15 +569,16 @@ def loss_and_gradients(
     ex = batch_exemplar if batch_exemplar is not None and len(batch_exemplar) else None
     ext, head = model.extractor, model.head
     raw = _stack(batch_new.x, ex.x if ex else None)
-    chains = []
+    chains = []  # (first layer, activations): raw rows, then latent rows
     if raw is not None:
-        chains.append((0, *_np_layers(ext, raw, 0)))
+        chains.append((0, ext.np_activations(raw)))
     if ex is not None and ex.latents is not None and ex.latents.shape[0]:
         start = ext.capture_layer + 1
-        chains.append((start, *_np_layers(ext, ex.latents, start)))
+        chains.append((start, ext.np_activations(ex.latents, start)))
     if not chains:
         raise ContractError("no rows to train on")
-    feats = chains[0][3] if len(chains) == 1 else np.concatenate([chains[0][3], chains[1][3]], axis=0)
+    outs = [acts[-1] for _, acts in chains]
+    feats = outs[0] if len(outs) == 1 else np.concatenate(outs, axis=0)
 
     theta = head.theta.data
     if head.variant == COSFC:
@@ -627,7 +615,7 @@ def loss_and_gradients(
             raise ContractError("distillation needs the snapshot's outputs on the exemplar rows")
         if distill_form not in ("logit", "feature", "logit+feature"):
             raise ConfigError(f"unknown distillation form {distill_form!r}")
-        distill = []
+        distill = 0.0
         if distill_form in ("logit", "logit+feature"):
             cols = np.arange(ex.old_logits.shape[1])
             if ex.kd_logp is not None and len(ex) > 1:
@@ -635,14 +623,14 @@ def loss_and_gradients(
             else:
                 logp, p = kd_targets(ex.old_logits, cols, weights.T)
             value, g = _kd_parts(logp, p, logits[n_new:], cols, weights.T)
-            distill.append(_checked_loss(value, "kd_kl"))
+            distill += _checked_loss(value, "kd_kl")
             d_logits[n_new:] += gamma_d * g
         if distill_form in ("feature", "logit+feature"):
             norms = ex.old_norms if ex.old_norms is not None else dc.row_norms(ex.old_features, "old features")
             value, g = _kd_feature_parts(ex.old_features, norms, feats[n_new:])
-            distill.append(_checked_loss(value, "kd_feature"))
+            distill += _checked_loss(value, "kd_feature")
             d_feats_ex = gamma_d * g
-        total = total + (distill[0] if len(distill) == 1 else distill[0] + distill[1]) * gamma_d
+        total = total + distill * gamma_d
 
     if ex is not None and gamma_m > 0 and system != BC:
         if weights.J > theta.shape[0] - 1:
@@ -668,8 +656,8 @@ def loss_and_gradients(
     if d_feats_ex is not None:
         d_feats[n_new:] += d_feats_ex
     row = 0
-    for start, inputs, masks, out in chains:
+    for (start, acts), out in zip(chains, outs):
         g = d_feats if len(chains) == 1 else d_feats[row : row + out.shape[0]]
-        _np_layers_backward(ext, start, inputs, masks, g, grads)
+        _np_layers_backward(ext, start, acts, g, grads)
         row += out.shape[0]
     return _checked_loss(total, "total"), grads

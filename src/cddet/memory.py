@@ -163,7 +163,7 @@ class ExemplarMemory:
         memory = cls(budget, kind)
         for key, entry in classes.items():
             where = f"memory.classes[{key!r}]"
-            if not key.isdigit():
+            if not (isinstance(key, str) and key.isdigit()):
                 raise ConfigError(f"checkpoint field {where}: class key is not a non-negative integer")
             try:
                 task_id, rows = entry["task_id"], entry["rows"]

@@ -2,9 +2,10 @@
 
 Forward passes run in one of two modes. With ``tape=True`` each layer is
 one recorded op (``affine_relu`` for hidden layers, ``linear`` for the
-linfc and sigmoid heads), for training. The default records no tape: layers
-run on plain arrays, with the same arithmetic and the same per-layer
-finiteness check, for evaluation, herding, latent capture and snapshots.
+linfc and sigmoid heads), for the reference loss on the tape. The default
+records no tape: layers run on plain arrays (``np_activations``), with the
+same arithmetic and a finiteness check on every pre-activation, for
+training, evaluation, herding, latent capture and snapshots.
 
 Three head variants are supported: a plain linear head ("linfc"), a
 cosine-normalised head with a learnable positive scale ("cosfc"), and a
@@ -22,7 +23,9 @@ Checkpoint format (JSON, one object per file):
                "sessions_trained": int},
      "memory": {...} | null}
 Parameter arrays appear in declaration order and round-trip at full float64
-precision through JSON's repr-based serialisation.
+precision through JSON's repr-based serialisation. Loading checks every
+array's shape against ``widths`` and the registry, and the memory half
+against the model (``ExemplarMemory.from_payload``).
 """
 
 from __future__ import annotations
@@ -165,14 +168,20 @@ class FeatureExtractor:
                 if i == self.capture_layer and i < last:
                     latent = h.data.copy()
             return h, latent
-        z = h.data
+        acts = self.np_activations(h.data, start)
+        capture = self.capture_layer + 1 - start  # the capture layer's output
+        return Tensor(acts[-1]), acts[capture] if 0 < capture < len(acts) - 1 else None
+
+    def np_activations(self, x: Array, start: int = 0) -> list[Array]:
+        """Layers ``start`` onward on plain arrays, with the tape's arithmetic
+        and a finiteness check on every pre-activation: ``x``, then each
+        hidden layer's relu output, then the features."""
+        acts = [x]
+        last = len(self.weights) - 1
         for i in range(start, last + 1):
-            z = dc.checked(z @ self.weights[i].data + self.biases[i].data, f"layer {i} pre-activation")
-            if i < last:
-                z = dc.np_relu(z)
-                if i == self.capture_layer:
-                    latent = z
-        return Tensor(z), latent
+            z = dc.checked(acts[-1] @ self.weights[i].data + self.biases[i].data, f"layer {i} pre-activation")
+            acts.append(dc.np_relu(z) if i < last else z)
+        return acts
 
     def parameters(self) -> list[Tensor]:
         return list(self.weights) + list(self.biases)

@@ -90,7 +90,15 @@ def _step_case(rng, variant: str, payload: str):
     else:
         ex.x = rng.normal(size=(3, 6))
         ex.old_features, ex.old_logits = ls._np_forward_joint(snap, ex.x, None)
-    return model, new, ex
+    return model, snap, new, ex
+
+
+STEP_WEIGHTS = ls.LossWeights(gamma_d=0.7, gamma_m=0.4, lam=0.3, T=2.0, tau=2.5, J=3)
+STEP_CASES = [(MT, LINFC, RAW, ls.SUMLOGIT), (MC, COSFC, LATENT, None), (BC, SIGMOID, RAW, None)]
+
+
+def _step(system: str, rule, model: Model, new: ls.Batch, ex: ls.Batch):
+    return ls.loss_and_gradients(system, new, ex, model, STEP_WEIGHTS, rule=rule, distill_form="logit+feature")
 
 
 def check_step_gradients(seed: int, coords: int = 3, step: float = 1e-6, tol: float = 1e-6) -> CheckResult:
@@ -99,37 +107,39 @@ def check_step_gradients(seed: int, coords: int = 3, step: float = 1e-6, tol: fl
     tape involved. tau > 2 keeps every margin hinge active and J ranks every
     rival, so the loss is smooth away from the relu kinks."""
     rng = substream(seed, "verify:step")
-    weights = ls.LossWeights(gamma_d=0.7, gamma_m=0.4, lam=0.3, T=2.0, tau=2.5, J=3)
-    cases = [
-        (MT, LINFC, RAW, ls.SUMLOGIT),
-        (MC, COSFC, LATENT, None),
-        (BC, SIGMOID, RAW, None),
-    ]
     worst, checked = 0.0, 0
-    for system, variant, payload, rule in cases:
-        model, new, ex = _step_case(rng, variant, payload)
-
-        def value():
-            return ls.loss_and_gradients(
-                system, new, ex, model, weights, rule=rule, distill_form="logit+feature"
-            )[0]
-
-        _, grads = ls.loss_and_gradients(
-            system, new, ex, model, weights, rule=rule, distill_form="logit+feature"
-        )
+    for system, variant, payload, rule in STEP_CASES:
+        model, _, new, ex = _step_case(rng, variant, payload)
+        _, grads = _step(system, rule, model, new, ex)
         for p in model.parameters():
             for flat in rng.choice(p.data.size, size=min(coords, p.data.size), replace=False):
                 idx = np.unravel_index(flat, p.data.shape)
                 base = p.data[idx]
                 p.data[idx] = base + step
-                hi = value()
+                hi = _step(system, rule, model, new, ex)[0]
                 p.data[idx] = base - step
-                lo = value()
+                lo = _step(system, rule, model, new, ex)[0]
                 p.data[idx] = base
                 numeric = (hi - lo) / (2.0 * step)
                 worst = max(worst, abs(float(grads[p][idx]) - numeric) / max(1.0, abs(numeric)))
                 checked += 1
     return CheckResult("step-central-differences", worst < tol, f"{checked} coordinates, max rel err {worst:.3e}")
+
+
+def check_step_against_tape(seed: int) -> CheckResult:
+    """The training step's gradients against ``total_loss(...).backward()``
+    on the tape: every parameter's gradient must match bit for bit."""
+    rng = substream(seed, "verify:step-tape")
+    for system, variant, payload, rule in STEP_CASES:
+        model, snap, new, ex = _step_case(rng, variant, payload)
+        _, grads = _step(system, rule, model, new, ex)
+        ls.total_loss(
+            system, new, ex, model, snap, STEP_WEIGHTS, rule=rule, distill_form="logit+feature"
+        ).backward()
+        for p in model.parameters():
+            if p.grad is None or p not in grads or p.grad.tobytes() != grads[p].tobytes():
+                return CheckResult("step-equals-tape", False, f"{system}/{variant}: a gradient differs from the tape")
+    return CheckResult("step-equals-tape", True, f"{len(STEP_CASES)} systems, every gradient bitwise equal")
 
 
 def check_herding_oracle(seed: int, trials: int = 20) -> CheckResult:
@@ -241,6 +251,7 @@ def run_battery(seed: int = 0) -> list[CheckResult]:
     return [
         check_loss_gradients(seed),
         check_step_gradients(seed),
+        check_step_against_tape(seed),
         check_herding_oracle(seed),
         check_ap_oracle(seed),
         check_aggregation_coincidence(seed),
