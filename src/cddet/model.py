@@ -438,8 +438,27 @@ def save_checkpoint(path, model: Model, memory_payload: dict | None = None) -> N
         "memory": memory_payload,
     }
     with open(path, "w", encoding="utf-8") as fh:
-        # json.dump to a file always runs the pure-Python encoder; dumps uses the C one
-        fh.write(json.dumps(blob, sort_keys=True))
+        _write_json(fh, blob)
+
+
+def _write_json(fh, obj) -> None:
+    """Write what ``json.dump(obj, fh, sort_keys=True)`` writes.
+
+    ``json.dump`` to a file always runs the pure-Python encoder, and one
+    ``json.dumps`` of the whole checkpoint holds every float's text at once,
+    several times the file's size. So objects are walked here, and each
+    other value is encoded by one ``json.dumps`` call, which runs the C
+    encoder on a single parameter array or exemplar class at a time.
+    """
+    if not isinstance(obj, dict):
+        fh.write(json.dumps(obj, sort_keys=True))
+        return
+    fh.write("{")
+    for i, key in enumerate(sorted(obj)):
+        fh.write(", " if i else "")
+        fh.write(json.dumps(key) + ": ")
+        _write_json(fh, obj[key])
+    fh.write("}")
 
 
 def load_checkpoint(path) -> tuple[Model, dict | None]:

@@ -435,6 +435,7 @@ def run_session(
             except NumericsError as exc:
                 raise NumericsError(f"session {session.task_id}, epoch {epoch}: {exc}") from exc
             optimizer.step(grads)
+        del new, pool, batch_new, batch_ex  # free this epoch's copies before the next
 
     if memory is not None:
         _store_exemplars(model, memory, session, profile, model.head.registry)
