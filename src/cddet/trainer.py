@@ -10,11 +10,12 @@ Training records no tape. Each session first builds a ``SessionPlan``: its
 new rows and stored exemplars, checked once, with the per-row constants
 that do not change within the session (target rows, the snapshot's outputs
 and distillation targets on the exemplars, the norms of their old
-features). A step gathers a batch from the plan (``_assemble_batches``),
-computes the loss and every gradient on plain arrays
-(``losses.loss_and_gradients``) and hands the gradients to ``Adam.step``.
-Those gradients equal the tape's (``total_loss(...).backward()``) bit for
-bit; the tape stays as the reference the tests and ``cddet verify`` use.
+features). Each epoch shuffles the plan once; a step slices its batch from
+that copy (``_assemble_batches``), computes the loss and every gradient on
+plain arrays (``losses.loss_and_gradients``) and hands the gradients to
+``Adam.step``. Those gradients equal the tape's
+(``total_loss(...).backward()``) bit for bit; the tape stays as the
+reference the tests and ``cddet verify`` use.
 """
 
 from __future__ import annotations
@@ -435,7 +436,7 @@ def run_session(
             except NumericsError as exc:
                 raise NumericsError(f"session {session.task_id}, epoch {epoch}: {exc}") from exc
             optimizer.step(grads)
-        del new, pool, batch_new, batch_ex  # free this epoch's copies before the next
+        new = pool = batch_new = batch_ex = None  # free this epoch's copy before the next
 
     if memory is not None:
         _store_exemplars(model, memory, session, profile, model.head.registry)
