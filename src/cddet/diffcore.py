@@ -467,8 +467,9 @@ def np_cosine_matrix(a: Array, b: Array) -> tuple[Array, Array, Array, Array, Ar
 def np_cosine_backward(g: Array, c: Array, na: Array, nb: Array, an: Array, bn: Array):
     """Gradients in both operands of ``np_cosine_matrix``, given the upstream
     gradient ``g`` in the cosines and that function's outputs."""
-    ga = (g @ bn - (g * c).sum(axis=1, keepdims=True) * an) / na[:, None]
-    gb = (g.T @ an - (g * c).sum(axis=0)[:, None] * bn) / nb[:, None]
+    gc = g * c
+    ga = (g @ bn - gc.sum(axis=1, keepdims=True) * an) / na[:, None]
+    gb = (g.T @ an - gc.sum(axis=0)[:, None] * bn) / nb[:, None]
     return ga, gb
 
 

@@ -446,19 +446,25 @@ def _write_json(fh, obj) -> None:
 
     ``json.dump`` to a file always runs the pure-Python encoder, and one
     ``json.dumps`` of the whole checkpoint holds every float's text at once,
-    several times the file's size. So objects are walked here, and each
-    other value is encoded by one ``json.dumps`` call, which runs the C
-    encoder on a single parameter array or exemplar class at a time.
+    several times the file's size. So objects and lists of lists are walked
+    here, and each other value (a parameter row, an exemplar) is encoded by
+    one ``json.dumps`` call, which runs the C encoder.
     """
-    if not isinstance(obj, dict):
+    if isinstance(obj, dict):
+        fh.write("{")
+        for i, key in enumerate(sorted(obj)):
+            fh.write(", " if i else "")
+            fh.write(json.dumps(key) + ": ")
+            _write_json(fh, obj[key])
+        fh.write("}")
+    elif isinstance(obj, list) and obj and isinstance(obj[0], (list, dict)):
+        fh.write("[")
+        for i, item in enumerate(obj):
+            fh.write(", " if i else "")
+            _write_json(fh, item)
+        fh.write("]")
+    else:
         fh.write(json.dumps(obj, sort_keys=True))
-        return
-    fh.write("{")
-    for i, key in enumerate(sorted(obj)):
-        fh.write(", " if i else "")
-        fh.write(json.dumps(key) + ": ")
-        _write_json(fh, obj[key])
-    fh.write("}")
 
 
 def load_checkpoint(path) -> tuple[Model, dict | None]:

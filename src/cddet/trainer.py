@@ -410,20 +410,20 @@ def run_session(
     mixup_rng = substream(config.seed, f"mixup:{session.task_id}")
 
     n_new = len(plan.new)
-    pool_size = n_new + (len(plan.pool) if plan.pool is not None else 0)
+    n_rows = n_new + (len(plan.pool) if plan.pool is not None else 0)
     for epoch in range(config.epochs):
         decay_steps = sum(1 for m in config.milestones if m <= epoch)
         optimizer.lr = base_lr / (config.lr_divisor**decay_steps)
         # Shuffle the plan once per epoch. A window of the permutation then
         # holds a run of the shuffled new rows and a run of the shuffled
         # pool rows, in permutation order, so each step slices the two.
-        perm = batching_rng.permutation(pool_size)
+        perm = batching_rng.permutation(n_rows)
         is_new = perm < n_new
         new = plan.new.take(perm[is_new])
         pool = plan.pool.take(perm[~is_new] - n_new) if plan.pool is not None else None
         new_before = np.concatenate([[0], np.cumsum(is_new)])
-        for start in range(0, pool_size, config.batch_size):
-            stop = min(start + config.batch_size, pool_size)
+        for start in range(0, n_rows, config.batch_size):
+            stop = min(start + config.batch_size, n_rows)
             a, b = new_before[start], new_before[stop]
             batch_new, batch_ex = _assemble_batches(
                 new, pool, slice(a, b), slice(start - a, stop - b), profile, mixup_rng
