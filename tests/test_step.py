@@ -45,6 +45,8 @@ def _cases():
     yield MC, "distill", {"mixup_alpha": 0.4}
     yield MT, "rebalance", {"aggregation": SUMFEAT, "label_smooth_eps": 0.1, "mixup_alpha": 0.4}
     yield MT, "rebalance-cosfc", {"aggregation": SUMLOGIT, "mixup_alpha": 0.4}
+    yield MT, "rebalance", {"aggregation": SUMLOGIT, "lam": 0.0}  # the plain multi-class loss
+    yield MC, "rebalance", {"J": 0}  # margin ranking with no rivals adds nothing
 
 
 CASES = list(_cases())
