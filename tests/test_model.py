@@ -251,7 +251,8 @@ class TestCheckpointValidation:
 
     def test_save_writes_what_json_dump_writes(self, tmp_path):
         model = make_model(LINFC, tasks=2, seed=4)
-        memory = {"kind": "raw", "budget": 3, "classes": {"0": {"task_id": 1, "rows": [[0.1, 1e-300, -2.5]]}}}
+        classes = {"2": {"task_id": 2, "rows": [[0.1, 1e-300, -2.5]]}, "10": {"task_id": 6, "rows": []}}
+        memory = {"kind": "raw", "budget": 3, "classes": classes}
         path = tmp_path / "ckpt.json"
         mdl.save_checkpoint(path, model, memory)
         blob = {"format": mdl.CHECKPOINT_FORMAT, "model": mdl._model_payload(model), "memory": memory}

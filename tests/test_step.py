@@ -14,7 +14,7 @@ from conftest import tiny_scenario
 
 from cddet import losses as ls
 from cddet.losses import AGG_RULES, MAX, SUMFEAT, SUMLOG, SUMLOGIT
-from cddet.memory import ExemplarMemory
+from cddet.memory import LATENT, ExemplarMemory
 from cddet.model import BC, MC, MT, Model
 from cddet.seeding import substream
 from cddet.stream import synth_generate
@@ -112,6 +112,7 @@ def test_step_gradients_equal_the_tape(system, name, options):
     for session in sessions[:-1]:
         run_session(model, memory, session, profile, FAST, system)
     plan = _plan_session(model, memory, sessions[-1], profile, system)
+    assert model.extractor.weights[0].requires_grad == (profile.replay_payload != LATENT)
     plan.pool = plan.pool.take(rng.permutation(len(plan.pool)))
     shapes = [
         (slice(0, 6), slice(0, 0)),  # new rows only
