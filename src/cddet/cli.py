@@ -3,11 +3,17 @@ run directory, ``eval`` recomputes metrics from persisted artifacts, and
 ``verify`` runs the embedded oracle battery.
 
 Configuration comes from an optional key=value text file (``#`` comments;
-an unknown key is an error naming its line) with command-line flags taking
-precedence; ``CDD_SEED`` serves as the seed fallback. A ``seeds`` key in
-the file expands into one sub-run per seed (written to ``<out>/<seed>/``),
-optionally fanned out across ``--jobs`` worker threads. Exit codes: 0
-success, 1 runtime failure, 2 invalid usage or validation failure.
+an unknown key or a value that does not parse is an error naming its line)
+with command-line flags taking precedence; ``CDD_SEED`` serves as the seed
+fallback. A ``seeds`` key in the file expands into one sub-run per seed
+(written to ``<out>/<seed>/``), optionally fanned out across ``--jobs``
+worker threads. ``run`` checks every setting (``ExperimentConfig.resolve``)
+before it builds any data.
+
+Exit codes: 0 success; 2 a usage error: a bad setting or combination of
+settings, an unreadable config file, or an unreadable or malformed dataset
+file or dataset files of different widths (checked once loaded, before the
+model is built); 1 a runtime failure, such as a numerical overflow.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .errors import ConfigError, EngineError, ParseError
@@ -25,13 +31,8 @@ from .losses import AGG_RULES
 from .metrics import (
     aa,
     af,
-    af_last,
-    aa_m,
-    ap,
     compute_metrics,
-    map_score,
     metrics_to_json,
-    pr_curve,
     read_accuracy_matrix,
     read_predictions,
     write_accuracy_matrix,
@@ -39,17 +40,39 @@ from .metrics import (
     write_predictions,
     write_pr_curves,
 )
-from .model import BC, MT, SYSTEMS, save_checkpoint
+from .model import MT, SYSTEMS, save_checkpoint
 from .stream import SCENARIO_KINDS, build_scenario, load_dataset, synth_generate
-from .trainer import TrainConfig, resolve_profile, run_scenario_over_sessions
+from .trainer import MethodProfile, TrainConfig, resolve_profile, run_scenario_over_sessions
 from .verify import format_report, run_battery
 
-_PROFILE_OVERRIDE_KEYS = ("gamma_d", "gamma_m", "T", "tau", "J", "distill_form", "replay_payload")
-_CONFIG_KEYS = frozenset((
-    "scenario", "data", "profile", "system", "aggregation", "memory", "seed", "seeds",
-    "epochs", "lr", "batch_size", "lambda", "label_smooth", "mixup", "warmup", "out", "jobs",
-    *_PROFILE_OVERRIDE_KEYS,
-))
+_BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
+
+def _parse_bool(value: str) -> bool:
+    return _BOOLEANS[value.lower()]
+
+
+def _parse_ints(value: str) -> list[int]:
+    return [int(v) for v in value.replace(",", " ").split()]
+
+
+# config-file key -> parser; the key names an ExperimentConfig field
+# (``lambda`` names ``lam``) or, for the profile overrides, an entry of
+# ``ExperimentConfig.overrides``
+_FIELDS = {
+    "scenario": str, "data": str.split, "profile": str, "system": str, "aggregation": str,
+    "memory": int, "epochs": int, "lr": float, "batch_size": int, "lambda": float,
+    "label_smooth": float, "mixup": float, "warmup": _parse_bool, "out": str, "jobs": int,
+    "seed": int, "seeds": _parse_ints,
+}
+_PROFILE_OVERRIDES = {
+    "gamma_d": float, "gamma_m": float, "T": float, "tau": float, "J": int,
+    "distill_form": str, "replay_payload": str,
+}
+_CONFIG_KEYS = frozenset((*_FIELDS, *_PROFILE_OVERRIDES))
+_EXPECTED = {
+    int: "an integer", float: "a number", _parse_bool: "one of 1/0/true/false/yes/no", _parse_ints: "integers",
+}
 
 
 @dataclass
@@ -73,25 +96,31 @@ class ExperimentConfig:
     jobs: int = 1
     overrides: dict = field(default_factory=dict)
 
-    def validate(self) -> None:
+    def resolve(self) -> tuple[MethodProfile, TrainConfig]:
+        """Check every setting and bind the method profile and the training
+        settings; raises ``ConfigError`` before any data is built."""
         if bool(self.scenario) == bool(self.data):
             raise ConfigError("exactly one of a scenario kind or dataset paths is required")
         if self.scenario and self.scenario not in SCENARIO_KINDS:
             raise ConfigError(f"unknown scenario {self.scenario!r}")
         if not self.profile:
             raise ConfigError("a method profile is required")
-        if self.system not in SYSTEMS:
-            raise ConfigError(f"learning system must be one of {', '.join(SYSTEMS)}")
         if self.aggregation is not None and self.system != MT:
             raise ConfigError("aggregation rules apply to the multi-task system only")
-        if self.aggregation is not None and self.aggregation not in AGG_RULES:
-            raise ConfigError(f"unknown aggregation rule {self.aggregation!r}")
         if self.memory < 0:
             raise ConfigError("memory budget must be non-negative")
         if not self.out:
             raise ConfigError("an output directory is required")
         if self.jobs < 1:
             raise ConfigError("jobs must be at least 1")
+        if any(seed < 0 for seed in self.seeds or ()):
+            raise ConfigError("seeds must be non-negative")
+        profile = resolve_profile(
+            self.profile, self.system, aggregation=self.aggregation, lam=self.lam,
+            label_smooth_eps=self.label_smooth, mixup_alpha=self.mixup, **self.overrides,
+        )
+        train_cfg = TrainConfig(epochs=self.epochs, lr=self.lr, batch_size=self.batch_size, seed=self.seed)
+        return profile, train_cfg
 
     def echo(self) -> dict:
         # everything needed to rerun; the output path stays out so reruns
@@ -116,20 +145,25 @@ class ExperimentConfig:
         return echo
 
 
-def _parse_config_file(path: str) -> dict:
-    values: dict = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ParseError("expected key = value", line=lineno)
-            key, _, value = line.partition("=")
-            key = key.strip()
-            if key not in _CONFIG_KEYS:
-                raise ParseError(f"unknown config key {key!r}", line=lineno)
-            values[key] = value.strip()
+def _parse_config_file(path: str) -> dict[str, tuple[str, int]]:
+    """Each key's value and the line it was set on; a later line wins."""
+    values: dict[str, tuple[str, int]] = {}
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from None
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ParseError("expected key = value", line=lineno)
+        key, _, value = line.partition("=")
+        key = key.strip()
+        if key not in _CONFIG_KEYS:
+            raise ParseError(f"unknown config key {key!r}", line=lineno)
+        values[key] = (value.strip(), lineno)
     return values
 
 
@@ -137,39 +171,28 @@ def _config_from_sources(args: argparse.Namespace) -> ExperimentConfig:
     cfg = ExperimentConfig()
     raw = _parse_config_file(args.config) if args.config else {}
 
-    def take(key, cast, default):
-        return cast(raw[key]) if key in raw else default
+    def parse(key, cast):
+        value, lineno = raw[key]
+        try:
+            return cast(value)
+        except (ValueError, KeyError):
+            raise ParseError(f"{key}: expected {_EXPECTED[cast]}, found {value!r}", line=lineno) from None
 
-    cfg.scenario = take("scenario", str, None)
-    cfg.data = raw["data"].split() if "data" in raw else []
-    cfg.profile = take("profile", str, "")
-    cfg.system = take("system", str, "")
-    cfg.aggregation = take("aggregation", str, None)
-    cfg.memory = take("memory", int, cfg.memory)
-    cfg.epochs = take("epochs", int, cfg.epochs)
-    cfg.lr = take("lr", float, cfg.lr)
-    cfg.batch_size = take("batch_size", int, cfg.batch_size)
-    cfg.lam = take("lambda", float, cfg.lam)
-    cfg.label_smooth = take("label_smooth", float, cfg.label_smooth)
-    cfg.mixup = take("mixup", float, cfg.mixup)
-    cfg.warmup = take("warmup", lambda v: v.lower() not in ("0", "false", "no"), cfg.warmup)
-    cfg.out = take("out", str, "")
-    cfg.jobs = take("jobs", int, cfg.jobs)
-    if "seeds" in raw:
-        cfg.seeds = [int(v) for v in raw["seeds"].replace(",", " ").split()]
-    for key in _PROFILE_OVERRIDE_KEYS:
+    for key, cast in _FIELDS.items():
         if key in raw:
-            cast = str if key in ("distill_form", "replay_payload") else (int if key == "J" else float)
-            cfg.overrides[key] = cast(raw[key])
+            setattr(cfg, "lam" if key == "lambda" else key, parse(key, cast))
+    for key, cast in _PROFILE_OVERRIDES.items():
+        if key in raw:
+            cfg.overrides[key] = parse(key, cast)
 
-    file_seed = int(raw["seed"]) if "seed" in raw else None
     env_seed = os.environ.get("CDD_SEED")
     if args.seed is not None:
         cfg.seed = args.seed
-    elif file_seed is not None:
-        cfg.seed = file_seed
-    elif env_seed is not None:
-        cfg.seed = int(env_seed)
+    elif "seed" not in raw and env_seed is not None:
+        try:
+            cfg.seed = int(env_seed)
+        except ValueError:
+            raise ConfigError(f"CDD_SEED: expected an integer, found {env_seed!r}") from None
 
     if args.scenario:
         cfg.scenario = args.scenario
@@ -188,21 +211,9 @@ def _config_from_sources(args: argparse.Namespace) -> ExperimentConfig:
     return cfg
 
 
-def _execute_run(cfg: ExperimentConfig, out_dir: Path) -> None:
-    profile = resolve_profile(
-        cfg.profile,
-        cfg.system,
-        aggregation=cfg.aggregation,
-        lam=cfg.lam,
-        label_smooth_eps=cfg.label_smooth,
-        mixup_alpha=cfg.mixup,
-        **cfg.overrides,
-    )
-    train_cfg = TrainConfig(
-        epochs=cfg.epochs, lr=cfg.lr, batch_size=cfg.batch_size, seed=cfg.seed
-    )
+def _execute_run(cfg: ExperimentConfig, profile: MethodProfile, train_cfg: TrainConfig, out_dir: Path) -> None:
     if cfg.scenario:
-        scenario = build_scenario(cfg.scenario, cfg.seed, with_warmup=cfg.warmup, budget=cfg.memory)
+        scenario = build_scenario(cfg.scenario, cfg.seed, with_warmup=cfg.warmup)
         sessions = [synth_generate(t, scenario.seed) for t in scenario.tasks]
         warmup = synth_generate(scenario.warmup, scenario.seed) if scenario.warmup else None
     else:
@@ -212,7 +223,7 @@ def _execute_run(cfg: ExperimentConfig, out_dir: Path) -> None:
     record = run_scenario_over_sessions(
         sessions, warmup, cfg.memory, profile, train_cfg, cfg.system, config_echo=cfg.echo()
     )
-    metrics, curves = compute_metrics(record)
+    metrics, curves = compute_metrics(record.matrix, record.logs, record.config_echo)
 
     out_dir.mkdir(parents=True, exist_ok=True)
     write_accuracy_matrix(out_dir / "accuracy_matrix.csv", record.matrix)
@@ -229,23 +240,23 @@ def _execute_run(cfg: ExperimentConfig, out_dir: Path) -> None:
 def cmd_run(args: argparse.Namespace) -> int:
     try:
         cfg = _config_from_sources(args)
-        cfg.validate()
-    except (ConfigError, ParseError, ValueError) as exc:
+        profile, train_cfg = cfg.resolve()
+    except (ConfigError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
     seeds = cfg.seeds if cfg.seeds else [cfg.seed]
+    runs = [
+        (replace(cfg, seed=seed, seeds=None), profile, replace(train_cfg, seed=seed),
+         Path(cfg.out) if len(seeds) == 1 else Path(cfg.out) / str(seed))
+        for seed in seeds
+    ]
     try:
-        if len(seeds) == 1:
-            cfg.seed = seeds[0]
-            _execute_run(cfg, Path(cfg.out))
+        if len(runs) == 1:
+            _execute_run(*runs[0])
         else:
-            configs = []
-            for seed in seeds:
-                sub = ExperimentConfig(**{**cfg.__dict__, "seed": seed, "seeds": None})
-                configs.append((sub, Path(cfg.out) / str(seed)))
             with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-                futures = [pool.submit(_execute_run, sub, directory) for sub, directory in configs]
+                futures = [pool.submit(_execute_run, *run) for run in runs]
                 for future in futures:
                     future.result()
     except (ConfigError, ParseError) as exc:
@@ -260,20 +271,10 @@ def cmd_run(args: argparse.Namespace) -> int:
 def recompute_metrics_json(run_dir: Path) -> str:
     """Rebuild the metrics document from the persisted artifacts alone."""
     matrix = read_accuracy_matrix(run_dir / "accuracy_matrix.csv")
-    n = matrix.shape[0]
     logs = read_predictions(run_dir / "predictions.csv")
     with open(run_dir / "config.json", encoding="utf-8") as fh:
         echo = json.load(fh)
-    curves = {tid: pr_curve(log.p_fake, log.true_polarity) for tid, log in logs.items()}
-    metrics = {
-        "aa": aa(matrix),
-        "af": af(matrix) if n >= 2 else None,
-        "af_last": af_last(matrix) if n >= 2 else None,
-        "aa_m": aa_m(logs) if logs else None,
-        "per_task_ap": {str(tid): ap(curves[tid]) for tid in sorted(curves)},
-        "map": map_score(curves) if curves else None,
-        "config": echo,
-    }
+    metrics, _ = compute_metrics(matrix, logs, echo)
     return metrics_to_json(metrics)
 
 

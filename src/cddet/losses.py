@@ -49,6 +49,8 @@ class LossWeights:
     J: int = 2
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in (self.gamma_d, self.gamma_m, self.lam, self.T, self.tau)):
+            raise ConfigError("gamma_d, gamma_m, lambda, T and tau must be finite")
         if self.gamma_d < 0 or self.gamma_m < 0:
             raise ConfigError("gamma weights must be non-negative")
         if not 0.0 <= self.lam <= 1.0:

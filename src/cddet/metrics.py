@@ -145,21 +145,21 @@ def map_score(curves: dict[int, PRCurve]) -> float:
     return sum(values) / len(values)
 
 
-def compute_metrics(record: RunRecord) -> tuple[dict, dict[int, PRCurve]]:
-    """All four measures for a finished run, plus the per-task PR curves."""
-    n = record.matrix.shape[0]
-    curves = {
-        task_id: pr_curve(log.p_fake, log.true_polarity)
-        for task_id, log in record.logs.items()
-    }
+def compute_metrics(
+    matrix: Array, logs: dict[int, PredictionLog], config_echo: dict
+) -> tuple[dict, dict[int, PRCurve]]:
+    """The metrics document of a run (all four measures and the config echo),
+    plus the per-task PR curves; the one builder of ``metrics.json``."""
+    n = matrix.shape[0]
+    curves = {task_id: pr_curve(log.p_fake, log.true_polarity) for task_id, log in logs.items()}
     metrics = {
-        "aa": aa(record.matrix),
-        "af": af(record.matrix) if n >= 2 else None,
-        "af_last": af_last(record.matrix) if n >= 2 else None,
-        "aa_m": aa_m(record.logs) if record.logs else None,
+        "aa": aa(matrix),
+        "af": af(matrix) if n >= 2 else None,
+        "af_last": af_last(matrix) if n >= 2 else None,
+        "aa_m": aa_m(logs) if logs else None,
         "per_task_ap": {str(task_id): ap(curves[task_id]) for task_id in sorted(curves)},
         "map": map_score(curves) if curves else None,
-        "config": record.config_echo,
+        "config": config_echo,
     }
     return metrics, curves
 

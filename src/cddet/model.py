@@ -264,10 +264,9 @@ def _broadcast_scalar(s: Tensor, shape: tuple[int, ...]) -> Tensor:
 class Model:
     """Feature extractor composed with a classifier head."""
 
-    def __init__(self, extractor: FeatureExtractor, head: ClassifierHead, frozen: bool = False):
+    def __init__(self, extractor: FeatureExtractor, head: ClassifierHead):
         self.extractor = extractor
         self.head = head
-        self.frozen = frozen
         self.sessions_trained = 0
 
     @classmethod
@@ -305,7 +304,6 @@ class Model:
         if self.sessions_trained < 1:
             raise ProtocolError("snapshot requires at least one trained session")
         clone = copy.deepcopy(self)
-        clone.frozen = True
         for param in clone.parameters():
             param.requires_grad = False
             param.grad = None

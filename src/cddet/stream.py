@@ -87,7 +87,6 @@ class Scenario:
     seed: int
     tasks: list[TaskSpec]
     warmup: TaskSpec | None
-    budget: int = 1500
 
     def __len__(self) -> int:
         return len(self.tasks)
@@ -184,7 +183,6 @@ def build_scenario(
     kind: str,
     seed: int,
     with_warmup: bool = True,
-    budget: int = 1500,
     feature_dim: int = 16,
 ) -> Scenario:
     """Seeded scenario: easy (7 tasks), hard (5, with two low-separation
@@ -194,7 +192,7 @@ def build_scenario(
     specs = _source_specs(seed, feature_dim)
     tasks = [specs[sid] for sid in _SCENARIO_SOURCES[kind]]
     warmup = specs[0] if with_warmup else None
-    return Scenario(kind=kind, seed=seed, tasks=tasks, warmup=warmup, budget=budget)
+    return Scenario(kind=kind, seed=seed, tasks=tasks, warmup=warmup)
 
 
 # ---------------------------------------------------------------------------
@@ -244,8 +242,11 @@ def save_dataset(session: SessionData, path) -> None:
 
 def load_dataset(path) -> SessionData:
     """Parse one task's records; malformed rows fail with their line number."""
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read dataset {path}: {exc}") from None
     if not lines:
         raise ParseError("empty dataset file", line=1)
     header = lines[0].split(",")

@@ -2,9 +2,12 @@
 replayed exemplars, refresh the memory, and evaluate every seen task.
 
 Learning-rate pattern: the first trained session uses the base rate and all
-later sessions a tenth of it; optional milestone epochs divide the rate
-further within a session. The optimizer state is rebuilt per session because
-head expansion changes the parameter set.
+later sessions a tenth of it. The optimizer state is rebuilt per session
+because head expansion changes the parameter set.
+
+``MethodProfile`` checks a method's settings and ``TrainConfig`` the
+optimisation's, before any data is built; a session checks only what needs
+the live model: the system, the head and the task.
 
 Training records no tape. Each session first builds a ``SessionPlan``: its
 new rows and stored exemplars, checked once, with the per-row constants
@@ -20,6 +23,7 @@ reference the tests and ``cddet verify`` use.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field, replace
 
@@ -37,7 +41,7 @@ from .losses import (
     loss_and_gradients,
     mixup,
 )
-from .memory import LATENT, RAW, ExemplarMemory, capture, herd_select
+from .memory import LATENT, PAYLOAD_KINDS, RAW, ExemplarMemory, capture, herd_select
 from .model import (
     BC,
     COSFC,
@@ -54,7 +58,7 @@ from .model import (
     predict_class,
 )
 from .seeding import substream
-from .stream import Scenario, SessionData, synth_generate
+from .stream import SessionData
 
 DISTILL_FORMS = ("none", "logit", "feature", "logit+feature")
 
@@ -77,8 +81,19 @@ class MethodProfile:
             raise ConfigError(f"unknown distillation form {self.distill_form!r}")
         if (self.distill_form == "none") != (self.weights.gamma_d == 0):
             raise ConfigError("distillation form 'none' must coincide with gamma_d == 0")
+        if self.replay_payload not in PAYLOAD_KINDS:
+            raise ConfigError(f"unknown replay_payload {self.replay_payload!r}")
+        if not 0.0 <= self.label_smooth_eps < 1.0:
+            raise ConfigError(f"label_smooth_eps must lie in [0, 1), found {self.label_smooth_eps}")
+        if not (self.mixup_alpha >= 0.0 and math.isfinite(self.mixup_alpha)):
+            raise ConfigError(f"mixup_alpha must be finite and non-negative, found {self.mixup_alpha}")
         if self.head_variant == SIGMOID and self.weights.gamma_m != 0:
             raise ConfigError("sigmoid heads drop the margin term; gamma_m must be 0")
+        if self.head_variant == SIGMOID and (self.label_smooth_eps > 0 or self.mixup_alpha > 0):
+            raise ConfigError("a sigmoid head takes no label_smooth_eps or mixup_alpha")
+        if self.weights.gamma_m > 0 and self.weights.J > 3:
+            # a margin term first trains in a run's second session: 4 classes, 3 rivals
+            raise ConfigError(f"the margin term (gamma_m > 0) ranks at most 3 rivals; J = {self.weights.J}")
         if self.mixup_alpha > 0 and self.replay_payload == LATENT:
             raise ConfigError("mixup operates on raw inputs; latent replay cannot use it")
         if self.aggregation is not None and self.aggregation not in AGG_RULES:
@@ -89,8 +104,6 @@ class MethodProfile:
 class TrainConfig:
     epochs: int = 6
     lr: float = 1e-3
-    milestones: tuple[int, ...] = ()
-    lr_divisor: float = 2.0
     batch_size: int = 32
     seed: int = 0
 
@@ -99,8 +112,10 @@ class TrainConfig:
             raise ConfigError("batch size must be at least 2")
         if self.epochs < 1:
             raise ConfigError("epochs must be at least 1")
-        if self.lr <= 0 or self.lr_divisor <= 0:
-            raise ConfigError("learning rate and divisor must be positive")
+        if not (self.lr > 0 and math.isfinite(self.lr)):
+            raise ConfigError(f"lr must be positive and finite, found {self.lr}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, found {self.seed}")
 
 
 @dataclass
@@ -116,12 +131,9 @@ class PredictionLog:
 @dataclass
 class RunRecord:
     task_ids: list[int]
-    task_names: list[str]
     matrix: np.ndarray
     logs: dict[int, PredictionLog]
     config_echo: dict
-    system: str
-    profile_name: str
     wall_clock: list[float] = field(default_factory=list)
     memory_totals: list[int] = field(default_factory=list)
     model: Model | None = None
@@ -218,7 +230,7 @@ def resolve_profile(
     if name not in _BASE_PROFILES:
         raise ConfigError(f"unknown profile {name!r}; known: {', '.join(builtin_profiles())}")
     if system not in SYSTEMS:
-        raise ConfigError(f"unknown learning system {system!r}")
+        raise ConfigError(f"unknown learning system {system!r}; known: {', '.join(SYSTEMS)}")
     base = dict(_BASE_PROFILES[name])
     head = base.pop("head", LINFC)
     base.update(weight_overrides)
@@ -234,7 +246,7 @@ def resolve_profile(
         tau=base.get("tau", 0.2),
         J=base.get("J", 2),
     )
-    rule = (aggregation or "sumlogit") if system == MT else None
+    rule = ("sumlogit" if aggregation is None else aggregation) if system == MT else None
     return MethodProfile(
         name=name,
         weights=weights,
@@ -308,8 +320,8 @@ def _plan_session(
     profile: MethodProfile,
     system: str,
 ) -> SessionPlan:
-    """Validate the session, snapshot the model, expand its head, freeze the
-    layers latent replay needs fixed, and build the session's plan."""
+    """Check the session against the live model, snapshot it, expand its
+    head, freeze the layers latent replay needs fixed, and build the plan."""
     if system not in SYSTEMS:
         raise ConfigError(f"unknown learning system {system!r}")
     if (system == BC) != (profile.head_variant == SIGMOID):
@@ -318,8 +330,6 @@ def _plan_session(
         raise ConfigError(
             f"model head {model.head.variant!r} does not match profile {profile.head_variant!r}"
         )
-    if system == BC and (profile.label_smooth_eps > 0 or profile.mixup_alpha > 0):
-        raise ConfigError("label smoothing and mixup apply to multi-class targets only")
     if session.task_id in model.head.registry.task_ids():
         raise ProtocolError(f"task {session.task_id} was already trained")
 
@@ -404,16 +414,14 @@ def run_session(
     """One incremental step: snapshot, expand, fit on new plus replayed data,
     then select exemplars for the new classes and rebalance all quotas."""
     plan = _plan_session(model, memory, session, profile, system)
-    base_lr = config.lr if model.sessions_trained == 0 else config.lr / 10.0
-    optimizer = Adam(model.parameters(), lr=base_lr)
+    lr = config.lr if model.sessions_trained == 0 else config.lr / 10.0
+    optimizer = Adam(model.parameters(), lr=lr)
     batching_rng = substream(config.seed, f"batch:{session.task_id}")
     mixup_rng = substream(config.seed, f"mixup:{session.task_id}")
 
     n_new = len(plan.new)
     n_rows = n_new + (len(plan.pool) if plan.pool is not None else 0)
     for epoch in range(config.epochs):
-        decay_steps = sum(1 for m in config.milestones if m <= epoch)
-        optimizer.lr = base_lr / (config.lr_divisor**decay_steps)
         # Shuffle the plan once per epoch. A window of the permutation then
         # holds a run of the shuffled new rows and a run of the shuffled
         # pool rows, in permutation order, so each step slices the two.
@@ -490,24 +498,24 @@ def run_scenario_over_sessions(
     task_ids = [s.task_id for s in sessions]
     if len(set(task_ids)) != len(task_ids):
         raise ProtocolError("duplicate task in scenario")
+    ordered = ([warmup] if warmup is not None else []) + sessions
+    input_width = ordered[0].train.x.shape[1]
+    for session in ordered:
+        for split in (session.train, session.test):
+            if split.x.shape[1] != input_width:
+                raise ConfigError(
+                    f"task {session.task_id} has {split.x.shape[1]} features, "
+                    f"task {ordered[0].task_id} has {input_width}"
+                )
 
     init_rng = substream(config.seed, "init")
-    input_width = (warmup or sessions[0]).train.x.shape[1]
     model = Model.build(input_width, profile.head_variant, init_rng)
     memory = ExemplarMemory(budget, profile.replay_payload) if budget > 0 else None
 
     n = len(sessions)
     matrix = np.full((n, n), np.nan)
     logs: dict[int, PredictionLog] = {}
-    record = RunRecord(
-        task_ids=task_ids,
-        task_names=[s.name for s in sessions],
-        matrix=matrix,
-        logs=logs,
-        config_echo=config_echo or {},
-        system=system,
-        profile_name=profile.name,
-    )
+    record = RunRecord(task_ids=task_ids, matrix=matrix, logs=logs, config_echo=config_echo or {})
 
     if warmup is not None:
         started = time.perf_counter()
@@ -542,16 +550,3 @@ def run_scenario_over_sessions(
     record.memory = memory
     return record
 
-
-def run_scenario(
-    scenario: Scenario,
-    profile: MethodProfile,
-    config: TrainConfig,
-    system: str,
-    config_echo: dict | None = None,
-) -> RunRecord:
-    sessions = [synth_generate(spec, scenario.seed) for spec in scenario.tasks]
-    warmup = synth_generate(scenario.warmup, scenario.seed) if scenario.warmup else None
-    return run_scenario_over_sessions(
-        sessions, warmup, scenario.budget, profile, config, system, config_echo
-    )

@@ -1,6 +1,7 @@
 import numpy as np
 
-from cddet.stream import Scenario, TaskSpec
+from cddet.stream import Scenario, TaskSpec, synth_generate
+from cddet.trainer import run_scenario_over_sessions
 
 
 def tiny_spec(task_id, direction, difficulty=5.0, n_train=24, dim=6):
@@ -26,6 +27,13 @@ def tiny_spec(task_id, direction, difficulty=5.0, n_train=24, dim=6):
     )
 
 
-def tiny_scenario(n_tasks=2, seed=0, budget=40):
+def tiny_scenario(n_tasks=2, seed=0):
     tasks = [tiny_spec(t, direction=t - 1) for t in range(1, n_tasks + 1)]
-    return Scenario(kind="easy", seed=seed, tasks=tasks, warmup=None, budget=budget)
+    return Scenario(kind="easy", seed=seed, tasks=tasks, warmup=None)
+
+
+def run_scenario(scenario, budget, profile, config, system):
+    """Generate a scenario's sessions and train through them under ``budget``."""
+    sessions = [synth_generate(spec, scenario.seed) for spec in scenario.tasks]
+    warmup = synth_generate(scenario.warmup, scenario.seed) if scenario.warmup else None
+    return run_scenario_over_sessions(sessions, warmup, budget, profile, config, system)

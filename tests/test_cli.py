@@ -1,13 +1,16 @@
 import json
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import tiny_scenario
+from conftest import tiny_scenario, tiny_spec
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cddet import cli
+from cddet import cli, trainer
 from cddet.cli import ExperimentConfig, main, recompute_metrics_json
-from cddet.errors import ConfigError
+from cddet.errors import ConfigError, ParseError
 from cddet.stream import save_dataset, synth_generate
 
 
@@ -54,12 +57,42 @@ class TestValidation:
                 scenario="hard", profile="distill", system="mc",
                 memory=budget, out="somewhere",
             )
-            cfg.validate()
+            cfg.resolve()
 
     def test_negative_memory_rejected(self):
         cfg = ExperimentConfig(scenario="hard", profile="distill", system="mc", memory=-1, out="x")
         with pytest.raises(ConfigError):
-            cfg.validate()
+            cfg.resolve()
+
+
+class TestChecksBeforeData:
+    """Each bad setting exits 2 naming itself before any data is built."""
+
+    @pytest.fixture(autouse=True)
+    def no_data(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("data built before the settings were checked")
+
+        for name in ("build_scenario", "synth_generate", "load_dataset", "run_scenario_over_sessions"):
+            monkeypatch.setattr(cli, name, forbidden)
+
+    @pytest.mark.parametrize("lines, named", [
+        ("label_smooth = -0.5", "label_smooth"),
+        ("label_smooth = 1.0", "label_smooth"),
+        ("profile = rebalance\nJ = 4", "J = 4"),
+        ("system = bc\nlabel_smooth = 0.1", "label_smooth"),
+        ("mixup = -1", "mixup"),
+        ("replay_payload = bogus\nmemory = 0", "replay_payload"),
+        ("warmup = flase", "warmup"),
+    ])
+    def test_bad_setting(self, tmp_path, capsys, lines, named):
+        config_file = tmp_path / "bad.cfg"
+        config_file.write_text(f"scenario = hard\nprofile = distill\nsystem = mc\n{lines}\n")
+        out = tmp_path / "o"
+        assert run_cli("run", "--config", str(config_file), "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err, err
+        assert not out.exists()
 
 
 class TestRun:
@@ -138,6 +171,30 @@ class TestRun:
         assert (out / "4" / "metrics.json").exists()
 
 
+    def test_mismatched_widths_rejected_before_the_model(self, tmp_path, capsys, monkeypatch):
+        paths = []
+        for spec in (tiny_spec(1, 0, dim=6), tiny_spec(2, 1, dim=5)):
+            path = tmp_path / f"task{spec.task_id}.csv"
+            save_dataset(synth_generate(spec, 0), path)
+            paths.append(str(path))
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("model built before the widths were checked")
+
+        monkeypatch.setattr(trainer.Model, "build", forbidden)
+        assert run_cli(
+            "run", "--data", *paths, "--profile", "finetune", "--system", "mc",
+            "--out", str(tmp_path / "o"),
+        ) == 2
+        assert "task 2 has 5 features, task 1 has 6" in capsys.readouterr().err
+
+    def test_missing_config_file(self, tmp_path, capsys):
+        missing = tmp_path / "absent.cfg"
+        assert run_cli("run", "--config", str(missing), "--out", str(tmp_path / "o")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(missing) in err
+
+
 class TestEval:
     def test_hand_written_matrix(self, tmp_path, capsys):
         path = tmp_path / "m.csv"
@@ -180,3 +237,54 @@ class TestConfigKeys:
         err = capsys.readouterr().err
         assert "line 3" in err and "'epoch'" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("line, message", [
+        ("memory = lots", "line 4: memory: expected an integer, found 'lots'"),
+        ("J = 2.5", "line 4: J: expected an integer, found '2.5'"),
+        ("lr = fast", "line 4: lr: expected a number, found 'fast'"),
+        ("seeds = 1 two", "line 4: seeds: expected integers, found '1 two'"),
+    ])
+    def test_bad_value_names_key_and_line(self, tmp_path, capsys, line, message):
+        config_file = tmp_path / "bad.cfg"
+        config_file.write_text(f"profile = finetune\nsystem = mc\nscenario = hard\n{line}\n")
+        assert run_cli("run", "--config", str(config_file), "--out", str(tmp_path / "o")) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value, expected", [
+        ("1", True), ("TRUE", True), ("Yes", True), ("0", False), ("false", False), ("NO", False),
+    ])
+    def test_warmup_spellings(self, tmp_path, value, expected):
+        config_file = tmp_path / "w.cfg"
+        config_file.write_text(f"warmup = {value}\n")
+        args = cli.build_parser().parse_args(["run", "--config", str(config_file)])
+        assert cli._config_from_sources(args).warmup is expected
+
+
+_VALUES = st.one_of(
+    st.text(alphabet=st.characters(blacklist_categories=("Cs",)), max_size=12),
+    st.integers(-5, 5).map(str),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.sampled_from([
+        "easy", "hard", "long", "bc", "mc", "mt", "max", "sumlog", "distill", "rebalance",
+        "replay", "raw", "latent", "logit", "feature", "none", "true", "flase", "1e400", "",
+    ]),
+)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(settings_=st.dictionaries(st.sampled_from(sorted(cli._CONFIG_KEYS)), _VALUES, max_size=8))
+def test_config_resolution_raises_only_config_errors(settings_):
+    """Whatever the values, resolving a config file raises ParseError or
+    ConfigError, never another exception."""
+    text = "scenario = hard\nprofile = rebalance\nsystem = mt\n" + "".join(
+        f"{key} = {value}\n" for key, value in settings_.items()
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "run.cfg"
+        path.write_text(text, encoding="utf-8")
+        args = cli.build_parser().parse_args(["run", "--config", str(path), "--out", tmp])
+        try:
+            cli._config_from_sources(args).resolve()
+        except (ParseError, ConfigError):
+            pass
+

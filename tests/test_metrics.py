@@ -204,8 +204,7 @@ class TestArtifacts:
         }
         matrix = np.array([[0.9, 0.8], [np.nan, 0.95]])
         return RunRecord(
-            task_ids=[1, 2], task_names=["a", "b"], matrix=matrix, logs=logs,
-            config_echo={"profile": "replay", "seed": 3}, system="mc", profile_name="replay",
+            task_ids=[1, 2], matrix=matrix, logs=logs, config_echo={"profile": "replay", "seed": 3},
         )
 
     def test_matrix_roundtrip_bitwise(self, tmp_path):
@@ -233,7 +232,8 @@ class TestArtifacts:
             assert logs[task_id].record_ids == record.logs[task_id].record_ids
 
     def test_compute_metrics_shape(self):
-        metrics, curves = mx.compute_metrics(self._record())
+        record = self._record()
+        metrics, curves = mx.compute_metrics(record.matrix, record.logs, record.config_echo)
         assert set(curves) == {1, 2}
         assert metrics["aa"] == pytest.approx((0.8 + 0.95) / 2)
         assert metrics["af"] == pytest.approx(-0.1)
@@ -241,17 +241,18 @@ class TestArtifacts:
         assert metrics["config"]["seed"] == 3
 
     def test_metrics_json_deterministic(self, tmp_path):
-        metrics, _ = mx.compute_metrics(self._record())
+        record = self._record()
+        metrics, _ = mx.compute_metrics(record.matrix, record.logs, record.config_echo)
         a = mx.metrics_to_json(metrics)
         b = mx.metrics_to_json(metrics)
         assert a == b
 
     def test_task_relabeling_preserves_aa_af(self):
         record = self._record()
-        metrics_before, _ = mx.compute_metrics(record)
+        metrics_before, _ = mx.compute_metrics(record.matrix, record.logs, record.config_echo)
         record.task_ids = [7, 9]
         record.logs = {7: record.logs[1], 9: record.logs[2]}
-        metrics_after, _ = mx.compute_metrics(record)
+        metrics_after, _ = mx.compute_metrics(record.matrix, record.logs, record.config_echo)
         assert metrics_after["aa"] == metrics_before["aa"]
         assert metrics_after["af"] == metrics_before["af"]
         assert metrics_after["map"] == metrics_before["map"]

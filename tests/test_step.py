@@ -54,10 +54,10 @@ CASES = list(_cases())
 
 def _setup(system, name, options):
     profile = resolve_profile(name, system, **options)
-    scenario = tiny_scenario(N_TASKS, seed=2, budget=40)
+    scenario = tiny_scenario(N_TASKS, seed=2)
     sessions = [synth_generate(t, scenario.seed) for t in scenario.tasks]
     model = Model.build(6, profile.head_variant, substream(2, "init"))
-    memory = ExemplarMemory(scenario.budget, profile.replay_payload)
+    memory = ExemplarMemory(40, profile.replay_payload)
     return profile, sessions, model, memory
 
 

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from conftest import tiny_scenario, tiny_spec
+from conftest import run_scenario, tiny_scenario, tiny_spec
 
 from cddet.errors import ConfigError, NumericsError, ProtocolError
 from cddet.memory import ExemplarMemory, LATENT, RAW
@@ -14,7 +14,6 @@ from cddet.trainer import (
     _store_exemplars,
     builtin_profiles,
     resolve_profile,
-    run_scenario,
     run_session,
 )
 
@@ -79,7 +78,7 @@ class TestProfiles:
 
 
 def fresh_setup(system=MC, profile_name="distill", budget=40, seed=3, scenario=None):
-    scenario = scenario or tiny_scenario(2, seed=seed, budget=budget)
+    scenario = scenario or tiny_scenario(2, seed=seed)
     profile = resolve_profile(profile_name, system)
     model = Model.build(6, profile.head_variant, substream(seed, "init"))
     memory = ExemplarMemory(budget, profile.replay_payload) if budget else None
@@ -140,13 +139,13 @@ class TestRunSession:
 class TestRunScenario:
     def test_single_task_matrix(self):
         scenario = tiny_scenario(1, seed=5)
-        record = run_scenario(scenario, resolve_profile("finetune", MC), FAST, MC)
+        record = run_scenario(scenario, 40, resolve_profile("finetune", MC), FAST, MC)
         assert record.matrix.shape == (1, 1)
         assert 0.0 <= record.matrix[0, 0] <= 1.0
 
     def test_matrix_upper_triangular(self):
         scenario = tiny_scenario(3, seed=6)
-        record = run_scenario(scenario, resolve_profile("replay", MC), FAST, MC)
+        record = run_scenario(scenario, 40, resolve_profile("replay", MC), FAST, MC)
         n = 3
         for i in range(n):
             for j in range(n):
@@ -157,13 +156,13 @@ class TestRunScenario:
 
     def test_diagonal_meets_majority_floor(self):
         scenario = tiny_scenario(2, seed=7)
-        record = run_scenario(scenario, resolve_profile("replay", MC), FAST, MC)
+        record = run_scenario(scenario, 40, resolve_profile("replay", MC), FAST, MC)
         assert record.matrix[0, 0] >= 0.5
         assert record.matrix[1, 1] >= 0.5
 
     def test_final_session_logs_cover_each_test_record_once(self):
         scenario = tiny_scenario(2, seed=8)
-        record = run_scenario(scenario, resolve_profile("replay", MC), FAST, MC)
+        record = run_scenario(scenario, 40, resolve_profile("replay", MC), FAST, MC)
         for spec, task_id in zip(scenario.tasks, record.task_ids):
             log = record.logs[task_id]
             assert len(log.record_ids) == 2 * spec.n_test
@@ -171,16 +170,16 @@ class TestRunScenario:
 
     def test_duplicate_tasks_rejected(self):
         spec = tiny_spec(1, 0)
-        scenario = Scenario(kind="easy", seed=0, tasks=[spec, spec], warmup=None, budget=10)
+        scenario = Scenario(kind="easy", seed=0, tasks=[spec, spec], warmup=None)
         with pytest.raises(ProtocolError):
-            run_scenario(scenario, resolve_profile("finetune", MC), FAST, MC)
+            run_scenario(scenario, 10, resolve_profile("finetune", MC), FAST, MC)
 
     def test_mt_lambda_zero_matches_mc_bitwise(self):
-        scenario = tiny_scenario(3, seed=9, budget=30)
+        scenario = tiny_scenario(3, seed=9)
         config = TrainConfig(epochs=2, lr=1e-3, batch_size=16, seed=11)
-        mc = run_scenario(scenario, resolve_profile("distill", MC), config, MC)
+        mc = run_scenario(scenario, 30, resolve_profile("distill", MC), config, MC)
         mt = run_scenario(
-            scenario, resolve_profile("distill", MT, lam=0.0), config, MT
+            scenario, 30, resolve_profile("distill", MT, lam=0.0), config, MT
         )
         np.testing.assert_array_equal(
             mc.matrix[np.triu_indices(3)], mt.matrix[np.triu_indices(3)]
@@ -189,8 +188,8 @@ class TestRunScenario:
     def test_warmup_trains_but_stays_out_of_matrix(self):
         tasks = [tiny_spec(2, 1)]
         warm = tiny_spec(1, 0)
-        scenario = Scenario(kind="easy", seed=4, tasks=tasks, warmup=warm, budget=20)
-        record = run_scenario(scenario, resolve_profile("replay", MC), FAST, MC)
+        scenario = Scenario(kind="easy", seed=4, tasks=tasks, warmup=warm)
+        record = run_scenario(scenario, 20, resolve_profile("replay", MC), FAST, MC)
         assert record.matrix.shape == (1, 1)
         assert record.task_ids == [2]
         # warm-up classes still occupy the head
