@@ -8,10 +8,11 @@ with command-line flags taking precedence; ``CDD_SEED`` serves as the seed
 fallback. A ``seeds`` key in the file expands into one sub-run per seed
 (written to ``<out>/<seed>/``), optionally fanned out across ``--jobs``
 worker threads. ``run`` checks every setting (``ExperimentConfig.resolve``)
-before it builds any data.
+and creates every run directory before it builds any data.
 
 Exit codes: 0 success; 2 a usage error: a bad setting or combination of
-settings, an unreadable config file, or an unreadable or malformed dataset
+settings, an unreadable config file, a run directory that cannot be
+created, or an unreadable or malformed dataset
 file or dataset files of different widths (checked once loaded, before the
 model is built); 1 a runtime failure, such as a numerical overflow.
 """
@@ -225,7 +226,6 @@ def _execute_run(cfg: ExperimentConfig, profile: MethodProfile, train_cfg: Train
     )
     metrics, curves = compute_metrics(record.matrix, record.logs, record.config_echo)
 
-    out_dir.mkdir(parents=True, exist_ok=True)
     write_accuracy_matrix(out_dir / "accuracy_matrix.csv", record.matrix)
     write_metrics_json(out_dir / "metrics.json", metrics)
     write_pr_curves(out_dir / "pr_curves.csv", curves)
@@ -241,16 +241,21 @@ def cmd_run(args: argparse.Namespace) -> int:
     try:
         cfg = _config_from_sources(args)
         profile, train_cfg = cfg.resolve()
+        seeds = cfg.seeds if cfg.seeds else [cfg.seed]
+        runs = [
+            (replace(cfg, seed=seed, seeds=None), profile, replace(train_cfg, seed=seed),
+             Path(cfg.out) if len(seeds) == 1 else Path(cfg.out) / str(seed))
+            for seed in seeds
+        ]
+        for *_, out_dir in runs:
+            out_dir.mkdir(parents=True, exist_ok=True)
     except (ConfigError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:
+        print(f"error: cannot create the run directory {exc.filename}: {exc.strerror}", file=sys.stderr)
+        return 2
 
-    seeds = cfg.seeds if cfg.seeds else [cfg.seed]
-    runs = [
-        (replace(cfg, seed=seed, seeds=None), profile, replace(train_cfg, seed=seed),
-         Path(cfg.out) if len(seeds) == 1 else Path(cfg.out) / str(seed))
-        for seed in seeds
-    ]
     try:
         if len(runs) == 1:
             _execute_run(*runs[0])

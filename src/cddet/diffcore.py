@@ -454,10 +454,12 @@ def row_norms(m: Array, what: str) -> Array:
     return norms
 
 
-def np_cosine_matrix(a: Array, b: Array) -> tuple[Array, Array, Array, Array, Array]:
+def np_cosine_matrix(a: Array, b: Array, na: Array | None = None) -> tuple[Array, Array, Array, Array, Array]:
     """All-pairs cosines of rows of a[n,f] and b[k,f] on plain arrays, plus
-    the row norms and unit rows of both operands."""
-    na = row_norms(a, "left operand")
+    the row norms and unit rows of both operands; ``na`` is ``row_norms(a)``
+    when the caller already holds it."""
+    if na is None:
+        na = row_norms(a, "left operand")
     nb = row_norms(b, "right operand")
     an = a / na[:, None]
     bn = b / nb[:, None]

@@ -15,7 +15,10 @@ terms and the backward sweep written out by hand on plain arrays, with the
 tape's operands, memory layouts and order of summation, so every parameter
 gradient equals ``total_loss(...).backward()`` bit for bit. ``total_loss``
 on the tape is kept as the reference the tests and ``cddet verify`` check
-the step against.
+the step against. The step reads its rows as ``StepRows``, laid out by the
+trainer once per epoch (``step_rows`` lays out a pair of batches the same
+way). Means are written as sum / size, which is what ``np.mean`` computes,
+without its per-call dispatch.
 """
 
 from __future__ import annotations
@@ -123,12 +126,12 @@ def _target_rows(targets, n: int, k: int) -> Array:
     return _one_hot(targets, k)
 
 
-def _ce_parts(logp: Array, rows: Array) -> tuple[float, Array]:
+def _ce_parts(logp: Array, rows: Array, p: Array | None = None) -> tuple[float, Array]:
     """-mean_i sum_k rows[i,k] logp[i,k] for logp = log softmax(z), and its
-    gradient in z."""
+    gradient in z; ``p`` is exp(logp) when the caller already holds it."""
     n = logp.shape[0]
     value = -(rows * logp).sum() / n
-    grad = (np.exp(logp) * rows.sum(axis=1, keepdims=True) - rows) / n
+    grad = ((np.exp(logp) if p is None else p) * rows.sum(axis=1, keepdims=True) - rows) / n
     return value, grad
 
 
@@ -156,7 +159,7 @@ def _bce_parts(logits: Array, y: Array) -> tuple[float, Array]:
     z = logits[:, 0] if logits.ndim == 2 else logits
     if z.shape != y.shape:
         raise ContractError(f"logit shape {z.shape} does not match targets {y.shape}")
-    value = np.mean(y * np.logaddexp(0.0, -z) + (1.0 - y) * np.logaddexp(0.0, z))
+    value = (y * np.logaddexp(0.0, -z) + (1.0 - y) * np.logaddexp(0.0, z)).sum() / y.size
     dz = (dc.np_sigmoid(z) - y) / y.size
     if logits.ndim == 2:
         grad = np.zeros_like(logits)
@@ -205,7 +208,7 @@ def _kd_parts(logp: Array, p: Array, new_logits: Array, cols: Array, T: float) -
     t = float(T)
     logq = dc.np_log_softmax(_kd_columns(new_logits, cols) / t, axis=1)
     n = logq.shape[0]
-    value = (p * (logp - logq)).sum(axis=1).mean() * (t * t)
+    value = (p * (logp - logq)).sum(axis=1).sum() / n * (t * t)
     grad = np.zeros_like(new_logits)
     grad[:, cols] = ((np.exp(logq) - p) * (t / n))[:, -cols.size :]
     return value, grad
@@ -218,16 +221,16 @@ def kd_feature(old_feats: Array, new_feats: Tensor) -> Tensor:
     if old.shape != new.shape or old.ndim != 2:
         raise DimensionError("kd_feature expects two [n,f] feature blocks")
     na = dc.row_norms(old, "old features")
-    return _loss_op(new_feats, *_kd_feature_parts(old, na, new), "kd_feature")
-
-
-def _kd_feature_parts(old: Array, na: Array, new: Array) -> tuple[float, Array]:
-    """``kd_feature``'s value and its gradient in ``new``; ``na`` holds the
-    row norms of ``old``."""
     nb = dc.row_norms(new, "new features")
+    return _loss_op(new_feats, *_kd_feature_parts(old, na, new, nb), "kd_feature")
+
+
+def _kd_feature_parts(old: Array, na: Array, new: Array, nb: Array) -> tuple[float, Array]:
+    """``kd_feature``'s value and its gradient in ``new``; ``na`` and ``nb``
+    hold the row norms of ``old`` and ``new``."""
     cos = np.einsum("ij,ij->i", old, new) / (na * nb)
     dcos = old / (na * nb)[:, None] - cos[:, None] * new / (nb * nb)[:, None]
-    return np.mean(1.0 - cos), dcos * (-1.0 / cos.size)
+    return (1.0 - cos).sum() / cos.size, dcos * (-1.0 / cos.size)
 
 
 def margin_ranking(features: Tensor, embeddings: Tensor, targets, tau: float, J: int) -> Tensor:
@@ -270,9 +273,11 @@ def _fake_mask_of(registry) -> Array:
 
 def _group_score(logp: Array, p: Array, group: Array, rule: str) -> tuple[Array, Array]:
     """One polarity's log score per row under a softmax-based rule, and its
-    gradient in the logits."""
+    gradient in the logits; ``group`` holds the polarity's class indices."""
     if rule == SUMLOG:
-        return logp[:, group].sum(axis=1), group - group.sum() * p
+        grad = 0.0 - group.size * p  # 0 - x, not -x: a zero stays +0
+        grad[:, group] += 1.0
+        return logp[:, group].sum(axis=1), grad
     grad = -p
     if rule == SUMLOGIT:
         # log of the group's probability mass, and the in-group softmax
@@ -283,40 +288,46 @@ def _group_score(logp: Array, p: Array, group: Array, rule: str) -> tuple[Array,
         return d, grad
     # MAX: the group's largest activation; ties go to the lowest class
     rows = np.arange(logp.shape[0])
-    best = np.flatnonzero(group)[np.argmax(logp[:, group], axis=1)]
+    best = group[np.argmax(logp[:, group], axis=1)]
     grad[rows, best] += 1.0
     return logp[rows, best], grad
 
 
-def _polarity_mask(fake_mask, rule: str) -> Array:
+def polarity_classes(fake_mask, rule: str) -> tuple[Array, Array]:
+    """The fake and the real class indices of a head whose fake classes are
+    ``fake_mask``, checked for the aggregation ``rule``: a known rule, and
+    at least one class of each polarity."""
     if rule not in AGG_RULES:
         raise ConfigError(f"unknown aggregation rule {rule!r}")
     mask = np.asarray(fake_mask, dtype=bool)
     if not mask.any() or mask.all():
         raise ContractError("aggregation needs at least one fake and one real class")
-    return mask
+    return np.flatnonzero(mask), np.flatnonzero(~mask)
 
 
 def aggregate_batch(logits: Array, fake_mask: Array, rule: str):
     """Per-row fake and real log scores (d_F, d_R) of logits[n,k] under the
     chosen rule, and their gradients in the logits: (d_F, d_R, grad_F, grad_R)."""
-    mask = _polarity_mask(fake_mask, rule)
+    classes = polarity_classes(fake_mask, rule)
     z = np.atleast_2d(np.asarray(logits, dtype=np.float64))
-    return _aggregate(z, dc.np_log_softmax(z, axis=1), mask, rule)
+    logp = dc.np_log_softmax(z, axis=1)
+    return _aggregate(z, logp, np.exp(logp), classes, rule)
 
 
-def _aggregate(z: Array, logp: Array, mask: Array, rule: str):
-    """``aggregate_batch`` on validated input, given logp = log softmax(z)."""
+def _aggregate(z: Array, logp: Array, p: Array, classes: tuple[Array, Array], rule: str):
+    """``aggregate_batch`` on validated input, given logp = log softmax(z),
+    p = exp(logp) and the (fake, real) class indices."""
+    fake, real = classes
     if rule == SUMFEAT:
         # polarity-summed logits through a two-way softmax, log taken
-        u = z[:, mask].sum(axis=1) - z[:, ~mask].sum(axis=1)
-        sign = np.where(mask, 1.0, -1.0)
+        u = z[:, fake].sum(axis=1) - z[:, real].sum(axis=1)
+        sign = np.full(z.shape[1], -1.0)
+        sign[fake] = 1.0
         grad_f = dc.np_sigmoid(-u)[:, None] * sign
         grad_r = -dc.np_sigmoid(u)[:, None] * sign
         return -np.logaddexp(0.0, -u), -np.logaddexp(0.0, u), grad_f, grad_r
-    p = np.exp(logp)
-    d_f, grad_f = _group_score(logp, p, mask, rule)
-    d_r, grad_r = _group_score(logp, p, ~mask, rule)
+    d_f, grad_f = _group_score(logp, p, fake, rule)
+    d_r, grad_r = _group_score(logp, p, real, rule)
     return d_f, d_r, grad_f, grad_r
 
 
@@ -339,20 +350,22 @@ def mt_class_loss(logits: Tensor, targets, registry, lam: float, rule: str) -> T
 
     n, k = logits.shape
     rows = _target_rows(targets, n, k)
-    mask = _polarity_mask(_fake_mask_of(registry), rule)
-    return _loss_op(logits, *_mt_parts(logits.data, rows, mask, lam, rule), "mt_class_loss")
+    classes = polarity_classes(_fake_mask_of(registry), rule)
+    return _loss_op(logits, *_mt_parts(logits.data, rows, classes, lam, rule), "mt_class_loss")
 
 
-def _mt_parts(z: Array, rows: Array, mask: Array, lam: float, rule: str) -> tuple[float, Array]:
+def _mt_parts(z: Array, rows: Array, classes: tuple[Array, Array], lam: float, rule: str) -> tuple[float, Array]:
     """``mt_class_loss``'s value and its gradient in the logits z[n,k], for
-    0 < lam <= 1, dense target rows and a validated fake-class mask."""
+    0 < lam <= 1, dense target rows and the (fake, real) class indices from
+    ``polarity_classes``."""
     n = z.shape[0]
-    w_fake = rows[:, mask].sum(axis=1)
+    w_fake = rows[:, classes[0]].sum(axis=1)
     logp = dc.np_log_softmax(z, axis=1)
-    d_f, d_r, grad_f, grad_r = _aggregate(z, logp, mask, rule)
-    binary = -np.mean(w_fake * d_f + (1.0 - w_fake) * d_r)
+    p = np.exp(logp)
+    d_f, d_r, grad_f, grad_r = _aggregate(z, logp, p, classes, rule)
+    binary = -((w_fake * d_f + (1.0 - w_fake) * d_r).sum() / n)
     grad_binary = -(w_fake[:, None] * grad_f + (1.0 - w_fake)[:, None] * grad_r) / n
-    ce, grad_ce = _ce_parts(logp, rows)
+    ce, grad_ce = _ce_parts(logp, rows, p)
     value = ce * (1.0 - lam) + binary * lam
     return value, grad_ce * (1.0 - lam) + grad_binary * lam
 
@@ -548,14 +561,56 @@ def _np_layers_backward(extractor, start: int, acts: list[Array], g: Array, grad
         g = g @ weights[i].data.T
 
 
+@dataclass
+class StepRows:
+    """One training step's rows in the order the loss reads them: the new
+    rows, then the replayed rows.
+
+    ``chains`` lists each block of input rows with the layer it enters at
+    (0 for raw inputs, ``capture_layer + 1`` for capture-layer activations);
+    their outputs, stacked in order, are the step's feature rows, of which
+    the first ``n_new`` are new. ``targets`` holds each row's target: label
+    rows [n,k] for MC and MT, the 0/1 polarity as floats [n] for BC. Rows
+    ``ex_rows`` of ``ex`` carry the replayed rows' classes and the
+    snapshot's constants on them.
+    """
+
+    chains: list[tuple[int, Array]]
+    n_new: int
+    targets: Array
+    ex: Batch | None
+    ex_rows: slice
+
+
+def step_rows(system: str, batch_new: Batch, batch_exemplar: Batch | None, model: Model) -> StepRows:
+    """A new and a replayed batch laid out as ``total_loss`` stacks them:
+    the raw rows (new, then replayed) through every layer, the latent
+    replayed rows from the capture layer on."""
+    ex = batch_exemplar if batch_exemplar is not None and len(batch_exemplar) else None
+    raw = _stack(batch_new.x, ex.x if ex else None)
+    chains = [] if raw is None else [(0, raw)]
+    if ex is not None and ex.latents is not None and ex.latents.shape[0]:
+        chains.append((model.extractor.capture_layer + 1, ex.latents))
+    if not chains:
+        raise ContractError("no rows to train on")
+    if system == BC:
+        targets = np.asarray(_stack(batch_new.polarity, ex.polarity if ex else None), dtype=np.float64)
+    else:
+        k = model.head.theta.shape[0]
+        classes = _stack(batch_new.classes, ex.classes if ex else None)
+        targets = _target_rows(_combined_targets(batch_new, ex, k, classes), classes.size, k)
+    n_new = 0 if batch_new.x is None else batch_new.x.shape[0]
+    return StepRows(chains, n_new, targets, ex, slice(0, len(ex) if ex else 0))
+
+
 def loss_and_gradients(
     system: str,
-    batch_new: Batch,
-    batch_exemplar: Batch | None,
+    step: StepRows,
     model: Model,
     weights: LossWeights,
     rule: str | None = None,
     distill_form: str = "logit",
+    mt_classes: tuple[Array, Array] | None = None,
 ) -> tuple[float, dict]:
     """``total_loss``'s value and the gradient of every trainable parameter,
     without the tape: a ``{parameter: gradient}`` map for ``Adam.step``.
@@ -563,22 +618,14 @@ def loss_and_gradients(
     The forward pass, the loss terms and the backward sweep use the tape's
     operands, memory layouts and order of summation, so each gradient equals
     ``total_loss(...).backward()`` bit for bit; the value agrees to rounding.
-    Distilling needs the snapshot's outputs on the exemplar batch
-    (``old_features``/``old_logits``); its per-row constants are used when the
-    batch carries them. Inputs are not checked here: every row is checked
-    once, when the session's plan is built.
+    ``mt_classes`` is ``polarity_classes`` of the head, derived here when not
+    given. Distilling needs the snapshot's outputs on the replayed rows
+    (``old_features``/``old_logits``); its per-row constants are used when
+    ``step.ex`` carries them. Inputs are not checked here: every row is
+    checked once, when the session's plan is built.
     """
-    ex = batch_exemplar if batch_exemplar is not None and len(batch_exemplar) else None
     ext, head = model.extractor, model.head
-    raw = _stack(batch_new.x, ex.x if ex else None)
-    chains = []  # (first layer, activations): raw rows, then latent rows
-    if raw is not None:
-        chains.append((0, ext.np_activations(raw)))
-    if ex is not None and ex.latents is not None and ex.latents.shape[0]:
-        start = ext.capture_layer + 1
-        chains.append((start, ext.np_activations(ex.latents, start)))
-    if not chains:
-        raise ContractError("no rows to train on")
+    chains = [(start, ext.np_activations(x, start)) for start, x in step.chains]
     outs = [acts[-1] for _, acts in chains]
     feats = outs[0] if len(outs) == 1 else np.concatenate(outs, axis=0)
 
@@ -589,58 +636,65 @@ def loss_and_gradients(
     else:
         logits = dc.checked(feats @ theta.T + head.bias.data, "logits")
 
-    n_new = 0 if batch_new.x is None else batch_new.x.shape[0]
+    n_new, targets = step.n_new, step.targets
     if system == BC:
-        polarity = _stack(batch_new.polarity, ex.polarity if ex else None)
-        value, d_logits = _bce_parts(logits, np.asarray(polarity, dtype=np.float64))
+        value, d_logits = _bce_parts(logits, targets)
         total = _checked_loss(value, "binary_ce")
     elif system in (MC, MT):
-        classes = _stack(batch_new.classes, ex.classes if ex else None)
-        rows = _target_rows(_combined_targets(batch_new, ex, logits.shape[1], classes), *logits.shape)
         if system == MT and rule is None:
             raise ConfigError("multi-task loss needs an aggregation rule")
         if system == MT and weights.lam > 0:
-            mask = _polarity_mask(head.registry.fake_mask(), rule)
-            value, d_logits = _mt_parts(logits, rows, mask, weights.lam, rule)
+            if mt_classes is None:
+                mt_classes = polarity_classes(head.registry.fake_mask(), rule)
+            value, d_logits = _mt_parts(logits, targets, mt_classes, weights.lam, rule)
             total = _checked_loss(value, "mt_class_loss")
         else:
-            value, d_logits = _ce_parts(dc.np_log_softmax(logits, axis=1), rows)
+            value, d_logits = _ce_parts(dc.np_log_softmax(logits, axis=1), targets)
             total = _checked_loss(value, "multiclass_ce")
     else:
         raise ConfigError(f"unknown learning system {system!r}")
 
+    ex, rows = step.ex, step.ex_rows
+    n_ex = feats.shape[0] - n_new
+    ex_feats = feats[n_new:]
+    ex_norms = None  # row norms of ex_feats, shared by feature KD and the margin cosines
     d_feats_ex = None  # gradient into the exemplar rows of the features
     d_theta_margin = None
     gamma_d, gamma_m = weights.gamma_d, weights.gamma_m
-    if ex is not None and gamma_d > 0:
+    if n_ex and gamma_d > 0:
         if ex.old_logits is None or ex.old_features is None:
             raise ContractError("distillation needs the snapshot's outputs on the exemplar rows")
         if distill_form not in ("logit", "feature", "logit+feature"):
             raise ConfigError(f"unknown distillation form {distill_form!r}")
+        old_logits, old_features = ex.old_logits[rows], ex.old_features[rows]
         distill = 0.0
         if distill_form in ("logit", "logit+feature"):
-            cols = np.arange(ex.old_logits.shape[1])
-            if ex.kd_logp is not None and len(ex) > 1:
-                logp, p = ex.kd_logp, ex.kd_p
+            cols = np.arange(old_logits.shape[1])
+            if ex.kd_logp is not None and n_ex > 1:
+                logp, p = ex.kd_logp[rows], ex.kd_p[rows]
             else:
-                logp, p = kd_targets(ex.old_logits, cols, weights.T)
+                logp, p = kd_targets(old_logits, cols, weights.T)
             value, g = _kd_parts(logp, p, logits[n_new:], cols, weights.T)
             distill += _checked_loss(value, "kd_kl")
             d_logits[n_new:] += gamma_d * g
         if distill_form in ("feature", "logit+feature"):
-            norms = ex.old_norms if ex.old_norms is not None else dc.row_norms(ex.old_features, "old features")
-            value, g = _kd_feature_parts(ex.old_features, norms, feats[n_new:])
+            if ex.old_norms is not None:
+                old_norms = ex.old_norms[rows]
+            else:
+                old_norms = dc.row_norms(old_features, "old features")
+            ex_norms = dc.row_norms(ex_feats, "exemplar features")
+            value, g = _kd_feature_parts(old_features, old_norms, ex_feats, ex_norms)
             distill += _checked_loss(value, "kd_feature")
             d_feats_ex = gamma_d * g
         total = total + distill * gamma_d
 
-    if ex is not None and gamma_m > 0 and system != BC:
+    if n_ex and gamma_m > 0 and system != BC:
         if weights.J > theta.shape[0] - 1:
             raise ContractError(f"J={weights.J} exceeds the {theta.shape[0] - 1} available rival classes")
         supp = 0.0
         if weights.J > 0:
-            sims, sna, snb, san, sbn = dc.np_cosine_matrix(feats[n_new:], theta)
-            value, g = _margin_parts(dc.checked(sims, "margin cosines"), ex.classes, weights.tau, weights.J)
+            sims, sna, snb, san, sbn = dc.np_cosine_matrix(ex_feats, theta, ex_norms)
+            value, g = _margin_parts(dc.checked(sims, "margin cosines"), ex.classes[rows], weights.tau, weights.J)
             supp = _checked_loss(value, "margin_ranking")
             d_ex, d_theta_margin = dc.np_cosine_backward(gamma_m * g, sims, sna, snb, san, sbn)
             d_feats_ex = d_ex if d_feats_ex is None else d_feats_ex + d_ex

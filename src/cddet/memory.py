@@ -4,10 +4,36 @@ Each class keeps its exemplars in herding order; trimming always drops the
 tail, so every stored list stays a prefix of the original selection. Payloads
 are either raw input vectors or latent activations captured at the
 extractor's replay layer, uniformly per memory instance.
+
+Herding step k picks the remaining row f_i with the least distance
+||mu - (t + f_i) / k|| (mu the class mean, t the sum of the rows chosen so
+far), the first one on a tie. The exact search computes that distance for
+every remaining row. ``herd_select`` screens first: the same row minimises
+s_i = ||f_i||^2 + 2 f_i.(t - k mu) = ||k mu - t - f_i||^2 - ||k mu - t||^2,
+and s over all rows is one matrix-vector product, (2F)(t - k mu), plus the
+stored ||f_i||^2, in O(n d) memory. The screen's pick i is taken when every
+other remaining row j has s_j > s_i + B. Otherwise the exact search decides,
+so picks, ties included, are always the exact search's.
+
+The bound B. Let u = 2^-53, d the feature width, r the largest row norm,
+M = ||mu||, T >= ||t|| the sum of the chosen rows' norms and
+G = T + k M >= ||t - k mu||. The rounding error of each computed s_i is at
+most E = (2d + 8) u r (r + G + k M): a length-d dot product, the product
+k mu, the difference t - k mu and the sum with ||f_i||^2. The exact search's
+distance, scaled by k, is off by at most (d + 5) u (G + T + 2r) (the sum,
+division and difference per coordinate, then the norm), and two distances
+whose s differ by more than 4 (d + 5) u (G + r)(G + T + 2r) keep their order
+under that rounding, since the distances differ by the s difference divided
+by k^2 times their sum, which is at most 2 (G + r) / k. B is twice
+2E + 4 (d + 5) u (G + r)(G + T + 2r), the factor two covering the rounding of
+B and its inputs, plus two terms that bound what underflow adds:
+16 k (G + r) sqrt((d + 5) tiny) and 16 (d + 5) tiny, tiny the least normal
+float. A non-finite score or bound always takes the exact search.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,23 +56,57 @@ class Exemplar:
 def herd_select(features: Array, m: int) -> list[int]:
     """Greedy herding order: step k picks the index keeping the running mean
     of the chosen features closest to the class mean. Ties go to the lowest
-    index."""
+    index.
+
+    Each pick is screened with one matrix-vector product and taken when the
+    screen proves it is the exact search's pick; otherwise the exact search
+    runs (see the module docstring).
+    """
     features = np.asarray(features, dtype=np.float64)
-    n = features.shape[0]
+    n, d = features.shape
     if not 1 <= m <= n:
         raise ContractError(f"m={m} outside [1, {n}]")
     mu = features.mean(axis=0)
+    twice = features * 2.0
+    sq = np.einsum("ij,ij->i", features, features)
+    k_mu = np.arange(1, m + 1)[:, None] * mu
+    r = math.sqrt(sq.max())
+    mu_norm = math.sqrt(mu @ mu)
+    u, tiny = np.finfo(np.float64).eps / 2, np.finfo(np.float64).tiny
+    c_screen, c_exact = 4.0 * (2 * d + 8) * u, 8.0 * (d + 5) * u
+    c_under, floor = 16.0 * math.sqrt((d + 5) * tiny), 16.0 * (d + 5) * tiny
+    scores = sq.copy()  # +inf once a row is chosen
+    taken = np.zeros(n, dtype=bool)
     chosen: list[int] = []
     total = np.zeros_like(mu)
-    remaining = list(range(n))
+    t = 0.0  # >= the norm of total
     for k in range(1, m + 1):
-        candidates = np.asarray(remaining)
-        dists = np.linalg.norm(mu - (total + features[candidates]) / k, axis=1)
-        best = candidates[int(np.argmin(dists))]  # argmin keeps the first minimum
-        chosen.append(int(best))
+        s = twice @ (total - k_mu[k - 1])
+        s += scores
+        best = int(np.argmin(s))
+        g = t + k * mu_norm  # >= the norm of total - k * mu
+        bound = (
+            c_screen * r * (r + g + k * mu_norm)
+            + c_exact * (g + r) * (g + t + 2.0 * r)
+            + c_under * k * (g + r)
+            + floor
+        )
+        lowest = s[best]
+        if not (math.isfinite(lowest) and math.isfinite(bound)) or np.count_nonzero(s <= lowest + bound) > 1:
+            best = _herd_exact_pick(features, mu, total, np.flatnonzero(~taken), k)
+        chosen.append(best)
         total += features[best]
-        remaining.remove(int(best))
+        t += math.sqrt(sq[best])
+        scores[best] = np.inf
+        taken[best] = True
     return chosen
+
+
+def _herd_exact_pick(features: Array, mu: Array, total: Array, remaining: Array, k: int) -> int:
+    """The herding pick by the distance of every remaining row's running
+    mean to the class mean; the first minimum wins."""
+    dists = np.linalg.norm(mu - (total + features[remaining]) / k, axis=1)
+    return int(remaining[int(np.argmin(dists))])
 
 
 def quotas(budget: int, num_classes: int) -> list[int]:

@@ -172,13 +172,14 @@ class FeatureExtractor:
         capture = self.capture_layer + 1 - start  # the capture layer's output
         return Tensor(acts[-1]), acts[capture] if 0 < capture < len(acts) - 1 else None
 
-    def np_activations(self, x: Array, start: int = 0) -> list[Array]:
-        """Layers ``start`` onward on plain arrays, with the tape's arithmetic
-        and a finiteness check on every pre-activation: ``x``, then each
-        hidden layer's relu output, then the features."""
+    def np_activations(self, x: Array, start: int = 0, stop: int | None = None) -> list[Array]:
+        """Layers ``start`` onward (up to, not including, ``stop``) on plain
+        arrays, with the tape's arithmetic and a finiteness check on every
+        pre-activation: ``x``, then each hidden layer's relu output, then
+        the features."""
         acts = [x]
         last = len(self.weights) - 1
-        for i in range(start, last + 1):
+        for i in range(start, last + 1 if stop is None else stop):
             z = dc.checked(acts[-1] @ self.weights[i].data + self.biases[i].data, f"layer {i} pre-activation")
             acts.append(dc.np_relu(z) if i < last else z)
         return acts

@@ -9,16 +9,30 @@ because head expansion changes the parameter set.
 optimisation's, before any data is built; a session checks only what needs
 the live model: the system, the head and the task.
 
-Training records no tape. Each session first builds a ``SessionPlan``: its
-new rows and stored exemplars, checked once, with the per-row constants
-that do not change within the session (target rows, the snapshot's outputs
-and distillation targets on the exemplars, the norms of their old
-features). Each epoch shuffles the plan once; a step slices its batch from
-that copy (``_assemble_batches``), computes the loss and every gradient on
-plain arrays (``losses.loss_and_gradients``) and hands the gradients to
-``Adam.step``. Those gradients equal the tape's
-(``total_loss(...).backward()``) bit for bit; the tape stays as the
-reference the tests and ``cddet verify`` use.
+Training records no tape, and each piece of its work is done at the
+coarsest level at which it is constant:
+
+- once per session, ``SessionPlan``: the new rows and stored exemplars,
+  checked once, with the per-row constants (target rows, the snapshot's
+  outputs and distillation targets on the exemplars, the norms of their old
+  features) and the MT aggregation's fake and real class indices; and
+  ``EpochRows``: buffers for one epoch's rows and targets, and, once latent
+  replay has frozen the layers up to the capture layer, every new row's
+  activation there, so new rows enter the network where replayed latents do;
+- once per epoch, ``EpochRows.shuffle``: the permutation is cut into step
+  windows, and the input rows and targets are gathered into the buffers in
+  the order the loss reads them, each window's new rows and then its
+  replayed rows; the replayed rows' constants are copied in permutation
+  order;
+- once per step: ``_assemble_batches`` slices the window (mixing its new
+  rows in place under mixup), ``losses.loss_and_gradients`` computes the
+  loss and every gradient on plain arrays, and ``Adam.step`` applies them.
+
+The gradients equal the tape's (``total_loss(...).backward()``) bit for bit;
+the tape stays as the reference the tests and ``cddet verify`` use. One
+exception keeps that so: a step with a single new row recomputes that row
+from its input under latent replay, because a one-row product rounds
+differently from the session-wide one.
 """
 
 from __future__ import annotations
@@ -35,11 +49,13 @@ from .losses import (
     AGG_RULES,
     Batch,
     LossWeights,
+    StepRows,
     _np_forward_joint,
     kd_targets,
     label_smooth,
     loss_and_gradients,
     mixup,
+    polarity_classes,
 )
 from .memory import LATENT, PAYLOAD_KINDS, RAW, ExemplarMemory, capture, herd_select
 from .model import (
@@ -164,6 +180,7 @@ class Adam:
         self.m = np.zeros_like(self.flat)
         self.v = np.zeros_like(self.flat)
         self.g = np.zeros_like(self.flat)
+        self._scratch = (np.empty_like(self.flat), np.empty_like(self.flat))
 
     def zero_grad(self) -> None:
         """Clear the gradients a tape sweep stored on the parameters."""
@@ -187,14 +204,24 @@ class Adam:
                 self._update(span)
 
     def _update(self, span: slice) -> None:
+        # lr * m_hat / (sqrt(v_hat) + eps), each operation in the order the
+        # expression states, written into two scratch buffers
         g, m, v = self.g[span], self.m[span], self.v[span]
+        a, b = self._scratch[0][span], self._scratch[1][span]
         m *= self.beta1
-        m += (1.0 - self.beta1) * g
+        np.multiply(1.0 - self.beta1, g, out=a)
+        m += a
         v *= self.beta2
-        v += (1.0 - self.beta2) * g * g
-        m_hat = m / (1.0 - self.beta1**self.t)
-        v_hat = v / (1.0 - self.beta2**self.t)
-        self.flat[span] -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        np.multiply(1.0 - self.beta2, g, out=a)
+        a *= g
+        v += a
+        np.divide(m, 1.0 - self.beta1**self.t, out=a)
+        a *= self.lr
+        np.divide(v, 1.0 - self.beta2**self.t, out=b)
+        np.sqrt(b, out=b)
+        b += self.eps
+        a /= b
+        self.flat[span] -= a
 
 
 # ---------------------------------------------------------------------------
@@ -273,13 +300,18 @@ def _class_targets(registry, task_id: int, polarity: np.ndarray) -> np.ndarray:
 class SessionPlan:
     """What a session trains on, built once before its first step: the new
     rows and the stored exemplars (``pool``), each with its per-row
-    constants, the loss weights in force and the snapshot they refer to."""
+    constants, the loss weights in force and the snapshot they refer to.
+
+    ``mt_classes`` holds the head's (fake, real) class indices for the MT
+    aggregation.
+    """
 
     new: Batch
     pool: Batch | None
     weights: LossWeights
     distill_form: str
     snapshot: Model | None
+    mt_classes: tuple[np.ndarray, np.ndarray] | None = None
 
 
 def _exemplar_pool(
@@ -363,6 +395,8 @@ def _plan_session(
             if batch is not None:
                 batch.target_rows = label_smooth(batch.classes, class_polarity.size, profile.label_smooth_eps)
 
+    mt_classes = polarity_classes(class_polarity == FAKE, profile.aggregation) if system == MT else None
+
     if profile.replay_payload == LATENT and memory is not None and model.sessions_trained >= 1:
         # latent replay keeps stored activations valid (and saves the
         # backward pass) by freezing the layers below the capture layer
@@ -370,37 +404,101 @@ def _plan_session(
         for i in range(model.extractor.capture_layer + 1):
             model.extractor.weights[i].requires_grad = False
             model.extractor.biases[i].requires_grad = False
-    return SessionPlan(new, pool, weights, distill_form, snapshot)
+    return SessionPlan(new, pool, weights, distill_form, snapshot, mt_classes)
+
+
+class EpochRows:
+    """A session's rows laid out once per epoch in the order the loss reads
+    them, in buffers allocated once per session.
+
+    An epoch's permutation is cut into step windows of ``batch_size`` rows;
+    within a window the new rows come first, then the replayed rows, each
+    in permutation order. ``shuffle`` gathers the input rows and their
+    targets into that order, and copies the replayed rows' constants in
+    permutation order; a step is then a slice of each.
+
+    Once latent replay has frozen the layers up to the capture layer, each
+    new row's activation there is fixed for the session: it is computed
+    here, once, and the new rows enter the network there, as the replayed
+    latents do.
+    """
+
+    def __init__(self, plan: SessionPlan, model: Model, system: str, batch_size: int):
+        new, pool = plan.new, plan.pool
+        ext = model.extractor
+        self.new_x = new.x
+        self.n_new = len(new)
+        self.capture_start = ext.capture_layer + 1
+        self.latent = not any(
+            ext.weights[i].requires_grad or ext.biases[i].requires_grad for i in range(self.capture_start)
+        )
+        inputs = [ext.np_activations(new.x, 0, self.capture_start)[-1] if self.latent else new.x]
+        targets = [new.polarity if system == BC else new.target_rows]
+        self.pool = None
+        if pool is not None:
+            if (pool.latents is not None) != self.latent:
+                raise ProtocolError("latent replay needs the layers below the capture layer frozen")
+            inputs.append(pool.x if pool.latents is None else pool.latents)
+            targets.append(pool.polarity if system == BC else pool.target_rows)
+            # the per-row constants the loss reads on replayed rows
+            self.pool = replace(pool, x=None, latents=None, polarity=None, target_rows=None)
+        self.source = np.concatenate(inputs)
+        self.source_targets = np.concatenate(targets, dtype=np.float64)
+        self.inputs = np.empty_like(self.source)
+        self.targets = np.empty_like(self.source_targets)
+        self.window = np.arange(len(self)) // batch_size * 2
+        self.order = self.new_before = self.ex = None
+
+    def __len__(self) -> int:
+        return self.source.shape[0]
+
+    def shuffle(self, perm: np.ndarray) -> None:
+        """Lay out the rows for an epoch whose permutation is ``perm``
+        (indices below ``n_new`` are new rows, the rest replayed ones)."""
+        is_new = perm < self.n_new
+        self.order = perm[np.argsort(self.window + ~is_new, kind="stable")]
+        np.take(self.source, self.order, axis=0, out=self.inputs)
+        np.take(self.source_targets, self.order, axis=0, out=self.targets)
+        self.new_before = np.concatenate([[0], np.cumsum(is_new)])
+        self.ex = None  # free the last epoch's copy first
+        if self.pool is not None:
+            self.ex = self.pool.take(perm[~is_new] - self.n_new)
 
 
 def _assemble_batches(
-    new: Batch,
-    pool: Batch | None,
-    new_rows: slice,
-    pool_rows: slice,
+    rows: EpochRows,
+    start: int,
+    stop: int,
     profile: MethodProfile,
     mixup_rng: np.random.Generator,
-) -> tuple[Batch, Batch | None]:
-    """One step's new-task rows and pool rows, sliced from the epoch's
-    shuffled plan, with the new rows mixed when the profile asks for mixup."""
-    batch_new = new.take(new_rows)
-    n = len(batch_new)
-    if profile.mixup_alpha > 0 and n > 1:
-        rows = batch_new.target_rows
-        partner = mixup_rng.permutation(n)
-        (mixed_x, mixed_rows), _ = mixup(
-            (batch_new.x, rows),
-            (batch_new.x[partner], rows[partner]),
-            profile.mixup_alpha,
-            mixup_rng,
+) -> StepRows:
+    """The step over rows ``start:stop`` of the epoch's layout, its new rows
+    mixed in place when the profile asks for mixup."""
+    a, b = int(rows.new_before[start]), int(rows.new_before[stop])
+    n_new = b - a
+    split = start + n_new
+    if profile.mixup_alpha > 0 and n_new > 1:
+        x, targets = rows.inputs[start:split], rows.targets[start:split]
+        partner = mixup_rng.permutation(n_new)
+        (mixed_x, mixed_targets), _ = mixup(
+            (x, targets), (x[partner], targets[partner]), profile.mixup_alpha, mixup_rng
         )
-        batch_new = Batch(
-            x=mixed_x,
-            classes=batch_new.classes,
-            polarity=batch_new.polarity,
-            target_rows=mixed_rows,
-        )
-    return batch_new, pool.take(pool_rows) if pool_rows.stop > pool_rows.start else None
+        x[...] = mixed_x
+        targets[...] = mixed_targets
+    if not rows.latent:  # raw rows, new and replayed, through every layer
+        chains = [(0, rows.inputs[start:stop])]
+    else:
+        chains = []
+        if n_new == 1:
+            # a one-row product takes another BLAS path, whose last bits
+            # differ from the session-wide product's: recompute the row
+            i = rows.order[start]
+            chains.append((0, rows.new_x[i : i + 1]))
+        elif n_new:
+            chains.append((rows.capture_start, rows.inputs[start:split]))
+        if stop > split:
+            chains.append((rows.capture_start, rows.inputs[split:stop]))
+    return StepRows(chains, n_new, rows.targets[start:stop], rows.ex, slice(start - a, stop - b))
 
 
 def run_session(
@@ -419,32 +517,25 @@ def run_session(
     batching_rng = substream(config.seed, f"batch:{session.task_id}")
     mixup_rng = substream(config.seed, f"mixup:{session.task_id}")
 
-    n_new = len(plan.new)
-    n_rows = n_new + (len(plan.pool) if plan.pool is not None else 0)
-    for epoch in range(config.epochs):
-        # Shuffle the plan once per epoch. A window of the permutation then
-        # holds a run of the shuffled new rows and a run of the shuffled
-        # pool rows, in permutation order, so each step slices the two.
-        perm = batching_rng.permutation(n_rows)
-        is_new = perm < n_new
-        new = plan.new.take(perm[is_new])
-        pool = plan.pool.take(perm[~is_new] - n_new) if plan.pool is not None else None
-        new_before = np.concatenate([[0], np.cumsum(is_new)])
-        for start in range(0, n_rows, config.batch_size):
-            stop = min(start + config.batch_size, n_rows)
-            a, b = new_before[start], new_before[stop]
-            batch_new, batch_ex = _assemble_batches(
-                new, pool, slice(a, b), slice(start - a, stop - b), profile, mixup_rng
-            )
-            try:
+    epoch = 0
+    try:
+        rows = EpochRows(plan, model, system, config.batch_size)
+        weights, distill_form, mt_classes = plan.weights, plan.distill_form, plan.mt_classes
+        plan = None  # the layout holds what the steps read; free the rest
+        n_rows = len(rows)
+        for epoch in range(config.epochs):
+            rows.shuffle(batching_rng.permutation(n_rows))
+            for start in range(0, n_rows, config.batch_size):
+                stop = min(start + config.batch_size, n_rows)
+                step = _assemble_batches(rows, start, stop, profile, mixup_rng)
                 _, grads = loss_and_gradients(
-                    system, batch_new, batch_ex, model, plan.weights,
-                    rule=profile.aggregation, distill_form=plan.distill_form,
+                    system, step, model, weights, rule=profile.aggregation,
+                    distill_form=distill_form, mt_classes=mt_classes,
                 )
-            except NumericsError as exc:
-                raise NumericsError(f"session {session.task_id}, epoch {epoch}: {exc}") from exc
-            optimizer.step(grads)
-        new = pool = batch_new = batch_ex = None  # free this epoch's copy before the next
+                optimizer.step(grads)
+            step = None  # it holds this epoch's copy of the replayed rows' constants
+    except NumericsError as exc:
+        raise NumericsError(f"session {session.task_id}, epoch {epoch}: {exc}") from exc
 
     if memory is not None:
         _store_exemplars(model, memory, session, profile, model.head.registry)

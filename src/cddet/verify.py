@@ -98,7 +98,8 @@ STEP_CASES = [(MT, LINFC, RAW, ls.SUMLOGIT), (MC, COSFC, LATENT, None), (BC, SIG
 
 
 def _step(system: str, rule, model: Model, new: ls.Batch, ex: ls.Batch):
-    return ls.loss_and_gradients(system, new, ex, model, STEP_WEIGHTS, rule=rule, distill_form="logit+feature")
+    rows = ls.step_rows(system, new, ex, model)
+    return ls.loss_and_gradients(system, rows, model, STEP_WEIGHTS, rule=rule, distill_form="logit+feature")
 
 
 def check_step_gradients(seed: int, coords: int = 3, step: float = 1e-6, tol: float = 1e-6) -> CheckResult:

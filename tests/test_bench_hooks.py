@@ -13,3 +13,41 @@ def test_benchmark_tracer_finds_every_name_it_wraps():
     code = 'import child, micro; t = child.Tracer(); t.install_hooks(); t.install("cddet")'
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_a_step_runs_from_batch_assembly_to_the_adam_update(monkeypatch):
+    """The benchmark times a step from ``trainer._assemble_batches`` (looked
+    up as a module global) to the end of ``Adam.step``: the two must
+    alternate, once per step, epochs x ceil(rows / batch_size) times."""
+    from conftest import tiny_scenario
+
+    from cddet import trainer
+    from cddet.memory import ExemplarMemory
+    from cddet.model import MC, Model
+    from cddet.seeding import substream
+    from cddet.stream import synth_generate
+
+    profile = trainer.resolve_profile("replay+kd", MC)
+    config = trainer.TrainConfig(epochs=3, batch_size=7, seed=0)
+    sessions = [synth_generate(t, 1) for t in tiny_scenario(2, seed=1).tasks]
+    model = Model.build(6, profile.head_variant, substream(1, "init"))
+    memory = ExemplarMemory(10, profile.replay_payload)
+    trainer.run_session(model, memory, sessions[0], profile, config, MC)
+
+    calls = []
+    assemble, step = trainer._assemble_batches, trainer.Adam.step
+
+    def recorded(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(trainer, "_assemble_batches", recorded("assemble", assemble))
+    monkeypatch.setattr(trainer.Adam, "step", recorded("step", step))
+    rows = sessions[1].train.x.shape[0] + memory.total()
+    trainer.run_session(model, memory, sessions[1], profile, config, MC)
+    steps = config.epochs * -(-rows // config.batch_size)
+    assert rows % config.batch_size  # a short last window in every epoch
+    assert calls == ["assemble", "step"] * steps

@@ -94,6 +94,17 @@ class TestChecksBeforeData:
         assert err.startswith("error: ") and named in err, err
         assert not out.exists()
 
+    @pytest.mark.parametrize("grid", ["", "seeds = 3 4\n"])
+    def test_out_naming_a_file(self, tmp_path, capsys, grid):
+        config_file = tmp_path / "run.cfg"
+        config_file.write_text(f"scenario = hard\nprofile = distill\nsystem = mc\nepochs = 1\nmemory = 0\n{grid}")
+        out = tmp_path / "taken"
+        out.write_text("not a directory\n")
+        assert run_cli("run", "--config", str(config_file), "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(out) in err, err
+        assert out.read_text() == "not a directory\n"
+
 
 class TestRun:
     def test_run_populates_output_dir(self, tmp_path, dataset_paths):

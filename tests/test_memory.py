@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cddet import memory as mem
 from cddet.errors import ConfigError, ContractError, EngineError
@@ -67,6 +69,74 @@ class TestHerding:
         feats = np.array([[1.0], [3.0], [1.0], [3.0]])
         order = herd_select(feats, 4)
         assert order[0] == 0
+
+
+def loop_herd_select(features, m):
+    """The herding loop as it stood before the screen, kept verbatim as the
+    reference: a norm over every remaining candidate at every step."""
+    features = np.asarray(features, dtype=np.float64)
+    n = features.shape[0]
+    mu = features.mean(axis=0)
+    chosen: list[int] = []
+    total = np.zeros_like(mu)
+    remaining = list(range(n))
+    for k in range(1, m + 1):
+        candidates = np.asarray(remaining)
+        dists = np.linalg.norm(mu - (total + features[candidates]) / k, axis=1)
+        best = candidates[int(np.argmin(dists))]  # argmin keeps the first minimum
+        chosen.append(int(best))
+        total += features[best]
+        remaining.remove(int(best))
+    return chosen
+
+
+@st.composite
+def herding_cases(draw):
+    n = draw(st.integers(1, 40))
+    d = draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["normal", "integer", "duplicates", "all-equal"]))
+    feats = rng.normal(size=(n, d)) * 10.0 ** draw(st.floats(-3.0, 3.0))
+    if kind == "integer":
+        feats = np.round(rng.normal(size=(n, d)) * draw(st.sampled_from([1.0, 3.0, 100.0])))
+    elif kind == "duplicates":
+        feats[rng.integers(0, n, size=n)] = feats[rng.integers(0, n, size=n)]
+    elif kind == "all-equal":
+        feats[:] = feats[0]
+    m = n if draw(st.booleans()) else draw(st.integers(1, n))
+    return feats, m
+
+
+class TestScreenedHerding:
+    """``herd_select`` screens each pick and confirms it by a bound; its
+    picks must be exactly those of the loop it replaced."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(herding_cases())
+    def test_picks_equal_the_loop(self, case):
+        feats, m = case
+        assert herd_select(feats, m) == loop_herd_select(feats, m)
+
+    @pytest.mark.parametrize("n", [1, 2, 9])
+    def test_all_equal_rows_take_the_exact_search(self, monkeypatch, n):
+        calls = []
+        exact = mem._herd_exact_pick
+
+        def counted(*args):
+            calls.append(args[-1])
+            return exact(*args)
+
+        monkeypatch.setattr(mem, "_herd_exact_pick", counted)
+        feats = np.tile([[0.5, -2.0, 3.0]], (n, 1))
+        assert herd_select(feats, n) == loop_herd_select(feats, n) == list(range(n))
+        # each pick with two or more rows left is a tie, which only the exact
+        # search may break; the last row left is screened
+        assert calls == list(range(1, n))
+
+    def test_distinct_rows_are_screened(self, monkeypatch):
+        monkeypatch.setattr(mem, "_herd_exact_pick", None)  # calling it would fail
+        feats = np.random.default_rng(4).normal(size=(300, 32))
+        assert herd_select(feats, 300) == loop_herd_select(feats, 300)
 
 
 class TestQuotas:

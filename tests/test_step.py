@@ -2,10 +2,10 @@
 
 ``losses.loss_and_gradients`` must give every trainable parameter exactly
 the gradient that ``total_loss(...).backward()`` stores on it, bit for bit,
-and the same loss value to 1e-15 relative. Batches come from the session
-plan the trainer builds, over every system, built-in profile, head,
-aggregation rule and the essentials (logit+feature distillation, label
-smoothing, mixup).
+and the same loss value to 1e-15 relative. Steps come from the session plan
+and the epoch layout the trainer builds, over every system, built-in
+profile, head, aggregation rule (through the plan's class indices) and the
+essentials (logit+feature distillation, label smoothing, mixup).
 """
 
 import numpy as np
@@ -19,6 +19,7 @@ from cddet.model import BC, MC, MT, Model
 from cddet.seeding import substream
 from cddet.stream import synth_generate
 from cddet.trainer import (
+    EpochRows,
     TrainConfig,
     _assemble_batches,
     _plan_session,
@@ -72,12 +73,31 @@ def _tape_gradients(system, batch_new, batch_ex, model, plan, rule):
     return loss.item(), {p: p.grad for p in model.parameters() if p.requires_grad and p.grad is not None}
 
 
+def _step_over(system, profile, model, plan, new_idx, pool_idx, rng):
+    """The trainer's step over the given new and pool rows: an epoch layout
+    whose first window holds exactly those rows, and the tape's batches of
+    the same rows (mixed as the step mixed them)."""
+    n_new, n_pool = len(plan.new), len(plan.pool) if plan.pool is not None else 0
+    picked = np.concatenate([new_idx, n_new + pool_idx]).astype(np.intp)
+    rest = np.setdiff1d(np.arange(n_new + n_pool), picked)
+    rows = EpochRows(plan, model, system, batch_size=picked.size)
+    rows.shuffle(np.concatenate([picked, rest]))
+    step = _assemble_batches(rows, 0, picked.size, profile, rng)
+    batch_new = plan.new.take(new_idx)
+    if profile.mixup_alpha > 0:
+        batch_new.x, batch_new.target_rows = rows.inputs[: new_idx.size], rows.targets[: new_idx.size]
+    batch_ex = plan.pool.take(pool_idx) if pool_idx.size else None
+    return step, batch_new, batch_ex
+
+
 def _assert_step_matches_tape(system, profile, model, plan, new_rows, pool_rows, rng):
-    batch_new, batch_ex = _assemble_batches(plan.new, plan.pool, new_rows, pool_rows, profile, rng)
+    new_idx = np.arange(new_rows.start, new_rows.stop)
+    pool_idx = np.arange(pool_rows.start, pool_rows.stop)
+    step, batch_new, batch_ex = _step_over(system, profile, model, plan, new_idx, pool_idx, rng)
     want_value, want = _tape_gradients(system, batch_new, batch_ex, model, plan, profile.aggregation)
     value, got = ls.loss_and_gradients(
-        system, batch_new, batch_ex, model, plan.weights,
-        rule=profile.aggregation, distill_form=plan.distill_form,
+        system, step, model, plan.weights, rule=profile.aggregation,
+        distill_form=plan.distill_form, mt_classes=plan.mt_classes,
     )
     names = {id(p): n for n, p in _named_parameters(model)}
     assert sorted(names[id(p)] for p in got) == sorted(names[id(p)] for p in want)
@@ -104,6 +124,9 @@ def test_step_gradients_equal_the_tape(system, name, options):
 
     # the first session: no snapshot, no exemplars, every layer trains
     plan = _plan_session(model, memory, sessions[0], profile, system)
+    if system == MT:  # the aggregation reads the plan's class indices
+        fake_mask = model.head.registry.fake_mask()
+        assert [c.tolist() for c in plan.mt_classes] == [np.flatnonzero(m).tolist() for m in (fake_mask, ~fake_mask)]
     for new_rows in (slice(0, 7), slice(3, 4)):
         _assert_step_matches_tape(system, profile, model, plan, new_rows, slice(0, 0), rng)
 
@@ -121,6 +144,44 @@ def test_step_gradients_equal_the_tape(system, name, options):
         (slice(0, 0), slice(4, 5)),  # one exemplar row
         (slice(5, 6), slice(7, 8)),  # one of each
         (slice(0, 5), slice(9, 20)),  # a mixed batch
+        (slice(2, 3), slice(0, 9)),  # one new row among exemplars
+        (slice(0, 5), slice(4, 5)),  # one exemplar among new rows
     ]
     for new_rows, pool_rows in shapes:
         _assert_step_matches_tape(system, profile, model, plan, new_rows, pool_rows, rng)
+
+
+@pytest.mark.parametrize("n_new", [1, 2, 5])
+def test_new_rows_enter_at_the_capture_layer_under_latent_replay(n_new):
+    """Once latent replay freezes the layers below the capture layer, the
+    new rows enter there from activations computed once per session, except
+    a lone new row, which is recomputed from its input: a one-row product
+    rounds differently from the session-wide one."""
+    profile, sessions, model, memory = _setup(MC, "replay+kd", {})
+    for session in sessions[:-1]:
+        run_session(model, memory, session, profile, FAST, MC)
+    plan = _plan_session(model, memory, sessions[-1], profile, MC)
+    step, _, _ = _step_over(MC, profile, model, plan, np.arange(3, 3 + n_new), np.arange(4), np.random.default_rng(0))
+    capture_start = model.extractor.capture_layer + 1
+    assert [start for start, _ in step.chains] == [0 if n_new == 1 else capture_start, capture_start]
+    _assert_step_matches_tape(MC, profile, model, plan, slice(3, 3 + n_new), slice(0, 4), np.random.default_rng(0))
+
+
+def test_epoch_layout_puts_each_windows_new_rows_first():
+    profile, sessions, model, memory = _setup(MT, "rebalance", {"label_smooth_eps": 0.1})
+    for session in sessions[:-1]:
+        run_session(model, memory, session, profile, FAST, MT)
+    plan = _plan_session(model, memory, sessions[-1], profile, MT)
+    rows = EpochRows(plan, model, MT, batch_size=5)
+    n_new = len(plan.new)
+    x = np.concatenate([plan.new.x, plan.pool.x])
+    targets = np.concatenate([plan.new.target_rows, plan.pool.target_rows])
+    perm = np.random.default_rng(3).permutation(len(rows))
+    rows.shuffle(perm)
+    for start in range(0, len(rows), 5):
+        window = perm[start : start + 5]
+        order = np.concatenate([window[window < n_new], window[window >= n_new]])
+        assert np.array_equal(rows.inputs[start : start + 5], x[order])
+        assert np.array_equal(rows.targets[start : start + 5], targets[order])
+    pool_order = perm[perm >= n_new] - n_new
+    assert np.array_equal(rows.ex.old_features, plan.pool.old_features[pool_order])
