@@ -275,7 +275,7 @@ def _group_score(logp: Array, p: Array, group: Array, rule: str) -> tuple[Array,
     """One polarity's log score per row under a softmax-based rule, and its
     gradient in the logits; ``group`` holds the polarity's class indices."""
     if rule == SUMLOG:
-        grad = 0.0 - group.size * p  # 0 - x, not -x: a zero stays +0
+        grad = 0.0 - group.size * p  # 0 - x, not -x: a zero stays +0, as in a 0/1 mask minus x
         grad[:, group] += 1.0
         return logp[:, group].sum(axis=1), grad
     grad = -p
