@@ -16,11 +16,14 @@ hidden layer is one ``affine_relu`` op and a linear classifier head one
 ``_op``, with closed-form gradients and log-probabilities from
 ``np_log_softmax``, so no probability is clamped before a log.
 
-Training does not record a tape: ``losses.loss_and_gradients`` runs the
-same arithmetic on plain arrays (``np_cosine_backward`` is the backward
-both paths share) and back-propagates by hand. The tape is the reference
-that the tests and ``cddet verify`` hold that step to, gradient for
-gradient and bit for bit.
+Neither training nor inference records a tape: both run on plain arrays
+(the ``np_*`` functions, ``checked``, ``row_norms`` and
+``np_cosine_backward``, which the tape's ``cosine_matrix`` shares). The
+tape is the reference that the tests and ``cddet verify`` hold the step
+to, gradient for gradient and bit for bit, so it keeps only the ops that
+reference (``losses.total_loss`` over ``losses._forward_joint``) and the
+benchmark's microbenchmarks use. The ops that only the tests compose live
+in ``tests/tape_ops.py``.
 """
 
 from __future__ import annotations
@@ -33,15 +36,10 @@ from .errors import (
     ContractError,
     DegenerateInputError,
     DimensionError,
-    DomainError,
     NumericsError,
 )
 
 Array = np.ndarray
-
-
-def _as_array(values) -> Array:
-    return np.asarray(values, dtype=np.float64)
 
 
 class Tensor:
@@ -50,7 +48,7 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward")
 
     def __init__(self, values, requires_grad: bool = False):
-        data = _as_array(values)
+        data = np.asarray(values, dtype=np.float64)
         if not np.isfinite(data).all():
             raise NumericsError("tensor holds non-finite entries")
         self.data = data
@@ -74,21 +72,6 @@ class Tensor:
     def backward(self) -> None:
         """Run a full backward sweep from this scalar output."""
         Tape.trace(self).backward(self)
-
-    def __repr__(self) -> str:
-        return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
-
-    def __add__(self, other: "Tensor") -> "Tensor":
-        return add(self, other)
-
-    def __sub__(self, other: "Tensor") -> "Tensor":
-        return sub(self, other)
-
-    def __mul__(self, other: "Tensor") -> "Tensor":
-        return mul(self, other)
-
-    def __neg__(self) -> "Tensor":
-        return neg(self)
 
 
 def constant(values) -> Tensor:
@@ -186,23 +169,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _op(a.data + b.data, (a, b), backward)
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    _require_same_shape(a, b, "sub")
-
-    def backward(g: Array) -> None:
-        _accumulate(a, g)
-        _accumulate(b, -g)
-
-    return _op(a.data - b.data, (a, b), backward)
-
-
-def neg(x: Tensor) -> Tensor:
-    def backward(g: Array) -> None:
-        _accumulate(x, -g)
-
-    return _op(-x.data, (x,), backward)
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise product; both shapes must match exactly."""
     _require_same_shape(a, b, "mul")
@@ -221,25 +187,6 @@ def scale(x: Tensor, c: float) -> Tensor:
         _accumulate(x, g * c)
 
     return _op(x.data * c, (x,), backward)
-
-
-def add_scalar(x: Tensor, c: float) -> Tensor:
-    c = float(c)
-
-    def backward(g: Array) -> None:
-        _accumulate(x, g)
-
-    return _op(x.data + c, (x,), backward)
-
-
-def transpose(x: Tensor) -> Tensor:
-    if x.data.ndim != 2:
-        raise DimensionError("transpose expects a 2-d tensor")
-
-    def backward(g: Array) -> None:
-        _accumulate(x, g.T)
-
-    return _op(np.ascontiguousarray(x.data.T), (x,), backward)
 
 
 def _check_affine(opname: str, x: Tensor, w: Tensor, b: Tensor, transposed: bool = False) -> None:
@@ -307,15 +254,6 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 # activations
 
 
-def relu(x: Tensor) -> Tensor:
-    mask = x.data > 0
-
-    def backward(g: Array) -> None:
-        _accumulate(x, g * mask)
-
-    return _op(np_relu(x.data), (x,), backward)
-
-
 def np_sigmoid(z: Array) -> Array:
     """Numerically stable logistic function on a plain array."""
     out = np.empty_like(z, dtype=np.float64)
@@ -324,45 +262,6 @@ def np_sigmoid(z: Array) -> Array:
     ez = np.exp(z[~pos])
     out[~pos] = ez / (1.0 + ez)
     return out
-
-
-def sigmoid(x: Tensor) -> Tensor:
-    s = np_sigmoid(x.data)
-
-    def backward(g: Array) -> None:
-        _accumulate(x, g * s * (1.0 - s))
-
-    return _op(s, (x,), backward)
-
-
-def log(x: Tensor) -> Tensor:
-    if np.any(x.data <= 0):
-        raise DomainError("log requires strictly positive inputs")
-    inv = 1.0 / x.data
-
-    def backward(g: Array) -> None:
-        _accumulate(x, g * inv)
-
-    return _op(np.log(x.data), (x,), backward)
-
-
-def softplus(x: Tensor) -> Tensor:
-    """log(1 + e^x), computed stably; derivative is the logistic function."""
-
-    def backward(g: Array) -> None:
-        _accumulate(x, g * np_sigmoid(x.data))
-
-    return _op(np.logaddexp(0.0, x.data), (x,), backward)
-
-
-def clamp(x: Tensor, lo: float, hi: float) -> Tensor:
-    """Clip into [lo, hi]; gradient passes only where the input lay inside."""
-    inside = (x.data >= lo) & (x.data <= hi)
-
-    def backward(g: Array) -> None:
-        _accumulate(x, g * inside)
-
-    return _op(np.clip(x.data, lo, hi), (x,), backward)
 
 
 def np_softmax(z: Array, axis: int = -1) -> Array:
@@ -401,44 +300,6 @@ def tsum(x: Tensor, axis: int | None = None) -> Tensor:
             _accumulate(x, np.broadcast_to(np.expand_dims(g, axis), x.shape).copy())
 
     return _op(np.sum(x.data, axis=axis), (x,), backward)
-
-
-def tmean(x: Tensor, axis: int | None = None) -> Tensor:
-    count = x.data.size if axis is None else x.shape[axis]
-    if count == 0:
-        raise ContractError("mean over an empty axis")
-
-    def backward(g: Array) -> None:
-        if axis is None:
-            _accumulate(x, np.full_like(x.data, g / count))
-        else:
-            _accumulate(x, np.broadcast_to(np.expand_dims(g / count, axis), x.shape).copy())
-
-    return _op(np.mean(x.data, axis=axis), (x,), backward)
-
-
-def tmax(x: Tensor, axis: int | None = None) -> Tensor:
-    """Max reduction; the gradient routes to the first (lowest-index) argmax."""
-    if axis is None:
-        flat_idx = int(np.argmax(x.data))
-
-        def backward(g: Array) -> None:
-            gx = np.zeros_like(x.data)
-            gx.flat[flat_idx] = g
-            _accumulate(x, gx)
-
-        return _op(np.max(x.data), (x,), backward)
-
-    idx = np.argmax(x.data, axis=axis)
-
-    def backward_axis(g: Array) -> None:
-        gx = np.zeros_like(x.data)
-        np.put_along_axis(
-            gx, np.expand_dims(idx, axis), np.expand_dims(g, axis), axis=axis
-        )
-        _accumulate(x, gx)
-
-    return _op(np.max(x.data, axis=axis), (x,), backward_axis)
 
 
 # ---------------------------------------------------------------------------
@@ -489,41 +350,8 @@ def cosine_matrix(a: Tensor, b: Tensor) -> Tensor:
     return _op(c, (a, b), backward)
 
 
-def cosine_pairs(a: Tensor, b: Tensor) -> Tensor:
-    """Row-wise cosine similarity between matching rows of a[n,f] and b[n,f]."""
-    if a.shape != b.shape or a.data.ndim != 2:
-        raise DimensionError("cosine_pairs expects two [n,f] tensors")
-    na = row_norms(a.data, "left operand")
-    nb = row_norms(b.data, "right operand")
-    dots = np.einsum("ij,ij->i", a.data, b.data)
-    values = dots / (na * nb)
-
-    def backward(g: Array) -> None:
-        ga = (b.data / (na * nb)[:, None] - values[:, None] * a.data / (na * na)[:, None])
-        gb = (a.data / (na * nb)[:, None] - values[:, None] * b.data / (nb * nb)[:, None])
-        _accumulate(a, g[:, None] * ga)
-        _accumulate(b, g[:, None] * gb)
-
-    return _op(values, (a, b), backward)
-
-
 # ---------------------------------------------------------------------------
 # indexing and stacking
-
-
-def gather_pairs(x: Tensor, rows, cols) -> Tensor:
-    """Pick x[rows[i], cols[i]] into a vector; backward scatter-adds."""
-    rows = np.asarray(rows, dtype=np.intp)
-    cols = np.asarray(cols, dtype=np.intp)
-    if x.data.ndim != 2 or rows.shape != cols.shape or rows.ndim != 1:
-        raise DimensionError("gather_pairs expects a matrix and matching index vectors")
-
-    def backward(g: Array) -> None:
-        gx = np.zeros_like(x.data)
-        np.add.at(gx, (rows, cols), g)
-        _accumulate(x, gx)
-
-    return _op(x.data[rows, cols], (x,), backward)
 
 
 def take_rows(x: Tensor, rows) -> Tensor:
@@ -544,20 +372,6 @@ def take_rows(x: Tensor, rows) -> Tensor:
         _accumulate(x, gx)
 
     return _op(x.data[rows], (x,), backward)
-
-
-def take_cols(x: Tensor, cols) -> Tensor:
-    cols = np.asarray(cols, dtype=np.intp)
-    if x.data.ndim != 2 or cols.ndim != 1:
-        raise DimensionError("take_cols expects a matrix and an index vector")
-    n = x.shape[0]
-
-    def backward(g: Array) -> None:
-        gx = np.zeros_like(x.data)
-        np.add.at(gx, (np.arange(n)[:, None], cols[None, :]), g)
-        _accumulate(x, gx)
-
-    return _op(x.data[:, cols], (x,), backward)
 
 
 def concat_rows(a: Tensor, b: Tensor) -> Tensor:

@@ -10,15 +10,17 @@ softplus, so they stay finite without any probability floor.
 Each term's value and gradient are computed by one plain-array function
 (``_ce_parts``, ``_bce_parts``, ``_kd_parts``, ``_kd_feature_parts``,
 ``_margin_parts``, ``_mt_parts``) that both its tape op and the training
-step call. Training runs ``loss_and_gradients``: the forward pass, these
+step call. Training runs ``loss_and_gradients``: the model's one inference
+path (``np_activations`` and ``ClassifierHead.logits_and_cosines``), these
 terms and the backward sweep written out by hand on plain arrays, with the
 tape's operands, memory layouts and order of summation, so every parameter
 gradient equals ``total_loss(...).backward()`` bit for bit. ``total_loss``
 on the tape is kept as the reference the tests and ``cddet verify`` check
-the step against. The step reads its rows as ``StepRows``, laid out by the
-trainer once per epoch (``step_rows`` lays out a pair of batches the same
-way). Means are written as sum / size, which is what ``np.mean`` computes,
-without its per-call dispatch.
+the step against; its forward, ``_forward_joint``, is the only place the
+network is built on the tape. The step reads its rows as ``StepRows``,
+laid out by the trainer once per epoch (``step_rows`` lays out a pair of
+batches the same way). Means are written as sum / size, which is what
+``np.mean`` computes, without its per-call dispatch.
 """
 
 from __future__ import annotations
@@ -403,30 +405,45 @@ def mixup(batch_a, batch_b, alpha: float, rng: np.random.Generator):
 
 
 def _forward_joint(model: Model, raw: Array | None, latents: Array | None):
-    """Features and logits of the live model, on the tape."""
+    """Features and logits of the live model on the tape, the reference's
+    forward: raw rows through every layer, then latent rows from the capture
+    layer on."""
+    ext, head = model.extractor, model.head
+    last = len(ext.weights) - 1
     parts = []
-    if raw is not None and raw.shape[0]:
-        parts.append(model.extractor.forward(raw, tape=True))
-    if latents is not None and latents.shape[0]:
-        parts.append(model.extractor.forward_from_latent(latents, tape=True))
+    for start, rows in ((0, raw), (ext.capture_layer + 1, latents)):
+        if rows is None or not rows.shape[0]:
+            continue
+        h = Tensor(rows)
+        for i in range(start, last + 1):
+            h = (dc.affine_relu if i < last else dc.affine)(h, ext.weights[i], ext.biases[i])
+        parts.append(h)
     if not parts:
         raise ContractError("no rows to train on")
     features = parts[0] if len(parts) == 1 else dc.concat_rows(parts[0], parts[1])
-    return features, model.head.logits(features, tape=True)
+    if head.variant == COSFC:
+        cos = dc.cosine_matrix(features, head.theta)
+        return features, dc.mul(cos, _broadcast_scalar(head.scale, cos.shape))
+    return features, dc.linear(features, head.theta, head.bias)
+
+
+def _broadcast_scalar(s: Tensor, shape: tuple[int, ...]) -> Tensor:
+    """Tile a scalar parameter to ``shape`` so elementwise ops stay shape-exact."""
+
+    def backward(g: Array) -> None:
+        dc._accumulate(s, np.asarray(g.sum()))
+
+    return dc._op(np.broadcast_to(s.data, shape).copy(), (s,), backward)
 
 
 def _np_forward_joint(snapshot: Model, raw: Array | None, latents: Array | None):
     """The snapshot's features and logits as plain arrays, raw rows first."""
-    parts_f, parts_z = [], []
+    outs = []
     if raw is not None and raw.shape[0]:
-        f, z = snapshot.forward(raw)
-        parts_f.append(f.data)
-        parts_z.append(z.data)
+        outs.append(snapshot.forward(raw))
     if latents is not None and latents.shape[0]:
-        f, z = snapshot.forward_from_latent(latents)
-        parts_f.append(f.data)
-        parts_z.append(z.data)
-    return np.concatenate(parts_f, axis=0), np.concatenate(parts_z, axis=0)
+        outs.append(snapshot.forward_from_latent(latents))
+    return tuple(np.concatenate(parts, axis=0) for parts in zip(*outs))
 
 
 def _stack(*arrays):
@@ -630,11 +647,7 @@ def loss_and_gradients(
     feats = outs[0] if len(outs) == 1 else np.concatenate(outs, axis=0)
 
     theta = head.theta.data
-    if head.variant == COSFC:
-        cos, na, nb, an, bn = dc.np_cosine_matrix(feats, theta)
-        logits = dc.checked(dc.checked(cos, "head cosines") * head.scale.data, "logits")
-    else:
-        logits = dc.checked(feats @ theta.T + head.bias.data, "logits")
+    logits, cosines = head.logits_and_cosines(feats)
 
     n_new, targets = step.n_new, step.targets
     if system == BC:
@@ -701,9 +714,9 @@ def loss_and_gradients(
         total = total + supp * gamma_m
 
     grads: dict = {}
-    if head.variant == COSFC:
-        grads[head.scale] = np.asarray((d_logits * cos).sum())
-        d_feats, d_theta = dc.np_cosine_backward(d_logits * head.scale.data, cos, na, nb, an, bn)
+    if cosines is not None:
+        grads[head.scale] = np.asarray((d_logits * cosines[0]).sum())
+        d_feats, d_theta = dc.np_cosine_backward(d_logits * head.scale.data, *cosines)
     else:
         d_feats = d_logits @ theta
         d_theta = d_logits.T @ feats

@@ -238,6 +238,9 @@ def write_predictions(path, record: RunRecord) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+_INT64 = 2**63  # class indices are stored as int64
+
+
 def read_predictions(path) -> dict[int, PredictionLog]:
     with open(path, encoding="utf-8") as fh:
         lines = fh.read().splitlines()
@@ -255,20 +258,29 @@ def read_predictions(path) -> dict[int, PredictionLog]:
             true_pol = int(fields[2])
             pred_pol = int(fields[3])
             p_fake = float(fields[4])
+            # both class columns are blank, or both hold an integer
+            true_cls = int(fields[5]) if fields[5] or fields[6] else None
+            pred_cls = int(fields[6]) if true_cls is not None else None
         except ValueError:
             raise ParseError("malformed prediction row", line=lineno) from None
-        true_cls = int(fields[5]) if fields[5] != "" else None
-        pred_cls = int(fields[6]) if fields[6] != "" else None
-        buckets.setdefault(task_id, []).append((fields[1], true_pol, pred_pol, p_fake, true_cls, pred_cls))
+        if true_pol not in (0, 1) or pred_pol not in (0, 1) or not 0.0 <= p_fake <= 1.0:
+            raise ParseError("labels must be 0 or 1, and p_fake in [0, 1]", line=lineno)
+        rows = buckets.setdefault(task_id, [])
+        if rows and (rows[0][4] is None) != (true_cls is None):
+            raise ParseError(f"task {task_id} mixes rows with and without classes", line=lineno)
+        if true_cls is not None and not (-_INT64 <= true_cls < _INT64 and -_INT64 <= pred_cls < _INT64):
+            raise ParseError("class index out of range", line=lineno)
+        rows.append((fields[1], true_pol, pred_pol, p_fake, true_cls, pred_cls))
     logs: dict[int, PredictionLog] = {}
     for task_id, rows in buckets.items():
-        has_classes = rows[0][4] is not None
+        ids, true_pol, pred_pol, p_fake, true_cls, pred_cls = zip(*rows)
+        has_classes = true_cls[0] is not None
         logs[task_id] = PredictionLog(
-            record_ids=[r[0] for r in rows],
-            true_polarity=np.array([r[1] for r in rows], dtype=np.int64),
-            pred_polarity=np.array([r[2] for r in rows], dtype=np.int64),
-            p_fake=np.array([r[3] for r in rows], dtype=np.float64),
-            true_class=np.array([r[4] for r in rows], dtype=np.int64) if has_classes else None,
-            pred_class=np.array([r[5] for r in rows], dtype=np.int64) if has_classes else None,
+            record_ids=list(ids),
+            true_polarity=np.array(true_pol, dtype=np.int64),
+            pred_polarity=np.array(pred_pol, dtype=np.int64),
+            p_fake=np.array(p_fake, dtype=np.float64),
+            true_class=np.array(true_cls, dtype=np.int64) if has_classes else None,
+            pred_class=np.array(pred_cls, dtype=np.int64) if has_classes else None,
         )
     return logs

@@ -1,11 +1,12 @@
 """Network model: an MLP feature extractor plus an expandable classifier head.
 
-Forward passes run in one of two modes. With ``tape=True`` each layer is
-one recorded op (``affine_relu`` for hidden layers, ``linear`` for the
-linfc and sigmoid heads), for the reference loss on the tape. The default
-records no tape: layers run on plain arrays (``np_activations``), with the
-same arithmetic and a finiteness check on every pre-activation, for
-training, evaluation, herding, latent capture and snapshots.
+Forward passes take and return plain arrays and record no tape. Layers run
+in ``np_activations``, with a finiteness check on every pre-activation, and
+the head's logit rule is ``ClassifierHead.logits_and_cosines``, which checks
+its cosines and logits. Training, evaluation, herding, latent capture and
+snapshots all run this one path. Parameters are ``Tensor`` objects, so that
+the reference loss on the tape (``losses.total_loss``, over the taped forward
+``losses._forward_joint``) can differentiate them.
 
 Three head variants are supported: a plain linear head ("linfc"), a
 cosine-normalised head with a learnable positive scale ("cosfc"), and a
@@ -130,47 +131,27 @@ class FeatureExtractor:
     def latent_width(self) -> int:
         return self.widths[self.capture_layer + 1]
 
-    def _as_tensor(self, x) -> Tensor:
-        return x if isinstance(x, Tensor) else Tensor(np.atleast_2d(np.asarray(x, dtype=np.float64)))
+    def forward(self, x) -> Array:
+        return self.forward_with_capture(x)[0]
 
-    def forward(self, x, tape: bool = False) -> Tensor:
-        features, _ = self.forward_with_capture(x, tape)
-        return features
-
-    def forward_with_capture(self, x, tape: bool = False) -> tuple[Tensor, Array]:
-        """Full forward; also returns the capture-layer activation as an array."""
-        h = self._as_tensor(x)
-        if h.shape[1] != self.input_width:
-            raise ContractError(f"input width {h.shape[1]} != {self.input_width}")
-        if h.shape[0] == 0:
+    def forward_with_capture(self, x) -> tuple[Array, Array]:
+        """Features, plus the capture-layer activation (the input itself when
+        the extractor is a single linear layer)."""
+        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+        if x.shape[1] != self.input_width:
+            raise ContractError(f"input width {x.shape[1]} != {self.input_width}")
+        if x.shape[0] == 0:
             raise ContractError("empty batch")
-        features, latent = self._layers(h, 0, tape)
-        if latent is None:  # single linear layer: capture the input itself
-            latent = h.data.copy()
-        return features, latent
+        acts = self.np_activations(x)
+        capture = self.capture_layer + 1
+        return acts[-1], acts[capture] if capture < len(acts) - 1 else x.copy()
 
-    def forward_from_latent(self, latent, tape: bool = False) -> Tensor:
+    def forward_from_latent(self, latent) -> Array:
         """Resume the forward pass from a stored capture-layer activation."""
-        h = self._as_tensor(latent)
+        h = np.atleast_2d(np.asarray(latent, dtype=np.float64))
         if h.shape[1] != self.latent_width:
             raise ContractError(f"latent width {h.shape[1]} != {self.latent_width}")
-        features, _ = self._layers(h, self.capture_layer + 1, tape)
-        return features
-
-    def _layers(self, h: Tensor, start: int, tape: bool) -> tuple[Tensor, Array | None]:
-        """Layers ``start`` onward, plus the capture-layer activation if passed."""
-        last = len(self.weights) - 1
-        latent: Array | None = None
-        if tape:
-            for i in range(start, last + 1):
-                layer = dc.affine_relu if i < last else dc.affine
-                h = layer(h, self.weights[i], self.biases[i])
-                if i == self.capture_layer and i < last:
-                    latent = h.data.copy()
-            return h, latent
-        acts = self.np_activations(h.data, start)
-        capture = self.capture_layer + 1 - start  # the capture layer's output
-        return Tensor(acts[-1]), acts[capture] if 0 < capture < len(acts) - 1 else None
+        return self.np_activations(h, self.capture_layer + 1)[-1]
 
     def np_activations(self, x: Array, start: int = 0, stop: int | None = None) -> list[Array]:
         """Layers ``start`` onward (up to, not including, ``stop``) on plain
@@ -228,20 +209,21 @@ class ClassifierHead:
             raise ProtocolError("argmax heads must expand, not merely register")
         self.registry.add_task(task_id)
 
-    def logits(self, features: Tensor, tape: bool = False) -> Tensor:
+    def logits(self, features: Array) -> Array:
+        return self.logits_and_cosines(features)[0]
+
+    def logits_and_cosines(self, features: Array) -> tuple[Array, tuple | None]:
+        """The variant's logits of feature rows, checked for finiteness, and
+        for the cosine head ``np_cosine_matrix``'s outputs, which the
+        training step back-propagates through (None for the other heads)."""
         if features.shape[0] == 0:
             raise ContractError("empty batch")
         if self.variant != SIGMOID and self.num_classes == 0:
             raise ProtocolError("head has no classes; expand it first")
         if self.variant == COSFC:
-            if tape:
-                cos = dc.cosine_matrix(features, self.theta)
-                return dc.mul(cos, _broadcast_scalar(self.scale, cos.shape))
-            cos = dc.np_cosine_matrix(features.data, self.theta.data)[0]
-            return Tensor(cos * self.scale.data)
-        if tape:
-            return dc.linear(features, self.theta, self.bias)
-        return Tensor(features.data @ self.theta.data.T + self.bias.data)
+            cosines = dc.np_cosine_matrix(features, self.theta.data)
+            return dc.checked(dc.checked(cosines[0], "head cosines") * self.scale.data, "logits"), cosines
+        return dc.checked(features @ self.theta.data.T + self.bias.data, "logits"), None
 
     def parameters(self) -> list[Tensor]:
         params = [self.theta]
@@ -250,16 +232,6 @@ class ClassifierHead:
         if self.scale is not None:
             params.append(self.scale)
         return params
-
-
-def _broadcast_scalar(s: Tensor, shape: tuple[int, ...]) -> Tensor:
-    """Tile a scalar parameter to ``shape`` so elementwise ops stay shape-exact."""
-    data = np.broadcast_to(s.data, shape).copy()
-
-    def backward(g: Array) -> None:
-        dc._accumulate(s, np.asarray(g.sum()))
-
-    return dc._op(data, (s,), backward)
 
 
 class Model:
@@ -287,13 +259,13 @@ class Model:
         head = ClassifierHead(variant, feature_width, rng)
         return cls(extractor, head)
 
-    def forward(self, x) -> tuple[Tensor, Tensor]:
-        """Features and logits, recording no tape."""
+    def forward(self, x) -> tuple[Array, Array]:
+        """Features and logits."""
         features = self.extractor.forward(x)
         return features, self.head.logits(features)
 
-    def forward_from_latent(self, latent) -> tuple[Tensor, Tensor]:
-        """Features and logits from a capture-layer activation, recording no tape."""
+    def forward_from_latent(self, latent) -> tuple[Array, Array]:
+        """Features and logits from a capture-layer activation."""
         features = self.extractor.forward_from_latent(latent)
         return features, self.head.logits(features)
 

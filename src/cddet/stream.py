@@ -283,26 +283,32 @@ def load_dataset(path) -> SessionData:
             values = np.array([float(v) for v in fields[3:]], dtype=np.float64)
         except ValueError:
             raise ParseError("non-numeric feature value", line=lineno) from None
-        rows[split].append((values, int(fields[2])))
+        rows[split].append((values, int(fields[2]), lineno))
 
     if task_id is None:
         raise ParseError("dataset holds no records", line=2)
 
     splits: dict[str, Split] = {}
+    non_finite = []  # the first line of each split with a nan or inf feature
     for split_name in SPLITS:
         records = rows[split_name]
         if records:
             x = np.vstack([r[0] for r in records])
             y = np.array([r[1] for r in records], dtype=np.int64)
+            finite = np.isfinite(x).all(axis=1)
+            if not finite.all():
+                non_finite.append(records[int(np.argmin(finite))][2])
         else:
             x = np.zeros((0, width))
             y = np.zeros(0, dtype=np.int64)
         ids = [f"{task_id}-{split_name}-{i}" for i in range(len(records))]
         splits[split_name] = Split(x, y, ids)
+    if non_finite:
+        raise ParseError("non-finite feature value", line=min(non_finite))
 
     for required in ("train", "test"):
         y = splits[required].y
         if not ((y == REAL).any() and (y == FAKE).any()):
-            raise ParseError(f"split {required!r} needs both real and fake records")
+            raise ParseError(f"split {required!r} needs both real and fake records", line=len(lines))
 
     return SessionData(task_id=task_id, name=name, train=splits["train"], val=splits["val"], test=splits["test"])

@@ -552,7 +552,7 @@ def _store_exemplars(model, memory, session, profile, registry) -> None:
         rows = session.train.x[session.train.y == polarity]
         if rows.shape[0] == 0:
             continue
-        feats = model.extractor.forward(rows).data
+        feats = model.extractor.forward(rows)
         m = min(rows.shape[0], cap)
         if m < 1:
             continue
@@ -567,11 +567,10 @@ def _store_exemplars(model, memory, session, profile, registry) -> None:
 
 def _evaluate(model: Model, system: str, split) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
     _, logits = model.forward(split.x)
-    logits_np = logits.data
-    pred_pol = predict_binary(model.head, logits_np, system)
+    pred_pol = predict_binary(model.head, logits, system)
     accuracy = float(np.mean(pred_pol == split.y))
-    scores = fake_score(model.head, logits_np, system)
-    pred_cls = predict_class(logits_np) if system != BC else None
+    scores = fake_score(model.head, logits, system)
+    pred_cls = predict_class(logits) if system != BC else None
     return accuracy, pred_pol, scores, pred_cls
 
 

@@ -217,12 +217,12 @@ def check_snapshot_immutability(seed: int) -> CheckResult:
     model.sessions_trained = 1
     snap = model.snapshot()
     inputs = [rng.normal(size=(3, 6)) for _ in range(10)]
-    before = [snap.forward(x)[1].data.copy() for x in inputs]
+    before = [snap.forward(x)[1] for x in inputs]
     for _ in range(100):
         for p in model.parameters():
             p.data = p.data + 0.01 * rng.normal(size=p.data.shape)
     for x, prior in zip(inputs, before):
-        if not np.array_equal(snap.forward(x)[1].data, prior):
+        if not np.array_equal(snap.forward(x)[1], prior):
             return CheckResult("snapshot-immutability", False, "snapshot output drifted")
     return CheckResult("snapshot-immutability", True, "10 inputs bitwise stable over 100 updates")
 

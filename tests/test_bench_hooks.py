@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -6,13 +7,27 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
+MICRO_ONCE = """
+import json, child, micro
+t = child.Tracer(); t.install_hooks(); t.install("cddet")
+def once(fn):
+    fn()
+    return 1.0
+micro._per_call_s = once
+print(json.dumps(sorted(micro.run_all())))
+"""
+
+
 def test_benchmark_tracer_finds_every_name_it_wraps():
-    """The benchmark's tracer wraps engine functions and methods by name; a
-    rename or deletion of one of them breaks ``perfbench --trace 1``."""
+    """The benchmark's tracer wraps engine functions and methods by name, and
+    its microbenchmarks call engine ops by name; a rename or deletion of one
+    of them breaks ``perfbench --trace 1``. Each microbenchmark runs once."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), str(ROOT / "perfbench")]))
-    code = 'import child, micro; t = child.Tracer(); t.install_hooks(); t.install("cddet")'
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    proc = subprocess.run([sys.executable, "-c", MICRO_ONCE], env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [
+        "diffcore.affine_us", "diffcore.cosine_matrix_us", "diffcore.softmax_us", "memory.herd_select_300x32_ms",
+    ]
 
 
 def test_a_step_runs_from_batch_assembly_to_the_adam_update(monkeypatch):

@@ -199,6 +199,22 @@ class TestRun:
         ) == 2
         assert "task 2 has 5 features, task 1 has 6" in capsys.readouterr().err
 
+    def test_non_finite_feature_rejected_before_training(self, tmp_path, dataset_paths, capsys, monkeypatch):
+        path = Path(dataset_paths[1])
+        lines = path.read_text().splitlines()
+        lines[5] = lines[5].rsplit(",", 1)[0] + ",nan"
+        path.write_text("\n".join(lines) + "\n")
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("training started on a non-finite feature")
+
+        monkeypatch.setattr(cli, "run_scenario_over_sessions", forbidden)
+        assert run_cli(
+            "run", "--data", *dataset_paths, "--profile", "finetune", "--system", "mc",
+            "--out", str(tmp_path / "o"),
+        ) == 2
+        assert capsys.readouterr().err == "error: line 6: non-finite feature value\n"
+
     def test_missing_config_file(self, tmp_path, capsys):
         missing = tmp_path / "absent.cfg"
         assert run_cli("run", "--config", str(missing), "--out", str(tmp_path / "o")) == 2
@@ -219,6 +235,27 @@ class TestEval:
         path = tmp_path / "m.csv"
         path.write_text("0.5,1.2\n,0.7\n")
         assert run_cli("eval", str(path)) == 2
+
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("1,r,0,0,0.1,x,0", "malformed prediction row"),
+            ("1,r,0,0,0.1,,", "task 1 mixes rows with and without classes"),
+        ],
+    )
+    def test_bad_predictions_row_names_its_line(self, tmp_path, dataset_paths, capsys, row, message):
+        out = tmp_path / "run"
+        assert run_cli(
+            "run", "--data", *dataset_paths, "--profile", "replay", "--system", "mc",
+            "--memory", "30", "--seed", "5", "--epochs", "1", "--out", str(out),
+        ) == 0
+        lines = (out / "predictions.csv").read_text().splitlines()
+        lines.insert(2, row)  # after the first row of task 1, which has classes
+        (out / "predictions.csv").write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert run_cli("eval", str(out)) == 2
+        assert capsys.readouterr().err == f"error: line 3: {message}\n"
 
 
 class TestVerify:

@@ -19,6 +19,22 @@ Tolerances, fixed from float64 arithmetic and the removed probability floor:
 
 import numpy as np
 import pytest
+from tape_ops import (
+    add_scalar,
+    clamp,
+    cosine_pairs,
+    gather_pairs,
+    log,
+    neg,
+    relu,
+    sigmoid,
+    softplus,
+    sub,
+    take_cols,
+    tmax,
+    tmean,
+    transpose,
+)
 
 from cddet import diffcore as dc
 from cddet import losses as ls
@@ -35,7 +51,7 @@ FLOORED_LOG = np.log(PROB_FLOOR)
 
 
 def _clamped_log(p):
-    return dc.log(dc.clamp(p, PROB_FLOOR, 1.0 - PROB_FLOOR))
+    return log(clamp(p, PROB_FLOOR, 1.0 - PROB_FLOOR))
 
 
 def composed_multiclass_ce(logits, targets):
@@ -45,17 +61,17 @@ def composed_multiclass_ce(logits, targets):
     if targets.ndim == 2:
         picked = dc.tsum(dc.mul(dc.constant(targets.astype(np.float64)), logp), axis=1)
     else:
-        picked = dc.gather_pairs(logp, np.arange(n), targets.astype(np.intp))
-    return dc.scale(dc.tmean(picked), -1.0)
+        picked = gather_pairs(logp, np.arange(n), targets.astype(np.intp))
+    return dc.scale(tmean(picked), -1.0)
 
 
 def composed_binary_ce(logit, targets):
     y = np.asarray(targets, dtype=np.float64)
-    z = dc.tsum(dc.take_cols(logit, np.array([0])), axis=1)
-    s = dc.clamp(dc.sigmoid(z), PROB_FLOOR, 1.0 - PROB_FLOOR)
-    pos = dc.mul(dc.constant(y), dc.log(s))
-    neg = dc.mul(dc.constant(1.0 - y), dc.log(dc.sub(dc.constant(np.ones_like(y)), s)))
-    return dc.scale(dc.tmean(dc.add(pos, neg)), -1.0)
+    z = dc.tsum(take_cols(logit, np.array([0])), axis=1)
+    s = clamp(sigmoid(z), PROB_FLOOR, 1.0 - PROB_FLOOR)
+    pos_term = dc.mul(dc.constant(y), log(s))
+    neg_term = dc.mul(dc.constant(1.0 - y), log(sub(dc.constant(np.ones_like(y)), s)))
+    return dc.scale(tmean(dc.add(pos_term, neg_term)), -1.0)
 
 
 def composed_kd_kl(old_logits, new_logits, T, class_mask):
@@ -65,23 +81,23 @@ def composed_kd_kl(old_logits, new_logits, T, class_mask):
     if cols.size == 1:
         p1 = np.clip(dc.np_sigmoid(old[:, 0] / t), PROB_FLOOR, 1.0 - PROB_FLOOR)
         p0 = 1.0 - p1
-        z = dc.scale(dc.tsum(dc.take_cols(new_logits, cols), axis=1), 1.0 / t)
-        q1 = dc.clamp(dc.sigmoid(z), PROB_FLOOR, 1.0 - PROB_FLOOR)
-        q0 = dc.sub(dc.constant(np.ones_like(p1)), q1)
+        z = dc.scale(dc.tsum(take_cols(new_logits, cols), axis=1), 1.0 / t)
+        q1 = clamp(sigmoid(z), PROB_FLOOR, 1.0 - PROB_FLOOR)
+        q0 = sub(dc.constant(np.ones_like(p1)), q1)
         rows = dc.add(
-            dc.mul(dc.constant(p1), dc.sub(dc.constant(np.log(p1)), dc.log(q1))),
-            dc.mul(dc.constant(p0), dc.sub(dc.constant(np.log(p0)), dc.log(q0))),
+            dc.mul(dc.constant(p1), sub(dc.constant(np.log(p1)), log(q1))),
+            dc.mul(dc.constant(p0), sub(dc.constant(np.log(p0)), log(q0))),
         )
-        return dc.scale(dc.tmean(rows), t * t)
+        return dc.scale(tmean(rows), t * t)
     p = np.clip(dc.np_softmax(old / t, axis=1), PROB_FLOOR, 1.0 - PROB_FLOOR)
-    logq = _clamped_log(dc.softmax(dc.scale(dc.take_cols(new_logits, cols), 1.0 / t), axis=1))
-    rows = dc.tsum(dc.mul(dc.constant(p), dc.sub(dc.constant(np.log(p)), logq)), axis=1)
-    return dc.scale(dc.tmean(rows), t * t)
+    logq = _clamped_log(dc.softmax(dc.scale(take_cols(new_logits, cols), 1.0 / t), axis=1))
+    rows = dc.tsum(dc.mul(dc.constant(p), sub(dc.constant(np.log(p)), logq)), axis=1)
+    return dc.scale(tmean(rows), t * t)
 
 
 def composed_kd_feature(old_feats, new_feats):
-    cos = dc.cosine_pairs(dc.constant(old_feats), new_feats)
-    return dc.tmean(dc.add_scalar(dc.neg(cos), 1.0))
+    cos = cosine_pairs(dc.constant(old_feats), new_feats)
+    return tmean(add_scalar(neg(cos), 1.0))
 
 
 def loop_rivals(sims, targets, J):
@@ -99,9 +115,9 @@ def composed_margin_ranking(features, embeddings, targets, tau, J):
     sims = dc.cosine_matrix(features, embeddings)
     sel_rows = np.repeat(np.arange(n), J)
     sel_cols = loop_rivals(sims.data, targets, J).ravel()
-    rival_sims = dc.gather_pairs(sims, sel_rows, sel_cols)
-    target_sims = dc.gather_pairs(sims, sel_rows, np.repeat(targets, J))
-    hinge = dc.relu(dc.add_scalar(dc.sub(rival_sims, target_sims), float(tau)))
+    rival_sims = gather_pairs(sims, sel_rows, sel_cols)
+    target_sims = gather_pairs(sims, sel_rows, np.repeat(targets, J))
+    hinge = relu(add_scalar(sub(rival_sims, target_sims), float(tau)))
     return dc.scale(dc.tsum(hinge), 1.0 / n)
 
 
@@ -120,26 +136,26 @@ def composed_mt_class_loss(logits, targets, fake_mask, lam, rule):
         d_f = _clamped_log(dc.tsum(dc.mul(acts, fm), axis=1))
         d_r = _clamped_log(dc.tsum(dc.mul(acts, rm), axis=1))
     elif rule == ls.MAX:
-        d_f = _clamped_log(dc.tmax(dc.mul(acts, fm), axis=1))
-        d_r = _clamped_log(dc.tmax(dc.mul(acts, rm), axis=1))
+        d_f = _clamped_log(tmax(dc.mul(acts, fm), axis=1))
+        d_r = _clamped_log(tmax(dc.mul(acts, rm), axis=1))
     else:
         s_f = dc.tsum(dc.mul(logits, fm), axis=1)
         s_r = dc.tsum(dc.mul(logits, rm), axis=1)
-        d_f = dc.neg(dc.softplus(dc.sub(s_r, s_f)))
-        d_r = dc.neg(dc.softplus(dc.sub(s_f, s_r)))
+        d_f = neg(softplus(sub(s_r, s_f)))
+        d_r = neg(softplus(sub(s_f, s_r)))
     w_fake = fake_mask[np.asarray(targets, dtype=np.intp)].astype(np.float64)
     picked = dc.add(dc.mul(d_f, dc.constant(w_fake)), dc.mul(d_r, dc.constant(1.0 - w_fake)))
-    binary_term = dc.scale(dc.tmean(picked), -1.0)
+    binary_term = dc.scale(tmean(picked), -1.0)
     ce = composed_multiclass_ce(logits, targets)
     return dc.add(dc.scale(ce, 1.0 - lam), dc.scale(binary_term, lam))
 
 
 def composed_affine_relu(x, w, b):
-    return dc.relu(dc.affine(x, w, b))
+    return relu(dc.affine(x, w, b))
 
 
 def composed_linear(x, w, b):
-    return dc.affine(x, dc.transpose(w), b)
+    return dc.affine(x, transpose(w), b)
 
 
 # ---------------------------------------------------------------------------

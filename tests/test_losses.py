@@ -273,7 +273,7 @@ class TestTotalLoss:
         w = LossWeights(gamma_d=0.0, gamma_m=0.0)
         combined = ls.total_loss(MC, batch, None, model, None, w)
         _, logits = model.forward(batch.x)
-        bare = ls.multiclass_ce(logits, batch.classes)
+        bare = ls.multiclass_ce(dc.Tensor(logits), batch.classes)
         assert combined.item() == bare.item()
 
     def test_missing_snapshot_protocol_error(self):
@@ -291,7 +291,7 @@ class TestTotalLoss:
         w = LossWeights(gamma_d=0.0, gamma_m=0.0)
         combined = ls.total_loss(MC, new, ex, model, None, w)
         _, logits = model.forward(np.concatenate([new.x, ex.x]))
-        bare = ls.multiclass_ce(logits, np.concatenate([new.classes, ex.classes]))
+        bare = ls.multiclass_ce(dc.Tensor(logits), np.concatenate([new.classes, ex.classes]))
         assert combined.item() == bare.item()
 
     def test_distillation_profile_composes(self):

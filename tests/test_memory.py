@@ -289,7 +289,7 @@ class TestCapture:
         full, _ = extractor.forward_with_capture(x)
         stored = capture(extractor, x, mem.LATENT)
         resumed = extractor.forward_from_latent(stored)
-        np.testing.assert_array_equal(full.data, resumed.data)
+        np.testing.assert_array_equal(full, resumed)
 
     def test_unknown_mode(self):
         with pytest.raises(ConfigError):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cddet import diffcore as dc
+from cddet import losses as ls
 from cddet import model as mdl
 from cddet.errors import ConfigError, ContractError, ProtocolError
 from cddet.model import BC, COSFC, FAKE, LINFC, MC, REAL, SIGMOID, Model
@@ -28,9 +29,9 @@ class TestForward:
         # identity-ish check at head level: theta = I, bias = 0
         model.head.theta = dc.Tensor(np.eye(2, 5), requires_grad=True)
         model.head.bias = dc.Tensor(np.zeros(2), requires_grad=True)
-        feats = dc.Tensor(rng.normal(size=(4, 5)))
+        feats = rng.normal(size=(4, 5))
         logits = model.head.logits(feats)
-        np.testing.assert_array_equal(logits.data, feats.data[:, :2])
+        np.testing.assert_array_equal(logits, feats[:, :2])
 
     def test_logit_shape_tracks_sessions(self):
         model = make_model(LINFC, tasks=3)
@@ -42,9 +43,9 @@ class TestForward:
         model = make_model(COSFC, tasks=2, seed=1)
         rng = np.random.default_rng(2)
         feats = rng.normal(size=(7, 5))
-        base = model.head.logits(dc.Tensor(feats)).data
+        base = model.head.logits(feats)
         for c in (0.5, 3.0, 250.0):
-            scaled = model.head.logits(dc.Tensor(c * feats)).data
+            scaled = model.head.logits(c * feats)
             np.testing.assert_allclose(scaled, base, atol=1e-12)
 
     def test_empty_batch_rejected(self):
@@ -54,19 +55,18 @@ class TestForward:
 
     @pytest.mark.parametrize("variant", [LINFC, COSFC, SIGMOID])
     def test_tape_free_path_matches_the_tape_bitwise(self, variant):
+        """Inference on plain arrays against the reference forward on the
+        tape (``losses._forward_joint``), from raw rows and from latents."""
         model = make_model(variant, tasks=2, seed=4)
         x = np.random.default_rng(5).normal(size=(6, 6))
-        taped, taped_latent = model.extractor.forward_with_capture(x, tape=True)
-        free, free_latent = model.extractor.forward_with_capture(x)
-        np.testing.assert_array_equal(free.data, taped.data)
-        np.testing.assert_array_equal(free_latent, taped_latent)
-        np.testing.assert_array_equal(
-            model.head.logits(free).data, model.head.logits(taped, tape=True).data
-        )
-        np.testing.assert_array_equal(
-            model.extractor.forward_from_latent(free_latent).data,
-            model.extractor.forward_from_latent(free_latent, tape=True).data,
-        )
+        _, latent = model.extractor.forward_with_capture(x)
+        for rows, latents, (features, logits) in (
+            (x, None, model.forward(x)),
+            (None, latent, model.forward_from_latent(latent)),
+        ):
+            taped_features, taped_logits = ls._forward_joint(model, rows, latents)
+            np.testing.assert_array_equal(features, taped_features.data)
+            np.testing.assert_array_equal(logits, taped_logits.data)
 
     def test_sigmoid_head_single_output(self):
         model = make_model(SIGMOID, tasks=4)
@@ -115,7 +115,7 @@ class TestSnapshot:
         x = np.random.default_rng(3).normal(size=(4, 6))
         _, live = model.forward(x)
         _, frozen = snap.forward(x)
-        np.testing.assert_array_equal(live.data, frozen.data)
+        np.testing.assert_array_equal(live, frozen)
 
     def test_immutable_under_live_updates(self):
         model = make_model(LINFC, tasks=2, seed=7)
@@ -123,11 +123,11 @@ class TestSnapshot:
         snap = model.snapshot()
         rng = np.random.default_rng(4)
         inputs = [rng.normal(size=(3, 6)) for _ in range(10)]
-        before = [snap.forward(x)[1].data.copy() for x in inputs]
+        before = [snap.forward(x)[1] for x in inputs]
         for _ in range(100):
             for p in model.parameters():
                 p.data = p.data + 0.01 * rng.normal(size=p.data.shape)
-        after = [snap.forward(x)[1].data for x in inputs]
+        after = [snap.forward(x)[1] for x in inputs]
         for b, a in zip(before, after):
             np.testing.assert_array_equal(b, a)
 
@@ -197,7 +197,7 @@ class TestRegistryInvariants:
         x = np.random.default_rng(6).normal(size=(5, 6))
         full, latent = model.extractor.forward_with_capture(x)
         resumed = model.extractor.forward_from_latent(latent)
-        np.testing.assert_array_equal(full.data, resumed.data)
+        np.testing.assert_array_equal(full, resumed)
 
 
 class TestCheckpoint:
@@ -212,7 +212,7 @@ class TestCheckpoint:
         assert loaded.head.variant == COSFC
         assert loaded.head.registry.entries == model.head.registry.entries
         x = np.random.default_rng(7).normal(size=(4, 6))
-        np.testing.assert_array_equal(loaded.forward(x)[1].data, model.forward(x)[1].data)
+        np.testing.assert_array_equal(loaded.forward(x)[1], model.forward(x)[1])
 
 
 class TestCheckpointValidation:

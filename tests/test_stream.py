@@ -150,11 +150,18 @@ class TestDatasetFiles:
         rows += [f"1,train,0,{v}" for v in (0.1, 0.2)]
         rows += ["1,test,0,0.1", "1,test,1,0.9"]
         path.write_text("\n".join(rows) + "\n")
-        with pytest.raises(ParseError, match="fake"):
+        with pytest.raises(ParseError, match="line 5: split 'train' needs both real and fake records"):
             load_dataset(path)
 
     def test_mixed_task_ids_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("task_id,split,label,f0\n1,train,0,0.5\n2,train,1,0.5\n")
         with pytest.raises(ParseError, match="line 3"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
+    def test_non_finite_feature_names_line(self, tmp_path, value):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"task_id,split,label,f0\n1,train,0,0.5\n1,train,1,{value}\n")
+        with pytest.raises(ParseError, match="line 3: non-finite feature value"):
             load_dataset(path)

@@ -199,7 +199,8 @@ class TestRunScenario:
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 class TestNumericsErrors:
     """An overflowing weight raises NumericsError on every path that runs
-    the model: a training step, evaluation and herding."""
+    the model, naming what overflowed: a training step, evaluation and
+    herding."""
 
     def _poisoned(self):
         model, memory, sessions, profile = fresh_setup(system=MC, profile_name="replay")
@@ -215,6 +216,13 @@ class TestNumericsErrors:
     def test_evaluate(self):
         model, _, sessions, _ = self._poisoned()
         with pytest.raises(NumericsError, match="layer 0 pre-activation"):
+            _evaluate(model, MC, sessions[0].test)
+
+    def test_evaluate_names_the_logits(self):
+        model, memory, sessions, profile = fresh_setup(system=MC, profile_name="replay")
+        run_session(model, memory, sessions[0], profile, FAST, MC)
+        model.head.theta.data[...] = 1e308
+        with pytest.raises(NumericsError, match="^logits produced non-finite entries$"):
             _evaluate(model, MC, sessions[0].test)
 
     def test_herding(self):
