@@ -27,7 +27,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from .errors import ConfigError, EngineError, ParseError
+from .errors import ConfigError, EngineError, ParseError, names_its_file
 from .losses import AGG_RULES
 from .metrics import (
     aa,
@@ -42,7 +42,7 @@ from .metrics import (
     write_pr_curves,
 )
 from .model import MT, SYSTEMS, save_checkpoint
-from .stream import SCENARIO_KINDS, build_scenario, load_dataset, synth_generate
+from .stream import _SCENARIO_SOURCES, SCENARIO_KINDS, build_scenario, load_dataset, synth_generate
 from .trainer import MethodProfile, TrainConfig, resolve_profile, run_scenario_over_sessions
 from .verify import format_report, run_battery
 
@@ -124,31 +124,19 @@ class ExperimentConfig:
         return profile, train_cfg
 
     def echo(self) -> dict:
-        # everything needed to rerun; the output path stays out so reruns
-        # into different directories produce byte-identical artifacts
-        echo = {
-            "scenario": self.scenario,
-            "data": list(self.data),
-            "profile": self.profile,
-            "system": self.system,
-            "aggregation": self.aggregation,
-            "memory": self.memory,
-            "seed": self.seed,
-            "epochs": self.epochs,
-            "lr": self.lr,
-            "batch_size": self.batch_size,
-            "lambda": self.lam,
-            "label_smooth": self.label_smooth,
-            "mixup": self.mixup,
-            "warmup": self.warmup,
-        }
+        # every setting needed to rerun, the overrides flattened; the output
+        # path stays out so reruns into different directories produce
+        # byte-identical artifacts, and the seed grid and worker count too
+        skipped = ("seeds", "out", "jobs", "overrides")
+        echo = {"lambda" if k == "lam" else k: v for k, v in vars(self).items() if k not in skipped}
         echo.update({f"override_{k}": v for k, v in sorted(self.overrides.items())})
         return echo
 
 
-def _parse_config_file(path: str) -> dict[str, tuple[str, int]]:
-    """Each key's value and the line it was set on; a later line wins."""
-    values: dict[str, tuple[str, int]] = {}
+@names_its_file
+def _parse_config_file(path: str) -> dict:
+    """Each key's parsed value; a later line wins."""
+    values: dict = {}
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.read().splitlines()
@@ -161,30 +149,25 @@ def _parse_config_file(path: str) -> dict[str, tuple[str, int]]:
         if "=" not in line:
             raise ParseError("expected key = value", line=lineno)
         key, _, value = line.partition("=")
-        key = key.strip()
+        key, value = key.strip(), value.strip()
         if key not in _CONFIG_KEYS:
             raise ParseError(f"unknown config key {key!r}", line=lineno)
-        values[key] = (value.strip(), lineno)
+        cast = _FIELDS.get(key) or _PROFILE_OVERRIDES[key]
+        try:
+            values[key] = cast(value)
+        except (ValueError, KeyError):
+            raise ParseError(f"{key}: expected {_EXPECTED[cast]}, found {value!r}", line=lineno) from None
     return values
 
 
 def _config_from_sources(args: argparse.Namespace) -> ExperimentConfig:
     cfg = ExperimentConfig()
     raw = _parse_config_file(args.config) if args.config else {}
-
-    def parse(key, cast):
-        value, lineno = raw[key]
-        try:
-            return cast(value)
-        except (ValueError, KeyError):
-            raise ParseError(f"{key}: expected {_EXPECTED[cast]}, found {value!r}", line=lineno) from None
-
-    for key, cast in _FIELDS.items():
-        if key in raw:
-            setattr(cfg, "lam" if key == "lambda" else key, parse(key, cast))
-    for key, cast in _PROFILE_OVERRIDES.items():
-        if key in raw:
-            cfg.overrides[key] = parse(key, cast)
+    for key, value in raw.items():
+        if key in _PROFILE_OVERRIDES:
+            cfg.overrides[key] = value
+        else:
+            setattr(cfg, "lam" if key == "lambda" else key, value)
 
     env_seed = os.environ.get("CDD_SEED")
     if args.seed is not None:
@@ -201,11 +184,7 @@ def _config_from_sources(args: argparse.Namespace) -> ExperimentConfig:
     if args.data:
         cfg.data = args.data
         cfg.scenario = None
-    for flag in ("profile", "system", "aggregation", "out"):
-        value = getattr(args, flag)
-        if value is not None:
-            setattr(cfg, flag, value)
-    for flag in ("memory", "epochs", "jobs"):
+    for flag in ("profile", "system", "aggregation", "out", "memory", "epochs", "jobs"):
         value = getattr(args, flag)
         if value is not None:
             setattr(cfg, flag, value)
@@ -250,8 +229,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         for *_, out_dir in runs:
             out_dir.mkdir(parents=True, exist_ok=True)
     except (ConfigError, ParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _usage_error(exc)
     except OSError as exc:
         print(f"error: cannot create the run directory {exc.filename}: {exc.strerror}", file=sys.stderr)
         return 2
@@ -265,20 +243,34 @@ def cmd_run(args: argparse.Namespace) -> int:
                 for future in futures:
                     future.result()
     except (ConfigError, ParseError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _usage_error(exc)
     except EngineError as exc:
         print(f"runtime failure: {exc}", file=sys.stderr)
         return 1
     return 0
 
 
+def _usage_error(exc: Exception) -> int:
+    """Print ``exc`` as a usage error, after the file at fault if it names one."""
+    path = getattr(exc, "path", None)
+    print(f"error: {exc}" if path is None else f"error: {path}: {exc}", file=sys.stderr)
+    return 2
+
+
 def recompute_metrics_json(run_dir: Path) -> str:
-    """Rebuild the metrics document from the persisted artifacts alone."""
+    """Rebuild the metrics document from the persisted artifacts alone, once
+    their tasks agree: one per matrix column, and a scenario run's own."""
     matrix = read_accuracy_matrix(run_dir / "accuracy_matrix.csv")
-    logs = read_predictions(run_dir / "predictions.csv")
+    predictions = run_dir / "predictions.csv"
+    logs = read_predictions(predictions)
     with open(run_dir / "config.json", encoding="utf-8") as fh:
         echo = json.load(fh)
+    task_ids = sorted(logs)
+    if len(task_ids) != matrix.shape[0]:
+        raise ParseError(f"{len(task_ids)} tasks for {matrix.shape[0]} accuracy-matrix columns", path=predictions)
+    scenario = echo.get("scenario") if isinstance(echo, dict) else None
+    if scenario is not None and task_ids != _SCENARIO_SOURCES.get(scenario):
+        raise ParseError(f"tasks {task_ids} are not those of scenario {scenario!r}", path=predictions)
     metrics, _ = compute_metrics(matrix, logs, echo)
     return metrics_to_json(metrics)
 
@@ -307,8 +299,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
             if matrix.shape[0] >= 2:
                 print(f"{'AF':<8}{af(matrix):.6f}")
     except (ParseError, ConfigError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _usage_error(exc)
     except EngineError as exc:
         print(f"runtime failure: {exc}", file=sys.stderr)
         return 1

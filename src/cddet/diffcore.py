@@ -22,8 +22,9 @@ Neither training nor inference records a tape: both run on plain arrays
 tape is the reference that the tests and ``cddet verify`` hold the step
 to, gradient for gradient and bit for bit, so it keeps only the ops that
 reference (``losses.total_loss`` over ``losses._forward_joint``) and the
-benchmark's microbenchmarks use. The ops that only the tests compose live
-in ``tests/tape_ops.py``.
+benchmark's microbenchmarks use. The model's parameters are plain arrays:
+only the reference wraps them in tape leaves (``losses.tape_leaves``). The
+ops that only the tests compose live in ``tests/tape_ops.py``.
 """
 
 from __future__ import annotations
@@ -65,9 +66,6 @@ class Tensor:
         if self.data.size != 1:
             raise ContractError("item() requires a single-element tensor")
         return float(self.data.reshape(()))
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     def backward(self) -> None:
         """Run a full backward sweep from this scalar output."""

@@ -13,11 +13,13 @@ Each term's value and gradient are computed by one plain-array function
 step call. Training runs ``loss_and_gradients``: the model's one inference
 path (``np_activations`` and ``ClassifierHead.logits_and_cosines``), these
 terms and the backward sweep written out by hand on plain arrays, with the
-tape's operands, memory layouts and order of summation, so every parameter
-gradient equals ``total_loss(...).backward()`` bit for bit. ``total_loss``
-on the tape is kept as the reference the tests and ``cddet verify`` check
-the step against; its forward, ``_forward_joint``, is the only place the
-network is built on the tape. The step reads its rows as ``StepRows``,
+tape's operands, memory layouts and order of summation; it writes each
+parameter gradient into the optimizer's buffer, and each equals
+``total_loss(...).backward()`` bit for bit. ``total_loss`` on the tape is
+kept as the reference the tests and ``cddet verify`` check the step
+against; its forward, ``_forward_joint``, is the only place the network is
+built on the tape, over leaves that wrap the model's parameter arrays
+(``tape_leaves``). The step reads its rows as ``StepRows``,
 laid out by the trainer once per epoch (``step_rows`` lays out a pair of
 batches the same way). Means are written as sum / size, which is what
 ``np.mean`` computes, without its per-call dispatch.
@@ -404,11 +406,18 @@ def mixup(batch_a, batch_b, alpha: float, rng: np.random.Generator):
 # composite session objective
 
 
-def _forward_joint(model: Model, raw: Array | None, latents: Array | None):
+def tape_leaves(model: Model) -> list[Tensor]:
+    """The model's parameters as tape leaves, in ``parameters()`` order;
+    only the trainable ones take a gradient, as in the training step."""
+    frozen = 2 * model.extractor.frozen
+    return [Tensor(p, requires_grad=i >= frozen) for i, p in enumerate(model.parameters())]
+
+
+def _forward_joint(model: Model, leaves: list[Tensor], raw: Array | None, latents: Array | None):
     """Features and logits of the live model on the tape, the reference's
-    forward: raw rows through every layer, then latent rows from the capture
-    layer on."""
-    ext, head = model.extractor, model.head
+    forward over ``leaves`` (``tape_leaves``): raw rows through every layer,
+    then latent rows from the capture layer on."""
+    ext = model.extractor
     last = len(ext.weights) - 1
     parts = []
     for start, rows in ((0, raw), (ext.capture_layer + 1, latents)):
@@ -416,15 +425,16 @@ def _forward_joint(model: Model, raw: Array | None, latents: Array | None):
             continue
         h = Tensor(rows)
         for i in range(start, last + 1):
-            h = (dc.affine_relu if i < last else dc.affine)(h, ext.weights[i], ext.biases[i])
+            h = (dc.affine_relu if i < last else dc.affine)(h, leaves[2 * i], leaves[2 * i + 1])
         parts.append(h)
     if not parts:
         raise ContractError("no rows to train on")
     features = parts[0] if len(parts) == 1 else dc.concat_rows(parts[0], parts[1])
-    if head.variant == COSFC:
-        cos = dc.cosine_matrix(features, head.theta)
-        return features, dc.mul(cos, _broadcast_scalar(head.scale, cos.shape))
-    return features, dc.linear(features, head.theta, head.bias)
+    theta, other = leaves[-2:]
+    if model.head.variant == COSFC:
+        cos = dc.cosine_matrix(features, theta)
+        return features, dc.mul(cos, _broadcast_scalar(other, cos.shape))
+    return features, dc.linear(features, theta, other)
 
 
 def _broadcast_scalar(s: Tensor, shape: tuple[int, ...]) -> Tensor:
@@ -462,16 +472,20 @@ def total_loss(
     weights: LossWeights,
     rule: str | None = None,
     distill_form: str = "logit",
+    leaves: list[Tensor] | None = None,
 ) -> Tensor:
     """Classification over new plus replayed rows, distillation and margin
-    ranking over the replayed rows, weighted by gamma_d and gamma_m."""
+    ranking over the replayed rows, weighted by gamma_d and gamma_m; the
+    parameters enter as ``leaves`` (by default ``tape_leaves(model)``)."""
     if (weights.gamma_d > 0 or weights.gamma_m > 0) and snapshot is None:
         raise ProtocolError("distillation or margin terms need a model snapshot")
+    if leaves is None:
+        leaves = tape_leaves(model)
 
     ex = batch_exemplar if batch_exemplar is not None and len(batch_exemplar) else None
     raw = _stack(batch_new.x, ex.x if ex else None)
     latents = ex.latents if ex else None
-    features, logits = _forward_joint(model, raw, latents)
+    features, logits = _forward_joint(model, leaves, raw, latents)
 
     n_new = 0 if batch_new.x is None else batch_new.x.shape[0]
     ex_slice = slice(n_new, None)
@@ -518,7 +532,7 @@ def total_loss(
 
     if wants_margin:
         ex_classes = classes[n_new:]
-        supp = margin_ranking(ex_feats, model.head.theta, ex_classes, weights.tau, weights.J)
+        supp = margin_ranking(ex_feats, leaves[-2], ex_classes, weights.tau, weights.J)
         total = dc.add(total, dc.scale(supp, weights.gamma_m))
 
     return total
@@ -554,28 +568,25 @@ def _one_hot(targets: Array, k: int) -> Array:
 # the training step: total_loss and its backward sweep on plain arrays
 
 
-def _add_grad(grads: dict, param: Tensor, g: Array) -> None:
-    grads[param] = g if param not in grads else grads[param] + g
-
-
-def _np_layers_backward(extractor, start: int, acts: list[Array], g: Array, grads: dict) -> None:
-    """The tape's backward through layers ``start`` onward, given their
-    ``np_activations``: a layer's input gradient is formed only where a
-    layer below it trains."""
-    weights, biases = extractor.weights, extractor.biases
-    trains = [w.requires_grad or b.requires_grad for w, b in zip(weights, biases)]
-    last = len(weights) - 1
-    for i in range(last, start - 1, -1):
+def _np_layers_backward(extractor, start: int, acts: list[Array], g: Array, grads: list[Array], add: bool) -> None:
+    """The tape's backward through the trainable layers from ``start`` on,
+    given their ``np_activations``: each layer's gradients are written into
+    ``grads`` (as ``loss_and_gradients`` takes them), or added when ``add``."""
+    weights, frozen = extractor.weights, extractor.frozen
+    last, stop = len(weights) - 1, max(start, frozen)
+    for i in range(last, stop - 1, -1):
         if i < last:
             g = g * (acts[i - start + 1] > 0)  # relu(z) > 0 exactly where z > 0
         x = acts[i - start]
-        if weights[i].requires_grad:
-            _add_grad(grads, weights[i], x.T @ g)
-        if biases[i].requires_grad:
-            _add_grad(grads, biases[i], g.sum(axis=0))
-        if not any(trains[start:i]):
-            return
-        g = g @ weights[i].data.T
+        gw, gb = grads[2 * (i - frozen)], grads[2 * (i - frozen) + 1]
+        if add:
+            gw += x.T @ g
+            gb += g.sum(axis=0)
+        else:
+            np.matmul(x.T, g, out=gw)
+            np.sum(g, axis=0, out=gb)
+        if i > stop:
+            g = g @ weights[i].T
 
 
 @dataclass
@@ -625,12 +636,14 @@ def loss_and_gradients(
     step: StepRows,
     model: Model,
     weights: LossWeights,
+    grads: list[Array],
     rule: str | None = None,
     distill_form: str = "logit",
     mt_classes: tuple[Array, Array] | None = None,
-) -> tuple[float, dict]:
-    """``total_loss``'s value and the gradient of every trainable parameter,
-    without the tape: a ``{parameter: gradient}`` map for ``Adam.step``.
+) -> float:
+    """``total_loss``'s value, computed without the tape, after writing the
+    gradient of every trainable parameter into ``grads``: one array per
+    trainable parameter, in ``model.parameters()`` order (``Adam.grads``).
 
     The forward pass, the loss terms and the backward sweep use the tape's
     operands, memory layouts and order of summation, so each gradient equals
@@ -639,14 +652,14 @@ def loss_and_gradients(
     given. Distilling needs the snapshot's outputs on the replayed rows
     (``old_features``/``old_logits``); its per-row constants are used when
     ``step.ex`` carries them. Inputs are not checked here: every row is
-    checked once, when the session's plan is built.
+    checked once, when the session's plan is built, and the first of
+    ``step.chains`` enters no higher than the lowest trainable layer.
     """
     ext, head = model.extractor, model.head
     chains = [(start, ext.np_activations(x, start)) for start, x in step.chains]
     outs = [acts[-1] for _, acts in chains]
     feats = outs[0] if len(outs) == 1 else np.concatenate(outs, axis=0)
 
-    theta = head.theta.data
     logits, cosines = head.logits_and_cosines(feats)
 
     n_new, targets = step.n_new, step.targets
@@ -702,31 +715,32 @@ def loss_and_gradients(
         total = total + distill * gamma_d
 
     if n_ex and gamma_m > 0 and system != BC:
-        if weights.J > theta.shape[0] - 1:
-            raise ContractError(f"J={weights.J} exceeds the {theta.shape[0] - 1} available rival classes")
+        if weights.J > head.theta.shape[0] - 1:
+            raise ContractError(f"J={weights.J} exceeds the {head.theta.shape[0] - 1} available rival classes")
         supp = 0.0
         if weights.J > 0:
-            sims, sna, snb, san, sbn = dc.np_cosine_matrix(ex_feats, theta, ex_norms)
+            sims, sna, snb, san, sbn = dc.np_cosine_matrix(ex_feats, head.theta, ex_norms)
             value, g = _margin_parts(dc.checked(sims, "margin cosines"), ex.classes[rows], weights.tau, weights.J)
             supp = _checked_loss(value, "margin_ranking")
             d_ex, d_theta_margin = dc.np_cosine_backward(gamma_m * g, sims, sna, snb, san, sbn)
             d_feats_ex = d_ex if d_feats_ex is None else d_feats_ex + d_ex
         total = total + supp * gamma_m
 
-    grads: dict = {}
+    g_theta, g_other = grads[-2:]
     if cosines is not None:
-        grads[head.scale] = np.asarray((d_logits * cosines[0]).sum())
-        d_feats, d_theta = dc.np_cosine_backward(d_logits * head.scale.data, *cosines)
+        np.sum(d_logits * cosines[0], out=g_other)
+        d_feats, g_theta[...] = dc.np_cosine_backward(d_logits * head.scale, *cosines)
     else:
-        d_feats = d_logits @ theta
-        d_theta = d_logits.T @ feats
-        grads[head.bias] = d_logits.sum(axis=0)
-    grads[head.theta] = d_theta if d_theta_margin is None else d_theta + d_theta_margin
+        d_feats = d_logits @ head.theta
+        np.matmul(d_logits.T, feats, out=g_theta)
+        np.sum(d_logits, axis=0, out=g_other)
+    if d_theta_margin is not None:
+        g_theta += d_theta_margin
     if d_feats_ex is not None:
         d_feats[n_new:] += d_feats_ex
     row = 0
-    for (start, acts), out in zip(chains, outs):
+    for k, ((start, acts), out) in enumerate(zip(chains, outs)):
         g = d_feats if len(chains) == 1 else d_feats[row : row + out.shape[0]]
-        _np_layers_backward(ext, start, acts, g, grads)
+        _np_layers_backward(ext, start, acts, g, grads, add=k > 0)
         row += out.shape[0]
-    return _checked_loss(total, "total"), grads
+    return _checked_loss(total, "total")

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, DegenerateInputError, ParseError
+from .errors import ContractError, DegenerateInputError, ParseError, names_its_file
 from .trainer import PredictionLog, RunRecord
 
 Array = np.ndarray
@@ -188,9 +188,12 @@ def write_accuracy_matrix(path, matrix: Array) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+@names_its_file
 def read_accuracy_matrix(path) -> Array:
     with open(path, encoding="utf-8") as fh:
         lines = [line for line in fh.read().splitlines() if line.strip() != ""]
+    if not lines:
+        raise ParseError("no accuracy rows", line=1)
     n = len(lines)
     matrix = np.full((n, n), np.nan)
     for i, line in enumerate(lines):
@@ -241,6 +244,7 @@ def write_predictions(path, record: RunRecord) -> None:
 _INT64 = 2**63  # class indices are stored as int64
 
 
+@names_its_file
 def read_predictions(path) -> dict[int, PredictionLog]:
     with open(path, encoding="utf-8") as fh:
         lines = fh.read().splitlines()

@@ -4,9 +4,8 @@ Forward passes take and return plain arrays and record no tape. Layers run
 in ``np_activations``, with a finiteness check on every pre-activation, and
 the head's logit rule is ``ClassifierHead.logits_and_cosines``, which checks
 its cosines and logits. Training, evaluation, herding, latent capture and
-snapshots all run this one path. Parameters are ``Tensor`` objects, so that
-the reference loss on the tape (``losses.total_loss``, over the taped forward
-``losses._forward_joint``) can differentiate them.
+snapshots all run this one path. Parameters are plain arrays; the reference
+loss on the tape (``losses.total_loss``) wraps them in its own leaves.
 
 Three head variants are supported: a plain linear head ("linfc"), a
 cosine-normalised head with a learnable positive scale ("cosfc"), and a
@@ -38,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import diffcore as dc
-from .diffcore import Array, Tensor
+from .diffcore import Array
 from .errors import ConfigError, ContractError, DegenerateInputError, ProtocolError
 from .memory import ExemplarMemory
 
@@ -77,9 +76,6 @@ class ClassRegistry:
                 seen.append(task_id)
         return seen
 
-    def polarity(self, class_idx: int) -> int:
-        return self.entries[class_idx][1]
-
     def class_of(self, task_id: int, polarity: int) -> int:
         for idx, entry in enumerate(self.entries):
             if entry == (task_id, polarity):
@@ -102,7 +98,9 @@ class FeatureExtractor:
     """Stack of ReLU hidden layers ending in a linear feature layer.
 
     ``capture_layer`` indexes the hidden activation stored for latent replay;
-    replayed payloads re-enter just after that layer.
+    replayed payloads re-enter just after that layer. ``frozen`` counts the
+    bottom layers that do not train: latent replay sets it to
+    ``capture_layer + 1`` (``trainer._plan_session``), and it is 0 otherwise.
     """
 
     def __init__(self, widths: tuple[int, ...], capture_layer: int, rng: np.random.Generator):
@@ -113,11 +111,12 @@ class FeatureExtractor:
             raise ConfigError(f"capture layer {capture_layer} out of range for {n_hidden} hidden layers")
         self.widths = tuple(int(w) for w in widths)
         self.capture_layer = capture_layer
-        self.weights: list[Tensor] = []
-        self.biases: list[Tensor] = []
+        self.frozen = 0
+        self.weights: list[Array] = []
+        self.biases: list[Array] = []
         for fan_in, fan_out in zip(widths[:-1], widths[1:]):
-            self.weights.append(Tensor(_uniform_init(rng, (fan_in, fan_out), fan_in), requires_grad=True))
-            self.biases.append(Tensor(_uniform_init(rng, (fan_out,), fan_in), requires_grad=True))
+            self.weights.append(_uniform_init(rng, (fan_in, fan_out), fan_in))
+            self.biases.append(_uniform_init(rng, (fan_out,), fan_in))
 
     @property
     def input_width(self) -> int:
@@ -161,12 +160,13 @@ class FeatureExtractor:
         acts = [x]
         last = len(self.weights) - 1
         for i in range(start, last + 1 if stop is None else stop):
-            z = dc.checked(acts[-1] @ self.weights[i].data + self.biases[i].data, f"layer {i} pre-activation")
+            z = dc.checked(acts[-1] @ self.weights[i] + self.biases[i], f"layer {i} pre-activation")
             acts.append(dc.np_relu(z) if i < last else z)
         return acts
 
-    def parameters(self) -> list[Tensor]:
-        return list(self.weights) + list(self.biases)
+    def parameters(self) -> list[Array]:
+        """Each layer's weights then its bias, bottom first: the frozen layers' are the first ``2 * frozen``."""
+        return [p for layer in zip(self.weights, self.biases) for p in layer]
 
 
 class ClassifierHead:
@@ -181,13 +181,13 @@ class ClassifierHead:
         self._rng = rng
         if variant == SIGMOID:
             # one fixed output unit for the whole run
-            self.theta = Tensor(_uniform_init(rng, (1, feature_width), feature_width), requires_grad=True)
-            self.bias = Tensor(np.zeros(1), requires_grad=True)
+            self.theta = _uniform_init(rng, (1, feature_width), feature_width)
+            self.bias = np.zeros(1)
             self.scale = None
         else:
-            self.theta = Tensor(np.zeros((0, feature_width)), requires_grad=True)
-            self.bias = Tensor(np.zeros(0), requires_grad=True) if variant == LINFC else None
-            self.scale = Tensor(np.asarray(1.0), requires_grad=True) if variant == COSFC else None
+            self.theta = np.zeros((0, feature_width))
+            self.bias = np.zeros(0) if variant == LINFC else None
+            self.scale = np.asarray(1.0) if variant == COSFC else None
 
     @property
     def num_classes(self) -> int:
@@ -199,9 +199,9 @@ class ClassifierHead:
             raise ProtocolError("sigmoid heads keep a single unit; register the task instead")
         self.registry.add_task(task_id)
         new_rows = _uniform_init(self._rng, (2, self.feature_width), self.feature_width)
-        self.theta = Tensor(np.vstack([self.theta.data, new_rows]), requires_grad=True)
+        self.theta = np.vstack([self.theta, new_rows])
         if self.variant == LINFC:
-            self.bias = Tensor(np.concatenate([self.bias.data, np.zeros(2)]), requires_grad=True)
+            self.bias = np.concatenate([self.bias, np.zeros(2)])
 
     def register_task(self, task_id: int) -> None:
         """Bookkeeping-only registration used by the sigmoid variant."""
@@ -221,17 +221,13 @@ class ClassifierHead:
         if self.variant != SIGMOID and self.num_classes == 0:
             raise ProtocolError("head has no classes; expand it first")
         if self.variant == COSFC:
-            cosines = dc.np_cosine_matrix(features, self.theta.data)
-            return dc.checked(dc.checked(cosines[0], "head cosines") * self.scale.data, "logits"), cosines
-        return dc.checked(features @ self.theta.data.T + self.bias.data, "logits"), None
+            cosines = dc.np_cosine_matrix(features, self.theta)
+            return dc.checked(dc.checked(cosines[0], "head cosines") * self.scale, "logits"), cosines
+        return dc.checked(features @ self.theta.T + self.bias, "logits"), None
 
-    def parameters(self) -> list[Tensor]:
-        params = [self.theta]
-        if self.bias is not None:
-            params.append(self.bias)
-        if self.scale is not None:
-            params.append(self.scale)
-        return params
+    def parameters(self) -> list[Array]:
+        """``theta``, then ``scale`` (cosine head) or ``bias`` (the others)."""
+        return [self.theta, self.bias if self.scale is None else self.scale]
 
 
 class Model:
@@ -269,18 +265,21 @@ class Model:
         features = self.extractor.forward_from_latent(latent)
         return features, self.head.logits(features)
 
-    def parameters(self) -> list[Tensor]:
+    def parameters(self) -> list[Array]:
         return self.extractor.parameters() + self.head.parameters()
 
+    def set_parameters(self, params: list[Array]) -> None:
+        """Rebind every parameter to the given arrays, in ``parameters()`` order."""
+        ext, head, n = self.extractor, self.head, 2 * len(self.extractor.weights)
+        ext.weights, ext.biases = list(params[0:n:2]), list(params[1:n:2])
+        head.theta, other = params[n:]
+        head.bias, head.scale = (other, None) if head.scale is None else (None, other)
+
     def snapshot(self) -> "Model":
-        """Frozen deep copy; training the live model never changes its outputs."""
+        """Deep copy; training the live model never changes its outputs."""
         if self.sessions_trained < 1:
             raise ProtocolError("snapshot requires at least one trained session")
-        clone = copy.deepcopy(self)
-        for param in clone.parameters():
-            param.requires_grad = False
-            param.grad = None
-        return clone
+        return copy.deepcopy(self)
 
 
 def predict_binary(head: ClassifierHead, logits: Array, system: str) -> Array:
@@ -322,19 +321,16 @@ CHECKPOINT_FORMAT = "cddet-checkpoint-v1"
 
 def _model_payload(model: Model) -> dict:
     head = model.head
-    head_payload: dict = {"theta": head.theta.data.tolist()}
-    if head.bias is not None:
-        head_payload["bias"] = head.bias.data.tolist()
-    if head.scale is not None:
-        head_payload["scale"] = float(head.scale.data)
+    theta, other = head.parameters()
+    head_payload = {"theta": theta.tolist(), "bias" if head.scale is None else "scale": other.tolist()}
     return {
         "widths": list(model.extractor.widths),
         "capture_layer": model.extractor.capture_layer,
         "variant": head.variant,
         "registry": [list(entry) for entry in head.registry.entries],
         "extractor": {
-            "weights": [w.data.tolist() for w in model.extractor.weights],
-            "biases": [b.data.tolist() for b in model.extractor.biases],
+            "weights": [w.tolist() for w in model.extractor.weights],
+            "biases": [b.tolist() for b in model.extractor.biases],
         },
         "head": head_payload,
         "sessions_trained": model.sessions_trained,
@@ -342,7 +338,8 @@ def _model_payload(model: Model) -> dict:
 
 
 def _stored_array(value, shape: tuple[int, ...], field: str) -> Array:
-    """A stored parameter array, which must have exactly the expected shape."""
+    """A stored parameter array, which must be finite and have exactly the
+    expected shape."""
     try:
         arr = np.asarray(value, dtype=np.float64)
     except (TypeError, ValueError):
@@ -351,6 +348,8 @@ def _stored_array(value, shape: tuple[int, ...], field: str) -> Array:
         arr = arr.reshape(shape)  # an empty head is stored as []
     if arr.shape != shape:
         raise ConfigError(f"checkpoint field {field}: shape {arr.shape}, expected {shape}")
+    if not np.isfinite(arr).all():
+        raise ConfigError(f"checkpoint field {field}: non-finite entries")
     return arr
 
 
@@ -371,13 +370,9 @@ def _model_from_payload(payload: dict) -> Model:
         n_layers = len(widths) - 1
         weights = _stored_list(payload["extractor"]["weights"], n_layers, "model.extractor.weights")
         biases = _stored_list(payload["extractor"]["biases"], n_layers, "model.extractor.biases")
-        for i in range(n_layers):
-            extractor.weights[i].data = _stored_array(
-                weights[i], (widths[i], widths[i + 1]), f"model.extractor.weights[{i}]"
-            )
-            extractor.biases[i].data = _stored_array(
-                biases[i], (widths[i + 1],), f"model.extractor.biases[{i}]"
-            )
+        for i, (w, b) in enumerate(zip(weights, biases)):
+            extractor.weights[i] = _stored_array(w, (widths[i], widths[i + 1]), f"model.extractor.weights[{i}]")
+            extractor.biases[i] = _stored_array(b, (widths[i + 1],), f"model.extractor.biases[{i}]")
         entries = [tuple(entry) for entry in payload["registry"]]
         if any(len(entry) != 2 or entry[1] not in (REAL, FAKE) for entry in entries):
             raise ConfigError("checkpoint field model.registry: entries must be [task_id, polarity]")
@@ -385,14 +380,9 @@ def _model_from_payload(payload: dict) -> Model:
         head.registry = ClassRegistry(entries)
         stored = payload["head"]
         rows = 1 if head.variant == SIGMOID else len(entries)
-        head.theta = Tensor(
-            _stored_array(stored["theta"], (rows, extractor.feature_width), "model.head.theta"),
-            requires_grad=True,
-        )
-        if head.bias is not None:
-            head.bias = Tensor(_stored_array(stored["bias"], (rows,), "model.head.bias"), requires_grad=True)
-        if head.scale is not None:
-            head.scale = Tensor(_stored_array(stored["scale"], (), "model.head.scale"), requires_grad=True)
+        head.theta = _stored_array(stored["theta"], (rows, extractor.feature_width), "model.head.theta")
+        name, shape = ("bias", (rows,)) if head.scale is None else ("scale", ())
+        setattr(head, name, _stored_array(stored[name], shape, f"model.head.{name}"))
         model = Model(extractor, head)
         model.sessions_trained = int(payload["sessions_trained"])
     except KeyError as exc:

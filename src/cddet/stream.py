@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, ParseError
+from .errors import ConfigError, ParseError, names_its_file
 from .model import FAKE, REAL
 
 EASY = "easy"
@@ -240,6 +240,7 @@ def save_dataset(session: SessionData, path) -> None:
                 writer.writerow([session.task_id, split_name, int(label)] + [repr(float(v)) for v in row])
 
 
+@names_its_file
 def load_dataset(path) -> SessionData:
     """Parse one task's records; malformed rows fail with their line number."""
     try:

@@ -26,7 +26,7 @@ coarsest level at which it is constant:
   order;
 - once per step: ``_assemble_batches`` slices the window (mixing its new
   rows in place under mixup), ``losses.loss_and_gradients`` computes the
-  loss and every gradient on plain arrays, and ``Adam.step`` applies them.
+  loss and writes each gradient into ``Adam.g``; ``Adam.step`` applies them.
 
 The gradients equal the tape's (``total_loss(...).backward()``) bit for bit;
 the tape stays as the reference the tests and ``cddet verify`` use. One
@@ -38,7 +38,6 @@ differently from the session-wide one.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -150,64 +149,51 @@ class RunRecord:
     matrix: np.ndarray
     logs: dict[int, PredictionLog]
     config_echo: dict
-    wall_clock: list[float] = field(default_factory=list)
     memory_totals: list[int] = field(default_factory=list)
     model: Model | None = None
     memory: ExemplarMemory | None = None
 
 
 class Adam:
-    """Adaptive-moment optimizer with the standard defaults.
+    """Adaptive-moment optimizer with the standard defaults, over the
+    model's trainable parameters (all but the first ``2 * frozen``).
 
-    The trainable parameters' values live in one flat buffer: each
-    parameter's ``data`` becomes a view into it, and a step updates the
-    buffer and both moment buffers in place. Frozen parameters stay out.
+    Their values live in one flat buffer, ``flat``, each parameter rebound
+    to its view of it; ``grads`` holds their views of the gradient buffer
+    ``g``, which ``losses.loss_and_gradients`` writes. A step updates
+    ``flat`` and both moment buffers in place.
     """
 
-    def __init__(self, params, lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-        self.params = [p for p in params if p.requires_grad]
+    def __init__(self, model: Model, lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+        params = model.parameters()
+        frozen = 2 * model.extractor.frozen
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        bounds = np.cumsum([0] + [p.data.size for p in self.params])
-        self.spans = [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
-        self.flat = np.zeros(bounds[-1])
-        for p, span in zip(self.params, self.spans):
-            self.flat[span] = p.data.ravel()
-            p.data = self.flat[span].reshape(p.data.shape)
+        trainable = params[frozen:]
+        self.flat = np.concatenate([p.ravel() for p in trainable])
+        self.g = np.zeros_like(self.flat)
+        cuts = np.cumsum([p.size for p in trainable])[:-1]
+        self.params = [part.reshape(p.shape) for part, p in zip(np.split(self.flat, cuts), trainable)]
+        self.grads = [part.reshape(p.shape) for part, p in zip(np.split(self.g, cuts), trainable)]
+        model.set_parameters(params[:frozen] + self.params)
         self.m = np.zeros_like(self.flat)
         self.v = np.zeros_like(self.flat)
-        self.g = np.zeros_like(self.flat)
         self._scratch = (np.empty_like(self.flat), np.empty_like(self.flat))
 
     def zero_grad(self) -> None:
-        """Clear the gradients a tape sweep stored on the parameters."""
-        for p in self.params:
-            p.zero_grad()
+        """Clear the gradient buffer."""
+        self.g.fill(0.0)
 
-    def step(self, grads: dict) -> None:
-        """One update from ``grads``, a ``{parameter: gradient}`` map; a
-        parameter it leaves out keeps its value and moments."""
-        self.t += 1
-        live = []
-        for p, span in zip(self.params, self.spans):
-            g = grads.get(p)
-            if g is not None:
-                self.g[span] = g.ravel()
-                live.append(span)
-        if len(live) == len(self.spans):
-            self._update(slice(None))
-        else:  # a parameter without a gradient keeps its value and moments
-            for span in live:
-                self._update(span)
-
-    def _update(self, span: slice) -> None:
+    def step(self) -> None:
+        """One update from the gradients in ``g``."""
         # lr * m_hat / (sqrt(v_hat) + eps), each operation in the order the
         # expression states, written into two scratch buffers
-        g, m, v = self.g[span], self.m[span], self.v[span]
-        a, b = self._scratch[0][span], self._scratch[1][span]
+        self.t += 1
+        g, m, v = self.g, self.m, self.v
+        a, b = self._scratch
         m *= self.beta1
         np.multiply(1.0 - self.beta1, g, out=a)
         m += a
@@ -221,7 +207,7 @@ class Adam:
         np.sqrt(b, out=b)
         b += self.eps
         a /= b
-        self.flat[span] -= a
+        self.flat -= a
 
 
 # ---------------------------------------------------------------------------
@@ -401,9 +387,7 @@ def _plan_session(
         # latent replay keeps stored activations valid (and saves the
         # backward pass) by freezing the layers below the capture layer
         # once the first session has shaped them
-        for i in range(model.extractor.capture_layer + 1):
-            model.extractor.weights[i].requires_grad = False
-            model.extractor.biases[i].requires_grad = False
+        model.extractor.frozen = model.extractor.capture_layer + 1
     return SessionPlan(new, pool, weights, distill_form, snapshot, mt_classes)
 
 
@@ -429,9 +413,7 @@ class EpochRows:
         self.new_x = new.x
         self.n_new = len(new)
         self.capture_start = ext.capture_layer + 1
-        self.latent = not any(
-            ext.weights[i].requires_grad or ext.biases[i].requires_grad for i in range(self.capture_start)
-        )
+        self.latent = ext.frozen >= self.capture_start
         inputs = [ext.np_activations(new.x, 0, self.capture_start)[-1] if self.latent else new.x]
         targets = [new.polarity if system == BC else new.target_rows]
         self.pool = None
@@ -513,7 +495,7 @@ def run_session(
     then select exemplars for the new classes and rebalance all quotas."""
     plan = _plan_session(model, memory, session, profile, system)
     lr = config.lr if model.sessions_trained == 0 else config.lr / 10.0
-    optimizer = Adam(model.parameters(), lr=lr)
+    optimizer = Adam(model, lr=lr)
     batching_rng = substream(config.seed, f"batch:{session.task_id}")
     mixup_rng = substream(config.seed, f"mixup:{session.task_id}")
 
@@ -528,11 +510,11 @@ def run_session(
             for start in range(0, n_rows, config.batch_size):
                 stop = min(start + config.batch_size, n_rows)
                 step = _assemble_batches(rows, start, stop, profile, mixup_rng)
-                _, grads = loss_and_gradients(
-                    system, step, model, weights, rule=profile.aggregation,
+                loss_and_gradients(
+                    system, step, model, weights, optimizer.grads, rule=profile.aggregation,
                     distill_form=distill_form, mt_classes=mt_classes,
                 )
-                optimizer.step(grads)
+                optimizer.step()
             step = None  # it holds this epoch's copy of the replayed rows' constants
     except NumericsError as exc:
         raise NumericsError(f"session {session.task_id}, epoch {epoch}: {exc}") from exc
@@ -608,15 +590,11 @@ def run_scenario_over_sessions(
     record = RunRecord(task_ids=task_ids, matrix=matrix, logs=logs, config_echo=config_echo or {})
 
     if warmup is not None:
-        started = time.perf_counter()
         run_session(model, memory, warmup, profile, config, system)
-        record.wall_clock.append(time.perf_counter() - started)
         record.memory_totals.append(memory.total() if memory is not None else 0)
 
     for j, session in enumerate(sessions):
-        started = time.perf_counter()
         run_session(model, memory, session, profile, config, system)
-        record.wall_clock.append(time.perf_counter() - started)
         record.memory_totals.append(memory.total() if memory is not None else 0)
         for i in range(j + 1):
             accuracy, pred_pol, scores, pred_cls = _evaluate(model, system, sessions[i].test)

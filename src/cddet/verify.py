@@ -98,8 +98,11 @@ STEP_CASES = [(MT, LINFC, RAW, ls.SUMLOGIT), (MC, COSFC, LATENT, None), (BC, SIG
 
 
 def _step(system: str, rule, model: Model, new: ls.Batch, ex: ls.Batch):
+    """The step's loss value, and its gradients in ``model.parameters()`` order."""
+    grads = [np.empty_like(p) for p in model.parameters()]
     rows = ls.step_rows(system, new, ex, model)
-    return ls.loss_and_gradients(system, rows, model, STEP_WEIGHTS, rule=rule, distill_form="logit+feature")
+    value = ls.loss_and_gradients(system, rows, model, STEP_WEIGHTS, grads, rule=rule, distill_form="logit+feature")
+    return value, grads
 
 
 def check_step_gradients(seed: int, coords: int = 3, step: float = 1e-6, tol: float = 1e-6) -> CheckResult:
@@ -112,17 +115,17 @@ def check_step_gradients(seed: int, coords: int = 3, step: float = 1e-6, tol: fl
     for system, variant, payload, rule in STEP_CASES:
         model, _, new, ex = _step_case(rng, variant, payload)
         _, grads = _step(system, rule, model, new, ex)
-        for p in model.parameters():
-            for flat in rng.choice(p.data.size, size=min(coords, p.data.size), replace=False):
-                idx = np.unravel_index(flat, p.data.shape)
-                base = p.data[idx]
-                p.data[idx] = base + step
+        for p, g in zip(model.parameters(), grads):
+            for flat in rng.choice(p.size, size=min(coords, p.size), replace=False):
+                idx = np.unravel_index(flat, p.shape)
+                base = p[idx]
+                p[idx] = base + step
                 hi = _step(system, rule, model, new, ex)[0]
-                p.data[idx] = base - step
+                p[idx] = base - step
                 lo = _step(system, rule, model, new, ex)[0]
-                p.data[idx] = base
+                p[idx] = base
                 numeric = (hi - lo) / (2.0 * step)
-                worst = max(worst, abs(float(grads[p][idx]) - numeric) / max(1.0, abs(numeric)))
+                worst = max(worst, abs(float(g[idx]) - numeric) / max(1.0, abs(numeric)))
                 checked += 1
     return CheckResult("step-central-differences", worst < tol, f"{checked} coordinates, max rel err {worst:.3e}")
 
@@ -134,11 +137,12 @@ def check_step_against_tape(seed: int) -> CheckResult:
     for system, variant, payload, rule in STEP_CASES:
         model, snap, new, ex = _step_case(rng, variant, payload)
         _, grads = _step(system, rule, model, new, ex)
+        leaves = ls.tape_leaves(model)
         ls.total_loss(
-            system, new, ex, model, snap, STEP_WEIGHTS, rule=rule, distill_form="logit+feature"
+            system, new, ex, model, snap, STEP_WEIGHTS, rule=rule, distill_form="logit+feature", leaves=leaves
         ).backward()
-        for p in model.parameters():
-            if p.grad is None or p not in grads or p.grad.tobytes() != grads[p].tobytes():
+        for leaf, g in zip(leaves, grads):
+            if leaf.grad is None or leaf.grad.tobytes() != g.tobytes():
                 return CheckResult("step-equals-tape", False, f"{system}/{variant}: a gradient differs from the tape")
     return CheckResult("step-equals-tape", True, f"{len(STEP_CASES)} systems, every gradient bitwise equal")
 
@@ -220,7 +224,7 @@ def check_snapshot_immutability(seed: int) -> CheckResult:
     before = [snap.forward(x)[1] for x in inputs]
     for _ in range(100):
         for p in model.parameters():
-            p.data = p.data + 0.01 * rng.normal(size=p.data.shape)
+            p += 0.01 * rng.normal(size=p.shape)
     for x, prior in zip(inputs, before):
         if not np.array_equal(snap.forward(x)[1], prior):
             return CheckResult("snapshot-immutability", False, "snapshot output drifted")

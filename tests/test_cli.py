@@ -213,7 +213,7 @@ class TestRun:
             "run", "--data", *dataset_paths, "--profile", "finetune", "--system", "mc",
             "--out", str(tmp_path / "o"),
         ) == 2
-        assert capsys.readouterr().err == "error: line 6: non-finite feature value\n"
+        assert capsys.readouterr().err == f"error: {path}: line 6: non-finite feature value\n"
 
     def test_missing_config_file(self, tmp_path, capsys):
         missing = tmp_path / "absent.cfg"
@@ -236,6 +236,46 @@ class TestEval:
         path.write_text("0.5,1.2\n,0.7\n")
         assert run_cli("eval", str(path)) == 2
 
+    @pytest.mark.parametrize("text", ["", "\n  \n"])
+    def test_empty_matrix_rejected(self, tmp_path, capsys, text):
+        path = tmp_path / "m.csv"
+        path.write_text(text)
+        assert run_cli("eval", str(path)) == 2
+        assert capsys.readouterr().err == f"error: {path}: line 1: no accuracy rows\n"
+
+    @pytest.fixture
+    def hard_run(self, tmp_path, capsys):
+        out = tmp_path / "hard"
+        assert run_cli(
+            "run", "--scenario", "hard", "--profile", "finetune", "--system", "mc",
+            "--memory", "0", "--epochs", "1", "--out", str(out),
+        ) == 0
+        assert run_cli("eval", str(out)) == 0
+        capsys.readouterr()
+        return out
+
+    def test_run_dir_with_an_empty_matrix(self, hard_run, capsys):
+        path = hard_run / "accuracy_matrix.csv"
+        path.write_text("")
+        assert run_cli("eval", str(hard_run)) == 2
+        assert capsys.readouterr().err == f"error: {path}: line 1: no accuracy rows\n"
+
+    @pytest.mark.parametrize("task_1, message", [
+        (None, "4 tasks for 5 accuracy-matrix columns"),
+        ("99", "tasks [2, 7, 11, 12, 99] are not those of scenario 'hard'"),
+    ])
+    def test_predictions_hold_the_runs_tasks(self, hard_run, capsys, task_1, message):
+        """Task 1's rows dropped, or relabelled task 99: the predictions no
+        longer match the matrix's width, or the scenario's tasks."""
+        path = hard_run / "predictions.csv"
+        header, *rows = path.read_text().splitlines()
+        kept = [row for row in rows if not row.startswith("1,")]
+        if task_1 is not None:
+            kept += [task_1 + row[1:] for row in rows if row.startswith("1,")]
+        path.write_text("\n".join([header, *kept]) + "\n")
+        assert run_cli("eval", str(hard_run)) == 2
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
 
     @pytest.mark.parametrize(
         "row, message",
@@ -255,7 +295,7 @@ class TestEval:
         (out / "predictions.csv").write_text("\n".join(lines) + "\n")
         capsys.readouterr()
         assert run_cli("eval", str(out)) == 2
-        assert capsys.readouterr().err == f"error: line 3: {message}\n"
+        assert capsys.readouterr().err == f"error: {out / 'predictions.csv'}: line 3: {message}\n"
 
 
 class TestVerify:
@@ -296,7 +336,7 @@ class TestConfigKeys:
         config_file = tmp_path / "bad.cfg"
         config_file.write_text(f"profile = finetune\nsystem = mc\nscenario = hard\n{line}\n")
         assert run_cli("run", "--config", str(config_file), "--out", str(tmp_path / "o")) == 2
-        assert f"error: {message}" in capsys.readouterr().err
+        assert f"error: {config_file}: {message}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("value, expected", [
         ("1", True), ("TRUE", True), ("Yes", True), ("0", False), ("false", False), ("NO", False),

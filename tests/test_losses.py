@@ -301,7 +301,7 @@ class TestTotalLoss:
         snap = model.snapshot()
         # nudge the live model so distillation is non-zero
         for p in model.parameters():
-            p.data = p.data + 0.05 * rng.normal(size=p.data.shape)
+            p += 0.05 * rng.normal(size=p.shape)
         new = _session_batch(rng, model, task=2, n=4)
         ex = _session_batch(rng, model, task=1, n=3)
         base = ls.total_loss(MC, new, ex, model, snap, LossWeights()).item()
@@ -318,11 +318,9 @@ class TestTotalLoss:
         w = LossWeights(gamma_d=0.5, lam=0.0)
 
         def grads_for(system, rule):
-            for p in model.parameters():
-                p.zero_grad()
-            loss = ls.total_loss(system, new, ex, model, snap, w, rule=rule)
-            loss.backward()
-            return [None if p.grad is None else p.grad.copy() for p in model.parameters()]
+            leaves = ls.tape_leaves(model)
+            ls.total_loss(system, new, ex, model, snap, w, rule=rule, leaves=leaves).backward()
+            return [leaf.grad for leaf in leaves]
 
         g_mc = grads_for(MC, None)
         g_mt = grads_for(MT, "sumlogit")
@@ -446,12 +444,9 @@ class TestLossGradients:
         )
         w = LossWeights(gamma_d=0.5, gamma_m=0.0)
 
-        def f(probe):
-            saved = model.extractor.weights[0]
-            model.extractor.weights[0] = probe
-            try:
-                return ls.total_loss(MC, new, ex, model, snap, w, distill_form="logit+feature")
-            finally:
-                model.extractor.weights[0] = saved
+        leaves = ls.tape_leaves(model)
 
-        assert dc.grad_check(f, dc.Tensor(model.extractor.weights[0].data.copy())) < 1e-6
+        def f(probe):  # the probe stands in for the first layer's weights
+            return ls.total_loss(MC, new, ex, model, snap, w, distill_form="logit+feature", leaves=[probe, *leaves[1:]])
+
+        assert dc.grad_check(f, dc.Tensor(model.extractor.weights[0].copy())) < 1e-6

@@ -3,7 +3,6 @@ import json
 import numpy as np
 import pytest
 
-from cddet import diffcore as dc
 from cddet import losses as ls
 from cddet import model as mdl
 from cddet.errors import ConfigError, ContractError, ProtocolError
@@ -27,8 +26,8 @@ class TestForward:
         model = make_model(LINFC, tasks=0)
         model.head.expand(1)
         # identity-ish check at head level: theta = I, bias = 0
-        model.head.theta = dc.Tensor(np.eye(2, 5), requires_grad=True)
-        model.head.bias = dc.Tensor(np.zeros(2), requires_grad=True)
+        model.head.theta = np.eye(2, 5)
+        model.head.bias = np.zeros(2)
         feats = rng.normal(size=(4, 5))
         logits = model.head.logits(feats)
         np.testing.assert_array_equal(logits, feats[:, :2])
@@ -64,7 +63,7 @@ class TestForward:
             (x, None, model.forward(x)),
             (None, latent, model.forward_from_latent(latent)),
         ):
-            taped_features, taped_logits = ls._forward_joint(model, rows, latents)
+            taped_features, taped_logits = ls._forward_joint(model, ls.tape_leaves(model), rows, latents)
             np.testing.assert_array_equal(features, taped_features.data)
             np.testing.assert_array_equal(logits, taped_logits.data)
 
@@ -86,9 +85,9 @@ class TestExpansion:
 
     def test_old_rows_preserved_bitwise(self):
         model = make_model(LINFC, tasks=2, seed=5)
-        before = model.head.theta.data.copy()
+        before = model.head.theta.copy()
         model.head.expand(3)
-        np.testing.assert_array_equal(model.head.theta.data[:4], before)
+        np.testing.assert_array_equal(model.head.theta[:4], before)
 
     def test_duplicate_task_rejected(self):
         model = make_model(LINFC, tasks=1)
@@ -98,7 +97,7 @@ class TestExpansion:
     def test_seeded_expansion_reproduces(self):
         a = make_model(LINFC, tasks=3, seed=11)
         b = make_model(LINFC, tasks=3, seed=11)
-        np.testing.assert_array_equal(a.head.theta.data, b.head.theta.data)
+        np.testing.assert_array_equal(a.head.theta, b.head.theta)
 
     def test_sigmoid_keeps_one_unit(self):
         model = make_model(SIGMOID, tasks=3)
@@ -126,7 +125,7 @@ class TestSnapshot:
         before = [snap.forward(x)[1] for x in inputs]
         for _ in range(100):
             for p in model.parameters():
-                p.data = p.data + 0.01 * rng.normal(size=p.data.shape)
+                p += 0.01 * rng.normal(size=p.shape)  # in place: a snapshot sharing an array would drift
         after = [snap.forward(x)[1] for x in inputs]
         for b, a in zip(before, after):
             np.testing.assert_array_equal(b, a)
@@ -259,6 +258,19 @@ class TestCheckpointValidation:
         with open(tmp_path / "dumped.json", "w", encoding="utf-8") as fh:
             json.dump(blob, fh, sort_keys=True)
         assert path.read_bytes() == (tmp_path / "dumped.json").read_bytes()
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_parameters_rejected(self, tmp_path, value):
+        path, blob = self._saved_payload(tmp_path)
+        blob["model"]["extractor"]["weights"][1][0][0] = value
+        path.write_text(json.dumps(blob))
+        with pytest.raises(ConfigError, match=r"model\.extractor\.weights\[1\]: non-finite entries"):
+            mdl.load_checkpoint(path)
+        blob["model"]["extractor"]["weights"][1][0][0] = 0.0
+        blob["model"]["head"]["bias"][0] = value
+        path.write_text(json.dumps(blob))
+        with pytest.raises(ConfigError, match=r"model\.head\.bias: non-finite entries"):
+            mdl.load_checkpoint(path)
 
     def test_head_rows_follow_the_registry(self, tmp_path):
         path, blob = self._saved_payload(tmp_path)

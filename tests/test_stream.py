@@ -50,8 +50,7 @@ class TestSynthGenerate:
         x = dc.Tensor(data.train.x)
         for _ in range(150):
             loss = ls.binary_ce(dc.affine(x, w, b), data.train.y)
-            w.zero_grad()
-            b.zero_grad()
+            w.grad = b.grad = None
             loss.backward()
             w.data = w.data - 0.5 * w.grad
             b.data = b.data - 0.5 * b.grad

@@ -3,14 +3,19 @@ import pytest
 from conftest import run_scenario, tiny_scenario, tiny_spec
 
 from cddet.errors import ConfigError, NumericsError, ProtocolError
+from cddet.losses import loss_and_gradients
 from cddet.memory import ExemplarMemory, LATENT, RAW
-from cddet.model import BC, LINFC, MC, MT, SIGMOID, Model
+from cddet.model import BC, COSFC, LINFC, MC, MT, SIGMOID, Model
 from cddet.seeding import substream
 from cddet.stream import Scenario, synth_generate
 from cddet.trainer import (
+    Adam,
+    EpochRows,
     MethodProfile,
     TrainConfig,
+    _assemble_batches,
     _evaluate,
+    _plan_session,
     _store_exemplars,
     builtin_profiles,
     resolve_profile,
@@ -19,6 +24,79 @@ from cddet.trainer import (
 
 
 FAST = TrainConfig(epochs=2, lr=1e-3, batch_size=16, seed=3)
+
+
+class TestAdam:
+    def test_three_steps_match_a_textbook_adam(self):
+        rng = np.random.default_rng(0)
+        model = Model.build(6, COSFC, rng, hidden=(5,), feature_width=4)
+        model.head.expand(1)
+        lr, beta1, beta2, eps = 0.01, 0.9, 0.999, 1e-8
+        want = [p.copy() for p in model.parameters()]
+        m = [np.zeros_like(p) for p in want]
+        v = [np.zeros_like(p) for p in want]
+        optimizer = Adam(model, lr=lr)
+        for t in range(1, 4):
+            grads = [rng.normal(size=p.shape) for p in want]
+            for buffer, g in zip(optimizer.grads, grads):
+                buffer[...] = g
+            optimizer.step()
+            for i, g in enumerate(grads):
+                m[i] = beta1 * m[i] + (1 - beta1) * g
+                v[i] = beta2 * v[i] + (1 - beta2) * g**2
+                m_hat, v_hat = m[i] / (1 - beta1**t), v[i] / (1 - beta2**t)
+                want[i] = want[i] - lr * m_hat / (np.sqrt(v_hat) + eps)
+        for p, expected in zip(model.parameters(), want):
+            np.testing.assert_allclose(p, expected, rtol=1e-12, atol=0)
+
+    def test_a_frozen_prefix_stays_out_and_unchanged(self):
+        rng = np.random.default_rng(1)
+        model = Model.build(6, LINFC, rng, hidden=(5, 5), feature_width=4)
+        model.head.expand(1)
+        model.extractor.frozen = 2
+        params = model.parameters()
+        frozen = [p.copy() for p in params[:4]]
+        optimizer = Adam(model, lr=0.01)
+        assert model.parameters()[:4] == params[:4]  # the same arrays, not rebound
+        assert optimizer.flat.size == sum(p.size for p in params[4:])
+        assert not any(np.shares_memory(p, optimizer.flat) for p in params[:4])
+        assert all(np.shares_memory(p, optimizer.flat) for p in model.parameters()[4:])
+        for _ in range(3):
+            for buffer in optimizer.grads:
+                buffer[...] = rng.normal(size=buffer.shape)
+            optimizer.step()
+        for p, before in zip(model.parameters()[:4], frozen):
+            assert p.tobytes() == before.tobytes()
+        assert not np.array_equal(model.parameters()[4], params[4])
+
+    @pytest.mark.parametrize("system, name", [(MC, "replay+kd"), (MT, "replay"), (BC, "replay+kd")])
+    def test_every_gradient_slot_is_written(self, system, name):
+        """A step writes every trainable gradient: on a first session, and on
+        a later one in which latent replay has frozen the bottom layers."""
+        profile = resolve_profile(name, system)
+        sessions = [synth_generate(t, 4) for t in tiny_scenario(2, seed=4).tasks]
+
+        def fresh():
+            return Model.build(6, profile.head_variant, substream(4, "init")), ExemplarMemory(20, LATENT)
+
+        def nan_filled_step(model, memory, session):
+            plan = _plan_session(model, memory, session, profile, system)
+            rows = EpochRows(plan, model, system, batch_size=16)
+            rows.shuffle(np.random.default_rng(0).permutation(len(rows)))
+            step = _assemble_batches(rows, 0, 16, profile, np.random.default_rng(0))
+            optimizer = Adam(model, lr=FAST.lr)
+            optimizer.g.fill(np.nan)
+            loss_and_gradients(
+                system, step, model, plan.weights, optimizer.grads, rule=profile.aggregation,
+                distill_form=plan.distill_form, mt_classes=plan.mt_classes,
+            )
+            assert not np.isnan(optimizer.g).any()
+            return model.extractor.frozen
+
+        assert nan_filled_step(*fresh(), sessions[0]) == 0
+        model, memory = fresh()
+        run_session(model, memory, sessions[0], profile, FAST, system)
+        assert nan_filled_step(model, memory, sessions[1]) == model.extractor.capture_layer + 1
 
 
 class TestProfiles:
@@ -112,7 +190,7 @@ class TestRunSession:
             model, memory, sessions, profile = fresh_setup()
             run_session(model, memory, sessions[0], profile, FAST, MC)
             run_session(model, memory, sessions[1], profile, FAST, MC)
-            results.append(np.concatenate([p.data.ravel() for p in model.parameters()]))
+            results.append(np.concatenate([p.ravel() for p in model.parameters()]))
         np.testing.assert_array_equal(results[0], results[1])
 
     def test_budget_invariant_after_each_session(self):
@@ -205,7 +283,7 @@ class TestNumericsErrors:
     def _poisoned(self):
         model, memory, sessions, profile = fresh_setup(system=MC, profile_name="replay")
         run_session(model, memory, sessions[0], profile, FAST, MC)
-        model.extractor.weights[0].data[...] = 1e308
+        model.extractor.weights[0][...] = 1e308
         return model, memory, sessions, profile
 
     def test_training_step(self):
@@ -221,7 +299,7 @@ class TestNumericsErrors:
     def test_evaluate_names_the_logits(self):
         model, memory, sessions, profile = fresh_setup(system=MC, profile_name="replay")
         run_session(model, memory, sessions[0], profile, FAST, MC)
-        model.head.theta.data[...] = 1e308
+        model.head.theta[...] = 1e308
         with pytest.raises(NumericsError, match="^logits produced non-finite entries$"):
             _evaluate(model, MC, sessions[0].test)
 
