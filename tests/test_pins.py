@@ -1,5 +1,7 @@
-"""Behaviour fingerprints: the exact ``metrics.json`` bytes of three small
-``cddet run`` invocations, one per learning system.
+"""Behaviour fingerprints: the exact ``metrics.json`` bytes of four small
+``cddet run`` invocations: one per learning system, and one that turns on
+the essentials (mixup, label smoothing, logit+feature distillation and the
+cosine head).
 
 A speed-up that leaves these bytes alone has not changed what the engine
 computes on them. A change that moves a pin must re-pin it and record the
@@ -23,12 +25,17 @@ TASKS = [
     dataclasses.replace(tiny_spec(t, direction=t - 1, difficulty=1.2), n_test=150)
     for t in (1, 2, 3)
 ]
+# a config file in the data directory, read by the essentials pin
+ESSENTIALS = "mixup = 0.4\nlabel_smooth = 0.1\ndistill_form = logit+feature\n"
 
 RUNS = {
     "bc-distill": ("--profile", "distill", "--system", "bc"),
     "mc-replaykd-latent": ("--profile", "replay+kd", "--system", "mc"),
     "mt-rebalance-sumlogit": (
         "--profile", "rebalance", "--system", "mt", "--aggregation", "sumlogit",
+    ),
+    "mc-rebalancecosfc-essentials": (
+        "--config", "essentials.cfg", "--profile", "rebalance-cosfc", "--system", "mc",
     ),
 }
 
@@ -54,6 +61,13 @@ PINS = {
         "map": 0.6363670099019635,
         "sha256": "0a82c1f27819744540989aeac1e80688e6826f81bada76fa4ab3650201c93710",
     },
+    "mc-rebalancecosfc-essentials": {
+        "aa": 0.5777777777777778,
+        "af": -0.07749999999999996,
+        "aa_m": 0.2233333333333333,
+        "map": 0.5959893443138868,
+        "sha256": "b9ba5ce289b944d1fdd33efe5bc8054bcf296f66fc1fffdc5cc370a3c58346ac",
+    },
 }
 
 
@@ -62,6 +76,7 @@ def data_dir(tmp_path_factory):
     directory = tmp_path_factory.mktemp("pin-data")
     for spec in TASKS:
         save_dataset(synth_generate(spec, DATA_SEED), directory / f"task{spec.task_id}.csv")
+    (directory / "essentials.cfg").write_text(ESSENTIALS, encoding="utf-8")
     return directory
 
 
