@@ -19,9 +19,10 @@ parameter gradient into the optimizer's buffer, and each equals
 kept as the reference the tests and ``cddet verify`` check the step
 against; its forward, ``_forward_joint``, is the only place the network is
 built on the tape, over leaves that wrap the model's parameter arrays
-(``tape_leaves``). The step reads its rows as ``StepRows``,
-laid out by the trainer once per epoch (``step_rows`` lays out a pair of
-batches the same way). Means are written as sum / size, which is what
+(``tape_leaves``). The step reads its rows as ``StepRows``: the
+input rows with the layer each block enters at, their targets and the
+replayed rows' per-row constants, which the trainer gathers for each step
+(``step_rows`` lays out a pair of batches the same way). Means are written as sum / size, which is what
 ``np.mean`` computes, without its per-call dispatch.
 """
 
@@ -598,16 +599,15 @@ class StepRows:
     (0 for raw inputs, ``capture_layer + 1`` for capture-layer activations);
     their outputs, stacked in order, are the step's feature rows, of which
     the first ``n_new`` are new. ``targets`` holds each row's target: label
-    rows [n,k] for MC and MT, the 0/1 polarity as floats [n] for BC. Rows
-    ``ex_rows`` of ``ex`` carry the replayed rows' classes and the
-    snapshot's constants on them.
+    rows [n,k] for MC and MT, the 0/1 polarity as floats [n] for BC. ``ex``
+    carries the replayed rows' classes and the snapshot's constants on them,
+    one row per replayed row.
     """
 
     chains: list[tuple[int, Array]]
     n_new: int
     targets: Array
     ex: Batch | None
-    ex_rows: slice
 
 
 def step_rows(system: str, batch_new: Batch, batch_exemplar: Batch | None, model: Model) -> StepRows:
@@ -628,7 +628,7 @@ def step_rows(system: str, batch_new: Batch, batch_exemplar: Batch | None, model
         classes = _stack(batch_new.classes, ex.classes if ex else None)
         targets = _target_rows(_combined_targets(batch_new, ex, k, classes), classes.size, k)
     n_new = 0 if batch_new.x is None else batch_new.x.shape[0]
-    return StepRows(chains, n_new, targets, ex, slice(0, len(ex) if ex else 0))
+    return StepRows(chains, n_new, targets, ex)
 
 
 def loss_and_gradients(
@@ -680,7 +680,7 @@ def loss_and_gradients(
     else:
         raise ConfigError(f"unknown learning system {system!r}")
 
-    ex, rows = step.ex, step.ex_rows
+    ex = step.ex
     n_ex = feats.shape[0] - n_new
     ex_feats = feats[n_new:]
     ex_norms = None  # row norms of ex_feats, shared by feature KD and the margin cosines
@@ -692,22 +692,19 @@ def loss_and_gradients(
             raise ContractError("distillation needs the snapshot's outputs on the exemplar rows")
         if distill_form not in ("logit", "feature", "logit+feature"):
             raise ConfigError(f"unknown distillation form {distill_form!r}")
-        old_logits, old_features = ex.old_logits[rows], ex.old_features[rows]
+        old_logits, old_features = ex.old_logits, ex.old_features
         distill = 0.0
         if distill_form in ("logit", "logit+feature"):
             cols = np.arange(old_logits.shape[1])
             if ex.kd_logp is not None and n_ex > 1:
-                logp, p = ex.kd_logp[rows], ex.kd_p[rows]
+                logp, p = ex.kd_logp, ex.kd_p
             else:
                 logp, p = kd_targets(old_logits, cols, weights.T)
             value, g = _kd_parts(logp, p, logits[n_new:], cols, weights.T)
             distill += _checked_loss(value, "kd_kl")
             d_logits[n_new:] += gamma_d * g
         if distill_form in ("feature", "logit+feature"):
-            if ex.old_norms is not None:
-                old_norms = ex.old_norms[rows]
-            else:
-                old_norms = dc.row_norms(old_features, "old features")
+            old_norms = ex.old_norms if ex.old_norms is not None else dc.row_norms(old_features, "old features")
             ex_norms = dc.row_norms(ex_feats, "exemplar features")
             value, g = _kd_feature_parts(old_features, old_norms, ex_feats, ex_norms)
             distill += _checked_loss(value, "kd_feature")
@@ -720,7 +717,7 @@ def loss_and_gradients(
         supp = 0.0
         if weights.J > 0:
             sims, sna, snb, san, sbn = dc.np_cosine_matrix(ex_feats, head.theta, ex_norms)
-            value, g = _margin_parts(dc.checked(sims, "margin cosines"), ex.classes[rows], weights.tau, weights.J)
+            value, g = _margin_parts(dc.checked(sims, "margin cosines"), ex.classes, weights.tau, weights.J)
             supp = _checked_loss(value, "margin_ranking")
             d_ex, d_theta_margin = dc.np_cosine_backward(gamma_m * g, sims, sna, snb, san, sbn)
             d_feats_ex = d_ex if d_feats_ex is None else d_feats_ex + d_ex

@@ -1,8 +1,9 @@
 """Budgeted exemplar storage with herding selection and quota rebalancing.
 
-Each class keeps its exemplars in herding order; trimming always drops the
-tail, so every stored list stays a prefix of the original selection. Payloads
-are either raw input vectors or latent activations captured at the
+Each class keeps its exemplars as one 2-D array of payload rows in herding
+order, next to the id of the task that introduced it; trimming slices off the
+tail, so every stored array stays a prefix of the original selection.
+Payloads are either raw input vectors or latent activations captured at the
 extractor's replay layer, uniformly per memory instance.
 
 Herding step k picks the remaining row f_i with the least distance
@@ -34,7 +35,6 @@ float. A non-finite score or bound always takes the exact search.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,13 +44,6 @@ from .errors import ConfigError, ContractError, EngineError
 RAW = "raw"
 LATENT = "latent"
 PAYLOAD_KINDS = (RAW, LATENT)
-
-
-@dataclass
-class Exemplar:
-    payload: Array
-    class_idx: int
-    task_id: int
 
 
 def herd_select(features: Array, m: int) -> list[int]:
@@ -130,7 +123,8 @@ def capture(extractor, x: Array, mode: str) -> Array:
 
 
 class ExemplarMemory:
-    """Per-class herding-ordered stores under one shared budget."""
+    """Per-class herding-ordered stores under one shared budget: ``classes``
+    maps a class index to its task id and its payload rows."""
 
     def __init__(self, budget: int, payload_kind: str = RAW):
         if budget < 1:
@@ -139,18 +133,16 @@ class ExemplarMemory:
             raise ConfigError(f"unknown payload kind {payload_kind!r}")
         self.budget = budget
         self.payload_kind = payload_kind
-        self.classes: dict[int, list[Exemplar]] = {}
+        self.classes: dict[int, tuple[int, Array]] = {}
 
     def add_class(self, class_idx: int, payloads: Array, task_id: int) -> None:
         """Store a herding-ordered payload stack for a newly introduced class."""
         if class_idx in self.classes:
             raise ContractError(f"class {class_idx} already stored")
-        self.classes[class_idx] = [
-            Exemplar(np.asarray(row, dtype=np.float64), class_idx, task_id) for row in payloads
-        ]
+        self.classes[class_idx] = (task_id, np.asarray(payloads, dtype=np.float64))
 
     def rebalance(self, num_classes: int) -> None:
-        """Trim every class list to its quota, dropping the herding tail.
+        """Trim every class to its quota, dropping the herding tail.
 
         Quotas go to stored classes in ascending class-index order, so the
         floor-division remainder lands on the oldest classes.
@@ -158,11 +150,12 @@ class ExemplarMemory:
         per_class = quotas(self.budget, num_classes)
         for rank, class_idx in enumerate(sorted(self.classes)):
             quota = per_class[rank] if rank < num_classes else 0
-            del self.classes[class_idx][quota:]
+            task_id, rows = self.classes[class_idx]
+            self.classes[class_idx] = (task_id, rows[:quota])
         self.assert_within_budget()
 
     def total(self) -> int:
-        return sum(len(v) for v in self.classes.values())
+        return sum(rows.shape[0] for _, rows in self.classes.values())
 
     def assert_within_budget(self) -> None:
         if self.total() > self.budget:
@@ -170,14 +163,14 @@ class ExemplarMemory:
                 f"memory invariant violated: {self.total()} exemplars > budget {self.budget}"
             )
 
-    def all_exemplars(self) -> list[Exemplar]:
-        out: list[Exemplar] = []
-        for class_idx in sorted(self.classes):
-            out.extend(self.classes[class_idx])
-        return out
-
-    def __len__(self) -> int:
-        return self.total()
+    def all_exemplars(self) -> tuple[Array, Array]:
+        """Every stored row, stacked in ascending class order, and the class
+        index of each."""
+        stored = [(c, rows) for c, (_, rows) in sorted(self.classes.items()) if rows.shape[0]]
+        if not stored:
+            return np.empty((0, 0)), np.empty(0, dtype=np.intp)
+        classes = np.repeat(np.array([c for c, _ in stored], dtype=np.intp), [rows.shape[0] for _, rows in stored])
+        return np.concatenate([rows for _, rows in stored]), classes
 
     # -- persistence ---------------------------------------------------
 
@@ -186,11 +179,8 @@ class ExemplarMemory:
             "kind": self.payload_kind,
             "budget": self.budget,
             "classes": {
-                str(class_idx): {
-                    "task_id": exemplars[0].task_id if exemplars else -1,
-                    "rows": [e.payload.tolist() for e in exemplars],
-                }
-                for class_idx, exemplars in self.classes.items()
+                str(class_idx): {"task_id": task_id if rows.shape[0] else -1, "rows": rows.tolist()}
+                for class_idx, (task_id, rows) in self.classes.items()
             },
         }
 
@@ -239,8 +229,7 @@ class ExemplarMemory:
                     f"checkpoint field {where}.rows: rows have {arr.shape[1]} entries, "
                     f"the model's {kind} width is {width}"
                 )
-            class_idx = int(key)
-            memory.classes[class_idx] = [Exemplar(row, class_idx, task_id) for row in arr]
+            memory.classes[int(key)] = (task_id, arr)
         if memory.total() > budget:
             raise ConfigError(f"checkpoint field memory: {memory.total()} exemplars exceed budget {budget}")
         return memory

@@ -16,17 +16,15 @@ coarsest level at which it is constant:
   checked once, with the per-row constants (target rows, the snapshot's
   outputs and distillation targets on the exemplars, the norms of their old
   features) and the MT aggregation's fake and real class indices; and
-  ``EpochRows``: buffers for one epoch's rows and targets, and, once latent
-  replay has frozen the layers up to the capture layer, every new row's
-  activation there, so new rows enter the network where replayed latents do;
-- once per epoch, ``EpochRows.shuffle``: the permutation is cut into step
-  windows, and the input rows and targets are gathered into the buffers in
-  the order the loss reads them, each window's new rows and then its
-  replayed rows; the replayed rows' constants are copied in permutation
-  order;
-- once per step: ``_assemble_batches`` slices the window (mixing its new
-  rows in place under mixup), ``losses.loss_and_gradients`` computes the
-  loss and writes each gradient into ``Adam.g``; ``Adam.step`` applies them.
+  ``SessionRows``: the session's rows held once, as one array of inputs, one
+  of targets and the replayed rows' constants, where, once latent replay has
+  frozen the layers up to the capture layer, each new row is its activation
+  there, so new rows enter the network where replayed latents do; each epoch
+  only draws a new row order (``SessionRows.shuffle``);
+- once per step: ``_assemble_batches`` gathers the step's window from those
+  arrays (mixing its new rows under mixup), ``losses.loss_and_gradients``
+  computes the loss and writes each gradient into ``Adam.g``; ``Adam.step``
+  applies them.
 
 The gradients equal the tape's (``total_loss(...).backward()``) bit for bit;
 the tape stays as the reference the tests and ``cddet verify`` use. One
@@ -295,7 +293,6 @@ class SessionPlan:
     new: Batch
     pool: Batch | None
     weights: LossWeights
-    distill_form: str
     snapshot: Model | None
     mt_classes: tuple[np.ndarray, np.ndarray] | None = None
 
@@ -310,11 +307,12 @@ def _exemplar_pool(
     """Every stored exemplar as one batch of rows; with a snapshot, its
     outputs on those rows and the distillation constants derived from them
     ride along."""
-    exemplars = memory.all_exemplars() if memory is not None else []
-    if not exemplars:
+    if memory is None:
         return None
-    payloads = dc.checked(np.vstack([e.payload for e in exemplars]), "exemplar payloads")
-    classes = np.array([e.class_idx for e in exemplars], dtype=np.intp)
+    payloads, classes = memory.all_exemplars()
+    if not classes.size:
+        return None
+    payloads = dc.checked(payloads, "exemplar payloads")
     pool = Batch(
         x=payloads if memory.payload_kind == RAW else None,
         latents=payloads if memory.payload_kind == LATENT else None,
@@ -372,9 +370,8 @@ def _plan_session(
     if snapshot is None:
         # no old model yet: the distillation and margin terms are skipped
         weights = replace(weights, gamma_d=0.0, gamma_m=0.0)
-    distill_form = profile.distill_form if profile.distill_form != "none" else "logit"
     pool = _exemplar_pool(
-        memory, class_polarity, snapshot if weights.gamma_d > 0 else None, weights, distill_form
+        memory, class_polarity, snapshot if weights.gamma_d > 0 else None, weights, profile.distill_form
     )
     if system != BC:
         for batch in (new, pool):
@@ -388,18 +385,18 @@ def _plan_session(
         # backward pass) by freezing the layers below the capture layer
         # once the first session has shaped them
         model.extractor.frozen = model.extractor.capture_layer + 1
-    return SessionPlan(new, pool, weights, distill_form, snapshot, mt_classes)
+    return SessionPlan(new, pool, weights, snapshot, mt_classes)
 
 
-class EpochRows:
-    """A session's rows laid out once per epoch in the order the loss reads
-    them, in buffers allocated once per session.
+class SessionRows:
+    """A session's rows, held once: the inputs (``source``) and their
+    targets (``source_targets``), new rows first, and the replayed rows'
+    per-row constants (``pool``).
 
     An epoch's permutation is cut into step windows of ``batch_size`` rows;
     within a window the new rows come first, then the replayed rows, each
-    in permutation order. ``shuffle`` gathers the input rows and their
-    targets into that order, and copies the replayed rows' constants in
-    permutation order; a step is then a slice of each.
+    in permutation order. ``shuffle`` sets that order; each step gathers
+    its window from the arrays.
 
     Once latent replay has frozen the layers up to the capture layer, each
     new row's activation there is fixed for the session: it is computed
@@ -423,64 +420,63 @@ class EpochRows:
             inputs.append(pool.x if pool.latents is None else pool.latents)
             targets.append(pool.polarity if system == BC else pool.target_rows)
             # the per-row constants the loss reads on replayed rows
-            self.pool = replace(pool, x=None, latents=None, polarity=None, target_rows=None)
+            self.pool = {name: v for name, v in vars(pool).items() if v is not None and name in _REPLAYED}
         self.source = np.concatenate(inputs)
         self.source_targets = np.concatenate(targets, dtype=np.float64)
-        self.inputs = np.empty_like(self.source)
-        self.targets = np.empty_like(self.source_targets)
         self.window = np.arange(len(self)) // batch_size * 2
-        self.order = self.new_before = self.ex = None
+        self.order = None
 
     def __len__(self) -> int:
         return self.source.shape[0]
 
     def shuffle(self, perm: np.ndarray) -> None:
-        """Lay out the rows for an epoch whose permutation is ``perm``
+        """Set the row order of an epoch whose permutation is ``perm``
         (indices below ``n_new`` are new rows, the rest replayed ones)."""
-        is_new = perm < self.n_new
-        self.order = perm[np.argsort(self.window + ~is_new, kind="stable")]
-        np.take(self.source, self.order, axis=0, out=self.inputs)
-        np.take(self.source_targets, self.order, axis=0, out=self.targets)
-        self.new_before = np.concatenate([[0], np.cumsum(is_new)])
-        self.ex = None  # free the last epoch's copy first
-        if self.pool is not None:
-            self.ex = self.pool.take(perm[~is_new] - self.n_new)
+        self.order = perm[np.argsort(self.window + (perm >= self.n_new), kind="stable")]
+
+
+_REPLAYED = ("classes", "old_features", "old_logits", "kd_logp", "kd_p", "old_norms")
 
 
 def _assemble_batches(
-    rows: EpochRows,
+    rows: SessionRows,
     start: int,
     stop: int,
     profile: MethodProfile,
     mixup_rng: np.random.Generator,
 ) -> StepRows:
-    """The step over rows ``start:stop`` of the epoch's layout, its new rows
-    mixed in place when the profile asks for mixup."""
-    a, b = int(rows.new_before[start]), int(rows.new_before[stop])
-    n_new = b - a
-    split = start + n_new
+    """The step over rows ``start:stop`` of the epoch's order, gathered from
+    the session's arrays, its new rows mixed when the profile asks for
+    mixup."""
+    idx = rows.order[start:stop]
+    n_new = int(np.count_nonzero(idx < rows.n_new))
+    x, targets = rows.source[idx], rows.source_targets[idx]
     if profile.mixup_alpha > 0 and n_new > 1:
-        x, targets = rows.inputs[start:split], rows.targets[start:split]
+        new_x, new_targets = x[:n_new], targets[:n_new]
         partner = mixup_rng.permutation(n_new)
         (mixed_x, mixed_targets), _ = mixup(
-            (x, targets), (x[partner], targets[partner]), profile.mixup_alpha, mixup_rng
+            (new_x, new_targets), (new_x[partner], new_targets[partner]), profile.mixup_alpha, mixup_rng
         )
-        x[...] = mixed_x
-        targets[...] = mixed_targets
+        new_x[...] = mixed_x
+        new_targets[...] = mixed_targets
     if not rows.latent:  # raw rows, new and replayed, through every layer
-        chains = [(0, rows.inputs[start:stop])]
+        chains = [(0, x)]
     else:
         chains = []
         if n_new == 1:
             # a one-row product takes another BLAS path, whose last bits
             # differ from the session-wide product's: recompute the row
-            i = rows.order[start]
+            i = idx[0]
             chains.append((0, rows.new_x[i : i + 1]))
         elif n_new:
-            chains.append((rows.capture_start, rows.inputs[start:split]))
-        if stop > split:
-            chains.append((rows.capture_start, rows.inputs[split:stop]))
-    return StepRows(chains, n_new, rows.targets[start:stop], rows.ex, slice(start - a, stop - b))
+            chains.append((rows.capture_start, x[:n_new]))
+        if idx.size > n_new:
+            chains.append((rows.capture_start, x[n_new:]))
+    ex = None
+    if rows.pool is not None and idx.size > n_new:
+        replayed = idx[n_new:] - rows.n_new
+        ex = Batch(**{name: v[replayed] for name, v in rows.pool.items()})
+    return StepRows(chains, n_new, targets, ex)
 
 
 def run_session(
@@ -501,9 +497,9 @@ def run_session(
 
     epoch = 0
     try:
-        rows = EpochRows(plan, model, system, config.batch_size)
-        weights, distill_form, mt_classes = plan.weights, plan.distill_form, plan.mt_classes
-        plan = None  # the layout holds what the steps read; free the rest
+        rows = SessionRows(plan, model, system, config.batch_size)
+        weights, mt_classes = plan.weights, plan.mt_classes
+        plan = None  # the session's rows hold what the steps read; free the rest
         n_rows = len(rows)
         for epoch in range(config.epochs):
             rows.shuffle(batching_rng.permutation(n_rows))
@@ -512,10 +508,9 @@ def run_session(
                 step = _assemble_batches(rows, start, stop, profile, mixup_rng)
                 loss_and_gradients(
                     system, step, model, weights, optimizer.grads, rule=profile.aggregation,
-                    distill_form=distill_form, mt_classes=mt_classes,
+                    distill_form=profile.distill_form, mt_classes=mt_classes,
                 )
                 optimizer.step()
-            step = None  # it holds this epoch's copy of the replayed rows' constants
     except NumericsError as exc:
         raise NumericsError(f"session {session.task_id}, epoch {epoch}: {exc}") from exc
 

@@ -163,8 +163,8 @@ class TestMemory:
         memory.add_class(0, rows, task_id=1)
         memory.add_class(1, rows[:2], task_id=1)
         memory.rebalance(num_classes=2)
-        stored = [e.payload.tolist() for e in memory.classes[0]]
-        assert stored == rows[:2].tolist()
+        task_id, stored = memory.classes[0]
+        assert task_id == 1 and stored.tolist() == rows[:2].tolist()
 
     def test_budget_invariant_enforced(self):
         memory = ExemplarMemory(budget=3)
@@ -193,10 +193,9 @@ class TestMemory:
         assert restored.budget == 6
         assert restored.payload_kind == mem.LATENT
         for idx in (0, 1):
-            got = [e.payload for e in restored.classes[idx]]
-            want = [e.payload for e in memory.classes[idx]]
-            for g, w in zip(got, want):
-                np.testing.assert_array_equal(g, w)
+            (got_task, got), (want_task, want) = restored.classes[idx], memory.classes[idx]
+            assert got_task == want_task
+            np.testing.assert_array_equal(got, want)
 
 
 class TestPayloadValidation:

@@ -20,7 +20,7 @@ from cddet.seeding import substream
 from cddet.stream import synth_generate
 from cddet.trainer import (
     Adam,
-    EpochRows,
+    SessionRows,
     TrainConfig,
     _assemble_batches,
     _plan_session,
@@ -63,30 +63,30 @@ def _setup(system, name, options):
     return profile, sessions, model, memory
 
 
-def _tape_gradients(system, batch_new, batch_ex, model, plan, rule):
+def _tape_gradients(system, profile, batch_new, batch_ex, model, plan):
     """The reference's loss value, and its trainable leaves' gradients."""
     leaves = ls.tape_leaves(model)
     loss = ls.total_loss(
         system, batch_new, batch_ex, model, plan.snapshot, plan.weights,
-        rule=rule, distill_form=plan.distill_form, leaves=leaves,
+        rule=profile.aggregation, distill_form=profile.distill_form, leaves=leaves,
     )
     loss.backward()
     return loss.item(), [leaf.grad for leaf in leaves if leaf.requires_grad]
 
 
 def _step_over(system, profile, model, plan, new_idx, pool_idx, rng):
-    """The trainer's step over the given new and pool rows: an epoch layout
+    """The trainer's step over the given new and pool rows: an epoch order
     whose first window holds exactly those rows, and the tape's batches of
     the same rows (mixed as the step mixed them)."""
     n_new, n_pool = len(plan.new), len(plan.pool) if plan.pool is not None else 0
     picked = np.concatenate([new_idx, n_new + pool_idx]).astype(np.intp)
     rest = np.setdiff1d(np.arange(n_new + n_pool), picked)
-    rows = EpochRows(plan, model, system, batch_size=picked.size)
+    rows = SessionRows(plan, model, system, batch_size=picked.size)
     rows.shuffle(np.concatenate([picked, rest]))
     step = _assemble_batches(rows, 0, picked.size, profile, rng)
     batch_new = plan.new.take(new_idx)
     if profile.mixup_alpha > 0:
-        batch_new.x, batch_new.target_rows = rows.inputs[: new_idx.size], rows.targets[: new_idx.size]
+        batch_new.x, batch_new.target_rows = step.chains[0][1][: new_idx.size], step.targets[: new_idx.size]
     batch_ex = plan.pool.take(pool_idx) if pool_idx.size else None
     return step, batch_new, batch_ex
 
@@ -95,12 +95,12 @@ def _assert_step_matches_tape(system, profile, model, plan, new_rows, pool_rows,
     new_idx = np.arange(new_rows.start, new_rows.stop)
     pool_idx = np.arange(pool_rows.start, pool_rows.stop)
     step, batch_new, batch_ex = _step_over(system, profile, model, plan, new_idx, pool_idx, rng)
-    want_value, want = _tape_gradients(system, batch_new, batch_ex, model, plan, profile.aggregation)
+    want_value, want = _tape_gradients(system, profile, batch_new, batch_ex, model, plan)
     optimizer = Adam(model, lr=FAST.lr)
     optimizer.g.fill(np.nan)  # a gradient the step leaves unwritten cannot match
     value = ls.loss_and_gradients(
         system, step, model, plan.weights, optimizer.grads, rule=profile.aggregation,
-        distill_form=plan.distill_form, mt_classes=plan.mt_classes,
+        distill_form=profile.distill_form, mt_classes=plan.mt_classes,
     )
     names = _parameter_names(model)[2 * model.extractor.frozen :]
     assert len(optimizer.grads) == len(want) == len(names)
@@ -169,12 +169,12 @@ def test_new_rows_enter_at_the_capture_layer_under_latent_replay(n_new):
     _assert_step_matches_tape(MC, profile, model, plan, slice(3, 3 + n_new), slice(0, 4), np.random.default_rng(0))
 
 
-def test_epoch_layout_puts_each_windows_new_rows_first():
+def test_each_step_puts_its_windows_new_rows_first():
     profile, sessions, model, memory = _setup(MT, "rebalance", {"label_smooth_eps": 0.1})
     for session in sessions[:-1]:
         run_session(model, memory, session, profile, FAST, MT)
     plan = _plan_session(model, memory, sessions[-1], profile, MT)
-    rows = EpochRows(plan, model, MT, batch_size=5)
+    rows = SessionRows(plan, model, MT, batch_size=5)
     n_new = len(plan.new)
     x = np.concatenate([plan.new.x, plan.pool.x])
     targets = np.concatenate([plan.new.target_rows, plan.pool.target_rows])
@@ -183,7 +183,9 @@ def test_epoch_layout_puts_each_windows_new_rows_first():
     for start in range(0, len(rows), 5):
         window = perm[start : start + 5]
         order = np.concatenate([window[window < n_new], window[window >= n_new]])
-        assert np.array_equal(rows.inputs[start : start + 5], x[order])
-        assert np.array_equal(rows.targets[start : start + 5], targets[order])
-    pool_order = perm[perm >= n_new] - n_new
-    assert np.array_equal(rows.ex.old_features, plan.pool.old_features[pool_order])
+        step = _assemble_batches(rows, start, min(start + 5, len(rows)), profile, np.random.default_rng(0))
+        assert step.n_new == np.count_nonzero(window < n_new)
+        assert np.array_equal(step.chains[0][1], x[order])
+        assert np.array_equal(step.targets, targets[order])
+        pool_order = window[window >= n_new] - n_new
+        assert np.array_equal(step.ex.old_features, plan.pool.old_features[pool_order])

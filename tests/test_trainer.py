@@ -10,8 +10,8 @@ from cddet.seeding import substream
 from cddet.stream import Scenario, synth_generate
 from cddet.trainer import (
     Adam,
-    EpochRows,
     MethodProfile,
+    SessionRows,
     TrainConfig,
     _assemble_batches,
     _evaluate,
@@ -81,14 +81,14 @@ class TestAdam:
 
         def nan_filled_step(model, memory, session):
             plan = _plan_session(model, memory, session, profile, system)
-            rows = EpochRows(plan, model, system, batch_size=16)
+            rows = SessionRows(plan, model, system, batch_size=16)
             rows.shuffle(np.random.default_rng(0).permutation(len(rows)))
             step = _assemble_batches(rows, 0, 16, profile, np.random.default_rng(0))
             optimizer = Adam(model, lr=FAST.lr)
             optimizer.g.fill(np.nan)
             loss_and_gradients(
                 system, step, model, plan.weights, optimizer.grads, rule=profile.aggregation,
-                distill_form=plan.distill_form, mt_classes=plan.mt_classes,
+                distill_form=profile.distill_form, mt_classes=plan.mt_classes,
             )
             assert not np.isnan(optimizer.g).any()
             return model.extractor.frozen
@@ -210,8 +210,8 @@ class TestRunSession:
         run_session(model, memory, sessions[0], profile, FAST, MC)
         run_session(model, memory, sessions[1], profile, FAST, MC)
         assert memory.payload_kind == LATENT
-        stored = memory.all_exemplars()[0]
-        assert stored.payload.shape[0] == model.extractor.latent_width
+        payloads, _ = memory.all_exemplars()
+        assert payloads.shape[1] == model.extractor.latent_width
 
 
 class TestRunScenario:
