@@ -12,9 +12,9 @@ and creates every run directory before it builds any data.
 
 Exit codes: 0 success; 2 a usage error: a bad setting or combination of
 settings, an unreadable config file, a run directory that cannot be
-created, or an unreadable or malformed dataset
-file or dataset files of different widths (checked once loaded, before the
-model is built); 1 a runtime failure, such as a numerical overflow.
+created, an unreadable or malformed dataset file, dataset files of
+different widths or of one task (checked once loaded, before the model is
+built), or a malformed run-directory file; 1 a runtime failure.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from .errors import ConfigError, EngineError, ParseError, names_its_file
+from .errors import ConfigError, EngineError, ParseError, names_its_file, read_text
 from .losses import AGG_RULES
 from .metrics import (
     aa,
@@ -199,6 +199,11 @@ def _execute_run(cfg: ExperimentConfig, profile: MethodProfile, train_cfg: Train
     else:
         sessions = [load_dataset(p) for p in cfg.data]
         warmup = None
+        first_file: dict[int, str] = {}
+        for path, session in zip(cfg.data, sessions):
+            if session.task_id in first_file:
+                raise ParseError(f"task {session.task_id} is also the task of {first_file[session.task_id]}", path=path)
+            first_file[session.task_id] = path
 
     record = run_scenario_over_sessions(
         sessions, warmup, cfg.memory, profile, train_cfg, cfg.system, config_echo=cfg.echo()
@@ -263,12 +268,17 @@ def recompute_metrics_json(run_dir: Path) -> str:
     matrix = read_accuracy_matrix(run_dir / "accuracy_matrix.csv")
     predictions = run_dir / "predictions.csv"
     logs = read_predictions(predictions)
-    with open(run_dir / "config.json", encoding="utf-8") as fh:
-        echo = json.load(fh)
+    config = run_dir / "config.json"
+    try:
+        echo = json.loads(read_text(config))
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"malformed JSON: {exc.msg}", line=exc.lineno, path=config) from None
+    if not isinstance(echo, dict):
+        raise ParseError("expected a JSON object", line=1, path=config)
     task_ids = sorted(logs)
     if len(task_ids) != matrix.shape[0]:
         raise ParseError(f"{len(task_ids)} tasks for {matrix.shape[0]} accuracy-matrix columns", path=predictions)
-    scenario = echo.get("scenario") if isinstance(echo, dict) else None
+    scenario = echo.get("scenario")
     if scenario is not None and task_ids != _SCENARIO_SOURCES.get(scenario):
         raise ParseError(f"tasks {task_ids} are not those of scenario {scenario!r}", path=predictions)
     metrics, _ = compute_metrics(matrix, logs, echo)

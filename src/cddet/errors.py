@@ -1,4 +1,4 @@
-"""Exception hierarchy shared across the engine."""
+"""Exception hierarchy shared across the engine, and the readers' helpers that name the file at fault."""
 
 import functools
 
@@ -55,6 +55,16 @@ def names_its_file(read):
             raise
 
     return reader
+
+
+def read_text(path) -> str:
+    """A file's text; bytes that are not UTF-8 raise ``ParseError`` naming the file and their line."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8 text ({exc.reason})", line=data.count(b"\n", 0, exc.start) + 1, path=path) from None
 
 
 class NumericsError(EngineError):

@@ -19,11 +19,12 @@ parameter gradient into the optimizer's buffer, and each equals
 kept as the reference the tests and ``cddet verify`` check the step
 against; its forward, ``_forward_joint``, is the only place the network is
 built on the tape, over leaves that wrap the model's parameter arrays
-(``tape_leaves``). The step reads its rows as ``StepRows``: the
-input rows with the layer each block enters at, their targets and the
-replayed rows' per-row constants, which the trainer gathers for each step
-(``step_rows`` lays out a pair of batches the same way). Means are written as sum / size, which is what
-``np.mean`` computes, without its per-call dispatch.
+(``tape_leaves``). The step reads its rows as ``StepRows``: the input
+rows with the layer each block enters at, their targets and the replayed
+rows' per-row constants, which the trainer gathers for each step
+(``step_rows`` lays out a pair of batches the same way). Means are written
+as sum / size, which is what ``np.mean`` computes, without its per-call
+dispatch.
 """
 
 from __future__ import annotations
@@ -95,10 +96,6 @@ class Batch:
         n = 0 if self.x is None else self.x.shape[0]
         m = 0 if self.latents is None else self.latents.shape[0]
         return n + m
-
-    def take(self, rows) -> "Batch":
-        """The given rows of a batch that holds one payload kind only."""
-        return Batch(**{name: None if v is None else v[rows] for name, v in vars(self).items()})
 
 
 def _loss_op(parent: Tensor, value, grad: Array, name: str) -> Tensor:

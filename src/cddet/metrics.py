@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, DegenerateInputError, ParseError, names_its_file
+from .errors import ContractError, DegenerateInputError, ParseError, names_its_file, read_text
 from .trainer import PredictionLog, RunRecord
 
 Array = np.ndarray
@@ -190,8 +190,7 @@ def write_accuracy_matrix(path, matrix: Array) -> None:
 
 @names_its_file
 def read_accuracy_matrix(path) -> Array:
-    with open(path, encoding="utf-8") as fh:
-        lines = [line for line in fh.read().splitlines() if line.strip() != ""]
+    lines = [line for line in read_text(path).splitlines() if line.strip() != ""]
     if not lines:
         raise ParseError("no accuracy rows", line=1)
     n = len(lines)
@@ -246,8 +245,7 @@ _INT64 = 2**63  # class indices are stored as int64
 
 @names_its_file
 def read_predictions(path) -> dict[int, PredictionLog]:
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    lines = read_text(path).splitlines()
     if not lines or lines[0] != "task_id,record_id,true_label,pred_label,p_fake,true_class,pred_class":
         raise ParseError("bad predictions header", line=1)
     buckets: dict[int, list] = {}

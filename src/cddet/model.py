@@ -429,8 +429,11 @@ def _write_json(fh, obj) -> None:
 
 
 def load_checkpoint(path) -> tuple[Model, dict | None]:
-    with open(path, encoding="utf-8") as fh:
-        blob = json.load(fh)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            blob = json.load(fh)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"checkpoint {path}: not a JSON document ({exc})") from None
     found = blob.get("format") if isinstance(blob, dict) else None
     if found != CHECKPOINT_FORMAT:
         raise ConfigError(f"unsupported checkpoint format {found!r}")

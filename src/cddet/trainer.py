@@ -388,6 +388,10 @@ def _plan_session(
     return SessionPlan(new, pool, weights, snapshot, mt_classes)
 
 
+# the per-row constants the loss reads on replayed rows
+_REPLAYED = ("classes", "old_features", "old_logits", "kd_logp", "kd_p", "old_norms")
+
+
 class SessionRows:
     """A session's rows, held once: the inputs (``source``) and their
     targets (``source_targets``), new rows first, and the replayed rows'
@@ -419,8 +423,7 @@ class SessionRows:
                 raise ProtocolError("latent replay needs the layers below the capture layer frozen")
             inputs.append(pool.x if pool.latents is None else pool.latents)
             targets.append(pool.polarity if system == BC else pool.target_rows)
-            # the per-row constants the loss reads on replayed rows
-            self.pool = {name: v for name, v in vars(pool).items() if v is not None and name in _REPLAYED}
+            self.pool = {name: getattr(pool, name) for name in _REPLAYED if getattr(pool, name) is not None}
         self.source = np.concatenate(inputs)
         self.source_targets = np.concatenate(targets, dtype=np.float64)
         self.window = np.arange(len(self)) // batch_size * 2
@@ -433,9 +436,6 @@ class SessionRows:
         """Set the row order of an epoch whose permutation is ``perm``
         (indices below ``n_new`` are new rows, the rest replayed ones)."""
         self.order = perm[np.argsort(self.window + (perm >= self.n_new), kind="stable")]
-
-
-_REPLAYED = ("classes", "old_features", "old_logits", "kd_logp", "kd_p", "old_norms")
 
 
 def _assemble_batches(

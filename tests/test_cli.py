@@ -215,6 +215,24 @@ class TestRun:
         ) == 2
         assert capsys.readouterr().err == f"error: {path}: line 6: non-finite feature value\n"
 
+    @pytest.mark.parametrize("copy", [False, True])
+    def test_two_files_of_one_task_rejected_before_training(self, tmp_path, dataset_paths, capsys, monkeypatch, copy):
+        """The same file twice, or a copy of it: the second names the first."""
+        first, second = dataset_paths[0], dataset_paths[0]
+        if copy:
+            second = str(tmp_path / "copy.csv")
+            Path(second).write_bytes(Path(first).read_bytes())
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("training started on a repeated task")
+
+        monkeypatch.setattr(cli, "run_scenario_over_sessions", forbidden)
+        assert run_cli(
+            "run", "--data", first, dataset_paths[1], second, "--profile", "finetune", "--system", "mc",
+            "--out", str(tmp_path / "o"),
+        ) == 2
+        assert capsys.readouterr().err == f"error: {second}: task 1 is also the task of {first}\n"
+
     def test_missing_config_file(self, tmp_path, capsys):
         missing = tmp_path / "absent.cfg"
         assert run_cli("run", "--config", str(missing), "--out", str(tmp_path / "o")) == 2
@@ -253,6 +271,31 @@ class TestEval:
         assert run_cli("eval", str(out)) == 0
         capsys.readouterr()
         return out
+
+    @pytest.mark.parametrize("text, message", [
+        ("{", "line 1: malformed JSON: Expecting property name enclosed in double quotes"),
+        ("[1, 2]", "line 1: expected a JSON object"),
+    ])
+    def test_malformed_config_json(self, hard_run, capsys, text, message):
+        path = hard_run / "config.json"
+        path.write_text(text)
+        assert run_cli("eval", str(hard_run)) == 2
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+
+    @pytest.mark.parametrize("name", ["accuracy_matrix.csv", "predictions.csv"])
+    def test_run_file_that_is_not_utf8(self, hard_run, capsys, name):
+        path = hard_run / name
+        lines = path.read_bytes().split(b"\n")
+        lines[1] += b"\xff"
+        path.write_bytes(b"\n".join(lines))
+        assert run_cli("eval", str(hard_run)) == 2
+        assert capsys.readouterr().err == f"error: {path}: line 2: not UTF-8 text (invalid start byte)\n"
+
+    def test_matrix_file_that_is_not_utf8(self, tmp_path, capsys):
+        path = tmp_path / "m.csv"
+        path.write_bytes(b"0.5,0.4\n,0.\xff7\n")
+        assert run_cli("eval", str(path)) == 2
+        assert capsys.readouterr().err == f"error: {path}: line 2: not UTF-8 text (invalid start byte)\n"
 
     def test_run_dir_with_an_empty_matrix(self, hard_run, capsys):
         path = hard_run / "accuracy_matrix.csv"

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -215,6 +216,13 @@ class TestCheckpoint:
 
 
 class TestCheckpointValidation:
+    @pytest.mark.parametrize("blob", [b"{", b'{"format": "\xff"}'])
+    def test_file_that_is_not_json_rejected(self, tmp_path, blob):
+        path = tmp_path / "ckpt.json"
+        path.write_bytes(blob)
+        with pytest.raises(ConfigError, match=f"checkpoint {re.escape(str(path))}: not a JSON document"):
+            mdl.load_checkpoint(path)
+
     def _saved_payload(self, tmp_path):
         model = make_model(LINFC, tasks=2, seed=3)
         model.sessions_trained = 2

@@ -74,6 +74,11 @@ def _tape_gradients(system, profile, batch_new, batch_ex, model, plan):
     return loss.item(), [leaf.grad for leaf in leaves if leaf.requires_grad]
 
 
+def _take(batch, rows):
+    """The given rows of a plan's batch (its arrays are one row per sample)."""
+    return ls.Batch(**{name: None if v is None else v[rows] for name, v in vars(batch).items()})
+
+
 def _step_over(system, profile, model, plan, new_idx, pool_idx, rng):
     """The trainer's step over the given new and pool rows: an epoch order
     whose first window holds exactly those rows, and the tape's batches of
@@ -84,10 +89,10 @@ def _step_over(system, profile, model, plan, new_idx, pool_idx, rng):
     rows = SessionRows(plan, model, system, batch_size=picked.size)
     rows.shuffle(np.concatenate([picked, rest]))
     step = _assemble_batches(rows, 0, picked.size, profile, rng)
-    batch_new = plan.new.take(new_idx)
+    batch_new = _take(plan.new, new_idx)
     if profile.mixup_alpha > 0:
         batch_new.x, batch_new.target_rows = step.chains[0][1][: new_idx.size], step.targets[: new_idx.size]
-    batch_ex = plan.pool.take(pool_idx) if pool_idx.size else None
+    batch_ex = _take(plan.pool, pool_idx) if pool_idx.size else None
     return step, batch_new, batch_ex
 
 
@@ -138,7 +143,7 @@ def test_step_gradients_equal_the_tape(system, name, options):
         run_session(model, memory, session, profile, FAST, system)
     plan = _plan_session(model, memory, sessions[-1], profile, system)
     assert model.extractor.frozen == (model.extractor.capture_layer + 1 if profile.replay_payload == LATENT else 0)
-    plan.pool = plan.pool.take(rng.permutation(len(plan.pool)))
+    plan.pool = _take(plan.pool, rng.permutation(len(plan.pool)))
     shapes = [
         (slice(0, 6), slice(0, 0)),  # new rows only
         (slice(0, 0), slice(0, 9)),  # exemplar rows only
