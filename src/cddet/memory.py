@@ -142,7 +142,7 @@ class ExemplarMemory:
         self.classes[class_idx] = (task_id, np.asarray(payloads, dtype=np.float64))
 
     def rebalance(self, num_classes: int) -> None:
-        """Trim every class to its quota, dropping the herding tail.
+        """Trim every class to a copy of its first quota rows, freeing the herding tail.
 
         Quotas go to stored classes in ascending class-index order, so the
         floor-division remainder lands on the oldest classes.
@@ -151,7 +151,7 @@ class ExemplarMemory:
         for rank, class_idx in enumerate(sorted(self.classes)):
             quota = per_class[rank] if rank < num_classes else 0
             task_id, rows = self.classes[class_idx]
-            self.classes[class_idx] = (task_id, rows[:quota])
+            self.classes[class_idx] = (task_id, rows[:quota].copy())
         self.assert_within_budget()
 
     def total(self) -> int:

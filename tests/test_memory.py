@@ -165,6 +165,21 @@ class TestMemory:
         memory.rebalance(num_classes=2)
         task_id, stored = memory.classes[0]
         assert task_id == 1 and stored.tolist() == rows[:2].tolist()
+        assert not np.shares_memory(stored, rows)  # the dropped tail is not kept alive
+
+    def test_all_exemplars_stack_in_class_order(self):
+        """Rows stack by ascending class index, whatever the insertion order;
+        a class with no rows, as a checkpoint stores it, adds none."""
+        memory = ExemplarMemory(budget=9)
+        memory.add_class(3, np.full((2, 2), 3.0), task_id=2)
+        memory.add_class(1, np.full((3, 2), 1.0), task_id=1)
+        payload = memory.to_payload()
+        payload["classes"]["0"] = {"task_id": -1, "rows": []}
+        for stored in (memory, ExemplarMemory.from_payload(payload)):
+            payloads, classes = stored.all_exemplars()
+            assert classes.tolist() == [1, 1, 1, 3, 3]
+            assert payloads.tolist() == [[1.0, 1.0]] * 3 + [[3.0, 3.0]] * 2
+        assert ExemplarMemory(budget=1).all_exemplars()[1].size == 0
 
     def test_budget_invariant_enforced(self):
         memory = ExemplarMemory(budget=3)

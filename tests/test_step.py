@@ -174,7 +174,25 @@ def test_new_rows_enter_at_the_capture_layer_under_latent_replay(n_new):
     _assert_step_matches_tape(MC, profile, model, plan, slice(3, 3 + n_new), slice(0, 4), np.random.default_rng(0))
 
 
-def test_each_step_puts_its_windows_new_rows_first():
+def test_mixup_leaves_the_session_rows_unwritten():
+    """Each step mixes its own gathered copy of its new rows."""
+    profile, sessions, model, memory = _setup(MC, "distill", {"mixup_alpha": 0.4})
+    for session in sessions[:-1]:
+        run_session(model, memory, session, profile, FAST, MC)
+    rows = SessionRows(_plan_session(model, memory, sessions[-1], profile, MC), model, MC, batch_size=8)
+    source, targets = rows.source.copy(), rows.source_targets.copy()
+    rows.shuffle(np.random.default_rng(1).permutation(len(rows)))
+    mixed = 0
+    for start in range(0, len(rows), 8):
+        step = _assemble_batches(rows, start, min(start + 8, len(rows)), profile, np.random.default_rng(start))
+        gathered = source[rows.order[start : start + 8]]
+        mixed += not np.array_equal(step.chains[0][1][: step.n_new], gathered[: step.n_new])
+    assert mixed
+    assert rows.source.tobytes() == source.tobytes()
+    assert rows.source_targets.tobytes() == targets.tobytes()
+
+
+def test_epoch_layout_puts_each_windows_new_rows_first():
     profile, sessions, model, memory = _setup(MT, "rebalance", {"label_smooth_eps": 0.1})
     for session in sessions[:-1]:
         run_session(model, memory, session, profile, FAST, MT)
