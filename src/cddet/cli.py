@@ -114,8 +114,11 @@ class ExperimentConfig:
             raise ConfigError("an output directory is required")
         if self.jobs < 1:
             raise ConfigError("jobs must be at least 1")
-        if any(seed < 0 for seed in self.seeds or ()):
-            raise ConfigError("seeds must be non-negative")
+        for i, seed in enumerate(self.seeds or ()):
+            if seed < 0:
+                raise ConfigError("seeds must be non-negative")
+            if seed in self.seeds[:i]:
+                raise ConfigError(f"seeds: seed {seed} is listed twice")
         profile = resolve_profile(
             self.profile, self.system, aggregation=self.aggregation, lam=self.lam,
             label_smooth_eps=self.label_smooth, mixup_alpha=self.mixup, **self.overrides,
@@ -279,6 +282,8 @@ def recompute_metrics_json(run_dir: Path) -> str:
     if len(task_ids) != matrix.shape[0]:
         raise ParseError(f"{len(task_ids)} tasks for {matrix.shape[0]} accuracy-matrix columns", path=predictions)
     scenario = echo.get("scenario")
+    if scenario is not None and not isinstance(scenario, str):
+        raise ParseError(f"scenario: expected a string, found {scenario!r}", path=config)
     if scenario is not None and task_ids != _SCENARIO_SOURCES.get(scenario):
         raise ParseError(f"tasks {task_ids} are not those of scenario {scenario!r}", path=predictions)
     metrics, _ = compute_metrics(matrix, logs, echo)

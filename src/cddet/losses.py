@@ -17,14 +17,15 @@ tape's operands, memory layouts and order of summation; it writes each
 parameter gradient into the optimizer's buffer, and each equals
 ``total_loss(...).backward()`` bit for bit. ``total_loss`` on the tape is
 kept as the reference the tests and ``cddet verify`` check the step
-against; its forward, ``_forward_joint``, is the only place the network is
-built on the tape, over leaves that wrap the model's parameter arrays
-(``tape_leaves``). The step reads its rows as ``StepRows``: the input
-rows with the layer each block enters at, their targets and the replayed
-rows' per-row constants, which the trainer gathers for each step
-(``step_rows`` lays out a pair of batches the same way). Means are written
-as sum / size, which is what ``np.mean`` computes, without its per-call
-dispatch.
+against. It lays out its rows with ``step_rows``, as ``StepRows``: the
+input rows with the layer each block enters at, their targets and the
+replayed rows' per-row constants, the layout the trainer gathers for each
+step. Its forward, ``_forward_joint``, walks those blocks on the tape, the
+only place the network is built there, over leaves that wrap the model's
+parameter arrays (``tape_leaves``). The snapshot's outputs on replayed rows,
+and the constants derived from them, have one builder,
+``snapshot_constants``. Means are written as sum / size, which is what
+``np.mean`` computes, without its per-call dispatch.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ import numpy as np
 
 from . import diffcore as dc
 from .diffcore import Array, Tensor
-from .errors import ConfigError, ContractError, DimensionError, NumericsError, ProtocolError
+from .errors import ConfigError, ContractError, DimensionError, NumericsError
 from .model import BC, COSFC, FAKE, MC, MT, Model
 
 SUMLOG = "sumlog"
@@ -74,11 +75,11 @@ class LossWeights:
 class Batch:
     """Aligned sample rows: raw inputs first, then latent payload rows.
 
-    ``old_features`` and ``old_logits`` optionally carry the snapshot's
-    outputs for the same rows, so distillation need not recompute them;
-    ``kd_logp``/``kd_p`` (its distillation targets, from ``kd_targets``) and
-    ``old_norms`` (the row norms of ``old_features``) are per-row constants
-    the training step reads when present.
+    ``old_features`` and ``old_logits`` carry the snapshot's outputs for the
+    same rows, ``kd_logp``/``kd_p`` (its distillation targets, from
+    ``kd_targets``) and ``old_norms`` (the row norms of ``old_features``)
+    the per-row constants the training step reads: ``snapshot_constants``
+    sets them, and replayed rows that are distilled must carry them.
     """
 
     x: Array | None = None
@@ -411,22 +412,18 @@ def tape_leaves(model: Model) -> list[Tensor]:
     return [Tensor(p, requires_grad=i >= frozen) for i, p in enumerate(model.parameters())]
 
 
-def _forward_joint(model: Model, leaves: list[Tensor], raw: Array | None, latents: Array | None):
+def _forward_joint(model: Model, leaves: list[Tensor], chains: list[tuple[int, Array]]):
     """Features and logits of the live model on the tape, the reference's
-    forward over ``leaves`` (``tape_leaves``): raw rows through every layer,
-    then latent rows from the capture layer on."""
-    ext = model.extractor
-    last = len(ext.weights) - 1
+    forward over ``leaves`` (``tape_leaves``): each block of ``chains``
+    (``StepRows.chains``) from the layer it enters at, outputs stacked in
+    order, as the training step walks them."""
+    last = len(model.extractor.weights) - 1
     parts = []
-    for start, rows in ((0, raw), (ext.capture_layer + 1, latents)):
-        if rows is None or not rows.shape[0]:
-            continue
+    for start, rows in chains:
         h = Tensor(rows)
         for i in range(start, last + 1):
             h = (dc.affine_relu if i < last else dc.affine)(h, leaves[2 * i], leaves[2 * i + 1])
         parts.append(h)
-    if not parts:
-        raise ContractError("no rows to train on")
     features = parts[0] if len(parts) == 1 else dc.concat_rows(parts[0], parts[1])
     theta, other = leaves[-2:]
     if model.head.variant == COSFC:
@@ -454,6 +451,18 @@ def _np_forward_joint(snapshot: Model, raw: Array | None, latents: Array | None)
     return tuple(np.concatenate(parts, axis=0) for parts in zip(*outs))
 
 
+def snapshot_constants(batch: Batch, snapshot: Model, T: float, distill_form: str) -> None:
+    """Set the snapshot's outputs on the batch's rows (``old_features``,
+    ``old_logits``) and the per-row constants the step derives from them:
+    the distillation targets ``kd_logp``/``kd_p`` for the logit forms, the
+    row norms ``old_norms`` for the feature forms."""
+    batch.old_features, batch.old_logits = _np_forward_joint(snapshot, batch.x, batch.latents)
+    if distill_form in ("logit", "logit+feature"):
+        batch.kd_logp, batch.kd_p = kd_targets(batch.old_logits, np.arange(batch.old_logits.shape[1]), T)
+    if distill_form in ("feature", "logit+feature"):
+        batch.old_norms = dc.row_norms(batch.old_features, "old features")
+
+
 def _stack(*arrays):
     arrays = [a for a in arrays if a is not None and len(a)]
     if not arrays:
@@ -466,93 +475,51 @@ def total_loss(
     batch_new: Batch,
     batch_exemplar: Batch | None,
     model: Model,
-    snapshot: Model | None,
     weights: LossWeights,
     rule: str | None = None,
     distill_form: str = "logit",
     leaves: list[Tensor] | None = None,
 ) -> Tensor:
     """Classification over new plus replayed rows, distillation and margin
-    ranking over the replayed rows, weighted by gamma_d and gamma_m; the
-    parameters enter as ``leaves`` (by default ``tape_leaves(model)``)."""
-    if (weights.gamma_d > 0 or weights.gamma_m > 0) and snapshot is None:
-        raise ProtocolError("distillation or margin terms need a model snapshot")
+    ranking over the replayed rows, weighted by gamma_d and gamma_m, on the
+    rows of ``step_rows``; the parameters enter as ``leaves`` (by default
+    ``tape_leaves(model)``). Distilling needs ``snapshot_constants`` on the
+    replayed rows."""
     if leaves is None:
         leaves = tape_leaves(model)
-
-    ex = batch_exemplar if batch_exemplar is not None and len(batch_exemplar) else None
-    raw = _stack(batch_new.x, ex.x if ex else None)
-    latents = ex.latents if ex else None
-    features, logits = _forward_joint(model, leaves, raw, latents)
-
-    n_new = 0 if batch_new.x is None else batch_new.x.shape[0]
-    ex_slice = slice(n_new, None)
-
-    polarity = _stack(batch_new.polarity, ex.polarity if ex else None)
-    classes = _stack(batch_new.classes, ex.classes if ex else None)
+    step = step_rows(system, batch_new, batch_exemplar, model)
+    features, logits = _forward_joint(model, leaves, step.chains)
 
     if system == BC:
-        class_loss = binary_ce(logits, polarity)
+        total = binary_ce(logits, step.targets)
+    elif system == MC:
+        total = multiclass_ce(logits, step.targets)
     else:
-        targets = _combined_targets(batch_new, ex, logits.shape[1], classes)
-        if system == MC:
-            class_loss = multiclass_ce(logits, targets)
-        elif system == MT:
-            if rule is None:
-                raise ConfigError("multi-task loss needs an aggregation rule")
-            class_loss = mt_class_loss(logits, targets, model.head.registry, weights.lam, rule)
-        else:
-            raise ConfigError(f"unknown learning system {system!r}")
+        total = mt_class_loss(logits, step.targets, model.head.registry, weights.lam, rule)
 
-    total = class_loss
+    ex, ex_slice = step.ex, slice(step.n_new, None)
     wants_distill = ex is not None and weights.gamma_d > 0
     wants_margin = ex is not None and weights.gamma_m > 0 and system != BC
     if wants_distill or wants_margin:
         ex_feats = dc.take_rows(features, ex_slice)
 
     if wants_distill:
-        if ex.old_logits is not None:
-            old_feats, old_logits = ex.old_features, ex.old_logits
-        else:
-            old_feats, old_logits = _np_forward_joint(snapshot, ex.x, ex.latents)
-        distill_terms = []
+        if ex.old_logits is None or ex.old_features is None:
+            raise ContractError("distillation needs the snapshot's outputs on the replayed rows")
+        distill = None
         if distill_form in ("logit", "logit+feature"):
-            mask = np.arange(logits.shape[1]) < old_logits.shape[1]
-            distill_terms.append(kd_kl(old_logits, dc.take_rows(logits, ex_slice), weights.T, mask))
+            mask = np.arange(logits.shape[1]) < ex.old_logits.shape[1]
+            distill = kd_kl(ex.old_logits, dc.take_rows(logits, ex_slice), weights.T, mask)
         if distill_form in ("feature", "logit+feature"):
-            distill_terms.append(kd_feature(old_feats, ex_feats))
-        if not distill_terms:
-            raise ConfigError(f"unknown distillation form {distill_form!r}")
-        distill = distill_terms[0]
-        for term in distill_terms[1:]:
-            distill = dc.add(distill, term)
+            term = kd_feature(ex.old_features, ex_feats)
+            distill = term if distill is None else dc.add(distill, term)
         total = dc.add(total, dc.scale(distill, weights.gamma_d))
 
     if wants_margin:
-        ex_classes = classes[n_new:]
-        supp = margin_ranking(ex_feats, leaves[-2], ex_classes, weights.tau, weights.J)
+        supp = margin_ranking(ex_feats, leaves[-2], ex.classes, weights.tau, weights.J)
         total = dc.add(total, dc.scale(supp, weights.gamma_m))
 
     return total
-
-
-def _combined_targets(batch_new: Batch, ex: Batch | None, k: int, classes: Array):
-    """Integer classes unless either batch carries soft rows, then dense rows."""
-    new_rows = batch_new.target_rows
-    ex_rows = ex.target_rows if ex else None
-    if new_rows is None and ex_rows is None:
-        return classes
-    parts = []
-    if batch_new.x is not None and batch_new.x.shape[0]:
-        parts.append(new_rows if new_rows is not None else _one_hot(batch_new.classes, k))
-    if ex is not None and len(ex):
-        parts.append(ex_rows if ex_rows is not None else _one_hot(ex.classes, k))
-    rows = np.concatenate(parts, axis=0)
-    if rows.shape[1] != k:
-        padded = np.zeros((rows.shape[0], k))
-        padded[:, : rows.shape[1]] = rows
-        rows = padded
-    return rows
 
 
 def _one_hot(targets: Array, k: int) -> Array:
@@ -608,24 +575,25 @@ class StepRows:
 
 
 def step_rows(system: str, batch_new: Batch, batch_exemplar: Batch | None, model: Model) -> StepRows:
-    """A new and a replayed batch laid out as ``total_loss`` stacks them:
+    """A new and a replayed batch laid out as the trainer lays out a step:
     the raw rows (new, then replayed) through every layer, the latent
-    replayed rows from the capture layer on."""
+    replayed rows from the capture layer on, and each batch's targets, from
+    its ``target_rows``, its classes or, for BC, its polarity."""
     ex = batch_exemplar if batch_exemplar is not None and len(batch_exemplar) else None
-    raw = _stack(batch_new.x, ex.x if ex else None)
+    batches = [b for b in (batch_new, ex) if b is not None and len(b)]
+    raw = _stack(*(b.x for b in batches))
     chains = [] if raw is None else [(0, raw)]
     if ex is not None and ex.latents is not None and ex.latents.shape[0]:
         chains.append((model.extractor.capture_layer + 1, ex.latents))
     if not chains:
         raise ContractError("no rows to train on")
-    if system == BC:
-        targets = np.asarray(_stack(batch_new.polarity, ex.polarity if ex else None), dtype=np.float64)
-    else:
-        k = model.head.theta.shape[0]
-        classes = _stack(batch_new.classes, ex.classes if ex else None)
-        targets = _target_rows(_combined_targets(batch_new, ex, k, classes), classes.size, k)
-    n_new = 0 if batch_new.x is None else batch_new.x.shape[0]
-    return StepRows(chains, n_new, targets, ex)
+    k = model.head.theta.shape[0]
+    targets = np.concatenate([
+        np.asarray(b.polarity, dtype=np.float64) if system == BC
+        else _one_hot(b.classes, k) if b.target_rows is None else b.target_rows
+        for b in batches
+    ])
+    return StepRows(chains, len(batch_new), targets, ex)
 
 
 def loss_and_gradients(
@@ -645,12 +613,11 @@ def loss_and_gradients(
     The forward pass, the loss terms and the backward sweep use the tape's
     operands, memory layouts and order of summation, so each gradient equals
     ``total_loss(...).backward()`` bit for bit; the value agrees to rounding.
-    ``mt_classes`` is ``polarity_classes`` of the head, derived here when not
-    given. Distilling needs the snapshot's outputs on the replayed rows
-    (``old_features``/``old_logits``); its per-row constants are used when
-    ``step.ex`` carries them. Inputs are not checked here: every row is
-    checked once, when the session's plan is built, and the first of
-    ``step.chains`` enters no higher than the lowest trainable layer.
+    ``mt_classes`` is ``polarity_classes`` of the head, which MT steps pass.
+    Distilling reads ``snapshot_constants`` on the replayed rows. Inputs are
+    not checked here: the method profile and the session's plan check every
+    setting and every row once, and the first of ``step.chains`` enters no
+    higher than the lowest trainable layer.
     """
     ext, head = model.extractor, model.head
     chains = [(start, ext.np_activations(x, start)) for start, x in step.chains]
@@ -663,19 +630,12 @@ def loss_and_gradients(
     if system == BC:
         value, d_logits = _bce_parts(logits, targets)
         total = _checked_loss(value, "binary_ce")
-    elif system in (MC, MT):
-        if system == MT and rule is None:
-            raise ConfigError("multi-task loss needs an aggregation rule")
-        if system == MT and weights.lam > 0:
-            if mt_classes is None:
-                mt_classes = polarity_classes(head.registry.fake_mask(), rule)
-            value, d_logits = _mt_parts(logits, targets, mt_classes, weights.lam, rule)
-            total = _checked_loss(value, "mt_class_loss")
-        else:
-            value, d_logits = _ce_parts(dc.np_log_softmax(logits, axis=1), targets)
-            total = _checked_loss(value, "multiclass_ce")
+    elif system == MT and weights.lam > 0:
+        value, d_logits = _mt_parts(logits, targets, mt_classes, weights.lam, rule)
+        total = _checked_loss(value, "mt_class_loss")
     else:
-        raise ConfigError(f"unknown learning system {system!r}")
+        value, d_logits = _ce_parts(dc.np_log_softmax(logits, axis=1), targets)
+        total = _checked_loss(value, "multiclass_ce")
 
     ex = step.ex
     n_ex = feats.shape[0] - n_new
@@ -686,31 +646,28 @@ def loss_and_gradients(
     gamma_d, gamma_m = weights.gamma_d, weights.gamma_m
     if n_ex and gamma_d > 0:
         if ex.old_logits is None or ex.old_features is None:
-            raise ContractError("distillation needs the snapshot's outputs on the exemplar rows")
-        if distill_form not in ("logit", "feature", "logit+feature"):
-            raise ConfigError(f"unknown distillation form {distill_form!r}")
-        old_logits, old_features = ex.old_logits, ex.old_features
+            raise ContractError("distillation needs the snapshot's outputs on the replayed rows")
         distill = 0.0
         if distill_form in ("logit", "logit+feature"):
-            cols = np.arange(old_logits.shape[1])
-            if ex.kd_logp is not None and n_ex > 1:
+            cols = np.arange(ex.old_logits.shape[1])
+            if n_ex > 1:
                 logp, p = ex.kd_logp, ex.kd_p
             else:
-                logp, p = kd_targets(old_logits, cols, weights.T)
+                # a one-row batch sums its row in another order than the
+                # taller batch the constants came from: its last bits differ,
+                # so recompute it as the tape does
+                logp, p = kd_targets(ex.old_logits, cols, weights.T)
             value, g = _kd_parts(logp, p, logits[n_new:], cols, weights.T)
             distill += _checked_loss(value, "kd_kl")
             d_logits[n_new:] += gamma_d * g
         if distill_form in ("feature", "logit+feature"):
-            old_norms = ex.old_norms if ex.old_norms is not None else dc.row_norms(old_features, "old features")
             ex_norms = dc.row_norms(ex_feats, "exemplar features")
-            value, g = _kd_feature_parts(old_features, old_norms, ex_feats, ex_norms)
+            value, g = _kd_feature_parts(ex.old_features, ex.old_norms, ex_feats, ex_norms)
             distill += _checked_loss(value, "kd_feature")
             d_feats_ex = gamma_d * g
         total = total + distill * gamma_d
 
     if n_ex and gamma_m > 0 and system != BC:
-        if weights.J > head.theta.shape[0] - 1:
-            raise ContractError(f"J={weights.J} exceeds the {head.theta.shape[0] - 1} available rival classes")
         supp = 0.0
         if weights.J > 0:
             sims, sna, snb, san, sbn = dc.np_cosine_matrix(ex_feats, head.theta, ex_norms)

@@ -185,15 +185,17 @@ class ExemplarMemory:
         }
 
     @classmethod
-    def from_payload(cls, payload: dict, extractor=None) -> "ExemplarMemory":
+    def from_payload(cls, payload: dict, model=None) -> "ExemplarMemory":
         """Rebuild a memory from ``to_payload`` output.
 
         A payload that ``to_payload`` could not have written raises
         ``ConfigError`` naming the field: an unknown kind, a budget that is
         not a positive integer, a class key that is not a non-negative
         integer, ragged rows, or more exemplars than the budget. Given the
-        model's ``extractor``, every row must also have its input width (raw
-        payloads) or its latent width (latent payloads).
+        ``model``, every row must also have its input width (raw payloads)
+        or its latent width (latent payloads), every class key must index
+        its class registry, and each ``task_id`` must be that class's task,
+        or -1 for a class with no rows.
         """
         try:
             kind, budget, classes = payload["kind"], payload["budget"], payload["classes"]
@@ -208,8 +210,8 @@ class ExemplarMemory:
         if not isinstance(classes, dict):
             raise ConfigError("checkpoint field memory.classes: not an object")
         width = None
-        if extractor is not None:
-            width = extractor.input_width if kind == RAW else extractor.latent_width
+        if model is not None:
+            width = model.extractor.input_width if kind == RAW else model.extractor.latent_width
         memory = cls(budget, kind)
         for key, entry in classes.items():
             where = f"memory.classes[{key!r}]"
@@ -229,6 +231,13 @@ class ExemplarMemory:
                     f"checkpoint field {where}.rows: rows have {arr.shape[1]} entries, "
                     f"the model's {kind} width is {width}"
                 )
+            if model is not None:
+                entries = model.head.registry.entries
+                if int(key) >= len(entries):
+                    raise ConfigError(f"checkpoint field {where}: the model has {len(entries)} classes")
+                want = entries[int(key)][0] if arr.shape[0] else -1
+                if type(task_id) is not int or task_id != want:
+                    raise ConfigError(f"checkpoint field {where}.task_id: {task_id!r}, expected {want}")
             memory.classes[int(key)] = (task_id, arr)
         if memory.total() > budget:
             raise ConfigError(f"checkpoint field memory: {memory.total()} exemplars exceed budget {budget}")

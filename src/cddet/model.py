@@ -246,12 +246,9 @@ class Model:
         rng: np.random.Generator,
         hidden: tuple[int, ...] = (64, 64),
         feature_width: int = 32,
-        capture_layer: int | None = None,
     ) -> "Model":
-        widths = (input_width, *hidden, feature_width)
-        if capture_layer is None:
-            capture_layer = 0  # shallow capture keeps most layers trainable
-        extractor = FeatureExtractor(widths, capture_layer, rng)
+        # capture at layer 0: a shallow capture keeps most layers trainable
+        extractor = FeatureExtractor((input_width, *hidden, feature_width), 0, rng)
         head = ClassifierHead(variant, feature_width, rng)
         return cls(extractor, head)
 
@@ -442,5 +439,5 @@ def load_checkpoint(path) -> tuple[Model, dict | None]:
     model = _model_from_payload(blob["model"])
     memory = blob.get("memory")
     if memory is not None:
-        ExemplarMemory.from_payload(memory, model.extractor)
+        ExemplarMemory.from_payload(memory, model)
     return model, memory

@@ -31,6 +31,7 @@ SPLITS = ("train", "val", "test")
 # Symmetric-KL threshold separating "same reals" from "distinct fakes".
 DEFAULT_OVERLAP_BOUND = 2.0
 
+_FEATURE_DIM = 16  # the width of every synthetic source
 _DEFAULT_COUNTS = {"train": 300, "val": 60, "test": 150}  # per polarity
 _EASY_DIFFICULTY = 6.0
 _WILD_DIFFICULTY = 2.5
@@ -128,13 +129,13 @@ def _spread_directions(rng: np.random.Generator, count: int, dim: int, max_cos: 
     return np.asarray(dirs)
 
 
-def _source_specs(seed: int, dim: int) -> list[TaskSpec]:
+def _source_specs(seed: int) -> list[TaskSpec]:
     """Thirteen source definitions: a warm-up source plus twelve stream sources."""
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(1,)))
     n_sources = 13
     components = 2
-    dirs = _spread_directions(rng, n_sources * components, dim)
-    base = np.zeros(dim)
+    dirs = _spread_directions(rng, n_sources * components, _FEATURE_DIM)
+    base = np.zeros(_FEATURE_DIM)
     counts = _DEFAULT_COUNTS
 
     specs: list[TaskSpec] = []
@@ -149,7 +150,7 @@ def _source_specs(seed: int, dim: int) -> list[TaskSpec]:
                 difficulty, n_train = _SMALL_DIFFICULTY, counts["train"] // 10
             else:
                 difficulty, n_train = _EASY_DIFFICULTY, counts["train"]
-        shift = rng.standard_normal(dim)
+        shift = rng.standard_normal(_FEATURE_DIM)
         shift *= 0.35 / np.linalg.norm(shift)
         fake_means = tuple(
             tuple(base + difficulty * dirs[sid * components + c])
@@ -179,17 +180,12 @@ _SCENARIO_SOURCES = {
 }
 
 
-def build_scenario(
-    kind: str,
-    seed: int,
-    with_warmup: bool = True,
-    feature_dim: int = 16,
-) -> Scenario:
+def build_scenario(kind: str, seed: int, with_warmup: bool = True) -> Scenario:
     """Seeded scenario: easy (7 tasks), hard (5, with two low-separation
     sources and one small-data source), or long (all 12)."""
     if kind not in SCENARIO_KINDS:
         raise ConfigError(f"unknown scenario kind {kind!r}")
-    specs = _source_specs(seed, feature_dim)
+    specs = _source_specs(seed)
     tasks = [specs[sid] for sid in _SCENARIO_SOURCES[kind]]
     warmup = specs[0] if with_warmup else None
     return Scenario(kind=kind, seed=seed, tasks=tasks, warmup=warmup)

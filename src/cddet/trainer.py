@@ -13,9 +13,10 @@ Training records no tape, and each piece of its work is done at the
 coarsest level at which it is constant:
 
 - once per session, ``SessionPlan``: the new rows and stored exemplars,
-  checked once, with the per-row constants (target rows, the snapshot's
-  outputs and distillation targets on the exemplars, the norms of their old
-  features) and the MT aggregation's fake and real class indices; and
+  checked once, with the per-row constants (target rows, and on the
+  exemplars ``losses.snapshot_constants``: the snapshot's outputs, their
+  distillation targets and old-feature norms; the plan keeps no snapshot)
+  and the MT aggregation's fake and real class indices; and
   ``SessionRows``: the session's rows held once, as one array of inputs, one
   of targets and the replayed rows' constants, where, once latent replay has
   frozen the layers up to the capture layer, each new row is its activation
@@ -47,12 +48,11 @@ from .losses import (
     Batch,
     LossWeights,
     StepRows,
-    _np_forward_joint,
-    kd_targets,
     label_smooth,
     loss_and_gradients,
     mixup,
     polarity_classes,
+    snapshot_constants,
 )
 from .memory import LATENT, PAYLOAD_KINDS, RAW, ExemplarMemory, capture, herd_select
 from .model import (
@@ -162,13 +162,12 @@ class Adam:
     ``flat`` and both moment buffers in place.
     """
 
-    def __init__(self, model: Model, lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+    def __init__(self, model: Model, lr: float):
         params = model.parameters()
         frozen = 2 * model.extractor.frozen
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         trainable = params[frozen:]
         self.flat = np.concatenate([p.ravel() for p in trainable])
@@ -192,18 +191,18 @@ class Adam:
         self.t += 1
         g, m, v = self.g, self.m, self.v
         a, b = self._scratch
-        m *= self.beta1
-        np.multiply(1.0 - self.beta1, g, out=a)
+        m *= self.BETA1
+        np.multiply(1.0 - self.BETA1, g, out=a)
         m += a
-        v *= self.beta2
-        np.multiply(1.0 - self.beta2, g, out=a)
+        v *= self.BETA2
+        np.multiply(1.0 - self.BETA2, g, out=a)
         a *= g
         v += a
-        np.divide(m, 1.0 - self.beta1**self.t, out=a)
+        np.divide(m, 1.0 - self.BETA1**self.t, out=a)
         a *= self.lr
-        np.divide(v, 1.0 - self.beta2**self.t, out=b)
+        np.divide(v, 1.0 - self.BETA2**self.t, out=b)
         np.sqrt(b, out=b)
-        b += self.eps
+        b += self.EPS
         a /= b
         self.flat -= a
 
@@ -284,7 +283,7 @@ def _class_targets(registry, task_id: int, polarity: np.ndarray) -> np.ndarray:
 class SessionPlan:
     """What a session trains on, built once before its first step: the new
     rows and the stored exemplars (``pool``), each with its per-row
-    constants, the loss weights in force and the snapshot they refer to.
+    constants, and the loss weights in force.
 
     ``mt_classes`` holds the head's (fake, real) class indices for the MT
     aggregation.
@@ -293,7 +292,6 @@ class SessionPlan:
     new: Batch
     pool: Batch | None
     weights: LossWeights
-    snapshot: Model | None
     mt_classes: tuple[np.ndarray, np.ndarray] | None = None
 
 
@@ -320,12 +318,7 @@ def _exemplar_pool(
         polarity=class_polarity[classes].astype(np.int64),
     )
     if snapshot is not None:
-        pool.old_features, pool.old_logits = _np_forward_joint(snapshot, pool.x, pool.latents)
-        if distill_form in ("logit", "logit+feature"):
-            cols = np.arange(pool.old_logits.shape[1])
-            pool.kd_logp, pool.kd_p = kd_targets(pool.old_logits, cols, weights.T)
-        if distill_form in ("feature", "logit+feature"):
-            pool.old_norms = dc.row_norms(pool.old_features, "old features")
+        snapshot_constants(pool, snapshot, weights.T, distill_form)
     return pool
 
 
@@ -385,7 +378,7 @@ def _plan_session(
         # backward pass) by freezing the layers below the capture layer
         # once the first session has shaped them
         model.extractor.frozen = model.extractor.capture_layer + 1
-    return SessionPlan(new, pool, weights, snapshot, mt_classes)
+    return SessionPlan(new, pool, weights, mt_classes)
 
 
 # the per-row constants the loss reads on replayed rows

@@ -67,8 +67,9 @@ def check_loss_gradients(seed: int, points: int = 10, tol: float = 1e-6) -> Chec
 
 
 def _step_case(rng, variant: str, payload: str):
-    """A small model one session in, a snapshot, and a new and a replayed
-    batch that switch on every loss term of the system the head serves."""
+    """A small model one session in, and a new and a replayed batch, with
+    its snapshot's constants, that switch on every loss term of the system
+    the head serves."""
     model = Model.build(6, variant, rng, hidden=(8, 7), feature_width=5)
     if variant == SIGMOID:
         model.head.register_task(1)
@@ -86,11 +87,10 @@ def _step_case(rng, variant: str, payload: str):
     ex = ls.Batch(classes=ex_pol.copy(), polarity=ex_pol)
     if payload == LATENT:
         ex.latents = np.abs(rng.normal(size=(3, model.extractor.latent_width)))
-        ex.old_features, ex.old_logits = ls._np_forward_joint(snap, None, ex.latents)
     else:
         ex.x = rng.normal(size=(3, 6))
-        ex.old_features, ex.old_logits = ls._np_forward_joint(snap, ex.x, None)
-    return model, snap, new, ex
+    ls.snapshot_constants(ex, snap, STEP_WEIGHTS.T, "logit+feature")
+    return model, new, ex
 
 
 STEP_WEIGHTS = ls.LossWeights(gamma_d=0.7, gamma_m=0.4, lam=0.3, T=2.0, tau=2.5, J=3)
@@ -101,7 +101,10 @@ def _step(system: str, rule, model: Model, new: ls.Batch, ex: ls.Batch):
     """The step's loss value, and its gradients in ``model.parameters()`` order."""
     grads = [np.empty_like(p) for p in model.parameters()]
     rows = ls.step_rows(system, new, ex, model)
-    value = ls.loss_and_gradients(system, rows, model, STEP_WEIGHTS, grads, rule=rule, distill_form="logit+feature")
+    mt_classes = ls.polarity_classes(model.head.registry.fake_mask(), rule) if system == MT else None
+    value = ls.loss_and_gradients(
+        system, rows, model, STEP_WEIGHTS, grads, rule=rule, distill_form="logit+feature", mt_classes=mt_classes
+    )
     return value, grads
 
 
@@ -113,7 +116,7 @@ def check_step_gradients(seed: int, coords: int = 3, step: float = 1e-6, tol: fl
     rng = substream(seed, "verify:step")
     worst, checked = 0.0, 0
     for system, variant, payload, rule in STEP_CASES:
-        model, _, new, ex = _step_case(rng, variant, payload)
+        model, new, ex = _step_case(rng, variant, payload)
         _, grads = _step(system, rule, model, new, ex)
         for p, g in zip(model.parameters(), grads):
             for flat in rng.choice(p.size, size=min(coords, p.size), replace=False):
@@ -135,12 +138,11 @@ def check_step_against_tape(seed: int) -> CheckResult:
     on the tape: every parameter's gradient must match bit for bit."""
     rng = substream(seed, "verify:step-tape")
     for system, variant, payload, rule in STEP_CASES:
-        model, snap, new, ex = _step_case(rng, variant, payload)
+        model, new, ex = _step_case(rng, variant, payload)
         _, grads = _step(system, rule, model, new, ex)
         leaves = ls.tape_leaves(model)
-        ls.total_loss(
-            system, new, ex, model, snap, STEP_WEIGHTS, rule=rule, distill_form="logit+feature", leaves=leaves
-        ).backward()
+        loss = ls.total_loss(system, new, ex, model, STEP_WEIGHTS, rule=rule, distill_form="logit+feature", leaves=leaves)
+        loss.backward()
         for leaf, g in zip(leaves, grads):
             if leaf.grad is None or leaf.grad.tobytes() != g.tobytes():
                 return CheckResult("step-equals-tape", False, f"{system}/{variant}: a gradient differs from the tape")

@@ -1,4 +1,5 @@
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from cddet import cli, trainer
 from cddet.cli import ExperimentConfig, main, recompute_metrics_json
 from cddet.errors import ConfigError, ParseError
+from cddet.model import load_checkpoint
 from cddet.stream import save_dataset, synth_generate
 
 
@@ -84,6 +86,7 @@ class TestChecksBeforeData:
         ("mixup = -1", "mixup"),
         ("replay_payload = bogus\nmemory = 0", "replay_payload"),
         ("warmup = flase", "warmup"),
+        ("seeds = 3 3", "seeds"),
     ])
     def test_bad_setting(self, tmp_path, capsys, lines, named):
         config_file = tmp_path / "bad.cfg"
@@ -275,6 +278,7 @@ class TestEval:
     @pytest.mark.parametrize("text, message", [
         ("{", "line 1: malformed JSON: Expecting property name enclosed in double quotes"),
         ("[1, 2]", "line 1: expected a JSON object"),
+        ('{"scenario": ["hard"]}', "scenario: expected a string, found ['hard']"),
     ])
     def test_malformed_config_json(self, hard_run, capsys, text, message):
         path = hard_run / "config.json"
@@ -339,6 +343,36 @@ class TestEval:
         capsys.readouterr()
         assert run_cli("eval", str(out)) == 2
         assert capsys.readouterr().err == f"error: {out / 'predictions.csv'}: line 3: {message}\n"
+
+
+class TestCheckpointMemory:
+    """A run's checkpoint loads only while its memory matches its model's
+    class registry."""
+
+    @pytest.fixture
+    def checkpoint(self, tmp_path, dataset_paths):
+        # two tasks give four classes; a budget of 3 trims the last to no rows
+        out = tmp_path / "run"
+        assert run_cli(
+            "run", "--data", *dataset_paths, "--profile", "replay", "--system", "mc",
+            "--memory", "3", "--epochs", "1", "--out", str(out),
+        ) == 0
+        return out / "checkpoint.json"
+
+    def test_a_class_trimmed_to_no_rows_loads(self, checkpoint):
+        _, memory = load_checkpoint(checkpoint)
+        assert memory["classes"]["3"] == {"task_id": -1, "rows": []}
+
+    @pytest.mark.parametrize("edit, field", [
+        (lambda classes: classes["0"].update(task_id="seven"), "memory.classes['0'].task_id"),
+        (lambda classes: classes.update({"99": classes.pop("0")}), "memory.classes['99']"),
+    ], ids=["task-id-not-the-class-task", "class-key-outside-the-registry"])
+    def test_memory_that_does_not_match_the_model(self, checkpoint, edit, field):
+        blob = json.loads(checkpoint.read_text())
+        edit(blob["memory"]["classes"])
+        checkpoint.write_text(json.dumps(blob))
+        with pytest.raises(ConfigError, match=re.escape(field)):
+            load_checkpoint(checkpoint)
 
 
 class TestVerify:

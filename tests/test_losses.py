@@ -3,7 +3,7 @@ import pytest
 
 from cddet import diffcore as dc
 from cddet import losses as ls
-from cddet.errors import ConfigError, ContractError, ProtocolError
+from cddet.errors import ConfigError, ContractError
 from cddet.losses import AGG_RULES, Batch, LossWeights
 from cddet.model import BC, FAKE, LINFC, MC, MT, REAL, Model
 
@@ -271,17 +271,29 @@ class TestTotalLoss:
         model = _small_model()
         batch = _session_batch(rng, model, task=2)
         w = LossWeights(gamma_d=0.0, gamma_m=0.0)
-        combined = ls.total_loss(MC, batch, None, model, None, w)
+        combined = ls.total_loss(MC, batch, None, model, w)
         _, logits = model.forward(batch.x)
         bare = ls.multiclass_ce(dc.Tensor(logits), batch.classes)
         assert combined.item() == bare.item()
 
-    def test_missing_snapshot_protocol_error(self):
+    def test_distilling_without_snapshot_constants_is_a_contract_error(self):
+        """The reference and the step both refuse to distil replayed rows
+        that lack ``snapshot_constants``, and both run once they carry them."""
         rng = np.random.default_rng(9)
         model = _small_model()
-        batch = _session_batch(rng, model, task=2)
-        with pytest.raises(ProtocolError):
-            ls.total_loss(MC, batch, None, model, None, LossWeights(gamma_d=1.0))
+        new = _session_batch(rng, model, task=2, n=4)
+        ex = _session_batch(rng, model, task=1, n=3)
+        w = LossWeights(gamma_d=1.0)
+        grads = [np.empty_like(p) for p in model.parameters()]
+        with pytest.raises(ContractError, match="snapshot's outputs"):
+            ls.total_loss(MC, new, ex, model, w)
+        with pytest.raises(ContractError, match="snapshot's outputs"):
+            ls.loss_and_gradients(MC, ls.step_rows(MC, new, ex, model), model, w, grads)
+        model.sessions_trained = 1
+        ls.snapshot_constants(ex, model.snapshot(), w.T, "logit")
+        want = ls.total_loss(MC, new, ex, model, w).item()
+        got = ls.loss_and_gradients(MC, ls.step_rows(MC, new, ex, model), model, w, grads)
+        assert abs(got - want) <= 1e-15 * abs(want)
 
     def test_replay_only_profile_is_classification_over_union(self):
         rng = np.random.default_rng(10)
@@ -289,7 +301,7 @@ class TestTotalLoss:
         new = _session_batch(rng, model, task=2, n=4)
         ex = _session_batch(rng, model, task=1, n=3)
         w = LossWeights(gamma_d=0.0, gamma_m=0.0)
-        combined = ls.total_loss(MC, new, ex, model, None, w)
+        combined = ls.total_loss(MC, new, ex, model, w)
         _, logits = model.forward(np.concatenate([new.x, ex.x]))
         bare = ls.multiclass_ce(dc.Tensor(logits), np.concatenate([new.classes, ex.classes]))
         assert combined.item() == bare.item()
@@ -304,8 +316,9 @@ class TestTotalLoss:
             p += 0.05 * rng.normal(size=p.shape)
         new = _session_batch(rng, model, task=2, n=4)
         ex = _session_batch(rng, model, task=1, n=3)
-        base = ls.total_loss(MC, new, ex, model, snap, LossWeights()).item()
-        with_kd = ls.total_loss(MC, new, ex, model, snap, LossWeights(gamma_d=1.0)).item()
+        ls.snapshot_constants(ex, snap, 1.0, "logit")
+        base = ls.total_loss(MC, new, ex, model, LossWeights()).item()
+        with_kd = ls.total_loss(MC, new, ex, model, LossWeights(gamma_d=1.0)).item()
         assert with_kd > base
 
     def test_mt_lambda_zero_gradients_match_mc(self):
@@ -316,10 +329,11 @@ class TestTotalLoss:
         new = _session_batch(rng, model, task=2, n=5)
         ex = _session_batch(rng, model, task=1, n=3)
         w = LossWeights(gamma_d=0.5, lam=0.0)
+        ls.snapshot_constants(ex, snap, w.T, "logit")
 
         def grads_for(system, rule):
             leaves = ls.tape_leaves(model)
-            ls.total_loss(system, new, ex, model, snap, w, rule=rule, leaves=leaves).backward()
+            ls.total_loss(system, new, ex, model, w, rule=rule, leaves=leaves).backward()
             return [leaf.grad for leaf in leaves]
 
         g_mc = grads_for(MC, None)
@@ -340,7 +354,8 @@ class TestTotalLoss:
         pol = rng.integers(0, 2, size=3)
         classes = np.array([model.head.registry.class_of(1, p) for p in pol])
         ex = Batch(latents=lat, classes=classes, polarity=pol)
-        loss = ls.total_loss(MC, new, ex, model, snap, LossWeights(gamma_d=0.3))
+        ls.snapshot_constants(ex, snap, 1.0, "logit")
+        loss = ls.total_loss(MC, new, ex, model, LossWeights(gamma_d=0.3))
         assert np.isfinite(loss.item())
 
 
@@ -443,10 +458,11 @@ class TestLossGradients:
             polarity=np.array([0, 1]),
         )
         w = LossWeights(gamma_d=0.5, gamma_m=0.0)
+        ls.snapshot_constants(ex, snap, w.T, "logit+feature")
 
         leaves = ls.tape_leaves(model)
 
         def f(probe):  # the probe stands in for the first layer's weights
-            return ls.total_loss(MC, new, ex, model, snap, w, distill_form="logit+feature", leaves=[probe, *leaves[1:]])
+            return ls.total_loss(MC, new, ex, model, w, distill_form="logit+feature", leaves=[probe, *leaves[1:]])
 
         assert dc.grad_check(f, dc.Tensor(model.extractor.weights[0].copy())) < 1e-6

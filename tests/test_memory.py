@@ -223,11 +223,13 @@ class TestPayloadValidation:
         memory.add_class(1, rng.normal(size=(2, 5)), task_id=1)
         return memory.to_payload()
 
-    def _extractor(self):
-        return Model.build(5, LINFC, np.random.default_rng(9), hidden=(7,), feature_width=4).extractor
+    def _model(self):
+        model = Model.build(5, LINFC, np.random.default_rng(9), hidden=(7,), feature_width=4)
+        model.head.expand(1)  # classes 0 and 1, of task 1
+        return model
 
     def test_valid_payload_checked_against_the_model(self):
-        restored = ExemplarMemory.from_payload(self._payload(), self._extractor())
+        restored = ExemplarMemory.from_payload(self._payload(), self._model())
         assert restored.total() == 4
 
     def test_unknown_kind(self):
@@ -272,13 +274,13 @@ class TestPayloadValidation:
             row.pop()
         ExemplarMemory.from_payload(payload)  # consistent on its own
         with pytest.raises(ConfigError, match=r"rows have 4 entries, the model's raw width is 5"):
-            ExemplarMemory.from_payload(payload, self._extractor())
+            ExemplarMemory.from_payload(payload, self._model())
 
     def test_latent_rows_must_have_the_latent_width(self):
         payload = self._payload()
         payload["kind"] = mem.LATENT
         with pytest.raises(ConfigError, match=r"the model's latent width is 7"):
-            ExemplarMemory.from_payload(payload, self._extractor())
+            ExemplarMemory.from_payload(payload, self._model())
 
 
 class TestCapture:

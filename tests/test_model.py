@@ -60,11 +60,11 @@ class TestForward:
         model = make_model(variant, tasks=2, seed=4)
         x = np.random.default_rng(5).normal(size=(6, 6))
         _, latent = model.extractor.forward_with_capture(x)
-        for rows, latents, (features, logits) in (
-            (x, None, model.forward(x)),
-            (None, latent, model.forward_from_latent(latent)),
+        for chains, (features, logits) in (
+            ([(0, x)], model.forward(x)),
+            ([(model.extractor.capture_layer + 1, latent)], model.forward_from_latent(latent)),
         ):
-            taped_features, taped_logits = ls._forward_joint(model, ls.tape_leaves(model), rows, latents)
+            taped_features, taped_logits = ls._forward_joint(model, ls.tape_leaves(model), chains)
             np.testing.assert_array_equal(features, taped_features.data)
             np.testing.assert_array_equal(logits, taped_logits.data)
 

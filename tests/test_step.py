@@ -67,7 +67,7 @@ def _tape_gradients(system, profile, batch_new, batch_ex, model, plan):
     """The reference's loss value, and its trainable leaves' gradients."""
     leaves = ls.tape_leaves(model)
     loss = ls.total_loss(
-        system, batch_new, batch_ex, model, plan.snapshot, plan.weights,
+        system, batch_new, batch_ex, model, plan.weights,
         rule=profile.aggregation, distill_form=profile.distill_form, leaves=leaves,
     )
     loss.backward()
