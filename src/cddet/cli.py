@@ -267,7 +267,8 @@ def _usage_error(exc: Exception) -> int:
 
 def recompute_metrics_json(run_dir: Path) -> str:
     """Rebuild the metrics document from the persisted artifacts alone, once
-    their tasks agree: one per matrix column, and a scenario run's own."""
+    their tasks agree: one per matrix column, a scenario run's own, and the
+    ones each record id names."""
     matrix = read_accuracy_matrix(run_dir / "accuracy_matrix.csv")
     predictions = run_dir / "predictions.csv"
     logs = read_predictions(predictions)
@@ -286,6 +287,11 @@ def recompute_metrics_json(run_dir: Path) -> str:
         raise ParseError(f"scenario: expected a string, found {scenario!r}", path=config)
     if scenario is not None and task_ids != _SCENARIO_SOURCES.get(scenario):
         raise ParseError(f"tasks {task_ids} are not those of scenario {scenario!r}", path=predictions)
+    for task_id in task_ids:  # a run writes each record id as "<task_id>-<split>-<i>"
+        prefix = f"{task_id}-"
+        stray = next((rid for rid in logs[task_id].record_ids if not rid.startswith(prefix)), None)
+        if stray is not None:
+            raise ParseError(f"record {stray!r} is not one of task {task_id}'s", path=predictions)
     metrics, _ = compute_metrics(matrix, logs, echo)
     return metrics_to_json(metrics)
 

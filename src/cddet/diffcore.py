@@ -21,10 +21,11 @@ Neither training nor inference records a tape: both run on plain arrays
 ``np_cosine_backward``, which the tape's ``cosine_matrix`` shares). The
 tape is the reference that the tests and ``cddet verify`` hold the step
 to, gradient for gradient and bit for bit, so it keeps only the ops that
-reference (``losses.total_loss`` over ``losses._forward_joint``) and the
-benchmark's microbenchmarks use. The model's parameters are plain arrays:
-only the reference wraps them in tape leaves (``losses.tape_leaves``). The
-ops that only the tests compose live in ``tests/tape_ops.py``.
+reference (``losses.total_loss``, whose forward ``losses._forward_joint``
+runs one block of rows) and the benchmark's microbenchmarks use. The
+model's parameters are plain arrays: only the reference wraps them in tape
+leaves (``losses.tape_leaves``). The ops that only the tests compose live
+in ``tests/tape_ops.py``.
 """
 
 from __future__ import annotations
@@ -370,18 +371,6 @@ def take_rows(x: Tensor, rows) -> Tensor:
         _accumulate(x, gx)
 
     return _op(x.data[rows], (x,), backward)
-
-
-def concat_rows(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[1]:
-        raise DimensionError("concat_rows expects matrices with equal column counts")
-    split = a.shape[0]
-
-    def backward(g: Array) -> None:
-        _accumulate(a, g[:split])
-        _accumulate(b, g[split:])
-
-    return _op(np.concatenate([a.data, b.data], axis=0), (a, b), backward)
 
 
 # ---------------------------------------------------------------------------

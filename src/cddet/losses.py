@@ -17,15 +17,16 @@ tape's operands, memory layouts and order of summation; it writes each
 parameter gradient into the optimizer's buffer, and each equals
 ``total_loss(...).backward()`` bit for bit. ``total_loss`` on the tape is
 kept as the reference the tests and ``cddet verify`` check the step
-against. It lays out its rows with ``step_rows``, as ``StepRows``: the
-input rows with the layer each block enters at, their targets and the
-replayed rows' per-row constants, the layout the trainer gathers for each
-step. Its forward, ``_forward_joint``, walks those blocks on the tape, the
-only place the network is built there, over leaves that wrap the model's
-parameter arrays (``tape_leaves``). The snapshot's outputs on replayed rows,
-and the constants derived from them, have one builder,
-``snapshot_constants``. Means are written as sum / size, which is what
-``np.mean`` computes, without its per-call dispatch.
+against. Both read one ``StepRows``: the step's rows as one block that
+enters the network at its first trainable layer
+(``FeatureExtractor.frozen``), their targets and the replayed rows'
+per-row constants. The trainer gathers one per step, and ``step_rows``
+builds one from a new and a replayed ``Batch``. The reference's forward,
+``_forward_joint``, is the only place the network is built on the tape,
+over leaves that wrap the model's parameter arrays (``tape_leaves``). The
+snapshot's outputs on replayed rows, and the constants derived from them,
+have one builder, ``snapshot_constants``. Means are written as sum / size,
+which is what ``np.mean`` computes, without its per-call dispatch.
 """
 
 from __future__ import annotations
@@ -198,8 +199,9 @@ def kd_targets(old_logits: Array, cols: Array, T: float) -> tuple[Array, Array]:
     """The old model's distillation targets: log-probabilities and
     probabilities at temperature T over the given columns.
 
-    A row's targets depend on its batch only through the memory layout:
-    a one-row batch sums its row in another order than a taller one.
+    A one-row batch sums its row in another order than a taller one, so
+    the step and its reference both read the targets ``snapshot_constants``
+    computes once for all of a session's replayed rows.
     """
     old = _kd_columns(np.atleast_2d(np.asarray(old_logits, dtype=np.float64)), cols)
     logp = dc.np_log_softmax(old / float(T), axis=1)
@@ -268,12 +270,6 @@ def _margin_parts(sims: Array, targets, tau: float, J: int) -> tuple[float, Arra
     return np.where(active, gaps, 0.0).sum() * (1.0 / n), grad
 
 
-def _fake_mask_of(registry) -> Array:
-    if hasattr(registry, "fake_mask"):
-        return registry.fake_mask()
-    return np.asarray(registry) == FAKE
-
-
 def _group_score(logp: Array, p: Array, group: Array, rule: str) -> tuple[Array, Array]:
     """One polarity's log score per row under a softmax-based rule, and its
     gradient in the logits; ``group`` holds the polarity's class indices."""
@@ -334,14 +330,16 @@ def _aggregate(z: Array, logp: Array, p: Array, classes: tuple[Array, Array], ru
     return d_f, d_r, grad_f, grad_r
 
 
-def aggregate(logits_row, registry, rule: str) -> tuple[float, float]:
-    """Single-row aggregation returning plain (d_F, d_R) values."""
-    d_f, d_r, _, _ = aggregate_batch(logits_row, _fake_mask_of(registry), rule)
+def aggregate(logits_row, polarity, rule: str) -> tuple[float, float]:
+    """Single-row aggregation returning plain (d_F, d_R) values; ``polarity``
+    holds each class's polarity."""
+    d_f, d_r, _, _ = aggregate_batch(logits_row, np.asarray(polarity) == FAKE, rule)
     return float(d_f[0]), float(d_r[0])
 
 
-def mt_class_loss(logits: Tensor, targets, registry, lam: float, rule: str) -> Tensor:
-    """Convex mix of the multi-class loss and the aggregated binary one.
+def mt_class_loss(logits: Tensor, targets, polarity, lam: float, rule: str) -> Tensor:
+    """Convex mix of the multi-class loss and the aggregated binary one;
+    ``polarity`` holds each class's polarity, or is a fake mask.
 
     At lam = 0 this returns the multi-class cross-entropy itself, so the
     optimisation path is identical to the plain multi-class system.
@@ -353,7 +351,7 @@ def mt_class_loss(logits: Tensor, targets, registry, lam: float, rule: str) -> T
 
     n, k = logits.shape
     rows = _target_rows(targets, n, k)
-    classes = polarity_classes(_fake_mask_of(registry), rule)
+    classes = polarity_classes(np.asarray(polarity) == FAKE, rule)
     return _loss_op(logits, *_mt_parts(logits.data, rows, classes, lam, rule), "mt_class_loss")
 
 
@@ -412,19 +410,15 @@ def tape_leaves(model: Model) -> list[Tensor]:
     return [Tensor(p, requires_grad=i >= frozen) for i, p in enumerate(model.parameters())]
 
 
-def _forward_joint(model: Model, leaves: list[Tensor], chains: list[tuple[int, Array]]):
+def _forward_joint(model: Model, leaves: list[Tensor], x: Array):
     """Features and logits of the live model on the tape, the reference's
-    forward over ``leaves`` (``tape_leaves``): each block of ``chains``
-    (``StepRows.chains``) from the layer it enters at, outputs stacked in
-    order, as the training step walks them."""
-    last = len(model.extractor.weights) - 1
-    parts = []
-    for start, rows in chains:
-        h = Tensor(rows)
-        for i in range(start, last + 1):
-            h = (dc.affine_relu if i < last else dc.affine)(h, leaves[2 * i], leaves[2 * i + 1])
-        parts.append(h)
-    features = parts[0] if len(parts) == 1 else dc.concat_rows(parts[0], parts[1])
+    forward over ``leaves`` (``tape_leaves``): the rows ``x`` (``StepRows.x``)
+    enter at the first trainable layer, as in the training step."""
+    ext = model.extractor
+    last = len(ext.weights) - 1
+    features = Tensor(x)
+    for i in range(ext.frozen, last + 1):
+        features = (dc.affine_relu if i < last else dc.affine)(features, leaves[2 * i], leaves[2 * i + 1])
     theta, other = leaves[-2:]
     if model.head.variant == COSFC:
         cos = dc.cosine_matrix(features, theta)
@@ -463,39 +457,29 @@ def snapshot_constants(batch: Batch, snapshot: Model, T: float, distill_form: st
         batch.old_norms = dc.row_norms(batch.old_features, "old features")
 
 
-def _stack(*arrays):
-    arrays = [a for a in arrays if a is not None and len(a)]
-    if not arrays:
-        return None
-    return np.concatenate(arrays, axis=0)
-
-
 def total_loss(
     system: str,
-    batch_new: Batch,
-    batch_exemplar: Batch | None,
+    step: StepRows,
     model: Model,
     weights: LossWeights,
     rule: str | None = None,
     distill_form: str = "logit",
     leaves: list[Tensor] | None = None,
 ) -> Tensor:
-    """Classification over new plus replayed rows, distillation and margin
-    ranking over the replayed rows, weighted by gamma_d and gamma_m, on the
-    rows of ``step_rows``; the parameters enter as ``leaves`` (by default
-    ``tape_leaves(model)``). Distilling needs ``snapshot_constants`` on the
-    replayed rows."""
+    """Classification over the step's rows, distillation and margin ranking
+    over its replayed rows, weighted by gamma_d and gamma_m; the parameters
+    enter as ``leaves`` (by default ``tape_leaves(model)``). Distilling
+    needs ``snapshot_constants`` on the replayed rows."""
     if leaves is None:
         leaves = tape_leaves(model)
-    step = step_rows(system, batch_new, batch_exemplar, model)
-    features, logits = _forward_joint(model, leaves, step.chains)
+    features, logits = _forward_joint(model, leaves, step.x)
 
     if system == BC:
         total = binary_ce(logits, step.targets)
     elif system == MC:
         total = multiclass_ce(logits, step.targets)
     else:
-        total = mt_class_loss(logits, step.targets, model.head.registry, weights.lam, rule)
+        total = mt_class_loss(logits, step.targets, model.head.registry.fake_mask(), weights.lam, rule)
 
     ex, ex_slice = step.ex, slice(step.n_new, None)
     wants_distill = ex is not None and weights.gamma_d > 0
@@ -508,8 +492,9 @@ def total_loss(
             raise ContractError("distillation needs the snapshot's outputs on the replayed rows")
         distill = None
         if distill_form in ("logit", "logit+feature"):
-            mask = np.arange(logits.shape[1]) < ex.old_logits.shape[1]
-            distill = kd_kl(ex.old_logits, dc.take_rows(logits, ex_slice), weights.T, mask)
+            ex_logits = dc.take_rows(logits, ex_slice)
+            cols = np.arange(ex.old_logits.shape[1])
+            distill = _loss_op(ex_logits, *_kd_parts(ex.kd_logp, ex.kd_p, ex_logits.data, cols, weights.T), "kd_kl")
         if distill_form in ("feature", "logit+feature"):
             term = kd_feature(ex.old_features, ex_feats)
             distill = term if distill is None else dc.add(distill, term)
@@ -533,24 +518,19 @@ def _one_hot(targets: Array, k: int) -> Array:
 # the training step: total_loss and its backward sweep on plain arrays
 
 
-def _np_layers_backward(extractor, start: int, acts: list[Array], g: Array, grads: list[Array], add: bool) -> None:
-    """The tape's backward through the trainable layers from ``start`` on,
-    given their ``np_activations``: each layer's gradients are written into
-    ``grads`` (as ``loss_and_gradients`` takes them), or added when ``add``."""
+def _np_layers_backward(extractor, acts: list[Array], g: Array, grads: list[Array]) -> None:
+    """The tape's backward through the trainable layers, given their
+    ``np_activations`` from ``frozen`` on: each layer's gradients are
+    written into ``grads`` (as ``loss_and_gradients`` takes them)."""
     weights, frozen = extractor.weights, extractor.frozen
-    last, stop = len(weights) - 1, max(start, frozen)
-    for i in range(last, stop - 1, -1):
+    last = len(weights) - 1
+    for i in range(last, frozen - 1, -1):
+        j = i - frozen  # the layer's input in acts, and its place in grads
         if i < last:
-            g = g * (acts[i - start + 1] > 0)  # relu(z) > 0 exactly where z > 0
-        x = acts[i - start]
-        gw, gb = grads[2 * (i - frozen)], grads[2 * (i - frozen) + 1]
-        if add:
-            gw += x.T @ g
-            gb += g.sum(axis=0)
-        else:
-            np.matmul(x.T, g, out=gw)
-            np.sum(g, axis=0, out=gb)
-        if i > stop:
+            g = g * (acts[j + 1] > 0)  # relu(z) > 0 exactly where z > 0
+        np.matmul(acts[j].T, g, out=grads[2 * j])
+        np.sum(g, axis=0, out=grads[2 * j + 1])
+        if i > frozen:
             g = g @ weights[i].T
 
 
@@ -559,16 +539,17 @@ class StepRows:
     """One training step's rows in the order the loss reads them: the new
     rows, then the replayed rows.
 
-    ``chains`` lists each block of input rows with the layer it enters at
-    (0 for raw inputs, ``capture_layer + 1`` for capture-layer activations);
-    their outputs, stacked in order, are the step's feature rows, of which
-    the first ``n_new`` are new. ``targets`` holds each row's target: label
-    rows [n,k] for MC and MT, the 0/1 polarity as floats [n] for BC. ``ex``
-    carries the replayed rows' classes and the snapshot's constants on them,
-    one row per replayed row.
+    ``x`` holds every row as it enters the network at its first trainable
+    layer, ``model.extractor.frozen``: the raw inputs, or, once latent
+    replay has frozen the layers up to the capture layer, the activations
+    there. The first ``n_new`` rows are new. ``targets`` holds each row's
+    target: label rows [n,k] for MC and MT, the 0/1 polarity as floats [n]
+    for BC. ``ex`` carries the replayed rows' classes and the snapshot's
+    constants on them, one row per replayed row. The training step and its
+    tape reference read the same ``StepRows``.
     """
 
-    chains: list[tuple[int, Array]]
+    x: Array
     n_new: int
     targets: Array
     ex: Batch | None
@@ -576,24 +557,30 @@ class StepRows:
 
 def step_rows(system: str, batch_new: Batch, batch_exemplar: Batch | None, model: Model) -> StepRows:
     """A new and a replayed batch laid out as the trainer lays out a step:
-    the raw rows (new, then replayed) through every layer, the latent
-    replayed rows from the capture layer on, and each batch's targets, from
-    its ``target_rows``, its classes or, for BC, its polarity."""
+    the new rows' activations at the first trainable layer, then the
+    replayed rows', where latent rows enter as they are, and each batch's
+    targets, from its ``target_rows``, its classes or, for BC, its
+    polarity. Latent rows need the layers up to the capture layer frozen."""
+    ext = model.extractor
     ex = batch_exemplar if batch_exemplar is not None and len(batch_exemplar) else None
     batches = [b for b in (batch_new, ex) if b is not None and len(b)]
-    raw = _stack(*(b.x for b in batches))
-    chains = [] if raw is None else [(0, raw)]
-    if ex is not None and ex.latents is not None and ex.latents.shape[0]:
-        chains.append((model.extractor.capture_layer + 1, ex.latents))
-    if not chains:
+    if not batches:
         raise ContractError("no rows to train on")
+    blocks = []
+    for b in batches:
+        if b.x is not None and b.x.shape[0]:
+            blocks.append(ext.np_activations(b.x, 0, ext.frozen)[-1])
+        if b.latents is not None and b.latents.shape[0]:
+            if ext.frozen != ext.capture_layer + 1:
+                raise ContractError("latent rows need the layers up to the capture layer frozen")
+            blocks.append(b.latents)
     k = model.head.theta.shape[0]
     targets = np.concatenate([
         np.asarray(b.polarity, dtype=np.float64) if system == BC
         else _one_hot(b.classes, k) if b.target_rows is None else b.target_rows
         for b in batches
     ])
-    return StepRows(chains, len(batch_new), targets, ex)
+    return StepRows(np.concatenate(blocks), len(batch_new), targets, ex)
 
 
 def loss_and_gradients(
@@ -606,9 +593,10 @@ def loss_and_gradients(
     distill_form: str = "logit",
     mt_classes: tuple[Array, Array] | None = None,
 ) -> float:
-    """``total_loss``'s value, computed without the tape, after writing the
-    gradient of every trainable parameter into ``grads``: one array per
-    trainable parameter, in ``model.parameters()`` order (``Adam.grads``).
+    """``total_loss``'s value on the same ``step``, computed without the
+    tape, after writing the gradient of every trainable parameter into
+    ``grads``: one array per trainable parameter, in ``model.parameters()``
+    order (``Adam.grads``).
 
     The forward pass, the loss terms and the backward sweep use the tape's
     operands, memory layouts and order of summation, so each gradient equals
@@ -616,14 +604,11 @@ def loss_and_gradients(
     ``mt_classes`` is ``polarity_classes`` of the head, which MT steps pass.
     Distilling reads ``snapshot_constants`` on the replayed rows. Inputs are
     not checked here: the method profile and the session's plan check every
-    setting and every row once, and the first of ``step.chains`` enters no
-    higher than the lowest trainable layer.
+    setting and every row once.
     """
     ext, head = model.extractor, model.head
-    chains = [(start, ext.np_activations(x, start)) for start, x in step.chains]
-    outs = [acts[-1] for _, acts in chains]
-    feats = outs[0] if len(outs) == 1 else np.concatenate(outs, axis=0)
-
+    acts = ext.np_activations(step.x, ext.frozen)
+    feats = acts[-1]
     logits, cosines = head.logits_and_cosines(feats)
 
     n_new, targets = step.n_new, step.targets
@@ -650,14 +635,7 @@ def loss_and_gradients(
         distill = 0.0
         if distill_form in ("logit", "logit+feature"):
             cols = np.arange(ex.old_logits.shape[1])
-            if n_ex > 1:
-                logp, p = ex.kd_logp, ex.kd_p
-            else:
-                # a one-row batch sums its row in another order than the
-                # taller batch the constants came from: its last bits differ,
-                # so recompute it as the tape does
-                logp, p = kd_targets(ex.old_logits, cols, weights.T)
-            value, g = _kd_parts(logp, p, logits[n_new:], cols, weights.T)
+            value, g = _kd_parts(ex.kd_logp, ex.kd_p, logits[n_new:], cols, weights.T)
             distill += _checked_loss(value, "kd_kl")
             d_logits[n_new:] += gamma_d * g
         if distill_form in ("feature", "logit+feature"):
@@ -689,9 +667,5 @@ def loss_and_gradients(
         g_theta += d_theta_margin
     if d_feats_ex is not None:
         d_feats[n_new:] += d_feats_ex
-    row = 0
-    for k, ((start, acts), out) in enumerate(zip(chains, outs)):
-        g = d_feats if len(chains) == 1 else d_feats[row : row + out.shape[0]]
-        _np_layers_backward(ext, start, acts, g, grads, add=k > 0)
-        row += out.shape[0]
+    _np_layers_backward(ext, acts, d_feats, grads)
     return _checked_loss(total, "total")

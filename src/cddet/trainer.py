@@ -18,20 +18,19 @@ coarsest level at which it is constant:
   distillation targets and old-feature norms; the plan keeps no snapshot)
   and the MT aggregation's fake and real class indices; and
   ``SessionRows``: the session's rows held once, as one array of inputs, one
-  of targets and the replayed rows' constants, where, once latent replay has
-  frozen the layers up to the capture layer, each new row is its activation
-  there, so new rows enter the network where replayed latents do; each epoch
-  only draws a new row order (``SessionRows.shuffle``);
+  of targets and the replayed rows' constants. Each row is held as it enters
+  the network at its first trainable layer: once latent replay has frozen
+  the layers up to the capture layer, a new row is its activation there,
+  where the replayed latents enter; each epoch only draws a new row order
+  (``SessionRows.shuffle``);
 - once per step: ``_assemble_batches`` gathers the step's window from those
-  arrays (mixing its new rows under mixup), ``losses.loss_and_gradients``
-  computes the loss and writes each gradient into ``Adam.g``; ``Adam.step``
-  applies them.
+  arrays as one ``losses.StepRows`` (mixing its new rows under mixup),
+  ``losses.loss_and_gradients`` computes the loss and writes each gradient
+  into ``Adam.g``; ``Adam.step`` applies them.
 
-The gradients equal the tape's (``total_loss(...).backward()``) bit for bit;
-the tape stays as the reference the tests and ``cddet verify`` use. One
-exception keeps that so: a step with a single new row recomputes that row
-from its input under latent replay, because a one-row product rounds
-differently from the session-wide one.
+The gradients equal the tape's (``total_loss`` on the same ``StepRows``,
+``.backward()``) bit for bit; the tape stays as the reference the tests and
+``cddet verify`` use.
 """
 
 from __future__ import annotations
@@ -395,24 +394,21 @@ class SessionRows:
     in permutation order. ``shuffle`` sets that order; each step gathers
     its window from the arrays.
 
-    Once latent replay has frozen the layers up to the capture layer, each
-    new row's activation there is fixed for the session: it is computed
-    here, once, and the new rows enter the network there, as the replayed
-    latents do.
+    Every row enters the network at its first trainable layer. Once latent
+    replay has frozen the layers up to the capture layer, each new row's
+    activation there is fixed for the session: it is computed here, once,
+    and the new rows enter there, as the replayed latents do.
     """
 
     def __init__(self, plan: SessionPlan, model: Model, system: str, batch_size: int):
         new, pool = plan.new, plan.pool
         ext = model.extractor
-        self.new_x = new.x
         self.n_new = len(new)
-        self.capture_start = ext.capture_layer + 1
-        self.latent = ext.frozen >= self.capture_start
-        inputs = [ext.np_activations(new.x, 0, self.capture_start)[-1] if self.latent else new.x]
+        inputs = [ext.np_activations(new.x, 0, ext.frozen)[-1]]
         targets = [new.polarity if system == BC else new.target_rows]
         self.pool = None
         if pool is not None:
-            if (pool.latents is not None) != self.latent:
+            if (pool.latents is not None) != (ext.frozen > ext.capture_layer):
                 raise ProtocolError("latent replay needs the layers below the capture layer frozen")
             inputs.append(pool.x if pool.latents is None else pool.latents)
             targets.append(pool.polarity if system == BC else pool.target_rows)
@@ -445,31 +441,18 @@ def _assemble_batches(
     n_new = int(np.count_nonzero(idx < rows.n_new))
     x, targets = rows.source[idx], rows.source_targets[idx]
     if profile.mixup_alpha > 0 and n_new > 1:
-        new_x, new_targets = x[:n_new], targets[:n_new]
+        new_rows, new_targets = x[:n_new], targets[:n_new]
         partner = mixup_rng.permutation(n_new)
         (mixed_x, mixed_targets), _ = mixup(
-            (new_x, new_targets), (new_x[partner], new_targets[partner]), profile.mixup_alpha, mixup_rng
+            (new_rows, new_targets), (new_rows[partner], new_targets[partner]), profile.mixup_alpha, mixup_rng
         )
-        new_x[...] = mixed_x
+        new_rows[...] = mixed_x
         new_targets[...] = mixed_targets
-    if not rows.latent:  # raw rows, new and replayed, through every layer
-        chains = [(0, x)]
-    else:
-        chains = []
-        if n_new == 1:
-            # a one-row product takes another BLAS path, whose last bits
-            # differ from the session-wide product's: recompute the row
-            i = idx[0]
-            chains.append((0, rows.new_x[i : i + 1]))
-        elif n_new:
-            chains.append((rows.capture_start, x[:n_new]))
-        if idx.size > n_new:
-            chains.append((rows.capture_start, x[n_new:]))
     ex = None
     if rows.pool is not None and idx.size > n_new:
         replayed = idx[n_new:] - rows.n_new
         ex = Batch(**{name: v[replayed] for name, v in rows.pool.items()})
-    return StepRows(chains, n_new, targets, ex)
+    return StepRows(x, n_new, targets, ex)
 
 
 def run_session(

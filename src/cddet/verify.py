@@ -66,10 +66,11 @@ def check_loss_gradients(seed: int, points: int = 10, tol: float = 1e-6) -> Chec
     return CheckResult("loss-gradient-suite", worst < tol, f"max rel err {worst:.3e}")
 
 
-def _step_case(rng, variant: str, payload: str):
-    """A small model one session in, and a new and a replayed batch, with
-    its snapshot's constants, that switch on every loss term of the system
-    the head serves."""
+def _step_case(rng, system: str, variant: str, payload: str):
+    """A small model one session in, and one step over a new and a replayed
+    batch, with its snapshot's constants, that switches on every loss term
+    of the system the head serves. Latent replay freezes the layers up to
+    the capture layer, as training does."""
     model = Model.build(6, variant, rng, hidden=(8, 7), feature_width=5)
     if variant == SIGMOID:
         model.head.register_task(1)
@@ -90,17 +91,19 @@ def _step_case(rng, variant: str, payload: str):
     else:
         ex.x = rng.normal(size=(3, 6))
     ls.snapshot_constants(ex, snap, STEP_WEIGHTS.T, "logit+feature")
-    return model, new, ex
+    if payload == LATENT:
+        model.extractor.frozen = model.extractor.capture_layer + 1
+    return model, ls.step_rows(system, new, ex, model)
 
 
 STEP_WEIGHTS = ls.LossWeights(gamma_d=0.7, gamma_m=0.4, lam=0.3, T=2.0, tau=2.5, J=3)
 STEP_CASES = [(MT, LINFC, RAW, ls.SUMLOGIT), (MC, COSFC, LATENT, None), (BC, SIGMOID, RAW, None)]
 
 
-def _step(system: str, rule, model: Model, new: ls.Batch, ex: ls.Batch):
-    """The step's loss value, and its gradients in ``model.parameters()`` order."""
-    grads = [np.empty_like(p) for p in model.parameters()]
-    rows = ls.step_rows(system, new, ex, model)
+def _step(system: str, rule, model: Model, rows: ls.StepRows):
+    """The step's loss value, and the trainable parameters' gradients in
+    ``model.parameters()`` order."""
+    grads = [np.empty_like(p) for p in model.parameters()[2 * model.extractor.frozen :]]
     mt_classes = ls.polarity_classes(model.head.registry.fake_mask(), rule) if system == MT else None
     value = ls.loss_and_gradients(
         system, rows, model, STEP_WEIGHTS, grads, rule=rule, distill_form="logit+feature", mt_classes=mt_classes
@@ -116,16 +119,16 @@ def check_step_gradients(seed: int, coords: int = 3, step: float = 1e-6, tol: fl
     rng = substream(seed, "verify:step")
     worst, checked = 0.0, 0
     for system, variant, payload, rule in STEP_CASES:
-        model, new, ex = _step_case(rng, variant, payload)
-        _, grads = _step(system, rule, model, new, ex)
-        for p, g in zip(model.parameters(), grads):
+        model, rows = _step_case(rng, system, variant, payload)
+        _, grads = _step(system, rule, model, rows)
+        for p, g in zip(model.parameters()[2 * model.extractor.frozen :], grads):
             for flat in rng.choice(p.size, size=min(coords, p.size), replace=False):
                 idx = np.unravel_index(flat, p.shape)
                 base = p[idx]
                 p[idx] = base + step
-                hi = _step(system, rule, model, new, ex)[0]
+                hi = _step(system, rule, model, rows)[0]
                 p[idx] = base - step
-                lo = _step(system, rule, model, new, ex)[0]
+                lo = _step(system, rule, model, rows)[0]
                 p[idx] = base
                 numeric = (hi - lo) / (2.0 * step)
                 worst = max(worst, abs(float(g[idx]) - numeric) / max(1.0, abs(numeric)))
@@ -135,15 +138,16 @@ def check_step_gradients(seed: int, coords: int = 3, step: float = 1e-6, tol: fl
 
 def check_step_against_tape(seed: int) -> CheckResult:
     """The training step's gradients against ``total_loss(...).backward()``
-    on the tape: every parameter's gradient must match bit for bit."""
+    on the same rows: every trainable parameter's gradient must match bit
+    for bit."""
     rng = substream(seed, "verify:step-tape")
     for system, variant, payload, rule in STEP_CASES:
-        model, new, ex = _step_case(rng, variant, payload)
-        _, grads = _step(system, rule, model, new, ex)
+        model, rows = _step_case(rng, system, variant, payload)
+        _, grads = _step(system, rule, model, rows)
         leaves = ls.tape_leaves(model)
-        loss = ls.total_loss(system, new, ex, model, STEP_WEIGHTS, rule=rule, distill_form="logit+feature", leaves=leaves)
+        loss = ls.total_loss(system, rows, model, STEP_WEIGHTS, rule=rule, distill_form="logit+feature", leaves=leaves)
         loss.backward()
-        for leaf, g in zip(leaves, grads):
+        for leaf, g in zip(leaves[2 * model.extractor.frozen :], grads):
             if leaf.grad is None or leaf.grad.tobytes() != g.tobytes():
                 return CheckResult("step-equals-tape", False, f"{system}/{variant}: a gradient differs from the tape")
     return CheckResult("step-equals-tape", True, f"{len(STEP_CASES)} systems, every gradient bitwise equal")

@@ -183,3 +183,15 @@ def take_cols(x: Tensor, cols) -> Tensor:
         dc._accumulate(x, gx)
 
     return dc._op(x.data[:, cols], (x,), backward)
+
+
+def concat_rows(a: Tensor, b: Tensor) -> Tensor:
+    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[1]:
+        raise DimensionError("concat_rows expects matrices with equal column counts")
+    split = a.shape[0]
+
+    def backward(g: Array) -> None:
+        dc._accumulate(a, g[:split])
+        dc._accumulate(b, g[split:])
+
+    return dc._op(np.concatenate([a.data, b.data], axis=0), (a, b), backward)

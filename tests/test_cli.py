@@ -323,6 +323,20 @@ class TestEval:
         assert run_cli("eval", str(hard_run)) == 2
         assert capsys.readouterr().err == f"error: {path}: {message}\n"
 
+    def test_predictions_relabelled_in_a_data_run(self, tmp_path, dataset_paths, capsys):
+        """A ``--data`` run's config names no task ids, but each record id
+        names the task that wrote it: task 1's rows relabelled task 99."""
+        out = tmp_path / "run"
+        assert run_cli(
+            "run", "--data", *dataset_paths, "--profile", "finetune", "--system", "mc",
+            "--memory", "0", "--seed", "5", "--epochs", "1", "--out", str(out),
+        ) == 0
+        path = out / "predictions.csv"
+        header, *rows = path.read_text().splitlines()
+        path.write_text("\n".join([header, *("99" + row[1:] if row.startswith("1,") else row for row in rows)]) + "\n")
+        capsys.readouterr()
+        assert run_cli("eval", str(out)) == 2
+        assert capsys.readouterr().err == f"error: {path}: record '1-test-0' is not one of task 99's\n"
 
     @pytest.mark.parametrize(
         "row, message",

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from tape_ops import (
     clamp,
+    concat_rows,
     cosine_pairs,
     gather_pairs,
     log,
@@ -206,7 +207,7 @@ class TestPrimitiveGradients:
         other = dc.Tensor(rng.normal(size=(2, 3)))
 
         def g(x):
-            joined = dc.concat_rows(x, other)
+            joined = concat_rows(x, other)
             return dc.tsum(dc.mul(joined, joined))
 
         assert dc.grad_check(g, dc.Tensor(rng.normal(size=(3, 3)))) < 1e-6

@@ -271,7 +271,7 @@ class TestTotalLoss:
         model = _small_model()
         batch = _session_batch(rng, model, task=2)
         w = LossWeights(gamma_d=0.0, gamma_m=0.0)
-        combined = ls.total_loss(MC, batch, None, model, w)
+        combined = ls.total_loss(MC, ls.step_rows(MC, batch, None, model), model, w)
         _, logits = model.forward(batch.x)
         bare = ls.multiclass_ce(dc.Tensor(logits), batch.classes)
         assert combined.item() == bare.item()
@@ -286,12 +286,12 @@ class TestTotalLoss:
         w = LossWeights(gamma_d=1.0)
         grads = [np.empty_like(p) for p in model.parameters()]
         with pytest.raises(ContractError, match="snapshot's outputs"):
-            ls.total_loss(MC, new, ex, model, w)
+            ls.total_loss(MC, ls.step_rows(MC, new, ex, model), model, w)
         with pytest.raises(ContractError, match="snapshot's outputs"):
             ls.loss_and_gradients(MC, ls.step_rows(MC, new, ex, model), model, w, grads)
         model.sessions_trained = 1
         ls.snapshot_constants(ex, model.snapshot(), w.T, "logit")
-        want = ls.total_loss(MC, new, ex, model, w).item()
+        want = ls.total_loss(MC, ls.step_rows(MC, new, ex, model), model, w).item()
         got = ls.loss_and_gradients(MC, ls.step_rows(MC, new, ex, model), model, w, grads)
         assert abs(got - want) <= 1e-15 * abs(want)
 
@@ -301,7 +301,7 @@ class TestTotalLoss:
         new = _session_batch(rng, model, task=2, n=4)
         ex = _session_batch(rng, model, task=1, n=3)
         w = LossWeights(gamma_d=0.0, gamma_m=0.0)
-        combined = ls.total_loss(MC, new, ex, model, w)
+        combined = ls.total_loss(MC, ls.step_rows(MC, new, ex, model), model, w)
         _, logits = model.forward(np.concatenate([new.x, ex.x]))
         bare = ls.multiclass_ce(dc.Tensor(logits), np.concatenate([new.classes, ex.classes]))
         assert combined.item() == bare.item()
@@ -317,8 +317,8 @@ class TestTotalLoss:
         new = _session_batch(rng, model, task=2, n=4)
         ex = _session_batch(rng, model, task=1, n=3)
         ls.snapshot_constants(ex, snap, 1.0, "logit")
-        base = ls.total_loss(MC, new, ex, model, LossWeights()).item()
-        with_kd = ls.total_loss(MC, new, ex, model, LossWeights(gamma_d=1.0)).item()
+        base = ls.total_loss(MC, ls.step_rows(MC, new, ex, model), model, LossWeights()).item()
+        with_kd = ls.total_loss(MC, ls.step_rows(MC, new, ex, model), model, LossWeights(gamma_d=1.0)).item()
         assert with_kd > base
 
     def test_mt_lambda_zero_gradients_match_mc(self):
@@ -333,7 +333,7 @@ class TestTotalLoss:
 
         def grads_for(system, rule):
             leaves = ls.tape_leaves(model)
-            ls.total_loss(system, new, ex, model, w, rule=rule, leaves=leaves).backward()
+            ls.total_loss(system, ls.step_rows(system, new, ex, model), model, w, rule=rule, leaves=leaves).backward()
             return [leaf.grad for leaf in leaves]
 
         g_mc = grads_for(MC, None)
@@ -345,6 +345,8 @@ class TestTotalLoss:
                 np.testing.assert_allclose(a, b, atol=1e-12)
 
     def test_latent_exemplar_rows(self):
+        """Latent rows enter above the capture layer: ``step_rows`` rejects
+        them until the layers below it are frozen, as latent replay does."""
         rng = np.random.default_rng(13)
         model = _small_model()
         model.sessions_trained = 1
@@ -355,7 +357,10 @@ class TestTotalLoss:
         classes = np.array([model.head.registry.class_of(1, p) for p in pol])
         ex = Batch(latents=lat, classes=classes, polarity=pol)
         ls.snapshot_constants(ex, snap, 1.0, "logit")
-        loss = ls.total_loss(MC, new, ex, model, LossWeights(gamma_d=0.3))
+        with pytest.raises(ContractError, match="capture layer frozen"):
+            ls.step_rows(MC, new, ex, model)
+        model.extractor.frozen = model.extractor.capture_layer + 1
+        loss = ls.total_loss(MC, ls.step_rows(MC, new, ex, model), model, LossWeights(gamma_d=0.3))
         assert np.isfinite(loss.item())
 
 
@@ -462,7 +467,9 @@ class TestLossGradients:
 
         leaves = ls.tape_leaves(model)
 
+        step = ls.step_rows(MC, new, ex, model)
+
         def f(probe):  # the probe stands in for the first layer's weights
-            return ls.total_loss(MC, new, ex, model, w, distill_form="logit+feature", leaves=[probe, *leaves[1:]])
+            return ls.total_loss(MC, step, model, w, distill_form="logit+feature", leaves=[probe, *leaves[1:]])
 
         assert dc.grad_check(f, dc.Tensor(model.extractor.weights[0].copy())) < 1e-6

@@ -56,15 +56,17 @@ class TestForward:
     @pytest.mark.parametrize("variant", [LINFC, COSFC, SIGMOID])
     def test_tape_free_path_matches_the_tape_bitwise(self, variant):
         """Inference on plain arrays against the reference forward on the
-        tape (``losses._forward_joint``), from raw rows and from latents."""
+        tape (``losses._forward_joint``), from raw rows and, with the layers
+        below the capture layer frozen, from latents."""
         model = make_model(variant, tasks=2, seed=4)
         x = np.random.default_rng(5).normal(size=(6, 6))
         _, latent = model.extractor.forward_with_capture(x)
-        for chains, (features, logits) in (
-            ([(0, x)], model.forward(x)),
-            ([(model.extractor.capture_layer + 1, latent)], model.forward_from_latent(latent)),
+        for frozen, rows, (features, logits) in (
+            (0, x, model.forward(x)),
+            (model.extractor.capture_layer + 1, latent, model.forward_from_latent(latent)),
         ):
-            taped_features, taped_logits = ls._forward_joint(model, ls.tape_leaves(model), chains)
+            model.extractor.frozen = frozen
+            taped_features, taped_logits = ls._forward_joint(model, ls.tape_leaves(model), rows)
             np.testing.assert_array_equal(features, taped_features.data)
             np.testing.assert_array_equal(logits, taped_logits.data)
 

@@ -30,8 +30,7 @@ from cddet.trainer import (
 )
 
 FAST = TrainConfig(epochs=1, lr=1e-3, batch_size=16, seed=5)
-N_TASKS = 5  # four trained sessions leave eight old classes, enough for numpy's
-# pairwise row sums, which a one-row batch sums in another order
+N_TASKS = 5  # four trained sessions leave eight old classes to replay
 
 
 def _cases():
@@ -63,11 +62,12 @@ def _setup(system, name, options):
     return profile, sessions, model, memory
 
 
-def _tape_gradients(system, profile, batch_new, batch_ex, model, plan):
-    """The reference's loss value, and its trainable leaves' gradients."""
+def _tape_gradients(system, profile, step, model, plan):
+    """The reference's loss value on the step's rows, and its trainable
+    leaves' gradients."""
     leaves = ls.tape_leaves(model)
     loss = ls.total_loss(
-        system, batch_new, batch_ex, model, plan.weights,
+        system, step, model, plan.weights,
         rule=profile.aggregation, distill_form=profile.distill_form, leaves=leaves,
     )
     loss.backward()
@@ -81,26 +81,20 @@ def _take(batch, rows):
 
 def _step_over(system, profile, model, plan, new_idx, pool_idx, rng):
     """The trainer's step over the given new and pool rows: an epoch order
-    whose first window holds exactly those rows, and the tape's batches of
-    the same rows (mixed as the step mixed them)."""
+    whose first window holds exactly those rows."""
     n_new, n_pool = len(plan.new), len(plan.pool) if plan.pool is not None else 0
     picked = np.concatenate([new_idx, n_new + pool_idx]).astype(np.intp)
     rest = np.setdiff1d(np.arange(n_new + n_pool), picked)
     rows = SessionRows(plan, model, system, batch_size=picked.size)
     rows.shuffle(np.concatenate([picked, rest]))
-    step = _assemble_batches(rows, 0, picked.size, profile, rng)
-    batch_new = _take(plan.new, new_idx)
-    if profile.mixup_alpha > 0:
-        batch_new.x, batch_new.target_rows = step.chains[0][1][: new_idx.size], step.targets[: new_idx.size]
-    batch_ex = _take(plan.pool, pool_idx) if pool_idx.size else None
-    return step, batch_new, batch_ex
+    return _assemble_batches(rows, 0, picked.size, profile, rng)
 
 
 def _assert_step_matches_tape(system, profile, model, plan, new_rows, pool_rows, rng):
     new_idx = np.arange(new_rows.start, new_rows.stop)
     pool_idx = np.arange(pool_rows.start, pool_rows.stop)
-    step, batch_new, batch_ex = _step_over(system, profile, model, plan, new_idx, pool_idx, rng)
-    want_value, want = _tape_gradients(system, profile, batch_new, batch_ex, model, plan)
+    step = _step_over(system, profile, model, plan, new_idx, pool_idx, rng)
+    want_value, want = _tape_gradients(system, profile, step, model, plan)
     optimizer = Adam(model, lr=FAST.lr)
     optimizer.g.fill(np.nan)  # a gradient the step leaves unwritten cannot match
     value = ls.loss_and_gradients(
@@ -161,16 +155,17 @@ def test_step_gradients_equal_the_tape(system, name, options):
 @pytest.mark.parametrize("n_new", [1, 2, 5])
 def test_new_rows_enter_at_the_capture_layer_under_latent_replay(n_new):
     """Once latent replay freezes the layers below the capture layer, the
-    new rows enter there from activations computed once per session, except
-    a lone new row, which is recomputed from its input: a one-row product
-    rounds differently from the session-wide one."""
+    new rows enter there, a lone new row too, as the session's capture
+    activations, computed once; the replayed latents follow them."""
     profile, sessions, model, memory = _setup(MC, "replay+kd", {})
     for session in sessions[:-1]:
         run_session(model, memory, session, profile, FAST, MC)
     plan = _plan_session(model, memory, sessions[-1], profile, MC)
-    step, _, _ = _step_over(MC, profile, model, plan, np.arange(3, 3 + n_new), np.arange(4), np.random.default_rng(0))
-    capture_start = model.extractor.capture_layer + 1
-    assert [start for start, _ in step.chains] == [0 if n_new == 1 else capture_start, capture_start]
+    step = _step_over(MC, profile, model, plan, np.arange(3, 3 + n_new), np.arange(4), np.random.default_rng(0))
+    _, captured = model.extractor.forward_with_capture(plan.new.x)
+    assert step.n_new == n_new
+    assert step.x[:n_new].tobytes() == captured[3 : 3 + n_new].tobytes()
+    assert step.x[n_new:].tobytes() == plan.pool.latents[:4].tobytes()
     _assert_step_matches_tape(MC, profile, model, plan, slice(3, 3 + n_new), slice(0, 4), np.random.default_rng(0))
 
 
@@ -186,7 +181,7 @@ def test_mixup_leaves_the_session_rows_unwritten():
     for start in range(0, len(rows), 8):
         step = _assemble_batches(rows, start, min(start + 8, len(rows)), profile, np.random.default_rng(start))
         gathered = source[rows.order[start : start + 8]]
-        mixed += not np.array_equal(step.chains[0][1][: step.n_new], gathered[: step.n_new])
+        mixed += not np.array_equal(step.x[: step.n_new], gathered[: step.n_new])
     assert mixed
     assert rows.source.tobytes() == source.tobytes()
     assert rows.source_targets.tobytes() == targets.tobytes()
@@ -208,7 +203,7 @@ def test_epoch_layout_puts_each_windows_new_rows_first():
         order = np.concatenate([window[window < n_new], window[window >= n_new]])
         step = _assemble_batches(rows, start, min(start + 5, len(rows)), profile, np.random.default_rng(0))
         assert step.n_new == np.count_nonzero(window < n_new)
-        assert np.array_equal(step.chains[0][1], x[order])
+        assert np.array_equal(step.x, x[order])
         assert np.array_equal(step.targets, targets[order])
         pool_order = window[window >= n_new] - n_new
         assert np.array_equal(step.ex.old_features, plan.pool.old_features[pool_order])
