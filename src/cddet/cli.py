@@ -23,6 +23,7 @@ import argparse
 import json
 import os
 import sys
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -268,7 +269,7 @@ def _usage_error(exc: Exception) -> int:
 def recompute_metrics_json(run_dir: Path) -> str:
     """Rebuild the metrics document from the persisted artifacts alone, once
     their tasks agree: one per matrix column, a scenario run's own, and the
-    ones each record id names."""
+    ones each record id names, with no record id repeated within a task."""
     matrix = read_accuracy_matrix(run_dir / "accuracy_matrix.csv")
     predictions = run_dir / "predictions.csv"
     logs = read_predictions(predictions)
@@ -287,11 +288,15 @@ def recompute_metrics_json(run_dir: Path) -> str:
         raise ParseError(f"scenario: expected a string, found {scenario!r}", path=config)
     if scenario is not None and task_ids != _SCENARIO_SOURCES.get(scenario):
         raise ParseError(f"tasks {task_ids} are not those of scenario {scenario!r}", path=predictions)
-    for task_id in task_ids:  # a run writes each record id as "<task_id>-<split>-<i>"
-        prefix = f"{task_id}-"
-        stray = next((rid for rid in logs[task_id].record_ids if not rid.startswith(prefix)), None)
-        if stray is not None:
+    for task_id in task_ids:  # a run writes each record id once, as "<task_id>-<split>-<i>"
+        ids, prefix = logs[task_id].record_ids, f"{task_id}-"
+        # no record id holds a line break, so each that starts with the prefix adds one match
+        if ("\n" + "\n".join(ids)).count("\n" + prefix) < len(ids):
+            stray = next(rid for rid in ids if not rid.startswith(prefix))
             raise ParseError(f"record {stray!r} is not one of task {task_id}'s", path=predictions)
+        if len(set(ids)) < len(ids):
+            repeated = next(rid for rid, count in Counter(ids).items() if count > 1)
+            raise ParseError(f"record {repeated!r} is repeated in task {task_id}", path=predictions)
     metrics, _ = compute_metrics(matrix, logs, echo)
     return metrics_to_json(metrics)
 

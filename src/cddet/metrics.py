@@ -15,6 +15,13 @@ Emitted artifacts:
     predictions.csv      task_id,record_id,true_label,pred_label,p_fake,
                          true_class,pred_class (class fields empty for
                          sigmoid runs)
+
+``read_predictions`` reads every line of predictions.csv and checks it whole.
+Blank lines are skipped. Fields convert as Python's int and float convert them;
+labels are 0 or 1, p_fake lies in [0, 1], and a task's rows all hold both class
+fields or none. An integer field outside int64 is an error. A malformed file
+raises ``ParseError`` naming its earliest bad line; a line is checked for its
+field count, conversion, labels and p_fake, class mixing, then class range.
 """
 
 from __future__ import annotations
@@ -128,13 +135,9 @@ def pr_curve(scores, labels) -> PRCurve:
 
 
 def ap(curve: PRCurve) -> float:
-    """Area under the PR sweep: sum of (R_k - R_{k-1}) * P_k with R_0 = 0."""
-    total = 0.0
-    prev_recall = 0.0
-    for p, r in zip(curve.precision, curve.recall):
-        total += (float(r) - prev_recall) * float(p)
-        prev_recall = float(r)
-    return total
+    """Area under the PR sweep: sum of (R_k - R_{k-1}) * P_k with R_0 = 0,
+    added in sweep order (``cumsum`` is sequential, unlike ``sum``)."""
+    return float(np.cumsum(np.diff(curve.recall, prepend=0.0) * curve.precision)[-1])
 
 
 def map_score(curves: dict[int, PRCurve]) -> float:
@@ -240,49 +243,71 @@ def write_predictions(path, record: RunRecord) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-_INT64 = 2**63  # class indices are stored as int64
+_PREDICTIONS_HEADER = "task_id,record_id,true_label,pred_label,p_fake,true_class,pred_class"
+
+
+def _numbers(values: tuple, dtype, where: Array) -> tuple[Array, Array, Array]:
+    """The entries ``where`` (a mask) of a column of strings as ``dtype``, each
+    converted by Python's ``int`` or ``float`` as numpy applies them, and the
+    masks of those that do not parse and of the integers outside int64; every
+    other entry holds 0. One numpy call when every entry converts."""
+    out, malformed, wide = np.zeros(len(values), dtype=dtype), np.zeros(len(values), bool), np.zeros(len(values), bool)
+    if where.all():
+        try:
+            return np.array(values, dtype=dtype), malformed, wide
+        except (ValueError, OverflowError):
+            pass
+    for i in np.flatnonzero(where).tolist():  # only a file with a bad field, or with mixed rows, gets here
+        try:
+            out[i] = values[i]
+        except ValueError:
+            malformed[i] = True
+        except OverflowError:
+            wide[i] = True
+    return out, malformed, wide
 
 
 @names_its_file
 def read_predictions(path) -> dict[int, PredictionLog]:
     lines = read_text(path).splitlines()
-    if not lines or lines[0] != "task_id,record_id,true_label,pred_label,p_fake,true_class,pred_class":
+    if not lines or lines[0] != _PREDICTIONS_HEADER:
         raise ParseError("bad predictions header", line=1)
-    buckets: dict[int, list] = {}
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        fields = line.split(",")
-        if len(fields) != 7:
-            raise ParseError(f"expected 7 fields, found {len(fields)}", line=lineno)
-        try:
-            task_id = int(fields[0])
-            true_pol = int(fields[2])
-            pred_pol = int(fields[3])
-            p_fake = float(fields[4])
-            # both class columns are blank, or both hold an integer
-            true_cls = int(fields[5]) if fields[5] or fields[6] else None
-            pred_cls = int(fields[6]) if true_cls is not None else None
-        except ValueError:
-            raise ParseError("malformed prediction row", line=lineno) from None
-        if true_pol not in (0, 1) or pred_pol not in (0, 1) or not 0.0 <= p_fake <= 1.0:
-            raise ParseError("labels must be 0 or 1, and p_fake in [0, 1]", line=lineno)
-        rows = buckets.setdefault(task_id, [])
-        if rows and (rows[0][4] is None) != (true_cls is None):
-            raise ParseError(f"task {task_id} mixes rows with and without classes", line=lineno)
-        if true_cls is not None and not (-_INT64 <= true_cls < _INT64 and -_INT64 <= pred_cls < _INT64):
-            raise ParseError("class index out of range", line=lineno)
-        rows.append((fields[1], true_pol, pred_pol, p_fake, true_cls, pred_cls))
+    rows = [line.split(",") for line in lines[1:]]
+    widths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+    # a blank line is one field of whitespace; the first other line without 7
+    # fields ends the rows read, and is reported if no earlier line is bad
+    end = next((i for i in np.flatnonzero(widths != 7).tolist() if widths[i] > 1 or rows[i][0].strip()), len(rows))
+    kept = np.flatnonzero(widths[:end] == 7)
+    rows = rows[:end] if kept.size == end else [rows[i] for i in kept.tolist()]
+    task_col, ids, true_col, pred_col, p_col, true_cls_col, pred_cls_col = list(zip(*rows)) or [()] * 7
+    everywhere = np.ones(len(rows), dtype=bool)
+    has_classes = np.array(true_cls_col, dtype=bool) | np.array(pred_cls_col, dtype=bool)
+    task, bad_task, wide_task = _numbers(task_col, np.int64, everywhere)
+    true_pol, bad_true, wide_true = _numbers(true_col, np.int64, everywhere)
+    pred_pol, bad_pred, wide_pred = _numbers(pred_col, np.int64, everywhere)
+    p_fake, bad_p, _ = _numbers(p_col, np.float64, everywhere)
+    true_cls, bad_true_cls, wide_true_cls = _numbers(true_cls_col, np.int64, has_classes)
+    pred_cls, bad_pred_cls, wide_pred_cls = _numbers(pred_cls_col, np.int64, has_classes)
+    in_range = (true_pol >= 0) & (true_pol <= 1) & (pred_pol >= 0) & (pred_pol <= 1) & (p_fake >= 0.0) & (p_fake <= 1.0)
+    tasks, first, group = np.unique(task, return_index=True, return_inverse=True)
+    checks = np.stack([  # one mask per check, in the order a line is checked
+        bad_task | wide_task | bad_true | bad_pred | bad_p | bad_true_cls | bad_pred_cls,
+        wide_true | wide_pred | ~in_range,
+        has_classes != has_classes[first][group],
+        wide_true_cls | wide_pred_cls,
+    ])
+    bad_rows = np.flatnonzero(checks.any(axis=0))
+    if bad_rows.size:
+        row = bad_rows[0]
+        messages = ("malformed prediction row", "labels must be 0 or 1, and p_fake in [0, 1]",
+                    f"task {task[row]} mixes rows with and without classes", "class index out of range")
+        raise ParseError(messages[np.argmax(checks[:, row])], line=int(kept[row]) + 2)
+    if end < len(widths):
+        raise ParseError(f"expected 7 fields, found {widths[end]}", line=end + 2)
+    ids = np.array(ids, dtype=object)
     logs: dict[int, PredictionLog] = {}
-    for task_id, rows in buckets.items():
-        ids, true_pol, pred_pol, p_fake, true_cls, pred_cls = zip(*rows)
-        has_classes = true_cls[0] is not None
-        logs[task_id] = PredictionLog(
-            record_ids=list(ids),
-            true_polarity=np.array(true_pol, dtype=np.int64),
-            pred_polarity=np.array(pred_pol, dtype=np.int64),
-            p_fake=np.array(p_fake, dtype=np.float64),
-            true_class=np.array(true_cls, dtype=np.int64) if has_classes else None,
-            pred_class=np.array(pred_cls, dtype=np.int64) if has_classes else None,
-        )
+    for k in np.argsort(first).tolist():  # tasks in the order they first appear
+        at, classes = np.flatnonzero(group == k), has_classes[first[k]]
+        logs[int(tasks[k])] = PredictionLog(ids[at].tolist(), true_pol[at], pred_pol[at], p_fake[at],
+                                            true_cls[at] if classes else None, pred_cls[at] if classes else None)
     return logs

@@ -28,9 +28,6 @@ SCENARIO_KINDS = (EASY, HARD, LONG)
 
 SPLITS = ("train", "val", "test")
 
-# Symmetric-KL threshold separating "same reals" from "distinct fakes".
-DEFAULT_OVERLAP_BOUND = 2.0
-
 _FEATURE_DIM = 16  # the width of every synthetic source
 _DEFAULT_COUNTS = {"train": 300, "val": 60, "test": 150}  # per polarity
 _EASY_DIFFICULTY = 6.0
@@ -189,36 +186,6 @@ def build_scenario(kind: str, seed: int, with_warmup: bool = True) -> Scenario:
     tasks = [specs[sid] for sid in _SCENARIO_SOURCES[kind]]
     warmup = specs[0] if with_warmup else None
     return Scenario(kind=kind, seed=seed, tasks=tasks, warmup=warmup)
-
-
-# ---------------------------------------------------------------------------
-# analytic overlap checks
-
-
-def symmetric_kl_isotropic(mu_a, mu_b, sigma: float) -> float:
-    """KL(a||b) + KL(b||a) for equal isotropic Gaussians: ||mu_a - mu_b||^2 / sigma^2."""
-    delta = np.asarray(mu_a, dtype=np.float64) - np.asarray(mu_b, dtype=np.float64)
-    return float(delta @ delta) / (sigma * sigma)
-
-
-def verify_overlap(scenario: Scenario, bound: float = DEFAULT_OVERLAP_BOUND) -> bool:
-    """Reals of any two tasks stay below the bound; their fakes exceed it."""
-    tasks = scenario.tasks
-    for i in range(len(tasks)):
-        for j in range(i + 1, len(tasks)):
-            a, b = tasks[i], tasks[j]
-            real_a = np.asarray(a.base_mean) + np.asarray(a.real_shift)
-            real_b = np.asarray(b.base_mean) + np.asarray(b.real_shift)
-            if symmetric_kl_isotropic(real_a, real_b, a.cov_scale) >= bound:
-                return False
-            closest = min(
-                symmetric_kl_isotropic(ma, mb, a.cov_scale)
-                for ma in a.fake_means
-                for mb in b.fake_means
-            )
-            if closest <= bound:
-                return False
-    return True
 
 
 # ---------------------------------------------------------------------------

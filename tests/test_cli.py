@@ -338,6 +338,15 @@ class TestEval:
         assert run_cli("eval", str(out)) == 2
         assert capsys.readouterr().err == f"error: {path}: record '1-test-0' is not one of task 99's\n"
 
+    def test_repeated_record_id(self, hard_run, capsys):
+        """A row written twice would count its record twice in AA-M and AP."""
+        path = hard_run / "predictions.csv"
+        lines = path.read_text().splitlines()
+        lines.insert(5, lines[1])
+        path.write_text("\n".join(lines) + "\n")
+        assert run_cli("eval", str(hard_run)) == 2
+        assert capsys.readouterr().err == f"error: {path}: record '1-test-0' is repeated in task 1\n"
+
     @pytest.mark.parametrize(
         "row, message",
         [

@@ -146,6 +146,22 @@ class TestAP:
             want = oracle_ap(list(scores), list(labels))
             assert got == pytest.approx(want, abs=1e-12)
 
+    def test_equals_the_sequential_loop_bit_for_bit(self):
+        """The vectorised sum adds the same terms in the same order as a
+        Python loop over the sweep, so it gives the same bits."""
+        rng = np.random.default_rng(4)
+        for _ in range(1000):
+            n = int(rng.integers(2, 3001))
+            labels = rng.integers(0, 2, size=n)
+            labels[:2] = [0, 1]
+            levels = int(rng.integers(2, n + 1))  # few levels force ties
+            curve = pr_curve(rng.integers(0, levels, size=n) / levels, labels)
+            total, prev = 0.0, 0.0
+            for p, r in zip(curve.precision.tolist(), curve.recall.tolist()):
+                total += (r - prev) * p
+                prev = r
+            assert ap(curve) == total
+
     def test_invariant_under_monotone_transform(self):
         rng = np.random.default_rng(2)
         for _ in range(50):

@@ -5,17 +5,21 @@ and ``predictions.csv`` (``read_predictions``).
 Arbitrary text, and valid files with one field replaced, must either parse
 or raise ``ParseError`` naming a line; no other exception may escape, since
 ``cddet`` maps ``ParseError`` to exit 2 and anything else to a traceback.
+The column-wise ``read_predictions`` must also agree with a line-by-line
+reference reader on every file.
 """
 
 import os
 import tempfile
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cddet.errors import ParseError
-from cddet.metrics import read_accuracy_matrix, read_predictions
+from cddet.errors import ParseError, read_text
+from cddet.metrics import read_accuracy_matrix, read_predictions, write_predictions
 from cddet.stream import load_dataset
+from cddet.trainer import PredictionLog, RunRecord
 
 DATASET = """task_id,split,label,f0,f1
 3,train,0,0.5,-1.0
@@ -130,3 +134,155 @@ class TestPredictionsCsv:
     @given(st.sampled_from(PREDICTIONS), st.data())
     def test_one_field_mutated(self, text, data):
         _parses_or_names_a_line(read_predictions, _mutated(text, data))
+
+
+_INT64 = 2**63
+
+
+def reference_read_predictions(path) -> dict[int, PredictionLog]:
+    """``predictions.csv`` read one line at a time, every check in line order."""
+    lines = read_text(path).splitlines()
+    if not lines or lines[0] != PREDICTIONS_HEADER:
+        raise ParseError("bad predictions header", line=1)
+    buckets: dict[int, list] = {}
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        fields = line.split(",")
+        if len(fields) != 7:
+            raise ParseError(f"expected 7 fields, found {len(fields)}", line=lineno)
+        try:
+            task_id = int(fields[0])
+            true_pol = int(fields[2])
+            pred_pol = int(fields[3])
+            p_fake = float(fields[4])
+            # both class columns are blank, or both hold an integer
+            true_cls = int(fields[5]) if fields[5] or fields[6] else None
+            pred_cls = int(fields[6]) if true_cls is not None else None
+        except ValueError:
+            raise ParseError("malformed prediction row", line=lineno) from None
+        if true_pol not in (0, 1) or pred_pol not in (0, 1) or not 0.0 <= p_fake <= 1.0:
+            raise ParseError("labels must be 0 or 1, and p_fake in [0, 1]", line=lineno)
+        rows = buckets.setdefault(task_id, [])
+        if rows and (rows[0][4] is None) != (true_cls is None):
+            raise ParseError(f"task {task_id} mixes rows with and without classes", line=lineno)
+        if true_cls is not None and not (-_INT64 <= true_cls < _INT64 and -_INT64 <= pred_cls < _INT64):
+            raise ParseError("class index out of range", line=lineno)
+        rows.append((fields[1], true_pol, pred_pol, p_fake, true_cls, pred_cls))
+    logs: dict[int, PredictionLog] = {}
+    for task_id, rows in buckets.items():
+        ids, true_pol, pred_pol, p_fake, true_cls, pred_cls = zip(*rows)
+        has_classes = true_cls[0] is not None
+        logs[task_id] = PredictionLog(
+            record_ids=list(ids),
+            true_polarity=np.array(true_pol, dtype=np.int64),
+            pred_polarity=np.array(pred_pol, dtype=np.int64),
+            p_fake=np.array(p_fake, dtype=np.float64),
+            true_class=np.array(true_cls, dtype=np.int64) if has_classes else None,
+            pred_class=np.array(pred_cls, dtype=np.int64) if has_classes else None,
+        )
+    return logs
+
+
+def _outcome(read, text: str):
+    try:
+        return _parse(read, text)
+    except ParseError as exc:
+        return exc
+
+
+def _holds_a_wide_integer(text: str, line: int) -> bool:
+    """Whether ``line`` of ``text``, past the header, has an integer field outside int64."""
+    lines = text.splitlines()
+    if not 2 <= line <= len(lines):
+        return False
+    for field in [f for i, f in enumerate(lines[line - 1].split(",")) if i in (0, 2, 3, 5, 6)]:
+        try:
+            if not -_INT64 <= int(field) < _INT64:
+                return True
+        except ValueError:
+            pass
+    return False
+
+
+def _same_as_the_reference(text: str) -> None:
+    """Equal logs, values and dtypes, or the same error on the same line. An
+    integer field outside int64 may give another message, on its own line."""
+    got, want = _outcome(read_predictions, text), _outcome(reference_read_predictions, text)
+    if isinstance(got, ParseError) and _holds_a_wide_integer(text, got.line):
+        assert not isinstance(want, ParseError) or got.line <= want.line, (str(got), str(want))
+        return
+    if isinstance(want, ParseError) or isinstance(got, ParseError):
+        assert (type(got), str(got), getattr(got, "line", None)) == (type(want), str(want), getattr(want, "line", None))
+        return
+    assert list(got) == list(want) and all(type(task_id) is int for task_id in got)
+    for task_id, log in want.items():
+        assert got[task_id].record_ids == log.record_ids
+        for name in ("true_polarity", "pred_polarity", "p_fake", "true_class", "pred_class"):
+            a, b = getattr(got[task_id], name), getattr(log, name)
+            assert (a is None) == (b is None), name
+            if b is not None:
+                assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b), name
+
+
+@st.composite
+def _written_predictions(draw) -> str:
+    """``write_predictions`` output of a random run, each task with or without
+    classes, its rows shuffled across tasks and blank lines put in."""
+    logs = {}
+    for task_id in draw(st.lists(st.integers(-2, 15), min_size=1, max_size=4, unique=True)):
+        n = draw(st.integers(1, 8))
+        labels = st.lists(st.integers(0, 1), min_size=n, max_size=n)
+        classes = st.lists(st.integers(-(2**63), 2**63 - 1), min_size=n, max_size=n)
+        with_classes = draw(st.booleans())
+        logs[task_id] = PredictionLog(
+            record_ids=[f"{task_id}-test-{i}" for i in range(n)],
+            true_polarity=np.array(draw(labels), dtype=np.int64),
+            pred_polarity=np.array(draw(labels), dtype=np.int64),
+            p_fake=np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)), dtype=np.float64),
+            true_class=np.array(draw(classes), dtype=np.int64) if with_classes else None,
+            pred_class=np.array(draw(classes), dtype=np.int64) if with_classes else None,
+        )
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "predictions.csv")
+        write_predictions(path, RunRecord(task_ids=sorted(logs), matrix=np.zeros((0, 0)), logs=logs, config_echo={}))
+        header, *rows = read_text(path).splitlines()
+    rows = draw(st.permutations(rows))
+    for blank in draw(st.lists(st.sampled_from(["", " ", "\t", "  \t "]), max_size=3)):
+        rows.insert(draw(st.integers(0, len(rows))), blank)
+    return "\n".join([header, *rows]) + "\n"
+
+
+class TestPredictionsMatchTheReference:
+    def test_each_field_at_the_edges(self):
+        """Every field of the first two rows set in turn to an int64 bound,
+        one past it, a non-number or a blank."""
+        for text in PREDICTIONS:
+            _same_as_the_reference(text)
+            lines = text.splitlines()
+            for i in (1, 2):
+                for j in range(7):
+                    for value in (str(2**63 - 1), str(2**63), str(-(2**63)), str(-(2**63) - 1), "x", ""):
+                        fields = lines[i].split(",")
+                        fields[j] = value
+                        _same_as_the_reference("\n".join([*lines[:i], ",".join(fields), *lines[i + 1:]]) + "\n")
+
+    @EXAMPLES
+    @given(_arbitrary(PREDICTIONS_HEADER))
+    def test_arbitrary_text(self, text):
+        _same_as_the_reference(text)
+
+    @EXAMPLES
+    @given(st.sampled_from(PREDICTIONS), st.data())
+    def test_one_field_mutated(self, text, data):
+        _same_as_the_reference(_mutated(text, data))
+
+    @EXAMPLES
+    @given(_written_predictions())
+    def test_written_files(self, text):
+        _same_as_the_reference(text)
+
+    @EXAMPLES
+    @given(_written_predictions(), st.data())
+    def test_written_files_with_one_field_mutated(self, text, data):
+        _same_as_the_reference(_mutated(text, data))
