@@ -55,7 +55,10 @@ def _parse_bool(value: str) -> bool:
 
 
 def _parse_ints(value: str) -> list[int]:
-    return [int(v) for v in value.replace(",", " ").split()]
+    values = [int(v) for v in value.replace(",", " ").split()]
+    if not values:
+        raise ValueError("no integers")
+    return values
 
 
 # config-file key -> parser; the key names an ExperimentConfig field

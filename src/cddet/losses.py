@@ -20,13 +20,14 @@ kept as the reference the tests and ``cddet verify`` check the step
 against. Both read one ``StepRows``: the step's rows as one block that
 enters the network at its first trainable layer
 (``FeatureExtractor.frozen``), their targets and the replayed rows'
-per-row constants. The trainer gathers one per step, and ``step_rows``
-builds one from a new and a replayed ``Batch``. The reference's forward,
+``ReplayConstants``. The trainer gathers one per step from the session's
+rows, and ``step_rows`` builds one from arrays. The reference's forward,
 ``_forward_joint``, is the only place the network is built on the tape,
 over leaves that wrap the model's parameter arrays (``tape_leaves``). The
-snapshot's outputs on replayed rows, and the constants derived from them,
-have one builder, ``snapshot_constants``. Means are written as sum / size,
-which is what ``np.mean`` computes, without its per-call dispatch.
+replayed rows' constants have one builder, ``snapshot_constants``: it runs
+the snapshot on those rows and keeps only what the distillation form
+reads. Means are written as sum / size, which is what ``np.mean``
+computes, without its per-call dispatch.
 """
 
 from __future__ import annotations
@@ -73,31 +74,34 @@ class LossWeights:
 
 
 @dataclass
-class Batch:
-    """Aligned sample rows: raw inputs first, then latent payload rows.
-
-    ``old_features`` and ``old_logits`` carry the snapshot's outputs for the
-    same rows, ``kd_logp``/``kd_p`` (its distillation targets, from
-    ``kd_targets``) and ``old_norms`` (the row norms of ``old_features``)
-    the per-row constants the training step reads: ``snapshot_constants``
-    sets them, and replayed rows that are distilled must carry them.
+class ReplayConstants:
+    """The replayed rows' per-row constants, one row per replayed row: their
+    ``classes`` and, from ``snapshot_constants``, what the distillation form
+    reads of the snapshot's outputs on them. The logit forms read the
+    targets ``kd_logp``/``kd_p`` over the snapshot's ``old_cols`` logit
+    columns (a single sigmoid column becomes a pair), the feature forms the
+    snapshot's features ``old_features`` and their row norms ``old_norms``.
     """
 
-    x: Array | None = None
-    latents: Array | None = None
-    classes: Array | None = None
-    polarity: Array | None = None
-    target_rows: Array | None = None
-    old_features: Array | None = None
-    old_logits: Array | None = None
+    classes: Array
+    old_cols: int = 0
     kd_logp: Array | None = None
     kd_p: Array | None = None
+    old_features: Array | None = None
     old_norms: Array | None = None
 
-    def __len__(self) -> int:
-        n = 0 if self.x is None else self.x.shape[0]
-        m = 0 if self.latents is None else self.latents.shape[0]
-        return n + m
+    def take(self, idx: Array) -> ReplayConstants:
+        """The constants of rows ``idx``."""
+        picked = (None if a is None else a[idx] for a in (self.kd_logp, self.kd_p, self.old_features, self.old_norms))
+        return ReplayConstants(self.classes[idx], self.old_cols, *picked)
+
+
+def _check_distillable(ex: ReplayConstants, distill_form: str) -> None:
+    """Raise unless the replayed rows carry what ``distill_form`` reads."""
+    if (distill_form in ("logit", "logit+feature") and ex.kd_p is None) or (
+        distill_form in ("feature", "logit+feature") and ex.old_features is None
+    ):
+        raise ContractError("distillation needs the snapshot's outputs on the replayed rows")
 
 
 def _loss_op(parent: Tensor, value, grad: Array, name: str) -> Tensor:
@@ -435,26 +439,26 @@ def _broadcast_scalar(s: Tensor, shape: tuple[int, ...]) -> Tensor:
     return dc._op(np.broadcast_to(s.data, shape).copy(), (s,), backward)
 
 
-def _np_forward_joint(snapshot: Model, raw: Array | None, latents: Array | None):
-    """The snapshot's features and logits as plain arrays, raw rows first."""
-    outs = []
-    if raw is not None and raw.shape[0]:
-        outs.append(snapshot.forward(raw))
-    if latents is not None and latents.shape[0]:
-        outs.append(snapshot.forward_from_latent(latents))
-    return tuple(np.concatenate(parts, axis=0) for parts in zip(*outs))
+def _np_forward_joint(snapshot: Model, rows: Array, latent: bool):
+    """The snapshot's features and logits on ``rows`` as plain arrays;
+    ``latent`` rows are capture-layer activations."""
+    return snapshot.forward_from_latent(rows) if latent else snapshot.forward(rows)
 
 
-def snapshot_constants(batch: Batch, snapshot: Model, T: float, distill_form: str) -> None:
-    """Set the snapshot's outputs on the batch's rows (``old_features``,
-    ``old_logits``) and the per-row constants the step derives from them:
-    the distillation targets ``kd_logp``/``kd_p`` for the logit forms, the
-    row norms ``old_norms`` for the feature forms."""
-    batch.old_features, batch.old_logits = _np_forward_joint(snapshot, batch.x, batch.latents)
+def snapshot_constants(
+    snapshot: Model, rows: Array, classes: Array, T: float, distill_form: str, latent: bool = False
+) -> ReplayConstants:
+    """The constants of replayed ``rows`` of ``classes``: what
+    ``distill_form`` reads of the snapshot's outputs on them, the
+    distillation targets ``kd_logp``/``kd_p`` for the logit forms, the
+    features and their row norms ``old_norms`` for the feature forms."""
+    old_features, old_logits = _np_forward_joint(snapshot, rows, latent)
+    ex = ReplayConstants(classes, old_logits.shape[1])
     if distill_form in ("logit", "logit+feature"):
-        batch.kd_logp, batch.kd_p = kd_targets(batch.old_logits, np.arange(batch.old_logits.shape[1]), T)
+        ex.kd_logp, ex.kd_p = kd_targets(old_logits, np.arange(ex.old_cols), T)
     if distill_form in ("feature", "logit+feature"):
-        batch.old_norms = dc.row_norms(batch.old_features, "old features")
+        ex.old_features, ex.old_norms = old_features, dc.row_norms(old_features, "old features")
+    return ex
 
 
 def total_loss(
@@ -488,12 +492,11 @@ def total_loss(
         ex_feats = dc.take_rows(features, ex_slice)
 
     if wants_distill:
-        if ex.old_logits is None or ex.old_features is None:
-            raise ContractError("distillation needs the snapshot's outputs on the replayed rows")
+        _check_distillable(ex, distill_form)
         distill = None
         if distill_form in ("logit", "logit+feature"):
             ex_logits = dc.take_rows(logits, ex_slice)
-            cols = np.arange(ex.old_logits.shape[1])
+            cols = np.arange(ex.old_cols)
             distill = _loss_op(ex_logits, *_kd_parts(ex.kd_logp, ex.kd_p, ex_logits.data, cols, weights.T), "kd_kl")
         if distill_form in ("feature", "logit+feature"):
             term = kd_feature(ex.old_features, ex_feats)
@@ -544,43 +547,35 @@ class StepRows:
     replay has frozen the layers up to the capture layer, the activations
     there. The first ``n_new`` rows are new. ``targets`` holds each row's
     target: label rows [n,k] for MC and MT, the 0/1 polarity as floats [n]
-    for BC. ``ex`` carries the replayed rows' classes and the snapshot's
-    constants on them, one row per replayed row. The training step and its
-    tape reference read the same ``StepRows``.
+    for BC. ``ex`` holds the replayed rows' ``ReplayConstants``, one row
+    per replayed row. The training step and its tape reference read the
+    same ``StepRows``.
     """
 
     x: Array
     n_new: int
     targets: Array
-    ex: Batch | None
+    ex: ReplayConstants | None
 
 
-def step_rows(system: str, batch_new: Batch, batch_exemplar: Batch | None, model: Model) -> StepRows:
-    """A new and a replayed batch laid out as the trainer lays out a step:
-    the new rows' activations at the first trainable layer, then the
-    replayed rows', where latent rows enter as they are, and each batch's
-    targets, from its ``target_rows``, its classes or, for BC, its
-    polarity. Latent rows need the layers up to the capture layer frozen."""
+def step_rows(
+    system: str, model: Model, new_x: Array, new_classes: Array, ex_x: Array | None = None,
+    ex: ReplayConstants | None = None,
+) -> StepRows:
+    """New rows ``new_x`` of classes ``new_classes``, then replayed rows
+    ``ex_x`` with their constants ``ex``, laid out as the trainer lays out a
+    step: the new rows' activations at the first trainable layer, then the
+    replayed rows, which enter there as given. The targets are the classes'
+    one-hot rows, or for BC their polarity."""
     ext = model.extractor
-    ex = batch_exemplar if batch_exemplar is not None and len(batch_exemplar) else None
-    batches = [b for b in (batch_new, ex) if b is not None and len(b)]
-    if not batches:
-        raise ContractError("no rows to train on")
-    blocks = []
-    for b in batches:
-        if b.x is not None and b.x.shape[0]:
-            blocks.append(ext.np_activations(b.x, 0, ext.frozen)[-1])
-        if b.latents is not None and b.latents.shape[0]:
-            if ext.frozen != ext.capture_layer + 1:
-                raise ContractError("latent rows need the layers up to the capture layer frozen")
-            blocks.append(b.latents)
-    k = model.head.theta.shape[0]
-    targets = np.concatenate([
-        np.asarray(b.polarity, dtype=np.float64) if system == BC
-        else _one_hot(b.classes, k) if b.target_rows is None else b.target_rows
-        for b in batches
-    ])
-    return StepRows(np.concatenate(blocks), len(batch_new), targets, ex)
+    x, classes = ext.np_activations(new_x, 0, ext.frozen)[-1], new_classes
+    if ex is not None:
+        x, classes = np.concatenate([x, ex_x]), np.concatenate([new_classes, ex.classes])
+    if system == BC:
+        targets = np.array([pol for _, pol in model.head.registry.entries], dtype=np.float64)[classes]
+    else:
+        targets = _one_hot(classes, model.head.theta.shape[0])
+    return StepRows(x, len(new_x), targets, ex)
 
 
 def loss_and_gradients(
@@ -603,8 +598,8 @@ def loss_and_gradients(
     ``total_loss(...).backward()`` bit for bit; the value agrees to rounding.
     ``mt_classes`` is ``polarity_classes`` of the head, which MT steps pass.
     Distilling reads ``snapshot_constants`` on the replayed rows. Inputs are
-    not checked here: the method profile and the session's plan check every
-    setting and every row once.
+    not checked here: the method profile and ``trainer._plan_session`` check
+    every setting and every row once.
     """
     ext, head = model.extractor, model.head
     acts = ext.np_activations(step.x, ext.frozen)
@@ -630,11 +625,10 @@ def loss_and_gradients(
     d_theta_margin = None
     gamma_d, gamma_m = weights.gamma_d, weights.gamma_m
     if n_ex and gamma_d > 0:
-        if ex.old_logits is None or ex.old_features is None:
-            raise ContractError("distillation needs the snapshot's outputs on the replayed rows")
+        _check_distillable(ex, distill_form)
         distill = 0.0
         if distill_form in ("logit", "logit+feature"):
-            cols = np.arange(ex.old_logits.shape[1])
+            cols = np.arange(ex.old_cols)
             value, g = _kd_parts(ex.kd_logp, ex.kd_p, logits[n_new:], cols, weights.T)
             distill += _checked_loss(value, "kd_kl")
             d_logits[n_new:] += gamma_d * g

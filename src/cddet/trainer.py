@@ -12,19 +12,18 @@ the live model: the system, the head and the task.
 Training records no tape, and each piece of its work is done at the
 coarsest level at which it is constant:
 
-- once per session, ``SessionPlan``: the new rows and stored exemplars,
-  checked once, with the per-row constants (target rows, and on the
-  exemplars ``losses.snapshot_constants``: the snapshot's outputs, their
-  distillation targets and old-feature norms; the plan keeps no snapshot)
-  and the MT aggregation's fake and real class indices; and
-  ``SessionRows``: the session's rows held once, as one array of inputs, one
-  of targets and the replayed rows' constants. Each row is held as it enters
-  the network at its first trainable layer: once latent replay has frozen
-  the layers up to the capture layer, a new row is its activation there,
-  where the replayed latents enter; each epoch only draws a new row order
+- once per session, ``_plan_session`` checks the session against the live
+  model, freezes the layers latent replay needs fixed and builds the
+  session's rows (``SessionRows``): the new rows and every stored exemplar,
+  each held once as it enters the network at its first trainable layer,
+  with its target; the replayed rows' classes and, when the session
+  distils, only the constants its distillation form reads of the
+  snapshot's outputs (``losses.snapshot_constants``; the rows keep no
+  snapshot). Each epoch only draws a new row order
   (``SessionRows.shuffle``);
 - once per step: ``_assemble_batches`` gathers the step's window from those
-  arrays as one ``losses.StepRows`` (mixing its new rows under mixup),
+  arrays as one ``losses.StepRows`` (mixing its new rows under mixup, and
+  taking the replayed rows' constants with one ``ReplayConstants.take``),
   ``losses.loss_and_gradients`` computes the loss and writes each gradient
   into ``Adam.g``; ``Adam.step`` applies them.
 
@@ -44,8 +43,8 @@ from . import diffcore as dc
 from .errors import ConfigError, NumericsError, ProtocolError
 from .losses import (
     AGG_RULES,
-    Batch,
     LossWeights,
+    ReplayConstants,
     StepRows,
     label_smooth,
     loss_and_gradients,
@@ -279,46 +278,40 @@ def _class_targets(registry, task_id: int, polarity: np.ndarray) -> np.ndarray:
 
 
 @dataclass
-class SessionPlan:
-    """What a session trains on, built once before its first step: the new
-    rows and the stored exemplars (``pool``), each with its per-row
-    constants, and the loss weights in force.
+class SessionRows:
+    """A session's rows, held once, new rows first, with the loss weights
+    in force and, for the MT aggregation, the head's (fake, real) class
+    indices (``mt_classes``).
 
-    ``mt_classes`` holds the head's (fake, real) class indices for the MT
-    aggregation.
+    ``x`` holds every row as it enters the network at its first trainable
+    layer, ``targets`` its float64 target, and ``ex`` the replayed rows'
+    per-row constants, aligned with the rows after the first ``n_new``.
+    Once latent replay has frozen the layers up to the capture layer, each
+    new row's activation there is fixed for the session: it is computed
+    once, and the new rows enter there, as the replayed latents do.
+
+    An epoch's permutation is cut into step windows of ``batch_size`` rows;
+    within a window the new rows come first, then the replayed rows, each
+    in permutation order. ``shuffle`` sets that order; each step gathers
+    its window from the arrays.
     """
 
-    new: Batch
-    pool: Batch | None
+    x: np.ndarray
+    targets: np.ndarray
+    n_new: int
+    ex: ReplayConstants | None
     weights: LossWeights
-    mt_classes: tuple[np.ndarray, np.ndarray] | None = None
+    mt_classes: tuple[np.ndarray, np.ndarray] | None
+    order: np.ndarray | None = None
 
+    def __len__(self) -> int:
+        return self.x.shape[0]
 
-def _exemplar_pool(
-    memory: ExemplarMemory | None,
-    class_polarity: np.ndarray,
-    snapshot: Model | None,
-    weights: LossWeights,
-    distill_form: str,
-) -> Batch | None:
-    """Every stored exemplar as one batch of rows; with a snapshot, its
-    outputs on those rows and the distillation constants derived from them
-    ride along."""
-    if memory is None:
-        return None
-    payloads, classes = memory.all_exemplars()
-    if not classes.size:
-        return None
-    payloads = dc.checked(payloads, "exemplar payloads")
-    pool = Batch(
-        x=payloads if memory.payload_kind == RAW else None,
-        latents=payloads if memory.payload_kind == LATENT else None,
-        classes=classes,
-        polarity=class_polarity[classes].astype(np.int64),
-    )
-    if snapshot is not None:
-        snapshot_constants(pool, snapshot, weights.T, distill_form)
-    return pool
+    def shuffle(self, perm: np.ndarray, batch_size: int) -> None:
+        """Set the row order of an epoch whose permutation is ``perm``
+        (indices below ``n_new`` are new rows, the rest replayed ones)."""
+        window = np.arange(perm.size) // batch_size * 2
+        self.order = perm[np.argsort(window + (perm >= self.n_new), kind="stable")]
 
 
 def _plan_session(
@@ -327,9 +320,11 @@ def _plan_session(
     session: SessionData,
     profile: MethodProfile,
     system: str,
-) -> SessionPlan:
+) -> SessionRows:
     """Check the session against the live model, snapshot it, expand its
-    head, freeze the layers latent replay needs fixed, and build the plan."""
+    head, freeze the layers latent replay needs fixed, and build the
+    session's rows: the new rows, then every stored exemplar, with the
+    snapshot's constants on the exemplars when the session distils."""
     if system not in SYSTEMS:
         raise ConfigError(f"unknown learning system {system!r}")
     if (system == BC) != (profile.head_variant == SIGMOID):
@@ -351,80 +346,40 @@ def _plan_session(
     registry = model.head.registry
     class_polarity = np.array([pol for _, pol in registry.entries], dtype=np.int64)
 
-    new_polarity = session.train.y.astype(np.int64)
-    new = Batch(
-        x=dc.checked(session.train.x, "training inputs"),
-        classes=_class_targets(registry, session.task_id, new_polarity),
-        polarity=new_polarity,
-    )
-
     weights = profile.weights
     if snapshot is None:
         # no old model yet: the distillation and margin terms are skipped
         weights = replace(weights, gamma_d=0.0, gamma_m=0.0)
-    pool = _exemplar_pool(
-        memory, class_polarity, snapshot if weights.gamma_d > 0 else None, weights, profile.distill_form
-    )
-    if system != BC:
-        for batch in (new, pool):
-            if batch is not None:
-                batch.target_rows = label_smooth(batch.classes, class_polarity.size, profile.label_smooth_eps)
-
-    mt_classes = polarity_classes(class_polarity == FAKE, profile.aggregation) if system == MT else None
-
+    ext = model.extractor
     if profile.replay_payload == LATENT and memory is not None and model.sessions_trained >= 1:
         # latent replay keeps stored activations valid (and saves the
         # backward pass) by freezing the layers below the capture layer
         # once the first session has shaped them
-        model.extractor.frozen = model.extractor.capture_layer + 1
-    return SessionPlan(new, pool, weights, mt_classes)
+        ext.frozen = ext.capture_layer + 1
 
-
-# the per-row constants the loss reads on replayed rows
-_REPLAYED = ("classes", "old_features", "old_logits", "kd_logp", "kd_p", "old_norms")
-
-
-class SessionRows:
-    """A session's rows, held once: the inputs (``source``) and their
-    targets (``source_targets``), new rows first, and the replayed rows'
-    per-row constants (``pool``).
-
-    An epoch's permutation is cut into step windows of ``batch_size`` rows;
-    within a window the new rows come first, then the replayed rows, each
-    in permutation order. ``shuffle`` sets that order; each step gathers
-    its window from the arrays.
-
-    Every row enters the network at its first trainable layer. Once latent
-    replay has frozen the layers up to the capture layer, each new row's
-    activation there is fixed for the session: it is computed here, once,
-    and the new rows enter there, as the replayed latents do.
-    """
-
-    def __init__(self, plan: SessionPlan, model: Model, system: str, batch_size: int):
-        new, pool = plan.new, plan.pool
-        ext = model.extractor
-        self.n_new = len(new)
-        inputs = [ext.np_activations(new.x, 0, ext.frozen)[-1]]
-        targets = [new.polarity if system == BC else new.target_rows]
-        self.pool = None
-        if pool is not None:
-            if (pool.latents is not None) != (ext.frozen > ext.capture_layer):
-                raise ProtocolError("latent replay needs the layers below the capture layer frozen")
-            inputs.append(pool.x if pool.latents is None else pool.latents)
-            targets.append(pool.polarity if system == BC else pool.target_rows)
-            self.pool = {name: getattr(pool, name) for name in _REPLAYED if getattr(pool, name) is not None}
-        self.source = np.concatenate(inputs)
-        self.source_targets = np.concatenate(targets, dtype=np.float64)
-        self.window = np.arange(len(self)) // batch_size * 2
-        self.order = None
-
-    def __len__(self) -> int:
-        return self.source.shape[0]
-
-    def shuffle(self, perm: np.ndarray) -> None:
-        """Set the row order of an epoch whose permutation is ``perm``
-        (indices below ``n_new`` are new rows, the rest replayed ones)."""
-        self.order = perm[np.argsort(self.window + (perm >= self.n_new), kind="stable")]
+    new_x = dc.checked(session.train.x, "training inputs")
+    inputs = [ext.np_activations(new_x, 0, ext.frozen)[-1]]
+    classes = [_class_targets(registry, session.task_id, session.train.y)]
+    ex = None
+    if memory is not None and memory.total():
+        payloads, ex_classes = memory.all_exemplars()
+        latent = memory.payload_kind == LATENT
+        if latent != (ext.frozen > ext.capture_layer):
+            raise ProtocolError("latent replay needs the layers below the capture layer frozen")
+        payloads = dc.checked(payloads, "exemplar payloads")
+        if weights.gamma_d > 0:
+            ex = snapshot_constants(snapshot, payloads, ex_classes, weights.T, profile.distill_form, latent)
+        else:
+            ex = ReplayConstants(ex_classes)
+        inputs.append(payloads)
+        classes.append(ex_classes)
+    classes = np.concatenate(classes)
+    if system == BC:
+        targets = class_polarity[classes].astype(np.float64)
+    else:
+        targets = label_smooth(classes, class_polarity.size, profile.label_smooth_eps)
+    mt_classes = polarity_classes(class_polarity == FAKE, profile.aggregation) if system == MT else None
+    return SessionRows(np.concatenate(inputs), targets, len(new_x), ex, weights, mt_classes)
 
 
 def _assemble_batches(
@@ -439,7 +394,7 @@ def _assemble_batches(
     mixup."""
     idx = rows.order[start:stop]
     n_new = int(np.count_nonzero(idx < rows.n_new))
-    x, targets = rows.source[idx], rows.source_targets[idx]
+    x, targets = rows.x[idx], rows.targets[idx]
     if profile.mixup_alpha > 0 and n_new > 1:
         new_rows, new_targets = x[:n_new], targets[:n_new]
         partner = mixup_rng.permutation(n_new)
@@ -448,10 +403,7 @@ def _assemble_batches(
         )
         new_rows[...] = mixed_x
         new_targets[...] = mixed_targets
-    ex = None
-    if rows.pool is not None and idx.size > n_new:
-        replayed = idx[n_new:] - rows.n_new
-        ex = Batch(**{name: v[replayed] for name, v in rows.pool.items()})
+    ex = rows.ex.take(idx[n_new:] - rows.n_new) if rows.ex is not None and idx.size > n_new else None
     return StepRows(x, n_new, targets, ex)
 
 
@@ -465,26 +417,23 @@ def run_session(
 ) -> None:
     """One incremental step: snapshot, expand, fit on new plus replayed data,
     then select exemplars for the new classes and rebalance all quotas."""
-    plan = _plan_session(model, memory, session, profile, system)
     lr = config.lr if model.sessions_trained == 0 else config.lr / 10.0
-    optimizer = Adam(model, lr=lr)
     batching_rng = substream(config.seed, f"batch:{session.task_id}")
     mixup_rng = substream(config.seed, f"mixup:{session.task_id}")
 
     epoch = 0
     try:
-        rows = SessionRows(plan, model, system, config.batch_size)
-        weights, mt_classes = plan.weights, plan.mt_classes
-        plan = None  # the session's rows hold what the steps read; free the rest
+        rows = _plan_session(model, memory, session, profile, system)
+        optimizer = Adam(model, lr=lr)
         n_rows = len(rows)
         for epoch in range(config.epochs):
-            rows.shuffle(batching_rng.permutation(n_rows))
+            rows.shuffle(batching_rng.permutation(n_rows), config.batch_size)
             for start in range(0, n_rows, config.batch_size):
                 stop = min(start + config.batch_size, n_rows)
                 step = _assemble_batches(rows, start, stop, profile, mixup_rng)
                 loss_and_gradients(
-                    system, step, model, weights, optimizer.grads, rule=profile.aggregation,
-                    distill_form=profile.distill_form, mt_classes=mt_classes,
+                    system, step, model, rows.weights, optimizer.grads, rule=profile.aggregation,
+                    distill_form=profile.distill_form, mt_classes=rows.mt_classes,
                 )
                 optimizer.step()
     except NumericsError as exc:

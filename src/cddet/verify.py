@@ -84,16 +84,13 @@ def _step_case(rng, system: str, variant: str, payload: str):
         model.head.expand(2)
     new_pol = rng.integers(0, 2, size=4)
     ex_pol = np.array([REAL, FAKE, FAKE])
-    new = ls.Batch(x=rng.normal(size=(4, 6)), classes=2 + new_pol, polarity=new_pol)
-    ex = ls.Batch(classes=ex_pol.copy(), polarity=ex_pol)
-    if payload == LATENT:
-        ex.latents = np.abs(rng.normal(size=(3, model.extractor.latent_width)))
-    else:
-        ex.x = rng.normal(size=(3, 6))
-    ls.snapshot_constants(ex, snap, STEP_WEIGHTS.T, "logit+feature")
-    if payload == LATENT:
+    new_x = rng.normal(size=(4, 6))
+    latent = payload == LATENT
+    ex_x = np.abs(rng.normal(size=(3, model.extractor.latent_width))) if latent else rng.normal(size=(3, 6))
+    ex = ls.snapshot_constants(snap, ex_x, ex_pol, STEP_WEIGHTS.T, "logit+feature", latent)
+    if latent:
         model.extractor.frozen = model.extractor.capture_layer + 1
-    return model, ls.step_rows(system, new, ex, model)
+    return model, ls.step_rows(system, model, new_x, 2 + new_pol, ex_x, ex)
 
 
 STEP_WEIGHTS = ls.LossWeights(gamma_d=0.7, gamma_m=0.4, lam=0.3, T=2.0, tau=2.5, J=3)

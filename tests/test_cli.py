@@ -87,6 +87,7 @@ class TestChecksBeforeData:
         ("replay_payload = bogus\nmemory = 0", "replay_payload"),
         ("warmup = flase", "warmup"),
         ("seeds = 3 3", "seeds"),
+        ("seeds =", "seeds"),
     ])
     def test_bad_setting(self, tmp_path, capsys, lines, named):
         config_file = tmp_path / "bad.cfg"

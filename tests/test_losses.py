@@ -4,7 +4,7 @@ import pytest
 from cddet import diffcore as dc
 from cddet import losses as ls
 from cddet.errors import ConfigError, ContractError
-from cddet.losses import AGG_RULES, Batch, LossWeights
+from cddet.losses import AGG_RULES, LossWeights, ReplayConstants
 from cddet.model import BC, FAKE, LINFC, MC, MT, REAL, Model
 
 
@@ -257,53 +257,59 @@ def _small_model(variant=LINFC, tasks=2, seed=0, d=5):
     return model
 
 
-def _session_batch(rng, model, task, n=6):
+def _session_rows(rng, model, task, n=6):
+    """Raw rows of a task and their classes."""
     d = model.extractor.input_width
     x = rng.normal(size=(n, d))
     polarity = rng.integers(0, 2, size=n)
-    classes = np.array([model.head.registry.class_of(task, p) for p in polarity])
-    return Batch(x=x, classes=classes, polarity=polarity)
+    return x, np.array([model.head.registry.class_of(task, p) for p in polarity])
 
 
 class TestTotalLoss:
     def test_bare_classification_bit_identity(self):
         rng = np.random.default_rng(8)
         model = _small_model()
-        batch = _session_batch(rng, model, task=2)
+        x, classes = _session_rows(rng, model, task=2)
         w = LossWeights(gamma_d=0.0, gamma_m=0.0)
-        combined = ls.total_loss(MC, ls.step_rows(MC, batch, None, model), model, w)
-        _, logits = model.forward(batch.x)
-        bare = ls.multiclass_ce(dc.Tensor(logits), batch.classes)
+        combined = ls.total_loss(MC, ls.step_rows(MC, model, x, classes), model, w)
+        _, logits = model.forward(x)
+        bare = ls.multiclass_ce(dc.Tensor(logits), classes)
         assert combined.item() == bare.item()
 
     def test_distilling_without_snapshot_constants_is_a_contract_error(self):
         """The reference and the step both refuse to distil replayed rows
-        that lack ``snapshot_constants``, and both run once they carry them."""
+        that lack ``snapshot_constants``, and both run once they carry them,
+        for the logit and the feature form."""
         rng = np.random.default_rng(9)
         model = _small_model()
-        new = _session_batch(rng, model, task=2, n=4)
-        ex = _session_batch(rng, model, task=1, n=3)
+        new_x, new_classes = _session_rows(rng, model, task=2, n=4)
+        ex_x, ex_classes = _session_rows(rng, model, task=1, n=3)
         w = LossWeights(gamma_d=1.0)
         grads = [np.empty_like(p) for p in model.parameters()]
-        with pytest.raises(ContractError, match="snapshot's outputs"):
-            ls.total_loss(MC, ls.step_rows(MC, new, ex, model), model, w)
-        with pytest.raises(ContractError, match="snapshot's outputs"):
-            ls.loss_and_gradients(MC, ls.step_rows(MC, new, ex, model), model, w, grads)
         model.sessions_trained = 1
-        ls.snapshot_constants(ex, model.snapshot(), w.T, "logit")
-        want = ls.total_loss(MC, ls.step_rows(MC, new, ex, model), model, w).item()
-        got = ls.loss_and_gradients(MC, ls.step_rows(MC, new, ex, model), model, w, grads)
-        assert abs(got - want) <= 1e-15 * abs(want)
+        snap = model.snapshot()
+        for form in ("logit", "feature"):
+            step = ls.step_rows(MC, model, new_x, new_classes, ex_x, ReplayConstants(ex_classes))
+            with pytest.raises(ContractError, match="snapshot's outputs"):
+                ls.total_loss(MC, step, model, w, distill_form=form)
+            with pytest.raises(ContractError, match="snapshot's outputs"):
+                ls.loss_and_gradients(MC, step, model, w, grads, distill_form=form)
+            ex = ls.snapshot_constants(snap, ex_x, ex_classes, w.T, form)
+            step = ls.step_rows(MC, model, new_x, new_classes, ex_x, ex)
+            want = ls.total_loss(MC, step, model, w, distill_form=form).item()
+            got = ls.loss_and_gradients(MC, step, model, w, grads, distill_form=form)
+            assert abs(got - want) <= 1e-15 * abs(want), form
 
     def test_replay_only_profile_is_classification_over_union(self):
         rng = np.random.default_rng(10)
         model = _small_model()
-        new = _session_batch(rng, model, task=2, n=4)
-        ex = _session_batch(rng, model, task=1, n=3)
+        new_x, new_classes = _session_rows(rng, model, task=2, n=4)
+        ex_x, ex_classes = _session_rows(rng, model, task=1, n=3)
         w = LossWeights(gamma_d=0.0, gamma_m=0.0)
-        combined = ls.total_loss(MC, ls.step_rows(MC, new, ex, model), model, w)
-        _, logits = model.forward(np.concatenate([new.x, ex.x]))
-        bare = ls.multiclass_ce(dc.Tensor(logits), np.concatenate([new.classes, ex.classes]))
+        step = ls.step_rows(MC, model, new_x, new_classes, ex_x, ReplayConstants(ex_classes))
+        combined = ls.total_loss(MC, step, model, w)
+        _, logits = model.forward(np.concatenate([new_x, ex_x]))
+        bare = ls.multiclass_ce(dc.Tensor(logits), np.concatenate([new_classes, ex_classes]))
         assert combined.item() == bare.item()
 
     def test_distillation_profile_composes(self):
@@ -314,11 +320,12 @@ class TestTotalLoss:
         # nudge the live model so distillation is non-zero
         for p in model.parameters():
             p += 0.05 * rng.normal(size=p.shape)
-        new = _session_batch(rng, model, task=2, n=4)
-        ex = _session_batch(rng, model, task=1, n=3)
-        ls.snapshot_constants(ex, snap, 1.0, "logit")
-        base = ls.total_loss(MC, ls.step_rows(MC, new, ex, model), model, LossWeights()).item()
-        with_kd = ls.total_loss(MC, ls.step_rows(MC, new, ex, model), model, LossWeights(gamma_d=1.0)).item()
+        new_x, new_classes = _session_rows(rng, model, task=2, n=4)
+        ex_x, ex_classes = _session_rows(rng, model, task=1, n=3)
+        ex = ls.snapshot_constants(snap, ex_x, ex_classes, 1.0, "logit")
+        step = ls.step_rows(MC, model, new_x, new_classes, ex_x, ex)
+        base = ls.total_loss(MC, step, model, LossWeights()).item()
+        with_kd = ls.total_loss(MC, step, model, LossWeights(gamma_d=1.0)).item()
         assert with_kd > base
 
     def test_mt_lambda_zero_gradients_match_mc(self):
@@ -326,14 +333,15 @@ class TestTotalLoss:
         model = _small_model()
         model.sessions_trained = 1
         snap = model.snapshot()
-        new = _session_batch(rng, model, task=2, n=5)
-        ex = _session_batch(rng, model, task=1, n=3)
+        new_x, new_classes = _session_rows(rng, model, task=2, n=5)
+        ex_x, ex_classes = _session_rows(rng, model, task=1, n=3)
         w = LossWeights(gamma_d=0.5, lam=0.0)
-        ls.snapshot_constants(ex, snap, w.T, "logit")
+        ex = ls.snapshot_constants(snap, ex_x, ex_classes, w.T, "logit")
 
         def grads_for(system, rule):
             leaves = ls.tape_leaves(model)
-            ls.total_loss(system, ls.step_rows(system, new, ex, model), model, w, rule=rule, leaves=leaves).backward()
+            step = ls.step_rows(system, model, new_x, new_classes, ex_x, ex)
+            ls.total_loss(system, step, model, w, rule=rule, leaves=leaves).backward()
             return [leaf.grad for leaf in leaves]
 
         g_mc = grads_for(MC, None)
@@ -345,22 +353,19 @@ class TestTotalLoss:
                 np.testing.assert_allclose(a, b, atol=1e-12)
 
     def test_latent_exemplar_rows(self):
-        """Latent rows enter above the capture layer: ``step_rows`` rejects
-        them until the layers below it are frozen, as latent replay does."""
+        """Latent rows enter above the capture layer, once the layers below
+        it are frozen, as latent replay does."""
         rng = np.random.default_rng(13)
         model = _small_model()
         model.sessions_trained = 1
         snap = model.snapshot()
-        new = _session_batch(rng, model, task=2, n=4)
+        new_x, new_classes = _session_rows(rng, model, task=2, n=4)
         lat = rng.normal(size=(3, model.extractor.latent_width))
         pol = rng.integers(0, 2, size=3)
         classes = np.array([model.head.registry.class_of(1, p) for p in pol])
-        ex = Batch(latents=lat, classes=classes, polarity=pol)
-        ls.snapshot_constants(ex, snap, 1.0, "logit")
-        with pytest.raises(ContractError, match="capture layer frozen"):
-            ls.step_rows(MC, new, ex, model)
+        ex = ls.snapshot_constants(snap, lat, classes, 1.0, "logit", latent=True)
         model.extractor.frozen = model.extractor.capture_layer + 1
-        loss = ls.total_loss(MC, ls.step_rows(MC, new, ex, model), model, LossWeights(gamma_d=0.3))
+        loss = ls.total_loss(MC, ls.step_rows(MC, model, new_x, new_classes, lat, ex), model, LossWeights(gamma_d=0.3))
         assert np.isfinite(loss.item())
 
 
@@ -452,22 +457,14 @@ class TestLossGradients:
         model.head.expand(2)
         model.sessions_trained = 1
         snap = model.snapshot()
-        new = Batch(
-            x=rng.normal(size=(3, 4)),
-            classes=np.array([2, 3, 2]),
-            polarity=np.array([0, 1, 0]),
-        )
-        ex = Batch(
-            x=rng.normal(size=(2, 4)),
-            classes=np.array([0, 1]),
-            polarity=np.array([0, 1]),
-        )
+        new_x = rng.normal(size=(3, 4))
+        ex_x = rng.normal(size=(2, 4))
         w = LossWeights(gamma_d=0.5, gamma_m=0.0)
-        ls.snapshot_constants(ex, snap, w.T, "logit+feature")
+        ex = ls.snapshot_constants(snap, ex_x, np.array([0, 1]), w.T, "logit+feature")
 
         leaves = ls.tape_leaves(model)
 
-        step = ls.step_rows(MC, new, ex, model)
+        step = ls.step_rows(MC, model, new_x, np.array([2, 3, 2]), ex_x, ex)
 
         def f(probe):  # the probe stands in for the first layer's weights
             return ls.total_loss(MC, step, model, w, distill_form="logit+feature", leaves=[probe, *leaves[1:]])

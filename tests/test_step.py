@@ -2,11 +2,13 @@
 
 ``losses.loss_and_gradients`` must give every trainable parameter exactly
 the gradient that ``total_loss(...).backward()`` stores on it, bit for bit,
-and the same loss value to 1e-15 relative. Steps come from the session plan
-and the epoch layout the trainer builds, over every system, built-in
-profile, head, aggregation rule (through the plan's class indices) and the
+and the same loss value to 1e-15 relative. Steps come from the session's
+rows and the epoch layout the trainer builds, over every system, built-in
+profile, head, aggregation rule (through the session's class indices) and the
 essentials (logit+feature distillation, label smoothing, mixup).
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,7 +22,6 @@ from cddet.seeding import substream
 from cddet.stream import synth_generate
 from cddet.trainer import (
     Adam,
-    SessionRows,
     TrainConfig,
     _assemble_batches,
     _plan_session,
@@ -62,44 +63,43 @@ def _setup(system, name, options):
     return profile, sessions, model, memory
 
 
-def _tape_gradients(system, profile, step, model, plan):
+def _tape_gradients(system, profile, step, model, rows):
     """The reference's loss value on the step's rows, and its trainable
     leaves' gradients."""
     leaves = ls.tape_leaves(model)
     loss = ls.total_loss(
-        system, step, model, plan.weights,
+        system, step, model, rows.weights,
         rule=profile.aggregation, distill_form=profile.distill_form, leaves=leaves,
     )
     loss.backward()
     return loss.item(), [leaf.grad for leaf in leaves if leaf.requires_grad]
 
 
-def _take(batch, rows):
-    """The given rows of a plan's batch (its arrays are one row per sample)."""
-    return ls.Batch(**{name: None if v is None else v[rows] for name, v in vars(batch).items()})
+def _replayed_in_order(rows, perm):
+    """The session's rows with its replayed rows in the order ``perm``."""
+    order = np.concatenate([np.arange(rows.n_new), rows.n_new + perm])
+    return replace(rows, x=rows.x[order], targets=rows.targets[order], ex=rows.ex.take(perm))
 
 
-def _step_over(system, profile, model, plan, new_idx, pool_idx, rng):
-    """The trainer's step over the given new and pool rows: an epoch order
-    whose first window holds exactly those rows."""
-    n_new, n_pool = len(plan.new), len(plan.pool) if plan.pool is not None else 0
-    picked = np.concatenate([new_idx, n_new + pool_idx]).astype(np.intp)
-    rest = np.setdiff1d(np.arange(n_new + n_pool), picked)
-    rows = SessionRows(plan, model, system, batch_size=picked.size)
-    rows.shuffle(np.concatenate([picked, rest]))
+def _step_over(profile, rows, new_idx, pool_idx, rng):
+    """The trainer's step over the given new and replayed rows: an epoch
+    order whose first window holds exactly those rows."""
+    picked = np.concatenate([new_idx, rows.n_new + pool_idx]).astype(np.intp)
+    rest = np.setdiff1d(np.arange(len(rows)), picked)
+    rows.shuffle(np.concatenate([picked, rest]), picked.size)
     return _assemble_batches(rows, 0, picked.size, profile, rng)
 
 
-def _assert_step_matches_tape(system, profile, model, plan, new_rows, pool_rows, rng):
+def _assert_step_matches_tape(system, profile, model, rows, new_rows, pool_rows, rng):
     new_idx = np.arange(new_rows.start, new_rows.stop)
     pool_idx = np.arange(pool_rows.start, pool_rows.stop)
-    step = _step_over(system, profile, model, plan, new_idx, pool_idx, rng)
-    want_value, want = _tape_gradients(system, profile, step, model, plan)
+    step = _step_over(profile, rows, new_idx, pool_idx, rng)
+    want_value, want = _tape_gradients(system, profile, step, model, rows)
     optimizer = Adam(model, lr=FAST.lr)
     optimizer.g.fill(np.nan)  # a gradient the step leaves unwritten cannot match
     value = ls.loss_and_gradients(
-        system, step, model, plan.weights, optimizer.grads, rule=profile.aggregation,
-        distill_form=profile.distill_form, mt_classes=plan.mt_classes,
+        system, step, model, rows.weights, optimizer.grads, rule=profile.aggregation,
+        distill_form=profile.distill_form, mt_classes=rows.mt_classes,
     )
     names = _parameter_names(model)[2 * model.extractor.frozen :]
     assert len(optimizer.grads) == len(want) == len(names)
@@ -124,20 +124,20 @@ def test_step_gradients_equal_the_tape(system, name, options):
     rng = np.random.default_rng(0)
 
     # the first session: no snapshot, no exemplars, every layer trains
-    plan = _plan_session(model, memory, sessions[0], profile, system)
-    if system == MT:  # the aggregation reads the plan's class indices
+    rows = _plan_session(model, memory, sessions[0], profile, system)
+    if system == MT:  # the aggregation reads the session's class indices
         fake_mask = model.head.registry.fake_mask()
-        assert [c.tolist() for c in plan.mt_classes] == [np.flatnonzero(m).tolist() for m in (fake_mask, ~fake_mask)]
+        assert [c.tolist() for c in rows.mt_classes] == [np.flatnonzero(m).tolist() for m in (fake_mask, ~fake_mask)]
     for new_rows in (slice(0, 7), slice(3, 4)):
-        _assert_step_matches_tape(system, profile, model, plan, new_rows, slice(0, 0), rng)
+        _assert_step_matches_tape(system, profile, model, rows, new_rows, slice(0, 0), rng)
 
     # a later session: snapshot, exemplars, frozen layers under latent replay
     profile, sessions, model, memory = _setup(system, name, options)
     for session in sessions[:-1]:
         run_session(model, memory, session, profile, FAST, system)
-    plan = _plan_session(model, memory, sessions[-1], profile, system)
+    rows = _plan_session(model, memory, sessions[-1], profile, system)
     assert model.extractor.frozen == (model.extractor.capture_layer + 1 if profile.replay_payload == LATENT else 0)
-    plan.pool = _take(plan.pool, rng.permutation(len(plan.pool)))
+    rows = _replayed_in_order(rows, rng.permutation(len(rows) - rows.n_new))
     shapes = [
         (slice(0, 6), slice(0, 0)),  # new rows only
         (slice(0, 0), slice(0, 9)),  # exemplar rows only
@@ -149,7 +149,7 @@ def test_step_gradients_equal_the_tape(system, name, options):
         (slice(0, 5), slice(4, 5)),  # one exemplar among new rows
     ]
     for new_rows, pool_rows in shapes:
-        _assert_step_matches_tape(system, profile, model, plan, new_rows, pool_rows, rng)
+        _assert_step_matches_tape(system, profile, model, rows, new_rows, pool_rows, rng)
 
 
 @pytest.mark.parametrize("n_new", [1, 2, 5])
@@ -160,13 +160,13 @@ def test_new_rows_enter_at_the_capture_layer_under_latent_replay(n_new):
     profile, sessions, model, memory = _setup(MC, "replay+kd", {})
     for session in sessions[:-1]:
         run_session(model, memory, session, profile, FAST, MC)
-    plan = _plan_session(model, memory, sessions[-1], profile, MC)
-    step = _step_over(MC, profile, model, plan, np.arange(3, 3 + n_new), np.arange(4), np.random.default_rng(0))
-    _, captured = model.extractor.forward_with_capture(plan.new.x)
+    rows = _plan_session(model, memory, sessions[-1], profile, MC)
+    step = _step_over(profile, rows, np.arange(3, 3 + n_new), np.arange(4), np.random.default_rng(0))
+    _, captured = model.extractor.forward_with_capture(sessions[-1].train.x)
     assert step.n_new == n_new
     assert step.x[:n_new].tobytes() == captured[3 : 3 + n_new].tobytes()
-    assert step.x[n_new:].tobytes() == plan.pool.latents[:4].tobytes()
-    _assert_step_matches_tape(MC, profile, model, plan, slice(3, 3 + n_new), slice(0, 4), np.random.default_rng(0))
+    assert step.x[n_new:].tobytes() == memory.all_exemplars()[0][:4].tobytes()
+    _assert_step_matches_tape(MC, profile, model, rows, slice(3, 3 + n_new), slice(0, 4), np.random.default_rng(0))
 
 
 def test_mixup_leaves_the_session_rows_unwritten():
@@ -174,36 +174,58 @@ def test_mixup_leaves_the_session_rows_unwritten():
     profile, sessions, model, memory = _setup(MC, "distill", {"mixup_alpha": 0.4})
     for session in sessions[:-1]:
         run_session(model, memory, session, profile, FAST, MC)
-    rows = SessionRows(_plan_session(model, memory, sessions[-1], profile, MC), model, MC, batch_size=8)
-    source, targets = rows.source.copy(), rows.source_targets.copy()
-    rows.shuffle(np.random.default_rng(1).permutation(len(rows)))
+    rows = _plan_session(model, memory, sessions[-1], profile, MC)
+    source, targets = rows.x.copy(), rows.targets.copy()
+    rows.shuffle(np.random.default_rng(1).permutation(len(rows)), 8)
     mixed = 0
     for start in range(0, len(rows), 8):
         step = _assemble_batches(rows, start, min(start + 8, len(rows)), profile, np.random.default_rng(start))
         gathered = source[rows.order[start : start + 8]]
         mixed += not np.array_equal(step.x[: step.n_new], gathered[: step.n_new])
     assert mixed
-    assert rows.source.tobytes() == source.tobytes()
-    assert rows.source_targets.tobytes() == targets.tobytes()
+    assert rows.x.tobytes() == source.tobytes()
+    assert rows.targets.tobytes() == targets.tobytes()
+
+
+# the arrays of the replayed rows' constants that each distillation form reads
+DISTILLED = {
+    "none": set(),
+    "logit": {"kd_logp", "kd_p"},
+    "feature": {"old_features", "old_norms"},
+    "logit+feature": {"kd_logp", "kd_p", "old_features", "old_norms"},
+}
 
 
 def test_epoch_layout_puts_each_windows_new_rows_first():
-    profile, sessions, model, memory = _setup(MT, "rebalance", {"label_smooth_eps": 0.1})
-    for session in sessions[:-1]:
-        run_session(model, memory, session, profile, FAST, MT)
-    plan = _plan_session(model, memory, sessions[-1], profile, MT)
-    rows = SessionRows(plan, model, MT, batch_size=5)
-    n_new = len(plan.new)
-    x = np.concatenate([plan.new.x, plan.pool.x])
-    targets = np.concatenate([plan.new.target_rows, plan.pool.target_rows])
-    perm = np.random.default_rng(3).permutation(len(rows))
-    rows.shuffle(perm)
-    for start in range(0, len(rows), 5):
-        window = perm[start : start + 5]
-        order = np.concatenate([window[window < n_new], window[window >= n_new]])
-        step = _assemble_batches(rows, start, min(start + 5, len(rows)), profile, np.random.default_rng(0))
-        assert step.n_new == np.count_nonzero(window < n_new)
-        assert np.array_equal(step.x, x[order])
-        assert np.array_equal(step.targets, targets[order])
-        pool_order = window[window >= n_new] - n_new
-        assert np.array_equal(step.ex.old_features, plan.pool.old_features[pool_order])
+    """Each step's window holds its new rows first, then its replayed rows,
+    and carries exactly the constants its distillation form reads, gathered
+    at its replayed rows."""
+    for distill_form, distilled in DISTILLED.items():
+        options = {"label_smooth_eps": 0.1, "distill_form": distill_form}
+        if distill_form == "none":
+            options["gamma_d"] = 0.0
+        profile, sessions, model, memory = _setup(MT, "rebalance", options)
+        for session in sessions[:-1]:
+            run_session(model, memory, session, profile, FAST, MT)
+        rows = _plan_session(model, memory, sessions[-1], profile, MT)
+        n_new = rows.n_new
+        assert n_new == len(sessions[-1].train.x)
+        x = np.concatenate([sessions[-1].train.x, memory.all_exemplars()[0]])
+        perm = np.random.default_rng(3).permutation(len(rows))
+        rows.shuffle(perm, 5)
+        for start in range(0, len(rows), 5):
+            window = perm[start : start + 5]
+            order = np.concatenate([window[window < n_new], window[window >= n_new]])
+            step = _assemble_batches(rows, start, min(start + 5, len(rows)), profile, np.random.default_rng(0))
+            assert step.n_new == np.count_nonzero(window < n_new)
+            assert np.array_equal(step.x, x[order])
+            assert np.array_equal(step.targets, rows.targets[order])
+            pool_order = window[window >= n_new] - n_new
+            if not pool_order.size:
+                assert step.ex is None
+                continue
+            carried = {k for k, v in vars(step.ex).items() if isinstance(v, np.ndarray)}
+            assert carried == distilled | {"classes"}, distill_form
+            for name in carried:
+                assert np.array_equal(getattr(step.ex, name), getattr(rows.ex, name)[pool_order]), name
+            assert step.ex.old_cols == rows.ex.old_cols

@@ -11,7 +11,6 @@ from cddet.stream import Scenario, synth_generate
 from cddet.trainer import (
     Adam,
     MethodProfile,
-    SessionRows,
     TrainConfig,
     _assemble_batches,
     _evaluate,
@@ -80,15 +79,14 @@ class TestAdam:
             return Model.build(6, profile.head_variant, substream(4, "init")), ExemplarMemory(20, LATENT)
 
         def nan_filled_step(model, memory, session):
-            plan = _plan_session(model, memory, session, profile, system)
-            rows = SessionRows(plan, model, system, batch_size=16)
-            rows.shuffle(np.random.default_rng(0).permutation(len(rows)))
+            rows = _plan_session(model, memory, session, profile, system)
+            rows.shuffle(np.random.default_rng(0).permutation(len(rows)), 16)
             step = _assemble_batches(rows, 0, 16, profile, np.random.default_rng(0))
             optimizer = Adam(model, lr=FAST.lr)
             optimizer.g.fill(np.nan)
             loss_and_gradients(
-                system, step, model, plan.weights, optimizer.grads, rule=profile.aggregation,
-                distill_form=profile.distill_form, mt_classes=plan.mt_classes,
+                system, step, model, rows.weights, optimizer.grads, rule=profile.aggregation,
+                distill_form=profile.distill_form, mt_classes=rows.mt_classes,
             )
             assert not np.isnan(optimizer.g).any()
             return model.extractor.frozen
@@ -280,14 +278,17 @@ class TestNumericsErrors:
     the model, naming what overflowed: a training step, evaluation and
     herding."""
 
-    def _poisoned(self):
-        model, memory, sessions, profile = fresh_setup(system=MC, profile_name="replay")
+    def _poisoned(self, profile_name="replay"):
+        model, memory, sessions, profile = fresh_setup(system=MC, profile_name=profile_name)
         run_session(model, memory, sessions[0], profile, FAST, MC)
         model.extractor.weights[0][...] = 1e308
         return model, memory, sessions, profile
 
-    def test_training_step(self):
-        model, memory, sessions, profile = self._poisoned()
+    @pytest.mark.parametrize("profile_name", ["replay", "distill"])
+    def test_training_step(self, profile_name):
+        """The error names the session, also when the snapshot's forward
+        pass over the exemplars (``distill``) is what overflows."""
+        model, memory, sessions, profile = self._poisoned(profile_name)
         with pytest.raises(NumericsError, match=r"session 2, epoch 0: layer 0 pre-activation"):
             run_session(model, memory, sessions[1], profile, FAST, MC)
 
