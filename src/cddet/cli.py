@@ -212,9 +212,9 @@ def _execute_run(cfg: ExperimentConfig, profile: MethodProfile, train_cfg: Train
                 raise ParseError(f"task {session.task_id} is also the task of {first_file[session.task_id]}", path=path)
             first_file[session.task_id] = path
 
-    record = run_scenario_over_sessions(
-        sessions, warmup, cfg.memory, profile, train_cfg, cfg.system, config_echo=cfg.echo()
-    )
+    # the task ids are an output, so that ``eval`` can check the predictions' tasks
+    echo = cfg.echo() | {"task_ids": [s.task_id for s in sessions]}
+    record = run_scenario_over_sessions(sessions, warmup, cfg.memory, profile, train_cfg, cfg.system, config_echo=echo)
     metrics, curves = compute_metrics(record.matrix, record.logs, record.config_echo)
 
     write_accuracy_matrix(out_dir / "accuracy_matrix.csv", record.matrix)
@@ -224,7 +224,7 @@ def _execute_run(cfg: ExperimentConfig, profile: MethodProfile, train_cfg: Train
     memory_payload = record.memory.to_payload() if record.memory is not None else None
     save_checkpoint(out_dir / "checkpoint.json", record.model, memory_payload)
     with open(out_dir / "config.json", "w", encoding="utf-8") as fh:
-        json.dump(cfg.echo(), fh, sort_keys=True, indent=2)
+        json.dump(echo, fh, sort_keys=True, indent=2)
         fh.write("\n")
 
 
@@ -271,8 +271,9 @@ def _usage_error(exc: Exception) -> int:
 
 def recompute_metrics_json(run_dir: Path) -> str:
     """Rebuild the metrics document from the persisted artifacts alone, once
-    their tasks agree: one per matrix column, a scenario run's own, and the
-    ones each record id names, with no record id repeated within a task."""
+    their tasks agree: one per matrix column, a scenario run's own, the ones
+    ``config.json`` records, and the ones each record id names, with no
+    record id repeated within a task."""
     matrix = read_accuracy_matrix(run_dir / "accuracy_matrix.csv")
     predictions = run_dir / "predictions.csv"
     logs = read_predictions(predictions)
@@ -289,9 +290,12 @@ def recompute_metrics_json(run_dir: Path) -> str:
     scenario = echo.get("scenario")
     if scenario is not None and not isinstance(scenario, str):
         raise ParseError(f"scenario: expected a string, found {scenario!r}", path=config)
+    run_tasks = echo.get("task_ids")
+    if not (isinstance(run_tasks, list) and all(type(t) is int for t in run_tasks)):
+        raise ParseError(f"task_ids: expected a list of integers, found {run_tasks!r}", path=config)
     if scenario is not None and task_ids != _SCENARIO_SOURCES.get(scenario):
         raise ParseError(f"tasks {task_ids} are not those of scenario {scenario!r}", path=predictions)
-    for task_id in task_ids:  # a run writes each record id once, as "<task_id>-<split>-<i>"
+    for task_id in task_ids:  # a run writes each record id once, as "<task_id>-test-<i>"
         ids, prefix = logs[task_id].record_ids, f"{task_id}-"
         # no record id holds a line break, so each that starts with the prefix adds one match
         if ("\n" + "\n".join(ids)).count("\n" + prefix) < len(ids):
@@ -300,6 +304,8 @@ def recompute_metrics_json(run_dir: Path) -> str:
         if len(set(ids)) < len(ids):
             repeated = next(rid for rid, count in Counter(ids).items() if count > 1)
             raise ParseError(f"record {repeated!r} is repeated in task {task_id}", path=predictions)
+    if task_ids != sorted(run_tasks):
+        raise ParseError(f"tasks {task_ids} are not the run's tasks {sorted(run_tasks)}", path=predictions)
     metrics, _ = compute_metrics(matrix, logs, echo)
     return metrics_to_json(metrics)
 

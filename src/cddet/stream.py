@@ -9,12 +9,15 @@ Dataset file schema (UTF-8 CSV, no quoting):
     header  task_id,split,label,f0,...,f{d-1}
     rows    one record per line; split in {train,val,test};
             label 0 = real, 1 = fake; '.' decimal point
+A run reads only the train and test rows, so ``save_dataset`` writes only
+those; ``load_dataset`` checks val rows (CDDB's files hold them) as it
+checks the others, then drops them.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,7 +32,7 @@ SCENARIO_KINDS = (EASY, HARD, LONG)
 SPLITS = ("train", "val", "test")
 
 _FEATURE_DIM = 16  # the width of every synthetic source
-_DEFAULT_COUNTS = {"train": 300, "val": 60, "test": 150}  # per polarity
+_DEFAULT_COUNTS = {"train": 300, "test": 150}  # per polarity
 _EASY_DIFFICULTY = 6.0
 _WILD_DIFFICULTY = 2.5
 _SMALL_DIFFICULTY = 3.5
@@ -38,20 +41,18 @@ _SMALL_DIFFICULTY = 3.5
 @dataclass(frozen=True)
 class TaskSpec:
     task_id: int
-    name: str
     base_mean: tuple[float, ...]
     real_shift: tuple[float, ...]
     fake_means: tuple[tuple[float, ...], ...]
     cov_scale: float
     difficulty: float
     n_train: int
-    n_val: int
     n_test: int
 
     def __post_init__(self):
         if self.cov_scale <= 0:
             raise ConfigError("covariance scale must be positive")
-        if min(self.n_train, self.n_val, self.n_test) <= 0:
+        if min(self.n_train, self.n_test) <= 0:
             raise ConfigError("split counts must be positive")
         if self.difficulty <= 0:
             raise ConfigError("difficulty must be positive")
@@ -61,7 +62,6 @@ class TaskSpec:
 class Split:
     x: np.ndarray
     y: np.ndarray
-    ids: list[str] = field(default_factory=list)
 
     def __len__(self) -> int:
         return self.x.shape[0]
@@ -70,13 +70,11 @@ class Split:
 @dataclass
 class SessionData:
     task_id: int
-    name: str
     train: Split
-    val: Split
     test: Split
 
     def splits(self) -> dict[str, Split]:
-        return {"train": self.train, "val": self.val, "test": self.test}
+        return {"train": self.train, "test": self.test}
 
 
 @dataclass
@@ -90,7 +88,7 @@ class Scenario:
         return len(self.tasks)
 
 
-def _sample_split(spec: TaskSpec, rng: np.random.Generator, split: str, n: int) -> Split:
+def _sample_split(spec: TaskSpec, rng: np.random.Generator, n: int) -> Split:
     d = len(spec.base_mean)
     real_mean = np.asarray(spec.base_mean) + np.asarray(spec.real_shift)
     reals = real_mean + spec.cov_scale * rng.standard_normal((n, d))
@@ -99,8 +97,7 @@ def _sample_split(spec: TaskSpec, rng: np.random.Generator, split: str, n: int) 
     fakes = fake_means[comps] + spec.cov_scale * rng.standard_normal((n, d))
     x = np.vstack([reals, fakes])
     y = np.concatenate([np.full(n, REAL), np.full(n, FAKE)]).astype(np.int64)
-    ids = [f"{spec.task_id}-{split}-{i}" for i in range(2 * n)]
-    return Split(x, y, ids)
+    return Split(x, y)
 
 
 def synth_generate(spec: TaskSpec, seed: int) -> SessionData:
@@ -108,10 +105,8 @@ def synth_generate(spec: TaskSpec, seed: int) -> SessionData:
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(1000 + spec.task_id,)))
     return SessionData(
         task_id=spec.task_id,
-        name=spec.name,
-        train=_sample_split(spec, rng, "train", spec.n_train),
-        val=_sample_split(spec, rng, "val", spec.n_val),
-        test=_sample_split(spec, rng, "test", spec.n_test),
+        train=_sample_split(spec, rng, spec.n_train),
+        test=_sample_split(spec, rng, spec.n_test),
     )
 
 
@@ -137,16 +132,12 @@ def _source_specs(seed: int) -> list[TaskSpec]:
 
     specs: list[TaskSpec] = []
     for sid in range(n_sources):
-        if sid == 0:
-            name, difficulty, n_train = "warmup", _EASY_DIFFICULTY, counts["train"]
+        if sid in (7, 11):
+            difficulty, n_train = _WILD_DIFFICULTY, counts["train"]
+        elif sid == 12:
+            difficulty, n_train = _SMALL_DIFFICULTY, counts["train"] // 10
         else:
-            name = f"src{sid:02d}"
-            if sid in (7, 11):
-                difficulty, n_train = _WILD_DIFFICULTY, counts["train"]
-            elif sid == 12:
-                difficulty, n_train = _SMALL_DIFFICULTY, counts["train"] // 10
-            else:
-                difficulty, n_train = _EASY_DIFFICULTY, counts["train"]
+            difficulty, n_train = _EASY_DIFFICULTY, counts["train"]
         shift = rng.standard_normal(_FEATURE_DIM)
         shift *= 0.35 / np.linalg.norm(shift)
         fake_means = tuple(
@@ -156,14 +147,12 @@ def _source_specs(seed: int) -> list[TaskSpec]:
         specs.append(
             TaskSpec(
                 task_id=sid,
-                name=name,
                 base_mean=tuple(base),
                 real_shift=tuple(shift),
                 fake_means=fake_means,
                 cov_scale=1.0,
                 difficulty=difficulty,
                 n_train=n_train,
-                n_val=counts["val"],
                 n_test=counts["test"],
             )
         )
@@ -222,7 +211,6 @@ def load_dataset(path) -> SessionData:
 
     rows: dict[str, list[tuple[np.ndarray, int]]] = {s: [] for s in SPLITS}
     task_id: int | None = None
-    name = None
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -235,7 +223,6 @@ def load_dataset(path) -> SessionData:
             raise ParseError(f"bad task id {fields[0]!r}", line=lineno) from None
         if task_id is None:
             task_id = row_task
-            name = f"data{row_task}"
         elif row_task != task_id:
             raise ParseError(f"mixed task ids {task_id} and {row_task}", line=lineno)
         split = fields[1]
@@ -265,8 +252,7 @@ def load_dataset(path) -> SessionData:
         else:
             x = np.zeros((0, width))
             y = np.zeros(0, dtype=np.int64)
-        ids = [f"{task_id}-{split_name}-{i}" for i in range(len(records))]
-        splits[split_name] = Split(x, y, ids)
+        splits[split_name] = Split(x, y)
     if non_finite:
         raise ParseError("non-finite feature value", line=min(non_finite))
 
@@ -275,4 +261,4 @@ def load_dataset(path) -> SessionData:
         if not ((y == REAL).any() and (y == FAKE).any()):
             raise ParseError(f"split {required!r} needs both real and fake records", line=len(lines))
 
-    return SessionData(task_id=task_id, name=name, train=splits["train"], val=splits["val"], test=splits["test"])
+    return SessionData(task_id=task_id, train=splits["train"], test=splits["test"])

@@ -58,7 +58,6 @@ from .model import (
     COSFC,
     FAKE,
     LINFC,
-    MC,
     MT,
     REAL,
     SIGMOID,
@@ -527,7 +526,7 @@ def run_scenario_over_sessions(
                     else None
                 )
                 logs[sessions[i].task_id] = PredictionLog(
-                    record_ids=list(split.ids),
+                    record_ids=[f"{sessions[i].task_id}-test-{k}" for k in range(len(split))],
                     true_polarity=split.y.copy(),
                     pred_polarity=pred_pol,
                     p_fake=scores,

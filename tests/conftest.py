@@ -1,5 +1,3 @@
-import numpy as np
-
 from cddet.stream import Scenario, TaskSpec, synth_generate
 from cddet.trainer import run_scenario_over_sessions
 
@@ -15,14 +13,12 @@ def tiny_spec(task_id, direction, difficulty=5.0, n_train=24, dim=6):
     shift[-1] = 0.2
     return TaskSpec(
         task_id=task_id,
-        name=f"tiny{task_id}",
         base_mean=tuple(mean),
         real_shift=tuple(shift),
         fake_means=(tuple(fake), tuple(fake2)),
         cov_scale=1.0,
         difficulty=difficulty,
         n_train=n_train,
-        n_val=4,
         n_test=20,
     )
 

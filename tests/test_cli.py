@@ -3,7 +3,6 @@ import re
 import tempfile
 from pathlib import Path
 
-import numpy as np
 import pytest
 from conftest import tiny_scenario, tiny_spec
 from hypothesis import given, settings
@@ -280,6 +279,8 @@ class TestEval:
         ("{", "line 1: malformed JSON: Expecting property name enclosed in double quotes"),
         ("[1, 2]", "line 1: expected a JSON object"),
         ('{"scenario": ["hard"]}', "scenario: expected a string, found ['hard']"),
+        ('{"scenario": "hard"}', "task_ids: expected a list of integers, found None"),
+        ('{"scenario": "hard", "task_ids": [1, 2, 7, 11, "12"]}', "task_ids: expected a list of integers, found [1, 2, 7, 11, '12']"),
     ])
     def test_malformed_config_json(self, hard_run, capsys, text, message):
         path = hard_run / "config.json"
@@ -324,20 +325,36 @@ class TestEval:
         assert run_cli("eval", str(hard_run)) == 2
         assert capsys.readouterr().err == f"error: {path}: {message}\n"
 
-    def test_predictions_relabelled_in_a_data_run(self, tmp_path, dataset_paths, capsys):
-        """A ``--data`` run's config names no task ids, but each record id
-        names the task that wrote it: task 1's rows relabelled task 99."""
+    @pytest.fixture
+    def data_run(self, tmp_path, dataset_paths, capsys):
         out = tmp_path / "run"
         assert run_cli(
             "run", "--data", *dataset_paths, "--profile", "finetune", "--system", "mc",
             "--memory", "0", "--seed", "5", "--epochs", "1", "--out", str(out),
         ) == 0
-        path = out / "predictions.csv"
-        header, *rows = path.read_text().splitlines()
-        path.write_text("\n".join([header, *("99" + row[1:] if row.startswith("1,") else row for row in rows)]) + "\n")
         capsys.readouterr()
-        assert run_cli("eval", str(out)) == 2
+        return out
+
+    @staticmethod
+    def _relabel_task_1(path, row_tail):
+        header, *rows = path.read_text().splitlines()
+        path.write_text("\n".join([header, *("99" + row_tail(row[1:]) if row.startswith("1,") else row for row in rows)]) + "\n")
+
+    def test_predictions_relabelled_in_a_data_run(self, data_run, capsys):
+        """Each record id names the task that wrote it: task 1's rows
+        relabelled task 99 in the task column only."""
+        path = data_run / "predictions.csv"
+        self._relabel_task_1(path, lambda tail: tail)
+        assert run_cli("eval", str(data_run)) == 2
         assert capsys.readouterr().err == f"error: {path}: record '1-test-0' is not one of task 99's\n"
+
+    def test_predictions_relabelled_in_both_columns(self, data_run, capsys):
+        """Task 1's rows relabelled task 99 in the task column and in their
+        record ids: ``config.json`` records the run's task ids."""
+        path = data_run / "predictions.csv"
+        self._relabel_task_1(path, lambda tail: tail.replace(",1-test-", ",99-test-", 1))
+        assert run_cli("eval", str(data_run)) == 2
+        assert capsys.readouterr().err == f"error: {path}: tasks [2, 99] are not the run's tasks [1, 2]\n"
 
     def test_repeated_record_id(self, hard_run, capsys):
         """A row written twice would count its record twice in AA-M and AP."""

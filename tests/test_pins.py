@@ -43,39 +43,39 @@ RUNS = {
 
 PINS = {
     "bc-distill": {
-        "aa": 0.6133333333333333,
-        "af": -2.7755575615628914e-17,
+        "aa": 0.6066666666666667,
+        "af": 0.006666666666666599,
         "aa_m": None,
-        "map": 0.6579237658954483,
-        "sha256": "1661e25393dea796720e9839db343a05720015e0f709e30bae3c4bd249eacb10",
-        "predictions_sha256": "164579f3457af60c7071022a86c4ac8a79c1de403b99cec71a012ea6f0a66738",
+        "map": 0.657642256344496,
+        "sha256": "67560266a67bc066598348d38882aff23833e9afbf46007896623bb2811e2a16",
+        "predictions_sha256": "db16f3a4c4ea2aeba6f0c10071f2ec66bd68ee78a48c747a1b6aaecbeb73c960",
         "checkpoint_sha256": "22e9e311e4fd8c50d89c03d764030e117e88df772295f973ec7e2972ba33e220",
     },
     "mc-replaykd-latent": {
-        "aa": 0.5733333333333334,
-        "af": -0.10000000000000003,
-        "aa_m": 0.21555555555555558,
-        "map": 0.5944298265270663,
-        "sha256": "fc743aca96d0c656046b646c48ef05cae0e0fe8247b3fd764913e360a61ebc6e",
-        "predictions_sha256": "e41c72056b3ef08dfe2a8ccfcb5074fba7187ef907782746f915c39892a076dd",
+        "aa": 0.57,
+        "af": -0.09749999999999999,
+        "aa_m": 0.24222222222222223,
+        "map": 0.6011466891929014,
+        "sha256": "95d15df67518512cfa5a4c22690b34f886c8dd2a99adf080e8def17fa797a232",
+        "predictions_sha256": "69a70e2115dc175c24058b07aabb7d64910248be6606061786dc7697a9346c68",
         "checkpoint_sha256": "4ff016c0f4c7b3367f9c154b3ddd2702db0e756150173e01f2bdd0398660c7d4",
     },
     "mt-rebalance-sumlogit": {
-        "aa": 0.6044444444444445,
-        "af": -0.06000000000000005,
-        "aa_m": 0.23777777777777778,
-        "map": 0.6363670099019635,
-        "sha256": "0a82c1f27819744540989aeac1e80688e6826f81bada76fa4ab3650201c93710",
-        "predictions_sha256": "2a57a3147bf0460624eb371687c51b5dbdaed19040790b72581749a4a6fb4b37",
+        "aa": 0.601111111111111,
+        "af": -0.07916666666666666,
+        "aa_m": 0.24444444444444446,
+        "map": 0.6325656662893131,
+        "sha256": "49ecd2e7171580643f5255a29d4da463cd06f6cfbbbf84fcb7a25f6b76276f48",
+        "predictions_sha256": "f17fdcfd1bc3333ff80dec02f5923862411f7090ee59d019fcca8aa500dbbe28",
         "checkpoint_sha256": "a3b49645ca117f3136a82eac96b36229828fa718caf0468fa675563a972fa1e7",
     },
     "mc-rebalancecosfc-essentials": {
-        "aa": 0.5777777777777778,
-        "af": -0.07749999999999996,
-        "aa_m": 0.2233333333333333,
-        "map": 0.5959893443138868,
-        "sha256": "b9ba5ce289b944d1fdd33efe5bc8054bcf296f66fc1fffdc5cc370a3c58346ac",
-        "predictions_sha256": "3b497abd698f0cdb21bbb336a7aead6414712237ab3c98966e0e5d7b3f02b921",
+        "aa": 0.5822222222222223,
+        "af": -0.08333333333333331,
+        "aa_m": 0.23777777777777778,
+        "map": 0.5897189064421027,
+        "sha256": "d223d98ab29ee177fe7faa9140bdd9bfe6ed182e4497bb3e8c179d04f870637e",
+        "predictions_sha256": "0cfd3db6cf274d2a59f113b1307d78f119def5f7c6652f22cd653cd2ff175437",
         "checkpoint_sha256": "5c21d9c6536ee09bb7fc28dfb076125eda18ae8163e5845795509d8f39560055",
     },
 }

@@ -45,7 +45,7 @@ class TestSynthGenerate:
         spec = scenario.tasks[0]
         a = synth_generate(spec, seed=3)
         b = synth_generate(spec, seed=3)
-        for split in ("train", "val", "test"):
+        for split in ("train", "test"):
             np.testing.assert_array_equal(a.splits()[split].x, b.splits()[split].x)
             np.testing.assert_array_equal(a.splits()[split].y, b.splits()[split].y)
 
@@ -53,7 +53,7 @@ class TestSynthGenerate:
         scenario = build_scenario("easy", seed=1)
         spec = scenario.tasks[2]
         data = synth_generate(spec, seed=1)
-        for split_name, n in (("train", spec.n_train), ("val", spec.n_val), ("test", spec.n_test)):
+        for split_name, n in (("train", spec.n_train), ("test", spec.n_test)):
             split = data.splits()[split_name]
             assert (split.y == REAL).sum() == n
             assert (split.y == FAKE).sum() == n
@@ -63,9 +63,9 @@ class TestSynthGenerate:
         spec = scenario.tasks[0]
         with pytest.raises(ConfigError):
             stream.TaskSpec(
-                task_id=99, name="bad", base_mean=spec.base_mean, real_shift=spec.real_shift,
+                task_id=99, base_mean=spec.base_mean, real_shift=spec.real_shift,
                 fake_means=spec.fake_means, cov_scale=0.0, difficulty=1.0,
-                n_train=10, n_val=10, n_test=10,
+                n_train=10, n_test=10,
             )
 
     def test_linear_probe_separates_easy_task(self):
@@ -140,26 +140,40 @@ class TestOverlapProperty:
         assert symmetric_kl_isotropic(a, b, 5.0) == pytest.approx(1.0)
 
 
-class TestSplitDisjointness:
-    def test_record_ids_unique_across_splits(self):
-        scenario = build_scenario("hard", 4)
-        data = synth_generate(scenario.tasks[0], seed=4)
-        all_ids = data.train.ids + data.val.ids + data.test.ids
-        assert len(set(all_ids)) == len(all_ids)
-
-
 class TestDatasetFiles:
     def test_roundtrip(self, tmp_path):
         scenario = build_scenario("easy", 8)
         data = synth_generate(scenario.tasks[1], seed=8)
         path = tmp_path / "task.csv"
         save_dataset(data, path)
+        tags = {line.split(",")[1] for line in path.read_text().splitlines()[1:]}
+        assert tags == {"train", "test"}
         loaded = load_dataset(path)
         assert loaded.task_id == data.task_id
-        for split in ("train", "val", "test"):
+        for split in ("train", "test"):
             np.testing.assert_array_equal(loaded.splits()[split].x, data.splits()[split].x)
             np.testing.assert_array_equal(loaded.splits()[split].y, data.splits()[split].y)
-            assert loaded.splits()[split].ids == data.splits()[split].ids
+
+    def test_val_rows_load_and_are_dropped(self, tmp_path):
+        path = tmp_path / "task.csv"
+        path.write_text("task_id,split,label,f0\n1,train,0,0.1\n1,val,0,0.2\n1,train,1,0.9\n"
+                        "1,test,0,0.3\n1,val,1,0.8\n1,test,1,0.7\n")
+        loaded = load_dataset(path)
+        assert list(loaded.splits()) == ["train", "test"]
+        np.testing.assert_array_equal(loaded.train.x[:, 0], [0.1, 0.9])
+        np.testing.assert_array_equal(loaded.test.x[:, 0], [0.3, 0.7])
+
+    @pytest.mark.parametrize("row, message", [
+        ("1,val,2,0.5", "line 3: label must be 0 or 1, found '2'"),
+        ("1,val,0,x", "line 3: non-numeric feature value"),
+        ("1,val,0,0.5,0.5", "line 3: expected 4 fields, found 5"),
+        ("1,val,0,nan", "line 3: non-finite feature value"),
+    ])
+    def test_malformed_val_row_names_line(self, tmp_path, row, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"task_id,split,label,f0\n1,train,0,0.5\n{row}\n1,train,1,0.5\n1,test,0,0.5\n1,test,1,0.5\n")
+        with pytest.raises(ParseError, match=message):
+            load_dataset(path)
 
     def test_wrong_column_count_names_line(self, tmp_path):
         path = tmp_path / "bad.csv"
