@@ -140,11 +140,11 @@ def ap(curve: PRCurve) -> float:
     return float(np.cumsum(np.diff(curve.recall, prepend=0.0) * curve.precision)[-1])
 
 
-def map_score(curves: dict[int, PRCurve]) -> float:
-    """Unweighted mean of the per-task average precisions."""
-    if not curves:
-        raise ContractError("no PR curves")
-    values = [ap(curves[task_id]) for task_id in sorted(curves)]
+def map_score(aps: dict[int, float]) -> float:
+    """Unweighted mean of the per-task average precisions, summed in task order."""
+    if not aps:
+        raise ContractError("no average precisions")
+    values = [aps[task_id] for task_id in sorted(aps)]
     return sum(values) / len(values)
 
 
@@ -155,13 +155,14 @@ def compute_metrics(
     plus the per-task PR curves; the one builder of ``metrics.json``."""
     n = matrix.shape[0]
     curves = {task_id: pr_curve(log.p_fake, log.true_polarity) for task_id, log in logs.items()}
+    aps = {task_id: ap(curves[task_id]) for task_id in sorted(curves)}
     metrics = {
         "aa": aa(matrix),
         "af": af(matrix) if n >= 2 else None,
         "af_last": af_last(matrix) if n >= 2 else None,
         "aa_m": aa_m(logs) if logs else None,
-        "per_task_ap": {str(task_id): ap(curves[task_id]) for task_id in sorted(curves)},
-        "map": map_score(curves) if curves else None,
+        "per_task_ap": {str(task_id): value for task_id, value in aps.items()},
+        "map": map_score(aps) if aps else None,
         "config": config_echo,
     }
     return metrics, curves

@@ -3,9 +3,9 @@ import pytest
 
 from cddet import diffcore as dc
 from cddet import losses as ls
-from cddet.errors import ConfigError, ContractError
+from cddet.errors import ContractError
 from cddet.losses import AGG_RULES, LossWeights, ReplayConstants
-from cddet.model import BC, FAKE, LINFC, MC, MT, REAL, Model
+from cddet.model import FAKE, LINFC, MC, MT, REAL, Model
 
 
 class TestMulticlassCE:

@@ -3,7 +3,7 @@ import pytest
 
 from cddet import metrics as mx
 from cddet.errors import ContractError, DegenerateInputError, ParseError
-from cddet.metrics import PRCurve, aa, aa_m, af, af_last, ap, map_score, pr_curve
+from cddet.metrics import aa, aa_m, af, af_last, ap, map_score, pr_curve
 from cddet.trainer import PredictionLog, RunRecord
 
 
@@ -122,8 +122,9 @@ class TestAP:
             1: pr_curve([0.9, 0.8, 0.2, 0.1], [1, 1, 0, 0]),
             2: pr_curve([0.9, 0.8, 0.7, 0.1], [1, 0, 1, 0]),
         }
-        assert map_score(curves) == pytest.approx((1.0 + 0.83333333333333333) / 2, abs=1e-12)
-        assert round(map_score(curves), 4) == 0.9167
+        aps = {task_id: ap(curve) for task_id, curve in curves.items()}
+        assert map_score(aps) == pytest.approx((1.0 + 0.83333333333333333) / 2, abs=1e-12)
+        assert round(map_score(aps), 4) == 0.9167
 
     def test_single_class_rejected(self):
         with pytest.raises(DegenerateInputError):

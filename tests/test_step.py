@@ -54,9 +54,9 @@ def _cases():
 CASES = list(_cases())
 
 
-def _setup(system, name, options):
+def _setup(system, name, options, n_tasks=N_TASKS):
     profile = resolve_profile(name, system, **options)
-    scenario = tiny_scenario(N_TASKS, seed=2)
+    scenario = tiny_scenario(n_tasks, seed=2)
     sessions = [synth_generate(t, scenario.seed) for t in scenario.tasks]
     model = Model.build(6, profile.head_variant, substream(2, "init"))
     memory = ExemplarMemory(40, profile.replay_payload)
@@ -132,24 +132,42 @@ def test_step_gradients_equal_the_tape(system, name, options):
         _assert_step_matches_tape(system, profile, model, rows, new_rows, slice(0, 0), rng)
 
     # a later session: snapshot, exemplars, frozen layers under latent replay
-    profile, sessions, model, memory = _setup(system, name, options)
+    _assert_last_session_matches_tape(system, name, options, N_TASKS, rng)
+
+
+# (new rows, replayed rows) of the steps checked in a later session
+SHAPES = [
+    (slice(0, 6), slice(0, 0)),  # new rows only
+    (slice(0, 0), slice(0, 9)),  # exemplar rows only
+    (slice(2, 3), slice(0, 0)),  # one new row
+    (slice(0, 0), slice(4, 5)),  # one exemplar row
+    (slice(5, 6), slice(7, 8)),  # one of each
+    (slice(0, 5), slice(9, 20)),  # a mixed batch
+    (slice(2, 3), slice(0, 9)),  # one new row among exemplars
+    (slice(0, 5), slice(4, 5)),  # one exemplar among new rows
+]
+
+
+def _assert_last_session_matches_tape(system, name, options, n_tasks, rng):
+    """Train every session but the last, then check the last one's steps."""
+    profile, sessions, model, memory = _setup(system, name, options, n_tasks)
     for session in sessions[:-1]:
         run_session(model, memory, session, profile, FAST, system)
     rows = _plan_session(model, memory, sessions[-1], profile, system)
     assert model.extractor.frozen == (model.extractor.capture_layer + 1 if profile.replay_payload == LATENT else 0)
     rows = _replayed_in_order(rows, rng.permutation(len(rows) - rows.n_new))
-    shapes = [
-        (slice(0, 6), slice(0, 0)),  # new rows only
-        (slice(0, 0), slice(0, 9)),  # exemplar rows only
-        (slice(2, 3), slice(0, 0)),  # one new row
-        (slice(0, 0), slice(4, 5)),  # one exemplar row
-        (slice(5, 6), slice(7, 8)),  # one of each
-        (slice(0, 5), slice(9, 20)),  # a mixed batch
-        (slice(2, 3), slice(0, 9)),  # one new row among exemplars
-        (slice(0, 5), slice(4, 5)),  # one exemplar among new rows
-    ]
-    for new_rows, pool_rows in shapes:
+    for new_rows, pool_rows in SHAPES:
         _assert_step_matches_tape(system, profile, model, rows, new_rows, pool_rows, rng)
+    return rows
+
+
+@pytest.mark.parametrize("rule", [SUMLOGIT, SUMLOG, MAX])
+def test_step_gradients_equal_the_tape_at_nine_classes_a_polarity(rule):
+    """numpy sums fewer than 8 elements in plain order whatever their
+    memory layout, so only a polarity group of 8 or more classes shows a
+    step that gathers the group in another layout than the tape."""
+    rows = _assert_last_session_matches_tape(MT, "rebalance", {"aggregation": rule}, 9, np.random.default_rng(0))
+    assert [c.size for c in rows.mt_classes] == [9, 9]
 
 
 @pytest.mark.parametrize("n_new", [1, 2, 5])
