@@ -135,19 +135,6 @@ def test_step_gradients_equal_the_tape(system, name, options):
     _assert_last_session_matches_tape(system, name, options, N_TASKS, rng)
 
 
-# (new rows, replayed rows) of the steps checked in a later session
-SHAPES = [
-    (slice(0, 6), slice(0, 0)),  # new rows only
-    (slice(0, 0), slice(0, 9)),  # exemplar rows only
-    (slice(2, 3), slice(0, 0)),  # one new row
-    (slice(0, 0), slice(4, 5)),  # one exemplar row
-    (slice(5, 6), slice(7, 8)),  # one of each
-    (slice(0, 5), slice(9, 20)),  # a mixed batch
-    (slice(2, 3), slice(0, 9)),  # one new row among exemplars
-    (slice(0, 5), slice(4, 5)),  # one exemplar among new rows
-]
-
-
 def _assert_last_session_matches_tape(system, name, options, n_tasks, rng):
     """Train every session but the last, then check the last one's steps."""
     profile, sessions, model, memory = _setup(system, name, options, n_tasks)
@@ -156,7 +143,17 @@ def _assert_last_session_matches_tape(system, name, options, n_tasks, rng):
     rows = _plan_session(model, memory, sessions[-1], profile, system)
     assert model.extractor.frozen == (model.extractor.capture_layer + 1 if profile.replay_payload == LATENT else 0)
     rows = _replayed_in_order(rows, rng.permutation(len(rows) - rows.n_new))
-    for new_rows, pool_rows in SHAPES:
+    shapes = [
+        (slice(0, 6), slice(0, 0)),  # new rows only
+        (slice(0, 0), slice(0, 9)),  # exemplar rows only
+        (slice(2, 3), slice(0, 0)),  # one new row
+        (slice(0, 0), slice(4, 5)),  # one exemplar row
+        (slice(5, 6), slice(7, 8)),  # one of each
+        (slice(0, 5), slice(9, 20)),  # a mixed batch
+        (slice(2, 3), slice(0, 9)),  # one new row among exemplars
+        (slice(0, 5), slice(4, 5)),  # one exemplar among new rows
+    ]
+    for new_rows, pool_rows in shapes:
         _assert_step_matches_tape(system, profile, model, rows, new_rows, pool_rows, rng)
     return rows
 
