@@ -5,10 +5,11 @@ run directory, ``eval`` recomputes metrics from persisted artifacts, and
 Configuration comes from an optional key=value text file (``#`` comments;
 an unknown key or a value that does not parse is an error naming its line)
 with command-line flags taking precedence; ``CDD_SEED`` serves as the seed
-fallback. A ``seeds`` key in the file expands into one sub-run per seed
-(written to ``<out>/<seed>/``), optionally fanned out across ``--jobs``
-worker threads. ``run`` checks every setting (``ExperimentConfig.resolve``)
-and creates every run directory before it builds any data.
+fallback. A ``seeds`` key in the file expands into one sub-run per seed,
+written to ``<out>/<seed>/``; the seeds run one after another, each exactly
+as a single run of that seed. ``run`` checks every setting
+(``ExperimentConfig.resolve``) and creates every run directory before it
+builds any data.
 
 Exit codes: 0 success; 2 a usage error: a bad setting or combination of
 settings, an unreadable config file, a run directory that cannot be
@@ -24,7 +25,6 @@ import json
 import os
 import sys
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -67,7 +67,7 @@ def _parse_ints(value: str) -> list[int]:
 _FIELDS = {
     "scenario": str, "data": str.split, "profile": str, "system": str, "aggregation": str,
     "memory": int, "epochs": int, "lr": float, "batch_size": int, "lambda": float,
-    "label_smooth": float, "mixup": float, "warmup": _parse_bool, "out": str, "jobs": int,
+    "label_smooth": float, "mixup": float, "warmup": _parse_bool, "out": str,
     "seed": int, "seeds": _parse_ints,
 }
 _PROFILE_OVERRIDES = {
@@ -98,7 +98,6 @@ class ExperimentConfig:
     mixup: float = 0.0
     warmup: bool = True
     out: str = ""
-    jobs: int = 1
     overrides: dict = field(default_factory=dict)
 
     def resolve(self) -> tuple[MethodProfile, TrainConfig]:
@@ -116,8 +115,6 @@ class ExperimentConfig:
             raise ConfigError("memory budget must be non-negative")
         if not self.out:
             raise ConfigError("an output directory is required")
-        if self.jobs < 1:
-            raise ConfigError("jobs must be at least 1")
         for i, seed in enumerate(self.seeds or ()):
             if seed < 0:
                 raise ConfigError("seeds must be non-negative")
@@ -133,8 +130,8 @@ class ExperimentConfig:
     def echo(self) -> dict:
         # every setting needed to rerun, the overrides flattened; the output
         # path stays out so reruns into different directories produce
-        # byte-identical artifacts, and the seed grid and worker count too
-        skipped = ("seeds", "out", "jobs", "overrides")
+        # byte-identical artifacts, and the seed grid too
+        skipped = ("seeds", "out", "overrides")
         echo = {"lambda" if k == "lam" else k: v for k, v in vars(self).items() if k not in skipped}
         echo.update({f"override_{k}": v for k, v in sorted(self.overrides.items())})
         return echo
@@ -191,7 +188,7 @@ def _config_from_sources(args: argparse.Namespace) -> ExperimentConfig:
     if args.data:
         cfg.data = args.data
         cfg.scenario = None
-    for flag in ("profile", "system", "aggregation", "out", "memory", "epochs", "jobs"):
+    for flag in ("profile", "system", "aggregation", "out", "memory", "epochs"):
         value = getattr(args, flag)
         if value is not None:
             setattr(cfg, flag, value)
@@ -214,13 +211,13 @@ def _execute_run(cfg: ExperimentConfig, profile: MethodProfile, train_cfg: Train
 
     # the task ids are an output, so that ``eval`` can check the predictions' tasks
     echo = cfg.echo() | {"task_ids": [s.task_id for s in sessions]}
-    record = run_scenario_over_sessions(sessions, warmup, cfg.memory, profile, train_cfg, cfg.system, config_echo=echo)
-    metrics, curves = compute_metrics(record.matrix, record.logs, record.config_echo)
+    record = run_scenario_over_sessions(sessions, warmup, cfg.memory, profile, train_cfg, cfg.system)
+    metrics, curves = compute_metrics(record.matrix, record.logs, echo)
 
     write_accuracy_matrix(out_dir / "accuracy_matrix.csv", record.matrix)
     write_metrics_json(out_dir / "metrics.json", metrics)
     write_pr_curves(out_dir / "pr_curves.csv", curves)
-    write_predictions(out_dir / "predictions.csv", record)
+    write_predictions(out_dir / "predictions.csv", record.logs)
     memory_payload = record.memory.to_payload() if record.memory is not None else None
     save_checkpoint(out_dir / "checkpoint.json", record.model, memory_payload)
     with open(out_dir / "config.json", "w", encoding="utf-8") as fh:
@@ -247,13 +244,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         return 2
 
     try:
-        if len(runs) == 1:
-            _execute_run(*runs[0])
-        else:
-            with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-                futures = [pool.submit(_execute_run, *run) for run in runs]
-                for future in futures:
-                    future.result()
+        for run in runs:
+            _execute_run(*run)
     except (ConfigError, ParseError) as exc:
         return _usage_error(exc)
     except EngineError as exc:
@@ -362,7 +354,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--seed", type=int)
     run_p.add_argument("--epochs", type=int)
     run_p.add_argument("--out")
-    run_p.add_argument("--jobs", type=int)
     run_p.set_defaults(func=cmd_run)
 
     eval_p = sub.add_parser("eval", help="recompute metrics from a run dir or matrix file")

@@ -594,8 +594,8 @@ def loss_and_gradients(
     order (``Adam.grads``).
 
     The forward pass, the loss terms and the backward sweep use the tape's
-    operands, memory layouts and order of summation, so each gradient equals
-    ``total_loss(...).backward()`` bit for bit; the value agrees to rounding.
+    operands, memory layouts and order of summation, so the value and each
+    gradient equal ``total_loss(...)`` and its ``.backward()`` bit for bit.
     ``mt_classes`` is ``polarity_classes`` of the head, which MT steps pass.
     Distilling reads ``snapshot_constants`` on the replayed rows. Inputs are
     not checked here: the method profile and ``trainer._plan_session`` check

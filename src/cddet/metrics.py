@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, DegenerateInputError, ParseError, names_its_file, read_text
-from .trainer import PredictionLog, RunRecord
+from .trainer import PredictionLog
 
 Array = np.ndarray
 
@@ -228,10 +228,13 @@ def write_pr_curves(path, curves: dict[int, PRCurve]) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def write_predictions(path, record: RunRecord) -> None:
-    lines = ["task_id,record_id,true_label,pred_label,p_fake,true_class,pred_class"]
-    for task_id in sorted(record.logs):
-        log = record.logs[task_id]
+_PREDICTIONS_HEADER = "task_id,record_id,true_label,pred_label,p_fake,true_class,pred_class"
+
+
+def write_predictions(path, logs: dict[int, PredictionLog]) -> None:
+    lines = [_PREDICTIONS_HEADER]
+    for task_id in sorted(logs):
+        log = logs[task_id]
         has_classes = log.true_class is not None
         for i, rid in enumerate(log.record_ids):
             tc = str(int(log.true_class[i])) if has_classes else ""
@@ -242,9 +245,6 @@ def write_predictions(path, record: RunRecord) -> None:
             )
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-_PREDICTIONS_HEADER = "task_id,record_id,true_label,pred_label,p_fake,true_class,pred_class"
 
 
 def _numbers(values: tuple, dtype, where: Array) -> tuple[Array, Array, Array]:

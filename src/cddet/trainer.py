@@ -140,10 +140,8 @@ class PredictionLog:
 
 @dataclass
 class RunRecord:
-    task_ids: list[int]
     matrix: np.ndarray
     logs: dict[int, PredictionLog]
-    config_echo: dict
     memory_totals: list[int] = field(default_factory=list)
     model: Model | None = None
     memory: ExemplarMemory | None = None
@@ -482,7 +480,6 @@ def run_scenario_over_sessions(
     profile: MethodProfile,
     config: TrainConfig,
     system: str,
-    config_echo: dict | None = None,
 ) -> RunRecord:
     """Train through the stream in order, filling column j of the accuracy
     matrix after session j; the warm-up session trains without logging."""
@@ -506,7 +503,7 @@ def run_scenario_over_sessions(
     n = len(sessions)
     matrix = np.full((n, n), np.nan)
     logs: dict[int, PredictionLog] = {}
-    record = RunRecord(task_ids=task_ids, matrix=matrix, logs=logs, config_echo=config_echo or {})
+    record = RunRecord(matrix=matrix, logs=logs)
 
     if warmup is not None:
         run_session(model, memory, warmup, profile, config, system)

@@ -134,20 +134,22 @@ def check_step_gradients(seed: int, coords: int = 3, step: float = 1e-6, tol: fl
 
 
 def check_step_against_tape(seed: int) -> CheckResult:
-    """The training step's gradients against ``total_loss(...).backward()``
-    on the same rows: every trainable parameter's gradient must match bit
-    for bit."""
+    """The training step's loss value and gradients against
+    ``total_loss(...).backward()`` on the same rows: the value and every
+    trainable parameter's gradient must match bit for bit."""
     rng = substream(seed, "verify:step-tape")
     for system, variant, payload, rule in STEP_CASES:
         model, rows = _step_case(rng, system, variant, payload)
-        _, grads = _step(system, rule, model, rows)
+        value, grads = _step(system, rule, model, rows)
         leaves = ls.tape_leaves(model)
         loss = ls.total_loss(system, rows, model, STEP_WEIGHTS, rule=rule, distill_form="logit+feature", leaves=leaves)
+        if value.hex() != loss.item().hex():
+            return CheckResult("step-equals-tape", False, f"{system}/{variant}: the loss value differs from the tape")
         loss.backward()
         for leaf, g in zip(leaves[2 * model.extractor.frozen :], grads):
             if leaf.grad is None or leaf.grad.tobytes() != g.tobytes():
                 return CheckResult("step-equals-tape", False, f"{system}/{variant}: a gradient differs from the tape")
-    return CheckResult("step-equals-tape", True, f"{len(STEP_CASES)} systems, every gradient bitwise equal")
+    return CheckResult("step-equals-tape", True, f"{len(STEP_CASES)} systems, the value and every gradient bitwise equal")
 
 
 def check_herding_oracle(seed: int, trials: int = 20) -> CheckResult:

@@ -27,6 +27,9 @@ def dataset_paths(tmp_path):
     return paths
 
 
+ARTIFACTS = ("accuracy_matrix.csv", "metrics.json", "pr_curves.csv", "predictions.csv", "checkpoint.json", "config.json")
+
+
 def run_cli(*argv):
     return main(list(argv))
 
@@ -117,10 +120,7 @@ class TestRun:
             "--memory", "30", "--seed", "5", "--epochs", "2", "--out", str(out),
         )
         assert code == 0
-        for artifact in (
-            "accuracy_matrix.csv", "metrics.json", "pr_curves.csv",
-            "predictions.csv", "checkpoint.json", "config.json",
-        ):
+        for artifact in ARTIFACTS:
             assert (out / artifact).exists(), artifact
 
     def test_eval_reproduces_metrics_bit_for_bit(self, tmp_path, dataset_paths):
@@ -173,16 +173,22 @@ class TestRun:
         assert config["profile"] == "finetune"
         assert config["seed"] == 4
 
-    def test_seed_grid_with_jobs(self, tmp_path, dataset_paths):
-        config_file = tmp_path / "grid.cfg"
-        config_file.write_text(
-            "profile = finetune\nsystem = mc\nmemory = 0\nepochs = 1\nseeds = 3 4\n"
-            f"data = {dataset_paths[0]} {dataset_paths[1]}\n"
-        )
-        out = tmp_path / "grid"
-        assert run_cli("run", "--config", str(config_file), "--jobs", "2", "--out", str(out)) == 0
-        assert (out / "3" / "metrics.json").exists()
-        assert (out / "4" / "metrics.json").exists()
+    def test_seed_grid_equals_single_runs(self, tmp_path, dataset_paths):
+        body = f"profile = replay\nsystem = mc\nmemory = 20\nepochs = 1\ndata = {dataset_paths[0]} {dataset_paths[1]}\n"
+        single_file, grid_file = tmp_path / "single.cfg", tmp_path / "grid.cfg"
+        single_file.write_text(body)
+        grid_file.write_text(body + "seeds = 3 4\n")
+        grid = tmp_path / "grid"
+        assert run_cli("run", "--config", str(grid_file), "--out", str(grid)) == 0
+        assert sorted(p.name for p in grid.iterdir()) == ["3", "4"]
+        for seed in ("3", "4"):
+            single = tmp_path / f"single-{seed}"
+            assert run_cli("run", "--config", str(single_file), "--seed", seed, "--out", str(single)) == 0
+            names = sorted(p.name for p in single.iterdir())
+            assert names == sorted(ARTIFACTS)
+            assert sorted(p.name for p in (grid / seed).iterdir()) == names
+            for name in names:
+                assert (grid / seed / name).read_bytes() == (single / name).read_bytes(), f"{seed}/{name}"
 
 
     def test_mismatched_widths_rejected_before_the_model(self, tmp_path, capsys, monkeypatch):
@@ -429,19 +435,16 @@ class TestVerify:
 
 
 class TestConfigKeys:
-    def test_unknown_key_names_key_and_line(self, tmp_path, dataset_paths, capsys):
+    @pytest.mark.parametrize("lines, key", [
+        ("epoch = 1\nmemroy = 10", "epoch"),
+        ("jobs = 2", "jobs"),  # the worker-thread count of older versions
+    ], ids=["typo", "jobs"])
+    def test_unknown_key_names_key_and_line(self, tmp_path, dataset_paths, capsys, lines, key):
         config_file = tmp_path / "typo.cfg"
-        config_file.write_text(
-            "profile = finetune\n"
-            "system = mc\n"
-            "epoch = 1\n"
-            "memroy = 10\n"
-            f"data = {dataset_paths[0]}\n"
-        )
+        config_file.write_text(f"profile = finetune\nsystem = mc\n{lines}\ndata = {dataset_paths[0]}\n")
         out = tmp_path / "typo-run"
         assert run_cli("run", "--config", str(config_file), "--out", str(out)) == 2
-        err = capsys.readouterr().err
-        assert "line 3" in err and "'epoch'" in err
+        assert f"error: {config_file}: line 3: unknown config key {key!r}" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("line, message", [

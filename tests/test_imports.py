@@ -1,13 +1,19 @@
 """Every name a module under ``src/`` or ``tests/`` imports is read somewhere
-in that module (``from __future__`` imports aside)."""
+in that module (``from __future__`` imports aside), and every function or
+method defined under ``src/`` (dunders aside) is read as code somewhere under
+``src/``, ``tests/`` or ``perfbench/``."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "tests").rglob("*.py"))
+SOURCES = sorted((ROOT / "src").rglob("*.py"))
+MODULES = SOURCES + sorted((ROOT / "tests").rglob("*.py"))
+BENCH = sorted((ROOT / "perfbench").rglob("*.py"))
+DOTTED_NAME = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
 
 
 def unused_imports(source: str) -> list[str]:
@@ -33,3 +39,54 @@ def test_the_scan_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=[str(p.relative_to(ROOT)) for p in MODULES])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def definitions(source: str) -> list[tuple[str, int]]:
+    """Each function and method a module defines, dunders aside, with its line."""
+    return sorted(
+        (node.name, node.lineno)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+    )
+
+
+def names_read(source: str, dotted_strings: bool = False) -> set[str]:
+    """The names a module reads as code: ``Name`` loads, attribute names and
+    imported names. With ``dotted_strings``, each part of a string that is
+    wholly a dotted name counts too, as perfbench names its hook targets."""
+    read = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            read.update(part for alias in node.names for part in alias.name.split("."))
+        elif dotted_strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if DOTTED_NAME.fullmatch(node.value):
+                read.update(node.value.split("."))
+    return read
+
+
+def test_the_scan_finds_an_unread_definition():
+    source = (
+        "class C:\n    def __init__(self):\n        pass\n\n    def method(self):\n        pass\n\n"
+        "def used():\n    \"\"\"unused\"\"\"\n\n\ndef unused():  # used\n    C().method\n\n\nused()\n"
+    )
+    assert definitions(source) == [("method", 5), ("unused", 12), ("used", 8)]
+    read = names_read(source)
+    assert "used" in read and "method" in read and "unused" not in read
+    assert names_read('targets = ("C.hook", "a b")\n', dotted_strings=True) >= {"C", "hook"}
+    assert not names_read('targets = ("C.hook", "a b")\n') & {"C", "hook", "a", "b"}
+
+
+def test_every_definition_under_src_is_read():
+    read = set().union(
+        *(names_read(p.read_text(encoding="utf-8")) for p in MODULES),
+        *(names_read(p.read_text(encoding="utf-8"), dotted_strings=True) for p in BENCH),
+    )
+    found = [(p, d) for p in SOURCES for d in definitions(p.read_text(encoding="utf-8"))]
+    assert len(found) > 100  # the scan reaches the engine's modules
+    unread = [f"{p.relative_to(ROOT)}:{line}: {name}" for p, (name, line) in found if name not in read]
+    assert unread == []

@@ -179,6 +179,28 @@ class TestAggregate:
         with pytest.raises(ContractError):
             ls.aggregate(np.zeros(2), np.array([FAKE, FAKE]), "max")
 
+    @pytest.mark.parametrize("rule", ["sumlog", "sumlogit"])
+    def test_a_group_adds_in_class_order(self, rule):
+        """Bit for bit, a SumLog or SumLogit score adds its group's terms one
+        class after another. numpy adds 8 or more contiguous elements
+        pairwise, so a group gathered in another memory layout would add
+        them in another order. The step and the tape share this score, so
+        only an oracle outside both can pin its order."""
+        rng = np.random.default_rng(5)
+        logits = rng.normal(size=(16, 18))
+        fake_mask = rng.permutation(np.arange(18) % 2 == 0)
+        d_f, d_r, _, _ = ls.aggregate_batch(logits, fake_mask, rule)
+        logp = dc.np_log_softmax(logits, axis=1)
+        for d, group in ((d_f, np.flatnonzero(fake_mask)), (d_r, np.flatnonzero(~fake_mask))):
+            inside = logp[:, group]
+            top = inside.max(axis=1)
+            terms = inside if rule == "sumlog" else np.exp(inside - top[:, None])
+            total = terms[:, 0].copy()
+            for c in range(1, group.size):
+                total += terms[:, c]
+            want = total if rule == "sumlog" else top + np.log(total)
+            assert d.tobytes() == want.tobytes()
+
 
 class TestMtClassLoss:
     def _setup(self, seed=5, n=6, k=4):

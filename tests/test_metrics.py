@@ -212,6 +212,8 @@ class TestAAM:
 
 
 class TestArtifacts:
+    ECHO = {"profile": "replay", "seed": 3}
+
     def _record(self):
         logs = {
             1: _log([0, 1, 0, 1], [0, 1, 0, 3], true_pol=[0, 1, 0, 1],
@@ -220,9 +222,7 @@ class TestArtifacts:
                     pred_pol=[0, 1, 0, 0], scores=[0.3, 0.7, 0.4, 0.45]),
         }
         matrix = np.array([[0.9, 0.8], [np.nan, 0.95]])
-        return RunRecord(
-            task_ids=[1, 2], matrix=matrix, logs=logs, config_echo={"profile": "replay", "seed": 3},
-        )
+        return RunRecord(matrix=matrix, logs=logs)
 
     def test_matrix_roundtrip_bitwise(self, tmp_path):
         rng = np.random.default_rng(4)
@@ -241,7 +241,7 @@ class TestArtifacts:
     def test_predictions_roundtrip(self, tmp_path):
         record = self._record()
         path = tmp_path / "p.csv"
-        mx.write_predictions(path, record)
+        mx.write_predictions(path, record.logs)
         logs = mx.read_predictions(path)
         for task_id in (1, 2):
             np.testing.assert_array_equal(logs[task_id].p_fake, record.logs[task_id].p_fake)
@@ -250,7 +250,7 @@ class TestArtifacts:
 
     def test_compute_metrics_shape(self):
         record = self._record()
-        metrics, curves = mx.compute_metrics(record.matrix, record.logs, record.config_echo)
+        metrics, curves = mx.compute_metrics(record.matrix, record.logs, self.ECHO)
         assert set(curves) == {1, 2}
         assert metrics["aa"] == pytest.approx((0.8 + 0.95) / 2)
         assert metrics["af"] == pytest.approx(-0.1)
@@ -259,17 +259,16 @@ class TestArtifacts:
 
     def test_metrics_json_deterministic(self, tmp_path):
         record = self._record()
-        metrics, _ = mx.compute_metrics(record.matrix, record.logs, record.config_echo)
+        metrics, _ = mx.compute_metrics(record.matrix, record.logs, self.ECHO)
         a = mx.metrics_to_json(metrics)
         b = mx.metrics_to_json(metrics)
         assert a == b
 
     def test_task_relabeling_preserves_aa_af(self):
         record = self._record()
-        metrics_before, _ = mx.compute_metrics(record.matrix, record.logs, record.config_echo)
-        record.task_ids = [7, 9]
+        metrics_before, _ = mx.compute_metrics(record.matrix, record.logs, self.ECHO)
         record.logs = {7: record.logs[1], 9: record.logs[2]}
-        metrics_after, _ = mx.compute_metrics(record.matrix, record.logs, record.config_echo)
+        metrics_after, _ = mx.compute_metrics(record.matrix, record.logs, self.ECHO)
         assert metrics_after["aa"] == metrics_before["aa"]
         assert metrics_after["af"] == metrics_before["af"]
         assert metrics_after["map"] == metrics_before["map"]

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from cddet.errors import ParseError, read_text
 from cddet.metrics import read_accuracy_matrix, read_predictions, write_predictions
 from cddet.stream import load_dataset
-from cddet.trainer import PredictionLog, RunRecord
+from cddet.trainer import PredictionLog
 
 DATASET = """task_id,split,label,f0,f1
 3,train,0,0.5,-1.0
@@ -245,7 +245,7 @@ def _written_predictions(draw) -> str:
         )
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "predictions.csv")
-        write_predictions(path, RunRecord(task_ids=sorted(logs), matrix=np.zeros((0, 0)), logs=logs, config_echo={}))
+        write_predictions(path, logs)
         header, *rows = read_text(path).splitlines()
     rows = draw(st.permutations(rows))
     for blank in draw(st.lists(st.sampled_from(["", " ", "\t", "  \t "]), max_size=3)):

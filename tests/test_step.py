@@ -1,11 +1,11 @@
 """The tape-free training step against the tape.
 
-``losses.loss_and_gradients`` must give every trainable parameter exactly
-the gradient that ``total_loss(...).backward()`` stores on it, bit for bit,
-and the same loss value to 1e-15 relative. Steps come from the session's
-rows and the epoch layout the trainer builds, over every system, built-in
-profile, head, aggregation rule (through the session's class indices) and the
-essentials (logit+feature distillation, label smoothing, mixup).
+``losses.loss_and_gradients`` must give the loss value of ``total_loss(...)``
+and every trainable parameter exactly the gradient that its ``.backward()``
+stores on it, all bit for bit. Steps come from the session's rows and the
+epoch layout the trainer builds, over every system, built-in profile, head,
+aggregation rule (through the session's class indices) and the essentials
+(logit+feature distillation, label smoothing, mixup).
 """
 
 from dataclasses import replace
@@ -107,7 +107,7 @@ def _assert_step_matches_tape(system, profile, model, rows, new_rows, pool_rows,
         assert g is not None, f"the tape gives {name} no gradient"
         assert got.shape == g.shape, name
         assert got.tobytes() == g.tobytes(), f"{name} differs from the tape"
-    assert abs(value - want_value) <= 1e-15 * abs(want_value)
+    assert value.hex() == want_value.hex(), "the loss value differs from the tape"
 
 
 def _parameter_names(model):

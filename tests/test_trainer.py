@@ -239,8 +239,8 @@ class TestRunScenario:
     def test_final_session_logs_cover_each_test_record_once(self):
         scenario = tiny_scenario(2, seed=8)
         record = run_scenario(scenario, 40, resolve_profile("replay", MC), FAST, MC)
-        for spec, task_id in zip(scenario.tasks, record.task_ids):
-            log = record.logs[task_id]
+        assert list(record.logs) == [spec.task_id for spec in scenario.tasks]
+        for spec, log in zip(scenario.tasks, record.logs.values()):
             assert len(log.record_ids) == 2 * spec.n_test
             assert len(set(log.record_ids)) == len(log.record_ids)
 
@@ -267,7 +267,7 @@ class TestRunScenario:
         scenario = Scenario(kind="easy", seed=4, tasks=tasks, warmup=warm)
         record = run_scenario(scenario, 20, resolve_profile("replay", MC), FAST, MC)
         assert record.matrix.shape == (1, 1)
-        assert record.task_ids == [2]
+        assert list(record.logs) == [2]
         # warm-up classes still occupy the head
         assert len(record.logs[2].record_ids) == 2 * tasks[0].n_test
 
