@@ -29,7 +29,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .errors import ConfigError, EngineError, ParseError, names_its_file, read_text
-from .losses import AGG_RULES
+from .losses import AGG_RULES, LossWeights
 from .metrics import (
     aa,
     af,
@@ -42,7 +42,7 @@ from .metrics import (
     write_predictions,
     write_pr_curves,
 )
-from .model import MT, SYSTEMS, save_checkpoint
+from .model import SYSTEMS, save_checkpoint
 from .stream import _SCENARIO_SOURCES, SCENARIO_KINDS, build_scenario, load_dataset, synth_generate
 from .trainer import MethodProfile, TrainConfig, resolve_profile, run_scenario_over_sessions
 from .verify import format_report, run_battery
@@ -88,14 +88,14 @@ class ExperimentConfig:
     system: str = ""
     aggregation: str | None = None
     memory: int = 1500
-    seed: int = 0
+    seed: int = TrainConfig.seed
     seeds: list[int] | None = None
-    epochs: int = 6
-    lr: float = 1e-3
-    batch_size: int = 32
-    lam: float = 0.3
-    label_smooth: float = 0.0
-    mixup: float = 0.0
+    epochs: int = TrainConfig.epochs
+    lr: float = TrainConfig.lr
+    batch_size: int = TrainConfig.batch_size
+    lam: float = LossWeights.lam
+    label_smooth: float = MethodProfile.label_smooth_eps
+    mixup: float = MethodProfile.mixup_alpha
     warmup: bool = True
     out: str = ""
     overrides: dict = field(default_factory=dict)
@@ -109,8 +109,6 @@ class ExperimentConfig:
             raise ConfigError(f"unknown scenario {self.scenario!r}")
         if not self.profile:
             raise ConfigError("a method profile is required")
-        if self.aggregation is not None and self.system != MT:
-            raise ConfigError("aggregation rules apply to the multi-task system only")
         if self.memory < 0:
             raise ConfigError("memory budget must be non-negative")
         if not self.out:
@@ -334,7 +332,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    results = run_battery(seed=args.seed if args.seed is not None else 0)
+    try:
+        TrainConfig(seed=args.seed)  # the seed check a run makes
+    except ConfigError as exc:
+        return _usage_error(exc)
+    results = run_battery(seed=args.seed)
     print(format_report(results))
     return 0 if all(r.passed for r in results) else 1
 
@@ -345,8 +347,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="train through a scenario and persist the run")
     run_p.add_argument("--config", help="key=value config file")
-    run_p.add_argument("--scenario", choices=SCENARIO_KINDS)
-    run_p.add_argument("--data", nargs="+", help="dataset CSV paths, one per task")
+    source = run_p.add_mutually_exclusive_group()
+    source.add_argument("--scenario", choices=SCENARIO_KINDS)
+    source.add_argument("--data", nargs="+", help="dataset CSV paths, one per task")
     run_p.add_argument("--profile")
     run_p.add_argument("--system", choices=SYSTEMS)
     run_p.add_argument("--aggregation", choices=AGG_RULES)
@@ -361,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     eval_p.set_defaults(func=cmd_eval)
 
     verify_p = sub.add_parser("verify", help="run the oracle battery")
-    verify_p.add_argument("--seed", type=int)
+    verify_p.add_argument("--seed", type=int, default=TrainConfig.seed)
     verify_p.set_defaults(func=cmd_verify)
 
     return parser

@@ -20,14 +20,15 @@ kept as the reference the tests and ``cddet verify`` check the step
 against. Both read one ``StepRows``: the step's rows as one block that
 enters the network at its first trainable layer
 (``FeatureExtractor.frozen``), their targets and the replayed rows'
-``ReplayConstants``. The trainer gathers one per step from the session's
-rows, and ``step_rows`` builds one from arrays. The reference's forward,
-``_forward_joint``, is the only place the network is built on the tape,
-over leaves that wrap the model's parameter arrays (``tape_leaves``). The
-replayed rows' constants have one builder, ``snapshot_constants``: it runs
-the snapshot on those rows and keeps only what the distillation form
-reads. Means are written as sum / size, which is what ``np.mean``
-computes, without its per-call dispatch.
+``ReplayConstants``. ``step_rows`` is the one builder of that layout: the
+trainer lays out a session's rows with it once and gathers each step's
+from them, and the tests and ``cddet verify`` build steps with it directly.
+The reference's forward, ``_forward_joint``, is the only place the network
+is built on the tape, over leaves that wrap the model's parameter arrays
+(``tape_leaves``). The replayed rows' constants have one builder,
+``snapshot_constants``: it runs the snapshot on those rows and keeps only
+what the distillation form reads. Means are written as sum / size, which
+is what ``np.mean`` computes, without its per-call dispatch.
 """
 
 from __future__ import annotations
@@ -131,7 +132,7 @@ def _target_rows(targets, n: int, k: int) -> Array:
     targets = targets.astype(np.intp)
     if targets.min(initial=0) < 0 or targets.max(initial=0) >= k:
         raise ContractError("target class out of range")
-    return _one_hot(targets, k)
+    return label_smooth(targets, k, 0.0)  # at eps 0, exactly the one-hot rows
 
 
 def _ce_parts(logp: Array, rows: Array, p: Array | None = None) -> tuple[float, Array]:
@@ -510,13 +511,6 @@ def total_loss(
     return total
 
 
-def _one_hot(targets: Array, k: int) -> Array:
-    targets = np.asarray(targets, dtype=np.intp)
-    rows = np.zeros((targets.size, k), dtype=np.float64)
-    rows[np.arange(targets.size), targets] = 1.0
-    return rows
-
-
 # ---------------------------------------------------------------------------
 # the training step: total_loss and its backward sweep on plain arrays
 
@@ -560,21 +554,22 @@ class StepRows:
 
 def step_rows(
     system: str, model: Model, new_x: Array, new_classes: Array, ex_x: Array | None = None,
-    ex: ReplayConstants | None = None,
+    ex: ReplayConstants | None = None, eps: float = 0.0,
 ) -> StepRows:
     """New rows ``new_x`` of classes ``new_classes``, then replayed rows
-    ``ex_x`` with their constants ``ex``, laid out as the trainer lays out a
-    step: the new rows' activations at the first trainable layer, then the
-    replayed rows, which enter there as given. The targets are the classes'
-    one-hot rows, or for BC their polarity."""
+    ``ex_x`` with their constants ``ex``, in the one row layout of a step
+    and of a session (``trainer._plan_session``): the new rows' activations
+    at the first trainable layer, then the replayed rows, which enter there
+    as given. The targets are the classes' label rows smoothed by ``eps``
+    (one-hot at 0), or for BC their polarity."""
     ext = model.extractor
     x, classes = ext.np_activations(new_x, 0, ext.frozen)[-1], new_classes
     if ex is not None:
         x, classes = np.concatenate([x, ex_x]), np.concatenate([new_classes, ex.classes])
     if system == BC:
-        targets = np.array([pol for _, pol in model.head.registry.entries], dtype=np.float64)[classes]
+        targets = model.head.registry.fake_mask()[classes].astype(np.float64)
     else:
-        targets = _one_hot(classes, model.head.theta.shape[0])
+        targets = label_smooth(classes, model.head.theta.shape[0], eps)
     return StepRows(x, len(new_x), targets, ex)
 
 

@@ -5,16 +5,20 @@ Learning-rate pattern: the first trained session uses the base rate and all
 later sessions a tenth of it. The optimizer state is rebuilt per session
 because head expansion changes the parameter set.
 
-``MethodProfile`` checks a method's settings and ``TrainConfig`` the
-optimisation's, before any data is built; a session checks only what needs
-the live model: the system, the head and the task.
+The built-in methods are one table of ``MethodProfile`` values, and
+``resolve_profile`` is the one place that binds one to a learning system
+and applies a run's overrides to it. ``MethodProfile`` checks a method's
+settings and ``TrainConfig`` the optimisation's, before any data is built;
+a session checks only what needs the live model: the system, the head and
+the task.
 
 Training records no tape, and each piece of its work is done at the
 coarsest level at which it is constant:
 
 - once per session, ``_plan_session`` checks the session against the live
   model, freezes the layers latent replay needs fixed and builds the
-  session's rows (``SessionRows``): the new rows and every stored exemplar,
+  session's rows (``SessionRows``) with ``losses.step_rows``, the one
+  builder of that row layout: the new rows and every stored exemplar,
   each held once as it enters the network at its first trainable layer,
   with its target; the replayed rows' classes and, when the session
   distils, only the constants its distillation form reads of the
@@ -35,7 +39,7 @@ The gradients equal the tape's (``total_loss`` on the same ``StepRows``,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -43,14 +47,15 @@ from . import diffcore as dc
 from .errors import ConfigError, NumericsError, ProtocolError
 from .losses import (
     AGG_RULES,
+    SUMLOGIT,
     LossWeights,
     ReplayConstants,
     StepRows,
-    label_smooth,
     loss_and_gradients,
     mixup,
     polarity_classes,
     snapshot_constants,
+    step_rows,
 )
 from .memory import LATENT, PAYLOAD_KINDS, RAW, ExemplarMemory, capture, herd_select
 from .model import (
@@ -205,63 +210,50 @@ class Adam:
 # ---------------------------------------------------------------------------
 # built-in method profiles
 
-_BASE_PROFILES: dict[str, dict] = {
-    "finetune": dict(gamma_d=0.0, gamma_m=0.0, distill_form="none", replay_payload=RAW),
-    "replay": dict(gamma_d=0.0, gamma_m=0.0, distill_form="none", replay_payload=LATENT),
-    "replay+kd": dict(gamma_d=0.3, gamma_m=0.0, distill_form="logit", replay_payload=LATENT),
-    "distill": dict(gamma_d=1.0, gamma_m=0.0, distill_form="logit", replay_payload=RAW),
-    "rebalance": dict(gamma_d=0.5, gamma_m=0.1, distill_form="feature", replay_payload=RAW),
-    "rebalance-cosfc": dict(
-        gamma_d=0.5, gamma_m=0.1, distill_form="feature", replay_payload=RAW, head=COSFC
-    ),
+_BASE_PROFILES: dict[str, MethodProfile] = {
+    p.name: p
+    for p in (
+        MethodProfile("finetune"),
+        MethodProfile("replay", replay_payload=LATENT),
+        MethodProfile("replay+kd", LossWeights(gamma_d=0.3), distill_form="logit", replay_payload=LATENT),
+        MethodProfile("distill", LossWeights(gamma_d=1.0), distill_form="logit"),
+        MethodProfile("rebalance", LossWeights(gamma_d=0.5, gamma_m=0.1), distill_form="feature"),
+        MethodProfile(
+            "rebalance-cosfc", LossWeights(gamma_d=0.5, gamma_m=0.1), distill_form="feature", head_variant=COSFC
+        ),
+    )
 }
+_WEIGHT_SETTINGS = frozenset(f.name for f in fields(LossWeights))
+_PROFILE_SETTINGS = frozenset(f.name for f in fields(MethodProfile)) - {"name", "weights", "aggregation"}
 
 
 def builtin_profiles() -> list[str]:
     return sorted(_BASE_PROFILES)
 
 
-def resolve_profile(
-    name: str,
-    system: str,
-    aggregation: str | None = None,
-    lam: float = 0.3,
-    label_smooth_eps: float = 0.0,
-    mixup_alpha: float = 0.0,
-    **weight_overrides,
-) -> MethodProfile:
-    """Bind a named profile to a learning system; BC swaps in the sigmoid
-    head and drops the margin term, MT picks an aggregation rule."""
+def resolve_profile(name: str, system: str, aggregation: str | None = None, **overrides) -> MethodProfile:
+    """Bind a named profile to a learning system, with ``overrides`` of its
+    loss weights (``LossWeights`` fields) and of its other settings
+    (``MethodProfile`` fields); BC swaps in the sigmoid head and drops the
+    margin term, MT picks an aggregation rule (SumLogit unless given)."""
     if name not in _BASE_PROFILES:
         raise ConfigError(f"unknown profile {name!r}; known: {', '.join(builtin_profiles())}")
     if system not in SYSTEMS:
         raise ConfigError(f"unknown learning system {system!r}; known: {', '.join(SYSTEMS)}")
-    base = dict(_BASE_PROFILES[name])
-    head = base.pop("head", LINFC)
-    base.update(weight_overrides)
-    gamma_m = base["gamma_m"]
+    for key in overrides:
+        if key not in _WEIGHT_SETTINGS | _PROFILE_SETTINGS:
+            raise ConfigError(f"unknown profile setting {key!r}")
+    if aggregation is not None and system != MT:
+        raise ConfigError("aggregation rules apply to the multi-task system only")
+    weights = {k: v for k, v in overrides.items() if k in _WEIGHT_SETTINGS}
+    settings = {k: v for k, v in overrides.items() if k in _PROFILE_SETTINGS}
     if system == BC:
-        head = SIGMOID
-        gamma_m = 0.0
-    weights = LossWeights(
-        gamma_d=base["gamma_d"],
-        gamma_m=gamma_m,
-        lam=lam,
-        T=base.get("T", 1.0),
-        tau=base.get("tau", 0.2),
-        J=base.get("J", 2),
-    )
-    rule = ("sumlogit" if aggregation is None else aggregation) if system == MT else None
-    return MethodProfile(
-        name=name,
-        weights=weights,
-        distill_form=base["distill_form"],
-        replay_payload=base["replay_payload"],
-        head_variant=head,
-        aggregation=rule,
-        label_smooth_eps=label_smooth_eps,
-        mixup_alpha=mixup_alpha,
-    )
+        weights["gamma_m"] = 0.0
+        settings["head_variant"] = SIGMOID
+    if system == MT:
+        settings["aggregation"] = SUMLOGIT if aggregation is None else aggregation
+    base = _BASE_PROFILES[name]
+    return replace(base, weights=replace(base.weights, **weights), **settings)
 
 
 # ---------------------------------------------------------------------------
@@ -275,14 +267,11 @@ def _class_targets(registry, task_id: int, polarity: np.ndarray) -> np.ndarray:
 
 
 @dataclass
-class SessionRows:
-    """A session's rows, held once, new rows first, with the loss weights
-    in force and, for the MT aggregation, the head's (fake, real) class
-    indices (``mt_classes``).
+class SessionRows(StepRows):
+    """A session's rows, held once in ``losses.step_rows``' layout (new rows
+    first), with the loss weights in force and, for the MT aggregation, the
+    head's (fake, real) class indices (``mt_classes``).
 
-    ``x`` holds every row as it enters the network at its first trainable
-    layer, ``targets`` its float64 target, and ``ex`` the replayed rows'
-    per-row constants, aligned with the rows after the first ``n_new``.
     Once latent replay has frozen the layers up to the capture layer, each
     new row's activation there is fixed for the session: it is computed
     once, and the new rows enter there, as the replayed latents do.
@@ -293,10 +282,6 @@ class SessionRows:
     its window from the arrays.
     """
 
-    x: np.ndarray
-    targets: np.ndarray
-    n_new: int
-    ex: ReplayConstants | None
     weights: LossWeights
     mt_classes: tuple[np.ndarray, np.ndarray] | None
     order: np.ndarray | None = None
@@ -341,7 +326,6 @@ def _plan_session(
     else:
         model.head.expand(session.task_id)
     registry = model.head.registry
-    class_polarity = np.array([pol for _, pol in registry.entries], dtype=np.int64)
 
     weights = profile.weights
     if snapshot is None:
@@ -355,9 +339,7 @@ def _plan_session(
         ext.frozen = ext.capture_layer + 1
 
     new_x = dc.checked(session.train.x, "training inputs")
-    inputs = [ext.np_activations(new_x, 0, ext.frozen)[-1]]
-    classes = [_class_targets(registry, session.task_id, session.train.y)]
-    ex = None
+    payloads = ex = None
     if memory is not None and memory.total():
         payloads, ex_classes = memory.all_exemplars()
         latent = memory.payload_kind == LATENT
@@ -368,15 +350,10 @@ def _plan_session(
             ex = snapshot_constants(snapshot, payloads, ex_classes, weights.T, profile.distill_form, latent)
         else:
             ex = ReplayConstants(ex_classes)
-        inputs.append(payloads)
-        classes.append(ex_classes)
-    classes = np.concatenate(classes)
-    if system == BC:
-        targets = class_polarity[classes].astype(np.float64)
-    else:
-        targets = label_smooth(classes, class_polarity.size, profile.label_smooth_eps)
-    mt_classes = polarity_classes(class_polarity == FAKE, profile.aggregation) if system == MT else None
-    return SessionRows(np.concatenate(inputs), targets, len(new_x), ex, weights, mt_classes)
+    classes = _class_targets(registry, session.task_id, session.train.y)
+    step = step_rows(system, model, new_x, classes, payloads, ex, profile.label_smooth_eps)
+    mt_classes = polarity_classes(registry.fake_mask(), profile.aggregation) if system == MT else None
+    return SessionRows(step.x, step.n_new, step.targets, step.ex, weights, mt_classes)
 
 
 def _assemble_batches(

@@ -1,0 +1,141 @@
+"""Mutation check of the test suite: each recorded mutant is a small edit to
+the engine that the tests it names must catch.
+
+For each mutant, the script copies ``src/``, ``tests/`` and
+``pyproject.toml`` into a temporary directory, applies the edit there (its
+text must occur exactly once), runs the named tests with pytest and requires
+them to fail. The unmutated copy must first pass every named test, so that a
+kill is never a failure of the tests themselves. pytest does not collect
+this file.
+
+Run from anywhere, with pytest installed:
+
+    python tests/mutants.py
+
+It prints one line per mutant and exits 0 when every mutant is killed, 1
+otherwise.
+"""
+
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# (name, file under src/cddet, text, replacement, tests that must fail)
+MUTANTS = [
+    (
+        "sumlog-c-ordered-gather", "losses.py",
+        "return logp[:, group].sum(axis=1), grad",
+        "return np.ascontiguousarray(logp[:, group]).sum(axis=1), grad",
+        ["tests/test_losses.py::TestAggregate::test_a_group_adds_in_class_order"],
+    ),
+    (
+        "sumlogit-c-ordered-gather", "losses.py",
+        "inside = logp[:, group]",
+        "inside = np.ascontiguousarray(logp[:, group])",
+        ["tests/test_losses.py::TestAggregate::test_a_group_adds_in_class_order"],
+    ),
+    (
+        "gamma-d-logit-gradient-dropped", "losses.py",
+        "            d_logits[n_new:] += gamma_d * g\n",
+        "",
+        ["tests/test_step.py"],
+    ),
+    (
+        "gamma-m-theta-gradient-dropped", "losses.py",
+        "    if d_theta_margin is not None:\n        g_theta += d_theta_margin\n",
+        "",
+        ["tests/test_step.py"],
+    ),
+    (
+        "af-divisor-n-minus-1", "metrics.py",
+        "total += bwt / (n - i - 1)",
+        "total += bwt / (n - 1)",
+        ["tests/test_metrics.py::TestAF"],
+    ),
+    (
+        "herding-tie-to-highest-index", "memory.py",
+        "return int(remaining[int(np.argmin(dists))])",
+        "return int(remaining[dists.size - 1 - int(np.argmin(dists[::-1]))])",
+        ["tests/test_memory.py::TestHerding::test_tie_breaks_to_lowest_index"],
+    ),
+    (
+        "quota-remainder-to-highest-classes", "memory.py",
+        "(1 if i < rem else 0)",
+        "(1 if i >= num_classes - rem else 0)",
+        ["tests/test_memory.py::TestQuotas::test_remainder_to_lowest_indices"],
+    ),
+    (
+        "eval-stray-record-id-unchecked", "cli.py",
+        'if ("\\n" + "\\n".join(ids)).count("\\n" + prefix) < len(ids):',
+        "if False:",
+        ["tests/test_cli.py::TestEval::test_predictions_relabelled_in_a_data_run"],
+    ),
+    (
+        "eval-repeated-record-id-unchecked", "cli.py",
+        "if len(set(ids)) < len(ids):",
+        "if False:",
+        ["tests/test_cli.py::TestEval::test_repeated_record_id"],
+    ),
+    (
+        "bc-keeps-gamma-m", "trainer.py",
+        '        weights["gamma_m"] = 0.0\n',
+        "",
+        ["tests/test_trainer.py::TestProfiles::test_every_builtin_profile_resolves_on_every_system"],
+    ),
+    (
+        "step-rows-ignores-eps", "losses.py",
+        "label_smooth(classes, model.head.theta.shape[0], eps)",
+        "label_smooth(classes, model.head.theta.shape[0], 0.0)",
+        [
+            "tests/test_losses.py::TestTotalLoss::test_step_rows_smooths_the_label_rows_by_eps",
+            "tests/test_pins.py::test_metrics_json_pinned",
+        ],
+    ),
+]
+
+
+def copy_tree(dest: Path) -> None:
+    ignore = shutil.ignore_patterns("__pycache__", ".pytest_cache")
+    for name in ("src", "tests"):
+        shutil.copytree(ROOT / name, dest / name, ignore=ignore)
+    shutil.copy(ROOT / "pyproject.toml", dest)
+
+
+def pytest_status(tree: Path, tests: list[str]) -> int:
+    """pytest's exit status on ``tests`` in ``tree``: 0 all passed, 1 some failed."""
+    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
+    return subprocess.run(cmd, cwd=tree, capture_output=True, timeout=600).returncode
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        clean = Path(tmp) / "clean"
+        copy_tree(clean)
+        named = sorted({test for *_, tests in MUTANTS for test in tests})
+        if pytest_status(clean, named) != 0:
+            print("the named tests do not pass on the unmutated tree", file=sys.stderr)
+            return 1
+        survivors = 0
+        for i, (name, module, text, replacement, tests) in enumerate(MUTANTS):
+            tree = Path(tmp) / f"mutant{i}"
+            copy_tree(tree)
+            path = tree / "src" / "cddet" / module
+            source = path.read_text(encoding="utf-8")
+            if source.count(text) != 1:
+                print(f"STALE   {name}: its text occurs {source.count(text)} times in {module}")
+                survivors += 1
+                continue
+            path.write_text(source.replace(text, replacement), encoding="utf-8")
+            status = pytest_status(tree, tests)
+            killed = status == 1
+            survivors += not killed
+            print(f"{'KILLED' if killed else 'LIVES':<7} {name} (pytest exit {status}): {' '.join(tests)}")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -48,6 +48,16 @@ class TestValidation:
         )
         assert code == 2
 
+    def test_scenario_and_data_exclude_each_other(self, tmp_path, dataset_paths, capsys):
+        with pytest.raises(SystemExit) as exited:
+            run_cli(
+                "run", "--scenario", "hard", "--data", *dataset_paths, "--profile", "finetune",
+                "--system", "mc", "--out", str(tmp_path / "o"),
+            )
+        assert exited.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_unknown_profile(self, tmp_path, dataset_paths):
         code = run_cli(
             "run", "--data", *dataset_paths, "--profile", "mystery", "--system", "mc",
@@ -433,6 +443,10 @@ class TestVerify:
         assert len(names) >= 5
         assert all(line.startswith("PASS") for line in first.strip().splitlines()[:-1])
 
+    def test_negative_seed_is_a_usage_error(self, capsys):
+        assert run_cli("verify", "--seed", "-1") == 2
+        assert capsys.readouterr().err == "error: seed must be non-negative, found -1\n"
+
 
 class TestConfigKeys:
     @pytest.mark.parametrize("lines, key", [
@@ -467,6 +481,17 @@ class TestConfigKeys:
         config_file.write_text(f"warmup = {value}\n")
         args = cli.build_parser().parse_args(["run", "--config", str(config_file)])
         assert cli._config_from_sources(args).warmup is expected
+
+    @pytest.mark.parametrize("line, flags, scenario, data", [
+        ("data = a.csv b.csv", ["--scenario", "hard"], "hard", []),
+        ("scenario = hard", ["--data", "a.csv"], None, ["a.csv"]),
+    ])
+    def test_a_source_flag_replaces_the_files_source(self, tmp_path, line, flags, scenario, data):
+        config_file = tmp_path / "s.cfg"
+        config_file.write_text(f"{line}\n")
+        args = cli.build_parser().parse_args(["run", "--config", str(config_file), *flags])
+        cfg = cli._config_from_sources(args)
+        assert (cfg.scenario, cfg.data) == (scenario, data)
 
 
 _VALUES = st.one_of(

@@ -298,6 +298,17 @@ class TestTotalLoss:
         bare = ls.multiclass_ce(dc.Tensor(logits), classes)
         assert combined.item() == bare.item()
 
+    def test_step_rows_smooths_the_label_rows_by_eps(self):
+        """A step's and a session's label rows: one-hot at eps 0, bit for
+        bit, and ``label_smooth``'s rows at another eps."""
+        rng = np.random.default_rng(14)
+        model = _small_model()
+        x, classes = _session_rows(rng, model, task=2)
+        k = model.head.theta.shape[0]
+        assert ls.step_rows(MC, model, x, classes).targets.tobytes() == np.eye(k)[classes].tobytes()
+        smoothed = ls.step_rows(MT, model, x, classes, eps=0.1).targets
+        assert smoothed.tobytes() == ls.label_smooth(classes, k, 0.1).tobytes()
+
     def test_distilling_without_snapshot_constants_is_a_contract_error(self):
         """The reference and the step both refuse to distil replayed rows
         that lack ``snapshot_constants``, and both run once they carry them,

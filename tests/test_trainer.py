@@ -3,7 +3,7 @@ import pytest
 from conftest import run_scenario, tiny_scenario, tiny_spec
 
 from cddet.errors import ConfigError, NumericsError, ProtocolError
-from cddet.losses import loss_and_gradients
+from cddet.losses import LossWeights, loss_and_gradients
 from cddet.memory import ExemplarMemory, LATENT, RAW
 from cddet.model import BC, COSFC, LINFC, MC, MT, SIGMOID, Model
 from cddet.seeding import substream
@@ -143,6 +143,48 @@ class TestProfiles:
     def test_unknown_profile(self):
         with pytest.raises(ConfigError):
             resolve_profile("dream", MC)
+
+    # (gamma_d, gamma_m, distill_form, replay_payload, head_variant, aggregation)
+    # of each built-in profile on each system
+    RESOLVED = {
+        ("distill", BC): (1.0, 0.0, "logit", RAW, SIGMOID, None),
+        ("distill", MC): (1.0, 0.0, "logit", RAW, LINFC, None),
+        ("distill", MT): (1.0, 0.0, "logit", RAW, LINFC, "sumlogit"),
+        ("finetune", BC): (0.0, 0.0, "none", RAW, SIGMOID, None),
+        ("finetune", MC): (0.0, 0.0, "none", RAW, LINFC, None),
+        ("finetune", MT): (0.0, 0.0, "none", RAW, LINFC, "sumlogit"),
+        ("rebalance", BC): (0.5, 0.0, "feature", RAW, SIGMOID, None),
+        ("rebalance", MC): (0.5, 0.1, "feature", RAW, LINFC, None),
+        ("rebalance", MT): (0.5, 0.1, "feature", RAW, LINFC, "sumlogit"),
+        ("rebalance-cosfc", BC): (0.5, 0.0, "feature", RAW, SIGMOID, None),
+        ("rebalance-cosfc", MC): (0.5, 0.1, "feature", RAW, COSFC, None),
+        ("rebalance-cosfc", MT): (0.5, 0.1, "feature", RAW, COSFC, "sumlogit"),
+        ("replay", BC): (0.0, 0.0, "none", LATENT, SIGMOID, None),
+        ("replay", MC): (0.0, 0.0, "none", LATENT, LINFC, None),
+        ("replay", MT): (0.0, 0.0, "none", LATENT, LINFC, "sumlogit"),
+        ("replay+kd", BC): (0.3, 0.0, "logit", LATENT, SIGMOID, None),
+        ("replay+kd", MC): (0.3, 0.0, "logit", LATENT, LINFC, None),
+        ("replay+kd", MT): (0.3, 0.0, "logit", LATENT, LINFC, "sumlogit"),
+    }
+
+    def test_every_builtin_profile_resolves_on_every_system(self):
+        """Every field of each resolved profile; lambda, T, tau, J and the
+        essentials are at their defaults for all of them."""
+        assert sorted(self.RESOLVED) == [(n, s) for n in builtin_profiles() for s in (BC, MC, MT)]
+        for (name, system), (gamma_d, gamma_m, form, payload, head, rule) in self.RESOLVED.items():
+            weights = LossWeights(gamma_d=gamma_d, gamma_m=gamma_m, lam=0.3, T=1.0, tau=0.2, J=2)
+            want = MethodProfile(name, weights, form, payload, head, rule, label_smooth_eps=0.0, mixup_alpha=0.0)
+            assert resolve_profile(name, system) == want, (name, system)
+
+    @pytest.mark.parametrize("setting", ["label_smooth", "head", "weights"])
+    def test_unknown_setting_is_named(self, setting):
+        with pytest.raises(ConfigError, match=f"unknown profile setting '{setting}'"):
+            resolve_profile("distill", MC, **{setting: 0.1})
+
+    @pytest.mark.parametrize("system", [BC, MC])
+    def test_aggregation_needs_the_multi_task_system(self, system):
+        with pytest.raises(ConfigError, match="^aggregation rules apply to the multi-task system only$"):
+            resolve_profile("distill", system, aggregation="max")
 
     def test_mixup_with_latent_replay_rejected(self):
         with pytest.raises(ConfigError):
