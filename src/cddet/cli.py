@@ -12,10 +12,11 @@ as a single run of that seed. ``run`` checks every setting
 builds any data.
 
 Exit codes: 0 success; 2 a usage error: a bad setting or combination of
-settings, an unreadable config file, a run directory that cannot be
-created, an unreadable or malformed dataset file, dataset files of
-different widths or of one task (checked once loaded, before the model is
-built), or a malformed run-directory file; 1 a runtime failure.
+settings, any input file that cannot be read (``errors.read_text`` reads
+each, and the message names it), a run directory that cannot be created, a
+malformed dataset file, dataset files of different widths or of one task
+(checked once loaded, before the model is built), or a malformed
+run-directory file; 1 a runtime failure.
 """
 
 from __future__ import annotations
@@ -139,12 +140,7 @@ class ExperimentConfig:
 def _parse_config_file(path: str) -> dict:
     """Each key's parsed value; a later line wins."""
     values: dict = {}
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from None
-    for lineno, raw in enumerate(lines, start=1):
+    for lineno, raw in enumerate(read_text(path).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -323,7 +319,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
             print(f"{'AA':<8}{aa(matrix):.6f}")
             if matrix.shape[0] >= 2:
                 print(f"{'AF':<8}{af(matrix):.6f}")
-    except (ParseError, ConfigError, FileNotFoundError) as exc:
+    except (ParseError, ConfigError) as exc:
         return _usage_error(exc)
     except EngineError as exc:
         print(f"runtime failure: {exc}", file=sys.stderr)

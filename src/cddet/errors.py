@@ -58,9 +58,14 @@ def names_its_file(read):
 
 
 def read_text(path) -> str:
-    """A file's text; bytes that are not UTF-8 raise ``ParseError`` naming the file and their line."""
-    with open(path, "rb") as fh:
-        data = fh.read()
+    """A file's text, as every command reads an input file: one that cannot be
+    read (missing, a directory) or bytes that are not UTF-8 (with their
+    line) raise ``ParseError`` naming the file."""
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as exc:
+        raise ParseError(f"cannot read ({exc.strerror})", path=path) from None
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:

@@ -592,9 +592,10 @@ def loss_and_gradients(
     operands, memory layouts and order of summation, so the value and each
     gradient equal ``total_loss(...)`` and its ``.backward()`` bit for bit.
     ``mt_classes`` is ``polarity_classes`` of the head, which MT steps pass.
-    Distilling reads ``snapshot_constants`` on the replayed rows. Inputs are
-    not checked here: the method profile and ``trainer._plan_session`` check
-    every setting and every row once.
+    Distilling reads ``snapshot_constants`` on the replayed rows, and each
+    such step checks that they hold what ``distill_form`` reads
+    (``_check_distillable``). Beyond that and finiteness nothing is checked
+    here: the method profile checks the settings, the readers the rows.
     """
     ext, head = model.extractor, model.head
     acts = ext.np_activations(step.x, ext.frozen)

@@ -191,11 +191,11 @@ class ExemplarMemory:
         A payload that ``to_payload`` could not have written raises
         ``ConfigError`` naming the field: an unknown kind, a budget that is
         not a positive integer, a class key that is not a non-negative
-        integer, ragged rows, or more exemplars than the budget. Given the
-        ``model``, every row must also have its input width (raw payloads)
-        or its latent width (latent payloads), every class key must index
-        its class registry, and each ``task_id`` must be that class's task,
-        or -1 for a class with no rows.
+        integer, ragged or non-finite rows, or more exemplars than the
+        budget. Given the ``model``, every row must also have its input
+        width (raw payloads) or its latent width (latent payloads), every
+        class key must index its class registry, and each ``task_id`` must
+        be that class's task, or -1 for a class with no rows.
         """
         try:
             kind, budget, classes = payload["kind"], payload["budget"], payload["classes"]
@@ -226,6 +226,8 @@ class ExemplarMemory:
                 arr = arr.reshape(0, width or 0)
             if arr.ndim != 2:
                 raise ConfigError(f"checkpoint field {where}.rows: not a list of equal-length rows")
+            if not np.isfinite(arr).all():
+                raise ConfigError(f"checkpoint field {where}.rows: non-finite entries")
             if width is not None and arr.shape[1] != width:
                 raise ConfigError(
                     f"checkpoint field {where}.rows: rows have {arr.shape[1]} entries, "

@@ -62,6 +62,7 @@ class ClassRegistry:
     entries: list[tuple[int, int]] = field(default_factory=list)
 
     def add_task(self, task_id: int) -> tuple[int, int]:
+        """Register a task's two classes; a task already held raises ``ProtocolError`` and changes nothing."""
         if task_id in self.task_ids():
             raise ProtocolError(f"task {task_id} already registered")
         real_idx = len(self.entries)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ParseError, names_its_file
+from .errors import ConfigError, ParseError, names_its_file, read_text
 from .model import FAKE, REAL
 
 EASY = "easy"
@@ -195,11 +195,7 @@ def save_dataset(session: SessionData, path) -> None:
 @names_its_file
 def load_dataset(path) -> SessionData:
     """Parse one task's records; malformed rows fail with their line number."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read dataset {path}: {exc}") from None
+    lines = read_text(path).splitlines()
     if not lines:
         raise ParseError("empty dataset file", line=1)
     header = lines[0].split(",")

@@ -9,8 +9,9 @@ The built-in methods are one table of ``MethodProfile`` values, and
 ``resolve_profile`` is the one place that binds one to a learning system
 and applies a run's overrides to it. ``MethodProfile`` checks a method's
 settings and ``TrainConfig`` the optimisation's, before any data is built;
-a session checks only what needs the live model: the system, the head and
-the task.
+the run checks its tasks and widths before it builds the model. A session
+checks the system, the head and the latent freeze; the class registry
+rejects a task it already holds.
 
 Training records no tape, and each piece of its work is done at the
 coarsest level at which it is constant:
@@ -43,7 +44,6 @@ from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from . import diffcore as dc
 from .errors import ConfigError, NumericsError, ProtocolError
 from .losses import (
     AGG_RULES,
@@ -315,8 +315,6 @@ def _plan_session(
         raise ConfigError(
             f"model head {model.head.variant!r} does not match profile {profile.head_variant!r}"
         )
-    if session.task_id in model.head.registry.task_ids():
-        raise ProtocolError(f"task {session.task_id} was already trained")
 
     old_terms_wanted = profile.weights.gamma_d > 0 or profile.weights.gamma_m > 0
     snapshot = model.snapshot() if old_terms_wanted and model.sessions_trained >= 1 else None
@@ -338,20 +336,18 @@ def _plan_session(
         # once the first session has shaped them
         ext.frozen = ext.capture_layer + 1
 
-    new_x = dc.checked(session.train.x, "training inputs")
     payloads = ex = None
     if memory is not None and memory.total():
         payloads, ex_classes = memory.all_exemplars()
         latent = memory.payload_kind == LATENT
         if latent != (ext.frozen > ext.capture_layer):
             raise ProtocolError("latent replay needs the layers below the capture layer frozen")
-        payloads = dc.checked(payloads, "exemplar payloads")
         if weights.gamma_d > 0:
             ex = snapshot_constants(snapshot, payloads, ex_classes, weights.T, profile.distill_form, latent)
         else:
             ex = ReplayConstants(ex_classes)
     classes = _class_targets(registry, session.task_id, session.train.y)
-    step = step_rows(system, model, new_x, classes, payloads, ex, profile.label_smooth_eps)
+    step = step_rows(system, model, session.train.x, classes, payloads, ex, profile.label_smooth_eps)
     mt_classes = polarity_classes(registry.fake_mask(), profile.aggregation) if system == MT else None
     return SessionRows(step.x, step.n_new, step.targets, step.ex, weights, mt_classes)
 
@@ -416,7 +412,6 @@ def run_session(
     if memory is not None:
         _store_exemplars(model, memory, session, profile, model.head.registry)
         memory.rebalance(len(model.head.registry))
-        memory.assert_within_budget()
 
     model.sessions_trained += 1
 
@@ -459,11 +454,12 @@ def run_scenario_over_sessions(
     system: str,
 ) -> RunRecord:
     """Train through the stream in order, filling column j of the accuracy
-    matrix after session j; the warm-up session trains without logging."""
-    task_ids = [s.task_id for s in sessions]
+    matrix after session j; the warm-up session trains without logging.
+    Every session, the warm-up too, needs its own task and the same width."""
+    ordered = ([warmup] if warmup is not None else []) + sessions
+    task_ids = [s.task_id for s in ordered]
     if len(set(task_ids)) != len(task_ids):
         raise ProtocolError("duplicate task in scenario")
-    ordered = ([warmup] if warmup is not None else []) + sessions
     input_width = ordered[0].train.x.shape[1]
     for session in ordered:
         for split in (session.train, session.test):

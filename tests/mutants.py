@@ -95,6 +95,52 @@ MUTANTS = [
             "tests/test_pins.py::test_metrics_json_pinned",
         ],
     ),
+    (
+        "read-text-without-oserror-branch", "errors.py",
+        "    try:\n        with open(path, \"rb\") as fh:\n            data = fh.read()\n"
+        "    except OSError as exc:\n        raise ParseError(f\"cannot read ({exc.strerror})\", path=path) from None\n",
+        "    with open(path, \"rb\") as fh:\n        data = fh.read()\n",
+        ["tests/test_cli.py::TestUnreadableInputs::test_an_unreadable_input_exits_2_naming_it"],
+    ),
+    (
+        "duplicate-task-check-skips-the-warmup", "trainer.py",
+        "task_ids = [s.task_id for s in ordered]",
+        "task_ids = [s.task_id for s in sessions]",
+        ["tests/test_trainer.py::TestRunScenario::test_warmup_task_repeated_in_the_stream_rejected_before_training"],
+    ),
+    # one bit-moving regrouping per loss kernel: each divides by the window's
+    # row count earlier or later, which rounds alike on the pinned runs'
+    # power-of-two windows, so the 3-row oracles must catch it
+    (
+        "ce-gradient-divides-early", "losses.py",
+        "grad = ((np.exp(logp) if p is None else p) * rows.sum(axis=1, keepdims=True) - rows) / n",
+        "grad = (np.exp(logp) if p is None else p) * (rows.sum(axis=1, keepdims=True) / n) - rows / n",
+        ["tests/test_losses.py::TestKernelRounding::test_ce_gradient_divides_last"],
+    ),
+    (
+        "bce-gradient-divides-early", "losses.py",
+        "dz = (dc.np_sigmoid(z) - y) / y.size",
+        "dz = dc.np_sigmoid(z) / y.size - y / y.size",
+        ["tests/test_losses.py::TestKernelRounding::test_bce_gradient_divides_last"],
+    ),
+    (
+        "kd-gradient-divides-last", "losses.py",
+        "* (t / n))[:, -cols.size :]",
+        "* t / n)[:, -cols.size :]",
+        ["tests/test_losses.py::TestKernelRounding::test_kd_gradient_scales_by_t_over_n"],
+    ),
+    (
+        "kd-feature-gradient-divides-last", "losses.py",
+        "dcos * (-1.0 / cos.size)",
+        "dcos / -cos.size",
+        ["tests/test_pins.py::test_metrics_json_pinned"],
+    ),
+    (
+        "margin-value-divides-last", "losses.py",
+        "np.where(active, gaps, 0.0).sum() * (1.0 / n)",
+        "np.where(active, gaps, 0.0).sum() / n",
+        ["tests/test_losses.py::TestKernelRounding::test_margin_value_scales_by_one_over_n"],
+    ),
 ]
 
 

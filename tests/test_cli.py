@@ -1,4 +1,6 @@
+import errno
 import json
+import os
 import re
 import tempfile
 from pathlib import Path
@@ -400,6 +402,44 @@ class TestEval:
         capsys.readouterr()
         assert run_cli("eval", str(out)) == 2
         assert capsys.readouterr().err == f"error: {out / 'predictions.csv'}: line 3: {message}\n"
+
+
+class TestUnreadableInputs:
+    @pytest.mark.parametrize(
+        "target", ["--config", "--data", "accuracy_matrix.csv", "predictions.csv", "config.json", "absent"]
+    )
+    def test_an_unreadable_input_exits_2_naming_it(self, tmp_path, dataset_paths, capsys, target):
+        """Each input replaced by a directory, or an ``eval`` path that does not exist."""
+        out = tmp_path / "o"
+        settings = ["--profile", "finetune", "--system", "mc", "--memory", "0", "--epochs", "1", "--out", str(out)]
+        path, reason = tmp_path / "in", os.strerror(errno.EISDIR)
+        if target == "--config":
+            path.mkdir()
+            argv = ["run", "--config", str(path), "--out", str(out)]
+        elif target == "--data":
+            path.mkdir()
+            argv = ["run", "--data", dataset_paths[0], str(path), *settings]
+        elif target == "absent":
+            reason = os.strerror(errno.ENOENT)
+            argv = ["eval", str(path)]
+        else:
+            assert run_cli("run", "--data", *dataset_paths, *settings) == 0
+            path = out / target
+            path.unlink()
+            path.mkdir()
+            argv = ["eval", str(out)]
+        assert run_cli(*argv) == 2
+        assert capsys.readouterr().err == f"error: {path}: cannot read ({reason})\n"
+
+    @pytest.mark.parametrize("flag", ["--config", "--data"])
+    def test_a_run_input_that_is_not_utf8(self, tmp_path, dataset_paths, capsys, flag):
+        path = Path(dataset_paths[1]) if flag == "--data" else tmp_path / "run.cfg"
+        text = path.read_bytes() if flag == "--data" else b"profile = finetune\n"
+        path.write_bytes(text + b"\xff\n")
+        source = ["--data", *dataset_paths] if flag == "--data" else ["--config", str(path)]
+        assert run_cli("run", *source, "--profile", "finetune", "--system", "mc", "--out", str(tmp_path / "o")) == 2
+        line = text.count(b"\n") + 1
+        assert capsys.readouterr().err == f"error: {path}: line {line}: not UTF-8 text (invalid start byte)\n"
 
 
 class TestCheckpointMemory:

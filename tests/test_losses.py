@@ -202,6 +202,52 @@ class TestAggregate:
             assert d.tobytes() == want.tobytes()
 
 
+class TestKernelRounding:
+    """Bit for bit, each loss kernel divides by the window's row count where
+    its formula does. Every step window of the pinned runs holds a power of
+    two rows, where dividing earlier or later rounds alike, and the step and
+    the tape share these kernels, so only an oracle on 3-row windows pins
+    the order. Each oracle is written one entry at a time, on eight draws."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_ce_gradient_divides_last(self, seed):
+        logp = dc.np_log_softmax(np.random.default_rng(seed).normal(size=(3, 4)), axis=1)
+        rows = ls.label_smooth(np.array([0, 2, 3]), 4, 0.1)
+        p = np.exp(logp)
+        want = np.array([[(p[i, k] * rows[i].sum() - rows[i, k]) / 3 for k in range(4)] for i in range(3)])
+        assert ls._ce_parts(logp, rows)[1].tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_bce_gradient_divides_last(self, seed):
+        z, y = np.random.default_rng(seed).normal(size=3), np.array([0.0, 1.0, 1.0])
+        s = dc.np_sigmoid(z)
+        want = np.array([(s[i] - y[i]) / 3 for i in range(3)])
+        assert ls._bce_parts(z, y)[1].tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_kd_gradient_scales_by_t_over_n(self, seed):
+        rng = np.random.default_rng(seed)
+        old, new, cols, T = rng.normal(size=(3, 4)), rng.normal(size=(3, 4)), np.arange(3), 2.0
+        logp, p = ls.kd_targets(old, cols, T)
+        q = np.exp(dc.np_log_softmax(new[:, cols] / T, axis=1))
+        want = np.zeros((3, 4))
+        for i in range(3):
+            for c in cols:
+                want[i, c] = (q[i, c] - p[i, c]) * (T / 3)
+        assert ls._kd_parts(logp, p, new, cols, T)[1].tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_margin_value_scales_by_one_over_n(self, seed):
+        sims, targets, tau, J = np.random.default_rng(seed).uniform(-1, 1, size=(3, 4)), np.array([1, 0, 3]), 0.5, 2
+        total = 0.0
+        for i in range(3):
+            rivals = sorted((c for c in range(4) if c != targets[i]), key=lambda c: -sims[i, c])[:J]
+            for c in rivals:
+                gap = sims[i, c] - sims[i, targets[i]] + tau
+                total += gap if gap > 0 else 0.0
+        assert ls._margin_parts(sims, targets, tau, J)[0] == total * (1.0 / 3)
+
+
 class TestMtClassLoss:
     def _setup(self, seed=5, n=6, k=4):
         rng = np.random.default_rng(seed)

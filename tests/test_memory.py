@@ -268,6 +268,13 @@ class TestPayloadValidation:
         with pytest.raises(ConfigError, match=r"memory\.classes\['1'\]"):
             ExemplarMemory.from_payload(payload)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_rows(self, value):
+        payload = self._payload()
+        payload["classes"]["1"]["rows"][1][2] = value
+        with pytest.raises(ConfigError, match=r"memory\.classes\['1'\]\.rows: non-finite entries"):
+            ExemplarMemory.from_payload(payload, self._model())
+
     def test_row_width_must_match_the_model(self):
         payload = self._payload()
         for row in payload["classes"]["0"]["rows"] + payload["classes"]["1"]["rows"]:

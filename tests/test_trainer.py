@@ -292,6 +292,16 @@ class TestRunScenario:
         with pytest.raises(ProtocolError):
             run_scenario(scenario, 10, resolve_profile("finetune", MC), FAST, MC)
 
+    def test_warmup_task_repeated_in_the_stream_rejected_before_training(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a session trained before the tasks were checked")
+
+        monkeypatch.setattr("cddet.trainer.run_session", forbidden)
+        spec = tiny_spec(1, 0)
+        scenario = Scenario(kind="easy", seed=0, tasks=[tiny_spec(2, 1), spec], warmup=spec)
+        with pytest.raises(ProtocolError, match="duplicate task"):
+            run_scenario(scenario, 10, resolve_profile("finetune", MC), FAST, MC)
+
     def test_mt_lambda_zero_matches_mc_bitwise(self):
         scenario = tiny_scenario(3, seed=9)
         config = TrainConfig(epochs=2, lr=1e-3, batch_size=16, seed=11)
