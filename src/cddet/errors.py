@@ -11,10 +11,6 @@ class DimensionError(EngineError):
     """Operand shapes do not satisfy an operation's contract."""
 
 
-class DomainError(EngineError):
-    """Input outside the mathematical domain of an operation."""
-
-
 class DegenerateInputError(EngineError):
     """Input is degenerate (zero norm, empty score mass)."""
 

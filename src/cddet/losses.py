@@ -1,5 +1,5 @@
 """Training objectives: classification, distillation, margin ranking and the
-multi-task binary aggregation, plus label smoothing and mixup.
+multi-task binary aggregation, plus label smoothing.
 
 All losses return scalar tensors and are differentiable through the live
 model only; snapshot outputs enter as plain arrays and never receive
@@ -384,24 +384,6 @@ def label_smooth(targets, k: int, eps: float) -> Array:
     rows = np.full((targets.size, k), eps / k, dtype=np.float64)
     rows[np.arange(targets.size), targets] += 1.0 - eps
     return rows
-
-
-def mix_pairs(x_a: Array, y_a: Array, x_b: Array, y_b: Array, lam_mix: float):
-    """Convex combination of two aligned batches, inputs and label rows alike."""
-    if x_a.shape != x_b.shape or y_a.shape != y_b.shape:
-        raise ContractError("mixup requires equal batch shapes")
-    x = lam_mix * x_a + (1.0 - lam_mix) * x_b
-    y = lam_mix * y_a + (1.0 - lam_mix) * y_b
-    return x, y
-
-
-def mixup(batch_a, batch_b, alpha: float, rng: np.random.Generator):
-    """Mix two (inputs, label rows) batches; the coefficient is Beta(alpha, alpha)."""
-    x_a, y_a = batch_a
-    x_b, y_b = batch_b
-    lam_mix = float(rng.beta(alpha, alpha)) if alpha > 0 else 1.0
-    x, y = mix_pairs(np.asarray(x_a, float), np.asarray(y_a, float), np.asarray(x_b, float), np.asarray(y_b, float), lam_mix)
-    return (x, y), lam_mix
 
 
 # ---------------------------------------------------------------------------

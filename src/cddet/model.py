@@ -38,7 +38,7 @@ import numpy as np
 
 from . import diffcore as dc
 from .diffcore import Array
-from .errors import ConfigError, ContractError, DegenerateInputError, ProtocolError
+from .errors import ConfigError, ContractError, DegenerateInputError, ProtocolError, read_text
 from .memory import ExemplarMemory
 
 REAL = 0
@@ -427,10 +427,12 @@ def _write_json(fh, obj) -> None:
 
 
 def load_checkpoint(path) -> tuple[Model, dict | None]:
+    """The model and the memory payload a checkpoint file holds. A file that
+    cannot be read, or is not UTF-8, raises ``ParseError`` naming it; one
+    that is not a checkpoint, ``ConfigError``."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            blob = json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        blob = json.loads(read_text(path))
+    except json.JSONDecodeError as exc:
         raise ConfigError(f"checkpoint {path}: not a JSON document ({exc})") from None
     found = blob.get("format") if isinstance(blob, dict) else None
     if found != CHECKPOINT_FORMAT:

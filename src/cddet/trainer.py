@@ -1,5 +1,6 @@
-"""Incremental session protocol: snapshot, expand, train on new data plus
-replayed exemplars, refresh the memory, and evaluate every seen task.
+"""Incremental session protocol: snapshot (to distil replayed rows), expand,
+train on new data plus replayed exemplars, refresh the memory, and evaluate
+every seen task.
 
 Learning-rate pattern: the first trained session uses the base rate and all
 later sessions a tenth of it. The optimizer state is rebuilt per session
@@ -17,7 +18,8 @@ Training records no tape, and each piece of its work is done at the
 coarsest level at which it is constant:
 
 - once per session, ``_plan_session`` checks the session against the live
-  model, freezes the layers latent replay needs fixed and builds the
+  model, snapshots it only when the session distils replayed rows,
+  freezes the layers latent replay needs fixed and builds the
   session's rows (``SessionRows``) with ``losses.step_rows``, the one
   builder of that row layout: the new rows and every stored exemplar,
   each held once as it enters the network at its first trainable layer,
@@ -27,8 +29,9 @@ coarsest level at which it is constant:
   snapshot). Each epoch only draws a new row order
   (``SessionRows.shuffle``);
 - once per step: ``_assemble_batches`` gathers the step's window from those
-  arrays as one ``losses.StepRows`` (mixing its new rows under mixup, and
-  taking the replayed rows' constants with one ``ReplayConstants.take``),
+  arrays as one ``losses.StepRows`` (mixing its copy of the new rows under
+  mixup, and taking the replayed rows' constants with one
+  ``ReplayConstants.take``),
   ``losses.loss_and_gradients`` computes the loss and writes each gradient
   into ``Adam.g``; ``Adam.step`` applies them.
 
@@ -52,7 +55,6 @@ from .losses import (
     ReplayConstants,
     StepRows,
     loss_and_gradients,
-    mixup,
     polarity_classes,
     snapshot_constants,
     step_rows,
@@ -269,8 +271,8 @@ def _class_targets(registry, task_id: int, polarity: np.ndarray) -> np.ndarray:
 @dataclass
 class SessionRows(StepRows):
     """A session's rows, held once in ``losses.step_rows``' layout (new rows
-    first), with the loss weights in force and, for the MT aggregation, the
-    head's (fake, real) class indices (``mt_classes``).
+    first), with, for the MT aggregation, the head's (fake, real) class
+    indices (``mt_classes``).
 
     Once latent replay has frozen the layers up to the capture layer, each
     new row's activation there is fixed for the session: it is computed
@@ -282,7 +284,6 @@ class SessionRows(StepRows):
     its window from the arrays.
     """
 
-    weights: LossWeights
     mt_classes: tuple[np.ndarray, np.ndarray] | None
     order: np.ndarray | None = None
 
@@ -303,10 +304,11 @@ def _plan_session(
     profile: MethodProfile,
     system: str,
 ) -> SessionRows:
-    """Check the session against the live model, snapshot it, expand its
-    head, freeze the layers latent replay needs fixed, and build the
-    session's rows: the new rows, then every stored exemplar, with the
-    snapshot's constants on the exemplars when the session distils."""
+    """Check the session against the live model, snapshot it when it
+    distils replayed rows, expand its head, freeze the layers latent replay
+    needs fixed, and build the session's rows: the new rows, then every
+    stored exemplar, with the snapshot's constants on the exemplars when
+    the session distils."""
     if system not in SYSTEMS:
         raise ConfigError(f"unknown learning system {system!r}")
     if (system == BC) != (profile.head_variant == SIGMOID):
@@ -316,8 +318,9 @@ def _plan_session(
             f"model head {model.head.variant!r} does not match profile {profile.head_variant!r}"
         )
 
-    old_terms_wanted = profile.weights.gamma_d > 0 or profile.weights.gamma_m > 0
-    snapshot = model.snapshot() if old_terms_wanted and model.sessions_trained >= 1 else None
+    # distillation covers the replayed rows only; the margin term needs no snapshot
+    distils = profile.weights.gamma_d > 0 and memory is not None and memory.total() > 0
+    snapshot = model.snapshot() if distils else None
 
     if system == BC:
         model.head.register_task(session.task_id)
@@ -325,10 +328,6 @@ def _plan_session(
         model.head.expand(session.task_id)
     registry = model.head.registry
 
-    weights = profile.weights
-    if snapshot is None:
-        # no old model yet: the distillation and margin terms are skipped
-        weights = replace(weights, gamma_d=0.0, gamma_m=0.0)
     ext = model.extractor
     if profile.replay_payload == LATENT and memory is not None and model.sessions_trained >= 1:
         # latent replay keeps stored activations valid (and saves the
@@ -342,14 +341,14 @@ def _plan_session(
         latent = memory.payload_kind == LATENT
         if latent != (ext.frozen > ext.capture_layer):
             raise ProtocolError("latent replay needs the layers below the capture layer frozen")
-        if weights.gamma_d > 0:
-            ex = snapshot_constants(snapshot, payloads, ex_classes, weights.T, profile.distill_form, latent)
+        if distils:
+            ex = snapshot_constants(snapshot, payloads, ex_classes, profile.weights.T, profile.distill_form, latent)
         else:
             ex = ReplayConstants(ex_classes)
     classes = _class_targets(registry, session.task_id, session.train.y)
     step = step_rows(system, model, session.train.x, classes, payloads, ex, profile.label_smooth_eps)
     mt_classes = polarity_classes(registry.fake_mask(), profile.aggregation) if system == MT else None
-    return SessionRows(step.x, step.n_new, step.targets, step.ex, weights, mt_classes)
+    return SessionRows(step.x, step.n_new, step.targets, step.ex, mt_classes)
 
 
 def _assemble_batches(
@@ -366,13 +365,10 @@ def _assemble_batches(
     n_new = int(np.count_nonzero(idx < rows.n_new))
     x, targets = rows.x[idx], rows.targets[idx]
     if profile.mixup_alpha > 0 and n_new > 1:
-        new_rows, new_targets = x[:n_new], targets[:n_new]
         partner = mixup_rng.permutation(n_new)
-        (mixed_x, mixed_targets), _ = mixup(
-            (new_rows, new_targets), (new_rows[partner], new_targets[partner]), profile.mixup_alpha, mixup_rng
-        )
-        new_rows[...] = mixed_x
-        new_targets[...] = mixed_targets
+        lam = float(mixup_rng.beta(profile.mixup_alpha, profile.mixup_alpha))
+        for block in (x, targets):
+            block[:n_new] = lam * block[:n_new] + (1.0 - lam) * block[partner]
     ex = rows.ex.take(idx[n_new:] - rows.n_new) if rows.ex is not None and idx.size > n_new else None
     return StepRows(x, n_new, targets, ex)
 
@@ -385,8 +381,9 @@ def run_session(
     config: TrainConfig,
     system: str,
 ) -> None:
-    """One incremental step: snapshot, expand, fit on new plus replayed data,
-    then select exemplars for the new classes and rebalance all quotas."""
+    """One incremental step: snapshot (to distil replayed rows), expand, fit
+    on new plus replayed data, then select exemplars for the new classes and
+    rebalance all quotas."""
     lr = config.lr if model.sessions_trained == 0 else config.lr / 10.0
     batching_rng = substream(config.seed, f"batch:{session.task_id}")
     mixup_rng = substream(config.seed, f"mixup:{session.task_id}")
@@ -402,7 +399,7 @@ def run_session(
                 stop = min(start + config.batch_size, n_rows)
                 step = _assemble_batches(rows, start, stop, profile, mixup_rng)
                 loss_and_gradients(
-                    system, step, model, rows.weights, optimizer.grads, rule=profile.aggregation,
+                    system, step, model, profile.weights, optimizer.grads, rule=profile.aggregation,
                     distill_form=profile.distill_form, mt_classes=rows.mt_classes,
                 )
                 optimizer.step()

@@ -108,6 +108,25 @@ MUTANTS = [
         "task_ids = [s.task_id for s in sessions]",
         ["tests/test_trainer.py::TestRunScenario::test_warmup_task_repeated_in_the_stream_rejected_before_training"],
     ),
+    (
+        "snapshot-for-any-old-term-after-the-first-session", "trainer.py",
+        "snapshot = model.snapshot() if distils else None",
+        "snapshot = (\n        model.snapshot()\n"
+        "        if (profile.weights.gamma_d > 0 or profile.weights.gamma_m > 0) and model.sessions_trained >= 1\n"
+        "        else None\n    )",
+        ["tests/test_trainer.py::TestRunSession::test_a_snapshot_is_taken_only_to_distil_replayed_rows"],
+    ),
+    (
+        "mixup-beta-drawn-before-the-permutation", "trainer.py",
+        "        partner = mixup_rng.permutation(n_new)\n"
+        "        lam = float(mixup_rng.beta(profile.mixup_alpha, profile.mixup_alpha))\n",
+        "        lam = float(mixup_rng.beta(profile.mixup_alpha, profile.mixup_alpha))\n"
+        "        partner = mixup_rng.permutation(n_new)\n",
+        [
+            "tests/test_step.py::test_mixup_mixes_the_gathered_new_rows_with_a_permutation_of_themselves",
+            "tests/test_pins.py::test_metrics_json_pinned",
+        ],
+    ),
     # one bit-moving regrouping per loss kernel: each divides by the window's
     # row count earlier or later, which rounds alike on the pinned runs'
     # power-of-two windows, so the 3-row oracles must catch it

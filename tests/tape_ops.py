@@ -6,14 +6,19 @@ tape only for its reference loss, out of the ops that stay in
 ``cddet.diffcore``; these extend that set with the same ``_op`` and
 ``_accumulate`` conventions: a backward closure per op, gradients
 accumulated into each parent that requires one, and every output checked
-for non-finite entries.
+for non-finite entries. ``DomainError`` is ``log``'s, the one op with a
+restricted domain.
 """
 
 import numpy as np
 
 from cddet import diffcore as dc
 from cddet.diffcore import Array, Tensor
-from cddet.errors import ContractError, DimensionError, DomainError
+from cddet.errors import ContractError, DimensionError, EngineError
+
+
+class DomainError(EngineError):
+    """Input outside the mathematical domain of an operation."""
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from tape_ops import (
+    DomainError,
     clamp,
     concat_rows,
     cosine_pairs,
@@ -20,7 +21,6 @@ from cddet.errors import (
     ContractError,
     DegenerateInputError,
     DimensionError,
-    DomainError,
 )
 
 

@@ -1,13 +1,17 @@
 """Every name a module under ``src/`` or ``tests/`` imports is read somewhere
-in that module (``from __future__`` imports aside), and every function or
+in that module (``from __future__`` imports aside), every function or
 method defined under ``src/`` (dunders aside) is read as code somewhere under
-``src/``, ``tests/`` or ``perfbench/``."""
+``src/``, ``tests/`` or ``perfbench/``, and every exception class of
+``cddet.errors`` is raised under ``src/`` or is the base of one that is."""
 
 import ast
+import inspect
 import re
 from pathlib import Path
 
 import pytest
+
+from cddet import errors
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src").rglob("*.py"))
@@ -90,3 +94,28 @@ def test_every_definition_under_src_is_read():
     assert len(found) > 100  # the scan reaches the engine's modules
     unread = [f"{p.relative_to(ROOT)}:{line}: {name}" for p, (name, line) in found if name not in read]
     assert unread == []
+
+
+def raised_names(source: str) -> set[str]:
+    """The names of the classes a module raises: ``raise X`` and ``raise X(...)``."""
+    raised = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name):
+                raised.add(exc.id)
+    return raised
+
+
+def test_the_scan_finds_a_raised_class():
+    source = "try:\n    raise A('a')\nexcept A as exc:\n    raise B from exc\nraise\nraise c.D()\n"
+    assert raised_names(source) == {"A", "B"}
+
+
+def test_every_error_class_is_raised_under_src():
+    raised = set().union(*(raised_names(p.read_text(encoding="utf-8")) for p in SOURCES))
+    classes = [c for _, c in inspect.getmembers(errors, inspect.isclass) if c.__module__ == errors.__name__]
+    assert len(classes) > 5  # the scan reaches the hierarchy
+    used = {c for c in classes if c.__name__ in raised}
+    unraised = [c.__name__ for c in classes if not any(issubclass(u, c) for u in used)]
+    assert unraised == []

@@ -291,29 +291,6 @@ class TestLabelSmooth:
             np.testing.assert_allclose(rows.sum(axis=1), 1.0, atol=1e-12)
 
 
-class TestMixup:
-    def test_identity_coefficient(self):
-        x, y = ls.mix_pairs(np.array([[1.0]]), np.array([[1.0, 0.0]]), np.array([[5.0]]), np.array([[0.0, 1.0]]), 1.0)
-        np.testing.assert_array_equal(x, [[1.0]])
-        np.testing.assert_array_equal(y, [[1.0, 0.0]])
-
-    def test_midpoint(self):
-        x, _ = ls.mix_pairs(np.array([[0.0]]), np.array([[1.0, 0.0]]), np.array([[2.0]]), np.array([[0.0, 1.0]]), 0.5)
-        np.testing.assert_array_equal(x, [[1.0]])
-
-    def test_mixed_rows_sum_to_one(self):
-        rng = np.random.default_rng(7)
-        ya = np.eye(4)[rng.integers(0, 4, size=6)]
-        yb = np.eye(4)[rng.integers(0, 4, size=6)]
-        (_, y), lam = ls.mixup((rng.normal(size=(6, 3)), ya), (rng.normal(size=(6, 3)), yb), 0.4, rng)
-        assert 0.0 <= lam <= 1.0
-        np.testing.assert_allclose(y.sum(axis=1), 1.0, atol=1e-12)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ContractError):
-            ls.mix_pairs(np.zeros((2, 3)), np.zeros((2, 2)), np.zeros((3, 3)), np.zeros((3, 2)), 0.5)
-
-
 def _small_model(variant=LINFC, tasks=2, seed=0, d=5):
     rng = np.random.default_rng(seed)
     model = Model.build(d, variant, rng, hidden=(6,), feature_width=4)

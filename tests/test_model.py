@@ -1,4 +1,6 @@
+import errno
 import json
+import os
 import re
 
 import numpy as np
@@ -6,7 +8,7 @@ import pytest
 
 from cddet import losses as ls
 from cddet import model as mdl
-from cddet.errors import ConfigError, ContractError, ProtocolError
+from cddet.errors import ConfigError, ContractError, ParseError, ProtocolError
 from cddet.model import BC, COSFC, FAKE, LINFC, MC, REAL, SIGMOID, Model
 
 
@@ -218,12 +220,34 @@ class TestCheckpoint:
 
 
 class TestCheckpointValidation:
-    @pytest.mark.parametrize("blob", [b"{", b'{"format": "\xff"}'])
-    def test_file_that_is_not_json_rejected(self, tmp_path, blob):
+    @pytest.mark.parametrize(
+        "blob, error, message",
+        [
+            pytest.param(b"{", ConfigError, "checkpoint {path}: not a JSON document (", id="{"),
+            # bytes that are not UTF-8 read as in every other input file
+            pytest.param(
+                b'{"format": "\xff"}', ParseError, "line 1: not UTF-8 text (invalid start byte)",
+                id='{"format": "\xff"}',
+            ),
+        ],
+    )
+    def test_file_that_is_not_json_rejected(self, tmp_path, blob, error, message):
         path = tmp_path / "ckpt.json"
         path.write_bytes(blob)
-        with pytest.raises(ConfigError, match=f"checkpoint {re.escape(str(path))}: not a JSON document"):
+        with pytest.raises(error, match="^" + re.escape(message.format(path=path))) as info:
             mdl.load_checkpoint(path)
+        if error is ParseError:
+            assert info.value.path == path
+
+    @pytest.mark.parametrize("kind", ["directory", "absent"])
+    def test_unreadable_file_rejected_naming_it(self, tmp_path, kind):
+        path = tmp_path / "ckpt.json"
+        if kind == "directory":
+            path.mkdir()
+        reason = os.strerror(errno.EISDIR if kind == "directory" else errno.ENOENT)
+        with pytest.raises(ParseError, match=f"^{re.escape(f'cannot read ({reason})')}$") as info:
+            mdl.load_checkpoint(path)
+        assert info.value.path == path
 
     def _saved_payload(self, tmp_path):
         model = make_model(LINFC, tasks=2, seed=3)

@@ -68,7 +68,7 @@ def _tape_gradients(system, profile, step, model, rows):
     leaves' gradients."""
     leaves = ls.tape_leaves(model)
     loss = ls.total_loss(
-        system, step, model, rows.weights,
+        system, step, model, profile.weights,
         rule=profile.aggregation, distill_form=profile.distill_form, leaves=leaves,
     )
     loss.backward()
@@ -98,7 +98,7 @@ def _assert_step_matches_tape(system, profile, model, rows, new_rows, pool_rows,
     optimizer = Adam(model, lr=FAST.lr)
     optimizer.g.fill(np.nan)  # a gradient the step leaves unwritten cannot match
     value = ls.loss_and_gradients(
-        system, step, model, rows.weights, optimizer.grads, rule=profile.aggregation,
+        system, step, model, profile.weights, optimizer.grads, rule=profile.aggregation,
         distill_form=profile.distill_form, mt_classes=rows.mt_classes,
     )
     names = _parameter_names(model)[2 * model.extractor.frozen :]
@@ -200,6 +200,34 @@ def test_mixup_leaves_the_session_rows_unwritten():
     assert mixed
     assert rows.x.tobytes() == source.tobytes()
     assert rows.targets.tobytes() == targets.tobytes()
+
+
+def test_mixup_mixes_the_gathered_new_rows_with_a_permutation_of_themselves():
+    """Under mixup a step draws a permutation of its new rows, then the
+    coefficient, from its generator, and mixes its gathered new rows and
+    their label rows with it; the replayed rows stay as gathered."""
+    options = {"mixup_alpha": 0.4, "label_smooth_eps": 0.1}
+    profile, sessions, model, memory = _setup(MC, "distill", options)
+    for session in sessions[:-1]:
+        run_session(model, memory, session, profile, FAST, MC)
+    rows = _plan_session(model, memory, sessions[-1], profile, MC)
+    rows.shuffle(np.random.default_rng(1).permutation(len(rows)), 8)
+    alpha, mixed = profile.mixup_alpha, 0
+    for start in range(0, len(rows), 8):
+        stop = min(start + 8, len(rows))
+        step = _assemble_batches(rows, start, stop, profile, np.random.default_rng(start))
+        n_new, idx = step.n_new, rows.order[start:stop]
+        for got, gathered in ((step.x, rows.x[idx]), (step.targets, rows.targets[idx])):
+            want = gathered.copy()
+            if n_new > 1:
+                r = np.random.default_rng(start)
+                partner = r.permutation(n_new)
+                lam = float(r.beta(alpha, alpha))
+                want[:n_new] = lam * gathered[:n_new] + (1 - lam) * gathered[:n_new][partner]
+            assert got.tobytes() == want.tobytes()
+        np.testing.assert_allclose(step.targets.sum(axis=1), 1.0, rtol=0, atol=1e-12)
+        mixed += n_new > 1
+    assert mixed
 
 
 # the arrays of the replayed rows' constants that each distillation form reads

@@ -85,7 +85,7 @@ class TestAdam:
             optimizer = Adam(model, lr=FAST.lr)
             optimizer.g.fill(np.nan)
             loss_and_gradients(
-                system, step, model, rows.weights, optimizer.grads, rule=profile.aggregation,
+                system, step, model, profile.weights, optimizer.grads, rule=profile.aggregation,
                 distill_form=profile.distill_form, mt_classes=rows.mt_classes,
             )
             assert not np.isnan(optimizer.g).any()
@@ -244,6 +244,37 @@ class TestRunSession:
         run_session(model, memory, sessions[0], profile, FAST, BC)
         assert model.head.theta.shape[0] == 1
         assert model.head.registry.task_ids() == [1]
+
+    def test_a_snapshot_is_taken_only_to_distil_replayed_rows(self, monkeypatch):
+        """Distillation covers the replayed rows only: with no memory, or
+        with gamma_d = 0 (the margin term alone), no session reads a
+        snapshot."""
+
+        def forbidden(self):
+            raise AssertionError("a session took a snapshot it does not read")
+
+        monkeypatch.setattr(Model, "snapshot", forbidden)
+        scenario = tiny_scenario(3, seed=3)
+        for name, budget, options in (("distill", 0, {}), ("rebalance", 40, {"gamma_d": 0.0, "distill_form": "none"})):
+            model, memory, sessions, _ = fresh_setup(profile_name=name, budget=budget, scenario=scenario)
+            profile = resolve_profile(name, MC, **options)
+            for session in sessions:
+                run_session(model, memory, session, profile, FAST, MC)
+            assert model.sessions_trained == len(sessions)
+
+    def test_a_distilling_replay_run_snapshots_once_a_later_session(self, monkeypatch):
+        taken = []
+        snapshot = Model.snapshot
+
+        def counted(self):
+            taken.append(self.sessions_trained)
+            return snapshot(self)
+
+        monkeypatch.setattr(Model, "snapshot", counted)
+        model, memory, sessions, profile = fresh_setup(profile_name="rebalance", scenario=tiny_scenario(3, seed=3))
+        for session in sessions:
+            run_session(model, memory, session, profile, FAST, MC)
+        assert taken == [1, 2]
 
     def test_latent_replay_profile(self):
         model, memory, sessions, profile = fresh_setup(profile_name="replay")
