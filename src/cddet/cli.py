@@ -46,7 +46,6 @@ from .metrics import (
 from .model import SYSTEMS, save_checkpoint
 from .stream import _SCENARIO_SOURCES, SCENARIO_KINDS, build_scenario, load_dataset, synth_generate
 from .trainer import MethodProfile, TrainConfig, resolve_profile, run_scenario_over_sessions
-from .verify import format_report, run_battery
 
 _BOOLEANS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
@@ -332,6 +331,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         TrainConfig(seed=args.seed)  # the seed check a run makes
     except ConfigError as exc:
         return _usage_error(exc)
+    from .verify import format_report, run_battery  # the oracle battery stays out of run and eval
     results = run_battery(seed=args.seed)
     print(format_report(results))
     return 0 if all(r.passed for r in results) else 1

@@ -175,11 +175,15 @@ class ExemplarMemory:
     # -- persistence ---------------------------------------------------
 
     def to_payload(self) -> dict:
+        """The memory as a checkpoint's ``memory`` object. Each class's
+        ``rows`` is its stored array itself, not a copy as lists, which
+        ``model.save_checkpoint`` writes row by row; ``from_payload`` reads
+        rows given as arrays or as the lists a loaded checkpoint holds."""
         return {
             "kind": self.payload_kind,
             "budget": self.budget,
             "classes": {
-                str(class_idx): {"task_id": task_id if rows.shape[0] else -1, "rows": rows.tolist()}
+                str(class_idx): {"task_id": task_id if rows.shape[0] else -1, "rows": rows}
                 for class_idx, (task_id, rows) in self.classes.items()
             },
         }

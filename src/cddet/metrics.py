@@ -219,32 +219,30 @@ def read_accuracy_matrix(path) -> Array:
 
 
 def write_pr_curves(path, curves: dict[int, PRCurve]) -> None:
-    lines = ["task_id,threshold,precision,recall"]
-    for task_id in sorted(curves):
-        curve = curves[task_id]
-        for t, p, r in zip(curve.thresholds, curve.precision, curve.recall):
-            lines.append(f"{task_id},{float(t)!r},{float(p)!r},{float(r)!r}")
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("task_id,threshold,precision,recall\n")
+        for task_id in sorted(curves):
+            curve = curves[task_id]
+            for t, p, r in zip(curve.thresholds, curve.precision, curve.recall):
+                fh.write(f"{task_id},{float(t)!r},{float(p)!r},{float(r)!r}\n")
 
 
 _PREDICTIONS_HEADER = "task_id,record_id,true_label,pred_label,p_fake,true_class,pred_class"
 
 
 def write_predictions(path, logs: dict[int, PredictionLog]) -> None:
-    lines = [_PREDICTIONS_HEADER]
-    for task_id in sorted(logs):
-        log = logs[task_id]
-        has_classes = log.true_class is not None
-        for i, rid in enumerate(log.record_ids):
-            tc = str(int(log.true_class[i])) if has_classes else ""
-            pc = str(int(log.pred_class[i])) if has_classes else ""
-            lines.append(
-                f"{task_id},{rid},{int(log.true_polarity[i])},"
-                f"{int(log.pred_polarity[i])},{float(log.p_fake[i])!r},{tc},{pc}"
-            )
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(_PREDICTIONS_HEADER + "\n")
+        for task_id in sorted(logs):
+            log = logs[task_id]
+            has_classes = log.true_class is not None
+            for i, rid in enumerate(log.record_ids):
+                tc = str(int(log.true_class[i])) if has_classes else ""
+                pc = str(int(log.pred_class[i])) if has_classes else ""
+                fh.write(
+                    f"{task_id},{rid},{int(log.true_polarity[i])},"
+                    f"{int(log.pred_polarity[i])},{float(log.p_fake[i])!r},{tc},{pc}\n"
+                )
 
 
 def _numbers(values: tuple, dtype, where: Array) -> tuple[Array, Array, Array]:

@@ -135,34 +135,48 @@ class FeatureExtractor:
         return self.forward_with_capture(x)[0]
 
     def forward_with_capture(self, x) -> tuple[Array, Array]:
-        """Features, plus the capture-layer activation (the input itself when
-        the extractor is a single linear layer)."""
+        """Features, plus the capture-layer activation (a copy of the input
+        when the extractor is a single linear layer).
+
+        Layers run one at a time, so only the running activation and the
+        capture activation stay alive."""
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         if x.shape[1] != self.input_width:
             raise ContractError(f"input width {x.shape[1]} != {self.input_width}")
         if x.shape[0] == 0:
             raise ContractError("empty batch")
-        acts = self.np_activations(x)
-        capture = self.capture_layer + 1
-        return acts[-1], acts[capture] if capture < len(acts) - 1 else x.copy()
+        h, captured = x, None
+        for i in range(len(self.weights)):
+            h = self.np_activations(h, i, i + 1)[-1]
+            if i == self.capture_layer:
+                captured = h
+        return h, captured if self.capture_layer < len(self.weights) - 1 else x.copy()
 
     def forward_from_latent(self, latent) -> Array:
-        """Resume the forward pass from a stored capture-layer activation."""
+        """Resume the forward pass from a stored capture-layer activation,
+        one layer at a time."""
         h = np.atleast_2d(np.asarray(latent, dtype=np.float64))
         if h.shape[1] != self.latent_width:
             raise ContractError(f"latent width {h.shape[1]} != {self.latent_width}")
-        return self.np_activations(h, self.capture_layer + 1)[-1]
+        for i in range(self.capture_layer + 1, len(self.weights)):
+            h = self.np_activations(h, i, i + 1)[-1]
+        return h
 
     def np_activations(self, x: Array, start: int = 0, stop: int | None = None) -> list[Array]:
         """Layers ``start`` onward (up to, not including, ``stop``) on plain
         arrays, with the tape's arithmetic and a finiteness check on every
         pre-activation: ``x``, then each hidden layer's relu output, then
-        the features."""
+        the features.
+
+        Each layer allocates one array, its pre-activation, and adds the
+        bias and applies the relu in place on it; ``x`` is never written."""
         acts = [x]
         last = len(self.weights) - 1
         for i in range(start, last + 1 if stop is None else stop):
-            z = dc.checked(acts[-1] @ self.weights[i] + self.biases[i], f"layer {i} pre-activation")
-            acts.append(dc.np_relu(z) if i < last else z)
+            z = acts[-1] @ self.weights[i]
+            z += self.biases[i]
+            dc.checked(z, f"layer {i} pre-activation")
+            acts.append(np.maximum(z, 0.0, out=z) if i < last else z)
         return acts
 
     def parameters(self) -> list[Array]:
@@ -401,13 +415,15 @@ def save_checkpoint(path, model: Model, memory_payload: dict | None = None) -> N
 
 
 def _write_json(fh, obj) -> None:
-    """Write what ``json.dump(obj, fh, sort_keys=True)`` writes.
+    """Write what ``json.dump(obj, fh, sort_keys=True)`` writes, with each
+    numpy array written as its ``tolist()``.
 
     ``json.dump`` to a file always runs the pure-Python encoder, and one
     ``json.dumps`` of the whole checkpoint holds every float's text at once,
-    several times the file's size. So objects and lists of lists are walked
-    here, and each other value (a parameter row, an exemplar) is encoded by
-    one ``json.dumps`` call, which runs the C encoder.
+    several times the file's size. So objects, lists of lists and arrays of
+    two or more dimensions (the exemplar rows) are walked here, an array row
+    by row, and each other value (a parameter row, an exemplar) is encoded
+    by one ``json.dumps`` call, which runs the C encoder.
     """
     if isinstance(obj, dict):
         fh.write("{")
@@ -416,14 +432,16 @@ def _write_json(fh, obj) -> None:
             fh.write(json.dumps(key) + ": ")
             _write_json(fh, obj[key])
         fh.write("}")
-    elif isinstance(obj, list) and obj and isinstance(obj[0], (list, dict)):
+    elif (isinstance(obj, np.ndarray) and obj.ndim > 1) or (
+        isinstance(obj, list) and obj and isinstance(obj[0], (list, dict))
+    ):
         fh.write("[")
         for i, item in enumerate(obj):
             fh.write(", " if i else "")
             _write_json(fh, item)
         fh.write("]")
     else:
-        fh.write(json.dumps(obj, sort_keys=True))
+        fh.write(json.dumps(obj.tolist() if isinstance(obj, np.ndarray) else obj, sort_keys=True))
 
 
 def load_checkpoint(path) -> tuple[Model, dict | None]:

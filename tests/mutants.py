@@ -127,6 +127,18 @@ MUTANTS = [
             "tests/test_pins.py::test_metrics_json_pinned",
         ],
     ),
+    (
+        "relu-written-into-the-layer-input", "model.py",
+        "z = acts[-1] @ self.weights[i]",
+        "z = np.maximum(acts[-1], 0.0, out=acts[-1]) @ self.weights[i]",
+        ["tests/test_model.py::TestForward::test_forward_passes_leave_their_inputs_unwritten"],
+    ),
+    (
+        "capture-taken-after-the-next-layer", "model.py",
+        "if i == self.capture_layer:",
+        "if i == self.capture_layer + 1:",
+        ["tests/test_model.py::TestRegistryInvariants::test_latent_replay_roundtrip"],
+    ),
     # one bit-moving regrouping per loss kernel: each divides by the window's
     # row count earlier or later, which rounds alike on the pinned runs'
     # power-of-two windows, so the 3-row oracles must catch it

@@ -2,11 +2,15 @@
 in that module (``from __future__`` imports aside), every function or
 method defined under ``src/`` (dunders aside) is read as code somewhere under
 ``src/``, ``tests/`` or ``perfbench/``, and every exception class of
-``cddet.errors`` is raised under ``src/`` or is the base of one that is."""
+``cddet.errors`` is raised under ``src/`` or is the base of one that is.
+``cddet.cli`` loads the oracle battery only for ``cddet verify``."""
 
 import ast
 import inspect
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -119,3 +123,13 @@ def test_every_error_class_is_raised_under_src():
     used = {c for c in classes if c.__name__ in raised}
     unraised = [c.__name__ for c in classes if not any(issubclass(u, c) for u in used)]
     assert unraised == []
+
+
+def test_the_cli_leaves_the_oracle_battery_unloaded():
+    """``cddet run`` and ``cddet eval`` do not import ``cddet.verify``;
+    ``cmd_verify`` imports it when it runs."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    code = "import sys, cddet.cli; print('cddet.verify' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"

@@ -1,3 +1,6 @@
+import io
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +9,7 @@ from hypothesis import strategies as st
 from cddet import memory as mem
 from cddet.errors import ConfigError, ContractError, EngineError
 from cddet.memory import ExemplarMemory, capture, herd_select, quotas
-from cddet.model import LINFC, Model
+from cddet.model import LINFC, Model, _write_json
 
 
 def brute_force_greedy_step(features, chosen, k):
@@ -217,11 +220,15 @@ class TestPayloadValidation:
     """``from_payload`` rejects what ``to_payload`` cannot write, naming the field."""
 
     def _payload(self):
+        """A payload in the form ``load_checkpoint`` hands to ``from_payload``:
+        rows as lists, as read back from the written JSON."""
         memory = ExemplarMemory(budget=4, payload_kind=mem.RAW)
         rng = np.random.default_rng(8)
         memory.add_class(0, rng.normal(size=(2, 5)), task_id=1)
         memory.add_class(1, rng.normal(size=(2, 5)), task_id=1)
-        return memory.to_payload()
+        written = io.StringIO()
+        _write_json(written, memory.to_payload())
+        return json.loads(written.getvalue())
 
     def _model(self):
         model = Model.build(5, LINFC, np.random.default_rng(9), hidden=(7,), feature_width=4)

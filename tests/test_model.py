@@ -72,6 +72,34 @@ class TestForward:
             np.testing.assert_array_equal(features, taped_features.data)
             np.testing.assert_array_equal(logits, taped_logits.data)
 
+    @pytest.mark.parametrize("hidden", [(8, 8), ()])
+    def test_forward_passes_leave_their_inputs_unwritten(self, hidden):
+        """The layers add the bias and apply the relu in place on their own
+        pre-activations only: raw rows, stored latents and a training step's
+        rows are byte-identical after the call, and the capture activation
+        shares no memory with the input (with no hidden layer it is a copy
+        of the input)."""
+        model = Model.build(6, LINFC, np.random.default_rng(6), hidden=hidden, feature_width=5)
+        model.head.expand(1)
+        model.head.expand(2)
+        rng = np.random.default_rng(7)
+        x = rng.normal(size=(6, 6))
+        latent = rng.normal(size=(6, model.extractor.latent_width))
+        step = ls.step_rows(MC, model, x[:4], np.array([2, 3, 2, 3]), x[4:], ls.ReplayConstants(np.array([0, 1])))
+        grads = [np.empty_like(p) for p in model.parameters()]
+        calls = [
+            (x, lambda: model.forward(x)),
+            (x, lambda: model.extractor.forward_with_capture(x)),
+            (latent, lambda: model.forward_from_latent(latent)),
+            (step.x, lambda: ls.loss_and_gradients(MC, step, model, ls.LossWeights(gamma_m=1.0), grads)),
+        ]
+        for rows, call in calls:
+            before = rows.copy()
+            call()
+            assert rows.tobytes() == before.tobytes()
+        _, captured = model.extractor.forward_with_capture(x)
+        assert not np.shares_memory(captured, x)
+
     def test_sigmoid_head_single_output(self):
         model = make_model(SIGMOID, tasks=4)
         x = np.random.default_rng(1).normal(size=(3, 6))
@@ -283,15 +311,24 @@ class TestCheckpointValidation:
             mdl.load_checkpoint(path)
 
     def test_save_writes_what_json_dump_writes(self, tmp_path):
+        """Memory rows given as the arrays ``to_payload`` returns, or as the
+        lists ``load_checkpoint`` returns, are written as ``json.dump``
+        writes the lists."""
         model = make_model(LINFC, tasks=2, seed=4)
-        classes = {"2": {"task_id": 2, "rows": [[0.1, 1e-300, -2.5]]}, "10": {"task_id": 6, "rows": []}}
-        memory = {"kind": "raw", "budget": 3, "classes": classes}
-        path = tmp_path / "ckpt.json"
-        mdl.save_checkpoint(path, model, memory)
+        arrays = {
+            "2": np.array([[0.1, 1e-300, -2.5]]),
+            "10": np.empty((0, 3)),
+            "11": np.array([[1.0, -0.0, 3e8], [5e-324, 2.0 / 3.0, -1.5], [7.0, 1e22, 0.25]]),
+        }
+        listed = {key: {"task_id": 2, "rows": rows.tolist()} for key, rows in arrays.items()}
+        memory = {"kind": "raw", "budget": 3, "classes": listed}
         blob = {"format": mdl.CHECKPOINT_FORMAT, "model": mdl._model_payload(model), "memory": memory}
         with open(tmp_path / "dumped.json", "w", encoding="utf-8") as fh:
             json.dump(blob, fh, sort_keys=True)
-        assert path.read_bytes() == (tmp_path / "dumped.json").read_bytes()
+        path = tmp_path / "ckpt.json"
+        for classes in (listed, {key: {"task_id": 2, "rows": rows} for key, rows in arrays.items()}):
+            mdl.save_checkpoint(path, model, {"kind": "raw", "budget": 3, "classes": classes})
+            assert path.read_bytes() == (tmp_path / "dumped.json").read_bytes()
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_non_finite_parameters_rejected(self, tmp_path, value):
