@@ -1,6 +1,9 @@
 """Embedded verification battery: every check pits an implementation against
 an independent oracle (finite differences, exhaustive scans) and reports one
-pass/fail line. Deterministic under the given seed."""
+pass/fail line. Deterministic under the given seed.
+
+Each oracle lives here once: the tier-1 tests call these checks, at their
+own strength (trials or points), and assert on the ``CheckResult``."""
 
 from __future__ import annotations
 
@@ -210,7 +213,7 @@ def check_aggregation_coincidence(seed: int, trials: int = 1000) -> CheckResult:
     for _ in range(trials):
         logits = rng.normal(size=2)
         base = ls.aggregate(logits, pol_pair, "sumlog")
-        for rule in ("sumlogit", "max"):
+        for rule in ls.AGG_RULES[1:]:
             other = ls.aggregate(logits, pol_pair, rule)
             worst = max(worst, abs(other[0] - base[0]), abs(other[1] - base[1]))
         wide = rng.normal(size=5)

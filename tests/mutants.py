@@ -63,6 +63,12 @@ MUTANTS = [
         ["tests/test_memory.py::TestHerding::test_tie_breaks_to_lowest_index"],
     ),
     (
+        "herding-tie-break-depends-on-m", "memory.py",
+        "best = _herd_exact_pick(features, mu, total, np.flatnonzero(~taken), k)",
+        "best = _herd_exact_pick(features, mu, total, np.flatnonzero(~taken)[:: (-1) ** m], k)",
+        ["tests/test_memory.py::TestHerdingPrefix::test_a_shorter_selection_is_a_prefix"],
+    ),
+    (
         "quota-remainder-to-highest-classes", "memory.py",
         "(1 if i < rem else 0)",
         "(1 if i >= num_classes - rem else 0)",
@@ -128,6 +134,18 @@ MUTANTS = [
         ],
     ),
     (
+        "latent-replay-freezes-in-the-first-session", "trainer.py",
+        "and model.sessions_trained >= 1:",
+        "and model.sessions_trained >= 0:",
+        ["tests/test_trainer.py::TestRunRelations::test_one_session_trains_one_model_at_any_budget"],
+    ),
+    (
+        "rebalance-reserves-the-next-tasks-classes", "trainer.py",
+        "memory.rebalance(len(model.head.registry))",
+        "memory.rebalance(len(model.head.registry) + 2)",
+        ["tests/test_trainer.py::TestRunRelations::test_budgets_past_every_train_row_agree"],
+    ),
+    (
         "relu-written-into-the-layer-input", "model.py",
         "z = acts[-1] @ self.weights[i]",
         "z = np.maximum(acts[-1], 0.0, out=acts[-1]) @ self.weights[i]",
@@ -138,6 +156,12 @@ MUTANTS = [
         "if i == self.capture_layer:",
         "if i == self.capture_layer + 1:",
         ["tests/test_model.py::TestRegistryInvariants::test_latent_replay_roundtrip"],
+    ),
+    (
+        "battery-drops-a-check", "verify.py",
+        "        check_snapshot_immutability(seed),\n",
+        "",
+        ["tests/test_cli.py::TestVerify::test_battery_passes_and_is_deterministic"],
     ),
     # one bit-moving regrouping per loss kernel: each divides by the window's
     # row count earlier or later, which rounds alike on the pinned runs'

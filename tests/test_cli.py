@@ -480,7 +480,16 @@ class TestVerify:
         second = capsys.readouterr().out
         assert first == second
         names = [line.split()[1] for line in first.strip().splitlines()[:-1]]
-        assert len(names) >= 5
+        assert names == [
+            "loss-gradient-suite",
+            "step-central-differences",
+            "step-equals-tape",
+            "herding-greedy-oracle",
+            "ap-threshold-oracle",
+            "aggregation-coincidence",
+            "snapshot-immutability",
+            "metric-bruteforce",
+        ]
         assert all(line.startswith("PASS") for line in first.strip().splitlines()[:-1])
 
     def test_negative_seed_is_a_usage_error(self, capsys):

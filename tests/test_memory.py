@@ -10,20 +10,7 @@ from cddet import memory as mem
 from cddet.errors import ConfigError, ContractError, EngineError
 from cddet.memory import ExemplarMemory, capture, herd_select, quotas
 from cddet.model import LINFC, Model, _write_json
-
-
-def brute_force_greedy_step(features, chosen, k):
-    """Independent one-step oracle: full scan of every remaining candidate."""
-    mu = features.mean(axis=0)
-    total = features[chosen].sum(axis=0) if chosen else np.zeros(features.shape[1])
-    best, best_dist = None, None
-    for i in range(len(features)):
-        if i in chosen:
-            continue
-        dist = float(np.linalg.norm(mu - (total + features[i]) / k))
-        if best_dist is None or dist < best_dist:
-            best, best_dist = i, dist
-    return best
+from cddet.verify import check_herding_oracle
 
 
 class TestHerding:
@@ -55,17 +42,8 @@ class TestHerding:
         assert herd_select(feats, 8) == herd_select(feats, 8)
 
     def test_every_step_matches_bruteforce_oracle(self):
-        rng = np.random.default_rng(3)
-        for _ in range(40):
-            n = int(rng.integers(2, 13))
-            f = int(rng.integers(1, 5))
-            feats = rng.normal(size=(n, f))
-            m = int(rng.integers(1, n + 1))
-            order = herd_select(feats, m)
-            chosen: list[int] = []
-            for k, picked in enumerate(order, start=1):
-                assert picked == brute_force_greedy_step(feats, chosen, k)
-                chosen.append(picked)
+        result = check_herding_oracle(3, trials=40)
+        assert result.passed, result.detail
 
     def test_tie_breaks_to_lowest_index(self):
         # mean is 2.0; all four candidates tie at distance 1 on the first step
@@ -140,6 +118,17 @@ class TestScreenedHerding:
         monkeypatch.setattr(mem, "_herd_exact_pick", None)  # calling it would fail
         feats = np.random.default_rng(4).normal(size=(300, 32))
         assert herd_select(feats, 300) == loop_herd_select(feats, 300)
+
+
+class TestHerdingPrefix:
+    @settings(max_examples=150, deadline=None)
+    @given(herding_cases(), st.data())
+    def test_a_shorter_selection_is_a_prefix(self, case, data):
+        """Greedy herding never looks ahead: the first m picks of a longer
+        selection are the selection of m, ties included."""
+        feats, longer = case
+        m = data.draw(st.integers(1, max(1, longer - 1)))
+        assert herd_select(feats, m) == herd_select(feats, longer)[:m]
 
 
 class TestQuotas:

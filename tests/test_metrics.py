@@ -5,6 +5,7 @@ from cddet import metrics as mx
 from cddet.errors import ContractError, DegenerateInputError, ParseError
 from cddet.metrics import aa, aa_m, af, af_last, ap, map_score, pr_curve
 from cddet.trainer import PredictionLog, RunRecord
+from cddet.verify import check_ap_oracle, check_metric_bruteforce
 
 
 def upper_triangular(rng, n):
@@ -13,40 +14,6 @@ def upper_triangular(rng, n):
         for j in range(i, n):
             b[i, j] = rng.uniform(0, 1)
     return b
-
-
-def oracle_aa(b):
-    n = b.shape[0]
-    total = 0.0
-    for i in range(n):
-        total += float(b[i, n - 1])
-    return total / n
-
-
-def oracle_af(b):
-    n = b.shape[0]
-    acc = 0.0
-    for i in range(n - 1):
-        row = 0.0
-        for j in range(i + 1, n):
-            row += float(b[i, j]) - float(b[i, i])
-        acc += row / (n - 1 - i)
-    return acc / (n - 1)
-
-
-def oracle_ap(scores, labels):
-    """Full-scan threshold enumeration; positive means score >= threshold."""
-    pos = sum(1 for l in labels if l == 1)
-    points = []
-    for t in sorted(set(scores), reverse=True):
-        tp = sum(1 for s, l in zip(scores, labels) if s >= t and l == 1)
-        fp = sum(1 for s, l in zip(scores, labels) if s >= t and l == 0)
-        points.append((tp / pos, tp / (tp + fp)))
-    total, prev_r = 0.0, 0.0
-    for r, p in points:
-        total += (r - prev_r) * p
-        prev_r = r
-    return total
 
 
 EXAMPLE = np.array(
@@ -96,12 +63,8 @@ class TestAF:
         assert af_last(EXAMPLE) == pytest.approx(((0.7 - 0.9) + (0.85 - 0.95)) / 2, abs=1e-12)
 
     def test_matches_bruteforce_exactly(self):
-        rng = np.random.default_rng(0)
-        for _ in range(50):
-            n = int(rng.integers(2, 9))
-            b = upper_triangular(rng, n)
-            assert aa(b) == oracle_aa(b)
-            assert af(b) == oracle_af(b)
+        result = check_metric_bruteforce(0, trials=50)
+        assert result.passed, result.detail
 
 
 class TestAP:
@@ -136,16 +99,8 @@ class TestAP:
         assert curve.recall[-1] == 1.0
 
     def test_matches_bruteforce_on_random_sets(self):
-        rng = np.random.default_rng(1)
-        for _ in range(200):
-            n = int(rng.integers(2, 13))
-            labels = rng.integers(0, 2, size=n)
-            if labels.min() == labels.max():
-                labels[0] = 1 - labels[0]
-            scores = np.round(rng.uniform(0, 1, size=n), 2)  # rounding forces ties
-            got = ap(pr_curve(scores, labels))
-            want = oracle_ap(list(scores), list(labels))
-            assert got == pytest.approx(want, abs=1e-12)
+        result = check_ap_oracle(1, trials=200)
+        assert result.passed, result.detail
 
     def test_equals_the_sequential_loop_bit_for_bit(self):
         """The vectorised sum adds the same terms in the same order as a

@@ -355,6 +355,48 @@ class TestRunScenario:
         assert len(record.logs[2].record_ids) == 2 * tasks[0].n_test
 
 
+def _trained_bytes(record, stored=False):
+    """A run's accuracy matrix and parameters, and its stored exemplar rows
+    and their classes when ``stored``, as one byte string."""
+    arrays = [record.matrix, *record.model.parameters()]
+    if stored:
+        arrays += record.memory.all_exemplars()
+    return b"".join(a.tobytes() for a in arrays)
+
+
+class TestRunRelations:
+    """Runs that differ only where the method cannot see it train the same model."""
+
+    @pytest.mark.parametrize("system", [BC, MC, MT])
+    def test_one_session_trains_one_model_at_any_budget(self, system):
+        """A one-session stream replays nothing, so the profiles that share a
+        head, label smoothing and mixup train one model at every budget."""
+        scenario = tiny_scenario(1, seed=12)
+        config = TrainConfig(epochs=1, lr=1e-3, batch_size=16, seed=3)
+        first = {}
+        for name in builtin_profiles():
+            profile = resolve_profile(name, system)
+            key = (profile.head_variant, profile.label_smooth_eps, profile.mixup_alpha)
+            for budget in (0, 10, 1500):
+                got = _trained_bytes(run_scenario(scenario, budget, profile, config, system))
+                want_name, want_budget, want = first.setdefault(key, (name, budget, got))
+                assert got == want, f"{name} at budget {budget} differs from {want_name} at budget {want_budget}"
+
+    @pytest.mark.parametrize("system", [BC, MC, MT])
+    def test_budgets_past_every_train_row_agree(self, system):
+        """A budget that holds every train row of the stream stores all of
+        them; a larger one changes nothing."""
+        scenario = tiny_scenario(3, seed=13)
+        rows = sum(len(synth_generate(spec, scenario.seed).train) for spec in scenario.tasks)
+        for name in builtin_profiles():
+            profile = resolve_profile(name, system)
+            full, larger = (run_scenario(scenario, budget, profile, FAST, system) for budget in (rows, 3 * rows))
+            assert full.memory.total() == rows
+            assert _trained_bytes(full, stored=True) == _trained_bytes(larger, stored=True), (
+                f"{name}: budgets {rows} and {3 * rows} differ"
+            )
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 class TestNumericsErrors:
     """An overflowing weight raises NumericsError on every path that runs
