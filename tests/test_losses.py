@@ -4,7 +4,7 @@ import pytest
 from cddet import diffcore as dc
 from cddet import losses as ls
 from cddet.errors import ContractError
-from cddet.losses import LossWeights, ReplayConstants
+from cddet.losses import AGG_RULES, LossWeights, ReplayConstants
 from cddet.model import FAKE, LINFC, MC, MT, REAL, Model
 from cddet.verify import check_aggregation_coincidence, check_loss_gradients
 
@@ -163,6 +163,14 @@ class TestAggregate:
         SumLogit's two scores are the logs of a partition of unity."""
         result = check_aggregation_coincidence(3, trials=1000)
         assert result.passed, result.detail
+
+    def test_sumlogit_partition_of_unity(self):
+        rng = np.random.default_rng(4)
+        polarities = np.array([REAL, FAKE, REAL, FAKE, FAKE])
+        for _ in range(100):
+            logits = rng.normal(size=5)
+            d_f, d_r = ls.aggregate(logits, polarities, "sumlogit")
+            assert np.exp(d_f) + np.exp(d_r) == pytest.approx(1.0, abs=1e-12)
 
     def test_single_polarity_rejected(self):
         with pytest.raises(ContractError):
@@ -445,6 +453,20 @@ class TestLossGradients:
         result = check_loss_gradients(20, points=50)
         assert result.passed, result.detail
 
+    def test_multiclass_ce(self):
+        rng = np.random.default_rng(20)
+        for _ in range(50):
+            targets = rng.integers(0, 5, size=4)
+            f = lambda z: ls.multiclass_ce(z, targets)
+            assert dc.grad_check(f, dc.Tensor(rng.normal(size=(4, 5)))) < 1e-6
+
+    def test_binary_ce(self):
+        rng = np.random.default_rng(21)
+        for _ in range(50):
+            targets = rng.integers(0, 2, size=6)
+            f = lambda z: ls.binary_ce(z, targets)
+            assert dc.grad_check(f, dc.Tensor(rng.normal(size=(6, 1)))) < 1e-6
+
     def test_kd_kl(self):
         rng = np.random.default_rng(22)
         mask = np.array([True, True, True, False, False])
@@ -460,6 +482,13 @@ class TestLossGradients:
             f = lambda z: ls.kd_kl(old, z, 1.0, np.array([True]))
             assert dc.grad_check(f, dc.Tensor(rng.normal(size=(4, 1)))) < 1e-6
 
+    def test_kd_feature(self):
+        rng = np.random.default_rng(24)
+        for _ in range(50):
+            old = rng.normal(size=(3, 4))
+            f = lambda z: ls.kd_feature(old, z)
+            assert dc.grad_check(f, dc.Tensor(rng.normal(size=(3, 4)))) < 1e-6
+
     def test_margin_ranking(self):
         rng = np.random.default_rng(25)
         for _ in range(50):
@@ -467,6 +496,18 @@ class TestLossGradients:
             emb_t = dc.Tensor(emb)
             f = lambda z: ls.margin_ranking(z, emb_t, targets, 0.2, 2)
             assert dc.grad_check(f, dc.Tensor(feats)) < 1e-6
+
+    @pytest.mark.parametrize("rule", AGG_RULES)
+    def test_mt_class_loss(self, rule):
+        rng = np.random.default_rng(26)
+        pol = np.array([REAL, FAKE, REAL, FAKE])
+        for _ in range(50):
+            targets = rng.integers(0, 4, size=3)
+
+            def f(z):
+                return ls.mt_class_loss(z, targets, pol, 0.3, rule)
+
+            assert dc.grad_check(f, dc.Tensor(rng.normal(size=(3, 4)))) < 1e-6
 
     def test_total_loss_composition(self):
         # linear extractor avoids relu kinks; checks the full chain rule
