@@ -2,7 +2,7 @@
 multi-task binary aggregation, plus label smoothing.
 
 All losses return scalar tensors and are differentiable through the live
-model only; snapshot outputs enter as plain arrays and never receive
+model only; the old model's outputs enter as plain arrays and never receive
 gradients. Each loss term is one tape op whose gradient is written in
 closed form. Log-probabilities come from a max-shifted log-softmax or a
 softplus, so they stay finite without any probability floor.
@@ -26,9 +26,10 @@ from them, and the tests and ``cddet verify`` build steps with it directly.
 The reference's forward, ``_forward_joint``, is the only place the network
 is built on the tape, over leaves that wrap the model's parameter arrays
 (``tape_leaves``). The replayed rows' constants have one builder,
-``snapshot_constants``: it runs the snapshot on those rows and keeps only
-what the distillation form reads. Means are written as sum / size, which
-is what ``np.mean`` computes, without its per-call dispatch.
+``snapshot_constants``: it runs the old model on those rows and keeps only
+what the distillation form reads, which is what the loss distils. Means
+are written as sum / size, which is what ``np.mean`` computes, without its
+per-call dispatch.
 """
 
 from __future__ import annotations
@@ -78,10 +79,12 @@ class LossWeights:
 class ReplayConstants:
     """The replayed rows' per-row constants, one row per replayed row: their
     ``classes`` and, from ``snapshot_constants``, what the distillation form
-    reads of the snapshot's outputs on them. The logit forms read the
-    targets ``kd_logp``/``kd_p`` over the snapshot's ``old_cols`` logit
-    columns (a single sigmoid column becomes a pair), the feature forms the
-    snapshot's features ``old_features`` and their row norms ``old_norms``.
+    reads of the old model's outputs on them. The logit forms fill the
+    targets ``kd_logp``/``kd_p`` over the old model's ``old_cols`` logit
+    columns (a single sigmoid column becomes a pair), the feature forms its
+    features ``old_features`` and their row norms ``old_norms``. What is
+    filled in is what the loss distils: the logits when ``kd_p`` is set,
+    the features when ``old_features`` is.
     """
 
     classes: Array
@@ -97,11 +100,9 @@ class ReplayConstants:
         return ReplayConstants(self.classes[idx], self.old_cols, *picked)
 
 
-def _check_distillable(ex: ReplayConstants, distill_form: str) -> None:
-    """Raise unless the replayed rows carry what ``distill_form`` reads."""
-    if (distill_form in ("logit", "logit+feature") and ex.kd_p is None) or (
-        distill_form in ("feature", "logit+feature") and ex.old_features is None
-    ):
+def _check_distillable(ex: ReplayConstants) -> None:
+    """Raise unless the replayed rows carry something to distil towards."""
+    if ex.kd_p is None and ex.old_features is None:
         raise ContractError("distillation needs the snapshot's outputs on the replayed rows")
 
 
@@ -422,20 +423,22 @@ def _broadcast_scalar(s: Tensor, shape: tuple[int, ...]) -> Tensor:
     return dc._op(np.broadcast_to(s.data, shape).copy(), (s,), backward)
 
 
-def _np_forward_joint(snapshot: Model, rows: Array, latent: bool):
-    """The snapshot's features and logits on ``rows`` as plain arrays;
+def _np_forward_joint(model: Model, rows: Array, latent: bool):
+    """The old model's features and logits on ``rows`` as plain arrays;
     ``latent`` rows are capture-layer activations."""
-    return snapshot.forward_from_latent(rows) if latent else snapshot.forward(rows)
+    return model.forward_from_latent(rows) if latent else model.forward(rows)
 
 
 def snapshot_constants(
-    snapshot: Model, rows: Array, classes: Array, T: float, distill_form: str, latent: bool = False
+    model: Model, rows: Array, classes: Array, T: float, distill_form: str, latent: bool = False
 ) -> ReplayConstants:
     """The constants of replayed ``rows`` of ``classes``: what
-    ``distill_form`` reads of the snapshot's outputs on them, the
+    ``distill_form`` reads of the old ``model``'s outputs on them, the
     distillation targets ``kd_logp``/``kd_p`` for the logit forms, the
-    features and their row norms ``old_norms`` for the feature forms."""
-    old_features, old_logits = _np_forward_joint(snapshot, rows, latent)
+    features and their row norms ``old_norms`` for the feature forms. The
+    trainer passes the live model before its head expands or its layers
+    freeze, ``cddet verify`` and the tests a ``Model.snapshot``."""
+    old_features, old_logits = _np_forward_joint(model, rows, latent)
     ex = ReplayConstants(classes, old_logits.shape[1])
     if distill_form in ("logit", "logit+feature"):
         ex.kd_logp, ex.kd_p = kd_targets(old_logits, np.arange(ex.old_cols), T)
@@ -450,13 +453,13 @@ def total_loss(
     model: Model,
     weights: LossWeights,
     rule: str | None = None,
-    distill_form: str = "logit",
     leaves: list[Tensor] | None = None,
 ) -> Tensor:
     """Classification over the step's rows, distillation and margin ranking
     over its replayed rows, weighted by gamma_d and gamma_m; the parameters
     enter as ``leaves`` (by default ``tape_leaves(model)``). Distilling
-    needs ``snapshot_constants`` on the replayed rows."""
+    needs ``snapshot_constants`` on the replayed rows, and distils what
+    they carry: the logits, the features or both."""
     if leaves is None:
         leaves = tape_leaves(model)
     features, logits = _forward_joint(model, leaves, step.x)
@@ -475,13 +478,13 @@ def total_loss(
         ex_feats = dc.take_rows(features, ex_slice)
 
     if wants_distill:
-        _check_distillable(ex, distill_form)
+        _check_distillable(ex)
         distill = None
-        if distill_form in ("logit", "logit+feature"):
+        if ex.kd_p is not None:
             ex_logits = dc.take_rows(logits, ex_slice)
             cols = np.arange(ex.old_cols)
             distill = _loss_op(ex_logits, *_kd_parts(ex.kd_logp, ex.kd_p, ex_logits.data, cols, weights.T), "kd_kl")
-        if distill_form in ("feature", "logit+feature"):
+        if ex.old_features is not None:
             term = kd_feature(ex.old_features, ex_feats)
             distill = term if distill is None else dc.add(distill, term)
         total = dc.add(total, dc.scale(distill, weights.gamma_d))
@@ -562,7 +565,6 @@ def loss_and_gradients(
     weights: LossWeights,
     grads: list[Array],
     rule: str | None = None,
-    distill_form: str = "logit",
     mt_classes: tuple[Array, Array] | None = None,
 ) -> float:
     """``total_loss``'s value on the same ``step``, computed without the
@@ -574,10 +576,11 @@ def loss_and_gradients(
     operands, memory layouts and order of summation, so the value and each
     gradient equal ``total_loss(...)`` and its ``.backward()`` bit for bit.
     ``mt_classes`` is ``polarity_classes`` of the head, which MT steps pass.
-    Distilling reads ``snapshot_constants`` on the replayed rows, and each
-    such step checks that they hold what ``distill_form`` reads
-    (``_check_distillable``). Beyond that and finiteness nothing is checked
-    here: the method profile checks the settings, the readers the rows.
+    Distilling reads ``snapshot_constants`` on the replayed rows and
+    distils what they carry; each such step checks that they carry
+    something (``_check_distillable``). Beyond that and finiteness nothing
+    is checked here: the method profile checks the settings, the readers
+    the rows.
     """
     ext, head = model.extractor, model.head
     acts = ext.np_activations(step.x, ext.frozen)
@@ -603,14 +606,14 @@ def loss_and_gradients(
     d_theta_margin = None
     gamma_d, gamma_m = weights.gamma_d, weights.gamma_m
     if n_ex and gamma_d > 0:
-        _check_distillable(ex, distill_form)
+        _check_distillable(ex)
         distill = 0.0
-        if distill_form in ("logit", "logit+feature"):
+        if ex.kd_p is not None:
             cols = np.arange(ex.old_cols)
             value, g = _kd_parts(ex.kd_logp, ex.kd_p, logits[n_new:], cols, weights.T)
             distill += _checked_loss(value, "kd_kl")
             d_logits[n_new:] += gamma_d * g
-        if distill_form in ("feature", "logit+feature"):
+        if ex.old_features is not None:
             ex_norms = dc.row_norms(ex_feats, "exemplar features")
             value, g = _kd_feature_parts(ex.old_features, ex.old_norms, ex_feats, ex_norms)
             distill += _checked_loss(value, "kd_feature")

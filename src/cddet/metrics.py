@@ -194,26 +194,27 @@ def write_accuracy_matrix(path, matrix: Array) -> None:
 
 @names_its_file
 def read_accuracy_matrix(path) -> Array:
-    lines = [line for line in read_text(path).splitlines() if line.strip() != ""]
+    # blank lines are skipped, and each row keeps its line number in the file
+    lines = [(no, line) for no, line in enumerate(read_text(path).splitlines(), start=1) if line.strip() != ""]
     if not lines:
         raise ParseError("no accuracy rows", line=1)
     n = len(lines)
     matrix = np.full((n, n), np.nan)
-    for i, line in enumerate(lines):
+    for i, (lineno, line) in enumerate(lines):
         fields = line.split(",")
         if len(fields) != n:
-            raise ParseError(f"expected {n} columns, found {len(fields)}", line=i + 1)
+            raise ParseError(f"expected {n} columns, found {len(fields)}", line=lineno)
         for j, field in enumerate(fields):
             if i > j:
                 if field != "":
-                    raise ParseError("below-diagonal entries must be blank", line=i + 1)
+                    raise ParseError("below-diagonal entries must be blank", line=lineno)
                 continue
             try:
                 value = float(field)
             except ValueError:
-                raise ParseError(f"bad accuracy value {field!r}", line=i + 1) from None
+                raise ParseError(f"bad accuracy value {field!r}", line=lineno) from None
             if not 0.0 <= value <= 1.0:
-                raise ParseError(f"accuracy {value} outside [0, 1]", line=i + 1)
+                raise ParseError(f"accuracy {value} outside [0, 1]", line=lineno)
             matrix[i, j] = value
     return matrix
 

@@ -4,7 +4,7 @@ Forward passes take and return plain arrays and record no tape. Layers run
 in ``np_activations``, with a finiteness check on every pre-activation, and
 the head's logit rule is ``ClassifierHead.logits_and_cosines``, which checks
 its cosines and logits. Training, evaluation, herding, latent capture and
-snapshots all run this one path. Parameters are plain arrays; the reference
+the distillation targets all run this one path. Parameters are plain arrays; the reference
 loss on the tape (``losses.total_loss``) wraps them in its own leaves.
 
 Three head variants are supported: a plain linear head ("linfc"), a
@@ -288,7 +288,9 @@ class Model:
         head.bias, head.scale = (other, None) if head.scale is None else (None, other)
 
     def snapshot(self) -> "Model":
-        """Deep copy; training the live model never changes its outputs."""
+        """Deep copy; training the live model never changes its outputs. Only
+        ``cddet verify`` and the tests take one: a run reads the old model's
+        outputs from the live model before a session changes it."""
         if self.sessions_trained < 1:
             raise ProtocolError("snapshot requires at least one trained session")
         return copy.deepcopy(self)

@@ -1,6 +1,6 @@
-"""Incremental session protocol: snapshot (to distil replayed rows), expand,
-train on new data plus replayed exemplars, refresh the memory, and evaluate
-every seen task.
+"""Incremental session protocol: record the old model's outputs on the
+replayed exemplars (to distil them), expand, train on new data plus those
+exemplars, refresh the memory, and evaluate every seen task.
 
 Learning-rate pattern: the first trained session uses the base rate and all
 later sessions a tenth of it. The optimizer state is rebuilt per session
@@ -18,18 +18,19 @@ Training records no tape, and each piece of its work is done at the
 coarsest level at which it is constant:
 
 - once per session, ``_plan_session`` checks the session against the live
-  model, snapshots it only when the session distils replayed rows,
-  freezes the layers latent replay needs fixed and builds the
-  session's rows (``SessionRows``) with ``losses.step_rows``, the one
-  builder of that row layout: the new rows and every stored exemplar,
-  each held once as it enters the network at its first trainable layer,
-  with its target; the replayed rows' classes and, when the session
-  distils, only the constants its distillation form reads of the
-  snapshot's outputs (``losses.snapshot_constants``; the rows keep no
-  snapshot). Each epoch only draws a new row order
-  (``SessionRows.shuffle``);
+  model and, when the session distils replayed rows, records what its
+  distillation form reads of the live model's outputs on them
+  (``losses.snapshot_constants``), before the head expands or any layer
+  freezes: the model copies nothing. It then expands the head, freezes
+  the layers latent replay needs fixed and builds the session's rows as
+  one ``losses.StepRows`` with ``losses.step_rows``, the one builder of
+  that row layout: the new rows and every stored exemplar, each held
+  once as it enters the network at its first trainable layer, with its
+  target, and the replayed rows' classes and constants. ``run_session``
+  takes the MT aggregation's class indices once. Each epoch only draws a
+  new row order (``_epoch_order``);
 - once per step: ``_assemble_batches`` gathers the step's window from those
-  arrays as one ``losses.StepRows`` (mixing its copy of the new rows under
+  arrays as one ``StepRows`` (mixing its copy of the new rows under
   mixup, and taking the replayed rows' constants with one
   ``ReplayConstants.take``),
   ``losses.loss_and_gradients`` computes the loss and writes each gradient
@@ -268,47 +269,21 @@ def _class_targets(registry, task_id: int, polarity: np.ndarray) -> np.ndarray:
     return np.where(polarity == FAKE, fake_cls, real_cls).astype(np.intp)
 
 
-@dataclass
-class SessionRows(StepRows):
-    """A session's rows, held once in ``losses.step_rows``' layout (new rows
-    first), with, for the MT aggregation, the head's (fake, real) class
-    indices (``mt_classes``).
-
-    Once latent replay has frozen the layers up to the capture layer, each
-    new row's activation there is fixed for the session: it is computed
-    once, and the new rows enter there, as the replayed latents do.
-
-    An epoch's permutation is cut into step windows of ``batch_size`` rows;
-    within a window the new rows come first, then the replayed rows, each
-    in permutation order. ``shuffle`` sets that order; each step gathers
-    its window from the arrays.
-    """
-
-    mt_classes: tuple[np.ndarray, np.ndarray] | None
-    order: np.ndarray | None = None
-
-    def __len__(self) -> int:
-        return self.x.shape[0]
-
-    def shuffle(self, perm: np.ndarray, batch_size: int) -> None:
-        """Set the row order of an epoch whose permutation is ``perm``
-        (indices below ``n_new`` are new rows, the rest replayed ones)."""
-        window = np.arange(perm.size) // batch_size * 2
-        self.order = perm[np.argsort(window + (perm >= self.n_new), kind="stable")]
-
-
 def _plan_session(
     model: Model,
     memory: ExemplarMemory | None,
     session: SessionData,
     profile: MethodProfile,
     system: str,
-) -> SessionRows:
-    """Check the session against the live model, snapshot it when it
-    distils replayed rows, expand its head, freeze the layers latent replay
-    needs fixed, and build the session's rows: the new rows, then every
-    stored exemplar, with the snapshot's constants on the exemplars when
-    the session distils."""
+) -> StepRows:
+    """Check the session against the live model, take the replayed rows'
+    constants, expand its head, freeze the layers latent replay needs
+    fixed, and build the session's rows: the new rows, then every stored
+    exemplar with its constants.
+
+    Once latent replay has frozen the layers up to the capture layer, each
+    new row's activation there is fixed for the session: it is computed
+    once, and the new rows enter there, as the replayed latents do."""
     if system not in SYSTEMS:
         raise ConfigError(f"unknown learning system {system!r}")
     if (system == BC) != (profile.head_variant == SIGMOID):
@@ -318,9 +293,17 @@ def _plan_session(
             f"model head {model.head.variant!r} does not match profile {profile.head_variant!r}"
         )
 
-    # distillation covers the replayed rows only; the margin term needs no snapshot
-    distils = profile.weights.gamma_d > 0 and memory is not None and memory.total() > 0
-    snapshot = model.snapshot() if distils else None
+    payloads = ex = None
+    if memory is not None and memory.total():
+        payloads, ex_classes = memory.all_exemplars()
+        latent = memory.payload_kind == LATENT
+        # distillation covers the replayed rows only, towards the outputs of
+        # the model before this session: the live model, read before its
+        # head expands or its layers freeze
+        if profile.weights.gamma_d > 0:
+            ex = snapshot_constants(model, payloads, ex_classes, profile.weights.T, profile.distill_form, latent)
+        else:
+            ex = ReplayConstants(ex_classes)
 
     if system == BC:
         model.head.register_task(session.task_id)
@@ -334,34 +317,31 @@ def _plan_session(
         # backward pass) by freezing the layers below the capture layer
         # once the first session has shaped them
         ext.frozen = ext.capture_layer + 1
+    if payloads is not None and latent != (ext.frozen > ext.capture_layer):
+        raise ProtocolError("latent replay needs the layers below the capture layer frozen")
 
-    payloads = ex = None
-    if memory is not None and memory.total():
-        payloads, ex_classes = memory.all_exemplars()
-        latent = memory.payload_kind == LATENT
-        if latent != (ext.frozen > ext.capture_layer):
-            raise ProtocolError("latent replay needs the layers below the capture layer frozen")
-        if distils:
-            ex = snapshot_constants(snapshot, payloads, ex_classes, profile.weights.T, profile.distill_form, latent)
-        else:
-            ex = ReplayConstants(ex_classes)
     classes = _class_targets(registry, session.task_id, session.train.y)
-    step = step_rows(system, model, session.train.x, classes, payloads, ex, profile.label_smooth_eps)
-    mt_classes = polarity_classes(registry.fake_mask(), profile.aggregation) if system == MT else None
-    return SessionRows(step.x, step.n_new, step.targets, step.ex, mt_classes)
+    return step_rows(system, model, session.train.x, classes, payloads, ex, profile.label_smooth_eps)
+
+
+def _epoch_order(perm: np.ndarray, n_new: int, batch_size: int) -> np.ndarray:
+    """An epoch's row order from its permutation ``perm`` of the session's
+    rows (indices below ``n_new`` are new rows, the rest replayed ones): cut
+    into step windows of ``batch_size`` rows, each window holds its new rows
+    first, then its replayed rows, each in permutation order."""
+    window = np.arange(perm.size) // batch_size * 2
+    return perm[np.argsort(window + (perm >= n_new), kind="stable")]
 
 
 def _assemble_batches(
-    rows: SessionRows,
-    start: int,
-    stop: int,
+    rows: StepRows,
+    idx: np.ndarray,
     profile: MethodProfile,
     mixup_rng: np.random.Generator,
 ) -> StepRows:
-    """The step over rows ``start:stop`` of the epoch's order, gathered from
-    the session's arrays, its new rows mixed when the profile asks for
-    mixup."""
-    idx = rows.order[start:stop]
+    """The step over the session's rows ``idx``, one window of the epoch's
+    order, gathered from the session's arrays, its new rows mixed when the
+    profile asks for mixup."""
     n_new = int(np.count_nonzero(idx < rows.n_new))
     x, targets = rows.x[idx], rows.targets[idx]
     if profile.mixup_alpha > 0 and n_new > 1:
@@ -381,9 +361,9 @@ def run_session(
     config: TrainConfig,
     system: str,
 ) -> None:
-    """One incremental step: snapshot (to distil replayed rows), expand, fit
-    on new plus replayed data, then select exemplars for the new classes and
-    rebalance all quotas."""
+    """One incremental step: take the replayed rows' constants, expand, fit
+    on new plus replayed data, then select exemplars for the new classes
+    and rebalance all quotas."""
     lr = config.lr if model.sessions_trained == 0 else config.lr / 10.0
     batching_rng = substream(config.seed, f"batch:{session.task_id}")
     mixup_rng = substream(config.seed, f"mixup:{session.task_id}")
@@ -391,16 +371,15 @@ def run_session(
     epoch = 0
     try:
         rows = _plan_session(model, memory, session, profile, system)
+        mt_classes = polarity_classes(model.head.registry.fake_mask(), profile.aggregation) if system == MT else None
         optimizer = Adam(model, lr=lr)
-        n_rows = len(rows)
+        n_rows, batch_size = rows.x.shape[0], config.batch_size
         for epoch in range(config.epochs):
-            rows.shuffle(batching_rng.permutation(n_rows), config.batch_size)
-            for start in range(0, n_rows, config.batch_size):
-                stop = min(start + config.batch_size, n_rows)
-                step = _assemble_batches(rows, start, stop, profile, mixup_rng)
+            order = _epoch_order(batching_rng.permutation(n_rows), rows.n_new, batch_size)
+            for start in range(0, n_rows, batch_size):
+                step = _assemble_batches(rows, order[start : start + batch_size], profile, mixup_rng)
                 loss_and_gradients(
-                    system, step, model, profile.weights, optimizer.grads, rule=profile.aggregation,
-                    distill_form=profile.distill_form, mt_classes=rows.mt_classes,
+                    system, step, model, profile.weights, optimizer.grads, rule=profile.aggregation, mt_classes=mt_classes
                 )
                 optimizer.step()
     except NumericsError as exc:

@@ -105,9 +105,7 @@ def _step(system: str, rule, model: Model, rows: ls.StepRows):
     ``model.parameters()`` order."""
     grads = [np.empty_like(p) for p in model.parameters()[2 * model.extractor.frozen :]]
     mt_classes = ls.polarity_classes(model.head.registry.fake_mask(), rule) if system == MT else None
-    value = ls.loss_and_gradients(
-        system, rows, model, STEP_WEIGHTS, grads, rule=rule, distill_form="logit+feature", mt_classes=mt_classes
-    )
+    value = ls.loss_and_gradients(system, rows, model, STEP_WEIGHTS, grads, rule=rule, mt_classes=mt_classes)
     return value, grads
 
 
@@ -145,7 +143,7 @@ def check_step_against_tape(seed: int) -> CheckResult:
         model, rows = _step_case(rng, system, variant, payload)
         value, grads = _step(system, rule, model, rows)
         leaves = ls.tape_leaves(model)
-        loss = ls.total_loss(system, rows, model, STEP_WEIGHTS, rule=rule, distill_form="logit+feature", leaves=leaves)
+        loss = ls.total_loss(system, rows, model, STEP_WEIGHTS, rule=rule, leaves=leaves)
         if value.hex() != loss.item().hex():
             return CheckResult("step-equals-tape", False, f"{system}/{variant}: the loss value differs from the tape")
         loss.backward()

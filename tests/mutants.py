@@ -24,6 +24,27 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
+# two adjacent blocks of trainer._plan_session, which one mutant swaps
+_TAKE_CONSTANTS = (
+    "    payloads = ex = None\n"
+    "    if memory is not None and memory.total():\n"
+    "        payloads, ex_classes = memory.all_exemplars()\n"
+    "        latent = memory.payload_kind == LATENT\n"
+    "        # distillation covers the replayed rows only, towards the outputs of\n"
+    "        # the model before this session: the live model, read before its\n"
+    "        # head expands or its layers freeze\n"
+    "        if profile.weights.gamma_d > 0:\n"
+    "            ex = snapshot_constants(model, payloads, ex_classes, profile.weights.T, profile.distill_form, latent)\n"
+    "        else:\n"
+    "            ex = ReplayConstants(ex_classes)\n"
+)
+_EXPAND_HEAD = (
+    "    if system == BC:\n"
+    "        model.head.register_task(session.task_id)\n"
+    "    else:\n"
+    "        model.head.expand(session.task_id)\n"
+)
+
 # (name, file under src/cddet, text, replacement, tests that must fail)
 MUTANTS = [
     (
@@ -75,6 +96,12 @@ MUTANTS = [
         ["tests/test_memory.py::TestQuotas::test_remainder_to_lowest_indices"],
     ),
     (
+        "accuracy-rows-numbered-after-dropping-blank-lines", "metrics.py",
+        'lines = [(no, line) for no, line in enumerate(read_text(path).splitlines(), start=1) if line.strip() != ""]',
+        'lines = list(enumerate([line for line in read_text(path).splitlines() if line.strip() != ""], start=1))',
+        ["tests/test_parsers.py::TestAccuracyMatrixCsv::test_an_error_names_its_line_in_the_file"],
+    ),
+    (
         "eval-stray-record-id-unchecked", "cli.py",
         'if ("\\n" + "\\n".join(ids)).count("\\n" + prefix) < len(ids):',
         "if False:",
@@ -116,11 +143,30 @@ MUTANTS = [
     ),
     (
         "snapshot-for-any-old-term-after-the-first-session", "trainer.py",
-        "snapshot = model.snapshot() if distils else None",
-        "snapshot = (\n        model.snapshot()\n"
-        "        if (profile.weights.gamma_d > 0 or profile.weights.gamma_m > 0) and model.sessions_trained >= 1\n"
-        "        else None\n    )",
+        "        if profile.weights.gamma_d > 0:\n",
+        "        if profile.weights.gamma_d > 0 or profile.weights.gamma_m > 0:\n",
         ["tests/test_trainer.py::TestRunSession::test_a_snapshot_is_taken_only_to_distil_replayed_rows"],
+    ),
+    (
+        "constants-taken-after-the-head-expands", "trainer.py",
+        _TAKE_CONSTANTS + "\n" + _EXPAND_HEAD,
+        _EXPAND_HEAD + "\n" + _TAKE_CONSTANTS,
+        [
+            "tests/test_step.py::test_the_replayed_rows_constants_are_the_old_models_outputs",
+            "tests/test_trainer.py::TestRunSession::test_a_distilling_replay_run_snapshots_once_a_later_session",
+        ],
+    ),
+    (
+        "epoch-order-puts-replayed-rows-first", "trainer.py",
+        "window + (perm >= n_new)",
+        "window + (perm < n_new)",
+        ["tests/test_step.py::test_epoch_layout_puts_each_windows_new_rows_first"],
+    ),
+    (
+        "distillable-check-never-raises", "losses.py",
+        "    if ex.kd_p is None and ex.old_features is None:\n",
+        "    if False:\n",
+        ["tests/test_losses.py::TestTotalLoss::test_distilling_without_snapshot_constants_is_a_contract_error"],
     ),
     (
         "mixup-beta-drawn-before-the-permutation", "trainer.py",

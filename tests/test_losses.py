@@ -331,27 +331,53 @@ class TestTotalLoss:
 
     def test_distilling_without_snapshot_constants_is_a_contract_error(self):
         """The reference and the step both refuse to distil replayed rows
-        that lack ``snapshot_constants``, and both run once they carry them,
-        for the logit and the feature form."""
+        that carry only their classes, and both run once they carry
+        ``snapshot_constants`` of the logit or the feature form."""
         rng = np.random.default_rng(9)
         model = _small_model()
         new_x, new_classes = _session_rows(rng, model, task=2, n=4)
         ex_x, ex_classes = _session_rows(rng, model, task=1, n=3)
         w = LossWeights(gamma_d=1.0)
         grads = [np.empty_like(p) for p in model.parameters()]
-        model.sessions_trained = 1
-        snap = model.snapshot()
+        step = ls.step_rows(MC, model, new_x, new_classes, ex_x, ReplayConstants(ex_classes))
+        with pytest.raises(ContractError, match="snapshot's outputs"):
+            ls.total_loss(MC, step, model, w)
+        with pytest.raises(ContractError, match="snapshot's outputs"):
+            ls.loss_and_gradients(MC, step, model, w, grads)
         for form in ("logit", "feature"):
-            step = ls.step_rows(MC, model, new_x, new_classes, ex_x, ReplayConstants(ex_classes))
-            with pytest.raises(ContractError, match="snapshot's outputs"):
-                ls.total_loss(MC, step, model, w, distill_form=form)
-            with pytest.raises(ContractError, match="snapshot's outputs"):
-                ls.loss_and_gradients(MC, step, model, w, grads, distill_form=form)
-            ex = ls.snapshot_constants(snap, ex_x, ex_classes, w.T, form)
+            ex = ls.snapshot_constants(model, ex_x, ex_classes, w.T, form)
             step = ls.step_rows(MC, model, new_x, new_classes, ex_x, ex)
-            want = ls.total_loss(MC, step, model, w, distill_form=form).item()
-            got = ls.loss_and_gradients(MC, step, model, w, grads, distill_form=form)
+            want = ls.total_loss(MC, step, model, w).item()
+            got = ls.loss_and_gradients(MC, step, model, w, grads)
             assert abs(got - want) <= 1e-15 * abs(want), form
+
+    def test_the_replayed_rows_constants_decide_what_is_distilled(self):
+        """The loss distils the logits when the replayed rows carry the
+        logit targets and the features when they carry the old features:
+        the classification term plus gamma_d times those terms, in the
+        reference and in the step."""
+        rng = np.random.default_rng(15)
+        model = _small_model()
+        model.sessions_trained = 1
+        old = model.snapshot()
+        for p in model.parameters():  # the live model drifts from the old one
+            p += 0.05 * rng.normal(size=p.shape)
+        new_x, new_classes = _session_rows(rng, model, task=2, n=4)
+        ex_x, ex_classes = _session_rows(rng, model, task=1, n=3)
+        w = LossWeights(gamma_d=0.7, T=2.0)
+        grads = [np.empty_like(p) for p in model.parameters()]
+        old_feats, old_logits = old.forward(ex_x)
+        feats, logits = model.forward(np.concatenate([new_x, ex_x]))
+        ce = ls.multiclass_ce(dc.Tensor(logits), np.concatenate([new_classes, ex_classes])).item()
+        kd = ls.kd_kl(old_logits, dc.Tensor(logits[4:]), w.T, np.arange(old_logits.shape[1])).item()
+        feature = ls.kd_feature(old_feats, dc.Tensor(feats[4:])).item()
+        terms = {"logit": kd, "feature": feature, "logit+feature": kd + feature}
+        for form, distilled in terms.items():
+            ex = ls.snapshot_constants(old, ex_x, ex_classes, w.T, form)
+            step = ls.step_rows(MC, model, new_x, new_classes, ex_x, ex)
+            want = ce + w.gamma_d * distilled
+            assert ls.total_loss(MC, step, model, w).item() == pytest.approx(want, rel=1e-12, abs=0), form
+            assert ls.loss_and_gradients(MC, step, model, w, grads) == pytest.approx(want, rel=1e-12, abs=0), form
 
     def test_replay_only_profile_is_classification_over_union(self):
         rng = np.random.default_rng(10)
@@ -527,6 +553,6 @@ class TestLossGradients:
         step = ls.step_rows(MC, model, new_x, np.array([2, 3, 2]), ex_x, ex)
 
         def f(probe):  # the probe stands in for the first layer's weights
-            return ls.total_loss(MC, step, model, w, distill_form="logit+feature", leaves=[probe, *leaves[1:]])
+            return ls.total_loss(MC, step, model, w, leaves=[probe, *leaves[1:]])
 
         assert dc.grad_check(f, dc.Tensor(model.extractor.weights[0].copy())) < 1e-6

@@ -13,6 +13,7 @@ import os
 import tempfile
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -117,6 +118,21 @@ class TestAccuracyMatrixCsv:
     @given(st.data())
     def test_one_field_mutated(self, data):
         _parses_or_names_a_line(read_accuracy_matrix, _mutated(MATRIX, data))
+
+    @pytest.mark.parametrize(
+        "text, line, message",
+        [
+            ("\n0.5,0.4\n,x\n", 3, "bad accuracy value 'x'"),
+            ("0.5,0.4\n\n\n,0.3,0.2\n", 4, "expected 2 columns, found 3"),
+            ("\n\n0.5,0.4\n0.1,0.3\n", 4, "below-diagonal entries must be blank"),
+        ],
+    )
+    def test_an_error_names_its_line_in_the_file(self, text, line, message):
+        """Blank lines are skipped, but an error counts them: it names the
+        line of the file that holds the fault."""
+        with pytest.raises(ParseError) as caught:
+            _parse(read_accuracy_matrix, text)
+        assert (caught.value.line, str(caught.value)) == (line, f"line {line}: {message}")
 
 
 class TestPredictionsCsv:

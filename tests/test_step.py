@@ -24,6 +24,7 @@ from cddet.trainer import (
     Adam,
     TrainConfig,
     _assemble_batches,
+    _epoch_order,
     _plan_session,
     builtin_profiles,
     resolve_profile,
@@ -69,7 +70,7 @@ def _tape_gradients(system, profile, step, model, rows):
     leaves = ls.tape_leaves(model)
     loss = ls.total_loss(
         system, step, model, profile.weights,
-        rule=profile.aggregation, distill_form=profile.distill_form, leaves=leaves,
+        rule=profile.aggregation, leaves=leaves,
     )
     loss.backward()
     return loss.item(), [leaf.grad for leaf in leaves if leaf.requires_grad]
@@ -85,9 +86,14 @@ def _step_over(profile, rows, new_idx, pool_idx, rng):
     """The trainer's step over the given new and replayed rows: an epoch
     order whose first window holds exactly those rows."""
     picked = np.concatenate([new_idx, rows.n_new + pool_idx]).astype(np.intp)
-    rest = np.setdiff1d(np.arange(len(rows)), picked)
-    rows.shuffle(np.concatenate([picked, rest]), picked.size)
-    return _assemble_batches(rows, 0, picked.size, profile, rng)
+    rest = np.setdiff1d(np.arange(rows.x.shape[0]), picked)
+    order = _epoch_order(np.concatenate([picked, rest]), rows.n_new, picked.size)
+    return _assemble_batches(rows, order[: picked.size], profile, rng)
+
+
+def _mt_classes(system, profile, model):
+    """The MT aggregation's class indices, as ``run_session`` takes them."""
+    return ls.polarity_classes(model.head.registry.fake_mask(), profile.aggregation) if system == MT else None
 
 
 def _assert_step_matches_tape(system, profile, model, rows, new_rows, pool_rows, rng):
@@ -99,7 +105,7 @@ def _assert_step_matches_tape(system, profile, model, rows, new_rows, pool_rows,
     optimizer.g.fill(np.nan)  # a gradient the step leaves unwritten cannot match
     value = ls.loss_and_gradients(
         system, step, model, profile.weights, optimizer.grads, rule=profile.aggregation,
-        distill_form=profile.distill_form, mt_classes=rows.mt_classes,
+        mt_classes=_mt_classes(system, profile, model),
     )
     names = _parameter_names(model)[2 * model.extractor.frozen :]
     assert len(optimizer.grads) == len(want) == len(names)
@@ -123,15 +129,12 @@ def test_step_gradients_equal_the_tape(system, name, options):
     profile, sessions, model, memory = _setup(system, name, options)
     rng = np.random.default_rng(0)
 
-    # the first session: no snapshot, no exemplars, every layer trains
+    # the first session: no exemplars, every layer trains
     rows = _plan_session(model, memory, sessions[0], profile, system)
-    if system == MT:  # the aggregation reads the session's class indices
-        fake_mask = model.head.registry.fake_mask()
-        assert [c.tolist() for c in rows.mt_classes] == [np.flatnonzero(m).tolist() for m in (fake_mask, ~fake_mask)]
     for new_rows in (slice(0, 7), slice(3, 4)):
         _assert_step_matches_tape(system, profile, model, rows, new_rows, slice(0, 0), rng)
 
-    # a later session: snapshot, exemplars, frozen layers under latent replay
+    # a later session: exemplars, their constants, frozen layers under latent replay
     _assert_last_session_matches_tape(system, name, options, N_TASKS, rng)
 
 
@@ -142,7 +145,7 @@ def _assert_last_session_matches_tape(system, name, options, n_tasks, rng):
         run_session(model, memory, session, profile, FAST, system)
     rows = _plan_session(model, memory, sessions[-1], profile, system)
     assert model.extractor.frozen == (model.extractor.capture_layer + 1 if profile.replay_payload == LATENT else 0)
-    rows = _replayed_in_order(rows, rng.permutation(len(rows) - rows.n_new))
+    rows = _replayed_in_order(rows, rng.permutation(rows.x.shape[0] - rows.n_new))
     shapes = [
         (slice(0, 6), slice(0, 0)),  # new rows only
         (slice(0, 0), slice(0, 9)),  # exemplar rows only
@@ -155,7 +158,7 @@ def _assert_last_session_matches_tape(system, name, options, n_tasks, rng):
     ]
     for new_rows, pool_rows in shapes:
         _assert_step_matches_tape(system, profile, model, rows, new_rows, pool_rows, rng)
-    return rows
+    return profile, model
 
 
 @pytest.mark.parametrize("rule", [SUMLOGIT, SUMLOG, MAX])
@@ -163,8 +166,9 @@ def test_step_gradients_equal_the_tape_at_nine_classes_a_polarity(rule):
     """numpy sums fewer than 8 elements in plain order whatever their
     memory layout, so only a polarity group of 8 or more classes shows a
     step that gathers the group in another layout than the tape."""
-    rows = _assert_last_session_matches_tape(MT, "rebalance", {"aggregation": rule}, 9, np.random.default_rng(0))
-    assert [c.size for c in rows.mt_classes] == [9, 9]
+    rng = np.random.default_rng(0)
+    profile, model = _assert_last_session_matches_tape(MT, "rebalance", {"aggregation": rule}, 9, rng)
+    assert [c.size for c in _mt_classes(MT, profile, model)] == [9, 9]
 
 
 @pytest.mark.parametrize("n_new", [1, 2, 5])
@@ -191,11 +195,12 @@ def test_mixup_leaves_the_session_rows_unwritten():
         run_session(model, memory, session, profile, FAST, MC)
     rows = _plan_session(model, memory, sessions[-1], profile, MC)
     source, targets = rows.x.copy(), rows.targets.copy()
-    rows.shuffle(np.random.default_rng(1).permutation(len(rows)), 8)
+    n_rows = rows.x.shape[0]
+    order = _epoch_order(np.random.default_rng(1).permutation(n_rows), rows.n_new, 8)
     mixed = 0
-    for start in range(0, len(rows), 8):
-        step = _assemble_batches(rows, start, min(start + 8, len(rows)), profile, np.random.default_rng(start))
-        gathered = source[rows.order[start : start + 8]]
+    for start in range(0, n_rows, 8):
+        step = _assemble_batches(rows, order[start : start + 8], profile, np.random.default_rng(start))
+        gathered = source[order[start : start + 8]]
         mixed += not np.array_equal(step.x[: step.n_new], gathered[: step.n_new])
     assert mixed
     assert rows.x.tobytes() == source.tobytes()
@@ -211,12 +216,13 @@ def test_mixup_mixes_the_gathered_new_rows_with_a_permutation_of_themselves():
     for session in sessions[:-1]:
         run_session(model, memory, session, profile, FAST, MC)
     rows = _plan_session(model, memory, sessions[-1], profile, MC)
-    rows.shuffle(np.random.default_rng(1).permutation(len(rows)), 8)
+    n_rows = rows.x.shape[0]
+    order = _epoch_order(np.random.default_rng(1).permutation(n_rows), rows.n_new, 8)
     alpha, mixed = profile.mixup_alpha, 0
-    for start in range(0, len(rows), 8):
-        stop = min(start + 8, len(rows))
-        step = _assemble_batches(rows, start, stop, profile, np.random.default_rng(start))
-        n_new, idx = step.n_new, rows.order[start:stop]
+    for start in range(0, n_rows, 8):
+        idx = order[start : start + 8]
+        step = _assemble_batches(rows, idx, profile, np.random.default_rng(start))
+        n_new = step.n_new
         for got, gathered in ((step.x, rows.x[idx]), (step.targets, rows.targets[idx])):
             want = gathered.copy()
             if n_new > 1:
@@ -254,12 +260,12 @@ def test_epoch_layout_puts_each_windows_new_rows_first():
         n_new = rows.n_new
         assert n_new == len(sessions[-1].train.x)
         x = np.concatenate([sessions[-1].train.x, memory.all_exemplars()[0]])
-        perm = np.random.default_rng(3).permutation(len(rows))
-        rows.shuffle(perm, 5)
-        for start in range(0, len(rows), 5):
+        perm = np.random.default_rng(3).permutation(len(x))
+        epoch = _epoch_order(perm, n_new, 5)
+        for start in range(0, len(x), 5):
             window = perm[start : start + 5]
             order = np.concatenate([window[window < n_new], window[window >= n_new]])
-            step = _assemble_batches(rows, start, min(start + 5, len(rows)), profile, np.random.default_rng(0))
+            step = _assemble_batches(rows, epoch[start : start + 5], profile, np.random.default_rng(0))
             assert step.n_new == np.count_nonzero(window < n_new)
             assert np.array_equal(step.x, x[order])
             assert np.array_equal(step.targets, rows.targets[order])
@@ -272,3 +278,33 @@ def test_epoch_layout_puts_each_windows_new_rows_first():
             for name in carried:
                 assert np.array_equal(getattr(step.ex, name), getattr(rows.ex, name)[pool_order]), name
             assert step.ex.old_cols == rows.ex.old_cols
+
+
+@pytest.mark.parametrize("system,name,distill_form", [
+    (MC, "replay+kd", "logit"),  # latent replay: the layers freeze in the session
+    (MT, "rebalance", "feature"),
+    (MC, "rebalance-cosfc", "logit+feature"),
+    (BC, "distill", "logit+feature"),
+])
+def test_the_replayed_rows_constants_are_the_old_models_outputs(system, name, distill_form):
+    """A distilling session records, on its replayed rows, what its form
+    reads of the model as it was before the session: bit for bit the
+    constants of a snapshot taken then, over the old logit columns."""
+    profile, sessions, model, memory = _setup(system, name, {"distill_form": distill_form})
+    for session in sessions[:-1]:
+        run_session(model, memory, session, profile, FAST, system)
+    payloads, classes = memory.all_exemplars()
+    old = model.snapshot()
+    latent = profile.replay_payload == LATENT
+    want = ls.snapshot_constants(old, payloads, classes, profile.weights.T, distill_form, latent)
+    rows = _plan_session(model, memory, sessions[-1], profile, system)
+    assert rows.ex.old_cols == old.head.theta.shape[0]
+    if system != BC:  # the head grew after the constants were taken
+        assert model.head.theta.shape[0] == rows.ex.old_cols + 2
+    assert model.extractor.frozen == (old.extractor.capture_layer + 1 if latent else 0)
+    for name, value in vars(want).items():
+        got = getattr(rows.ex, name)
+        if isinstance(value, np.ndarray):
+            assert got.tobytes() == value.tobytes(), name
+        else:
+            assert got == value, name

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 from conftest import run_scenario, tiny_scenario, tiny_spec
 
+from cddet import trainer
 from cddet.errors import ConfigError, NumericsError, ProtocolError
-from cddet.losses import LossWeights, loss_and_gradients
+from cddet.losses import LossWeights, loss_and_gradients, polarity_classes
 from cddet.memory import ExemplarMemory, LATENT, RAW
-from cddet.model import BC, COSFC, LINFC, MC, MT, SIGMOID, Model
+from cddet.model import BC, COSFC, LINFC, MC, MT, SIGMOID, Model, load_checkpoint, save_checkpoint
 from cddet.seeding import substream
 from cddet.stream import Scenario, synth_generate
 from cddet.trainer import (
@@ -13,6 +14,7 @@ from cddet.trainer import (
     MethodProfile,
     TrainConfig,
     _assemble_batches,
+    _epoch_order,
     _evaluate,
     _plan_session,
     _store_exemplars,
@@ -80,13 +82,13 @@ class TestAdam:
 
         def nan_filled_step(model, memory, session):
             rows = _plan_session(model, memory, session, profile, system)
-            rows.shuffle(np.random.default_rng(0).permutation(len(rows)), 16)
-            step = _assemble_batches(rows, 0, 16, profile, np.random.default_rng(0))
+            order = _epoch_order(np.random.default_rng(0).permutation(rows.x.shape[0]), rows.n_new, 16)
+            step = _assemble_batches(rows, order[:16], profile, np.random.default_rng(0))
+            mt_classes = polarity_classes(model.head.registry.fake_mask(), profile.aggregation) if system == MT else None
             optimizer = Adam(model, lr=FAST.lr)
             optimizer.g.fill(np.nan)
             loss_and_gradients(
-                system, step, model, profile.weights, optimizer.grads, rule=profile.aggregation,
-                distill_form=profile.distill_form, mt_classes=rows.mt_classes,
+                system, step, model, profile.weights, optimizer.grads, rule=profile.aggregation, mt_classes=mt_classes
             )
             assert not np.isnan(optimizer.g).any()
             return model.extractor.frozen
@@ -247,13 +249,13 @@ class TestRunSession:
 
     def test_a_snapshot_is_taken_only_to_distil_replayed_rows(self, monkeypatch):
         """Distillation covers the replayed rows only: with no memory, or
-        with gamma_d = 0 (the margin term alone), no session reads a
-        snapshot."""
+        with gamma_d = 0 (the margin term alone), no session runs the old
+        model over its replayed rows."""
 
-        def forbidden(self):
-            raise AssertionError("a session took a snapshot it does not read")
+        def forbidden(*args):
+            raise AssertionError("a session took constants it does not read")
 
-        monkeypatch.setattr(Model, "snapshot", forbidden)
+        monkeypatch.setattr(trainer, "snapshot_constants", forbidden)
         scenario = tiny_scenario(3, seed=3)
         for name, budget, options in (("distill", 0, {}), ("rebalance", 40, {"gamma_d": 0.0, "distill_form": "none"})):
             model, memory, sessions, _ = fresh_setup(profile_name=name, budget=budget, scenario=scenario)
@@ -263,18 +265,34 @@ class TestRunSession:
             assert model.sessions_trained == len(sessions)
 
     def test_a_distilling_replay_run_snapshots_once_a_later_session(self, monkeypatch):
+        """Each later session takes its replayed rows' constants once, from
+        the live model before the session changes it."""
         taken = []
-        snapshot = Model.snapshot
+        constants = trainer.snapshot_constants
 
-        def counted(self):
-            taken.append(self.sessions_trained)
-            return snapshot(self)
+        def counted(model, *args):
+            taken.append((model.sessions_trained, model.head.theta.shape[0]))
+            return constants(model, *args)
 
-        monkeypatch.setattr(Model, "snapshot", counted)
+        monkeypatch.setattr(trainer, "snapshot_constants", counted)
         model, memory, sessions, profile = fresh_setup(profile_name="rebalance", scenario=tiny_scenario(3, seed=3))
         for session in sessions:
             run_session(model, memory, session, profile, FAST, MC)
-        assert taken == [1, 2]
+        assert taken == [(1, 2), (2, 4)]
+
+    @pytest.mark.parametrize("name", ["replay+kd", "rebalance"])
+    def test_a_distilling_replay_session_copies_no_model(self, monkeypatch, name):
+        """A run reads the old model's outputs from the live model: no
+        session, distilling or not, takes a ``Model.snapshot``."""
+        model, memory, sessions, profile = fresh_setup(profile_name=name, scenario=tiny_scenario(3, seed=3))
+
+        def forbidden(self):
+            raise AssertionError("a session copied the model")
+
+        monkeypatch.setattr(Model, "snapshot", forbidden)
+        for session in sessions:
+            run_session(model, memory, session, profile, FAST, MC)
+        assert profile.weights.gamma_d > 0 and memory.total() > 0
 
     def test_latent_replay_profile(self):
         model, memory, sessions, profile = fresh_setup(profile_name="replay")
@@ -395,6 +413,61 @@ class TestRunRelations:
             assert _trained_bytes(full, stored=True) == _trained_bytes(larger, stored=True), (
                 f"{name}: budgets {rows} and {3 * rows} differ"
             )
+
+
+SPLIT_CELLS = [
+    ("rebalance", MC), ("rebalance", MT), ("replay+kd", MC), ("rebalance-cosfc", MC), ("distill", BC), ("replay", BC)
+]
+SPLIT_CONFIG = TrainConfig(epochs=1, lr=1e-3, batch_size=16, seed=3)
+HIDDEN_HEAD_STREAM = pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 5: a checkpoint does not hold the position of the head's generator, "
+    "which draws the rows of each new MC or MT class",
+)
+
+
+def _split_cases():
+    for name, system in SPLIT_CELLS:
+        for k in (1, 2, 3):
+            yield pytest.param(name, system, k, True, id=f"{name}-{system}-{k}-copied")
+            marks = HIDDEN_HEAD_STREAM if system != BC else ()
+            yield pytest.param(name, system, k, False, marks=marks, id=f"{name}-{system}-{k}-plain")
+
+
+class TestSplitRun:
+    """A run split after any session, its model and memory written to a
+    checkpoint and loaded back, trains the rest of the stream into the
+    uninterrupted run's parameters, bit for bit."""
+
+    SESSIONS = [synth_generate(t, 4) for t in tiny_scenario(4, seed=4).tasks]
+
+    @staticmethod
+    def _start(name, system):
+        profile = resolve_profile(name, system)
+        model = Model.build(6, profile.head_variant, substream(SPLIT_CONFIG.seed, "init"))
+        return profile, model, ExemplarMemory(30, profile.replay_payload)
+
+    @staticmethod
+    def _train(model, memory, sessions, profile, system):
+        for session in sessions:
+            run_session(model, memory, session, profile, SPLIT_CONFIG, system)
+        return [p.tobytes() for p in model.parameters()]
+
+    @pytest.mark.parametrize("name, system, k, copy_head_stream", _split_cases())
+    def test_a_split_run_equals_the_whole_one(self, tmp_path, name, system, k, copy_head_stream):
+        """``copy_head_stream`` hands the loaded head the live head's
+        generator, the one piece of a run's state a checkpoint lacks."""
+        profile, model, memory = self._start(name, system)
+        whole = self._train(model, memory, self.SESSIONS, profile, system)
+
+        profile, model, memory = self._start(name, system)
+        self._train(model, memory, self.SESSIONS[:k], profile, system)
+        save_checkpoint(tmp_path / "checkpoint.json", model, memory.to_payload())
+        loaded, payload = load_checkpoint(tmp_path / "checkpoint.json")
+        if copy_head_stream:
+            loaded.head._rng = model.head._rng
+        split = self._train(loaded, ExemplarMemory.from_payload(payload, loaded), self.SESSIONS[k:], profile, system)
+        assert split == whole
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
