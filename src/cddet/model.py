@@ -26,6 +26,9 @@ Parameter arrays appear in declaration order and round-trip at full float64
 precision through JSON's repr-based serialisation. Loading checks every
 array's shape against ``widths`` and the registry, and the memory half
 against the model (``ExemplarMemory.from_payload``).
+
+A model is its arrays, so a checkpoint holds the whole model: no model
+holds a generator, and ``ClassifierHead.expand`` draws from the one it is given.
 """
 
 from __future__ import annotations
@@ -71,11 +74,7 @@ class ClassRegistry:
         return real_idx, real_idx + 1
 
     def task_ids(self) -> list[int]:
-        seen: list[int] = []
-        for task_id, _ in self.entries:
-            if task_id not in seen:
-                seen.append(task_id)
-        return seen
+        return list(dict.fromkeys(task_id for task_id, _ in self.entries))
 
     def class_of(self, task_id: int, polarity: int) -> int:
         for idx, entry in enumerate(self.entries):
@@ -104,28 +103,20 @@ class FeatureExtractor:
     ``capture_layer + 1`` (``trainer._plan_session``), and it is 0 otherwise.
     """
 
-    def __init__(self, widths: tuple[int, ...], capture_layer: int, rng: np.random.Generator):
-        if len(widths) < 2:
+    def __init__(self, weights: list[Array], biases: list[Array], capture_layer: int):
+        if not weights:
             raise ConfigError("extractor needs at least input and feature widths")
-        n_hidden = len(widths) - 2
+        n_hidden = len(weights) - 1
         if not 0 <= capture_layer < max(n_hidden, 1):
             raise ConfigError(f"capture layer {capture_layer} out of range for {n_hidden} hidden layers")
-        self.widths = tuple(int(w) for w in widths)
+        self.widths = (weights[0].shape[0], *(w.shape[1] for w in weights))
         self.capture_layer = capture_layer
         self.frozen = 0
-        self.weights: list[Array] = []
-        self.biases: list[Array] = []
-        for fan_in, fan_out in zip(widths[:-1], widths[1:]):
-            self.weights.append(_uniform_init(rng, (fan_in, fan_out), fan_in))
-            self.biases.append(_uniform_init(rng, (fan_out,), fan_in))
+        self.weights, self.biases = weights, biases
 
     @property
     def input_width(self) -> int:
         return self.widths[0]
-
-    @property
-    def feature_width(self) -> int:
-        return self.widths[-1]
 
     @property
     def latent_width(self) -> int:
@@ -185,35 +176,28 @@ class FeatureExtractor:
 
 
 class ClassifierHead:
-    """Per-class embeddings plus the variant-specific logit rule."""
+    """Per-class embeddings (``theta``) plus the variant-specific logit rule;
+    ``other`` is the cosine head's scale, or the other heads' bias."""
 
-    def __init__(self, variant: str, feature_width: int, rng: np.random.Generator):
+    def __init__(self, variant: str, theta: Array, other: Array, registry: ClassRegistry):
         if variant not in HEAD_VARIANTS:
             raise ConfigError(f"unknown head variant {variant!r}")
         self.variant = variant
-        self.feature_width = feature_width
-        self.registry = ClassRegistry()
-        self._rng = rng
-        if variant == SIGMOID:
-            # one fixed output unit for the whole run
-            self.theta = _uniform_init(rng, (1, feature_width), feature_width)
-            self.bias = np.zeros(1)
-            self.scale = None
-        else:
-            self.theta = np.zeros((0, feature_width))
-            self.bias = np.zeros(0) if variant == LINFC else None
-            self.scale = np.asarray(1.0) if variant == COSFC else None
+        self.registry = registry
+        self.theta = theta
+        self.bias, self.scale = (None, other) if variant == COSFC else (other, None)
 
     @property
     def num_classes(self) -> int:
         return len(self.registry)
 
-    def expand(self, task_id: int) -> None:
-        """Append the real and fake class rows for a new task."""
+    def expand(self, task_id: int, rng: np.random.Generator) -> None:
+        """Append the real and fake class rows for a new task, drawn from ``rng``."""
         if self.variant == SIGMOID:
             raise ProtocolError("sigmoid heads keep a single unit; register the task instead")
         self.registry.add_task(task_id)
-        new_rows = _uniform_init(self._rng, (2, self.feature_width), self.feature_width)
+        width = self.theta.shape[1]
+        new_rows = _uniform_init(rng, (2, width), width)
         self.theta = np.vstack([self.theta, new_rows])
         if self.variant == LINFC:
             self.bias = np.concatenate([self.bias, np.zeros(2)])
@@ -262,10 +246,17 @@ class Model:
         hidden: tuple[int, ...] = (64, 64),
         feature_width: int = 32,
     ) -> "Model":
+        """A new model drawn from ``rng``: each layer's weights then bias,
+        bottom first, then the sigmoid head's unit; an argmax head has no class."""
+        widths = (input_width, *hidden, feature_width)
+        layers = [(_uniform_init(rng, (i, o), i), _uniform_init(rng, (o,), i)) for i, o in zip(widths, widths[1:])]
         # capture at layer 0: a shallow capture keeps most layers trainable
-        extractor = FeatureExtractor((input_width, *hidden, feature_width), 0, rng)
-        head = ClassifierHead(variant, feature_width, rng)
-        return cls(extractor, head)
+        extractor = FeatureExtractor([w for w, _ in layers], [b for _, b in layers], 0)
+        if variant == SIGMOID:  # one fixed output unit for the whole run
+            theta, other = _uniform_init(rng, (1, feature_width), feature_width), np.zeros(1)
+        else:
+            theta, other = np.zeros((0, feature_width)), np.asarray(1.0) if variant == COSFC else np.zeros(0)
+        return cls(extractor, ClassifierHead(variant, theta, other, ClassRegistry()))
 
     def forward(self, x) -> tuple[Array, Array]:
         """Features and logits."""
@@ -379,25 +370,22 @@ def _model_from_payload(payload: dict) -> Model:
     the registry, so a truncated or reshaped checkpoint cannot load."""
     try:
         widths = tuple(int(w) for w in payload["widths"])
-        rng = np.random.default_rng(0)  # placeholder; every parameter is replaced
-        extractor = FeatureExtractor(widths, payload["capture_layer"], rng)
-        n_layers = len(widths) - 1
+        n_layers = max(len(widths) - 1, 0)
         weights = _stored_list(payload["extractor"]["weights"], n_layers, "model.extractor.weights")
         biases = _stored_list(payload["extractor"]["biases"], n_layers, "model.extractor.biases")
-        for i, (w, b) in enumerate(zip(weights, biases)):
-            extractor.weights[i] = _stored_array(w, (widths[i], widths[i + 1]), f"model.extractor.weights[{i}]")
-            extractor.biases[i] = _stored_array(b, (widths[i + 1],), f"model.extractor.biases[{i}]")
+        for i in range(n_layers):
+            weights[i] = _stored_array(weights[i], (widths[i], widths[i + 1]), f"model.extractor.weights[{i}]")
+            biases[i] = _stored_array(biases[i], (widths[i + 1],), f"model.extractor.biases[{i}]")
+        extractor = FeatureExtractor(weights, biases, payload["capture_layer"])
         entries = [tuple(entry) for entry in payload["registry"]]
         if any(len(entry) != 2 or entry[1] not in (REAL, FAKE) for entry in entries):
             raise ConfigError("checkpoint field model.registry: entries must be [task_id, polarity]")
-        head = ClassifierHead(payload["variant"], extractor.feature_width, rng)
-        head.registry = ClassRegistry(entries)
-        stored = payload["head"]
-        rows = 1 if head.variant == SIGMOID else len(entries)
-        head.theta = _stored_array(stored["theta"], (rows, extractor.feature_width), "model.head.theta")
-        name, shape = ("bias", (rows,)) if head.scale is None else ("scale", ())
-        setattr(head, name, _stored_array(stored[name], shape, f"model.head.{name}"))
-        model = Model(extractor, head)
+        variant, stored = payload["variant"], payload["head"]
+        rows = 1 if variant == SIGMOID else len(entries)
+        theta = _stored_array(stored["theta"], (rows, widths[-1]), "model.head.theta")
+        name, shape = ("scale", ()) if variant == COSFC else ("bias", (rows,))
+        other = _stored_array(stored[name], shape, f"model.head.{name}")
+        model = Model(extractor, ClassifierHead(variant, theta, other, ClassRegistry(entries)))
         model.sessions_trained = int(payload["sessions_trained"])
     except KeyError as exc:
         raise ConfigError(f"checkpoint lacks field {exc.args[0]!r}") from None

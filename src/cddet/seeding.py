@@ -2,7 +2,10 @@
 
 Every source of randomness in the engine (data synthesis, parameter init,
 batch shuffling, mixup draws) pulls from its own named stream so that
-changing one consumer never perturbs the others.
+changing one consumer never perturbs the others. A run draws its initial
+model from ``init``, and each task's session from ``batch:<task>`` (row
+orders), ``mixup:<task>`` (mixing draws) and ``head:<task>`` (the task's
+new head rows), so what a session draws depends on no earlier session.
 """
 
 from __future__ import annotations

@@ -6,6 +6,10 @@ Learning-rate pattern: the first trained session uses the base rate and all
 later sessions a tenth of it. The optimizer state is rebuilt per session
 because head expansion changes the parameter set.
 
+A run's state between sessions is the model and the memory, what a checkpoint
+holds: a session draws only from its task's ``batch:``, ``mixup:`` and
+``head:`` streams, so a run resumed from its checkpoint trains on unchanged.
+
 The built-in methods are one table of ``MethodProfile`` values, and
 ``resolve_profile`` is the one place that binds one to a learning system
 and applies a run's overrides to it. ``MethodProfile`` checks a method's
@@ -275,11 +279,12 @@ def _plan_session(
     session: SessionData,
     profile: MethodProfile,
     system: str,
+    head_rng: np.random.Generator,
 ) -> StepRows:
     """Check the session against the live model, take the replayed rows'
-    constants, expand its head, freeze the layers latent replay needs
-    fixed, and build the session's rows: the new rows, then every stored
-    exemplar with its constants.
+    constants, expand its head (drawing from ``head_rng``), freeze the
+    layers latent replay needs fixed, and build the session's rows: the
+    new rows, then every stored exemplar with its constants.
 
     Once latent replay has frozen the layers up to the capture layer, each
     new row's activation there is fixed for the session: it is computed
@@ -308,7 +313,7 @@ def _plan_session(
     if system == BC:
         model.head.register_task(session.task_id)
     else:
-        model.head.expand(session.task_id)
+        model.head.expand(session.task_id, head_rng)
     registry = model.head.registry
 
     ext = model.extractor
@@ -367,10 +372,11 @@ def run_session(
     lr = config.lr if model.sessions_trained == 0 else config.lr / 10.0
     batching_rng = substream(config.seed, f"batch:{session.task_id}")
     mixup_rng = substream(config.seed, f"mixup:{session.task_id}")
+    head_rng = substream(config.seed, f"head:{session.task_id}")
 
     epoch = 0
     try:
-        rows = _plan_session(model, memory, session, profile, system)
+        rows = _plan_session(model, memory, session, profile, system, head_rng)
         mt_classes = polarity_classes(model.head.registry.fake_mask(), profile.aggregation) if system == MT else None
         optimizer = Adam(model, lr=lr)
         n_rows, batch_size = rows.x.shape[0], config.batch_size

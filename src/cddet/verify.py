@@ -78,13 +78,13 @@ def _step_case(rng, system: str, variant: str, payload: str):
     if variant == SIGMOID:
         model.head.register_task(1)
     else:
-        model.head.expand(1)
+        model.head.expand(1, rng)
     model.sessions_trained = 1
     snap = model.snapshot()
     if variant == SIGMOID:
         model.head.register_task(2)
     else:
-        model.head.expand(2)
+        model.head.expand(2, rng)
     new_pol = rng.integers(0, 2, size=4)
     ex_pol = np.array([REAL, FAKE, FAKE])
     new_x = rng.normal(size=(4, 6))
@@ -223,7 +223,7 @@ def check_aggregation_coincidence(seed: int, trials: int = 1000) -> CheckResult:
 def check_snapshot_immutability(seed: int) -> CheckResult:
     rng = substream(seed, "verify:snap")
     model = Model.build(6, LINFC, rng, hidden=(8,), feature_width=5)
-    model.head.expand(1)
+    model.head.expand(1, rng)
     model.sessions_trained = 1
     snap = model.snapshot()
     inputs = [rng.normal(size=(3, 6)) for _ in range(10)]

@@ -42,7 +42,7 @@ _EXPAND_HEAD = (
     "    if system == BC:\n"
     "        model.head.register_task(session.task_id)\n"
     "    else:\n"
-    "        model.head.expand(session.task_id)\n"
+    "        model.head.expand(session.task_id, head_rng)\n"
 )
 
 # (name, file under src/cddet, text, replacement, tests that must fail)
@@ -204,6 +204,12 @@ MUTANTS = [
         ["tests/test_model.py::TestRegistryInvariants::test_latent_replay_roundtrip"],
     ),
     (
+        "head-keeps-its-own-generator", "model.py",
+        "        new_rows = _uniform_init(rng, (2, width), width)\n",
+        "        self.rng = getattr(self, \"rng\", rng)\n        new_rows = _uniform_init(self.rng, (2, width), width)\n",
+        ["tests/test_trainer.py::TestSplitRun"],
+    ),
+    (
         "battery-drops-a-check", "verify.py",
         "        check_snapshot_immutability(seed),\n",
         "",
@@ -229,6 +235,20 @@ MUTANTS = [
         "* (t / n))[:, -cols.size :]",
         "* t / n)[:, -cols.size :]",
         ["tests/test_losses.py::TestKernelRounding::test_kd_gradient_scales_by_t_over_n"],
+    ),
+    # the same two regroupings against the pins alone: their budget of 25
+    # leaves windows of 9 replayed rows, and the essentials pin distils for 6 epochs
+    (
+        "ce-gradient-divides-early-in-the-pins", "losses.py",
+        "grad = ((np.exp(logp) if p is None else p) * rows.sum(axis=1, keepdims=True) - rows) / n",
+        "grad = (np.exp(logp) if p is None else p) * (rows.sum(axis=1, keepdims=True) / n) - rows / n",
+        ["tests/test_pins.py::test_metrics_json_pinned"],
+    ),
+    (
+        "kd-gradient-divides-last-in-the-pins", "losses.py",
+        "* (t / n))[:, -cols.size :]",
+        "* t / n)[:, -cols.size :]",
+        ["tests/test_pins.py::test_metrics_json_pinned"],
     ),
     (
         "kd-feature-gradient-divides-last", "losses.py",

@@ -295,7 +295,7 @@ def _small_model(variant=LINFC, tasks=2, seed=0, d=5):
         if variant == "sigmoid":
             model.head.register_task(t)
         else:
-            model.head.expand(t)
+            model.head.expand(t, rng)
     return model
 
 
@@ -539,8 +539,8 @@ class TestLossGradients:
         # linear extractor avoids relu kinks; checks the full chain rule
         rng = np.random.default_rng(27)
         model = Model.build(4, LINFC, rng, hidden=(), feature_width=4)
-        model.head.expand(1)
-        model.head.expand(2)
+        model.head.expand(1, rng)
+        model.head.expand(2, rng)
         model.sessions_trained = 1
         snap = model.snapshot()
         new_x = rng.normal(size=(3, 4))

@@ -220,8 +220,9 @@ class TestPayloadValidation:
         return json.loads(written.getvalue())
 
     def _model(self):
-        model = Model.build(5, LINFC, np.random.default_rng(9), hidden=(7,), feature_width=4)
-        model.head.expand(1)  # classes 0 and 1, of task 1
+        rng = np.random.default_rng(9)
+        model = Model.build(5, LINFC, rng, hidden=(7,), feature_width=4)
+        model.head.expand(1, rng)  # classes 0 and 1, of task 1
         return model
 
     def test_valid_payload_checked_against_the_model(self):

@@ -20,7 +20,7 @@ def make_model(variant, tasks=0, seed=0, d=6):
         if variant == SIGMOID:
             model.head.register_task(task_id)
         else:
-            model.head.expand(task_id)
+            model.head.expand(task_id, rng)
     return model
 
 
@@ -28,7 +28,7 @@ class TestForward:
     def test_linfc_identity_head_passes_features_through(self):
         rng = np.random.default_rng(3)
         model = make_model(LINFC, tasks=0)
-        model.head.expand(1)
+        model.head.expand(1, rng)
         # identity-ish check at head level: theta = I, bias = 0
         model.head.theta = np.eye(2, 5)
         model.head.bias = np.zeros(2)
@@ -80,9 +80,10 @@ class TestForward:
         rows are byte-identical after the call, and the capture activation
         shares no memory with the input (with no hidden layer it is a copy
         of the input)."""
-        model = Model.build(6, LINFC, np.random.default_rng(6), hidden=hidden, feature_width=5)
-        model.head.expand(1)
-        model.head.expand(2)
+        rng = np.random.default_rng(6)
+        model = Model.build(6, LINFC, rng, hidden=hidden, feature_width=5)
+        model.head.expand(1, rng)
+        model.head.expand(2, rng)
         rng = np.random.default_rng(7)
         x = rng.normal(size=(6, 6))
         latent = rng.normal(size=(6, model.extractor.latent_width))
@@ -120,13 +121,13 @@ class TestExpansion:
     def test_old_rows_preserved_bitwise(self):
         model = make_model(LINFC, tasks=2, seed=5)
         before = model.head.theta.copy()
-        model.head.expand(3)
+        model.head.expand(3, np.random.default_rng(0))
         np.testing.assert_array_equal(model.head.theta[:4], before)
 
     def test_duplicate_task_rejected(self):
         model = make_model(LINFC, tasks=1)
         with pytest.raises(ProtocolError):
-            model.head.expand(1)
+            model.head.expand(1, np.random.default_rng(0))
 
     def test_seeded_expansion_reproduces(self):
         a = make_model(LINFC, tasks=3, seed=11)
@@ -137,7 +138,7 @@ class TestExpansion:
         model = make_model(SIGMOID, tasks=3)
         assert model.head.theta.shape == (1, 5)
         with pytest.raises(ProtocolError):
-            model.head.expand(4)
+            model.head.expand(4, np.random.default_rng(0))
 
 
 class TestSnapshot:

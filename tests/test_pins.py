@@ -30,14 +30,19 @@ TASKS = [
 # a config file in the data directory, read by the essentials pin
 ESSENTIALS = "mixup = 0.4\nlabel_smooth = 0.1\ndistill_form = logit+feature\n"
 
+# A budget of 25 leaves windows of 9 replayed rows, and 6 epochs give the
+# essentials pin more distilling steps: a loss kernel that rounds its
+# division differently moves these pins' last bits, which power-of-two
+# windows hide. bc-distill keeps budget 24 and 3 epochs, as the control.
 RUNS = {
-    "bc-distill": ("--profile", "distill", "--system", "bc"),
-    "mc-replaykd-latent": ("--profile", "replay+kd", "--system", "mc"),
+    "bc-distill": ("--profile", "distill", "--system", "bc", "--memory", "24", "--epochs", "3"),
+    "mc-replaykd-latent": ("--profile", "replay+kd", "--system", "mc", "--memory", "25", "--epochs", "3"),
     "mt-rebalance-sumlogit": (
-        "--profile", "rebalance", "--system", "mt", "--aggregation", "sumlogit",
+        "--profile", "rebalance", "--system", "mt", "--aggregation", "sumlogit", "--memory", "25", "--epochs", "3",
     ),
     "mc-rebalancecosfc-essentials": (
         "--config", "essentials.cfg", "--profile", "rebalance-cosfc", "--system", "mc",
+        "--memory", "25", "--epochs", "6",
     ),
 }
 
@@ -52,31 +57,31 @@ PINS = {
         "checkpoint_sha256": "22e9e311e4fd8c50d89c03d764030e117e88df772295f973ec7e2972ba33e220",
     },
     "mc-replaykd-latent": {
-        "aa": 0.57,
-        "af": -0.09749999999999999,
-        "aa_m": 0.24222222222222223,
-        "map": 0.6011466891929014,
-        "sha256": "95d15df67518512cfa5a4c22690b34f886c8dd2a99adf080e8def17fa797a232",
-        "predictions_sha256": "69a70e2115dc175c24058b07aabb7d64910248be6606061786dc7697a9346c68",
-        "checkpoint_sha256": "4ff016c0f4c7b3367f9c154b3ddd2702db0e756150173e01f2bdd0398660c7d4",
+        "aa": 0.5133333333333333,
+        "af": -0.05999999999999994,
+        "aa_m": 0.16333333333333333,
+        "map": 0.537157819819344,
+        "sha256": "5a25c7a8ba27df01ead30f6cc0baf16a041787a9c3100c2712b863a66223db84",
+        "predictions_sha256": "0a3a5ed5ac02ebaab1f072591c30bbaef573a4d530c5f7f0f9a8b1f21cd06bb5",
+        "checkpoint_sha256": "a1cfee04001def51c810495877d0ddfcaab28e1402d868beab4900e71fa87859",
     },
     "mt-rebalance-sumlogit": {
-        "aa": 0.601111111111111,
-        "af": -0.07916666666666666,
-        "aa_m": 0.24444444444444446,
-        "map": 0.6325656662893131,
-        "sha256": "49ecd2e7171580643f5255a29d4da463cd06f6cfbbbf84fcb7a25f6b76276f48",
-        "predictions_sha256": "f17fdcfd1bc3333ff80dec02f5923862411f7090ee59d019fcca8aa500dbbe28",
-        "checkpoint_sha256": "a3b49645ca117f3136a82eac96b36229828fa718caf0468fa675563a972fa1e7",
+        "aa": 0.5511111111111112,
+        "af": -0.03333333333333327,
+        "aa_m": 0.20444444444444443,
+        "map": 0.5494260915419041,
+        "sha256": "463a90b217d7f6aae6e84ee7c7f6337c03194c642068a23f38c233ba60cbc039",
+        "predictions_sha256": "057f7672decdac30c7a4cca9df8f794c4716361147dd2e347ded0ab561f1f6d9",
+        "checkpoint_sha256": "b22311eb0fb9b6e5636595533253ca4fe7c74e3e9f3d76e0dda1bc3e528dc1ad",
     },
     "mc-rebalancecosfc-essentials": {
-        "aa": 0.5822222222222223,
-        "af": -0.08333333333333331,
-        "aa_m": 0.23777777777777778,
-        "map": 0.5897189064421027,
-        "sha256": "d223d98ab29ee177fe7faa9140bdd9bfe6ed182e4497bb3e8c179d04f870637e",
-        "predictions_sha256": "0cfd3db6cf274d2a59f113b1307d78f119def5f7c6652f22cd653cd2ff175437",
-        "checkpoint_sha256": "5c21d9c6536ee09bb7fc28dfb076125eda18ae8163e5845795509d8f39560055",
+        "aa": 0.5511111111111111,
+        "af": -0.05916666666666662,
+        "aa_m": 0.21555555555555558,
+        "map": 0.543453634472363,
+        "sha256": "855b7fb38b1949ed9bcbb51b345841a78534780d84ade4842d388286d7dd2e4d",
+        "predictions_sha256": "e15967fa4884e14bb74d20558195be339d9199a96d63cfa29256bb9b04cc9af2",
+        "checkpoint_sha256": "f2c9bfc780dd8235d906794433e8c127a6013d2df315d7185041157e8c3391e3",
     },
 }
 
@@ -96,7 +101,7 @@ def _pinned_run(directory, monkeypatch, name):
     out = f"out-{name}"
     argv = [
         "run", "--data", "task1.csv", "task2.csv", "task3.csv", *RUNS[name],
-        "--memory", "24", "--epochs", "3", "--seed", "0", "--out", out,
+        "--seed", "0", "--out", out,
     ]
     assert main(argv) == 0
     return directory / out

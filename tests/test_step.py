@@ -130,7 +130,7 @@ def test_step_gradients_equal_the_tape(system, name, options):
     rng = np.random.default_rng(0)
 
     # the first session: no exemplars, every layer trains
-    rows = _plan_session(model, memory, sessions[0], profile, system)
+    rows = _plan_session(model, memory, sessions[0], profile, system, np.random.default_rng(0))
     for new_rows in (slice(0, 7), slice(3, 4)):
         _assert_step_matches_tape(system, profile, model, rows, new_rows, slice(0, 0), rng)
 
@@ -143,7 +143,7 @@ def _assert_last_session_matches_tape(system, name, options, n_tasks, rng):
     profile, sessions, model, memory = _setup(system, name, options, n_tasks)
     for session in sessions[:-1]:
         run_session(model, memory, session, profile, FAST, system)
-    rows = _plan_session(model, memory, sessions[-1], profile, system)
+    rows = _plan_session(model, memory, sessions[-1], profile, system, np.random.default_rng(0))
     assert model.extractor.frozen == (model.extractor.capture_layer + 1 if profile.replay_payload == LATENT else 0)
     rows = _replayed_in_order(rows, rng.permutation(rows.x.shape[0] - rows.n_new))
     shapes = [
@@ -179,7 +179,7 @@ def test_new_rows_enter_at_the_capture_layer_under_latent_replay(n_new):
     profile, sessions, model, memory = _setup(MC, "replay+kd", {})
     for session in sessions[:-1]:
         run_session(model, memory, session, profile, FAST, MC)
-    rows = _plan_session(model, memory, sessions[-1], profile, MC)
+    rows = _plan_session(model, memory, sessions[-1], profile, MC, np.random.default_rng(0))
     step = _step_over(profile, rows, np.arange(3, 3 + n_new), np.arange(4), np.random.default_rng(0))
     _, captured = model.extractor.forward_with_capture(sessions[-1].train.x)
     assert step.n_new == n_new
@@ -193,7 +193,7 @@ def test_mixup_leaves_the_session_rows_unwritten():
     profile, sessions, model, memory = _setup(MC, "distill", {"mixup_alpha": 0.4})
     for session in sessions[:-1]:
         run_session(model, memory, session, profile, FAST, MC)
-    rows = _plan_session(model, memory, sessions[-1], profile, MC)
+    rows = _plan_session(model, memory, sessions[-1], profile, MC, np.random.default_rng(0))
     source, targets = rows.x.copy(), rows.targets.copy()
     n_rows = rows.x.shape[0]
     order = _epoch_order(np.random.default_rng(1).permutation(n_rows), rows.n_new, 8)
@@ -215,7 +215,7 @@ def test_mixup_mixes_the_gathered_new_rows_with_a_permutation_of_themselves():
     profile, sessions, model, memory = _setup(MC, "distill", options)
     for session in sessions[:-1]:
         run_session(model, memory, session, profile, FAST, MC)
-    rows = _plan_session(model, memory, sessions[-1], profile, MC)
+    rows = _plan_session(model, memory, sessions[-1], profile, MC, np.random.default_rng(0))
     n_rows = rows.x.shape[0]
     order = _epoch_order(np.random.default_rng(1).permutation(n_rows), rows.n_new, 8)
     alpha, mixed = profile.mixup_alpha, 0
@@ -256,7 +256,7 @@ def test_epoch_layout_puts_each_windows_new_rows_first():
         profile, sessions, model, memory = _setup(MT, "rebalance", options)
         for session in sessions[:-1]:
             run_session(model, memory, session, profile, FAST, MT)
-        rows = _plan_session(model, memory, sessions[-1], profile, MT)
+        rows = _plan_session(model, memory, sessions[-1], profile, MT, np.random.default_rng(0))
         n_new = rows.n_new
         assert n_new == len(sessions[-1].train.x)
         x = np.concatenate([sessions[-1].train.x, memory.all_exemplars()[0]])
@@ -297,7 +297,7 @@ def test_the_replayed_rows_constants_are_the_old_models_outputs(system, name, di
     old = model.snapshot()
     latent = profile.replay_payload == LATENT
     want = ls.snapshot_constants(old, payloads, classes, profile.weights.T, distill_form, latent)
-    rows = _plan_session(model, memory, sessions[-1], profile, system)
+    rows = _plan_session(model, memory, sessions[-1], profile, system, np.random.default_rng(0))
     assert rows.ex.old_cols == old.head.theta.shape[0]
     if system != BC:  # the head grew after the constants were taken
         assert model.head.theta.shape[0] == rows.ex.old_cols + 2

@@ -31,7 +31,7 @@ class TestAdam:
     def test_three_steps_match_a_textbook_adam(self):
         rng = np.random.default_rng(0)
         model = Model.build(6, COSFC, rng, hidden=(5,), feature_width=4)
-        model.head.expand(1)
+        model.head.expand(1, rng)
         lr, beta1, beta2, eps = 0.01, 0.9, 0.999, 1e-8
         want = [p.copy() for p in model.parameters()]
         m = [np.zeros_like(p) for p in want]
@@ -53,7 +53,7 @@ class TestAdam:
     def test_a_frozen_prefix_stays_out_and_unchanged(self):
         rng = np.random.default_rng(1)
         model = Model.build(6, LINFC, rng, hidden=(5, 5), feature_width=4)
-        model.head.expand(1)
+        model.head.expand(1, rng)
         model.extractor.frozen = 2
         params = model.parameters()
         frozen = [p.copy() for p in params[:4]]
@@ -81,7 +81,7 @@ class TestAdam:
             return Model.build(6, profile.head_variant, substream(4, "init")), ExemplarMemory(20, LATENT)
 
         def nan_filled_step(model, memory, session):
-            rows = _plan_session(model, memory, session, profile, system)
+            rows = _plan_session(model, memory, session, profile, system, np.random.default_rng(0))
             order = _epoch_order(np.random.default_rng(0).permutation(rows.x.shape[0]), rows.n_new, 16)
             step = _assemble_batches(rows, order[:16], profile, np.random.default_rng(0))
             mt_classes = polarity_classes(model.head.registry.fake_mask(), profile.aggregation) if system == MT else None
@@ -322,10 +322,13 @@ class TestRunScenario:
                     assert np.isnan(record.matrix[i, j])
 
     def test_diagonal_meets_majority_floor(self):
-        scenario = tiny_scenario(2, seed=7)
-        record = run_scenario(scenario, 40, resolve_profile("replay", MC), FAST, MC)
-        assert record.matrix[0, 0] >= 0.5
-        assert record.matrix[1, 1] >= 0.5
+        """Each task, trained for real, is learnt in its own session, on
+        every one of twelve scenarios: ``FAST`` leaves the diagonal near
+        chance, so these runs train 20 epochs at lr 1e-2."""
+        config = TrainConfig(epochs=20, lr=1e-2, batch_size=16, seed=3)
+        for seed in range(12):
+            record = run_scenario(tiny_scenario(2, seed=seed), 40, resolve_profile("replay", MC), config, MC)
+            assert np.diag(record.matrix).min() >= 0.75, f"scenario seed {seed}"
 
     def test_final_session_logs_cover_each_test_record_once(self):
         scenario = tiny_scenario(2, seed=8)
@@ -419,25 +422,21 @@ SPLIT_CELLS = [
     ("rebalance", MC), ("rebalance", MT), ("replay+kd", MC), ("rebalance-cosfc", MC), ("distill", BC), ("replay", BC)
 ]
 SPLIT_CONFIG = TrainConfig(epochs=1, lr=1e-3, batch_size=16, seed=3)
-HIDDEN_HEAD_STREAM = pytest.mark.xfail(
-    strict=True,
-    reason="ROADMAP item 5: a checkpoint does not hold the position of the head's generator, "
-    "which draws the rows of each new MC or MT class",
-)
 
 
 def _split_cases():
     for name, system in SPLIT_CELLS:
         for k in (1, 2, 3):
-            yield pytest.param(name, system, k, True, id=f"{name}-{system}-{k}-copied")
-            marks = HIDDEN_HEAD_STREAM if system != BC else ()
-            yield pytest.param(name, system, k, False, marks=marks, id=f"{name}-{system}-{k}-plain")
+            for via in ("copied", "plain"):
+                yield pytest.param(name, system, k, via == "copied", id=f"{name}-{system}-{k}-{via}")
 
 
 class TestSplitRun:
     """A run split after any session, its model and memory written to a
     checkpoint and loaded back, trains the rest of the stream into the
-    uninterrupted run's parameters, bit for bit."""
+    uninterrupted run's final checkpoint, byte for byte: the checkpoint is
+    the whole state between sessions, and no model object holds a
+    generator."""
 
     SESSIONS = [synth_generate(t, 4) for t in tiny_scenario(4, seed=4).tasks]
 
@@ -448,25 +447,34 @@ class TestSplitRun:
         return profile, model, ExemplarMemory(30, profile.replay_payload)
 
     @staticmethod
-    def _train(model, memory, sessions, profile, system):
+    def _train(model, memory, sessions, profile, system, path):
+        """Train through ``sessions``, then write the checkpoint to ``path``
+        and return its bytes."""
         for session in sessions:
             run_session(model, memory, session, profile, SPLIT_CONFIG, system)
-        return [p.tobytes() for p in model.parameters()]
+        values = [v for obj in (model, model.extractor, model.head, model.head.registry) for v in vars(obj).values()]
+        values += [item for v in values if isinstance(v, list) for item in v]
+        assert not any(isinstance(v, np.random.Generator) for v in values), "a model object holds a generator"
+        save_checkpoint(path, model, memory.to_payload())
+        return path.read_bytes()
 
-    @pytest.mark.parametrize("name, system, k, copy_head_stream", _split_cases())
-    def test_a_split_run_equals_the_whole_one(self, tmp_path, name, system, k, copy_head_stream):
-        """``copy_head_stream`` hands the loaded head the live head's
-        generator, the one piece of a run's state a checkpoint lacks."""
+    @pytest.mark.parametrize("name, system, k, copied", _split_cases())
+    def test_a_split_run_equals_the_whole_one(self, tmp_path, name, system, k, copied):
+        """A ``copied`` case resumes from a copy of the checkpoint that the
+        loaded state wrote again, which must equal the first byte for byte."""
         profile, model, memory = self._start(name, system)
-        whole = self._train(model, memory, self.SESSIONS, profile, system)
+        whole = self._train(model, memory, self.SESSIONS, profile, system, tmp_path / "whole.json")
 
         profile, model, memory = self._start(name, system)
-        self._train(model, memory, self.SESSIONS[:k], profile, system)
-        save_checkpoint(tmp_path / "checkpoint.json", model, memory.to_payload())
-        loaded, payload = load_checkpoint(tmp_path / "checkpoint.json")
-        if copy_head_stream:
-            loaded.head._rng = model.head._rng
-        split = self._train(loaded, ExemplarMemory.from_payload(payload, loaded), self.SESSIONS[k:], profile, system)
+        checkpoint = tmp_path / "checkpoint.json"
+        written = self._train(model, memory, self.SESSIONS[:k], profile, system, checkpoint)
+        loaded, payload = load_checkpoint(checkpoint)
+        if copied:
+            save_checkpoint(checkpoint, loaded, payload)
+            assert checkpoint.read_bytes() == written
+            loaded, payload = load_checkpoint(checkpoint)
+        memory = ExemplarMemory.from_payload(payload, loaded)
+        split = self._train(loaded, memory, self.SESSIONS[k:], profile, system, tmp_path / "split.json")
         assert split == whole
 
 
@@ -496,15 +504,17 @@ class TestNumericsErrors:
             _evaluate(model, MC, sessions[0].test)
 
     def test_evaluate_names_the_logits(self):
+        """An infinite bias makes every logit non-finite whatever the trained
+        features are; a finite poison overflows only on large enough ones."""
         model, memory, sessions, profile = fresh_setup(system=MC, profile_name="replay")
         run_session(model, memory, sessions[0], profile, FAST, MC)
-        model.head.theta[...] = 1e308
+        model.head.bias[...] = np.inf
         with pytest.raises(NumericsError, match="^logits produced non-finite entries$"):
             _evaluate(model, MC, sessions[0].test)
 
     def test_herding(self):
         model, memory, sessions, profile = self._poisoned()
-        model.head.expand(sessions[1].task_id)
+        model.head.expand(sessions[1].task_id, np.random.default_rng(0))
         with pytest.raises(NumericsError, match="layer 0 pre-activation"):
             _store_exemplars(model, memory, sessions[1], profile, model.head.registry)
 
