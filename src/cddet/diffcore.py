@@ -90,7 +90,7 @@ def _accumulate(t: Tensor, g: Array) -> None:
 def checked(data: Array, what: str = "operation") -> Array:
     """Return ``data`` unchanged, or raise naming ``what`` if it holds a
     non-finite entry."""
-    if not np.isfinite(data).all():
+    if not np.logical_and.reduce(np.isfinite(data), axis=None):
         raise NumericsError(f"{what} produced non-finite entries")
     return data
 
@@ -273,8 +273,8 @@ def np_softmax(z: Array, axis: int = -1) -> Array:
 def np_log_softmax(z: Array, axis: int = -1) -> Array:
     """Log-softmax on a plain array, from max-shifted logits: finite for any
     finite input, with no floor on small probabilities."""
-    shifted = z - np.max(z, axis=axis, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
+    shifted = z - np.maximum.reduce(z, axis=axis, keepdims=True)
+    return shifted - np.log(np.add.reduce(np.exp(shifted), axis=axis, keepdims=True))
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -308,8 +308,8 @@ def tsum(x: Tensor, axis: int | None = None) -> Tensor:
 def row_norms(m: Array, what: str) -> Array:
     """Euclidean norm of each row (as ``np.linalg.norm(m, axis=1)`` computes
     it); a zero-norm row has no direction."""
-    norms = np.sqrt((m * m).sum(axis=1))
-    if np.any(norms == 0.0):
+    norms = np.sqrt(np.add.reduce(m * m, axis=1))
+    if np.logical_or.reduce(norms == 0.0):
         raise DegenerateInputError(f"zero-norm row in {what}")
     return norms
 
@@ -330,8 +330,8 @@ def np_cosine_backward(g: Array, c: Array, na: Array, nb: Array, an: Array, bn: 
     """Gradients in both operands of ``np_cosine_matrix``, given the upstream
     gradient ``g`` in the cosines and that function's outputs."""
     gc = g * c
-    ga = (g @ bn - gc.sum(axis=1, keepdims=True) * an) / na[:, None]
-    gb = (g.T @ an - gc.sum(axis=0)[:, None] * bn) / nb[:, None]
+    ga = (g @ bn - np.add.reduce(gc, axis=1, keepdims=True) * an) / na[:, None]
+    gb = (g.T @ an - np.add.reduce(gc, axis=0)[:, None] * bn) / nb[:, None]
     return ga, gb
 
 

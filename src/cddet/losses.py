@@ -28,8 +28,11 @@ is built on the tape, over leaves that wrap the model's parameter arrays
 (``tape_leaves``). The replayed rows' constants have one builder,
 ``snapshot_constants``: it runs the old model on those rows and keeps only
 what the distillation form reads, which is what the loss distils. Means
-are written as sum / size, which is what ``np.mean`` computes, without its
-per-call dispatch.
+are written as sum / size, which is what ``np.mean`` computes. The step
+reduces through the ufuncs (``np.add.reduce`` and the like), which
+``x.sum()``, ``np.sum``, ``np.max`` and ``np.any`` call behind Python
+frames: the same bits, in fewer calls. The distilled logit columns are the
+old model's, the leading ones, so the step reads them as a view.
 """
 
 from __future__ import annotations
@@ -140,8 +143,8 @@ def _ce_parts(logp: Array, rows: Array, p: Array | None = None) -> tuple[float, 
     """-mean_i sum_k rows[i,k] logp[i,k] for logp = log softmax(z), and its
     gradient in z; ``p`` is exp(logp) when the caller already holds it."""
     n = logp.shape[0]
-    value = -(rows * logp).sum() / n
-    grad = ((np.exp(logp) if p is None else p) * rows.sum(axis=1, keepdims=True) - rows) / n
+    value = -np.add.reduce(rows * logp, axis=None) / n
+    grad = ((np.exp(logp) if p is None else p) * np.add.reduce(rows, axis=1, keepdims=True) - rows) / n
     return value, grad
 
 
@@ -169,10 +172,10 @@ def _bce_parts(logits: Array, y: Array) -> tuple[float, Array]:
     z = logits[:, 0] if logits.ndim == 2 else logits
     if z.shape != y.shape:
         raise ContractError(f"logit shape {z.shape} does not match targets {y.shape}")
-    value = (y * np.logaddexp(0.0, -z) + (1.0 - y) * np.logaddexp(0.0, z)).sum() / y.size
+    value = np.add.reduce(y * np.logaddexp(0.0, -z) + (1.0 - y) * np.logaddexp(0.0, z), axis=None) / y.size
     dz = (dc.np_sigmoid(z) - y) / y.size
     if logits.ndim == 2:
-        grad = np.zeros_like(logits)
+        grad = np.zeros(logits.shape)
         grad[:, 0] = dz
     else:
         grad = dz
@@ -191,37 +194,42 @@ def kd_kl(old_logits: Array, new_logits: Tensor, T: float, class_mask) -> Tensor
     cols = np.flatnonzero(mask) if mask.dtype == bool else mask.astype(np.intp)
     if cols.size == 0:
         raise ContractError("distillation mask selects no classes")
-    logp, p = kd_targets(old_logits, cols, T)
-    return _loss_op(new_logits, *_kd_parts(logp, p, new_logits.data, cols, T), "kd_kl")
+    if not np.array_equal(cols, np.arange(cols.size)):
+        raise ContractError("distillation covers the leading columns only")
+    logp, p = kd_targets(old_logits, cols.size, T)
+    return _loss_op(new_logits, *_kd_parts(logp, p, new_logits.data, cols.size, T), "kd_kl")
 
 
-def _kd_columns(logits: Array, cols: Array) -> Array:
-    """The distilled columns; a single column becomes the pair [0, z]."""
-    picked = logits[:, cols]
-    return np.hstack([np.zeros_like(picked), picked]) if cols.size == 1 else picked
+def _kd_columns(logits: Array, k: int) -> Array:
+    """The distilled columns, the leading ``k``: the old model's columns
+    keep their place when the head expands, so they are a view, not a
+    gather. A single column becomes the pair [0, z]."""
+    picked = logits[:, :k]
+    return np.hstack([np.zeros(picked.shape), picked]) if k == 1 else picked
 
 
-def kd_targets(old_logits: Array, cols: Array, T: float) -> tuple[Array, Array]:
+def kd_targets(old_logits: Array, k: int, T: float) -> tuple[Array, Array]:
     """The old model's distillation targets: log-probabilities and
-    probabilities at temperature T over the given columns.
+    probabilities at temperature T over its leading ``k`` columns.
 
     A one-row batch sums its row in another order than a taller one, so
     the step and its reference both read the targets ``snapshot_constants``
     computes once for all of a session's replayed rows.
     """
-    old = _kd_columns(np.atleast_2d(np.asarray(old_logits, dtype=np.float64)), cols)
+    old = _kd_columns(np.atleast_2d(np.asarray(old_logits, dtype=np.float64)), k)
     logp = dc.np_log_softmax(old / float(T), axis=1)
     return logp, np.exp(logp)
 
 
-def _kd_parts(logp: Array, p: Array, new_logits: Array, cols: Array, T: float) -> tuple[float, Array]:
-    """``kd_kl``'s value and its gradient in ``new_logits``, given the targets."""
+def _kd_parts(logp: Array, p: Array, new_logits: Array, k: int, T: float) -> tuple[float, Array]:
+    """``kd_kl``'s value and its gradient in ``new_logits``, given the
+    targets over its leading ``k`` columns."""
     t = float(T)
-    logq = dc.np_log_softmax(_kd_columns(new_logits, cols) / t, axis=1)
+    logq = dc.np_log_softmax(_kd_columns(new_logits, k) / t, axis=1)
     n = logq.shape[0]
-    value = (p * (logp - logq)).sum(axis=1).sum() / n * (t * t)
-    grad = np.zeros_like(new_logits)
-    grad[:, cols] = ((np.exp(logq) - p) * (t / n))[:, -cols.size :]
+    value = np.add.reduce(np.add.reduce(p * (logp - logq), axis=1), axis=None) / n * (t * t)
+    grad = np.zeros(new_logits.shape)
+    grad[:, :k] = ((np.exp(logq) - p) * (t / n))[:, -k:]
     return value, grad
 
 
@@ -239,9 +247,10 @@ def kd_feature(old_feats: Array, new_feats: Tensor) -> Tensor:
 def _kd_feature_parts(old: Array, na: Array, new: Array, nb: Array) -> tuple[float, Array]:
     """``kd_feature``'s value and its gradient in ``new``; ``na`` and ``nb``
     hold the row norms of ``old`` and ``new``."""
-    cos = np.einsum("ij,ij->i", old, new) / (na * nb)
-    dcos = old / (na * nb)[:, None] - cos[:, None] * new / (nb * nb)[:, None]
-    return (1.0 - cos).sum() / cos.size, dcos * (-1.0 / cos.size)
+    nanb = na * nb
+    cos = np.einsum("ij,ij->i", old, new) / nanb
+    dcos = old / nanb[:, None] - cos[:, None] * new / (nb * nb)[:, None]
+    return np.add.reduce(1.0 - cos, axis=None) / cos.size, dcos * (-1.0 / cos.size)
 
 
 def margin_ranking(features: Tensor, embeddings: Tensor, targets, tau: float, J: int) -> Tensor:
@@ -270,10 +279,10 @@ def _margin_parts(sims: Array, targets, tau: float, J: int) -> tuple[float, Arra
     gaps = sims[rows[:, None], rivals] - sims[rows, targets][:, None] + float(tau)
     active = gaps > 0
 
-    grad = np.zeros_like(sims)
+    grad = np.zeros(sims.shape)
     grad[rows[:, None], rivals] = active / n
-    grad[rows, targets] = -active.sum(axis=1) / n
-    return np.where(active, gaps, 0.0).sum() * (1.0 / n), grad
+    grad[rows, targets] = -np.add.reduce(active, axis=1) / n
+    return np.add.reduce(np.where(active, gaps, 0.0), axis=None) * (1.0 / n), grad
 
 
 def _group_score(logp: Array, p: Array, group: Array, rule: str) -> tuple[Array, Array]:
@@ -282,13 +291,13 @@ def _group_score(logp: Array, p: Array, group: Array, rule: str) -> tuple[Array,
     if rule == SUMLOG:
         grad = 0.0 - group.size * p  # 0 - x, not -x: a zero stays +0, as in a 0/1 mask minus x
         grad[:, group] += 1.0
-        return logp[:, group].sum(axis=1), grad
+        return np.add.reduce(logp[:, group], axis=1), grad
     grad = -p
     if rule == SUMLOGIT:
         # log of the group's probability mass, and the in-group softmax
         inside = logp[:, group]
-        top = inside.max(axis=1)
-        d = top + np.log(np.exp(inside - top[:, None]).sum(axis=1))
+        top = np.maximum.reduce(inside, axis=1)
+        d = top + np.log(np.add.reduce(np.exp(inside - top[:, None]), axis=1))
         grad[:, group] += np.exp(inside - d[:, None])
         return d, grad
     # MAX: the group's largest activation; ties go to the lowest class
@@ -325,7 +334,7 @@ def _aggregate(z: Array, logp: Array, p: Array, classes: tuple[Array, Array], ru
     fake, real = classes
     if rule == SUMFEAT:
         # polarity-summed logits through a two-way softmax, log taken
-        u = z[:, fake].sum(axis=1) - z[:, real].sum(axis=1)
+        u = np.add.reduce(z[:, fake], axis=1) - np.add.reduce(z[:, real], axis=1)
         sign = np.full(z.shape[1], -1.0)
         sign[fake] = 1.0
         grad_f = dc.np_sigmoid(-u)[:, None] * sign
@@ -366,12 +375,13 @@ def _mt_parts(z: Array, rows: Array, classes: tuple[Array, Array], lam: float, r
     0 < lam <= 1, dense target rows and the (fake, real) class indices from
     ``polarity_classes``."""
     n = z.shape[0]
-    w_fake = rows[:, classes[0]].sum(axis=1)
+    w_fake = np.add.reduce(rows[:, classes[0]], axis=1)
+    w_real = 1.0 - w_fake
     logp = dc.np_log_softmax(z, axis=1)
     p = np.exp(logp)
     d_f, d_r, grad_f, grad_r = _aggregate(z, logp, p, classes, rule)
-    binary = -((w_fake * d_f + (1.0 - w_fake) * d_r).sum() / n)
-    grad_binary = -(w_fake[:, None] * grad_f + (1.0 - w_fake)[:, None] * grad_r) / n
+    binary = -(np.add.reduce(w_fake * d_f + w_real * d_r, axis=None) / n)
+    grad_binary = -(w_fake[:, None] * grad_f + w_real[:, None] * grad_r) / n
     ce, grad_ce = _ce_parts(logp, rows, p)
     value = ce * (1.0 - lam) + binary * lam
     return value, grad_ce * (1.0 - lam) + grad_binary * lam
@@ -441,7 +451,7 @@ def snapshot_constants(
     old_features, old_logits = _np_forward_joint(model, rows, latent)
     ex = ReplayConstants(classes, old_logits.shape[1])
     if distill_form in ("logit", "logit+feature"):
-        ex.kd_logp, ex.kd_p = kd_targets(old_logits, np.arange(ex.old_cols), T)
+        ex.kd_logp, ex.kd_p = kd_targets(old_logits, ex.old_cols, T)
     if distill_form in ("feature", "logit+feature"):
         ex.old_features, ex.old_norms = old_features, dc.row_norms(old_features, "old features")
     return ex
@@ -482,8 +492,8 @@ def total_loss(
         distill = None
         if ex.kd_p is not None:
             ex_logits = dc.take_rows(logits, ex_slice)
-            cols = np.arange(ex.old_cols)
-            distill = _loss_op(ex_logits, *_kd_parts(ex.kd_logp, ex.kd_p, ex_logits.data, cols, weights.T), "kd_kl")
+            kd = _kd_parts(ex.kd_logp, ex.kd_p, ex_logits.data, ex.old_cols, weights.T)
+            distill = _loss_op(ex_logits, *kd, "kd_kl")
         if ex.old_features is not None:
             term = kd_feature(ex.old_features, ex_feats)
             distill = term if distill is None else dc.add(distill, term)
@@ -511,7 +521,7 @@ def _np_layers_backward(extractor, acts: list[Array], g: Array, grads: list[Arra
         if i < last:
             g = g * (acts[j + 1] > 0)  # relu(z) > 0 exactly where z > 0
         np.matmul(acts[j].T, g, out=grads[2 * j])
-        np.sum(g, axis=0, out=grads[2 * j + 1])
+        np.add.reduce(g, axis=0, out=grads[2 * j + 1])
         if i > frozen:
             g = g @ weights[i].T
 
@@ -609,8 +619,7 @@ def loss_and_gradients(
         _check_distillable(ex)
         distill = 0.0
         if ex.kd_p is not None:
-            cols = np.arange(ex.old_cols)
-            value, g = _kd_parts(ex.kd_logp, ex.kd_p, logits[n_new:], cols, weights.T)
+            value, g = _kd_parts(ex.kd_logp, ex.kd_p, logits[n_new:], ex.old_cols, weights.T)
             distill += _checked_loss(value, "kd_kl")
             d_logits[n_new:] += gamma_d * g
         if ex.old_features is not None:
@@ -632,12 +641,12 @@ def loss_and_gradients(
 
     g_theta, g_other = grads[-2:]
     if cosines is not None:
-        np.sum(d_logits * cosines[0], out=g_other)
+        np.add.reduce(d_logits * cosines[0], axis=None, out=g_other)
         d_feats, g_theta[...] = dc.np_cosine_backward(d_logits * head.scale, *cosines)
     else:
         d_feats = d_logits @ head.theta
         np.matmul(d_logits.T, feats, out=g_theta)
-        np.sum(d_logits, axis=0, out=g_other)
+        np.add.reduce(d_logits, axis=0, out=g_other)
     if d_theta_margin is not None:
         g_theta += d_theta_margin
     if d_feats_ex is not None:

@@ -38,11 +38,14 @@ coarsest level at which it is constant:
   mixup, and taking the replayed rows' constants with one
   ``ReplayConstants.take``),
   ``losses.loss_and_gradients`` computes the loss and writes each gradient
-  into ``Adam.g``; ``Adam.step`` applies them.
+  into ``Adam.g``; ``Adam.step`` applies them in Adam's folded form.
 
 The gradients equal the tape's (``total_loss`` on the same ``StepRows``,
 ``.backward()``) bit for bit; the tape stays as the reference the tests and
-``cddet verify`` use.
+``cddet verify`` use. The step reduces through the ufuncs, not numpy's
+Python-level wrappers. After each session the run evaluates every seen task for
+the accuracy matrix; only the final column's predictions are logged, so
+only they take fake scores and predicted classes.
 """
 
 from __future__ import annotations
@@ -167,6 +170,13 @@ class Adam:
     to its view of it; ``grads`` holds their views of the gradient buffer
     ``g``, which ``losses.loss_and_gradients`` writes. A step updates
     ``flat`` and both moment buffers in place.
+
+    The update is Kingma & Ba's (2015, section 2) folded form: the bias
+    corrections go into one scalar step size, lr * sqrt(1 - beta2^t) /
+    (1 - beta1^t), and the epsilon becomes eps_hat = eps * sqrt(1 - beta2^t),
+    so theta -= step_size * m / (sqrt(v) + eps_hat). That is the same
+    function as lr * m_hat / (sqrt(v_hat) + eps), in fewer array passes and
+    with one division; it rounds differently in the last bits.
     """
 
     BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
@@ -193,8 +203,6 @@ class Adam:
 
     def step(self) -> None:
         """One update from the gradients in ``g``."""
-        # lr * m_hat / (sqrt(v_hat) + eps), each operation in the order the
-        # expression states, written into two scratch buffers
         self.t += 1
         g, m, v = self.g, self.m, self.v
         a, b = self._scratch
@@ -205,12 +213,12 @@ class Adam:
         np.multiply(1.0 - self.BETA2, g, out=a)
         a *= g
         v += a
-        np.divide(m, 1.0 - self.BETA1**self.t, out=a)
-        a *= self.lr
-        np.divide(v, 1.0 - self.BETA2**self.t, out=b)
-        np.sqrt(b, out=b)
-        b += self.EPS
-        a /= b
+        root2 = math.sqrt(1.0 - self.BETA2**self.t)
+        step_size = self.lr * root2 / (1.0 - self.BETA1**self.t)
+        np.sqrt(v, out=b)
+        b += self.EPS * root2
+        np.divide(m, b, out=a)
+        a *= step_size
         self.flat -= a
 
 
@@ -418,10 +426,16 @@ def _store_exemplars(model, memory, session, profile, registry) -> None:
 # scenario runner
 
 
-def _evaluate(model: Model, system: str, split) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+def _evaluate(
+    model: Model, system: str, split, logged: bool
+) -> tuple[float, np.ndarray, np.ndarray | None, np.ndarray | None]:
+    """Accuracy and predicted polarity on ``split``; the fake scores and
+    predicted classes too when the predictions are ``logged`` (None else)."""
     _, logits = model.forward(split.x)
     pred_pol = predict_binary(model.head, logits, system)
     accuracy = float(np.mean(pred_pol == split.y))
+    if not logged:
+        return accuracy, pred_pol, None, None
     scores = fake_score(model.head, logits, system)
     pred_cls = predict_class(logits) if system != BC else None
     return accuracy, pred_pol, scores, pred_cls
@@ -468,7 +482,7 @@ def run_scenario_over_sessions(
         run_session(model, memory, session, profile, config, system)
         record.memory_totals.append(memory.total() if memory is not None else 0)
         for i in range(j + 1):
-            accuracy, pred_pol, scores, pred_cls = _evaluate(model, system, sessions[i].test)
+            accuracy, pred_pol, scores, pred_cls = _evaluate(model, system, sessions[i].test, j == n - 1)
             matrix[i, j] = accuracy
             if j == n - 1:
                 split = sessions[i].test

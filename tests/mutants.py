@@ -49,8 +49,8 @@ _EXPAND_HEAD = (
 MUTANTS = [
     (
         "sumlog-c-ordered-gather", "losses.py",
-        "return logp[:, group].sum(axis=1), grad",
-        "return np.ascontiguousarray(logp[:, group]).sum(axis=1), grad",
+        "return np.add.reduce(logp[:, group], axis=1), grad",
+        "return np.add.reduce(np.ascontiguousarray(logp[:, group]), axis=1), grad",
         ["tests/test_losses.py::TestAggregate::test_a_group_adds_in_class_order"],
     ),
     (
@@ -220,8 +220,8 @@ MUTANTS = [
     # power-of-two windows, so the 3-row oracles must catch it
     (
         "ce-gradient-divides-early", "losses.py",
-        "grad = ((np.exp(logp) if p is None else p) * rows.sum(axis=1, keepdims=True) - rows) / n",
-        "grad = (np.exp(logp) if p is None else p) * (rows.sum(axis=1, keepdims=True) / n) - rows / n",
+        "grad = ((np.exp(logp) if p is None else p) * np.add.reduce(rows, axis=1, keepdims=True) - rows) / n",
+        "grad = (np.exp(logp) if p is None else p) * (np.add.reduce(rows, axis=1, keepdims=True) / n) - rows / n",
         ["tests/test_losses.py::TestKernelRounding::test_ce_gradient_divides_last"],
     ),
     (
@@ -232,22 +232,22 @@ MUTANTS = [
     ),
     (
         "kd-gradient-divides-last", "losses.py",
-        "* (t / n))[:, -cols.size :]",
-        "* t / n)[:, -cols.size :]",
+        "* (t / n))[:, -k:]",
+        "* t / n)[:, -k:]",
         ["tests/test_losses.py::TestKernelRounding::test_kd_gradient_scales_by_t_over_n"],
     ),
     # the same two regroupings against the pins alone: their budget of 25
-    # leaves windows of 9 replayed rows, and the essentials pin distils for 6 epochs
+    # leaves windows of 9 replayed rows, and the essentials pin distils for 8 epochs
     (
         "ce-gradient-divides-early-in-the-pins", "losses.py",
-        "grad = ((np.exp(logp) if p is None else p) * rows.sum(axis=1, keepdims=True) - rows) / n",
-        "grad = (np.exp(logp) if p is None else p) * (rows.sum(axis=1, keepdims=True) / n) - rows / n",
+        "grad = ((np.exp(logp) if p is None else p) * np.add.reduce(rows, axis=1, keepdims=True) - rows) / n",
+        "grad = (np.exp(logp) if p is None else p) * (np.add.reduce(rows, axis=1, keepdims=True) / n) - rows / n",
         ["tests/test_pins.py::test_metrics_json_pinned"],
     ),
     (
         "kd-gradient-divides-last-in-the-pins", "losses.py",
-        "* (t / n))[:, -cols.size :]",
-        "* t / n)[:, -cols.size :]",
+        "* (t / n))[:, -k:]",
+        "* t / n)[:, -k:]",
         ["tests/test_pins.py::test_metrics_json_pinned"],
     ),
     (
@@ -257,9 +257,27 @@ MUTANTS = [
         ["tests/test_pins.py::test_metrics_json_pinned"],
     ),
     (
+        "kd-view-writes-the-trailing-columns", "losses.py",
+        "grad[:, :k] = ",
+        "grad[:, -k:] = ",
+        ["tests/test_losses.py::TestKernelRounding::test_kd_gradient_scales_by_t_over_n"],
+    ),
+    (
+        "adam-eps-unscaled", "trainer.py",
+        "b += self.EPS * root2",
+        "b += self.EPS",
+        ["tests/test_trainer.py::TestAdam::test_three_steps_match_a_textbook_adam"],
+    ),
+    (
+        "step-calls-a-sum-wrapper", "losses.py",
+        "np.add.reduce(g, axis=0, out=grads[2 * j + 1])",
+        "np.sum(g, axis=0, out=grads[2 * j + 1])",
+        ["tests/test_imports.py::test_the_step_path_calls_no_reduction_wrapper"],
+    ),
+    (
         "margin-value-divides-last", "losses.py",
-        "np.where(active, gaps, 0.0).sum() * (1.0 / n)",
-        "np.where(active, gaps, 0.0).sum() / n",
+        "np.add.reduce(np.where(active, gaps, 0.0), axis=None) * (1.0 / n)",
+        "np.add.reduce(np.where(active, gaps, 0.0), axis=None) / n",
         ["tests/test_losses.py::TestKernelRounding::test_margin_value_scales_by_one_over_n"],
     ),
 ]

@@ -3,7 +3,8 @@ in that module (``from __future__`` imports aside), every function or
 method defined under ``src/`` (dunders aside) is read as code somewhere under
 ``src/``, ``tests/`` or ``perfbench/``, and every exception class of
 ``cddet.errors`` is raised under ``src/`` or is the base of one that is.
-``cddet.cli`` loads the oracle battery only for ``cddet verify``."""
+The training step calls no numpy reduction wrapper. ``cddet.cli`` loads the
+oracle battery only for ``cddet verify``."""
 
 import ast
 import inspect
@@ -98,6 +99,72 @@ def test_every_definition_under_src_is_read():
     assert len(found) > 100  # the scan reaches the engine's modules
     unread = [f"{p.relative_to(ROOT)}:{line}: {name}" for p, (name, line) in found if name not in read]
     assert unread == []
+
+
+# numpy's Python-level reduction wrappers: each runs the ufunc's reduce behind
+# Python frames and keyword building, so the training step calls the ufunc
+WRAPPER_METHODS = {"sum", "max", "all", "any"}
+WRAPPER_FUNCTIONS = WRAPPER_METHODS | {"mean", "zeros_like"}
+STEP_ROOTS = ("loss_and_gradients", "np_activations", "step")
+
+
+def functions_by_name(sources: list[str]) -> dict[str, list[ast.AST]]:
+    """Each function and method the sources define, by its bare name."""
+    found: dict[str, list[ast.AST]] = {}
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found.setdefault(node.name, []).append(node)
+    return found
+
+
+def reachable(defs: dict[str, list[ast.AST]], roots) -> set[str]:
+    """The names of ``roots`` and of every defined function they call,
+    directly or through each other, a call matched by the callee's name."""
+    seen, todo = set(), list(roots)
+    while todo:
+        name = todo.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        for node in (n for d in defs[name] for n in ast.walk(d) if isinstance(n, ast.Call)):
+            callee = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if callee in defs:
+                todo.append(callee)
+    return seen
+
+
+def wrapper_uses(defs: dict[str, list[ast.AST]], names: set[str]) -> list[str]:
+    """Each use of a reduction wrapper in the functions ``names``: a method
+    ``x.sum`` and the like, or a function ``np.mean`` and the like."""
+    uses = []
+    for name in sorted(names):
+        for node in (n for d in defs[name] for n in ast.walk(d) if isinstance(n, ast.Attribute)):
+            is_np = isinstance(node.value, ast.Name) and node.value.id == "np"
+            if node.attr in WRAPPER_METHODS or (is_np and node.attr in WRAPPER_FUNCTIONS):
+                uses.append(f"{name}:{node.lineno}: {ast.unparse(node)}")
+    return uses
+
+
+def test_the_scan_finds_a_reduction_wrapper_on_the_path():
+    source = (
+        "def f(x):\n    return g(x).sum() + x.summary\n\n"
+        "def g(x):\n    return np.zeros_like(x) + np.add.reduce(x)\n\n"
+        "def h(x):\n    return np.mean(x)\n"
+    )
+    defs = functions_by_name([source])
+    assert reachable(defs, ["f"]) == {"f", "g"}
+    assert wrapper_uses(defs, {"f", "g"}) == ["f:2: g(x).sum", "g:5: np.zeros_like"]
+
+
+def test_the_step_path_calls_no_reduction_wrapper():
+    """``loss_and_gradients``, everything it calls, ``np_activations`` and
+    ``Adam.step`` reduce through the ufuncs (``np.add.reduce`` and the like)."""
+    defs = functions_by_name([p.read_text(encoding="utf-8") for p in SOURCES])
+    path = reachable(defs, STEP_ROOTS)
+    # the scan reaches the kernels, the layers and the head
+    assert {"_np_layers_backward", "_group_score", "_kd_columns", "row_norms", "checked", "logits_and_cosines"} <= path
+    assert wrapper_uses(defs, path) == []
 
 
 def raised_names(source: str) -> set[str]:

@@ -87,6 +87,15 @@ class TestKdKl:
         with pytest.raises(ContractError):
             ls.kd_kl(np.zeros((1, 2)), dc.Tensor(np.zeros((1, 2))), 1.0, np.zeros(2, dtype=bool))
 
+    def test_a_mask_past_the_leading_columns_rejected(self):
+        with pytest.raises(ContractError, match="leading columns"):
+            ls.kd_kl(np.zeros((1, 3)), dc.Tensor(np.zeros((1, 3))), 1.0, np.array([False, True, True]))
+
+    def test_the_distilled_columns_are_a_view_of_the_leading_ones(self):
+        z = np.arange(12.0).reshape(3, 4)
+        picked = ls._kd_columns(z, 3)
+        assert np.shares_memory(picked, z) and picked.tobytes() == z[:, [0, 1, 2]].tobytes()
+
     def test_binary_mask_mode(self):
         z = np.array([[0.7], [-0.3]])
         assert ls.kd_kl(z, dc.Tensor(z), 1.0, np.array([True])).item() == 0.0
@@ -225,13 +234,13 @@ class TestKernelRounding:
     def test_kd_gradient_scales_by_t_over_n(self, seed):
         rng = np.random.default_rng(seed)
         old, new, cols, T = rng.normal(size=(3, 4)), rng.normal(size=(3, 4)), np.arange(3), 2.0
-        logp, p = ls.kd_targets(old, cols, T)
+        logp, p = ls.kd_targets(old, cols.size, T)
         q = np.exp(dc.np_log_softmax(new[:, cols] / T, axis=1))
         want = np.zeros((3, 4))
         for i in range(3):
             for c in cols:
                 want[i, c] = (q[i, c] - p[i, c]) * (T / 3)
-        assert ls._kd_parts(logp, p, new, cols, T)[1].tobytes() == want.tobytes()
+        assert ls._kd_parts(logp, p, new, cols.size, T)[1].tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("seed", range(8))
     def test_margin_value_scales_by_one_over_n(self, seed):

@@ -30,7 +30,7 @@ TASKS = [
 # a config file in the data directory, read by the essentials pin
 ESSENTIALS = "mixup = 0.4\nlabel_smooth = 0.1\ndistill_form = logit+feature\n"
 
-# A budget of 25 leaves windows of 9 replayed rows, and 6 epochs give the
+# A budget of 25 leaves windows of 9 replayed rows, and 8 epochs give the
 # essentials pin more distilling steps: a loss kernel that rounds its
 # division differently moves these pins' last bits, which power-of-two
 # windows hide. bc-distill keeps budget 24 and 3 epochs, as the control.
@@ -42,7 +42,7 @@ RUNS = {
     ),
     "mc-rebalancecosfc-essentials": (
         "--config", "essentials.cfg", "--profile", "rebalance-cosfc", "--system", "mc",
-        "--memory", "25", "--epochs", "6",
+        "--memory", "25", "--epochs", "8",
     ),
 }
 
@@ -53,8 +53,8 @@ PINS = {
         "aa_m": None,
         "map": 0.657642256344496,
         "sha256": "67560266a67bc066598348d38882aff23833e9afbf46007896623bb2811e2a16",
-        "predictions_sha256": "db16f3a4c4ea2aeba6f0c10071f2ec66bd68ee78a48c747a1b6aaecbeb73c960",
-        "checkpoint_sha256": "22e9e311e4fd8c50d89c03d764030e117e88df772295f973ec7e2972ba33e220",
+        "predictions_sha256": "ea8e06ccbdc3053168bbec0115586aa71581867bf322da6e6dff0254be23e901",
+        "checkpoint_sha256": "099356a4e59dd320ccb7b48d20fa698ff7b284300e74989971b705bcca762ea1",
     },
     "mc-replaykd-latent": {
         "aa": 0.5133333333333333,
@@ -62,8 +62,8 @@ PINS = {
         "aa_m": 0.16333333333333333,
         "map": 0.537157819819344,
         "sha256": "5a25c7a8ba27df01ead30f6cc0baf16a041787a9c3100c2712b863a66223db84",
-        "predictions_sha256": "0a3a5ed5ac02ebaab1f072591c30bbaef573a4d530c5f7f0f9a8b1f21cd06bb5",
-        "checkpoint_sha256": "a1cfee04001def51c810495877d0ddfcaab28e1402d868beab4900e71fa87859",
+        "predictions_sha256": "220c8e22a3cbfff8a02e8b7a78d9d1b03b3b8065a271ee00aae18546499662b9",
+        "checkpoint_sha256": "becc287f0638efb71eeaf5c88912875f944948f6825bb6c699ca68f93b49d869",
     },
     "mt-rebalance-sumlogit": {
         "aa": 0.5511111111111112,
@@ -71,17 +71,17 @@ PINS = {
         "aa_m": 0.20444444444444443,
         "map": 0.5494260915419041,
         "sha256": "463a90b217d7f6aae6e84ee7c7f6337c03194c642068a23f38c233ba60cbc039",
-        "predictions_sha256": "057f7672decdac30c7a4cca9df8f794c4716361147dd2e347ded0ab561f1f6d9",
-        "checkpoint_sha256": "b22311eb0fb9b6e5636595533253ca4fe7c74e3e9f3d76e0dda1bc3e528dc1ad",
+        "predictions_sha256": "df49fde892b705f5b67b22ad8368104371857f90359a70ccb754e27cde08d6ac",
+        "checkpoint_sha256": "82fa55cbc85e79971f8f7aaa223bacf6bca532289f67ac903448000d0d5fa6d2",
     },
     "mc-rebalancecosfc-essentials": {
-        "aa": 0.5511111111111111,
-        "af": -0.05916666666666662,
-        "aa_m": 0.21555555555555558,
-        "map": 0.543453634472363,
-        "sha256": "855b7fb38b1949ed9bcbb51b345841a78534780d84ade4842d388286d7dd2e4d",
-        "predictions_sha256": "e15967fa4884e14bb74d20558195be339d9199a96d63cfa29256bb9b04cc9af2",
-        "checkpoint_sha256": "f2c9bfc780dd8235d906794433e8c127a6013d2df315d7185041157e8c3391e3",
+        "aa": 0.5688888888888889,
+        "af": -0.07583333333333334,
+        "aa_m": 0.24222222222222223,
+        "map": 0.5649040069415531,
+        "sha256": "c6b33376e38f7cd58605a5ca6a13832ae560f6f7bebea7b1b828713ff1d3e42f",
+        "predictions_sha256": "cb5618d70c14846b51d538e8f034c5e6c643b894aab6f4e1b843bc83e3d77cc3",
+        "checkpoint_sha256": "886f8fd0ef3ab4c41e347f192b7aa7a359c4300481b0e36c711239fbcdf74543",
     },
 }
 

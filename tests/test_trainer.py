@@ -434,9 +434,10 @@ def _split_cases():
 class TestSplitRun:
     """A run split after any session, its model and memory written to a
     checkpoint and loaded back, trains the rest of the stream into the
-    uninterrupted run's final checkpoint, byte for byte: the checkpoint is
-    the whole state between sessions, and no model object holds a
-    generator."""
+    uninterrupted run's final checkpoint, byte for byte, and its accuracy
+    matrix, with every seen task evaluated after each session: the
+    checkpoint is the whole state between sessions, evaluation reads that
+    state and never writes it, and no model object holds a generator."""
 
     SESSIONS = [synth_generate(t, 4) for t in tiny_scenario(4, seed=4).tasks]
 
@@ -446,36 +447,41 @@ class TestSplitRun:
         model = Model.build(6, profile.head_variant, substream(SPLIT_CONFIG.seed, "init"))
         return profile, model, ExemplarMemory(30, profile.replay_payload)
 
-    @staticmethod
-    def _train(model, memory, sessions, profile, system, path):
-        """Train through ``sessions``, then write the checkpoint to ``path``
-        and return its bytes."""
-        for session in sessions:
-            run_session(model, memory, session, profile, SPLIT_CONFIG, system)
+    @classmethod
+    def _train(cls, model, memory, start, stop, profile, system, path):
+        """Train through sessions ``start`` to ``stop``, evaluating every seen
+        task after each, then write the checkpoint to ``path``; return its
+        bytes and the accuracy matrix's columns."""
+        columns = []
+        for j in range(start, stop):
+            run_session(model, memory, cls.SESSIONS[j], profile, SPLIT_CONFIG, system)
+            columns.append([_evaluate(model, system, s.test, False)[0] for s in cls.SESSIONS[: j + 1]])
         values = [v for obj in (model, model.extractor, model.head, model.head.registry) for v in vars(obj).values()]
         values += [item for v in values if isinstance(v, list) for item in v]
         assert not any(isinstance(v, np.random.Generator) for v in values), "a model object holds a generator"
         save_checkpoint(path, model, memory.to_payload())
-        return path.read_bytes()
+        return path.read_bytes(), columns
 
     @pytest.mark.parametrize("name, system, k, copied", _split_cases())
     def test_a_split_run_equals_the_whole_one(self, tmp_path, name, system, k, copied):
         """A ``copied`` case resumes from a copy of the checkpoint that the
         loaded state wrote again, which must equal the first byte for byte."""
+        n = len(self.SESSIONS)
         profile, model, memory = self._start(name, system)
-        whole = self._train(model, memory, self.SESSIONS, profile, system, tmp_path / "whole.json")
+        whole, whole_matrix = self._train(model, memory, 0, n, profile, system, tmp_path / "whole.json")
 
         profile, model, memory = self._start(name, system)
         checkpoint = tmp_path / "checkpoint.json"
-        written = self._train(model, memory, self.SESSIONS[:k], profile, system, checkpoint)
+        written, first = self._train(model, memory, 0, k, profile, system, checkpoint)
         loaded, payload = load_checkpoint(checkpoint)
         if copied:
             save_checkpoint(checkpoint, loaded, payload)
             assert checkpoint.read_bytes() == written
             loaded, payload = load_checkpoint(checkpoint)
         memory = ExemplarMemory.from_payload(payload, loaded)
-        split = self._train(loaded, memory, self.SESSIONS[k:], profile, system, tmp_path / "split.json")
+        split, rest = self._train(loaded, memory, k, n, profile, system, tmp_path / "split.json")
         assert split == whole
+        assert first + rest == whole_matrix
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
@@ -501,7 +507,7 @@ class TestNumericsErrors:
     def test_evaluate(self):
         model, _, sessions, _ = self._poisoned()
         with pytest.raises(NumericsError, match="layer 0 pre-activation"):
-            _evaluate(model, MC, sessions[0].test)
+            _evaluate(model, MC, sessions[0].test, True)
 
     def test_evaluate_names_the_logits(self):
         """An infinite bias makes every logit non-finite whatever the trained
@@ -510,7 +516,7 @@ class TestNumericsErrors:
         run_session(model, memory, sessions[0], profile, FAST, MC)
         model.head.bias[...] = np.inf
         with pytest.raises(NumericsError, match="^logits produced non-finite entries$"):
-            _evaluate(model, MC, sessions[0].test)
+            _evaluate(model, MC, sessions[0].test, True)
 
     def test_herding(self):
         model, memory, sessions, profile = self._poisoned()
