@@ -43,7 +43,7 @@ from .metrics import (
     write_predictions,
     write_pr_curves,
 )
-from .model import SYSTEMS, save_checkpoint
+from .model import FAKE, SYSTEMS, save_checkpoint
 from .stream import _SCENARIO_SOURCES, SCENARIO_KINDS, build_scenario, load_dataset, synth_generate
 from .trainer import MethodProfile, TrainConfig, resolve_profile, run_scenario_over_sessions
 
@@ -258,7 +258,7 @@ def recompute_metrics_json(run_dir: Path) -> str:
     """Rebuild the metrics document from the persisted artifacts alone, once
     their tasks agree: one per matrix column, a scenario run's own, the ones
     ``config.json`` records, and the ones each record id names, with no
-    record id repeated within a task."""
+    record id repeated and both polarities (for the PR curve) in each task."""
     matrix = read_accuracy_matrix(run_dir / "accuracy_matrix.csv")
     predictions = run_dir / "predictions.csv"
     logs = read_predictions(predictions)
@@ -289,6 +289,10 @@ def recompute_metrics_json(run_dir: Path) -> str:
         if len(set(ids)) < len(ids):
             repeated = next(rid for rid, count in Counter(ids).items() if count > 1)
             raise ParseError(f"record {repeated!r} is repeated in task {task_id}", path=predictions)
+        labels = logs[task_id].true_polarity
+        if labels.min() == labels.max():
+            missing = "real" if labels[0] == FAKE else "fake"
+            raise ParseError(f"task {task_id} has no {missing} rows; its PR curve needs both", path=predictions)
     if task_ids != sorted(run_tasks):
         raise ParseError(f"tasks {task_ids} are not the run's tasks {sorted(run_tasks)}", path=predictions)
     metrics, _ = compute_metrics(matrix, logs, echo)

@@ -23,9 +23,10 @@ enters the network at its first trainable layer
 ``ReplayConstants``. ``step_rows`` is the one builder of that layout: the
 trainer lays out a session's rows with it once and gathers each step's
 from them, and the tests and ``cddet verify`` build steps with it directly.
-The reference's forward, ``_forward_joint``, is the only place the network
-is built on the tape, over leaves that wrap the model's parameter arrays
-(``tape_leaves``). The replayed rows' constants have one builder,
+None takes a learning system: a sigmoid head is BC, an aggregation rule
+MT. The reference's forward, ``_forward_joint``, is the only place the
+network is built on the tape, over leaves that wrap the model's parameter
+arrays (``tape_leaves``). The replayed rows' constants have one builder,
 ``snapshot_constants``: it runs the old model on those rows and keeps only
 what the distillation form reads, which is what the loss distils. Means
 are written as sum / size, which is what ``np.mean`` computes. The step
@@ -45,7 +46,7 @@ import numpy as np
 from . import diffcore as dc
 from .diffcore import Array, Tensor
 from .errors import ConfigError, ContractError, DimensionError, NumericsError
-from .model import BC, COSFC, FAKE, MC, MT, Model
+from .model import COSFC, FAKE, SIGMOID, Model
 
 SUMLOG = "sumlog"
 SUMLOGIT = "sumlogit"
@@ -372,8 +373,7 @@ def mt_class_loss(logits: Tensor, targets, polarity, lam: float, rule: str) -> T
 
 def _mt_parts(z: Array, rows: Array, classes: tuple[Array, Array], lam: float, rule: str) -> tuple[float, Array]:
     """``mt_class_loss``'s value and its gradient in the logits z[n,k], for
-    0 < lam <= 1, dense target rows and the (fake, real) class indices from
-    ``polarity_classes``."""
+    0 < lam <= 1, dense target rows and the (fake, real) class indices."""
     n = z.shape[0]
     w_fake = np.add.reduce(rows[:, classes[0]], axis=1)
     w_real = 1.0 - w_fake
@@ -458,7 +458,6 @@ def snapshot_constants(
 
 
 def total_loss(
-    system: str,
     step: StepRows,
     model: Model,
     weights: LossWeights,
@@ -469,21 +468,22 @@ def total_loss(
     over its replayed rows, weighted by gamma_d and gamma_m; the parameters
     enter as ``leaves`` (by default ``tape_leaves(model)``). Distilling
     needs ``snapshot_constants`` on the replayed rows, and distils what
-    they carry: the logits, the features or both."""
+    they carry: the logits, the features or both. A sigmoid head makes
+    the system BC (no margin term), a ``rule`` MT, and anything else MC."""
     if leaves is None:
         leaves = tape_leaves(model)
     features, logits = _forward_joint(model, leaves, step.x)
 
-    if system == BC:
+    if model.head.variant == SIGMOID:
         total = binary_ce(logits, step.targets)
-    elif system == MC:
+    elif rule is None:
         total = multiclass_ce(logits, step.targets)
     else:
         total = mt_class_loss(logits, step.targets, model.head.registry.fake_mask(), weights.lam, rule)
 
     ex, ex_slice = step.ex, slice(step.n_new, None)
     wants_distill = ex is not None and weights.gamma_d > 0
-    wants_margin = ex is not None and weights.gamma_m > 0 and system != BC
+    wants_margin = ex is not None and weights.gamma_m > 0 and model.head.variant != SIGMOID
     if wants_distill or wants_margin:
         ex_feats = dc.take_rows(features, ex_slice)
 
@@ -535,9 +535,9 @@ class StepRows:
     layer, ``model.extractor.frozen``: the raw inputs, or, once latent
     replay has frozen the layers up to the capture layer, the activations
     there. The first ``n_new`` rows are new. ``targets`` holds each row's
-    target: label rows [n,k] for MC and MT, the 0/1 polarity as floats [n]
-    for BC. ``ex`` holds the replayed rows' ``ReplayConstants``, one row
-    per replayed row. The training step and its tape reference read the
+    target: label rows [n,k] for an argmax head, the 0/1 polarity as floats
+    [n] for the sigmoid head. ``ex`` holds the replayed rows'
+    ``ReplayConstants``, one row per replayed row. The training step and its tape reference read the
     same ``StepRows``.
     """
 
@@ -548,7 +548,7 @@ class StepRows:
 
 
 def step_rows(
-    system: str, model: Model, new_x: Array, new_classes: Array, ex_x: Array | None = None,
+    model: Model, new_x: Array, new_classes: Array, ex_x: Array | None = None,
     ex: ReplayConstants | None = None, eps: float = 0.0,
 ) -> StepRows:
     """New rows ``new_x`` of classes ``new_classes``, then replayed rows
@@ -556,12 +556,12 @@ def step_rows(
     and of a session (``trainer._plan_session``): the new rows' activations
     at the first trainable layer, then the replayed rows, which enter there
     as given. The targets are the classes' label rows smoothed by ``eps``
-    (one-hot at 0), or for BC their polarity."""
+    (one-hot at 0), or for the sigmoid head (BC) their polarity."""
     ext = model.extractor
     x, classes = ext.np_activations(new_x, 0, ext.frozen)[-1], new_classes
     if ex is not None:
         x, classes = np.concatenate([x, ex_x]), np.concatenate([new_classes, ex.classes])
-    if system == BC:
+    if model.head.variant == SIGMOID:
         targets = model.head.registry.fake_mask()[classes].astype(np.float64)
     else:
         targets = label_smooth(classes, model.head.theta.shape[0], eps)
@@ -569,13 +569,11 @@ def step_rows(
 
 
 def loss_and_gradients(
-    system: str,
     step: StepRows,
     model: Model,
     weights: LossWeights,
     grads: list[Array],
     rule: str | None = None,
-    mt_classes: tuple[Array, Array] | None = None,
 ) -> float:
     """``total_loss``'s value on the same ``step``, computed without the
     tape, after writing the gradient of every trainable parameter into
@@ -585,12 +583,12 @@ def loss_and_gradients(
     The forward pass, the loss terms and the backward sweep use the tape's
     operands, memory layouts and order of summation, so the value and each
     gradient equal ``total_loss(...)`` and its ``.backward()`` bit for bit.
-    ``mt_classes`` is ``polarity_classes`` of the head, which MT steps pass.
-    Distilling reads ``snapshot_constants`` on the replayed rows and
-    distils what they carry; each such step checks that they carry
-    something (``_check_distillable``). Beyond that and finiteness nothing
-    is checked here: the method profile checks the settings, the readers
-    the rows.
+    As there, a sigmoid head is BC and a ``rule`` MT, whose fake and real
+    classes are the odd and the even logit columns. Distilling reads
+    ``snapshot_constants`` on the replayed rows and distils what they
+    carry; each such step checks that they carry something
+    (``_check_distillable``). Beyond that and finiteness nothing is checked
+    here: the method profile checks the settings, the readers the rows.
     """
     ext, head = model.extractor, model.head
     acts = ext.np_activations(step.x, ext.frozen)
@@ -598,11 +596,12 @@ def loss_and_gradients(
     logits, cosines = head.logits_and_cosines(feats)
 
     n_new, targets = step.n_new, step.targets
-    if system == BC:
+    if head.variant == SIGMOID:
         value, d_logits = _bce_parts(logits, targets)
         total = _checked_loss(value, "binary_ce")
-    elif system == MT and weights.lam > 0:
-        value, d_logits = _mt_parts(logits, targets, mt_classes, weights.lam, rule)
+    elif rule is not None and weights.lam > 0:
+        k = logits.shape[1]
+        value, d_logits = _mt_parts(logits, targets, (np.arange(1, k, 2), np.arange(0, k, 2)), weights.lam, rule)
         total = _checked_loss(value, "mt_class_loss")
     else:
         value, d_logits = _ce_parts(dc.np_log_softmax(logits, axis=1), targets)
@@ -629,7 +628,7 @@ def loss_and_gradients(
             d_feats_ex = gamma_d * g
         total = total + distill * gamma_d
 
-    if n_ex and gamma_m > 0 and system != BC:
+    if n_ex and gamma_m > 0 and head.variant != SIGMOID:
         supp = 0.0
         if weights.J > 0:
             sims, sna, snb, san, sbn = dc.np_cosine_matrix(ex_feats, head.theta, ex_norms)

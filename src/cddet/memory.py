@@ -238,10 +238,10 @@ class ExemplarMemory:
                     f"the model's {kind} width is {width}"
                 )
             if model is not None:
-                entries = model.head.registry.entries
-                if int(key) >= len(entries):
-                    raise ConfigError(f"checkpoint field {where}: the model has {len(entries)} classes")
-                want = entries[int(key)][0] if arr.shape[0] else -1
+                registry = model.head.registry
+                if int(key) >= len(registry):
+                    raise ConfigError(f"checkpoint field {where}: the model has {len(registry)} classes")
+                want = registry.tasks[int(key) // 2] if arr.shape[0] else -1
                 if type(task_id) is not int or task_id != want:
                     raise ConfigError(f"checkpoint field {where}.task_id: {task_id!r}, expected {want}")
             memory.classes[int(key)] = (task_id, arr)

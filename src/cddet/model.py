@@ -10,9 +10,8 @@ loss on the tape (``losses.total_loss``) wraps them in its own leaves.
 Three head variants are supported: a plain linear head ("linfc"), a
 cosine-normalised head with a learnable positive scale ("cosfc"), and a
 single-unit sigmoid head ("sigmoid") whose output never grows with the
-number of sessions. Argmax heads carry one real and one fake class per task,
-appended real-first, and a registry mapping each class index to its
-(task id, polarity).
+number of sessions. A head's registry is its task list: task i owns class 2i
+(real) and class 2i + 1 (fake), so a class's polarity is its index mod 2.
 
 Checkpoint format (JSON, one object per file):
     {"format": "cddet-checkpoint-v1",
@@ -23,7 +22,9 @@ Checkpoint format (JSON, one object per file):
                "sessions_trained": int},
      "memory": {...} | null}
 Parameter arrays appear in declaration order and round-trip at full float64
-precision through JSON's repr-based serialisation. Loading checks every
+precision through JSON's repr-based serialisation. The registry holds
+[t, 0], [t, 1] for each task t in turn, and loading requires that pair
+layout, each task once, since no run writes another. Loading checks every
 array's shape against ``widths`` and the registry, and the memory half
 against the model (``ExemplarMemory.from_payload``).
 
@@ -60,33 +61,27 @@ SYSTEMS = (BC, MC, MT)
 
 @dataclass
 class ClassRegistry:
-    """Total map from class index to (task id, polarity); real comes first."""
+    """A head's tasks in the order they came. Task i owns two classes, real
+    first: class 2i is its real class and class 2i + 1 its fake one."""
 
-    entries: list[tuple[int, int]] = field(default_factory=list)
+    tasks: list[int] = field(default_factory=list)
 
-    def add_task(self, task_id: int) -> tuple[int, int]:
+    def add_task(self, task_id: int) -> None:
         """Register a task's two classes; a task already held raises ``ProtocolError`` and changes nothing."""
-        if task_id in self.task_ids():
+        if task_id in self.tasks:
             raise ProtocolError(f"task {task_id} already registered")
-        real_idx = len(self.entries)
-        self.entries.append((task_id, REAL))
-        self.entries.append((task_id, FAKE))
-        return real_idx, real_idx + 1
-
-    def task_ids(self) -> list[int]:
-        return list(dict.fromkeys(task_id for task_id, _ in self.entries))
+        self.tasks.append(task_id)
 
     def class_of(self, task_id: int, polarity: int) -> int:
-        for idx, entry in enumerate(self.entries):
-            if entry == (task_id, polarity):
-                return idx
-        raise ContractError(f"no class registered for task {task_id} polarity {polarity}")
+        if task_id not in self.tasks or polarity not in (REAL, FAKE):
+            raise ContractError(f"no class registered for task {task_id} polarity {polarity}")
+        return 2 * self.tasks.index(task_id) + polarity
 
     def fake_mask(self) -> Array:
-        return np.array([pol == FAKE for _, pol in self.entries], dtype=bool)
+        return np.arange(len(self)) % 2 == FAKE
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return 2 * len(self.tasks)
 
 
 def _uniform_init(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int) -> Array:
@@ -287,13 +282,12 @@ class Model:
         return copy.deepcopy(self)
 
 
-def predict_binary(head: ClassifierHead, logits: Array, system: str) -> Array:
+def predict_binary(head: ClassifierHead, logits: Array) -> Array:
     """Map logits to polarity labels; argmax ties resolve to the lowest class."""
     logits = np.atleast_2d(np.asarray(logits, dtype=np.float64))
-    if system == BC:
+    if head.variant == SIGMOID:
         return (dc.np_sigmoid(logits[:, 0]) >= 0.5).astype(np.int64)
-    polarity = np.array([pol for _, pol in head.registry.entries], dtype=np.int64)
-    return polarity[np.argmax(logits, axis=1)]
+    return np.argmax(logits, axis=1) % 2
 
 
 def predict_class(logits: Array) -> Array:
@@ -301,13 +295,13 @@ def predict_class(logits: Array) -> Array:
     return np.argmax(logits, axis=1)
 
 
-def fake_score(head: ClassifierHead, logits: Array, system: str) -> Array:
+def fake_score(head: ClassifierHead, logits: Array) -> Array:
     """Probability-like fake score: sigmoid output, or M_F / (M_F + M_R)."""
     logits = np.atleast_2d(np.asarray(logits, dtype=np.float64))
-    if system == BC:
+    if head.variant == SIGMOID:
         return dc.np_sigmoid(logits[:, 0])
     mask = head.registry.fake_mask()
-    if not mask.any() or mask.all():
+    if not mask.size:
         raise ContractError("registry must contain both fake and real classes")
     activations = dc.np_softmax(logits, axis=1)
     m_fake = activations[:, mask].max(axis=1)
@@ -332,7 +326,7 @@ def _model_payload(model: Model) -> dict:
         "widths": list(model.extractor.widths),
         "capture_layer": model.extractor.capture_layer,
         "variant": head.variant,
-        "registry": [list(entry) for entry in head.registry.entries],
+        "registry": [[task_id, polarity] for task_id in head.registry.tasks for polarity in (REAL, FAKE)],
         "extractor": {
             "weights": [w.tolist() for w in model.extractor.weights],
             "biases": [b.tolist() for b in model.extractor.biases],
@@ -378,14 +372,15 @@ def _model_from_payload(payload: dict) -> Model:
             biases[i] = _stored_array(biases[i], (widths[i + 1],), f"model.extractor.biases[{i}]")
         extractor = FeatureExtractor(weights, biases, payload["capture_layer"])
         entries = [tuple(entry) for entry in payload["registry"]]
-        if any(len(entry) != 2 or entry[1] not in (REAL, FAKE) for entry in entries):
-            raise ConfigError("checkpoint field model.registry: entries must be [task_id, polarity]")
+        tasks = [entry[0] for entry in entries[::2] if entry]
+        if entries != [(t, p) for t in tasks for p in (REAL, FAKE)] or len(set(tasks)) < len(tasks):
+            raise ConfigError("checkpoint field model.registry: entries must be [task_id, 0], [task_id, 1] per task")
         variant, stored = payload["variant"], payload["head"]
         rows = 1 if variant == SIGMOID else len(entries)
         theta = _stored_array(stored["theta"], (rows, widths[-1]), "model.head.theta")
         name, shape = ("scale", ()) if variant == COSFC else ("bias", (rows,))
         other = _stored_array(stored[name], shape, f"model.head.{name}")
-        model = Model(extractor, ClassifierHead(variant, theta, other, ClassRegistry(entries)))
+        model = Model(extractor, ClassifierHead(variant, theta, other, ClassRegistry(tasks)))
         model.sessions_trained = int(payload["sessions_trained"])
     except KeyError as exc:
         raise ConfigError(f"checkpoint lacks field {exc.args[0]!r}") from None

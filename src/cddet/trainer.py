@@ -12,11 +12,13 @@ holds: a session draws only from its task's ``batch:``, ``mixup:`` and
 
 The built-in methods are one table of ``MethodProfile`` values, and
 ``resolve_profile`` is the one place that binds one to a learning system
-and applies a run's overrides to it. ``MethodProfile`` checks a method's
-settings and ``TrainConfig`` the optimisation's, before any data is built;
-the run checks its tasks and widths before it builds the model. A session
-checks the system, the head and the latent freeze; the class registry
-rejects a task it already holds.
+and applies a run's overrides to it; the head and the aggregation rule
+then say the system (``MethodProfile.system``), so no function below the
+run takes one. ``MethodProfile`` checks a method's settings and
+``TrainConfig`` the optimisation's, before any data is built; the run
+checks the profile's system, its tasks and widths before it builds the
+model. A session checks the head and the latent freeze, not the system;
+the class registry rejects a task it already holds.
 
 Training records no tape, and each piece of its work is done at the
 coarsest level at which it is constant:
@@ -30,9 +32,8 @@ coarsest level at which it is constant:
   one ``losses.StepRows`` with ``losses.step_rows``, the one builder of
   that row layout: the new rows and every stored exemplar, each held
   once as it enters the network at its first trainable layer, with its
-  target, and the replayed rows' classes and constants. ``run_session``
-  takes the MT aggregation's class indices once. Each epoch only draws a
-  new row order (``_epoch_order``);
+  target, and the replayed rows' classes and constants. Each epoch only
+  draws a new row order (``_epoch_order``);
 - once per step: ``_assemble_batches`` gathers the step's window from those
   arrays as one ``StepRows`` (mixing its copy of the new rows under
   mixup, and taking the replayed rows' constants with one
@@ -63,7 +64,6 @@ from .losses import (
     ReplayConstants,
     StepRows,
     loss_and_gradients,
-    polarity_classes,
     snapshot_constants,
     step_rows,
 )
@@ -73,6 +73,7 @@ from .model import (
     COSFC,
     FAKE,
     LINFC,
+    MC,
     MT,
     REAL,
     SIGMOID,
@@ -123,6 +124,15 @@ class MethodProfile:
             raise ConfigError("mixup operates on raw inputs; latent replay cannot use it")
         if self.aggregation is not None and self.aggregation not in AGG_RULES:
             raise ConfigError(f"unknown aggregation rule {self.aggregation!r}")
+        if self.aggregation is not None and self.head_variant == SIGMOID:
+            raise ConfigError("aggregation rules apply to the multi-task system only")
+
+    @property
+    def system(self) -> str:
+        """BC for the sigmoid head, MT for an aggregation rule, MC otherwise."""
+        if self.head_variant == SIGMOID:
+            return BC
+        return MC if self.aggregation is None else MT
 
 
 @dataclass(frozen=True)
@@ -276,9 +286,7 @@ def resolve_profile(name: str, system: str, aggregation: str | None = None, **ov
 
 
 def _class_targets(registry, task_id: int, polarity: np.ndarray) -> np.ndarray:
-    real_cls = registry.class_of(task_id, REAL)
-    fake_cls = registry.class_of(task_id, FAKE)
-    return np.where(polarity == FAKE, fake_cls, real_cls).astype(np.intp)
+    return registry.class_of(task_id, REAL) + polarity.astype(np.intp)
 
 
 def _plan_session(
@@ -286,7 +294,6 @@ def _plan_session(
     memory: ExemplarMemory | None,
     session: SessionData,
     profile: MethodProfile,
-    system: str,
     head_rng: np.random.Generator,
 ) -> StepRows:
     """Check the session against the live model, take the replayed rows'
@@ -297,10 +304,6 @@ def _plan_session(
     Once latent replay has frozen the layers up to the capture layer, each
     new row's activation there is fixed for the session: it is computed
     once, and the new rows enter there, as the replayed latents do."""
-    if system not in SYSTEMS:
-        raise ConfigError(f"unknown learning system {system!r}")
-    if (system == BC) != (profile.head_variant == SIGMOID):
-        raise ConfigError("binary-class learning pairs with the sigmoid head only")
     if model.head.variant != profile.head_variant:
         raise ConfigError(
             f"model head {model.head.variant!r} does not match profile {profile.head_variant!r}"
@@ -318,7 +321,7 @@ def _plan_session(
         else:
             ex = ReplayConstants(ex_classes)
 
-    if system == BC:
+    if model.head.variant == SIGMOID:
         model.head.register_task(session.task_id)
     else:
         model.head.expand(session.task_id, head_rng)
@@ -334,7 +337,7 @@ def _plan_session(
         raise ProtocolError("latent replay needs the layers below the capture layer frozen")
 
     classes = _class_targets(registry, session.task_id, session.train.y)
-    return step_rows(system, model, session.train.x, classes, payloads, ex, profile.label_smooth_eps)
+    return step_rows(model, session.train.x, classes, payloads, ex, profile.label_smooth_eps)
 
 
 def _epoch_order(perm: np.ndarray, n_new: int, batch_size: int) -> np.ndarray:
@@ -372,7 +375,6 @@ def run_session(
     session: SessionData,
     profile: MethodProfile,
     config: TrainConfig,
-    system: str,
 ) -> None:
     """One incremental step: take the replayed rows' constants, expand, fit
     on new plus replayed data, then select exemplars for the new classes
@@ -384,17 +386,14 @@ def run_session(
 
     epoch = 0
     try:
-        rows = _plan_session(model, memory, session, profile, system, head_rng)
-        mt_classes = polarity_classes(model.head.registry.fake_mask(), profile.aggregation) if system == MT else None
+        rows = _plan_session(model, memory, session, profile, head_rng)
         optimizer = Adam(model, lr=lr)
         n_rows, batch_size = rows.x.shape[0], config.batch_size
         for epoch in range(config.epochs):
             order = _epoch_order(batching_rng.permutation(n_rows), rows.n_new, batch_size)
             for start in range(0, n_rows, batch_size):
                 step = _assemble_batches(rows, order[start : start + batch_size], profile, mixup_rng)
-                loss_and_gradients(
-                    system, step, model, profile.weights, optimizer.grads, rule=profile.aggregation, mt_classes=mt_classes
-                )
+                loss_and_gradients(step, model, profile.weights, optimizer.grads, rule=profile.aggregation)
                 optimizer.step()
     except NumericsError as exc:
         raise NumericsError(f"session {session.task_id}, epoch {epoch}: {exc}") from exc
@@ -432,11 +431,11 @@ def _evaluate(
     """Accuracy and predicted polarity on ``split``; the fake scores and
     predicted classes too when the predictions are ``logged`` (None else)."""
     _, logits = model.forward(split.x)
-    pred_pol = predict_binary(model.head, logits, system)
+    pred_pol = predict_binary(model.head, logits)
     accuracy = float(np.mean(pred_pol == split.y))
     if not logged:
         return accuracy, pred_pol, None, None
-    scores = fake_score(model.head, logits, system)
+    scores = fake_score(model.head, logits)
     pred_cls = predict_class(logits) if system != BC else None
     return accuracy, pred_pol, scores, pred_cls
 
@@ -451,7 +450,10 @@ def run_scenario_over_sessions(
 ) -> RunRecord:
     """Train through the stream in order, filling column j of the accuracy
     matrix after session j; the warm-up session trains without logging.
-    Every session, the warm-up too, needs its own task and the same width."""
+    The profile must be bound to ``system``, and every session, the warm-up
+    too, needs its own task and the same width."""
+    if system != profile.system:
+        raise ConfigError(f"profile {profile.name!r} is bound to system {profile.system!r}, not {system!r}")
     ordered = ([warmup] if warmup is not None else []) + sessions
     task_ids = [s.task_id for s in ordered]
     if len(set(task_ids)) != len(task_ids):
@@ -475,22 +477,18 @@ def run_scenario_over_sessions(
     record = RunRecord(matrix=matrix, logs=logs)
 
     if warmup is not None:
-        run_session(model, memory, warmup, profile, config, system)
+        run_session(model, memory, warmup, profile, config)
         record.memory_totals.append(memory.total() if memory is not None else 0)
 
     for j, session in enumerate(sessions):
-        run_session(model, memory, session, profile, config, system)
+        run_session(model, memory, session, profile, config)
         record.memory_totals.append(memory.total() if memory is not None else 0)
         for i in range(j + 1):
             accuracy, pred_pol, scores, pred_cls = _evaluate(model, system, sessions[i].test, j == n - 1)
             matrix[i, j] = accuracy
             if j == n - 1:
                 split = sessions[i].test
-                true_cls = (
-                    _class_targets(model.head.registry, sessions[i].task_id, split.y)
-                    if system != BC
-                    else None
-                )
+                true_cls = _class_targets(model.head.registry, sessions[i].task_id, split.y) if system != BC else None
                 logs[sessions[i].task_id] = PredictionLog(
                     record_ids=[f"{sessions[i].task_id}-test-{k}" for k in range(len(split))],
                     true_polarity=split.y.copy(),

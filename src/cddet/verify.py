@@ -15,7 +15,7 @@ from . import diffcore as dc
 from . import losses as ls
 from .memory import LATENT, RAW, herd_select
 from .metrics import ap, pr_curve
-from .model import BC, COSFC, FAKE, LINFC, MC, MT, REAL, SIGMOID, Model
+from .model import COSFC, FAKE, LINFC, REAL, SIGMOID, Model
 from .seeding import substream
 
 
@@ -69,11 +69,11 @@ def check_loss_gradients(seed: int, points: int = 10, tol: float = 1e-6) -> Chec
     return CheckResult("loss-gradient-suite", worst < tol, f"max rel err {worst:.3e}")
 
 
-def _step_case(rng, system: str, variant: str, payload: str):
+def _step_case(rng, variant: str, payload: str):
     """A small model one session in, and one step over a new and a replayed
     batch, with its snapshot's constants, that switches on every loss term
-    of the system the head serves. Latent replay freezes the layers up to
-    the capture layer, as training does."""
+    of the system the head and the rule make. Latent replay freezes the
+    layers up to the capture layer, as training does."""
     model = Model.build(6, variant, rng, hidden=(8, 7), feature_width=5)
     if variant == SIGMOID:
         model.head.register_task(1)
@@ -93,19 +93,18 @@ def _step_case(rng, system: str, variant: str, payload: str):
     ex = ls.snapshot_constants(snap, ex_x, ex_pol, STEP_WEIGHTS.T, "logit+feature", latent)
     if latent:
         model.extractor.frozen = model.extractor.capture_layer + 1
-    return model, ls.step_rows(system, model, new_x, 2 + new_pol, ex_x, ex)
+    return model, ls.step_rows(model, new_x, 2 + new_pol, ex_x, ex)
 
 
 STEP_WEIGHTS = ls.LossWeights(gamma_d=0.7, gamma_m=0.4, lam=0.3, T=2.0, tau=2.5, J=3)
-STEP_CASES = [(MT, LINFC, RAW, ls.SUMLOGIT), (MC, COSFC, LATENT, None), (BC, SIGMOID, RAW, None)]
+STEP_CASES = [(LINFC, RAW, ls.SUMLOGIT), (COSFC, LATENT, None), (SIGMOID, RAW, None)]
 
 
-def _step(system: str, rule, model: Model, rows: ls.StepRows):
+def _step(rule, model: Model, rows: ls.StepRows):
     """The step's loss value, and the trainable parameters' gradients in
     ``model.parameters()`` order."""
     grads = [np.empty_like(p) for p in model.parameters()[2 * model.extractor.frozen :]]
-    mt_classes = ls.polarity_classes(model.head.registry.fake_mask(), rule) if system == MT else None
-    value = ls.loss_and_gradients(system, rows, model, STEP_WEIGHTS, grads, rule=rule, mt_classes=mt_classes)
+    value = ls.loss_and_gradients(rows, model, STEP_WEIGHTS, grads, rule=rule)
     return value, grads
 
 
@@ -116,17 +115,17 @@ def check_step_gradients(seed: int, coords: int = 3, step: float = 1e-6, tol: fl
     rival, so the loss is smooth away from the relu kinks."""
     rng = substream(seed, "verify:step")
     worst, checked = 0.0, 0
-    for system, variant, payload, rule in STEP_CASES:
-        model, rows = _step_case(rng, system, variant, payload)
-        _, grads = _step(system, rule, model, rows)
+    for variant, payload, rule in STEP_CASES:
+        model, rows = _step_case(rng, variant, payload)
+        _, grads = _step(rule, model, rows)
         for p, g in zip(model.parameters()[2 * model.extractor.frozen :], grads):
             for flat in rng.choice(p.size, size=min(coords, p.size), replace=False):
                 idx = np.unravel_index(flat, p.shape)
                 base = p[idx]
                 p[idx] = base + step
-                hi = _step(system, rule, model, rows)[0]
+                hi = _step(rule, model, rows)[0]
                 p[idx] = base - step
-                lo = _step(system, rule, model, rows)[0]
+                lo = _step(rule, model, rows)[0]
                 p[idx] = base
                 numeric = (hi - lo) / (2.0 * step)
                 worst = max(worst, abs(float(g[idx]) - numeric) / max(1.0, abs(numeric)))
@@ -139,17 +138,17 @@ def check_step_against_tape(seed: int) -> CheckResult:
     ``total_loss(...).backward()`` on the same rows: the value and every
     trainable parameter's gradient must match bit for bit."""
     rng = substream(seed, "verify:step-tape")
-    for system, variant, payload, rule in STEP_CASES:
-        model, rows = _step_case(rng, system, variant, payload)
-        value, grads = _step(system, rule, model, rows)
+    for variant, payload, rule in STEP_CASES:
+        model, rows = _step_case(rng, variant, payload)
+        value, grads = _step(rule, model, rows)
         leaves = ls.tape_leaves(model)
-        loss = ls.total_loss(system, rows, model, STEP_WEIGHTS, rule=rule, leaves=leaves)
+        loss = ls.total_loss(rows, model, STEP_WEIGHTS, rule=rule, leaves=leaves)
         if value.hex() != loss.item().hex():
-            return CheckResult("step-equals-tape", False, f"{system}/{variant}: the loss value differs from the tape")
+            return CheckResult("step-equals-tape", False, f"{variant}/{rule}: the loss value differs from the tape")
         loss.backward()
         for leaf, g in zip(leaves[2 * model.extractor.frozen :], grads):
             if leaf.grad is None or leaf.grad.tobytes() != g.tobytes():
-                return CheckResult("step-equals-tape", False, f"{system}/{variant}: a gradient differs from the tape")
+                return CheckResult("step-equals-tape", False, f"{variant}/{rule}: a gradient differs from the tape")
     return CheckResult("step-equals-tape", True, f"{len(STEP_CASES)} systems, the value and every gradient bitwise equal")
 
 

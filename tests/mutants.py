@@ -39,7 +39,7 @@ _TAKE_CONSTANTS = (
     "            ex = ReplayConstants(ex_classes)\n"
 )
 _EXPAND_HEAD = (
-    "    if system == BC:\n"
+    "    if model.head.variant == SIGMOID:\n"
     "        model.head.register_task(session.task_id)\n"
     "    else:\n"
     "        model.head.expand(session.task_id, head_rng)\n"
@@ -279,6 +279,81 @@ MUTANTS = [
         "np.add.reduce(np.where(active, gaps, 0.0), axis=None) * (1.0 / n)",
         "np.add.reduce(np.where(active, gaps, 0.0), axis=None) / n",
         ["tests/test_losses.py::TestKernelRounding::test_margin_value_scales_by_one_over_n"],
+    ),
+    (
+        "eval-single-polarity-task-unchecked", "cli.py",
+        "if labels.min() == labels.max():",
+        "if False:",
+        ["tests/test_cli.py::TestEval::test_a_task_of_one_polarity"],
+    ),
+    # the five boundaries a random sample of source mutants found untested
+    (
+        "one-row-window-is-an-empty-batch", "model.py",
+        "if features.shape[0] == 0:",
+        "if features.shape[0] <= 1:",
+        ["tests/test_trainer.py::TestRunScenario::test_a_last_window_of_one_row_trains"],
+    ),
+    (
+        "tape-margin-drops-the-lone-rival", "losses.py",
+        "if J == 0 or n == 0:",
+        "if J <= 1 or n == 0:",
+        ["tests/test_losses.py::TestMarginRanking::test_hinge_arithmetic"],
+    ),
+    (
+        "margin-guard-admits-j-equal-to-k", "losses.py",
+        "    if J > k - 1:\n",
+        "    if J > k:\n",
+        ["tests/test_losses.py::TestMarginRanking::test_j_too_large"],
+    ),
+    (
+        "rival-bound-without-a-margin-term", "trainer.py",
+        "if self.weights.gamma_m > 0 and self.weights.J > 3:",
+        "if self.weights.gamma_m >= 0 and self.weights.J > 3:",
+        ["tests/test_trainer.py::TestProfiles::test_the_rival_bound_holds_only_with_a_margin_term"],
+    ),
+    (
+        "zero-temperature-accepted", "losses.py",
+        "if self.T <= 0:",
+        "if self.T < 0:",
+        ["tests/test_trainer.py::TestProfiles::test_a_zero_temperature_is_rejected"],
+    ),
+    # the learning system, derived from the head and the rule, checked once
+    (
+        "profile-system-ignores-the-rule", "trainer.py",
+        "return MC if self.aggregation is None else MT",
+        "return MC",
+        ["tests/test_trainer.py::TestProfiles::test_every_builtin_profile_resolves_on_every_system"],
+    ),
+    (
+        "sigmoid-profile-accepts-an-aggregation", "trainer.py",
+        "        if self.aggregation is not None and self.head_variant == SIGMOID:\n"
+        "            raise ConfigError(\"aggregation rules apply to the multi-task system only\")\n",
+        "",
+        ["tests/test_trainer.py::TestProfiles::test_an_aggregation_on_a_sigmoid_head_is_rejected"],
+    ),
+    (
+        "run-skips-the-system-binding-check", "trainer.py",
+        "    if system != profile.system:\n",
+        "    if False:\n",
+        ["tests/test_trainer.py::TestRunScenario::test_a_profile_bound_to_another_system_is_rejected_before_training"],
+    ),
+    (
+        "checkpoint-registry-in-any-polarity-order", "model.py",
+        "entries != [(t, p) for t in tasks for p in (REAL, FAKE)]",
+        "any(len(e) != 2 or e[1] not in (REAL, FAKE) for e in entries)",
+        ["tests/test_model.py::TestCheckpointValidation::test_registry_out_of_its_pair_layout_rejected"],
+    ),
+    (
+        "checkpoint-registry-repeats-a-task", "model.py",
+        " or len(set(tasks)) < len(tasks)",
+        "",
+        ["tests/test_model.py::TestCheckpointValidation::test_registry_out_of_its_pair_layout_rejected"],
+    ),
+    (
+        "step-takes-a-system-again", "losses.py",
+        "def loss_and_gradients(\n    step: StepRows,",
+        "def loss_and_gradients(\n    system: str,\n    step: StepRows,",
+        ["tests/test_imports.py::test_below_the_run_no_function_takes_a_learning_system"],
     ),
 ]
 

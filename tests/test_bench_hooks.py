@@ -47,7 +47,7 @@ def test_a_step_runs_from_batch_assembly_to_the_adam_update(monkeypatch):
     sessions = [synth_generate(t, 1) for t in tiny_scenario(2, seed=1).tasks]
     model = Model.build(6, profile.head_variant, substream(1, "init"))
     memory = ExemplarMemory(10, profile.replay_payload)
-    trainer.run_session(model, memory, sessions[0], profile, config, MC)
+    trainer.run_session(model, memory, sessions[0], profile, config)
 
     calls = []
     assemble, step = trainer._assemble_batches, trainer.Adam.step
@@ -62,7 +62,7 @@ def test_a_step_runs_from_batch_assembly_to_the_adam_update(monkeypatch):
     monkeypatch.setattr(trainer, "_assemble_batches", recorded("assemble", assemble))
     monkeypatch.setattr(trainer.Adam, "step", recorded("step", step))
     rows = sessions[1].train.x.shape[0] + memory.total()
-    trainer.run_session(model, memory, sessions[1], profile, config, MC)
+    trainer.run_session(model, memory, sessions[1], profile, config)
     steps = config.epochs * -(-rows // config.batch_size)
     assert rows % config.batch_size  # a short last window in every epoch
     assert calls == ["assemble", "step"] * steps

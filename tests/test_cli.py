@@ -383,6 +383,18 @@ class TestEval:
         assert run_cli("eval", str(hard_run)) == 2
         assert capsys.readouterr().err == f"error: {path}: record '1-test-0' is repeated in task 1\n"
 
+    @pytest.mark.parametrize("label, missing", [("1", "fake"), ("0", "real")])
+    def test_a_task_of_one_polarity(self, hard_run, capsys, label, missing):
+        """Task 7's fake rows, or its real rows, deleted: its PR curve needs
+        both, and the file is at fault, not the run."""
+        path = hard_run / "predictions.csv"
+        header, *rows = path.read_text().splitlines()
+        kept = [row for row in rows if not (row.startswith("7,") and row.split(",")[2] == label)]
+        assert len(kept) < len(rows)
+        path.write_text("\n".join([header, *kept]) + "\n")
+        assert run_cli("eval", str(hard_run)) == 2
+        assert capsys.readouterr().err == f"error: {path}: task 7 has no {missing} rows; its PR curve needs both\n"
+
     @pytest.mark.parametrize(
         "row, message",
         [

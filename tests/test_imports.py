@@ -3,8 +3,9 @@ in that module (``from __future__`` imports aside), every function or
 method defined under ``src/`` (dunders aside) is read as code somewhere under
 ``src/``, ``tests/`` or ``perfbench/``, and every exception class of
 ``cddet.errors`` is raised under ``src/`` or is the base of one that is.
-The training step calls no numpy reduction wrapper. ``cddet.cli`` loads the
-oracle battery only for ``cddet verify``."""
+The training step calls no numpy reduction wrapper, and below the run no
+function takes a learning system. ``cddet.cli`` loads the oracle battery
+only for ``cddet verify``."""
 
 import ast
 import inspect
@@ -165,6 +166,40 @@ def test_the_step_path_calls_no_reduction_wrapper():
     # the scan reaches the kernels, the layers and the head
     assert {"_np_layers_backward", "_group_score", "_kd_columns", "row_norms", "checked", "logits_and_cosines"} <= path
     assert wrapper_uses(defs, path) == []
+
+
+# the head and the aggregation rule say the learning system below the run:
+# ``resolve_profile`` binds a profile to one, ``run_scenario_over_sessions``
+# checks the binding, and ``_evaluate`` keeps the order of the arguments the
+# benchmark's trace hook reads
+SYSTEM_TAKERS = {"resolve_profile", "run_scenario_over_sessions", "_evaluate"}
+
+
+def takers_of(source: str, parameter: str) -> set[str]:
+    """The functions and methods of a module with a parameter ``parameter``."""
+    takers = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            named = [*args.posonlyargs, *args.args, args.vararg, *args.kwonlyargs, args.kwarg]
+            if parameter in {a.arg for a in named if a is not None}:
+                takers.add(node.name)
+    return takers
+
+
+def test_the_scan_finds_a_parameter():
+    source = (
+        "def f(a, *, system=None):\n    pass\n\n"
+        "class C:\n    def g(self, *system):\n        pass\n\n"
+        "def h(b):\n    system = b\n"
+    )
+    assert takers_of(source, "system") == {"f", "g"}
+
+
+def test_below_the_run_no_function_takes_a_learning_system():
+    sources = [p.read_text(encoding="utf-8") for p in SOURCES]
+    assert set().union(*(takers_of(source, "system") for source in sources)) == SYSTEM_TAKERS
+    assert set().union(*(takers_of(source, "mt_classes") for source in sources)) == set()
 
 
 def raised_names(source: str) -> set[str]:

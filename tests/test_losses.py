@@ -5,7 +5,7 @@ from cddet import diffcore as dc
 from cddet import losses as ls
 from cddet.errors import ContractError
 from cddet.losses import AGG_RULES, LossWeights, ReplayConstants
-from cddet.model import FAKE, LINFC, MC, MT, REAL, Model
+from cddet.model import FAKE, LINFC, REAL, Model
 from cddet.verify import check_aggregation_coincidence, check_loss_gradients
 
 
@@ -142,6 +142,7 @@ class TestMarginRanking:
         feats, emb = _embeddings_with_cosines(0.5, [0.6, 0.4])
         loss = ls.margin_ranking(feats, emb, [0], tau=0.2, J=2)
         assert loss.item() == pytest.approx(0.3 + 0.1, abs=1e-12)
+        assert ls.margin_ranking(feats, emb, [0], tau=0.2, J=1).item() == pytest.approx(0.3, abs=1e-12)
 
     def test_j_zero(self):
         feats, emb = _embeddings_with_cosines(0.5, [0.6])
@@ -322,7 +323,7 @@ class TestTotalLoss:
         model = _small_model()
         x, classes = _session_rows(rng, model, task=2)
         w = LossWeights(gamma_d=0.0, gamma_m=0.0)
-        combined = ls.total_loss(MC, ls.step_rows(MC, model, x, classes), model, w)
+        combined = ls.total_loss(ls.step_rows(model, x, classes), model, w)
         _, logits = model.forward(x)
         bare = ls.multiclass_ce(dc.Tensor(logits), classes)
         assert combined.item() == bare.item()
@@ -334,8 +335,8 @@ class TestTotalLoss:
         model = _small_model()
         x, classes = _session_rows(rng, model, task=2)
         k = model.head.theta.shape[0]
-        assert ls.step_rows(MC, model, x, classes).targets.tobytes() == np.eye(k)[classes].tobytes()
-        smoothed = ls.step_rows(MT, model, x, classes, eps=0.1).targets
+        assert ls.step_rows(model, x, classes).targets.tobytes() == np.eye(k)[classes].tobytes()
+        smoothed = ls.step_rows(model, x, classes, eps=0.1).targets
         assert smoothed.tobytes() == ls.label_smooth(classes, k, 0.1).tobytes()
 
     def test_distilling_without_snapshot_constants_is_a_contract_error(self):
@@ -348,16 +349,16 @@ class TestTotalLoss:
         ex_x, ex_classes = _session_rows(rng, model, task=1, n=3)
         w = LossWeights(gamma_d=1.0)
         grads = [np.empty_like(p) for p in model.parameters()]
-        step = ls.step_rows(MC, model, new_x, new_classes, ex_x, ReplayConstants(ex_classes))
+        step = ls.step_rows(model, new_x, new_classes, ex_x, ReplayConstants(ex_classes))
         with pytest.raises(ContractError, match="snapshot's outputs"):
-            ls.total_loss(MC, step, model, w)
+            ls.total_loss(step, model, w)
         with pytest.raises(ContractError, match="snapshot's outputs"):
-            ls.loss_and_gradients(MC, step, model, w, grads)
+            ls.loss_and_gradients(step, model, w, grads)
         for form in ("logit", "feature"):
             ex = ls.snapshot_constants(model, ex_x, ex_classes, w.T, form)
-            step = ls.step_rows(MC, model, new_x, new_classes, ex_x, ex)
-            want = ls.total_loss(MC, step, model, w).item()
-            got = ls.loss_and_gradients(MC, step, model, w, grads)
+            step = ls.step_rows(model, new_x, new_classes, ex_x, ex)
+            want = ls.total_loss(step, model, w).item()
+            got = ls.loss_and_gradients(step, model, w, grads)
             assert abs(got - want) <= 1e-15 * abs(want), form
 
     def test_the_replayed_rows_constants_decide_what_is_distilled(self):
@@ -383,10 +384,10 @@ class TestTotalLoss:
         terms = {"logit": kd, "feature": feature, "logit+feature": kd + feature}
         for form, distilled in terms.items():
             ex = ls.snapshot_constants(old, ex_x, ex_classes, w.T, form)
-            step = ls.step_rows(MC, model, new_x, new_classes, ex_x, ex)
+            step = ls.step_rows(model, new_x, new_classes, ex_x, ex)
             want = ce + w.gamma_d * distilled
-            assert ls.total_loss(MC, step, model, w).item() == pytest.approx(want, rel=1e-12, abs=0), form
-            assert ls.loss_and_gradients(MC, step, model, w, grads) == pytest.approx(want, rel=1e-12, abs=0), form
+            assert ls.total_loss(step, model, w).item() == pytest.approx(want, rel=1e-12, abs=0), form
+            assert ls.loss_and_gradients(step, model, w, grads) == pytest.approx(want, rel=1e-12, abs=0), form
 
     def test_replay_only_profile_is_classification_over_union(self):
         rng = np.random.default_rng(10)
@@ -394,8 +395,8 @@ class TestTotalLoss:
         new_x, new_classes = _session_rows(rng, model, task=2, n=4)
         ex_x, ex_classes = _session_rows(rng, model, task=1, n=3)
         w = LossWeights(gamma_d=0.0, gamma_m=0.0)
-        step = ls.step_rows(MC, model, new_x, new_classes, ex_x, ReplayConstants(ex_classes))
-        combined = ls.total_loss(MC, step, model, w)
+        step = ls.step_rows(model, new_x, new_classes, ex_x, ReplayConstants(ex_classes))
+        combined = ls.total_loss(step, model, w)
         _, logits = model.forward(np.concatenate([new_x, ex_x]))
         bare = ls.multiclass_ce(dc.Tensor(logits), np.concatenate([new_classes, ex_classes]))
         assert combined.item() == bare.item()
@@ -411,9 +412,9 @@ class TestTotalLoss:
         new_x, new_classes = _session_rows(rng, model, task=2, n=4)
         ex_x, ex_classes = _session_rows(rng, model, task=1, n=3)
         ex = ls.snapshot_constants(snap, ex_x, ex_classes, 1.0, "logit")
-        step = ls.step_rows(MC, model, new_x, new_classes, ex_x, ex)
-        base = ls.total_loss(MC, step, model, LossWeights()).item()
-        with_kd = ls.total_loss(MC, step, model, LossWeights(gamma_d=1.0)).item()
+        step = ls.step_rows(model, new_x, new_classes, ex_x, ex)
+        base = ls.total_loss(step, model, LossWeights()).item()
+        with_kd = ls.total_loss(step, model, LossWeights(gamma_d=1.0)).item()
         assert with_kd > base
 
     def test_mt_lambda_zero_gradients_match_mc(self):
@@ -426,14 +427,14 @@ class TestTotalLoss:
         w = LossWeights(gamma_d=0.5, lam=0.0)
         ex = ls.snapshot_constants(snap, ex_x, ex_classes, w.T, "logit")
 
-        def grads_for(system, rule):
+        def grads_for(rule):
             leaves = ls.tape_leaves(model)
-            step = ls.step_rows(system, model, new_x, new_classes, ex_x, ex)
-            ls.total_loss(system, step, model, w, rule=rule, leaves=leaves).backward()
+            step = ls.step_rows(model, new_x, new_classes, ex_x, ex)
+            ls.total_loss(step, model, w, rule=rule, leaves=leaves).backward()
             return [leaf.grad for leaf in leaves]
 
-        g_mc = grads_for(MC, None)
-        g_mt = grads_for(MT, "sumlogit")
+        g_mc = grads_for(None)
+        g_mt = grads_for("sumlogit")
         for a, b in zip(g_mc, g_mt):
             if a is None:
                 assert b is None
@@ -453,7 +454,7 @@ class TestTotalLoss:
         classes = np.array([model.head.registry.class_of(1, p) for p in pol])
         ex = ls.snapshot_constants(snap, lat, classes, 1.0, "logit", latent=True)
         model.extractor.frozen = model.extractor.capture_layer + 1
-        loss = ls.total_loss(MC, ls.step_rows(MC, model, new_x, new_classes, lat, ex), model, LossWeights(gamma_d=0.3))
+        loss = ls.total_loss(ls.step_rows(model, new_x, new_classes, lat, ex), model, LossWeights(gamma_d=0.3))
         assert np.isfinite(loss.item())
 
 
@@ -526,11 +527,12 @@ class TestLossGradients:
 
     def test_margin_ranking(self):
         rng = np.random.default_rng(25)
-        for _ in range(50):
-            feats, emb, targets = _smooth_margin_setup(rng)
-            emb_t = dc.Tensor(emb)
-            f = lambda z: ls.margin_ranking(z, emb_t, targets, 0.2, 2)
-            assert dc.grad_check(f, dc.Tensor(feats)) < 1e-6
+        for J in (2, 1):
+            for _ in range(50):
+                feats, emb, targets = _smooth_margin_setup(rng, J=J)
+                emb_t = dc.Tensor(emb)
+                f = lambda z: ls.margin_ranking(z, emb_t, targets, 0.2, J)
+                assert dc.grad_check(f, dc.Tensor(feats)) < 1e-6
 
     @pytest.mark.parametrize("rule", AGG_RULES)
     def test_mt_class_loss(self, rule):
@@ -559,9 +561,9 @@ class TestLossGradients:
 
         leaves = ls.tape_leaves(model)
 
-        step = ls.step_rows(MC, model, new_x, np.array([2, 3, 2]), ex_x, ex)
+        step = ls.step_rows(model, new_x, np.array([2, 3, 2]), ex_x, ex)
 
         def f(probe):  # the probe stands in for the first layer's weights
-            return ls.total_loss(MC, step, model, w, leaves=[probe, *leaves[1:]])
+            return ls.total_loss(step, model, w, leaves=[probe, *leaves[1:]])
 
         assert dc.grad_check(f, dc.Tensor(model.extractor.weights[0].copy())) < 1e-6

@@ -9,7 +9,7 @@ import pytest
 from cddet import losses as ls
 from cddet import model as mdl
 from cddet.errors import ConfigError, ContractError, ParseError, ProtocolError
-from cddet.model import BC, COSFC, FAKE, LINFC, MC, REAL, SIGMOID, Model
+from cddet.model import COSFC, FAKE, LINFC, REAL, SIGMOID, Model
 from cddet.verify import check_snapshot_immutability
 
 
@@ -87,13 +87,13 @@ class TestForward:
         rng = np.random.default_rng(7)
         x = rng.normal(size=(6, 6))
         latent = rng.normal(size=(6, model.extractor.latent_width))
-        step = ls.step_rows(MC, model, x[:4], np.array([2, 3, 2, 3]), x[4:], ls.ReplayConstants(np.array([0, 1])))
+        step = ls.step_rows(model, x[:4], np.array([2, 3, 2, 3]), x[4:], ls.ReplayConstants(np.array([0, 1])))
         grads = [np.empty_like(p) for p in model.parameters()]
         calls = [
             (x, lambda: model.forward(x)),
             (x, lambda: model.extractor.forward_with_capture(x)),
             (latent, lambda: model.forward_from_latent(latent)),
-            (step.x, lambda: ls.loss_and_gradients(MC, step, model, ls.LossWeights(gamma_m=1.0), grads)),
+            (step.x, lambda: ls.loss_and_gradients(step, model, ls.LossWeights(gamma_m=1.0), grads)),
         ]
         for rows, call in calls:
             before = rows.copy()
@@ -114,9 +114,8 @@ class TestExpansion:
         model = make_model(LINFC, tasks=3)
         reg = model.head.registry
         assert model.head.num_classes == 6
-        assert reg.task_ids() == [1, 2, 3]
-        assert reg.entries[0] == (1, REAL)
-        assert reg.entries[1] == (1, FAKE)
+        assert reg.tasks == [1, 2, 3]
+        assert [reg.class_of(t, p) for t in reg.tasks for p in (REAL, FAKE)] == list(range(6))
 
     def test_old_rows_preserved_bitwise(self):
         model = make_model(LINFC, tasks=2, seed=5)
@@ -164,22 +163,22 @@ class TestSnapshot:
 class TestPredict:
     def test_bc_boundary_is_fake(self):
         model = make_model(SIGMOID, tasks=1)
-        out = mdl.predict_binary(model.head, np.array([[0.0], [-2.0], [2.0]]), BC)
+        out = mdl.predict_binary(model.head, np.array([[0.0], [-2.0], [2.0]]))
         np.testing.assert_array_equal(out, [FAKE, REAL, FAKE])
 
     def test_mc_polarity_from_registry(self):
         model = make_model(LINFC, tasks=2)
         # class layout: (1,R) (1,F) (2,R) (2,F); peak on class 2 -> (2, REAL)
         logits = np.array([[0.0, 0.1, 3.0, 0.2]])
-        assert mdl.predict_binary(model.head, logits, MC)[0] == REAL
+        assert mdl.predict_binary(model.head, logits)[0] == REAL
 
     def test_mc_prediction_invariant_to_positive_scaling(self):
         model = make_model(LINFC, tasks=2)
         rng = np.random.default_rng(5)
         logits = rng.normal(size=(50, 4))
-        base = mdl.predict_binary(model.head, logits, MC)
+        base = mdl.predict_binary(model.head, logits)
         for c in (0.1, 2.0, 17.0):
-            np.testing.assert_array_equal(mdl.predict_binary(model.head, c * logits, MC), base)
+            np.testing.assert_array_equal(mdl.predict_binary(model.head, c * logits), base)
 
     def test_argmax_tie_lowest_class(self):
         model = make_model(LINFC, tasks=2)
@@ -192,7 +191,7 @@ class TestFakeScore:
         model = make_model(LINFC, tasks=1)
         # equal activations on the real and fake class
         logits = np.array([[0.3, 0.3]])
-        assert mdl.fake_score(model.head, logits, MC)[0] == pytest.approx(0.5)
+        assert mdl.fake_score(model.head, logits)[0] == pytest.approx(0.5)
 
     def test_ratio_arithmetic(self):
         # activations 0.6 fake vs 0.2 real -> 0.75; build logits accordingly
@@ -202,11 +201,11 @@ class TestFakeScore:
     def test_confident_fake_scores_one(self):
         model = make_model(LINFC, tasks=1)
         logits = np.array([[-60.0, 60.0]])
-        assert mdl.fake_score(model.head, logits, MC)[0] == pytest.approx(1.0, abs=1e-12)
+        assert mdl.fake_score(model.head, logits)[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_bc_uses_sigmoid(self):
         model = make_model(SIGMOID, tasks=1)
-        score = mdl.fake_score(model.head, np.array([[0.0]]), BC)
+        score = mdl.fake_score(model.head, np.array([[0.0]]))
         assert score[0] == 0.5
 
 
@@ -234,7 +233,7 @@ class TestCheckpoint:
         assert memory_payload == {"kind": "raw", "budget": 1, "classes": {}}
         assert loaded.sessions_trained == 2
         assert loaded.head.variant == COSFC
-        assert loaded.head.registry.entries == model.head.registry.entries
+        assert loaded.head.registry.tasks == model.head.registry.tasks
         x = np.random.default_rng(7).normal(size=(4, 6))
         np.testing.assert_array_equal(loaded.forward(x)[1], model.forward(x)[1])
 
@@ -333,6 +332,20 @@ class TestCheckpointValidation:
         blob["model"]["head"]["bias"][0] = value
         path.write_text(json.dumps(blob))
         with pytest.raises(ConfigError, match=r"model\.head\.bias: non-finite entries"):
+            mdl.load_checkpoint(path)
+
+    @pytest.mark.parametrize("registry", [
+        [[1, 1], [1, 0], [2, 0], [2, 1]],
+        [[1, 0], [1, 1], [1, 0], [1, 1]],
+    ], ids=["fake-class-first", "task-twice"])
+    def test_registry_out_of_its_pair_layout_rejected(self, tmp_path, registry):
+        """The registry is one [task_id, 0], [task_id, 1] pair per task, in
+        turn, which is all a run writes."""
+        path, blob = self._saved_payload(tmp_path)
+        assert blob["model"]["registry"] == [[1, 0], [1, 1], [2, 0], [2, 1]]
+        blob["model"]["registry"] = registry
+        path.write_text(json.dumps(blob))
+        with pytest.raises(ConfigError, match=r"model\.registry: entries must be \[task_id, 0\], \[task_id, 1\]"):
             mdl.load_checkpoint(path)
 
     def test_head_rows_follow_the_registry(self, tmp_path):

@@ -50,6 +50,7 @@ def _cases():
     yield MT, "rebalance-cosfc", {"aggregation": SUMLOGIT, "mixup_alpha": 0.4}
     yield MT, "rebalance", {"aggregation": SUMLOGIT, "lam": 0.0}  # the plain multi-class loss
     yield MC, "rebalance", {"J": 0}  # margin ranking with no rivals adds nothing
+    yield MC, "rebalance", {"J": 1}  # margin ranking against the closest rival alone
 
 
 CASES = list(_cases())
@@ -64,14 +65,11 @@ def _setup(system, name, options, n_tasks=N_TASKS):
     return profile, sessions, model, memory
 
 
-def _tape_gradients(system, profile, step, model, rows):
+def _tape_gradients(profile, step, model, rows):
     """The reference's loss value on the step's rows, and its trainable
     leaves' gradients."""
     leaves = ls.tape_leaves(model)
-    loss = ls.total_loss(
-        system, step, model, profile.weights,
-        rule=profile.aggregation, leaves=leaves,
-    )
+    loss = ls.total_loss(step, model, profile.weights, rule=profile.aggregation, leaves=leaves)
     loss.backward()
     return loss.item(), [leaf.grad for leaf in leaves if leaf.requires_grad]
 
@@ -91,22 +89,14 @@ def _step_over(profile, rows, new_idx, pool_idx, rng):
     return _assemble_batches(rows, order[: picked.size], profile, rng)
 
 
-def _mt_classes(system, profile, model):
-    """The MT aggregation's class indices, as ``run_session`` takes them."""
-    return ls.polarity_classes(model.head.registry.fake_mask(), profile.aggregation) if system == MT else None
-
-
-def _assert_step_matches_tape(system, profile, model, rows, new_rows, pool_rows, rng):
+def _assert_step_matches_tape(profile, model, rows, new_rows, pool_rows, rng):
     new_idx = np.arange(new_rows.start, new_rows.stop)
     pool_idx = np.arange(pool_rows.start, pool_rows.stop)
     step = _step_over(profile, rows, new_idx, pool_idx, rng)
-    want_value, want = _tape_gradients(system, profile, step, model, rows)
+    want_value, want = _tape_gradients(profile, step, model, rows)
     optimizer = Adam(model, lr=FAST.lr)
     optimizer.g.fill(np.nan)  # a gradient the step leaves unwritten cannot match
-    value = ls.loss_and_gradients(
-        system, step, model, profile.weights, optimizer.grads, rule=profile.aggregation,
-        mt_classes=_mt_classes(system, profile, model),
-    )
+    value = ls.loss_and_gradients(step, model, profile.weights, optimizer.grads, rule=profile.aggregation)
     names = _parameter_names(model)[2 * model.extractor.frozen :]
     assert len(optimizer.grads) == len(want) == len(names)
     for name, got, g in zip(names, optimizer.grads, want):
@@ -130,9 +120,9 @@ def test_step_gradients_equal_the_tape(system, name, options):
     rng = np.random.default_rng(0)
 
     # the first session: no exemplars, every layer trains
-    rows = _plan_session(model, memory, sessions[0], profile, system, np.random.default_rng(0))
+    rows = _plan_session(model, memory, sessions[0], profile, np.random.default_rng(0))
     for new_rows in (slice(0, 7), slice(3, 4)):
-        _assert_step_matches_tape(system, profile, model, rows, new_rows, slice(0, 0), rng)
+        _assert_step_matches_tape(profile, model, rows, new_rows, slice(0, 0), rng)
 
     # a later session: exemplars, their constants, frozen layers under latent replay
     _assert_last_session_matches_tape(system, name, options, N_TASKS, rng)
@@ -142,8 +132,8 @@ def _assert_last_session_matches_tape(system, name, options, n_tasks, rng):
     """Train every session but the last, then check the last one's steps."""
     profile, sessions, model, memory = _setup(system, name, options, n_tasks)
     for session in sessions[:-1]:
-        run_session(model, memory, session, profile, FAST, system)
-    rows = _plan_session(model, memory, sessions[-1], profile, system, np.random.default_rng(0))
+        run_session(model, memory, session, profile, FAST)
+    rows = _plan_session(model, memory, sessions[-1], profile, np.random.default_rng(0))
     assert model.extractor.frozen == (model.extractor.capture_layer + 1 if profile.replay_payload == LATENT else 0)
     rows = _replayed_in_order(rows, rng.permutation(rows.x.shape[0] - rows.n_new))
     shapes = [
@@ -157,7 +147,7 @@ def _assert_last_session_matches_tape(system, name, options, n_tasks, rng):
         (slice(0, 5), slice(4, 5)),  # one exemplar among new rows
     ]
     for new_rows, pool_rows in shapes:
-        _assert_step_matches_tape(system, profile, model, rows, new_rows, pool_rows, rng)
+        _assert_step_matches_tape(profile, model, rows, new_rows, pool_rows, rng)
     return profile, model
 
 
@@ -168,7 +158,7 @@ def test_step_gradients_equal_the_tape_at_nine_classes_a_polarity(rule):
     step that gathers the group in another layout than the tape."""
     rng = np.random.default_rng(0)
     profile, model = _assert_last_session_matches_tape(MT, "rebalance", {"aggregation": rule}, 9, rng)
-    assert [c.size for c in _mt_classes(MT, profile, model)] == [9, 9]
+    assert model.head.theta.shape[0] == 18
 
 
 @pytest.mark.parametrize("n_new", [1, 2, 5])
@@ -178,22 +168,22 @@ def test_new_rows_enter_at_the_capture_layer_under_latent_replay(n_new):
     activations, computed once; the replayed latents follow them."""
     profile, sessions, model, memory = _setup(MC, "replay+kd", {})
     for session in sessions[:-1]:
-        run_session(model, memory, session, profile, FAST, MC)
-    rows = _plan_session(model, memory, sessions[-1], profile, MC, np.random.default_rng(0))
+        run_session(model, memory, session, profile, FAST)
+    rows = _plan_session(model, memory, sessions[-1], profile, np.random.default_rng(0))
     step = _step_over(profile, rows, np.arange(3, 3 + n_new), np.arange(4), np.random.default_rng(0))
     _, captured = model.extractor.forward_with_capture(sessions[-1].train.x)
     assert step.n_new == n_new
     assert step.x[:n_new].tobytes() == captured[3 : 3 + n_new].tobytes()
     assert step.x[n_new:].tobytes() == memory.all_exemplars()[0][:4].tobytes()
-    _assert_step_matches_tape(MC, profile, model, rows, slice(3, 3 + n_new), slice(0, 4), np.random.default_rng(0))
+    _assert_step_matches_tape(profile, model, rows, slice(3, 3 + n_new), slice(0, 4), np.random.default_rng(0))
 
 
 def test_mixup_leaves_the_session_rows_unwritten():
     """Each step mixes its own gathered copy of its new rows."""
     profile, sessions, model, memory = _setup(MC, "distill", {"mixup_alpha": 0.4})
     for session in sessions[:-1]:
-        run_session(model, memory, session, profile, FAST, MC)
-    rows = _plan_session(model, memory, sessions[-1], profile, MC, np.random.default_rng(0))
+        run_session(model, memory, session, profile, FAST)
+    rows = _plan_session(model, memory, sessions[-1], profile, np.random.default_rng(0))
     source, targets = rows.x.copy(), rows.targets.copy()
     n_rows = rows.x.shape[0]
     order = _epoch_order(np.random.default_rng(1).permutation(n_rows), rows.n_new, 8)
@@ -214,8 +204,8 @@ def test_mixup_mixes_the_gathered_new_rows_with_a_permutation_of_themselves():
     options = {"mixup_alpha": 0.4, "label_smooth_eps": 0.1}
     profile, sessions, model, memory = _setup(MC, "distill", options)
     for session in sessions[:-1]:
-        run_session(model, memory, session, profile, FAST, MC)
-    rows = _plan_session(model, memory, sessions[-1], profile, MC, np.random.default_rng(0))
+        run_session(model, memory, session, profile, FAST)
+    rows = _plan_session(model, memory, sessions[-1], profile, np.random.default_rng(0))
     n_rows = rows.x.shape[0]
     order = _epoch_order(np.random.default_rng(1).permutation(n_rows), rows.n_new, 8)
     alpha, mixed = profile.mixup_alpha, 0
@@ -255,8 +245,8 @@ def test_epoch_layout_puts_each_windows_new_rows_first():
             options["gamma_d"] = 0.0
         profile, sessions, model, memory = _setup(MT, "rebalance", options)
         for session in sessions[:-1]:
-            run_session(model, memory, session, profile, FAST, MT)
-        rows = _plan_session(model, memory, sessions[-1], profile, MT, np.random.default_rng(0))
+            run_session(model, memory, session, profile, FAST)
+        rows = _plan_session(model, memory, sessions[-1], profile, np.random.default_rng(0))
         n_new = rows.n_new
         assert n_new == len(sessions[-1].train.x)
         x = np.concatenate([sessions[-1].train.x, memory.all_exemplars()[0]])
@@ -292,12 +282,12 @@ def test_the_replayed_rows_constants_are_the_old_models_outputs(system, name, di
     constants of a snapshot taken then, over the old logit columns."""
     profile, sessions, model, memory = _setup(system, name, {"distill_form": distill_form})
     for session in sessions[:-1]:
-        run_session(model, memory, session, profile, FAST, system)
+        run_session(model, memory, session, profile, FAST)
     payloads, classes = memory.all_exemplars()
     old = model.snapshot()
     latent = profile.replay_payload == LATENT
     want = ls.snapshot_constants(old, payloads, classes, profile.weights.T, distill_form, latent)
-    rows = _plan_session(model, memory, sessions[-1], profile, system, np.random.default_rng(0))
+    rows = _plan_session(model, memory, sessions[-1], profile, np.random.default_rng(0))
     assert rows.ex.old_cols == old.head.theta.shape[0]
     if system != BC:  # the head grew after the constants were taken
         assert model.head.theta.shape[0] == rows.ex.old_cols + 2

@@ -4,7 +4,7 @@ from conftest import run_scenario, tiny_scenario, tiny_spec
 
 from cddet import trainer
 from cddet.errors import ConfigError, NumericsError, ProtocolError
-from cddet.losses import LossWeights, loss_and_gradients, polarity_classes
+from cddet.losses import LossWeights, loss_and_gradients
 from cddet.memory import ExemplarMemory, LATENT, RAW
 from cddet.model import BC, COSFC, LINFC, MC, MT, SIGMOID, Model, load_checkpoint, save_checkpoint
 from cddet.seeding import substream
@@ -81,21 +81,18 @@ class TestAdam:
             return Model.build(6, profile.head_variant, substream(4, "init")), ExemplarMemory(20, LATENT)
 
         def nan_filled_step(model, memory, session):
-            rows = _plan_session(model, memory, session, profile, system, np.random.default_rng(0))
+            rows = _plan_session(model, memory, session, profile, np.random.default_rng(0))
             order = _epoch_order(np.random.default_rng(0).permutation(rows.x.shape[0]), rows.n_new, 16)
             step = _assemble_batches(rows, order[:16], profile, np.random.default_rng(0))
-            mt_classes = polarity_classes(model.head.registry.fake_mask(), profile.aggregation) if system == MT else None
             optimizer = Adam(model, lr=FAST.lr)
             optimizer.g.fill(np.nan)
-            loss_and_gradients(
-                system, step, model, profile.weights, optimizer.grads, rule=profile.aggregation, mt_classes=mt_classes
-            )
+            loss_and_gradients(step, model, profile.weights, optimizer.grads, rule=profile.aggregation)
             assert not np.isnan(optimizer.g).any()
             return model.extractor.frozen
 
         assert nan_filled_step(*fresh(), sessions[0]) == 0
         model, memory = fresh()
-        run_session(model, memory, sessions[0], profile, FAST, system)
+        run_session(model, memory, sessions[0], profile, FAST)
         assert nan_filled_step(model, memory, sessions[1]) == model.extractor.capture_layer + 1
 
 
@@ -177,6 +174,7 @@ class TestProfiles:
             weights = LossWeights(gamma_d=gamma_d, gamma_m=gamma_m, lam=0.3, T=1.0, tau=0.2, J=2)
             want = MethodProfile(name, weights, form, payload, head, rule, label_smooth_eps=0.0, mixup_alpha=0.0)
             assert resolve_profile(name, system) == want, (name, system)
+            assert resolve_profile(name, system).system == system, (name, system)
 
     @pytest.mark.parametrize("setting", ["label_smooth", "head", "weights"])
     def test_unknown_setting_is_named(self, setting):
@@ -187,6 +185,21 @@ class TestProfiles:
     def test_aggregation_needs_the_multi_task_system(self, system):
         with pytest.raises(ConfigError, match="^aggregation rules apply to the multi-task system only$"):
             resolve_profile("distill", system, aggregation="max")
+
+    def test_an_aggregation_on_a_sigmoid_head_is_rejected(self):
+        """A profile's system is defined by its head and its rule: a rule
+        makes MT, which the sigmoid head cannot serve."""
+        with pytest.raises(ConfigError, match="^aggregation rules apply to the multi-task system only$"):
+            MethodProfile("bad", head_variant=SIGMOID, aggregation="max")
+
+    def test_the_rival_bound_holds_only_with_a_margin_term(self):
+        assert resolve_profile("distill", MC, J=4).weights.J == 4
+        with pytest.raises(ConfigError, match="ranks at most 3 rivals; J = 4"):
+            resolve_profile("rebalance", MC, J=4)
+
+    def test_a_zero_temperature_is_rejected(self):
+        with pytest.raises(ConfigError, match="^temperature must be positive$"):
+            LossWeights(T=0.0)
 
     def test_mixup_with_latent_replay_rejected(self):
         with pytest.raises(ConfigError):
@@ -210,42 +223,42 @@ class TestRunSession:
     def test_first_session_without_snapshot_trains(self):
         model, memory, sessions, profile = fresh_setup()
         assert profile.weights.gamma_d > 0
-        run_session(model, memory, sessions[0], profile, FAST, MC)
+        run_session(model, memory, sessions[0], profile, FAST)
         assert model.sessions_trained == 1
         assert memory.total() > 0
 
     def test_duplicate_task_rejected(self):
         model, memory, sessions, profile = fresh_setup()
-        run_session(model, memory, sessions[0], profile, FAST, MC)
+        run_session(model, memory, sessions[0], profile, FAST)
         with pytest.raises(ProtocolError):
-            run_session(model, memory, sessions[0], profile, FAST, MC)
+            run_session(model, memory, sessions[0], profile, FAST)
 
     def test_head_profile_mismatch(self):
         model, memory, sessions, _ = fresh_setup(system=MC)
         bc_profile = resolve_profile("distill", BC)
         with pytest.raises(ConfigError):
-            run_session(model, memory, sessions[0], bc_profile, FAST, BC)
+            run_session(model, memory, sessions[0], bc_profile, FAST)
 
     def test_seeded_runs_bitwise_identical(self):
         results = []
         for _ in range(2):
             model, memory, sessions, profile = fresh_setup()
-            run_session(model, memory, sessions[0], profile, FAST, MC)
-            run_session(model, memory, sessions[1], profile, FAST, MC)
+            run_session(model, memory, sessions[0], profile, FAST)
+            run_session(model, memory, sessions[1], profile, FAST)
             results.append(np.concatenate([p.ravel() for p in model.parameters()]))
         np.testing.assert_array_equal(results[0], results[1])
 
     def test_budget_invariant_after_each_session(self):
         model, memory, sessions, profile = fresh_setup(budget=10)
         for s in sessions:
-            run_session(model, memory, s, profile, FAST, MC)
+            run_session(model, memory, s, profile, FAST)
             assert memory.total() <= memory.budget
 
     def test_bc_session_trains_single_unit(self):
         model, memory, sessions, profile = fresh_setup(system=BC)
-        run_session(model, memory, sessions[0], profile, FAST, BC)
+        run_session(model, memory, sessions[0], profile, FAST)
         assert model.head.theta.shape[0] == 1
-        assert model.head.registry.task_ids() == [1]
+        assert model.head.registry.tasks == [1]
 
     def test_a_snapshot_is_taken_only_to_distil_replayed_rows(self, monkeypatch):
         """Distillation covers the replayed rows only: with no memory, or
@@ -261,7 +274,7 @@ class TestRunSession:
             model, memory, sessions, _ = fresh_setup(profile_name=name, budget=budget, scenario=scenario)
             profile = resolve_profile(name, MC, **options)
             for session in sessions:
-                run_session(model, memory, session, profile, FAST, MC)
+                run_session(model, memory, session, profile, FAST)
             assert model.sessions_trained == len(sessions)
 
     def test_a_distilling_replay_run_snapshots_once_a_later_session(self, monkeypatch):
@@ -277,7 +290,7 @@ class TestRunSession:
         monkeypatch.setattr(trainer, "snapshot_constants", counted)
         model, memory, sessions, profile = fresh_setup(profile_name="rebalance", scenario=tiny_scenario(3, seed=3))
         for session in sessions:
-            run_session(model, memory, session, profile, FAST, MC)
+            run_session(model, memory, session, profile, FAST)
         assert taken == [(1, 2), (2, 4)]
 
     @pytest.mark.parametrize("name", ["replay+kd", "rebalance"])
@@ -291,13 +304,13 @@ class TestRunSession:
 
         monkeypatch.setattr(Model, "snapshot", forbidden)
         for session in sessions:
-            run_session(model, memory, session, profile, FAST, MC)
+            run_session(model, memory, session, profile, FAST)
         assert profile.weights.gamma_d > 0 and memory.total() > 0
 
     def test_latent_replay_profile(self):
         model, memory, sessions, profile = fresh_setup(profile_name="replay")
-        run_session(model, memory, sessions[0], profile, FAST, MC)
-        run_session(model, memory, sessions[1], profile, FAST, MC)
+        run_session(model, memory, sessions[0], profile, FAST)
+        run_session(model, memory, sessions[1], profile, FAST)
         assert memory.payload_kind == LATENT
         payloads, _ = memory.all_exemplars()
         assert payloads.shape[1] == model.extractor.latent_width
@@ -353,6 +366,22 @@ class TestRunScenario:
         scenario = Scenario(kind="easy", seed=0, tasks=[tiny_spec(2, 1), spec], warmup=spec)
         with pytest.raises(ProtocolError, match="duplicate task"):
             run_scenario(scenario, 10, resolve_profile("finetune", MC), FAST, MC)
+
+    def test_a_profile_bound_to_another_system_is_rejected_before_training(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a session trained before the system was checked")
+
+        monkeypatch.setattr("cddet.trainer.run_session", forbidden)
+        with pytest.raises(ConfigError, match="^profile 'distill' is bound to system 'mt', not 'mc'$"):
+            run_scenario(tiny_scenario(1, seed=5), 10, resolve_profile("distill", MT), FAST, MC)
+
+    def test_a_last_window_of_one_row_trains(self):
+        """Each epoch's last step may hold a single row."""
+        scenario = tiny_scenario(1, seed=5)
+        rows = len(synth_generate(scenario.tasks[0], scenario.seed).train)
+        config = TrainConfig(epochs=2, lr=1e-3, batch_size=rows - 1, seed=3)
+        record = run_scenario(scenario, 0, resolve_profile("finetune", MC), config, MC)
+        assert record.model.sessions_trained == 1
 
     def test_mt_lambda_zero_matches_mc_bitwise(self):
         scenario = tiny_scenario(3, seed=9)
@@ -454,7 +483,7 @@ class TestSplitRun:
         bytes and the accuracy matrix's columns."""
         columns = []
         for j in range(start, stop):
-            run_session(model, memory, cls.SESSIONS[j], profile, SPLIT_CONFIG, system)
+            run_session(model, memory, cls.SESSIONS[j], profile, SPLIT_CONFIG)
             columns.append([_evaluate(model, system, s.test, False)[0] for s in cls.SESSIONS[: j + 1]])
         values = [v for obj in (model, model.extractor, model.head, model.head.registry) for v in vars(obj).values()]
         values += [item for v in values if isinstance(v, list) for item in v]
@@ -492,7 +521,7 @@ class TestNumericsErrors:
 
     def _poisoned(self, profile_name="replay"):
         model, memory, sessions, profile = fresh_setup(system=MC, profile_name=profile_name)
-        run_session(model, memory, sessions[0], profile, FAST, MC)
+        run_session(model, memory, sessions[0], profile, FAST)
         model.extractor.weights[0][...] = 1e308
         return model, memory, sessions, profile
 
@@ -502,7 +531,7 @@ class TestNumericsErrors:
         pass over the exemplars (``distill``) is what overflows."""
         model, memory, sessions, profile = self._poisoned(profile_name)
         with pytest.raises(NumericsError, match=r"session 2, epoch 0: layer 0 pre-activation"):
-            run_session(model, memory, sessions[1], profile, FAST, MC)
+            run_session(model, memory, sessions[1], profile, FAST)
 
     def test_evaluate(self):
         model, _, sessions, _ = self._poisoned()
@@ -513,7 +542,7 @@ class TestNumericsErrors:
         """An infinite bias makes every logit non-finite whatever the trained
         features are; a finite poison overflows only on large enough ones."""
         model, memory, sessions, profile = fresh_setup(system=MC, profile_name="replay")
-        run_session(model, memory, sessions[0], profile, FAST, MC)
+        run_session(model, memory, sessions[0], profile, FAST)
         model.head.bias[...] = np.inf
         with pytest.raises(NumericsError, match="^logits produced non-finite entries$"):
             _evaluate(model, MC, sessions[0].test, True)
@@ -527,6 +556,6 @@ class TestNumericsErrors:
     def test_loss_term_is_named(self):
         model, memory, sessions, _ = fresh_setup(system=MC, profile_name="distill")
         profile = resolve_profile("distill", MC, T=1e-320)  # a temperature that overflows the KD logits
-        run_session(model, memory, sessions[0], profile, FAST, MC)
+        run_session(model, memory, sessions[0], profile, FAST)
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericsError, match="loss kd_kl"):
-            run_session(model, memory, sessions[1], profile, FAST, MC)
+            run_session(model, memory, sessions[1], profile, FAST)
