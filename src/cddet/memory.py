@@ -1,8 +1,9 @@
 """Budgeted exemplar storage with herding selection and quota rebalancing.
 
-Each class keeps its exemplars as one 2-D array of payload rows in herding
-order, next to the id of the task that introduced it; trimming slices off the
-tail, so every stored array stays a prefix of the original selection.
+The memory stores rows only: each class keeps its exemplars as one 2-D array
+of payload rows in herding order, and its task is the class registry's (class
+c belongs to task ``registry.tasks[c // 2]``). Trimming slices off the tail,
+so every stored array stays a prefix of the original selection.
 Payloads are either raw input vectors or latent activations captured at the
 extractor's replay layer, uniformly per memory instance.
 
@@ -124,7 +125,7 @@ def capture(extractor, x: Array, mode: str) -> Array:
 
 class ExemplarMemory:
     """Per-class herding-ordered stores under one shared budget: ``classes``
-    maps a class index to its task id and its payload rows."""
+    maps a class index to its payload rows."""
 
     def __init__(self, budget: int, payload_kind: str = RAW):
         if budget < 1:
@@ -133,13 +134,13 @@ class ExemplarMemory:
             raise ConfigError(f"unknown payload kind {payload_kind!r}")
         self.budget = budget
         self.payload_kind = payload_kind
-        self.classes: dict[int, tuple[int, Array]] = {}
+        self.classes: dict[int, Array] = {}
 
-    def add_class(self, class_idx: int, payloads: Array, task_id: int) -> None:
+    def add_class(self, class_idx: int, payloads: Array) -> None:
         """Store a herding-ordered payload stack for a newly introduced class."""
         if class_idx in self.classes:
             raise ContractError(f"class {class_idx} already stored")
-        self.classes[class_idx] = (task_id, np.asarray(payloads, dtype=np.float64))
+        self.classes[class_idx] = np.asarray(payloads, dtype=np.float64)
 
     def rebalance(self, num_classes: int) -> None:
         """Trim every class to a copy of its first quota rows, freeing the herding tail.
@@ -150,12 +151,11 @@ class ExemplarMemory:
         per_class = quotas(self.budget, num_classes)
         for rank, class_idx in enumerate(sorted(self.classes)):
             quota = per_class[rank] if rank < num_classes else 0
-            task_id, rows = self.classes[class_idx]
-            self.classes[class_idx] = (task_id, rows[:quota].copy())
+            self.classes[class_idx] = self.classes[class_idx][:quota].copy()
         self.assert_within_budget()
 
     def total(self) -> int:
-        return sum(rows.shape[0] for _, rows in self.classes.values())
+        return sum(rows.shape[0] for rows in self.classes.values())
 
     def assert_within_budget(self) -> None:
         if self.total() > self.budget:
@@ -166,7 +166,7 @@ class ExemplarMemory:
     def all_exemplars(self) -> tuple[Array, Array]:
         """Every stored row, stacked in ascending class order, and the class
         index of each."""
-        stored = [(c, rows) for c, (_, rows) in sorted(self.classes.items()) if rows.shape[0]]
+        stored = [(c, rows) for c, rows in sorted(self.classes.items()) if rows.shape[0]]
         if not stored:
             return np.empty((0, 0)), np.empty(0, dtype=np.intp)
         classes = np.repeat(np.array([c for c, _ in stored], dtype=np.intp), [rows.shape[0] for _, rows in stored])
@@ -174,17 +174,18 @@ class ExemplarMemory:
 
     # -- persistence ---------------------------------------------------
 
-    def to_payload(self) -> dict:
-        """The memory as a checkpoint's ``memory`` object. Each class's
-        ``rows`` is its stored array itself, not a copy as lists, which
-        ``model.save_checkpoint`` writes row by row; ``from_payload`` reads
-        rows given as arrays or as the lists a loaded checkpoint holds."""
+    def to_payload(self, registry) -> dict:
+        """The memory as a checkpoint's ``memory`` object, each class with
+        its task from ``registry`` (-1 for a class with no rows left). Each
+        class's ``rows`` is its stored array itself, not a copy as lists,
+        which ``model.save_checkpoint`` writes row by row; ``from_payload``
+        reads rows given as arrays or as the lists a loaded checkpoint holds."""
         return {
             "kind": self.payload_kind,
             "budget": self.budget,
             "classes": {
-                str(class_idx): {"task_id": task_id if rows.shape[0] else -1, "rows": rows}
-                for class_idx, (task_id, rows) in self.classes.items()
+                str(class_idx): {"task_id": registry.tasks[class_idx // 2] if rows.shape[0] else -1, "rows": rows}
+                for class_idx, rows in self.classes.items()
             },
         }
 
@@ -244,7 +245,7 @@ class ExemplarMemory:
                 want = registry.tasks[int(key) // 2] if arr.shape[0] else -1
                 if type(task_id) is not int or task_id != want:
                     raise ConfigError(f"checkpoint field {where}.task_id: {task_id!r}, expected {want}")
-            memory.classes[int(key)] = (task_id, arr)
+            memory.classes[int(key)] = arr
         if memory.total() > budget:
             raise ConfigError(f"checkpoint field memory: {memory.total()} exemplars exceed budget {budget}")
         return memory

@@ -24,7 +24,9 @@ Checkpoint format (JSON, one object per file):
 Parameter arrays appear in declaration order and round-trip at full float64
 precision through JSON's repr-based serialisation. The registry holds
 [t, 0], [t, 1] for each task t in turn, and loading requires that pair
-layout, each task once, since no run writes another. Loading checks every
+layout, each task once, since no run writes another. Each session registers
+one task, so ``sessions_trained`` is the registry's task count: it is written
+as that, and loading rejects any other value. Loading checks every
 array's shape against ``widths`` and the registry, and the memory half
 against the model (``ExemplarMemory.from_payload``).
 
@@ -62,7 +64,9 @@ SYSTEMS = (BC, MC, MT)
 @dataclass
 class ClassRegistry:
     """A head's tasks in the order they came. Task i owns two classes, real
-    first: class 2i is its real class and class 2i + 1 its fake one."""
+    first: class 2i is its real class and class 2i + 1 its fake one. Each
+    session, the warm-up too, registers one task, so between sessions
+    ``len(tasks)`` is the number of sessions trained."""
 
     tasks: list[int] = field(default_factory=list)
 
@@ -230,7 +234,6 @@ class Model:
     def __init__(self, extractor: FeatureExtractor, head: ClassifierHead):
         self.extractor = extractor
         self.head = head
-        self.sessions_trained = 0
 
     @classmethod
     def build(
@@ -277,8 +280,8 @@ class Model:
         """Deep copy; training the live model never changes its outputs. Only
         ``cddet verify`` and the tests take one: a run reads the old model's
         outputs from the live model before a session changes it."""
-        if self.sessions_trained < 1:
-            raise ProtocolError("snapshot requires at least one trained session")
+        if not self.head.registry.tasks:
+            raise ProtocolError("snapshot requires at least one registered task")
         return copy.deepcopy(self)
 
 
@@ -332,7 +335,7 @@ def _model_payload(model: Model) -> dict:
             "biases": [b.tolist() for b in model.extractor.biases],
         },
         "head": head_payload,
-        "sessions_trained": model.sessions_trained,
+        "sessions_trained": len(head.registry.tasks),
     }
 
 
@@ -380,8 +383,10 @@ def _model_from_payload(payload: dict) -> Model:
         theta = _stored_array(stored["theta"], (rows, widths[-1]), "model.head.theta")
         name, shape = ("scale", ()) if variant == COSFC else ("bias", (rows,))
         other = _stored_array(stored[name], shape, f"model.head.{name}")
+        count = payload["sessions_trained"]
+        if type(count) is not int or count != len(tasks):
+            raise ConfigError(f"checkpoint field model.sessions_trained: {count!r}, expected {len(tasks)}")
         model = Model(extractor, ClassifierHead(variant, theta, other, ClassRegistry(tasks)))
-        model.sessions_trained = int(payload["sessions_trained"])
     except KeyError as exc:
         raise ConfigError(f"checkpoint lacks field {exc.args[0]!r}") from None
     except (TypeError, ValueError) as exc:

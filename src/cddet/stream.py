@@ -1,9 +1,10 @@
 """Task streams: seeded synthetic scenario builders and dataset file I/O.
 
-Each task pairs a real distribution (a shared base Gaussian, nudged by a
-small per-task shift so that reals overlap across tasks) with a fake
-Gaussian mixture whose component means sit ``difficulty`` standard
-deviations away from the reals, in directions kept apart across tasks.
+Each task pairs a real distribution, a unit-variance Gaussian around a small
+per-task shift from the origin (``real_shift``, so that reals overlap across
+tasks), with a fake mixture of unit-variance Gaussians around ``fake_means``,
+which sit ``difficulty`` standard deviations from the origin in directions
+kept apart across tasks.
 
 Dataset file schema (UTF-8 CSV, no quoting):
     header  task_id,split,label,f0,...,f{d-1}
@@ -41,17 +42,13 @@ _SMALL_DIFFICULTY = 3.5
 @dataclass(frozen=True)
 class TaskSpec:
     task_id: int
-    base_mean: tuple[float, ...]
     real_shift: tuple[float, ...]
     fake_means: tuple[tuple[float, ...], ...]
-    cov_scale: float
     difficulty: float
     n_train: int
     n_test: int
 
     def __post_init__(self):
-        if self.cov_scale <= 0:
-            raise ConfigError("covariance scale must be positive")
         if min(self.n_train, self.n_test) <= 0:
             raise ConfigError("split counts must be positive")
         if self.difficulty <= 0:
@@ -79,7 +76,6 @@ class SessionData:
 
 @dataclass
 class Scenario:
-    kind: str
     seed: int
     tasks: list[TaskSpec]
     warmup: TaskSpec | None
@@ -89,12 +85,10 @@ class Scenario:
 
 
 def _sample_split(spec: TaskSpec, rng: np.random.Generator, n: int) -> Split:
-    d = len(spec.base_mean)
-    real_mean = np.asarray(spec.base_mean) + np.asarray(spec.real_shift)
-    reals = real_mean + spec.cov_scale * rng.standard_normal((n, d))
+    d = len(spec.real_shift)
+    reals = np.asarray(spec.real_shift) + rng.standard_normal((n, d))
     comps = rng.integers(0, len(spec.fake_means), size=n)
-    fake_means = np.asarray(spec.fake_means)
-    fakes = fake_means[comps] + spec.cov_scale * rng.standard_normal((n, d))
+    fakes = np.asarray(spec.fake_means)[comps] + rng.standard_normal((n, d))
     x = np.vstack([reals, fakes])
     y = np.concatenate([np.full(n, REAL), np.full(n, FAKE)]).astype(np.int64)
     return Split(x, y)
@@ -127,7 +121,6 @@ def _source_specs(seed: int) -> list[TaskSpec]:
     n_sources = 13
     components = 2
     dirs = _spread_directions(rng, n_sources * components, _FEATURE_DIM)
-    base = np.zeros(_FEATURE_DIM)
     counts = _DEFAULT_COUNTS
 
     specs: list[TaskSpec] = []
@@ -140,17 +133,12 @@ def _source_specs(seed: int) -> list[TaskSpec]:
             difficulty, n_train = _EASY_DIFFICULTY, counts["train"]
         shift = rng.standard_normal(_FEATURE_DIM)
         shift *= 0.35 / np.linalg.norm(shift)
-        fake_means = tuple(
-            tuple(base + difficulty * dirs[sid * components + c])
-            for c in range(components)
-        )
+        fake_means = tuple(tuple(difficulty * dirs[sid * components + c]) for c in range(components))
         specs.append(
             TaskSpec(
                 task_id=sid,
-                base_mean=tuple(base),
                 real_shift=tuple(shift),
                 fake_means=fake_means,
-                cov_scale=1.0,
                 difficulty=difficulty,
                 n_train=n_train,
                 n_test=counts["test"],
@@ -174,7 +162,7 @@ def build_scenario(kind: str, seed: int, with_warmup: bool = True) -> Scenario:
     specs = _source_specs(seed)
     tasks = [specs[sid] for sid in _SCENARIO_SOURCES[kind]]
     warmup = specs[0] if with_warmup else None
-    return Scenario(kind=kind, seed=seed, tasks=tasks, warmup=warmup)
+    return Scenario(seed=seed, tasks=tasks, warmup=warmup)
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,9 @@
 replayed exemplars (to distil them), expand, train on new data plus those
 exemplars, refresh the memory, and evaluate every seen task.
 
-Learning-rate pattern: the first trained session uses the base rate and all
-later sessions a tenth of it. The optimizer state is rebuilt per session
-because head expansion changes the parameter set.
+Learning-rate pattern: a session that finds the class registry empty uses
+the base rate and all later sessions a tenth of it. The optimizer state is
+rebuilt per session because head expansion changes the parameter set.
 
 A run's state between sessions is the model and the memory, what a checkpoint
 holds: a session draws only from its task's ``batch:``, ``mixup:`` and
@@ -249,7 +249,7 @@ _BASE_PROFILES: dict[str, MethodProfile] = {
     )
 }
 _WEIGHT_SETTINGS = frozenset(f.name for f in fields(LossWeights))
-_PROFILE_SETTINGS = frozenset(f.name for f in fields(MethodProfile)) - {"name", "weights", "aggregation"}
+_PROFILE_SETTINGS = frozenset(f.name for f in fields(MethodProfile)) - {"name", "weights", "head_variant", "aggregation"}
 
 
 def builtin_profiles() -> list[str]:
@@ -259,8 +259,9 @@ def builtin_profiles() -> list[str]:
 def resolve_profile(name: str, system: str, aggregation: str | None = None, **overrides) -> MethodProfile:
     """Bind a named profile to a learning system, with ``overrides`` of its
     loss weights (``LossWeights`` fields) and of its other settings
-    (``MethodProfile`` fields); BC swaps in the sigmoid head and drops the
-    margin term, MT picks an aggregation rule (SumLogit unless given)."""
+    (``MethodProfile`` fields but the head and the rule, so that its ``system``
+    is ``system``); BC swaps in the sigmoid head and drops the margin term,
+    MT picks an aggregation rule (SumLogit unless given)."""
     if name not in _BASE_PROFILES:
         raise ConfigError(f"unknown profile {name!r}; known: {', '.join(builtin_profiles())}")
     if system not in SYSTEMS:
@@ -328,7 +329,7 @@ def _plan_session(
     registry = model.head.registry
 
     ext = model.extractor
-    if profile.replay_payload == LATENT and memory is not None and model.sessions_trained >= 1:
+    if profile.replay_payload == LATENT and memory is not None and len(registry.tasks) > 1:
         # latent replay keeps stored activations valid (and saves the
         # backward pass) by freezing the layers below the capture layer
         # once the first session has shaped them
@@ -379,7 +380,7 @@ def run_session(
     """One incremental step: take the replayed rows' constants, expand, fit
     on new plus replayed data, then select exemplars for the new classes
     and rebalance all quotas."""
-    lr = config.lr if model.sessions_trained == 0 else config.lr / 10.0
+    lr = config.lr if not model.head.registry.tasks else config.lr / 10.0
     batching_rng = substream(config.seed, f"batch:{session.task_id}")
     mixup_rng = substream(config.seed, f"mixup:{session.task_id}")
     head_rng = substream(config.seed, f"head:{session.task_id}")
@@ -402,8 +403,6 @@ def run_session(
         _store_exemplars(model, memory, session, profile, model.head.registry)
         memory.rebalance(len(model.head.registry))
 
-    model.sessions_trained += 1
-
 
 def _store_exemplars(model, memory, session, profile, registry) -> None:
     num_classes = len(registry)
@@ -418,7 +417,7 @@ def _store_exemplars(model, memory, session, profile, registry) -> None:
             continue
         order = herd_select(feats, m)
         payloads = capture(model.extractor, rows[order], profile.replay_payload)
-        memory.add_class(registry.class_of(session.task_id, polarity), payloads, session.task_id)
+        memory.add_class(registry.class_of(session.task_id, polarity), payloads)
 
 
 # ---------------------------------------------------------------------------

@@ -79,7 +79,6 @@ def _step_case(rng, variant: str, payload: str):
         model.head.register_task(1)
     else:
         model.head.expand(1, rng)
-    model.sessions_trained = 1
     snap = model.snapshot()
     if variant == SIGMOID:
         model.head.register_task(2)
@@ -223,7 +222,6 @@ def check_snapshot_immutability(seed: int) -> CheckResult:
     rng = substream(seed, "verify:snap")
     model = Model.build(6, LINFC, rng, hidden=(8,), feature_width=5)
     model.head.expand(1, rng)
-    model.sessions_trained = 1
     snap = model.snapshot()
     inputs = [rng.normal(size=(3, 6)) for _ in range(10)]
     before = [snap.forward(x)[1] for x in inputs]

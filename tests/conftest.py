@@ -4,7 +4,6 @@ from cddet.trainer import run_scenario_over_sessions
 
 def tiny_spec(task_id, direction, difficulty=5.0, n_train=24, dim=6):
     """Small hand-built task: fakes along one axis, reals near the origin."""
-    mean = [0.0] * dim
     fake = [0.0] * dim
     fake[direction % dim] = difficulty
     fake2 = list(fake)
@@ -13,10 +12,8 @@ def tiny_spec(task_id, direction, difficulty=5.0, n_train=24, dim=6):
     shift[-1] = 0.2
     return TaskSpec(
         task_id=task_id,
-        base_mean=tuple(mean),
         real_shift=tuple(shift),
         fake_means=(tuple(fake), tuple(fake2)),
-        cov_scale=1.0,
         difficulty=difficulty,
         n_train=n_train,
         n_test=20,
@@ -25,7 +22,7 @@ def tiny_spec(task_id, direction, difficulty=5.0, n_train=24, dim=6):
 
 def tiny_scenario(n_tasks=2, seed=0):
     tasks = [tiny_spec(t, direction=t - 1) for t in range(1, n_tasks + 1)]
-    return Scenario(kind="easy", seed=seed, tasks=tasks, warmup=None)
+    return Scenario(seed=seed, tasks=tasks, warmup=None)
 
 
 def run_scenario(scenario, budget, profile, config, system):

@@ -181,8 +181,8 @@ MUTANTS = [
     ),
     (
         "latent-replay-freezes-in-the-first-session", "trainer.py",
-        "and model.sessions_trained >= 1:",
-        "and model.sessions_trained >= 0:",
+        "memory is not None and len(registry.tasks) > 1:",
+        "memory is not None and len(registry.tasks) > 0:",
         ["tests/test_trainer.py::TestRunRelations::test_one_session_trains_one_model_at_any_budget"],
     ),
     (
@@ -348,6 +348,84 @@ MUTANTS = [
         " or len(set(tasks)) < len(tasks)",
         "",
         ["tests/test_model.py::TestCheckpointValidation::test_registry_out_of_its_pair_layout_rejected"],
+    ),
+    (
+        "profile-head-overridable", "trainer.py",
+        '{"name", "weights", "head_variant", "aggregation"}',
+        '{"name", "weights", "aggregation"}',
+        ["tests/test_trainer.py::TestProfiles::test_the_head_is_no_override"],
+    ),
+    # a run's state holds each fact once: the registry counts the sessions
+    # and gives each exemplar class its task
+    (
+        "checkpoint-sessions-trained-unchecked", "model.py",
+        "if type(count) is not int or count != len(tasks):",
+        "if False:",
+        ["tests/test_model.py::TestCheckpointValidation::test_sessions_trained_must_be_the_task_count"],
+    ),
+    (
+        "memory-payload-task-by-polarity", "memory.py",
+        "registry.tasks[class_idx // 2]",
+        "registry.tasks[class_idx % 2]",
+        ["tests/test_memory.py::TestMemory::test_payload_takes_each_class_task_from_the_registry"],
+    ),
+    # the run-directory contract under single-file edits, and the portable
+    # level of reproducibility
+    (
+        "eval-malformed-prediction-row-is-a-runtime-failure", "metrics.py",
+        "raise ParseError(messages[np.argmax(checks[:, row])], line=int(kept[row]) + 2)",
+        "raise ContractError(messages[np.argmax(checks[:, row])])",
+        ["tests/test_cli.py::test_eval_of_a_run_directory_with_one_edited_file_exits_0_or_2"],
+    ),
+    (
+        "kernels-recorded-in-metrics-json", "cli.py",
+        'echo = cfg.echo() | {"task_ids": [s.task_id for s in sessions]}',
+        'echo = cfg.echo() | {"task_ids": [s.task_id for s in sessions], '
+        '"kernels": os.environ.get("NPY_DISABLE_CPU_FEATURES")}',
+        ["tests/test_portable.py::test_metrics_and_matrix_hold_on_other_kernels"],
+    ),
+    # the survivors of a random sample (tests/automutants.py --seed 4 --count 60)
+    (
+        "tape-margin-on-an-empty-batch", "losses.py",
+        "if J == 0 or n == 0:",
+        "if J == 0 and n == 0:",
+        ["tests/test_losses.py::TestMarginRanking::test_no_rows"],
+    ),
+    (
+        "af-last-needs-three-tasks", "metrics.py",
+        '"af_last": af_last(matrix) if n >= 2 else None',
+        '"af_last": af_last(matrix) if n >= 3 else None',
+        ["tests/test_metrics.py::TestArtifacts::test_compute_metrics_shape"],
+    ),
+    (
+        "herding-bound-subtracts-its-underflow-term", "memory.py",
+        "            + c_under * k * (g + r)\n",
+        "            - c_under * k * (g + r)\n",
+        ["tests/test_memory.py::TestScreenedHerding::test_all_equal_rows_take_the_exact_search"],
+    ),
+    (
+        "small-source-difficulty-moved", "stream.py",
+        "_SMALL_DIFFICULTY = 3.5",
+        "_SMALL_DIFFICULTY = 4.5",
+        ["tests/test_stream.py::TestScenarios::test_hard_mixes_difficulties_and_sample_sizes"],
+    ),
+    (
+        "accuracy-zero-rejected", "metrics.py",
+        "if not 0.0 <= value <= 1.0:",
+        "if not 0.0 < value <= 1.0:",
+        ["tests/test_parsers.py::TestAccuracyMatrixCsv::test_both_bounds_are_accuracies"],
+    ),
+    (
+        "default-test-split-resized", "stream.py",
+        '_DEFAULT_COUNTS = {"train": 300, "test": 150}',
+        '_DEFAULT_COUNTS = {"train": 300, "test": 151}',
+        ["tests/test_stream.py::TestSynthGenerate::test_counts_per_split_and_polarity"],
+    ),
+    (
+        "checkpoint-without-layers-reads-one", "model.py",
+        "n_layers = max(len(widths) - 1, 0)",
+        "n_layers = max(len(widths) - 1, 1)",
+        ["tests/test_model.py::TestCheckpointValidation::test_widths_without_a_layer_rejected"],
     ),
     (
         "step-takes-a-system-again", "losses.py",

@@ -1,4 +1,6 @@
+import contextlib
 import errno
+import io
 import json
 import os
 import re
@@ -583,3 +585,51 @@ def test_config_resolution_raises_only_config_errors(settings_):
         except (ParseError, ConfigError):
             pass
 
+
+
+@pytest.fixture(scope="module")
+def fuzz_run_dir(tmp_path_factory):
+    """A tiny scenario run directory, built once for the edits below."""
+    out = tmp_path_factory.mktemp("fuzz") / "run"
+    assert run_cli(
+        "run", "--scenario", "hard", "--profile", "distill", "--system", "mc",
+        "--memory", "10", "--epochs", "1", "--out", str(out),
+    ) == 0
+    return out
+
+
+def _edited(data: bytes, kind: str, at: int, bit: int) -> bytes:
+    """``data`` with one edit at position ``at`` (taken modulo the file's
+    bytes or lines): a truncation, a bit flip, or a deleted or repeated line."""
+    if kind == "truncate":
+        return data[: at % len(data)]
+    if kind == "flip":
+        i = at % len(data)
+        return data[:i] + bytes([data[i] ^ (1 << bit)]) + data[i + 1 :]
+    lines = data.splitlines(keepends=True)
+    i = at % len(lines)
+    if kind == "delete-line":
+        return b"".join(lines[:i] + lines[i + 1 :])
+    return b"".join(lines[: i + 1] + lines[i:])
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(
+    name=st.sampled_from(ARTIFACTS),
+    kind=st.sampled_from(["truncate", "flip", "delete-line", "repeat-line"]),
+    at=st.integers(0, 2**32),
+    bit=st.integers(0, 7),
+)
+def test_eval_of_a_run_directory_with_one_edited_file_exits_0_or_2(fuzz_run_dir, name, kind, at, bit):
+    """The run-directory contract: whatever single edit one of the six files
+    takes, ``cddet eval`` succeeds or reports a usage error (exit 2), and
+    never fails at runtime (exit 1) or raises."""
+    path = fuzz_run_dir / name
+    original = path.read_bytes()
+    path.write_bytes(_edited(original, kind, at, bit))
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
+            status = run_cli("eval", str(fuzz_run_dir))
+    finally:
+        path.write_bytes(original)
+    assert status in (0, 2), err.getvalue()

@@ -148,6 +148,10 @@ class TestMarginRanking:
         feats, emb = _embeddings_with_cosines(0.5, [0.6])
         assert ls.margin_ranking(feats, emb, [0], tau=0.2, J=0).item() == 0.0
 
+    def test_no_rows(self):
+        _, emb = _embeddings_with_cosines(0.5, [0.6, 0.4])
+        assert ls.margin_ranking(dc.Tensor(np.zeros((0, 4))), emb, [], tau=0.2, J=2).item() == 0.0
+
     def test_j_too_large(self):
         feats, emb = _embeddings_with_cosines(0.5, [0.6])
         with pytest.raises(ContractError):
@@ -368,7 +372,6 @@ class TestTotalLoss:
         reference and in the step."""
         rng = np.random.default_rng(15)
         model = _small_model()
-        model.sessions_trained = 1
         old = model.snapshot()
         for p in model.parameters():  # the live model drifts from the old one
             p += 0.05 * rng.normal(size=p.shape)
@@ -404,7 +407,6 @@ class TestTotalLoss:
     def test_distillation_profile_composes(self):
         rng = np.random.default_rng(11)
         model = _small_model()
-        model.sessions_trained = 1
         snap = model.snapshot()
         # nudge the live model so distillation is non-zero
         for p in model.parameters():
@@ -420,7 +422,6 @@ class TestTotalLoss:
     def test_mt_lambda_zero_gradients_match_mc(self):
         rng = np.random.default_rng(12)
         model = _small_model()
-        model.sessions_trained = 1
         snap = model.snapshot()
         new_x, new_classes = _session_rows(rng, model, task=2, n=5)
         ex_x, ex_classes = _session_rows(rng, model, task=1, n=3)
@@ -446,7 +447,6 @@ class TestTotalLoss:
         it are frozen, as latent replay does."""
         rng = np.random.default_rng(13)
         model = _small_model()
-        model.sessions_trained = 1
         snap = model.snapshot()
         new_x, new_classes = _session_rows(rng, model, task=2, n=4)
         lat = rng.normal(size=(3, model.extractor.latent_width))
@@ -552,7 +552,6 @@ class TestLossGradients:
         model = Model.build(4, LINFC, rng, hidden=(), feature_width=4)
         model.head.expand(1, rng)
         model.head.expand(2, rng)
-        model.sessions_trained = 1
         snap = model.snapshot()
         new_x = rng.normal(size=(3, 4))
         ex_x = rng.normal(size=(2, 4))

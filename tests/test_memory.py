@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from cddet import memory as mem
 from cddet.errors import ConfigError, ContractError, EngineError
 from cddet.memory import ExemplarMemory, capture, herd_select, quotas
-from cddet.model import LINFC, Model, _write_json
+from cddet.model import LINFC, ClassRegistry, Model, _write_json
 from cddet.verify import check_herding_oracle
 
 
@@ -98,8 +98,14 @@ class TestScreenedHerding:
         feats, m = case
         assert herd_select(feats, m) == loop_herd_select(feats, m)
 
-    @pytest.mark.parametrize("n", [1, 2, 9])
-    def test_all_equal_rows_take_the_exact_search(self, monkeypatch, n):
+    @pytest.mark.parametrize("n, scale", [
+        pytest.param(1, 1.0, id="1"),
+        pytest.param(2, 1.0, id="2"),
+        pytest.param(9, 1.0, id="9"),
+        # rows of 2^-480, whose products sit near underflow: the bound's underflow terms keep the ties
+        pytest.param(9, 2.0**-480, id="9-near-underflow"),
+    ])
+    def test_all_equal_rows_take_the_exact_search(self, monkeypatch, n, scale):
         calls = []
         exact = mem._herd_exact_pick
 
@@ -108,7 +114,7 @@ class TestScreenedHerding:
             return exact(*args)
 
         monkeypatch.setattr(mem, "_herd_exact_pick", counted)
-        feats = np.tile([[0.5, -2.0, 3.0]], (n, 1))
+        feats = np.tile([[0.5, -2.0, 3.0]], (n, 1)) * scale
         assert herd_select(feats, n) == loop_herd_select(feats, n) == list(range(n))
         # each pick with two or more rows left is a tie, which only the exact
         # search may break; the last row left is screened
@@ -152,20 +158,20 @@ class TestMemory:
     def test_trim_preserves_herding_prefix(self):
         memory = ExemplarMemory(budget=4)
         rows = np.arange(8.0).reshape(4, 2)
-        memory.add_class(0, rows, task_id=1)
-        memory.add_class(1, rows[:2], task_id=1)
+        memory.add_class(0, rows)
+        memory.add_class(1, rows[:2])
         memory.rebalance(num_classes=2)
-        task_id, stored = memory.classes[0]
-        assert task_id == 1 and stored.tolist() == rows[:2].tolist()
+        stored = memory.classes[0]
+        assert stored.tolist() == rows[:2].tolist()
         assert not np.shares_memory(stored, rows)  # the dropped tail is not kept alive
 
     def test_all_exemplars_stack_in_class_order(self):
         """Rows stack by ascending class index, whatever the insertion order;
         a class with no rows, as a checkpoint stores it, adds none."""
         memory = ExemplarMemory(budget=9)
-        memory.add_class(3, np.full((2, 2), 3.0), task_id=2)
-        memory.add_class(1, np.full((3, 2), 1.0), task_id=1)
-        payload = memory.to_payload()
+        memory.add_class(3, np.full((2, 2), 3.0))
+        memory.add_class(1, np.full((3, 2), 1.0))
+        payload = memory.to_payload(ClassRegistry([1, 2]))
         payload["classes"]["0"] = {"task_id": -1, "rows": []}
         for stored in (memory, ExemplarMemory.from_payload(payload)):
             payloads, classes = stored.all_exemplars()
@@ -175,7 +181,7 @@ class TestMemory:
 
     def test_budget_invariant_enforced(self):
         memory = ExemplarMemory(budget=3)
-        memory.add_class(0, np.zeros((5, 2)), task_id=1)
+        memory.add_class(0, np.zeros((5, 2)))
         with pytest.raises(EngineError):
             memory.assert_within_budget()
         memory.rebalance(num_classes=1)
@@ -183,9 +189,9 @@ class TestMemory:
 
     def test_duplicate_class_rejected(self):
         memory = ExemplarMemory(budget=3)
-        memory.add_class(0, np.zeros((1, 2)), task_id=1)
+        memory.add_class(0, np.zeros((1, 2)))
         with pytest.raises(ContractError):
-            memory.add_class(0, np.zeros((1, 2)), task_id=1)
+            memory.add_class(0, np.zeros((1, 2)))
 
     def test_positive_budget_required(self):
         with pytest.raises(ConfigError):
@@ -194,15 +200,24 @@ class TestMemory:
     def test_payload_roundtrip(self):
         memory = ExemplarMemory(budget=6, payload_kind=mem.LATENT)
         rng = np.random.default_rng(5)
-        memory.add_class(0, rng.normal(size=(3, 4)), task_id=1)
-        memory.add_class(1, rng.normal(size=(2, 4)), task_id=1)
-        restored = ExemplarMemory.from_payload(memory.to_payload())
+        memory.add_class(0, rng.normal(size=(3, 4)))
+        memory.add_class(1, rng.normal(size=(2, 4)))
+        restored = ExemplarMemory.from_payload(memory.to_payload(ClassRegistry([1])))
         assert restored.budget == 6
         assert restored.payload_kind == mem.LATENT
         for idx in (0, 1):
-            (got_task, got), (want_task, want) = restored.classes[idx], memory.classes[idx]
-            assert got_task == want_task
-            np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(restored.classes[idx], memory.classes[idx])
+
+    def test_payload_takes_each_class_task_from_the_registry(self):
+        """The memory stores rows only: class c is task ``tasks[c // 2]``'s,
+        and a class trimmed to no rows is written with task -1."""
+        memory = ExemplarMemory(budget=2)
+        for class_idx in (3, 0, 2):
+            memory.add_class(class_idx, np.full((2, 2), float(class_idx)))
+        memory.rebalance(num_classes=3)
+        assert [rows.shape[0] for rows in memory.classes.values()] == [0, 1, 1]
+        payload = memory.to_payload(ClassRegistry([5, 7]))
+        assert {key: entry["task_id"] for key, entry in payload["classes"].items()} == {"3": -1, "0": 5, "2": 7}
 
 
 class TestPayloadValidation:
@@ -213,10 +228,10 @@ class TestPayloadValidation:
         rows as lists, as read back from the written JSON."""
         memory = ExemplarMemory(budget=4, payload_kind=mem.RAW)
         rng = np.random.default_rng(8)
-        memory.add_class(0, rng.normal(size=(2, 5)), task_id=1)
-        memory.add_class(1, rng.normal(size=(2, 5)), task_id=1)
+        memory.add_class(0, rng.normal(size=(2, 5)))
+        memory.add_class(1, rng.normal(size=(2, 5)))
         written = io.StringIO()
-        _write_json(written, memory.to_payload())
+        _write_json(written, memory.to_payload(ClassRegistry([1])))
         return json.loads(written.getvalue())
 
     def _model(self):

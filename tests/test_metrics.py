@@ -209,6 +209,7 @@ class TestArtifacts:
         assert set(curves) == {1, 2}
         assert metrics["aa"] == pytest.approx((0.8 + 0.95) / 2)
         assert metrics["af"] == pytest.approx(-0.1)
+        assert metrics["af_last"] == pytest.approx(-0.1)
         assert metrics["aa_m"] is not None
         assert metrics["config"]["seed"] == 3
 

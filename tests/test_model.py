@@ -143,7 +143,6 @@ class TestExpansion:
 class TestSnapshot:
     def test_outputs_match_at_capture(self):
         model = make_model(LINFC, tasks=2, seed=7)
-        model.sessions_trained = 1
         snap = model.snapshot()
         x = np.random.default_rng(3).normal(size=(4, 6))
         _, live = model.forward(x)
@@ -155,7 +154,7 @@ class TestSnapshot:
         assert result.passed, result.detail
 
     def test_requires_a_trained_session(self):
-        model = make_model(LINFC, tasks=1)
+        model = make_model(LINFC, tasks=0)
         with pytest.raises(ProtocolError):
             model.snapshot()
 
@@ -226,12 +225,10 @@ class TestRegistryInvariants:
 class TestCheckpoint:
     def test_roundtrip(self, tmp_path):
         model = make_model(COSFC, tasks=2, seed=13)
-        model.sessions_trained = 2
         path = tmp_path / "ckpt.json"
         mdl.save_checkpoint(path, model, memory_payload={"kind": "raw", "budget": 1, "classes": {}})
         loaded, memory_payload = mdl.load_checkpoint(path)
         assert memory_payload == {"kind": "raw", "budget": 1, "classes": {}}
-        assert loaded.sessions_trained == 2
         assert loaded.head.variant == COSFC
         assert loaded.head.registry.tasks == model.head.registry.tasks
         x = np.random.default_rng(7).normal(size=(4, 6))
@@ -270,7 +267,6 @@ class TestCheckpointValidation:
 
     def _saved_payload(self, tmp_path):
         model = make_model(LINFC, tasks=2, seed=3)
-        model.sessions_trained = 2
         path = tmp_path / "ckpt.json"
         mdl.save_checkpoint(path, model)
         return path, json.loads(path.read_text())
@@ -280,6 +276,15 @@ class TestCheckpointValidation:
         del blob["model"]["extractor"]["weights"][2]
         path.write_text(json.dumps(blob))
         with pytest.raises(ConfigError, match=r"model\.extractor\.weights: expected 3 entries, found 2"):
+            mdl.load_checkpoint(path)
+
+    @pytest.mark.parametrize("widths", [[], [6]])
+    def test_widths_without_a_layer_rejected(self, tmp_path, widths):
+        path, blob = self._saved_payload(tmp_path)
+        blob["model"]["widths"] = widths
+        blob["model"]["extractor"] = {"weights": [], "biases": []}
+        path.write_text(json.dumps(blob))
+        with pytest.raises(ConfigError, match="^extractor needs at least input and feature widths$"):
             mdl.load_checkpoint(path)
 
     def test_wrong_bias_shape_rejected(self, tmp_path):
@@ -346,6 +351,18 @@ class TestCheckpointValidation:
         blob["model"]["registry"] = registry
         path.write_text(json.dumps(blob))
         with pytest.raises(ConfigError, match=r"model\.registry: entries must be \[task_id, 0\], \[task_id, 1\]"):
+            mdl.load_checkpoint(path)
+
+    @pytest.mark.parametrize("value", [0, 3, "2"])
+    def test_sessions_trained_must_be_the_task_count(self, tmp_path, value):
+        """Each session registers one task, so the stored session count is
+        the registry's task count; a checkpoint that says otherwise would
+        resume at another learning rate."""
+        path, blob = self._saved_payload(tmp_path)
+        assert blob["model"]["sessions_trained"] == 2
+        blob["model"]["sessions_trained"] = value
+        path.write_text(json.dumps(blob))
+        with pytest.raises(ConfigError, match=rf"^checkpoint field model\.sessions_trained: {value!r}, expected 2$"):
             mdl.load_checkpoint(path)
 
     def test_head_rows_follow_the_registry(self, tmp_path):

@@ -109,6 +109,9 @@ class TestAccuracyMatrixCsv:
     def test_the_valid_file_parses(self):
         assert _parse(read_accuracy_matrix, MATRIX)[1, 2] == 0.6
 
+    def test_both_bounds_are_accuracies(self):
+        assert _parse(read_accuracy_matrix, "0.0,1.0\n,0.5\n")[0].tolist() == [0.0, 1.0]
+
     @EXAMPLES
     @given(_arbitrary(MATRIX.splitlines()[0]))
     def test_arbitrary_text(self, text):

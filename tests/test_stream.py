@@ -3,7 +3,6 @@ import pytest
 
 from cddet import diffcore as dc
 from cddet import losses as ls
-from cddet import stream
 from cddet.errors import ConfigError, ParseError
 from cddet.model import FAKE, REAL
 from cddet.stream import Scenario, build_scenario, load_dataset, save_dataset, synth_generate
@@ -25,12 +24,10 @@ def verify_overlap(scenario: Scenario, bound: float = OVERLAP_BOUND) -> bool:
     for i in range(len(tasks)):
         for j in range(i + 1, len(tasks)):
             a, b = tasks[i], tasks[j]
-            real_a = np.asarray(a.base_mean) + np.asarray(a.real_shift)
-            real_b = np.asarray(b.base_mean) + np.asarray(b.real_shift)
-            if symmetric_kl_isotropic(real_a, real_b, a.cov_scale) >= bound:
+            if symmetric_kl_isotropic(a.real_shift, b.real_shift, 1.0) >= bound:
                 return False
             closest = min(
-                symmetric_kl_isotropic(ma, mb, a.cov_scale)
+                symmetric_kl_isotropic(ma, mb, 1.0)
                 for ma in a.fake_means
                 for mb in b.fake_means
             )
@@ -52,21 +49,12 @@ class TestSynthGenerate:
     def test_counts_per_split_and_polarity(self):
         scenario = build_scenario("easy", seed=1)
         spec = scenario.tasks[2]
+        assert (spec.n_train, spec.n_test) == (300, 150)  # the default stream sizes
         data = synth_generate(spec, seed=1)
         for split_name, n in (("train", spec.n_train), ("test", spec.n_test)):
             split = data.splits()[split_name]
             assert (split.y == REAL).sum() == n
             assert (split.y == FAKE).sum() == n
-
-    def test_invalid_cov_scale(self):
-        scenario = build_scenario("easy", seed=1)
-        spec = scenario.tasks[0]
-        with pytest.raises(ConfigError):
-            stream.TaskSpec(
-                task_id=99, base_mean=spec.base_mean, real_shift=spec.real_shift,
-                fake_means=spec.fake_means, cov_scale=0.0, difficulty=1.0,
-                n_train=10, n_test=10,
-            )
 
     def test_linear_probe_separates_easy_task(self):
         """A logistic probe on a 6-sigma task clears 95% test accuracy."""
@@ -103,7 +91,7 @@ class TestScenarios:
     def test_hard_mixes_difficulties_and_sample_sizes(self):
         hard = build_scenario("hard", 2)
         difficulties = [t.difficulty for t in hard.tasks]
-        assert min(difficulties) < max(difficulties)
+        assert difficulties == [6.0, 6.0, 2.5, 2.5, 3.5]  # two low-separation sources, then the small one
         small = [t for t in hard.tasks if 2 * t.n_train <= 400]
         assert len(small) == 1
 

@@ -181,6 +181,14 @@ class TestProfiles:
         with pytest.raises(ConfigError, match=f"unknown profile setting '{setting}'"):
             resolve_profile("distill", MC, **{setting: 0.1})
 
+    @pytest.mark.parametrize("system", [BC, MC, MT])
+    def test_the_head_is_no_override(self, system):
+        """The head and the rule say the system, so no override sets the head:
+        a profile resolved on a system is that system's."""
+        head = LINFC if system == BC else SIGMOID
+        with pytest.raises(ConfigError, match="^unknown profile setting 'head_variant'$"):
+            resolve_profile("distill", system, head_variant=head)
+
     @pytest.mark.parametrize("system", [BC, MC])
     def test_aggregation_needs_the_multi_task_system(self, system):
         with pytest.raises(ConfigError, match="^aggregation rules apply to the multi-task system only$"):
@@ -224,7 +232,7 @@ class TestRunSession:
         model, memory, sessions, profile = fresh_setup()
         assert profile.weights.gamma_d > 0
         run_session(model, memory, sessions[0], profile, FAST)
-        assert model.sessions_trained == 1
+        assert model.head.registry.tasks == [1]
         assert memory.total() > 0
 
     def test_duplicate_task_rejected(self):
@@ -275,7 +283,7 @@ class TestRunSession:
             profile = resolve_profile(name, MC, **options)
             for session in sessions:
                 run_session(model, memory, session, profile, FAST)
-            assert model.sessions_trained == len(sessions)
+            assert len(model.head.registry.tasks) == len(sessions)
 
     def test_a_distilling_replay_run_snapshots_once_a_later_session(self, monkeypatch):
         """Each later session takes its replayed rows' constants once, from
@@ -284,7 +292,7 @@ class TestRunSession:
         constants = trainer.snapshot_constants
 
         def counted(model, *args):
-            taken.append((model.sessions_trained, model.head.theta.shape[0]))
+            taken.append((len(model.head.registry.tasks), model.head.theta.shape[0]))
             return constants(model, *args)
 
         monkeypatch.setattr(trainer, "snapshot_constants", counted)
@@ -353,7 +361,7 @@ class TestRunScenario:
 
     def test_duplicate_tasks_rejected(self):
         spec = tiny_spec(1, 0)
-        scenario = Scenario(kind="easy", seed=0, tasks=[spec, spec], warmup=None)
+        scenario = Scenario(seed=0, tasks=[spec, spec], warmup=None)
         with pytest.raises(ProtocolError):
             run_scenario(scenario, 10, resolve_profile("finetune", MC), FAST, MC)
 
@@ -363,7 +371,7 @@ class TestRunScenario:
 
         monkeypatch.setattr("cddet.trainer.run_session", forbidden)
         spec = tiny_spec(1, 0)
-        scenario = Scenario(kind="easy", seed=0, tasks=[tiny_spec(2, 1), spec], warmup=spec)
+        scenario = Scenario(seed=0, tasks=[tiny_spec(2, 1), spec], warmup=spec)
         with pytest.raises(ProtocolError, match="duplicate task"):
             run_scenario(scenario, 10, resolve_profile("finetune", MC), FAST, MC)
 
@@ -381,7 +389,7 @@ class TestRunScenario:
         rows = len(synth_generate(scenario.tasks[0], scenario.seed).train)
         config = TrainConfig(epochs=2, lr=1e-3, batch_size=rows - 1, seed=3)
         record = run_scenario(scenario, 0, resolve_profile("finetune", MC), config, MC)
-        assert record.model.sessions_trained == 1
+        assert record.model.head.registry.tasks == [1]
 
     def test_mt_lambda_zero_matches_mc_bitwise(self):
         scenario = tiny_scenario(3, seed=9)
@@ -397,7 +405,7 @@ class TestRunScenario:
     def test_warmup_trains_but_stays_out_of_matrix(self):
         tasks = [tiny_spec(2, 1)]
         warm = tiny_spec(1, 0)
-        scenario = Scenario(kind="easy", seed=4, tasks=tasks, warmup=warm)
+        scenario = Scenario(seed=4, tasks=tasks, warmup=warm)
         record = run_scenario(scenario, 20, resolve_profile("replay", MC), FAST, MC)
         assert record.matrix.shape == (1, 1)
         assert list(record.logs) == [2]
@@ -488,7 +496,7 @@ class TestSplitRun:
         values = [v for obj in (model, model.extractor, model.head, model.head.registry) for v in vars(obj).values()]
         values += [item for v in values if isinstance(v, list) for item in v]
         assert not any(isinstance(v, np.random.Generator) for v in values), "a model object holds a generator"
-        save_checkpoint(path, model, memory.to_payload())
+        save_checkpoint(path, model, memory.to_payload(model.head.registry))
         return path.read_bytes(), columns
 
     @pytest.mark.parametrize("name, system, k, copied", _split_cases())
