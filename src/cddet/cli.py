@@ -216,7 +216,7 @@ def _execute_run(cfg: ExperimentConfig, profile: MethodProfile, train_cfg: Train
     write_metrics_json(out_dir / "metrics.json", metrics)
     write_pr_curves(out_dir / "pr_curves.csv", curves)
     write_predictions(out_dir / "predictions.csv", record.logs)
-    memory_payload = record.memory.to_payload(record.model.head.registry) if record.memory is not None else None
+    memory_payload = record.memory.to_payload() if record.memory is not None else None
     save_checkpoint(out_dir / "checkpoint.json", record.model, memory_payload)
     with open(out_dir / "config.json", "w", encoding="utf-8") as fh:
         json.dump(echo, fh, sort_keys=True, indent=2)

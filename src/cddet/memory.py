@@ -2,8 +2,9 @@
 
 The memory stores rows only: each class keeps its exemplars as one 2-D array
 of payload rows in herding order, and its task is the class registry's (class
-c belongs to task ``registry.tasks[c // 2]``). Trimming slices off the tail,
-so every stored array stays a prefix of the original selection.
+c belongs to task ``registry.tasks[c // 2]``), so a checkpoint stores none.
+Trimming slices off the tail, so every stored array stays a prefix of the
+original selection.
 Payloads are either raw input vectors or latent activations captured at the
 extractor's replay layer, uniformly per memory instance.
 
@@ -174,19 +175,15 @@ class ExemplarMemory:
 
     # -- persistence ---------------------------------------------------
 
-    def to_payload(self, registry) -> dict:
-        """The memory as a checkpoint's ``memory`` object, each class with
-        its task from ``registry`` (-1 for a class with no rows left). Each
-        class's ``rows`` is its stored array itself, not a copy as lists,
-        which ``model.save_checkpoint`` writes row by row; ``from_payload``
-        reads rows given as arrays or as the lists a loaded checkpoint holds."""
+    def to_payload(self) -> dict:
+        """The memory as a checkpoint's ``memory`` object, ``{"kind", "budget",
+        "classes": {"<class index>": rows}}``: a class's rows are its stored
+        array itself, which ``model.save_checkpoint`` writes row by row;
+        ``from_payload`` reads arrays or the lists a loaded checkpoint holds."""
         return {
             "kind": self.payload_kind,
             "budget": self.budget,
-            "classes": {
-                str(class_idx): {"task_id": registry.tasks[class_idx // 2] if rows.shape[0] else -1, "rows": rows}
-                for class_idx, rows in self.classes.items()
-            },
+            "classes": {str(class_idx): rows for class_idx, rows in self.classes.items()},
         }
 
     @classmethod
@@ -196,11 +193,11 @@ class ExemplarMemory:
         A payload that ``to_payload`` could not have written raises
         ``ConfigError`` naming the field: an unknown kind, a budget that is
         not a positive integer, a class key that is not a non-negative
-        integer, ragged or non-finite rows, or more exemplars than the
-        budget. Given the ``model``, every row must also have its input
-        width (raw payloads) or its latent width (latent payloads), every
-        class key must index its class registry, and each ``task_id`` must
-        be that class's task, or -1 for a class with no rows.
+        integer in canonical decimal (``"1"``, not ``"01"``), ragged or
+        non-finite rows, or more exemplars than the budget. Given the
+        ``model``, every row must also have its input width (raw payloads)
+        or its latent width (latent payloads), and every class key must
+        index its class registry.
         """
         try:
             kind, budget, classes = payload["kind"], payload["budget"], payload["classes"]
@@ -218,33 +215,26 @@ class ExemplarMemory:
         if model is not None:
             width = model.extractor.input_width if kind == RAW else model.extractor.latent_width
         memory = cls(budget, kind)
-        for key, entry in classes.items():
+        for key, rows in classes.items():
             where = f"memory.classes[{key!r}]"
-            if not (isinstance(key, str) and key.isdigit()):
-                raise ConfigError(f"checkpoint field {where}: class key is not a non-negative integer")
+            if not (isinstance(key, str) and key.isdecimal() and key == str(int(key))):
+                raise ConfigError(f"checkpoint field {where}: class key is not a canonical non-negative integer")
             try:
-                task_id, rows = entry["task_id"], entry["rows"]
                 arr = np.asarray(rows, dtype=np.float64)
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ConfigError(f"checkpoint field {where}: malformed entry ({exc})") from None
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"checkpoint field {where}: malformed rows ({exc})") from None
             if arr.shape == (0,):  # a class with no rows left
                 arr = arr.reshape(0, width or 0)
             if arr.ndim != 2:
-                raise ConfigError(f"checkpoint field {where}.rows: not a list of equal-length rows")
+                raise ConfigError(f"checkpoint field {where}: not a list of equal-length rows")
             if not np.isfinite(arr).all():
-                raise ConfigError(f"checkpoint field {where}.rows: non-finite entries")
+                raise ConfigError(f"checkpoint field {where}: non-finite entries")
             if width is not None and arr.shape[1] != width:
                 raise ConfigError(
-                    f"checkpoint field {where}.rows: rows have {arr.shape[1]} entries, "
-                    f"the model's {kind} width is {width}"
+                    f"checkpoint field {where}: rows have {arr.shape[1]} entries, the model's {kind} width is {width}"
                 )
-            if model is not None:
-                registry = model.head.registry
-                if int(key) >= len(registry):
-                    raise ConfigError(f"checkpoint field {where}: the model has {len(registry)} classes")
-                want = registry.tasks[int(key) // 2] if arr.shape[0] else -1
-                if type(task_id) is not int or task_id != want:
-                    raise ConfigError(f"checkpoint field {where}.task_id: {task_id!r}, expected {want}")
+            if model is not None and int(key) >= len(model.head.registry):
+                raise ConfigError(f"checkpoint field {where}: the model has {len(model.head.registry)} classes")
             memory.classes[int(key)] = arr
         if memory.total() > budget:
             raise ConfigError(f"checkpoint field memory: {memory.total()} exemplars exceed budget {budget}")

@@ -14,21 +14,21 @@ number of sessions. A head's registry is its task list: task i owns class 2i
 (real) and class 2i + 1 (fake), so a class's polarity is its index mod 2.
 
 Checkpoint format (JSON, one object per file):
-    {"format": "cddet-checkpoint-v1",
-     "model": {"widths": [...], "capture_layer": int, "variant": str,
-               "registry": [[task_id, polarity], ...],
+    {"format": "cddet-checkpoint-v2",
+     "model": {"widths": [int, ...], "capture_layer": int, "variant": str,
+               "tasks": [task_id, ...],
                "extractor": {"weights": [...], "biases": [...]},
-               "head": {...per-variant parameter arrays...},
-               "sessions_trained": int},
-     "memory": {...} | null}
-Parameter arrays appear in declaration order and round-trip at full float64
-precision through JSON's repr-based serialisation. The registry holds
-[t, 0], [t, 1] for each task t in turn, and loading requires that pair
-layout, each task once, since no run writes another. Each session registers
-one task, so ``sessions_trained`` is the registry's task count: it is written
-as that, and loading rejects any other value. Loading checks every
-array's shape against ``widths`` and the registry, and the memory half
-against the model (``ExemplarMemory.from_payload``).
+               "head": {...per-variant parameter arrays...}},
+     "memory": {"kind": str, "budget": int,
+                "classes": {"<class index>": [[...], ...], ...}} | null}
+``tasks`` holds each task once, in the order the tasks came: it gives every
+class its task and polarity, and the sessions trained (one task each). A
+memory class is its rows alone (``[]`` once trimmed to none); its task is the
+registry's. Parameter arrays appear in declaration order and round-trip at
+full float64 precision through JSON's repr-based serialisation. Loading
+requires JSON integers (no bools) for the integer fields, checks every
+array's shape against ``widths`` and ``tasks``, and the memory half against
+the model (``ExemplarMemory.from_payload``).
 
 A model is its arrays, so a checkpoint holds the whole model: no model
 holds a generator, and ``ClassifierHead.expand`` draws from the one it is given.
@@ -318,24 +318,22 @@ def fake_score(head: ClassifierHead, logits: Array) -> Array:
 # ---------------------------------------------------------------------------
 # checkpoints
 
-CHECKPOINT_FORMAT = "cddet-checkpoint-v1"
+CHECKPOINT_FORMAT = "cddet-checkpoint-v2"
 
 
 def _model_payload(model: Model) -> dict:
     head = model.head
     theta, other = head.parameters()
-    head_payload = {"theta": theta.tolist(), "bias" if head.scale is None else "scale": other.tolist()}
     return {
         "widths": list(model.extractor.widths),
         "capture_layer": model.extractor.capture_layer,
         "variant": head.variant,
-        "registry": [[task_id, polarity] for task_id in head.registry.tasks for polarity in (REAL, FAKE)],
+        "tasks": list(head.registry.tasks),
         "extractor": {
             "weights": [w.tolist() for w in model.extractor.weights],
             "biases": [b.tolist() for b in model.extractor.biases],
         },
-        "head": head_payload,
-        "sessions_trained": len(head.registry.tasks),
+        "head": {"theta": theta.tolist(), "bias" if head.scale is None else "scale": other.tolist()},
     }
 
 
@@ -355,6 +353,12 @@ def _stored_array(value, shape: tuple[int, ...], field: str) -> Array:
     return arr
 
 
+def _stored_int(value, field: str) -> int:
+    if type(value) is not int:  # a JSON integer: not a float, a string or a bool
+        raise ConfigError(f"checkpoint field {field}: {value!r} is not an integer")
+    return value
+
+
 def _stored_list(value, count: int, field: str) -> list:
     if not isinstance(value, list) or len(value) != count:
         found = len(value) if isinstance(value, list) else type(value).__name__
@@ -364,34 +368,29 @@ def _stored_list(value, count: int, field: str) -> list:
 
 def _model_from_payload(payload: dict) -> Model:
     """Rebuild a model, checking every stored array against ``widths`` and
-    the registry, so a truncated or reshaped checkpoint cannot load."""
+    ``tasks``, so a truncated or reshaped checkpoint cannot load."""
     try:
-        widths = tuple(int(w) for w in payload["widths"])
+        widths = tuple(_stored_int(w, f"model.widths[{i}]") for i, w in enumerate(payload["widths"]))
         n_layers = max(len(widths) - 1, 0)
         weights = _stored_list(payload["extractor"]["weights"], n_layers, "model.extractor.weights")
         biases = _stored_list(payload["extractor"]["biases"], n_layers, "model.extractor.biases")
         for i in range(n_layers):
             weights[i] = _stored_array(weights[i], (widths[i], widths[i + 1]), f"model.extractor.weights[{i}]")
             biases[i] = _stored_array(biases[i], (widths[i + 1],), f"model.extractor.biases[{i}]")
-        extractor = FeatureExtractor(weights, biases, payload["capture_layer"])
-        entries = [tuple(entry) for entry in payload["registry"]]
-        tasks = [entry[0] for entry in entries[::2] if entry]
-        if entries != [(t, p) for t in tasks for p in (REAL, FAKE)] or len(set(tasks)) < len(tasks):
-            raise ConfigError("checkpoint field model.registry: entries must be [task_id, 0], [task_id, 1] per task")
+        extractor = FeatureExtractor(weights, biases, _stored_int(payload["capture_layer"], "model.capture_layer"))
+        tasks = [_stored_int(t, f"model.tasks[{i}]") for i, t in enumerate(payload["tasks"])]
+        if len(set(tasks)) < len(tasks):
+            raise ConfigError(f"checkpoint field model.tasks: {tasks} holds a task twice")
         variant, stored = payload["variant"], payload["head"]
-        rows = 1 if variant == SIGMOID else len(entries)
+        rows = 1 if variant == SIGMOID else 2 * len(tasks)
         theta = _stored_array(stored["theta"], (rows, widths[-1]), "model.head.theta")
         name, shape = ("scale", ()) if variant == COSFC else ("bias", (rows,))
         other = _stored_array(stored[name], shape, f"model.head.{name}")
-        count = payload["sessions_trained"]
-        if type(count) is not int or count != len(tasks):
-            raise ConfigError(f"checkpoint field model.sessions_trained: {count!r}, expected {len(tasks)}")
-        model = Model(extractor, ClassifierHead(variant, theta, other, ClassRegistry(tasks)))
+        return Model(extractor, ClassifierHead(variant, theta, other, ClassRegistry(tasks)))
     except KeyError as exc:
         raise ConfigError(f"checkpoint lacks field {exc.args[0]!r}") from None
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"malformed checkpoint: {exc}") from None
-    return model
 
 
 def save_checkpoint(path, model: Model, memory_payload: dict | None = None) -> None:

@@ -338,16 +338,10 @@ MUTANTS = [
         ["tests/test_trainer.py::TestRunScenario::test_a_profile_bound_to_another_system_is_rejected_before_training"],
     ),
     (
-        "checkpoint-registry-in-any-polarity-order", "model.py",
-        "entries != [(t, p) for t in tasks for p in (REAL, FAKE)]",
-        "any(len(e) != 2 or e[1] not in (REAL, FAKE) for e in entries)",
-        ["tests/test_model.py::TestCheckpointValidation::test_registry_out_of_its_pair_layout_rejected"],
-    ),
-    (
         "checkpoint-registry-repeats-a-task", "model.py",
-        " or len(set(tasks)) < len(tasks)",
-        "",
-        ["tests/test_model.py::TestCheckpointValidation::test_registry_out_of_its_pair_layout_rejected"],
+        "        if len(set(tasks)) < len(tasks):\n",
+        "        if False:\n",
+        ["tests/test_model.py::TestCheckpointValidation::test_a_task_held_twice_rejected"],
     ),
     (
         "profile-head-overridable", "trainer.py",
@@ -355,19 +349,25 @@ MUTANTS = [
         '{"name", "weights", "aggregation"}',
         ["tests/test_trainer.py::TestProfiles::test_the_head_is_no_override"],
     ),
-    # a run's state holds each fact once: the registry counts the sessions
-    # and gives each exemplar class its task
+    # a checkpoint's integers are JSON integers, and a class key is its index
+    # as ``str`` writes it
     (
-        "checkpoint-sessions-trained-unchecked", "model.py",
-        "if type(count) is not int or count != len(tasks):",
-        "if False:",
-        ["tests/test_model.py::TestCheckpointValidation::test_sessions_trained_must_be_the_task_count"],
+        "checkpoint-integer-field-takes-a-bool", "model.py",
+        "if type(value) is not int:",
+        "if not isinstance(value, int):",
+        ["tests/test_model.py::TestCheckpointValidation::test_integer_fields_must_be_json_integers"],
     ),
     (
-        "memory-payload-task-by-polarity", "memory.py",
-        "registry.tasks[class_idx // 2]",
-        "registry.tasks[class_idx % 2]",
-        ["tests/test_memory.py::TestMemory::test_payload_takes_each_class_task_from_the_registry"],
+        "checkpoint-integer-field-converted", "model.py",
+        "        raise ConfigError(f\"checkpoint field {field}: {value!r} is not an integer\")\n    return value\n",
+        "        value = int(value)\n    return value\n",
+        ["tests/test_model.py::TestCheckpointValidation::test_integer_fields_must_be_json_integers"],
+    ),
+    (
+        "memory-class-key-any-digits", "memory.py",
+        "key.isdecimal() and key == str(int(key))",
+        "key.isdigit()",
+        ["tests/test_memory.py::TestPayloadValidation::test_class_key_not_in_canonical_decimal"],
     ),
     # the run-directory contract under single-file edits, and the portable
     # level of reproducibility

@@ -472,12 +472,11 @@ class TestCheckpointMemory:
 
     def test_a_class_trimmed_to_no_rows_loads(self, checkpoint):
         _, memory = load_checkpoint(checkpoint)
-        assert memory["classes"]["3"] == {"task_id": -1, "rows": []}
+        assert memory["classes"]["3"] == []
 
     @pytest.mark.parametrize("edit, field", [
-        (lambda classes: classes["0"].update(task_id="seven"), "memory.classes['0'].task_id"),
         (lambda classes: classes.update({"99": classes.pop("0")}), "memory.classes['99']"),
-    ], ids=["task-id-not-the-class-task", "class-key-outside-the-registry"])
+    ], ids=["class-key-outside-the-registry"])
     def test_memory_that_does_not_match_the_model(self, checkpoint, edit, field):
         blob = json.loads(checkpoint.read_text())
         edit(blob["memory"]["classes"])

@@ -1,5 +1,6 @@
 import io
 import json
+import re
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from cddet import memory as mem
 from cddet.errors import ConfigError, ContractError, EngineError
 from cddet.memory import ExemplarMemory, capture, herd_select, quotas
-from cddet.model import LINFC, ClassRegistry, Model, _write_json
+from cddet.model import LINFC, Model, _write_json
 from cddet.verify import check_herding_oracle
 
 
@@ -171,8 +172,8 @@ class TestMemory:
         memory = ExemplarMemory(budget=9)
         memory.add_class(3, np.full((2, 2), 3.0))
         memory.add_class(1, np.full((3, 2), 1.0))
-        payload = memory.to_payload(ClassRegistry([1, 2]))
-        payload["classes"]["0"] = {"task_id": -1, "rows": []}
+        payload = memory.to_payload()
+        payload["classes"]["0"] = []
         for stored in (memory, ExemplarMemory.from_payload(payload)):
             payloads, classes = stored.all_exemplars()
             assert classes.tolist() == [1, 1, 1, 3, 3]
@@ -202,22 +203,26 @@ class TestMemory:
         rng = np.random.default_rng(5)
         memory.add_class(0, rng.normal(size=(3, 4)))
         memory.add_class(1, rng.normal(size=(2, 4)))
-        restored = ExemplarMemory.from_payload(memory.to_payload(ClassRegistry([1])))
+        restored = ExemplarMemory.from_payload(memory.to_payload())
         assert restored.budget == 6
         assert restored.payload_kind == mem.LATENT
         for idx in (0, 1):
             np.testing.assert_array_equal(restored.classes[idx], memory.classes[idx])
 
-    def test_payload_takes_each_class_task_from_the_registry(self):
-        """The memory stores rows only: class c is task ``tasks[c // 2]``'s,
-        and a class trimmed to no rows is written with task -1."""
+    def test_payload_holds_each_class_rows_alone(self):
+        """A class's payload entry is its stored array itself, with no task:
+        class c is task ``tasks[c // 2]``'s. A class trimmed to no rows is
+        written as ``[]``."""
         memory = ExemplarMemory(budget=2)
         for class_idx in (3, 0, 2):
             memory.add_class(class_idx, np.full((2, 2), float(class_idx)))
         memory.rebalance(num_classes=3)
-        assert [rows.shape[0] for rows in memory.classes.values()] == [0, 1, 1]
-        payload = memory.to_payload(ClassRegistry([5, 7]))
-        assert {key: entry["task_id"] for key, entry in payload["classes"].items()} == {"3": -1, "0": 5, "2": 7}
+        payload = memory.to_payload()
+        assert {key: rows.shape[0] for key, rows in payload["classes"].items()} == {"3": 0, "0": 1, "2": 1}
+        assert all(payload["classes"][str(c)] is rows for c, rows in memory.classes.items())
+        written = io.StringIO()
+        _write_json(written, payload)
+        assert json.loads(written.getvalue())["classes"] == {"0": [[0.0, 0.0]], "2": [[2.0, 2.0]], "3": []}
 
 
 class TestPayloadValidation:
@@ -231,7 +236,7 @@ class TestPayloadValidation:
         memory.add_class(0, rng.normal(size=(2, 5)))
         memory.add_class(1, rng.normal(size=(2, 5)))
         written = io.StringIO()
-        _write_json(written, memory.to_payload(ClassRegistry([1])))
+        _write_json(written, memory.to_payload())
         return json.loads(written.getvalue())
 
     def _model(self):
@@ -274,22 +279,31 @@ class TestPayloadValidation:
         with pytest.raises(ConfigError, match=r"memory\.classes\['first'\]"):
             ExemplarMemory.from_payload(payload)
 
+    @pytest.mark.parametrize("key", ["01", "\u0663"], ids=["leading-zero", "arabic-indic-three"])
+    def test_class_key_not_in_canonical_decimal(self, key):
+        """A key is the class index as ``str`` writes it: another spelling
+        that ``str.isdigit`` accepts could name a class another key names."""
+        payload = self._payload()
+        payload["classes"][key] = payload["classes"]["1"][:1]
+        with pytest.raises(ConfigError, match=re.escape(f"memory.classes[{key!r}]: class key is not a canonical")):
+            ExemplarMemory.from_payload(payload)
+
     def test_ragged_rows(self):
         payload = self._payload()
-        payload["classes"]["1"]["rows"][1].pop()
+        payload["classes"]["1"][1].pop()
         with pytest.raises(ConfigError, match=r"memory\.classes\['1'\]"):
             ExemplarMemory.from_payload(payload)
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_non_finite_rows(self, value):
         payload = self._payload()
-        payload["classes"]["1"]["rows"][1][2] = value
-        with pytest.raises(ConfigError, match=r"memory\.classes\['1'\]\.rows: non-finite entries"):
+        payload["classes"]["1"][1][2] = value
+        with pytest.raises(ConfigError, match=r"memory\.classes\['1'\]: non-finite entries"):
             ExemplarMemory.from_payload(payload, self._model())
 
     def test_row_width_must_match_the_model(self):
         payload = self._payload()
-        for row in payload["classes"]["0"]["rows"] + payload["classes"]["1"]["rows"]:
+        for row in payload["classes"]["0"] + payload["classes"]["1"]:
             row.pop()
         ExemplarMemory.from_payload(payload)  # consistent on its own
         with pytest.raises(ConfigError, match=r"rows have 4 entries, the model's raw width is 5"):

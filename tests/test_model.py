@@ -5,11 +5,15 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cddet import losses as ls
+from cddet import memory as mem
 from cddet import model as mdl
 from cddet.errors import ConfigError, ContractError, ParseError, ProtocolError
-from cddet.model import COSFC, FAKE, LINFC, REAL, SIGMOID, Model
+from cddet.memory import ExemplarMemory
+from cddet.model import COSFC, FAKE, HEAD_VARIANTS, LINFC, REAL, SIGMOID, Model
 from cddet.verify import check_snapshot_immutability
 
 
@@ -222,17 +226,55 @@ class TestRegistryInvariants:
         np.testing.assert_array_equal(full, resumed)
 
 
+@st.composite
+def run_states(draw):
+    """A model of any head variant holding 0 to 3 tasks, and no memory or a
+    raw or latent one over some of its classes, each with 0 to 3 rows (a
+    class trimmed to no rows among them)."""
+    model = make_model(draw(st.sampled_from(HEAD_VARIANTS)), draw(st.integers(0, 3)), draw(st.integers(0, 2**16)))
+    kind = draw(st.sampled_from([None, mem.RAW, mem.LATENT]))
+    if kind is None:
+        return model, None
+    width = model.extractor.input_width if kind == mem.RAW else model.extractor.latent_width
+    n_classes = len(model.head.registry)
+    classes = draw(st.sets(st.sampled_from(range(n_classes)))) if n_classes else set()
+    row = st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=width, max_size=width)
+    stored = {c: np.array(draw(st.lists(row, max_size=3))).reshape(-1, width) for c in sorted(classes)}
+    memory = ExemplarMemory(max(sum(len(rows) for rows in stored.values()), 1) + draw(st.integers(0, 2)), kind)
+    for c, rows in stored.items():
+        memory.add_class(c, rows)
+    return model, memory
+
+
+def assert_bit_equal(got, want):
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 class TestCheckpoint:
-    def test_roundtrip(self, tmp_path):
-        model = make_model(COSFC, tasks=2, seed=13)
-        path = tmp_path / "ckpt.json"
-        mdl.save_checkpoint(path, model, memory_payload={"kind": "raw", "budget": 1, "classes": {}})
-        loaded, memory_payload = mdl.load_checkpoint(path)
-        assert memory_payload == {"kind": "raw", "budget": 1, "classes": {}}
-        assert loaded.head.variant == COSFC
-        assert loaded.head.registry.tasks == model.head.registry.tasks
-        x = np.random.default_rng(7).normal(size=(4, 6))
-        np.testing.assert_array_equal(loaded.forward(x)[1], model.forward(x)[1])
+    @settings(max_examples=60, derandomize=True, deadline=None, database=None)
+    @given(run_states())
+    def test_roundtrip(self, tmp_path_factory, state):
+        """Save, load and save again writes the same bytes; the loaded memory
+        payload passes ``from_payload`` against the loaded model, and every
+        weight and exemplar row comes back bit for bit."""
+        model, memory = state
+        path = tmp_path_factory.mktemp("ckpt") / "checkpoint.json"
+        mdl.save_checkpoint(path, model, None if memory is None else memory.to_payload())
+        written = path.read_bytes()
+        loaded, payload = mdl.load_checkpoint(path)
+        mdl.save_checkpoint(path, loaded, payload)
+        assert path.read_bytes() == written
+        assert (loaded.head.variant, loaded.head.registry.tasks) == (model.head.variant, model.head.registry.tasks)
+        for got, want in zip(loaded.parameters(), model.parameters(), strict=True):
+            assert_bit_equal(got, want)
+        if memory is None:
+            assert payload is None
+            return
+        restored = ExemplarMemory.from_payload(payload, loaded)
+        assert (restored.budget, restored.payload_kind) == (memory.budget, memory.payload_kind)
+        assert restored.classes.keys() == memory.classes.keys()
+        for c, rows in memory.classes.items():
+            assert_bit_equal(restored.classes[c], rows)
 
 
 class TestCheckpointValidation:
@@ -264,6 +306,13 @@ class TestCheckpointValidation:
         with pytest.raises(ParseError, match=f"^{re.escape(f'cannot read ({reason})')}$") as info:
             mdl.load_checkpoint(path)
         assert info.value.path == path
+
+    def test_another_format_rejected(self, tmp_path):
+        path, blob = self._saved_payload(tmp_path)
+        blob["format"] = "cddet-checkpoint-v1"
+        path.write_text(json.dumps(blob))
+        with pytest.raises(ConfigError, match="^unsupported checkpoint format 'cddet-checkpoint-v1'$"):
+            mdl.load_checkpoint(path)
 
     def _saved_payload(self, tmp_path):
         model = make_model(LINFC, tasks=2, seed=3)
@@ -297,11 +346,11 @@ class TestCheckpointValidation:
     def test_memory_rows_checked_against_the_model(self, tmp_path):
         path, blob = self._saved_payload(tmp_path)
         rows = np.zeros((5, 5)).tolist()  # 5 exemplars, 5 wide, for a 6-input model under budget 1
-        blob["memory"] = {"kind": "raw", "budget": 1, "classes": {"0": {"task_id": 1, "rows": rows}}}
+        blob["memory"] = {"kind": "raw", "budget": 1, "classes": {"0": rows}}
         path.write_text(json.dumps(blob))
-        with pytest.raises(ConfigError, match=r"memory\.classes\['0'\]\.rows: rows have 5 entries"):
+        with pytest.raises(ConfigError, match=r"memory\.classes\['0'\]: rows have 5 entries"):
             mdl.load_checkpoint(path)
-        blob["memory"]["classes"]["0"]["rows"] = np.zeros((5, 6)).tolist()
+        blob["memory"]["classes"]["0"] = np.zeros((5, 6)).tolist()
         path.write_text(json.dumps(blob))
         with pytest.raises(ConfigError, match=r"5 exemplars exceed budget 1"):
             mdl.load_checkpoint(path)
@@ -316,13 +365,13 @@ class TestCheckpointValidation:
             "10": np.empty((0, 3)),
             "11": np.array([[1.0, -0.0, 3e8], [5e-324, 2.0 / 3.0, -1.5], [7.0, 1e22, 0.25]]),
         }
-        listed = {key: {"task_id": 2, "rows": rows.tolist()} for key, rows in arrays.items()}
+        listed = {key: rows.tolist() for key, rows in arrays.items()}
         memory = {"kind": "raw", "budget": 3, "classes": listed}
         blob = {"format": mdl.CHECKPOINT_FORMAT, "model": mdl._model_payload(model), "memory": memory}
         with open(tmp_path / "dumped.json", "w", encoding="utf-8") as fh:
             json.dump(blob, fh, sort_keys=True)
         path = tmp_path / "ckpt.json"
-        for classes in (listed, {key: {"task_id": 2, "rows": rows} for key, rows in arrays.items()}):
+        for classes in (listed, arrays):
             mdl.save_checkpoint(path, model, {"kind": "raw", "budget": 3, "classes": classes})
             assert path.read_bytes() == (tmp_path / "dumped.json").read_bytes()
 
@@ -339,30 +388,35 @@ class TestCheckpointValidation:
         with pytest.raises(ConfigError, match=r"model\.head\.bias: non-finite entries"):
             mdl.load_checkpoint(path)
 
-    @pytest.mark.parametrize("registry", [
-        [[1, 1], [1, 0], [2, 0], [2, 1]],
-        [[1, 0], [1, 1], [1, 0], [1, 1]],
-    ], ids=["fake-class-first", "task-twice"])
-    def test_registry_out_of_its_pair_layout_rejected(self, tmp_path, registry):
-        """The registry is one [task_id, 0], [task_id, 1] pair per task, in
-        turn, which is all a run writes."""
+    def test_a_task_held_twice_rejected(self, tmp_path):
+        """``tasks`` holds each task once, which is all a run writes."""
         path, blob = self._saved_payload(tmp_path)
-        assert blob["model"]["registry"] == [[1, 0], [1, 1], [2, 0], [2, 1]]
-        blob["model"]["registry"] = registry
+        assert blob["model"]["tasks"] == [1, 2]
+        blob["model"]["tasks"] = [1, 1]
         path.write_text(json.dumps(blob))
-        with pytest.raises(ConfigError, match=r"model\.registry: entries must be \[task_id, 0\], \[task_id, 1\]"):
+        with pytest.raises(ConfigError, match=r"^checkpoint field model\.tasks: \[1, 1\] holds a task twice$"):
             mdl.load_checkpoint(path)
 
-    @pytest.mark.parametrize("value", [0, 3, "2"])
-    def test_sessions_trained_must_be_the_task_count(self, tmp_path, value):
-        """Each session registers one task, so the stored session count is
-        the registry's task count; a checkpoint that says otherwise would
-        resume at another learning rate."""
+    @pytest.mark.parametrize("field, index, value", [
+        ("capture_layer", None, 0.0),
+        ("capture_layer", None, True),
+        ("widths", 1, 8.5),
+        ("widths", 1, "8"),
+        ("tasks", 0, 1.0),
+        ("tasks", 0, False),
+    ])
+    def test_integer_fields_must_be_json_integers(self, tmp_path, field, index, value):
+        """A float, a string or a bool where the format has an integer is
+        rejected naming the field, not converted or loaded as it is."""
         path, blob = self._saved_payload(tmp_path)
-        assert blob["model"]["sessions_trained"] == 2
-        blob["model"]["sessions_trained"] = value
+        if index is None:
+            blob["model"][field] = value
+        else:
+            blob["model"][field][index] = value
         path.write_text(json.dumps(blob))
-        with pytest.raises(ConfigError, match=rf"^checkpoint field model\.sessions_trained: {value!r}, expected 2$"):
+        where = f"model.{field}" if index is None else f"model.{field}[{index}]"
+        message = f"checkpoint field {where}: {value!r} is not an integer"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             mdl.load_checkpoint(path)
 
     def test_head_rows_follow_the_registry(self, tmp_path):

@@ -54,7 +54,7 @@ PINS = {
         "map": 0.657642256344496,
         "sha256": "67560266a67bc066598348d38882aff23833e9afbf46007896623bb2811e2a16",
         "predictions_sha256": "ea8e06ccbdc3053168bbec0115586aa71581867bf322da6e6dff0254be23e901",
-        "checkpoint_sha256": "099356a4e59dd320ccb7b48d20fa698ff7b284300e74989971b705bcca762ea1",
+        "checkpoint_sha256": "a924fc29e25b94d40ff8f574badb5cd6dc92a9b546a43b54b41e96f3a14b1e08",
     },
     "mc-replaykd-latent": {
         "aa": 0.5133333333333333,
@@ -63,7 +63,7 @@ PINS = {
         "map": 0.537157819819344,
         "sha256": "5a25c7a8ba27df01ead30f6cc0baf16a041787a9c3100c2712b863a66223db84",
         "predictions_sha256": "220c8e22a3cbfff8a02e8b7a78d9d1b03b3b8065a271ee00aae18546499662b9",
-        "checkpoint_sha256": "becc287f0638efb71eeaf5c88912875f944948f6825bb6c699ca68f93b49d869",
+        "checkpoint_sha256": "10254fdc890d3d7820271fbea7554ce73b0327f35590264d64fa58cc7c2c369e",
     },
     "mt-rebalance-sumlogit": {
         "aa": 0.5511111111111112,
@@ -72,7 +72,7 @@ PINS = {
         "map": 0.5494260915419041,
         "sha256": "463a90b217d7f6aae6e84ee7c7f6337c03194c642068a23f38c233ba60cbc039",
         "predictions_sha256": "df49fde892b705f5b67b22ad8368104371857f90359a70ccb754e27cde08d6ac",
-        "checkpoint_sha256": "82fa55cbc85e79971f8f7aaa223bacf6bca532289f67ac903448000d0d5fa6d2",
+        "checkpoint_sha256": "b6071a416c549c3ddd6697c3b4fd2c51c6848d26469331635d290b0ddc5f1cfa",
     },
     "mc-rebalancecosfc-essentials": {
         "aa": 0.5688888888888889,
@@ -81,7 +81,7 @@ PINS = {
         "map": 0.5649040069415531,
         "sha256": "c6b33376e38f7cd58605a5ca6a13832ae560f6f7bebea7b1b828713ff1d3e42f",
         "predictions_sha256": "cb5618d70c14846b51d538e8f034c5e6c643b894aab6f4e1b843bc83e3d77cc3",
-        "checkpoint_sha256": "886f8fd0ef3ab4c41e347f192b7aa7a359c4300481b0e36c711239fbcdf74543",
+        "checkpoint_sha256": "2a7ce48a0d7cdb0358c96f671c14c564238ccdc7af4fa9453cc99e263cc47fae",
     },
 }
 

@@ -496,7 +496,7 @@ class TestSplitRun:
         values = [v for obj in (model, model.extractor, model.head, model.head.registry) for v in vars(obj).values()]
         values += [item for v in values if isinstance(v, list) for item in v]
         assert not any(isinstance(v, np.random.Generator) for v in values), "a model object holds a generator"
-        save_checkpoint(path, model, memory.to_payload(model.head.registry))
+        save_checkpoint(path, model, memory.to_payload())
         return path.read_bytes(), columns
 
     @pytest.mark.parametrize("name, system, k, copied", _split_cases())
