@@ -32,14 +32,15 @@ coarsest level at which it is constant:
   one ``losses.StepRows`` with ``losses.step_rows``, the one builder of
   that row layout: the new rows and every stored exemplar, each held
   once as it enters the network at its first trainable layer, with its
-  target, and the replayed rows' classes and constants. Each epoch only
-  draws a new row order (``_epoch_order``);
-- once per step: ``_assemble_batches`` gathers the step's window from those
-  arrays as one ``StepRows`` (mixing its copy of the new rows under
-  mixup, and taking the replayed rows' constants with one
-  ``ReplayConstants.take``),
-  ``losses.loss_and_gradients`` computes the loss and writes each gradient
-  into ``Adam.g``; ``Adam.step`` applies them in Adam's folded form.
+  target, and the replayed rows' classes and constants;
+- once per epoch, ``_regather`` lays those arrays out in the epoch's row
+  order (``_epoch_order``), one array at a time, so that each step's
+  window is one run of rows and its replayed rows one run of constants;
+- once per step: ``_assemble_batches`` takes the step's window as views
+  of those arrays, one ``StepRows`` (mixing a copy of the window under
+  mixup), ``losses.loss_and_gradients`` computes the loss and writes each
+  gradient into ``Adam.g``; ``Adam.step`` applies them in Adam's folded
+  form.
 
 The gradients equal the tape's (``total_loss`` on the same ``StepRows``,
 ``.backward()``) bit for bit; the tape stays as the reference the tests and
@@ -178,8 +179,10 @@ class Adam:
 
     Their values live in one flat buffer, ``flat``, each parameter rebound
     to its view of it; ``grads`` holds their views of the gradient buffer
-    ``g``, which ``losses.loss_and_gradients`` writes. A step updates
-    ``flat`` and both moment buffers in place.
+    ``g``, which ``losses.loss_and_gradients`` writes. The two moments are
+    the rows ``m`` and ``v`` of one ``(2, N)`` buffer, so a step decays and
+    feeds both with the two betas as one column, in four array calls. A
+    step updates ``flat`` and the moments in place.
 
     The update is Kingma & Ba's (2015, section 2) folded form: the bias
     corrections go into one scalar step size, lr * sqrt(1 - beta2^t) /
@@ -190,6 +193,8 @@ class Adam:
     """
 
     BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+    _BETAS = np.array([[BETA1], [BETA2]])  # m's row, then v's
+    _GAINS = 1.0 - _BETAS
 
     def __init__(self, model: Model, lr: float):
         params = model.parameters()
@@ -203,9 +208,10 @@ class Adam:
         self.params = [part.reshape(p.shape) for part, p in zip(np.split(self.flat, cuts), trainable)]
         self.grads = [part.reshape(p.shape) for part, p in zip(np.split(self.g, cuts), trainable)]
         model.set_parameters(params[:frozen] + self.params)
-        self.m = np.zeros_like(self.flat)
-        self.v = np.zeros_like(self.flat)
-        self._scratch = (np.empty_like(self.flat), np.empty_like(self.flat))
+        self.moments = np.zeros((2, self.flat.size))
+        self.m, self.v = self.moments
+        scratch = np.empty_like(self.moments)
+        self._scratch = (scratch, *scratch)  # the buffer and its two rows
 
     def zero_grad(self) -> None:
         """Clear the gradient buffer."""
@@ -214,20 +220,17 @@ class Adam:
     def step(self) -> None:
         """One update from the gradients in ``g``."""
         self.t += 1
-        g, m, v = self.g, self.m, self.v
-        a, b = self._scratch
-        m *= self.BETA1
-        np.multiply(1.0 - self.BETA1, g, out=a)
-        m += a
-        v *= self.BETA2
-        np.multiply(1.0 - self.BETA2, g, out=a)
-        a *= g
-        v += a
+        g = self.g
+        scratch, a, b = self._scratch
+        self.moments *= self._BETAS
+        np.multiply(self._GAINS, g, out=scratch)
+        b *= g
+        self.moments += scratch
         root2 = math.sqrt(1.0 - self.BETA2**self.t)
         step_size = self.lr * root2 / (1.0 - self.BETA1**self.t)
-        np.sqrt(v, out=b)
+        np.sqrt(self.v, out=b)
         b += self.EPS * root2
-        np.divide(m, b, out=a)
+        np.divide(self.m, b, out=a)
         a *= step_size
         self.flat -= a
 
@@ -350,24 +353,54 @@ def _epoch_order(perm: np.ndarray, n_new: int, batch_size: int) -> np.ndarray:
     return perm[np.argsort(window + (perm >= n_new), kind="stable")]
 
 
+def _regather(rows: StepRows, held: np.ndarray, order: np.ndarray, batch_size: int) -> list[tuple[int, int, int, int]]:
+    """Rearrange ``rows`` in place, whose position i holds the session's
+    row ``held[i]``, into the epoch's ``order`` (``_epoch_order``), and
+    return its windows of ``batch_size`` rows as ``(start, stop, n_new,
+    at)``: rows ``start`` to ``stop``, the first ``n_new`` of them new, the
+    replayed ones' constants ``rows.ex``'s rows from ``at`` on.
+
+    The replayed rows' constants follow the replayed rows' order, so each
+    window's are one run. Each array is gathered alone and replaces its old
+    one before the next, so the rows are held once, plus one array."""
+    where = np.empty_like(held)
+    where[held] = np.arange(held.size)
+    rel = where[order]
+    rows.x = rows.x.take(rel, axis=0)
+    rows.targets = rows.targets.take(rel, axis=0)
+    replayed = order >= rows.n_new
+    if rows.ex is not None:
+        ex_rel = (np.cumsum(held >= rows.n_new) - 1)[rel[replayed]]
+        for f in fields(rows.ex):
+            value = getattr(rows.ex, f.name)
+            if isinstance(value, np.ndarray):
+                setattr(rows.ex, f.name, value.take(ex_rel, axis=0))
+    starts = np.arange(0, order.size, batch_size)
+    stops = np.minimum(starts + batch_size, order.size)
+    n_ex = np.add.reduceat(replayed, starts)
+    ats = np.cumsum(n_ex) - n_ex
+    return list(zip(starts.tolist(), stops.tolist(), (stops - starts - n_ex).tolist(), ats.tolist()))
+
+
 def _assemble_batches(
     rows: StepRows,
-    idx: np.ndarray,
+    window: tuple[int, int, int, int],
     profile: MethodProfile,
     mixup_rng: np.random.Generator,
 ) -> StepRows:
-    """The step over the session's rows ``idx``, one window of the epoch's
-    order, gathered from the session's arrays, its new rows mixed when the
-    profile asks for mixup."""
-    n_new = int(np.count_nonzero(idx < rows.n_new))
-    x, targets = rows.x[idx], rows.targets[idx]
+    """The step over one ``window`` of the rows as ``_regather`` laid them
+    out: views of its rows and of its replayed rows' constants, or, when
+    the profile asks for mixup, a copy of its rows with the new ones mixed."""
+    start, stop, n_new, at = window
+    x, targets = rows.x[start:stop], rows.targets[start:stop]
     if profile.mixup_alpha > 0 and n_new > 1:
+        x, targets = x.copy(), targets.copy()
         partner = mixup_rng.permutation(n_new)
         lam = float(mixup_rng.beta(profile.mixup_alpha, profile.mixup_alpha))
         for block in (x, targets):
             block[:n_new] = lam * block[:n_new] + (1.0 - lam) * block[partner]
-    ex = rows.ex.take(idx[n_new:] - rows.n_new) if rows.ex is not None and idx.size > n_new else None
-    return StepRows(x, n_new, targets, ex)
+    n_ex = stop - start - n_new
+    return StepRows(x, n_new, targets, rows.ex.take(slice(at, at + n_ex)) if n_ex else None)
 
 
 def run_session(
@@ -390,10 +423,14 @@ def run_session(
         rows = _plan_session(model, memory, session, profile, head_rng)
         optimizer = Adam(model, lr=lr)
         n_rows, batch_size = rows.x.shape[0], config.batch_size
+        held = np.arange(n_rows)
         for epoch in range(config.epochs):
             order = _epoch_order(batching_rng.permutation(n_rows), rows.n_new, batch_size)
-            for start in range(0, n_rows, batch_size):
-                step = _assemble_batches(rows, order[start : start + batch_size], profile, mixup_rng)
+            step = None  # its views would keep the arrays that the regather replaces
+            windows = _regather(rows, held, order, batch_size)
+            held = order
+            for window in windows:
+                step = _assemble_batches(rows, window, profile, mixup_rng)
                 loss_and_gradients(step, model, profile.weights, optimizer.grads, rule=profile.aggregation)
                 optimizer.step()
     except NumericsError as exc:

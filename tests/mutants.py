@@ -180,6 +180,24 @@ MUTANTS = [
         ],
     ),
     (
+        "regather-indexes-the-session-layout", "trainer.py",
+        "    rel = where[order]\n",
+        "    rel = order\n",
+        ["tests/test_step.py::test_epoch_layout_steps_equal_a_per_step_gather"],
+    ),
+    (
+        "mixup-writes-the-held-window", "trainer.py",
+        "        x, targets = x.copy(), targets.copy()\n",
+        "",
+        ["tests/test_step.py::test_mixup_leaves_the_held_arrays_unwritten"],
+    ),
+    (
+        "adam-beta-rows-swapped", "trainer.py",
+        "_BETAS = np.array([[BETA1], [BETA2]])",
+        "_BETAS = np.array([[BETA2], [BETA1]])",
+        ["tests/test_trainer.py::TestAdam::test_three_steps_match_a_textbook_adam"],
+    ),
+    (
         "latent-replay-freezes-in-the-first-session", "trainer.py",
         "memory is not None and len(registry.tasks) > 1:",
         "memory is not None and len(registry.tasks) > 0:",

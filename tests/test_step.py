@@ -8,6 +8,7 @@ aggregation rule (through the session's class indices) and the essentials
 (logit+feature distillation, label smoothing, mixup).
 """
 
+import copy
 from dataclasses import replace
 
 import numpy as np
@@ -26,6 +27,7 @@ from cddet.trainer import (
     _assemble_batches,
     _epoch_order,
     _plan_session,
+    _regather,
     builtin_profiles,
     resolve_profile,
     run_session,
@@ -80,13 +82,57 @@ def _replayed_in_order(rows, perm):
     return replace(rows, x=rows.x[order], targets=rows.targets[order], ex=rows.ex.take(perm))
 
 
+def _laid_out(rows, order, batch_size):
+    """A copy of the session's rows laid out in the epoch ``order``, and its
+    windows (``_regather``); ``rows`` stays as it is."""
+    held = copy.deepcopy(rows)
+    return held, _regather(held, np.arange(order.size), order, batch_size)
+
+
+def _gathered_step(rows, idx, profile, mixup_rng):
+    """The step over the session's rows ``idx``, one window of the epoch's
+    order, gathered by fancy indexing from the session's layout: the
+    per-step reference for the epoch layout."""
+    n_new = int(np.count_nonzero(idx < rows.n_new))
+    x, targets = rows.x[idx], rows.targets[idx]
+    if profile.mixup_alpha > 0 and n_new > 1:
+        partner = mixup_rng.permutation(n_new)
+        lam = float(mixup_rng.beta(profile.mixup_alpha, profile.mixup_alpha))
+        for block in (x, targets):
+            block[:n_new] = lam * block[:n_new] + (1.0 - lam) * block[partner]
+    ex = rows.ex.take(idx[n_new:] - rows.n_new) if rows.ex is not None and idx.size > n_new else None
+    return ls.StepRows(x, n_new, targets, ex)
+
+
+def _same_bytes(got, want, name):
+    assert (got is None) == (want is None), name
+    if want is not None:
+        assert (got.dtype, got.shape) == (want.dtype, want.shape), name
+        assert got.tobytes() == want.tobytes(), name
+
+
+def _assert_same_rows(got, want):
+    """Two ``StepRows`` hold the same bytes: rows, targets and every
+    array of the replayed rows' constants."""
+    assert got.n_new == want.n_new
+    _same_bytes(got.x, want.x, "x")
+    _same_bytes(got.targets, want.targets, "targets")
+    assert (got.ex is None) == (want.ex is None)
+    if want.ex is not None:
+        assert got.ex.old_cols == want.ex.old_cols
+        for name, value in vars(want.ex).items():
+            if name != "old_cols":
+                _same_bytes(getattr(got.ex, name), value, name)
+
+
 def _step_over(profile, rows, new_idx, pool_idx, rng):
     """The trainer's step over the given new and replayed rows: an epoch
     order whose first window holds exactly those rows."""
     picked = np.concatenate([new_idx, rows.n_new + pool_idx]).astype(np.intp)
     rest = np.setdiff1d(np.arange(rows.x.shape[0]), picked)
     order = _epoch_order(np.concatenate([picked, rest]), rows.n_new, picked.size)
-    return _assemble_batches(rows, order[: picked.size], profile, rng)
+    held, windows = _laid_out(rows, order, picked.size)
+    return _assemble_batches(held, windows[0], profile, rng)
 
 
 def _assert_step_matches_tape(profile, model, rows, new_rows, pool_rows, rng):
@@ -178,23 +224,27 @@ def test_new_rows_enter_at_the_capture_layer_under_latent_replay(n_new):
     _assert_step_matches_tape(profile, model, rows, slice(3, 3 + n_new), slice(0, 4), np.random.default_rng(0))
 
 
-def test_mixup_leaves_the_session_rows_unwritten():
-    """Each step mixes its own gathered copy of its new rows."""
+def test_mixup_leaves_the_held_arrays_unwritten():
+    """Each step mixes its own copy of its window: neither it nor the loss
+    writes the held arrays, which the next epoch regathers from."""
     profile, sessions, model, memory = _setup(MC, "distill", {"mixup_alpha": 0.4})
     for session in sessions[:-1]:
         run_session(model, memory, session, profile, FAST)
     rows = _plan_session(model, memory, sessions[-1], profile, np.random.default_rng(0))
-    source, targets = rows.x.copy(), rows.targets.copy()
     n_rows = rows.x.shape[0]
     order = _epoch_order(np.random.default_rng(1).permutation(n_rows), rows.n_new, 8)
+    windows = _regather(rows, np.arange(n_rows), order, 8)
+    before = copy.deepcopy(rows)
+    optimizer = Adam(model, lr=FAST.lr)
     mixed = 0
-    for start in range(0, n_rows, 8):
-        step = _assemble_batches(rows, order[start : start + 8], profile, np.random.default_rng(start))
-        gathered = source[order[start : start + 8]]
-        mixed += not np.array_equal(step.x[: step.n_new], gathered[: step.n_new])
+    for window in windows:
+        start = window[0]
+        step = _assemble_batches(rows, window, profile, np.random.default_rng(start))
+        mixed += not np.array_equal(step.x[: step.n_new], before.x[start : start + step.n_new])
+        ls.loss_and_gradients(step, model, profile.weights, optimizer.grads, rule=profile.aggregation)
+        optimizer.step()
     assert mixed
-    assert rows.x.tobytes() == source.tobytes()
-    assert rows.targets.tobytes() == targets.tobytes()
+    _assert_same_rows(rows, before)
 
 
 def test_mixup_mixes_the_gathered_new_rows_with_a_permutation_of_themselves():
@@ -208,10 +258,12 @@ def test_mixup_mixes_the_gathered_new_rows_with_a_permutation_of_themselves():
     rows = _plan_session(model, memory, sessions[-1], profile, np.random.default_rng(0))
     n_rows = rows.x.shape[0]
     order = _epoch_order(np.random.default_rng(1).permutation(n_rows), rows.n_new, 8)
+    held, windows = _laid_out(rows, order, 8)
     alpha, mixed = profile.mixup_alpha, 0
-    for start in range(0, n_rows, 8):
-        idx = order[start : start + 8]
-        step = _assemble_batches(rows, idx, profile, np.random.default_rng(start))
+    for window in windows:
+        start, stop = window[:2]
+        idx = order[start:stop]
+        step = _assemble_batches(held, window, profile, np.random.default_rng(start))
         n_new = step.n_new
         for got, gathered in ((step.x, rows.x[idx]), (step.targets, rows.targets[idx])):
             want = gathered.copy()
@@ -251,11 +303,11 @@ def test_epoch_layout_puts_each_windows_new_rows_first():
         assert n_new == len(sessions[-1].train.x)
         x = np.concatenate([sessions[-1].train.x, memory.all_exemplars()[0]])
         perm = np.random.default_rng(3).permutation(len(x))
-        epoch = _epoch_order(perm, n_new, 5)
+        held, windows = _laid_out(rows, _epoch_order(perm, n_new, 5), 5)
         for start in range(0, len(x), 5):
             window = perm[start : start + 5]
             order = np.concatenate([window[window < n_new], window[window >= n_new]])
-            step = _assemble_batches(rows, epoch[start : start + 5], profile, np.random.default_rng(0))
+            step = _assemble_batches(held, windows[start // 5], profile, np.random.default_rng(0))
             assert step.n_new == np.count_nonzero(window < n_new)
             assert np.array_equal(step.x, x[order])
             assert np.array_equal(step.targets, rows.targets[order])
@@ -268,6 +320,46 @@ def test_epoch_layout_puts_each_windows_new_rows_first():
             for name in carried:
                 assert np.array_equal(getattr(step.ex, name), getattr(rows.ex, name)[pool_order]), name
             assert step.ex.old_cols == rows.ex.old_cols
+
+
+@pytest.mark.parametrize("batch_size", [5, 7])
+@pytest.mark.parametrize("system,name,options,budget", [
+    (MT, "rebalance", {}, 40),  # raw replay, feature constants
+    (MC, "replay+kd", {}, 40),  # latent replay, logit constants
+    (MC, "distill", {"mixup_alpha": 0.4, "label_smooth_eps": 0.1}, 40),
+    (BC, "distill", {}, 40),
+    (MC, "finetune", {}, 0),  # no memory: every row is new
+])
+def test_epoch_layout_steps_equal_a_per_step_gather(system, name, options, budget, batch_size):
+    """Over three epochs, each step taken as views of the rows ``_regather``
+    laid out equals, byte for byte, the step gathered by fancy indexing
+    from the session's layout; after each epoch, a mixup one too, the held
+    arrays equal a fresh regather of the session's rows."""
+    profile, sessions, model, memory = _setup(system, name, options)
+    memory = memory if budget else None
+    for session in sessions[:-1]:
+        run_session(model, memory, session, profile, FAST)
+    rows = _plan_session(model, memory, sessions[-1], profile, np.random.default_rng(0))
+    assert (rows.ex is None) == (budget == 0)
+    session_rows = copy.deepcopy(rows)
+    n_rows, held = rows.x.shape[0], np.arange(rows.x.shape[0])
+    assert n_rows % batch_size  # a short last window
+    batching, mixing, reference_mixing = (np.random.default_rng(seed) for seed in (1, 2, 2))
+    mixed = 0
+    for _ in range(3):
+        order = _epoch_order(batching.permutation(n_rows), rows.n_new, batch_size)
+        windows = _regather(rows, held, order, batch_size)
+        held = order
+        assert [window[:2] for window in windows] == [
+            (start, min(start + batch_size, n_rows)) for start in range(0, n_rows, batch_size)
+        ]
+        for window in windows:
+            step = _assemble_batches(rows, window, profile, mixing)
+            want = _gathered_step(session_rows, order[window[0] : window[1]], profile, reference_mixing)
+            _assert_same_rows(step, want)
+            mixed += profile.mixup_alpha > 0 and step.n_new > 1
+        _assert_same_rows(rows, _laid_out(session_rows, order, batch_size)[0])
+    assert bool(mixed) == (profile.mixup_alpha > 0)
 
 
 @pytest.mark.parametrize("system,name,distill_form", [

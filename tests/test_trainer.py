@@ -17,6 +17,7 @@ from cddet.trainer import (
     _epoch_order,
     _evaluate,
     _plan_session,
+    _regather,
     _store_exemplars,
     builtin_profiles,
     resolve_profile,
@@ -83,7 +84,8 @@ class TestAdam:
         def nan_filled_step(model, memory, session):
             rows = _plan_session(model, memory, session, profile, np.random.default_rng(0))
             order = _epoch_order(np.random.default_rng(0).permutation(rows.x.shape[0]), rows.n_new, 16)
-            step = _assemble_batches(rows, order[:16], profile, np.random.default_rng(0))
+            windows = _regather(rows, np.arange(order.size), order, 16)
+            step = _assemble_batches(rows, windows[0], profile, np.random.default_rng(0))
             optimizer = Adam(model, lr=FAST.lr)
             optimizer.g.fill(np.nan)
             loss_and_gradients(step, model, profile.weights, optimizer.grads, rule=profile.aggregation)
