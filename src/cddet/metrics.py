@@ -32,9 +32,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, DegenerateInputError, ParseError, names_its_file, read_text
-from .trainer import PredictionLog
 
 Array = np.ndarray
+
+
+@dataclass
+class PredictionLog:
+    """One task's logged test predictions, as predictions.csv holds them."""
+
+    record_ids: list[str]
+    true_polarity: Array
+    pred_polarity: Array
+    p_fake: Array
+    true_class: Array | None
+    pred_class: Array | None
 
 
 def _validate_matrix(matrix: Array) -> Array:

@@ -3,9 +3,10 @@
 Forward passes take and return plain arrays and record no tape. Layers run
 in ``np_activations``, with a finiteness check on every pre-activation, and
 the head's logit rule is ``ClassifierHead.logits_and_cosines``, which checks
-its cosines and logits. Training, evaluation, herding, latent capture and
-the distillation targets all run this one path. Parameters are plain arrays; the reference
-loss on the tape (``losses.total_loss``) wraps them in its own leaves.
+its cosines and logits. Training, evaluation, herding, latent capture (layer
+``capture_layer``'s output, on every extractor) and the distillation targets
+all run this one path. Parameters are plain arrays; the reference loss on
+the tape (``losses.total_loss``) wraps them in its own leaves.
 
 Three head variants are supported: a plain linear head ("linfc"), a
 cosine-normalised head with a learnable positive scale ("cosfc"), and a
@@ -96,9 +97,9 @@ def _uniform_init(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int)
 class FeatureExtractor:
     """Stack of ReLU hidden layers ending in a linear feature layer.
 
-    ``capture_layer`` indexes the hidden activation stored for latent replay;
-    replayed payloads re-enter just after that layer. ``frozen`` counts the
-    bottom layers that do not train: latent replay sets it to
+    ``capture_layer`` indexes the layer whose output is stored for latent
+    replay; replayed payloads re-enter just after that layer. ``frozen``
+    counts the bottom layers that do not train: latent replay sets it to
     ``capture_layer + 1`` (``trainer._plan_session``), and it is 0 otherwise.
     """
 
@@ -125,32 +126,24 @@ class FeatureExtractor:
         return self.forward_with_capture(x)[0]
 
     def forward_with_capture(self, x) -> tuple[Array, Array]:
-        """Features, plus the capture-layer activation (a copy of the input
-        when the extractor is a single linear layer).
-
-        Layers run one at a time, so only the running activation and the
-        capture activation stay alive."""
+        """Features, plus layer ``capture_layer``'s output, the latent that
+        ``forward_from_latent`` resumes from: on a single linear layer, the
+        features themselves. The layers up to the capture layer run first,
+        then the rest."""
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         if x.shape[1] != self.input_width:
             raise ContractError(f"input width {x.shape[1]} != {self.input_width}")
         if x.shape[0] == 0:
             raise ContractError("empty batch")
-        h, captured = x, None
-        for i in range(len(self.weights)):
-            h = self.np_activations(h, i, i + 1)[-1]
-            if i == self.capture_layer:
-                captured = h
-        return h, captured if self.capture_layer < len(self.weights) - 1 else x.copy()
+        captured = self.np_activations(x, 0, self.capture_layer + 1)[-1]
+        return self.np_activations(captured, self.capture_layer + 1)[-1], captured
 
     def forward_from_latent(self, latent) -> Array:
-        """Resume the forward pass from a stored capture-layer activation,
-        one layer at a time."""
+        """Resume the forward pass from a stored capture-layer activation."""
         h = np.atleast_2d(np.asarray(latent, dtype=np.float64))
         if h.shape[1] != self.latent_width:
             raise ContractError(f"latent width {h.shape[1]} != {self.latent_width}")
-        for i in range(self.capture_layer + 1, len(self.weights)):
-            h = self.np_activations(h, i, i + 1)[-1]
-        return h
+        return self.np_activations(h, self.capture_layer + 1)[-1]
 
     def np_activations(self, x: Array, start: int = 0, stop: int | None = None) -> list[Array]:
         """Layers ``start`` onward (up to, not including, ``stop``) on plain

@@ -18,7 +18,8 @@ run takes one. ``MethodProfile`` checks a method's settings and
 ``TrainConfig`` the optimisation's, before any data is built; the run
 checks the profile's system, its tasks and widths before it builds the
 model. A session checks the head and the latent freeze, not the system;
-the class registry rejects a task it already holds.
+the class registry rejects a task it already holds. The memory owns the
+replay kind: a session replays, freezes and captures by ``payload_kind``.
 
 Training records no tape, and each piece of its work is done at the
 coarsest level at which it is constant:
@@ -69,6 +70,7 @@ from .losses import (
     step_rows,
 )
 from .memory import LATENT, PAYLOAD_KINDS, RAW, ExemplarMemory, capture, herd_select
+from .metrics import PredictionLog
 from .model import (
     BC,
     COSFC,
@@ -152,16 +154,6 @@ class TrainConfig:
             raise ConfigError(f"lr must be positive and finite, found {self.lr}")
         if self.seed < 0:
             raise ConfigError(f"seed must be non-negative, found {self.seed}")
-
-
-@dataclass
-class PredictionLog:
-    record_ids: list[str]
-    true_polarity: np.ndarray
-    pred_polarity: np.ndarray
-    p_fake: np.ndarray
-    true_class: np.ndarray | None
-    pred_class: np.ndarray | None
 
 
 @dataclass
@@ -313,10 +305,10 @@ def _plan_session(
             f"model head {model.head.variant!r} does not match profile {profile.head_variant!r}"
         )
 
+    latent = memory is not None and memory.payload_kind == LATENT
     payloads = ex = None
     if memory is not None and memory.total():
         payloads, ex_classes = memory.all_exemplars()
-        latent = memory.payload_kind == LATENT
         # distillation covers the replayed rows only, towards the outputs of
         # the model before this session: the live model, read before its
         # head expands or its layers freeze
@@ -332,7 +324,7 @@ def _plan_session(
     registry = model.head.registry
 
     ext = model.extractor
-    if profile.replay_payload == LATENT and memory is not None and len(registry.tasks) > 1:
+    if latent and len(registry.tasks) > 1:
         # latent replay keeps stored activations valid (and saves the
         # backward pass) by freezing the layers below the capture layer
         # once the first session has shaped them
@@ -370,11 +362,7 @@ def _regather(rows: StepRows, held: np.ndarray, order: np.ndarray, batch_size: i
     rows.targets = rows.targets.take(rel, axis=0)
     replayed = order >= rows.n_new
     if rows.ex is not None:
-        ex_rel = (np.cumsum(held >= rows.n_new) - 1)[rel[replayed]]
-        for f in fields(rows.ex):
-            value = getattr(rows.ex, f.name)
-            if isinstance(value, np.ndarray):
-                setattr(rows.ex, f.name, value.take(ex_rel, axis=0))
+        rows.ex = rows.ex.take((np.cumsum(held >= rows.n_new) - 1)[rel[replayed]])
     starts = np.arange(0, order.size, batch_size)
     stops = np.minimum(starts + batch_size, order.size)
     n_ex = np.add.reduceat(replayed, starts)
@@ -437,23 +425,20 @@ def run_session(
         raise NumericsError(f"session {session.task_id}, epoch {epoch}: {exc}") from exc
 
     if memory is not None:
-        _store_exemplars(model, memory, session, profile, model.head.registry)
+        _store_exemplars(model, memory, session)
         memory.rebalance(len(model.head.registry))
 
 
-def _store_exemplars(model, memory, session, profile, registry) -> None:
-    num_classes = len(registry)
-    cap = -(-memory.budget // num_classes)  # ceil; rebalance trims the rest
+def _store_exemplars(model, memory, session) -> None:
+    registry = model.head.registry
+    cap = -(-memory.budget // len(registry))  # ceil; rebalance trims the rest
     for polarity in (REAL, FAKE):
         rows = session.train.x[session.train.y == polarity]
-        if rows.shape[0] == 0:
-            continue
-        feats = model.extractor.forward(rows)
         m = min(rows.shape[0], cap)
         if m < 1:
             continue
-        order = herd_select(feats, m)
-        payloads = capture(model.extractor, rows[order], profile.replay_payload)
+        order = herd_select(model.extractor.forward(rows), m)
+        payloads = capture(model.extractor, rows[order], memory.payload_kind)
         memory.add_class(registry.class_of(session.task_id, polarity), payloads)
 
 
@@ -485,7 +470,7 @@ def run_scenario_over_sessions(
     system: str,
 ) -> RunRecord:
     """Train through the stream in order, filling column j of the accuracy
-    matrix after session j; the warm-up session trains without logging.
+    matrix after session j; the warm-up session, column -1, is never evaluated.
     The profile must be bound to ``system``, and every session, the warm-up
     too, needs its own task and the same width."""
     if system != profile.system:
@@ -510,15 +495,10 @@ def run_scenario_over_sessions(
     n = len(sessions)
     matrix = np.full((n, n), np.nan)
     logs: dict[int, PredictionLog] = {}
-    record = RunRecord(matrix=matrix, logs=logs)
-
-    if warmup is not None:
-        run_session(model, memory, warmup, profile, config)
-        record.memory_totals.append(memory.total() if memory is not None else 0)
-
-    for j, session in enumerate(sessions):
+    memory_totals = []
+    for j, session in enumerate(ordered, start=n - len(ordered)):
         run_session(model, memory, session, profile, config)
-        record.memory_totals.append(memory.total() if memory is not None else 0)
+        memory_totals.append(memory.total() if memory is not None else 0)
         for i in range(j + 1):
             accuracy, pred_pol, scores, pred_cls = _evaluate(model, system, sessions[i].test, j == n - 1)
             matrix[i, j] = accuracy
@@ -533,7 +513,5 @@ def run_scenario_over_sessions(
                     true_class=true_cls,
                     pred_class=pred_cls,
                 )
-    record.model = model
-    record.memory = memory
-    return record
+    return RunRecord(matrix, logs, memory_totals, model, memory)
 

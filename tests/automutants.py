@@ -11,10 +11,9 @@ the source text by position, so that comments and layout stay as they are
 - add 1 to a numeric constant.
 
 Every such edit in the named modules is listed, and ``--count`` of them are
-drawn with ``random.Random(--seed)``. For each, the script copies ``src/``,
-``tests/``, ``perfbench/`` and ``pyproject.toml`` into a temporary directory
-(``tests/test_bench_hooks.py`` needs ``perfbench/``), applies the edit there
-and runs tier-1 with ``-x``, but for ``tests/test_mutants.py``, which
+drawn with ``random.Random(--seed)``. For each, the script copies the tree
+as ``tests/mutants.py`` does (``copy_tree``), applies the edit there and
+runs tier-1 with ``-x``, but for ``tests/test_mutants.py``, which
 checks the recorded mutants' text against the source, not what the engine
 does. It prints each mutant with the first test that
 failed, or ``SURVIVED``, and then the kill rate per module. pytest does not
@@ -36,7 +35,8 @@ import tempfile
 from collections import Counter
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parent.parent
+from mutants import ROOT, copy_tree  # tests/ is on sys.path: this script's own directory
+
 SWAPS = {"+": "-", "-": "+", "*": "/", "/": "*", "<": "<=", "<=": "<", ">": ">=", ">=": ">", "==": "!=", "!=": "==",
          "and": "or", "or": "and"}
 OPERATORS = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/", ast.Lt: "<", ast.LtE: "<=", ast.Gt: ">",
@@ -94,13 +94,6 @@ def describe(site) -> str:
     source = (ROOT / "src" / "cddet" / f"{module}.py").read_bytes()
     line = source.count(b"\n", 0, start) + 1
     return f"{module}.py:{line}: {source[start:end].decode()!r} -> {replacement!r}"
-
-
-def copy_tree(dest: Path) -> None:
-    ignore = shutil.ignore_patterns("__pycache__", ".pytest_cache", ".hypothesis", ".perfbench_work")
-    for name in ("src", "tests", "perfbench"):
-        shutil.copytree(ROOT / name, dest / name, ignore=ignore)
-    shutil.copy(ROOT / "pyproject.toml", dest)
 
 
 def first_failure(tree: Path) -> str:

@@ -1,7 +1,7 @@
 """Mutation check of the test suite: each recorded mutant is a small edit to
 the engine that the tests it names must catch.
 
-For each mutant, the script copies ``src/``, ``tests/`` and
+For each mutant, the script copies ``src/``, ``tests/``, ``perfbench/`` and
 ``pyproject.toml`` into a temporary directory, applies the edit there (its
 text must occur exactly once), runs the named tests with pytest and requires
 them to fail. The unmutated copy must first pass every named test, so that a
@@ -29,7 +29,6 @@ _TAKE_CONSTANTS = (
     "    payloads = ex = None\n"
     "    if memory is not None and memory.total():\n"
     "        payloads, ex_classes = memory.all_exemplars()\n"
-    "        latent = memory.payload_kind == LATENT\n"
     "        # distillation covers the replayed rows only, towards the outputs of\n"
     "        # the model before this session: the live model, read before its\n"
     "        # head expands or its layers freeze\n"
@@ -199,8 +198,8 @@ MUTANTS = [
     ),
     (
         "latent-replay-freezes-in-the-first-session", "trainer.py",
-        "memory is not None and len(registry.tasks) > 1:",
-        "memory is not None and len(registry.tasks) > 0:",
+        "if latent and len(registry.tasks) > 1:",
+        "if latent and len(registry.tasks) > 0:",
         ["tests/test_trainer.py::TestRunRelations::test_one_session_trains_one_model_at_any_budget"],
     ),
     (
@@ -217,9 +216,18 @@ MUTANTS = [
     ),
     (
         "capture-taken-after-the-next-layer", "model.py",
-        "if i == self.capture_layer:",
-        "if i == self.capture_layer + 1:",
+        "        captured = self.np_activations(x, 0, self.capture_layer + 1)[-1]\n"
+        "        return self.np_activations(captured, self.capture_layer + 1)[-1], captured\n",
+        "        captured = self.np_activations(x, 0, self.capture_layer + 2)[-1]\n"
+        "        return self.np_activations(captured, self.capture_layer + 2)[-1], captured\n",
         ["tests/test_model.py::TestRegistryInvariants::test_latent_replay_roundtrip"],
+    ),
+    (
+        "single-layer-capture-copies-the-input", "model.py",
+        "        return self.np_activations(captured, self.capture_layer + 1)[-1], captured\n",
+        "        return self.np_activations(captured, self.capture_layer + 1)[-1], "
+        "captured if len(self.weights) > 1 else x.copy()\n",
+        ["tests/test_model.py::TestRegistryInvariants::test_a_single_layer_captures_its_output"],
     ),
     (
         "head-keeps-its-own-generator", "model.py",
@@ -451,12 +459,40 @@ MUTANTS = [
         "def loss_and_gradients(\n    system: str,\n    step: StepRows,",
         ["tests/test_imports.py::test_below_the_run_no_function_takes_a_learning_system"],
     ),
+    # the survivors of a random sample (tests/automutants.py --seed 6 --count 40 trainer)
+    (
+        "default-epochs-seven", "trainer.py",
+        "    epochs: int = 6\n",
+        "    epochs: int = 7\n",
+        ["tests/test_cli.py::TestRun::test_the_default_epochs_are_six"],
+    ),
+    (
+        "one-row-polarity-never-stored", "trainer.py",
+        "        if m < 1:\n",
+        "        if m < 2:\n",
+        ["tests/test_trainer.py::TestRunSession::test_a_polarity_of_one_train_row_is_stored"],
+    ),
+    (
+        "sigmoid-accepts-label-smoothing-alone", "trainer.py",
+        "(self.label_smooth_eps > 0 or self.mixup_alpha > 0)",
+        "(self.label_smooth_eps > 1 or self.mixup_alpha > 0)",
+        ["tests/test_trainer.py::TestProfiles::test_a_sigmoid_head_takes_neither_smoothing_nor_mixup"],
+    ),
+    (
+        "sigmoid-accepts-mixup-alone", "trainer.py",
+        "(self.label_smooth_eps > 0 or self.mixup_alpha > 0)",
+        "(self.label_smooth_eps > 0 or self.mixup_alpha > 1)",
+        ["tests/test_trainer.py::TestProfiles::test_a_sigmoid_head_takes_neither_smoothing_nor_mixup"],
+    ),
 ]
 
 
 def copy_tree(dest: Path) -> None:
-    ignore = shutil.ignore_patterns("__pycache__", ".pytest_cache")
-    for name in ("src", "tests"):
+    """Copy what tier-1 reads into ``dest``: ``src/``, ``tests/``,
+    ``perfbench/`` (``tests/test_bench_hooks.py`` imports it) and
+    ``pyproject.toml``."""
+    ignore = shutil.ignore_patterns("__pycache__", ".pytest_cache", ".hypothesis", ".perfbench_work")
+    for name in ("src", "tests", "perfbench"):
         shutil.copytree(ROOT / name, dest / name, ignore=ignore)
     shutil.copy(ROOT / "pyproject.toml", dest)
 

@@ -2,6 +2,7 @@ import contextlib
 import errno
 import io
 import json
+import math
 import os
 import re
 import tempfile
@@ -16,7 +17,7 @@ from cddet import cli, trainer
 from cddet.cli import ExperimentConfig, main, recompute_metrics_json
 from cddet.errors import ConfigError, ParseError
 from cddet.model import load_checkpoint
-from cddet.stream import save_dataset, synth_generate
+from cddet.stream import load_dataset, save_dataset, synth_generate
 
 
 @pytest.fixture
@@ -136,6 +137,25 @@ class TestRun:
         assert code == 0
         for artifact in ARTIFACTS:
             assert (out / artifact).exists(), artifact
+
+    def test_the_default_epochs_are_six(self, tmp_path, dataset_paths, monkeypatch):
+        """Without ``--epochs`` a run trains ``TrainConfig``'s 6 epochs:
+        config.json records them, and the first session, which replays
+        nothing, takes 6 x ceil(rows / 32) Adam steps."""
+        optimizers, step = [], trainer.Adam.step
+
+        def recorded(optimizer):
+            optimizers.append(optimizer)
+            step(optimizer)
+
+        monkeypatch.setattr(trainer.Adam, "step", recorded)
+        out = tmp_path / "run"
+        assert run_cli(
+            "run", "--data", *dataset_paths, "--profile", "finetune", "--system", "mc", "--memory", "0",
+            "--out", str(out),
+        ) == 0
+        assert json.loads((out / "config.json").read_text())["epochs"] == 6
+        assert optimizers[0].t == 6 * math.ceil(len(load_dataset(dataset_paths[0]).train) / 32)
 
     def test_eval_reproduces_metrics_bit_for_bit(self, tmp_path, dataset_paths):
         out = tmp_path / "run"

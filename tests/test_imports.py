@@ -5,7 +5,7 @@ method defined under ``src/`` (dunders aside) is read as code somewhere under
 ``cddet.errors`` is raised under ``src/`` or is the base of one that is.
 The training step calls no numpy reduction wrapper, and below the run no
 function takes a learning system. ``cddet.cli`` loads the oracle battery
-only for ``cddet verify``."""
+only for ``cddet verify``, and ``cddet.metrics`` loads no trainer."""
 
 import ast
 import inspect
@@ -227,11 +227,23 @@ def test_every_error_class_is_raised_under_src():
     assert unraised == []
 
 
+def loaded_by_import(module: str, other: str) -> str:
+    """What a fresh interpreter that imports ``module`` prints for whether
+    ``other`` is loaded: a line of ``True`` or ``False``."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    code = f"import sys, {module}; print({other!r} in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
 def test_the_cli_leaves_the_oracle_battery_unloaded():
     """``cddet run`` and ``cddet eval`` do not import ``cddet.verify``;
     ``cmd_verify`` imports it when it runs."""
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    code = "import sys, cddet.cli; print('cddet.verify' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False\n"
+    assert loaded_by_import("cddet.cli", "cddet.verify") == "False\n"
+
+
+def test_the_metrics_leave_the_trainer_unloaded():
+    """``cddet.metrics`` reads and writes the run's files, ``PredictionLog``
+    among them, without the training engine."""
+    assert loaded_by_import("cddet.metrics", "cddet.trainer") == "False\n"

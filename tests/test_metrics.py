@@ -3,8 +3,8 @@ import pytest
 
 from cddet import metrics as mx
 from cddet.errors import ContractError, DegenerateInputError, ParseError
-from cddet.metrics import aa, aa_m, af, af_last, ap, map_score, pr_curve
-from cddet.trainer import PredictionLog, RunRecord
+from cddet.metrics import PredictionLog, aa, aa_m, af, af_last, ap, map_score, pr_curve
+from cddet.trainer import RunRecord
 from cddet.verify import check_ap_oracle, check_metric_bruteforce
 
 

@@ -82,8 +82,8 @@ class TestForward:
         """The layers add the bias and apply the relu in place on their own
         pre-activations only: raw rows, stored latents and a training step's
         rows are byte-identical after the call, and the capture activation
-        shares no memory with the input (with no hidden layer it is a copy
-        of the input)."""
+        shares no memory with the input (with no hidden layer it is the
+        features)."""
         rng = np.random.default_rng(6)
         model = Model.build(6, LINFC, rng, hidden=hidden, feature_width=5)
         model.head.expand(1, rng)
@@ -224,6 +224,26 @@ class TestRegistryInvariants:
         full, latent = model.extractor.forward_with_capture(x)
         resumed = model.extractor.forward_from_latent(latent)
         np.testing.assert_array_equal(full, resumed)
+
+    def test_a_single_layer_captures_its_output(self, tmp_path):
+        """With no hidden layer the capture layer is the feature layer: a
+        latent capture stores ``latent_width`` entries a row, from which
+        ``forward_from_latent`` gives ``forward``'s outputs bit for bit, and
+        a checkpoint of the model and its latent memory loads back."""
+        rng = np.random.default_rng(8)
+        model = Model.build(6, LINFC, rng, hidden=(), feature_width=4)
+        model.head.expand(1, rng)
+        x = np.random.default_rng(9).normal(size=(5, 6))
+        latent = mem.capture(model.extractor, x, mem.LATENT)
+        assert latent.shape == (5, model.extractor.latent_width) == (5, 4)
+        for resumed, direct in zip(model.forward_from_latent(latent), model.forward(x), strict=True):
+            assert_bit_equal(resumed, direct)
+        memory = ExemplarMemory(10, mem.LATENT)
+        memory.add_class(model.head.registry.class_of(1, REAL), latent)
+        path = tmp_path / "checkpoint.json"
+        mdl.save_checkpoint(path, model, memory.to_payload())
+        loaded, payload = mdl.load_checkpoint(path)
+        assert_bit_equal(ExemplarMemory.from_payload(payload, loaded).classes[0], latent)
 
 
 @st.composite

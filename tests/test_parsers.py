@@ -18,9 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cddet.errors import ParseError, read_text
-from cddet.metrics import read_accuracy_matrix, read_predictions, write_predictions
+from cddet.metrics import PredictionLog, read_accuracy_matrix, read_predictions, write_predictions
 from cddet.stream import load_dataset
-from cddet.trainer import PredictionLog
 
 DATASET = """task_id,split,label,f0,f1
 3,train,0,0.5,-1.0

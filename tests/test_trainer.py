@@ -6,9 +6,9 @@ from cddet import trainer
 from cddet.errors import ConfigError, NumericsError, ProtocolError
 from cddet.losses import LossWeights, loss_and_gradients
 from cddet.memory import ExemplarMemory, LATENT, RAW
-from cddet.model import BC, COSFC, LINFC, MC, MT, SIGMOID, Model, load_checkpoint, save_checkpoint
+from cddet.model import BC, COSFC, FAKE, LINFC, MC, MT, REAL, SIGMOID, Model, load_checkpoint, save_checkpoint
 from cddet.seeding import substream
-from cddet.stream import Scenario, synth_generate
+from cddet.stream import Scenario, SessionData, Split, synth_generate
 from cddet.trainer import (
     Adam,
     MethodProfile,
@@ -211,6 +211,11 @@ class TestProfiles:
         with pytest.raises(ConfigError, match="^temperature must be positive$"):
             LossWeights(T=0.0)
 
+    @pytest.mark.parametrize("setting", [{"label_smooth_eps": 0.1}, {"mixup_alpha": 0.4}], ids=["eps", "mixup"])
+    def test_a_sigmoid_head_takes_neither_smoothing_nor_mixup(self, setting):
+        with pytest.raises(ConfigError, match="^a sigmoid head takes no label_smooth_eps or mixup_alpha$"):
+            MethodProfile("bad", head_variant=SIGMOID, **setting)
+
     def test_mixup_with_latent_replay_rejected(self):
         with pytest.raises(ConfigError):
             MethodProfile(name="bad", replay_payload=LATENT, mixup_alpha=0.2)
@@ -236,6 +241,19 @@ class TestRunSession:
         run_session(model, memory, sessions[0], profile, FAST)
         assert model.head.registry.tasks == [1]
         assert memory.total() > 0
+
+    def test_a_polarity_of_one_train_row_is_stored(self):
+        """A class's share of the budget is at least one row, so a polarity
+        with a single train row keeps that row as its one exemplar."""
+        model, memory, sessions, _ = fresh_setup()
+        train = sessions[0].train
+        keep = train.y == FAKE
+        keep[np.flatnonzero(train.y == REAL)[0]] = True
+        session = SessionData(sessions[0].task_id, Split(train.x[keep], train.y[keep]), sessions[0].test)
+        model.head.expand(session.task_id, np.random.default_rng(0))
+        _store_exemplars(model, memory, session)
+        stored = memory.classes[model.head.registry.class_of(session.task_id, REAL)]
+        assert stored.tobytes() == train.x[train.y == REAL][:1].tobytes()
 
     def test_duplicate_task_rejected(self):
         model, memory, sessions, profile = fresh_setup()
@@ -558,10 +576,10 @@ class TestNumericsErrors:
             _evaluate(model, MC, sessions[0].test, True)
 
     def test_herding(self):
-        model, memory, sessions, profile = self._poisoned()
+        model, memory, sessions, _ = self._poisoned()
         model.head.expand(sessions[1].task_id, np.random.default_rng(0))
         with pytest.raises(NumericsError, match="layer 0 pre-activation"):
-            _store_exemplars(model, memory, sessions[1], profile, model.head.registry)
+            _store_exemplars(model, memory, sessions[1])
 
     def test_loss_term_is_named(self):
         model, memory, sessions, _ = fresh_setup(system=MC, profile_name="distill")
