@@ -1,6 +1,7 @@
 """Experiment runner: ``run`` executes a configured scenario and persists the
-run directory, ``eval`` recomputes metrics from persisted artifacts, and
-``verify`` runs the embedded oracle battery.
+run directory, ``eval`` recomputes metrics from persisted artifacts and
+checks them against the stored ``metrics.json``, and ``verify`` runs the
+embedded oracle battery.
 
 Configuration comes from an optional key=value text file (``#`` comments;
 an unknown key or a value that does not parse is an error naming its line)
@@ -15,8 +16,9 @@ Exit codes: 0 success; 2 a usage error: a bad setting or combination of
 settings, any input file that cannot be read (``errors.read_text`` reads
 each, and the message names it), a run directory that cannot be created, a
 malformed dataset file, dataset files of different widths or of one task
-(checked once loaded, before the model is built), or a malformed
-run-directory file; 1 a runtime failure.
+(checked once loaded, before the model is built), a malformed run-directory
+file, or a ``metrics.json`` that differs from its recomputation (the message
+names the first field); 1 a runtime failure.
 
 A seeded run reproduces at two levels: on the same numpy build and CPU, all
 six artifacts are byte-identical; on any kernels (another CPU, or OpenBLAS's
@@ -259,6 +261,16 @@ def _usage_error(exc: Exception) -> int:
     return 2
 
 
+def _read_json_object(path: Path) -> dict:
+    try:
+        document = json.loads(read_text(path))
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"malformed JSON: {exc.msg}", line=exc.lineno, path=path) from None
+    if not isinstance(document, dict):
+        raise ParseError("expected a JSON object", line=1, path=path)
+    return document
+
+
 def recompute_metrics_json(run_dir: Path) -> str:
     """Rebuild the metrics document from the persisted artifacts alone, once
     their tasks agree: one per matrix column, a scenario run's own, the ones
@@ -268,12 +280,7 @@ def recompute_metrics_json(run_dir: Path) -> str:
     predictions = run_dir / "predictions.csv"
     logs = read_predictions(predictions)
     config = run_dir / "config.json"
-    try:
-        echo = json.loads(read_text(config))
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"malformed JSON: {exc.msg}", line=exc.lineno, path=config) from None
-    if not isinstance(echo, dict):
-        raise ParseError("expected a JSON object", line=1, path=config)
+    echo = _read_json_object(config)
     task_ids = sorted(logs)
     if len(task_ids) != matrix.shape[0]:
         raise ParseError(f"{len(task_ids)} tasks for {matrix.shape[0]} accuracy-matrix columns", path=predictions)
@@ -304,6 +311,15 @@ def recompute_metrics_json(run_dir: Path) -> str:
     return metrics_to_json(metrics)
 
 
+def _check_stored_metrics(path: Path, metrics: dict) -> None:
+    """Raise ``ParseError`` naming the first top-level field in which the
+    stored metrics document differs from ``metrics``, its recomputation."""
+    stored = _read_json_object(path)
+    for key in sorted(stored.keys() | metrics.keys()):
+        if key not in stored or key not in metrics or stored[key] != metrics[key]:
+            raise ParseError(f"field {key!r} differs from its recomputation", path=path)
+
+
 def _print_metrics_table(metrics: dict) -> None:
     def fmt(v):
         return "NA" if v is None else f"{v:.6f}"
@@ -320,8 +336,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
     path = Path(args.path)
     try:
         if path.is_dir():
-            document = recompute_metrics_json(path)
-            _print_metrics_table(json.loads(document))
+            metrics = json.loads(recompute_metrics_json(path))
+            _check_stored_metrics(path / "metrics.json", metrics)
+            _print_metrics_table(metrics)
         else:
             matrix = read_accuracy_matrix(path)
             print(f"{'AA':<8}{aa(matrix):.6f}")

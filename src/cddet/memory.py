@@ -176,10 +176,10 @@ class ExemplarMemory:
     # -- persistence ---------------------------------------------------
 
     def to_payload(self) -> dict:
-        """The memory as a checkpoint's ``memory`` object, ``{"kind", "budget",
-        "classes": {"<class index>": rows}}``: a class's rows are its stored
-        array itself, which ``model.save_checkpoint`` writes row by row;
-        ``from_payload`` reads arrays or the lists a loaded checkpoint holds."""
+        """The memory as ``{"kind", "budget", "classes": {"<class index>":
+        rows}}``: a class's rows are its stored array itself.
+        ``model.save_checkpoint`` encodes the arrays, and
+        ``model.load_checkpoint`` returns them decoded in this form."""
         return {
             "kind": self.payload_kind,
             "budget": self.budget,
@@ -188,16 +188,15 @@ class ExemplarMemory:
 
     @classmethod
     def from_payload(cls, payload: dict, model=None) -> "ExemplarMemory":
-        """Rebuild a memory from ``to_payload`` output.
+        """Rebuild a memory from ``to_payload`` output, keeping its arrays.
 
         A payload that ``to_payload`` could not have written raises
         ``ConfigError`` naming the field: an unknown kind, a budget that is
         not a positive integer, a class key that is not a non-negative
-        integer in canonical decimal (``"1"``, not ``"01"``), ragged or
-        non-finite rows, or more exemplars than the budget. Given the
-        ``model``, every row must also have its input width (raw payloads)
-        or its latent width (latent payloads), and every class key must
-        index its class registry.
+        integer in canonical decimal (``"1"``, not ``"01"``), or more
+        exemplars than the budget. Given the ``model``, every row must also
+        have its input width (raw payloads) or its latent width (latent
+        payloads), and every class key must index its class registry.
         """
         try:
             kind, budget, classes = payload["kind"], payload["budget"], payload["classes"]
@@ -219,23 +218,13 @@ class ExemplarMemory:
             where = f"memory.classes[{key!r}]"
             if not (isinstance(key, str) and key.isdecimal() and key == str(int(key))):
                 raise ConfigError(f"checkpoint field {where}: class key is not a canonical non-negative integer")
-            try:
-                arr = np.asarray(rows, dtype=np.float64)
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"checkpoint field {where}: malformed rows ({exc})") from None
-            if arr.shape == (0,):  # a class with no rows left
-                arr = arr.reshape(0, width or 0)
-            if arr.ndim != 2:
-                raise ConfigError(f"checkpoint field {where}: not a list of equal-length rows")
-            if not np.isfinite(arr).all():
-                raise ConfigError(f"checkpoint field {where}: non-finite entries")
-            if width is not None and arr.shape[1] != width:
+            if width is not None and rows.shape[1] != width:
                 raise ConfigError(
-                    f"checkpoint field {where}: rows have {arr.shape[1]} entries, the model's {kind} width is {width}"
+                    f"checkpoint field {where}: rows have {rows.shape[1]} entries, the model's {kind} width is {width}"
                 )
             if model is not None and int(key) >= len(model.head.registry):
                 raise ConfigError(f"checkpoint field {where}: the model has {len(model.head.registry)} classes")
-            memory.classes[int(key)] = arr
+            memory.classes[int(key)] = rows
         if memory.total() > budget:
             raise ConfigError(f"checkpoint field memory: {memory.total()} exemplars exceed budget {budget}")
         return memory

@@ -15,21 +15,23 @@ number of sessions. A head's registry is its task list: task i owns class 2i
 (real) and class 2i + 1 (fake), so a class's polarity is its index mod 2.
 
 Checkpoint format (JSON, one object per file):
-    {"format": "cddet-checkpoint-v2",
+    {"format": "cddet-checkpoint-v3",
      "model": {"widths": [int, ...], "capture_layer": int, "variant": str,
                "tasks": [task_id, ...],
-               "extractor": {"weights": [...], "biases": [...]},
+               "extractor": {"weights": [array, ...], "biases": [array, ...]},
                "head": {...per-variant parameter arrays...}},
      "memory": {"kind": str, "budget": int,
-                "classes": {"<class index>": [[...], ...], ...}} | null}
-``tasks`` holds each task once, in the order the tasks came: it gives every
-class its task and polarity, and the sessions trained (one task each). A
-memory class is its rows alone (``[]`` once trimmed to none); its task is the
-registry's. Parameter arrays appear in declaration order and round-trip at
-full float64 precision through JSON's repr-based serialisation. Loading
-requires JSON integers (no bools) for the integer fields, checks every
-array's shape against ``widths`` and ``tasks``, and the memory half against
-the model (``ExemplarMemory.from_payload``).
+                "classes": {"<class index>": array, ...}} | null}
+Each array is one string: the base64 of its little-endian float64 bytes, in
+C order, exact by construction. No array stores its shape: ``widths`` and
+``tasks`` give each parameter's, and a memory class holds whole rows of the
+model's raw or latent width. ``tasks`` holds each task once, in the order
+the tasks came: it gives every class its task and polarity, and the sessions
+trained (one task each). A memory class is its rows alone; its task is the
+registry's. Loading requires JSON integers (no bools) for the integer fields
+and widths of at least 1, decodes each array once (its base64, byte count
+and finiteness checked), and checks the memory half against the model
+(``ExemplarMemory.from_payload``). This section alone knows the encoding.
 
 A model is its arrays, so a checkpoint holds the whole model: no model
 holds a generator, and ``ClassifierHead.expand`` draws from the one it is given.
@@ -37,8 +39,10 @@ holds a generator, and ``ClassifierHead.expand`` draws from the one it is given.
 
 from __future__ import annotations
 
+import base64
 import copy
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,7 +50,7 @@ import numpy as np
 from . import diffcore as dc
 from .diffcore import Array
 from .errors import ConfigError, ContractError, DegenerateInputError, ProtocolError, read_text
-from .memory import ExemplarMemory
+from .memory import PAYLOAD_KINDS, RAW, ExemplarMemory
 
 REAL = 0
 FAKE = 1
@@ -311,7 +315,28 @@ def fake_score(head: ClassifierHead, logits: Array) -> Array:
 # ---------------------------------------------------------------------------
 # checkpoints
 
-CHECKPOINT_FORMAT = "cddet-checkpoint-v2"
+CHECKPOINT_FORMAT = "cddet-checkpoint-v3"
+
+
+def _encoded(arr: Array) -> str:
+    """An array as the base64 of its little-endian float64 bytes, in C order."""
+    return base64.b64encode(np.asarray(arr, dtype="<f8").tobytes()).decode("ascii")
+
+
+def _decoded(value, shape: tuple[int, ...], field: str) -> Array:
+    """A stored array of exactly ``shape`` (``(-1, width)``: any whole number
+    of rows), as a finite, writeable float64 array of its own."""
+    try:
+        raw = base64.b64decode(value, validate=True)
+    except (TypeError, ValueError):
+        raise ConfigError(f"checkpoint field {field}: not a base64 string") from None
+    rows = shape[:1] == (-1,)
+    if len(raw) % (8 * math.prod(shape[1:])) if rows else len(raw) != 8 * math.prod(shape):
+        raise ConfigError(f"checkpoint field {field}: {len(raw)} bytes do not hold float64s of shape {shape}")
+    arr = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
+    if not np.isfinite(arr).all():
+        raise ConfigError(f"checkpoint field {field}: non-finite entries")
+    return arr
 
 
 def _model_payload(model: Model) -> dict:
@@ -323,27 +348,11 @@ def _model_payload(model: Model) -> dict:
         "variant": head.variant,
         "tasks": list(head.registry.tasks),
         "extractor": {
-            "weights": [w.tolist() for w in model.extractor.weights],
-            "biases": [b.tolist() for b in model.extractor.biases],
+            "weights": [_encoded(w) for w in model.extractor.weights],
+            "biases": [_encoded(b) for b in model.extractor.biases],
         },
-        "head": {"theta": theta.tolist(), "bias" if head.scale is None else "scale": other.tolist()},
+        "head": {"theta": _encoded(theta), "bias" if head.scale is None else "scale": _encoded(other)},
     }
-
-
-def _stored_array(value, shape: tuple[int, ...], field: str) -> Array:
-    """A stored parameter array, which must be finite and have exactly the
-    expected shape."""
-    try:
-        arr = np.asarray(value, dtype=np.float64)
-    except (TypeError, ValueError):
-        raise ConfigError(f"checkpoint field {field}: not a numeric array") from None
-    if arr.size == 0 and 0 in shape:
-        arr = arr.reshape(shape)  # an empty head is stored as []
-    if arr.shape != shape:
-        raise ConfigError(f"checkpoint field {field}: shape {arr.shape}, expected {shape}")
-    if not np.isfinite(arr).all():
-        raise ConfigError(f"checkpoint field {field}: non-finite entries")
-    return arr
 
 
 def _stored_int(value, field: str) -> int:
@@ -360,25 +369,27 @@ def _stored_list(value, count: int, field: str) -> list:
 
 
 def _model_from_payload(payload: dict) -> Model:
-    """Rebuild a model, checking every stored array against ``widths`` and
-    ``tasks``, so a truncated or reshaped checkpoint cannot load."""
+    """Rebuild a model, decoding every stored array at the shape that
+    ``widths`` and ``tasks`` give it, so a truncated or reshaped checkpoint
+    cannot load."""
     try:
         widths = tuple(_stored_int(w, f"model.widths[{i}]") for i, w in enumerate(payload["widths"]))
+        if any(w < 1 for w in widths):
+            raise ConfigError(f"checkpoint field model.widths: {list(widths)} holds a width below 1")
         n_layers = max(len(widths) - 1, 0)
         weights = _stored_list(payload["extractor"]["weights"], n_layers, "model.extractor.weights")
         biases = _stored_list(payload["extractor"]["biases"], n_layers, "model.extractor.biases")
-        for i in range(n_layers):
-            weights[i] = _stored_array(weights[i], (widths[i], widths[i + 1]), f"model.extractor.weights[{i}]")
-            biases[i] = _stored_array(biases[i], (widths[i + 1],), f"model.extractor.biases[{i}]")
+        weights = [_decoded(w, widths[i : i + 2], f"model.extractor.weights[{i}]") for i, w in enumerate(weights)]
+        biases = [_decoded(b, (widths[i + 1],), f"model.extractor.biases[{i}]") for i, b in enumerate(biases)]
         extractor = FeatureExtractor(weights, biases, _stored_int(payload["capture_layer"], "model.capture_layer"))
         tasks = [_stored_int(t, f"model.tasks[{i}]") for i, t in enumerate(payload["tasks"])]
         if len(set(tasks)) < len(tasks):
             raise ConfigError(f"checkpoint field model.tasks: {tasks} holds a task twice")
         variant, stored = payload["variant"], payload["head"]
         rows = 1 if variant == SIGMOID else 2 * len(tasks)
-        theta = _stored_array(stored["theta"], (rows, widths[-1]), "model.head.theta")
+        theta = _decoded(stored["theta"], (rows, widths[-1]), "model.head.theta")
         name, shape = ("scale", ()) if variant == COSFC else ("bias", (rows,))
-        other = _stored_array(stored[name], shape, f"model.head.{name}")
+        other = _decoded(stored[name], shape, f"model.head.{name}")
         return Model(extractor, ClassifierHead(variant, theta, other, ClassRegistry(tasks)))
     except KeyError as exc:
         raise ConfigError(f"checkpoint lacks field {exc.args[0]!r}") from None
@@ -386,50 +397,34 @@ def _model_from_payload(payload: dict) -> Model:
         raise ConfigError(f"malformed checkpoint: {exc}") from None
 
 
+def _memory_from_payload(stored, model: Model):
+    """The stored memory as ``ExemplarMemory.to_payload`` returns it, each
+    class's rows decoded at the model's width for the memory's kind;
+    ``ExemplarMemory.from_payload`` checks the rest against the model."""
+    if isinstance(stored, dict) and stored.get("kind") in PAYLOAD_KINDS and isinstance(stored.get("classes"), dict):
+        shape = (-1, model.extractor.input_width if stored["kind"] == RAW else model.extractor.latent_width)
+        classes = {key: _decoded(rows, shape, f"memory.classes[{key!r}]") for key, rows in stored["classes"].items()}
+        stored = {**stored, "classes": classes}
+    ExemplarMemory.from_payload(stored, model)
+    return stored
+
+
 def save_checkpoint(path, model: Model, memory_payload: dict | None = None) -> None:
-    blob = {
-        "format": CHECKPOINT_FORMAT,
-        "model": _model_payload(model),
-        "memory": memory_payload,
-    }
+    """Write the model and a memory payload (``to_payload``'s, or the one
+    ``load_checkpoint`` returns) as one JSON document."""
+    memory = memory_payload
+    if memory is not None:
+        ExemplarMemory.from_payload(memory, model)  # no row count is stored, so rows must have the model's width
+        memory = {**memory, "classes": {key: _encoded(rows) for key, rows in memory["classes"].items()}}
     with open(path, "w", encoding="utf-8") as fh:
-        _write_json(fh, blob)
-
-
-def _write_json(fh, obj) -> None:
-    """Write what ``json.dump(obj, fh, sort_keys=True)`` writes, with each
-    numpy array written as its ``tolist()``.
-
-    ``json.dump`` to a file always runs the pure-Python encoder, and one
-    ``json.dumps`` of the whole checkpoint holds every float's text at once,
-    several times the file's size. So objects, lists of lists and arrays of
-    two or more dimensions (the exemplar rows) are walked here, an array row
-    by row, and each other value (a parameter row, an exemplar) is encoded
-    by one ``json.dumps`` call, which runs the C encoder.
-    """
-    if isinstance(obj, dict):
-        fh.write("{")
-        for i, key in enumerate(sorted(obj)):
-            fh.write(", " if i else "")
-            fh.write(json.dumps(key) + ": ")
-            _write_json(fh, obj[key])
-        fh.write("}")
-    elif (isinstance(obj, np.ndarray) and obj.ndim > 1) or (
-        isinstance(obj, list) and obj and isinstance(obj[0], (list, dict))
-    ):
-        fh.write("[")
-        for i, item in enumerate(obj):
-            fh.write(", " if i else "")
-            _write_json(fh, item)
-        fh.write("]")
-    else:
-        fh.write(json.dumps(obj.tolist() if isinstance(obj, np.ndarray) else obj, sort_keys=True))
+        json.dump({"format": CHECKPOINT_FORMAT, "model": _model_payload(model), "memory": memory}, fh, sort_keys=True)
 
 
 def load_checkpoint(path) -> tuple[Model, dict | None]:
-    """The model and the memory payload a checkpoint file holds. A file that
-    cannot be read, or is not UTF-8, raises ``ParseError`` naming it; one
-    that is not a checkpoint, ``ConfigError``."""
+    """The model and the memory payload a checkpoint file holds, the payload
+    as ``ExemplarMemory.to_payload`` returns it. A file that cannot be read,
+    or is not UTF-8, raises ``ParseError`` naming it; one that is not a
+    checkpoint, ``ConfigError``."""
     try:
         blob = json.loads(read_text(path))
     except json.JSONDecodeError as exc:
@@ -441,6 +436,4 @@ def load_checkpoint(path) -> tuple[Model, dict | None]:
         raise ConfigError("checkpoint lacks field 'model'")
     model = _model_from_payload(blob["model"])
     memory = blob.get("memory")
-    if memory is not None:
-        ExemplarMemory.from_payload(memory, model)
-    return model, memory
+    return model, None if memory is None else _memory_from_payload(memory, model)

@@ -1,5 +1,15 @@
+import base64
+
+import numpy as np
+
 from cddet.stream import Scenario, TaskSpec, synth_generate
 from cddet.trainer import run_scenario_over_sessions
+
+
+def b64(values) -> str:
+    """Values as a checkpoint stores an array: the base64 of their
+    little-endian float64 bytes, in C order."""
+    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
 
 
 def tiny_spec(task_id, direction, difficulty=5.0, n_train=24, dim=6):

@@ -459,6 +459,92 @@ MUTANTS = [
         "def loss_and_gradients(\n    system: str,\n    step: StepRows,",
         ["tests/test_imports.py::test_below_the_run_no_function_takes_a_learning_system"],
     ),
+    # checkpoint format v3: every check of the one decoder, once per array
+    (
+        "checkpoint-base64-lenient", "model.py",
+        "base64.b64decode(value, validate=True)",
+        "base64.b64decode(value)",
+        ["tests/test_model.py::TestCheckpointValidation::test_a_character_outside_base64_rejected"],
+    ),
+    (
+        "checkpoint-array-byte-count-unchecked", "model.py",
+        "len(raw) != 8 * math.prod(shape)",
+        "False",
+        ["tests/test_model.py::TestCheckpointValidation::test_wrong_bias_shape_rejected"],
+    ),
+    (
+        "checkpoint-rows-byte-count-unchecked", "model.py",
+        "len(raw) % (8 * math.prod(shape[1:])) if rows",
+        "False if rows",
+        [
+            "tests/test_model.py::TestCheckpointValidation::test_memory_rows_checked_against_the_model",
+            "tests/test_memory.py::TestPayloadValidation::test_ragged_rows",
+        ],
+    ),
+    (
+        "checkpoint-non-finite-accepted", "model.py",
+        "    if not np.isfinite(arr).all():\n",
+        "    if False:\n",
+        [
+            "tests/test_model.py::TestCheckpointValidation::test_non_finite_parameters_rejected",
+            "tests/test_memory.py::TestPayloadValidation::test_non_finite_rows",
+        ],
+    ),
+    (
+        "checkpoint-v2-accepted", "model.py",
+        "if found != CHECKPOINT_FORMAT:",
+        'if found not in (CHECKPOINT_FORMAT, "cddet-checkpoint-v2"):',
+        ["tests/test_model.py::TestCheckpointValidation::test_another_format_rejected"],
+    ),
+    (
+        "checkpoint-arrays-read-only", "model.py",
+        'np.frombuffer(raw, dtype="<f8").astype(np.float64)',
+        'np.frombuffer(raw, dtype="<f8")',
+        ["tests/test_trainer.py::TestSplitRun::test_a_split_run_equals_the_whole_one"],
+    ),
+    (
+        "checkpoint-saves-rows-of-another-width", "model.py",
+        "        ExemplarMemory.from_payload(memory, model)  # no row count",
+        "        pass  # no row count",
+        ["tests/test_model.py::TestCheckpointValidation::test_save_rejects_rows_of_another_width"],
+    ),
+    (
+        "checkpoint-width-one-rejected", "model.py",
+        "if any(w < 1 for w in widths):",
+        "if any(w < 2 for w in widths):",
+        ["tests/test_model.py::TestCheckpointValidation::test_a_width_below_one_rejected"],
+    ),
+    (
+        "checkpoint-width-zero-accepted", "model.py",
+        "if any(w < 1 for w in widths):",
+        "if any(w < 0 for w in widths):",
+        ["tests/test_model.py::TestCheckpointValidation::test_a_width_below_one_rejected"],
+    ),
+    (
+        "memory-class-key-one-past-the-registry", "memory.py",
+        "int(key) >= len(model.head.registry)",
+        "int(key) > len(model.head.registry)",
+        ["tests/test_cli.py::TestCheckpointMemory::test_memory_that_does_not_match_the_model"],
+    ),
+    # eval checks what it recomputes; two survivors of the last sample in cli
+    (
+        "eval-ignores-stored-values", "cli.py",
+        "if key not in stored or key not in metrics or stored[key] != metrics[key]:",
+        "if key not in stored or key not in metrics:",
+        ["tests/test_cli.py::TestEval::test_stored_metrics_that_differ_from_their_recomputation"],
+    ),
+    (
+        "seed-grid-rejects-seed-0", "cli.py",
+        "if seed < 0:",
+        "if seed < 1:",
+        ["tests/test_cli.py::TestRun::test_a_seed_grid_may_hold_seed_0"],
+    ),
+    (
+        "config-json-indent-3", "cli.py",
+        "json.dump(echo, fh, sort_keys=True, indent=2)",
+        "json.dump(echo, fh, sort_keys=True, indent=3)",
+        ["tests/test_pins.py"],
+    ),
     # the survivors of a random sample (tests/automutants.py --seed 6 --count 40 trainer)
     (
         "default-epochs-seven", "trainer.py",

@@ -207,6 +207,16 @@ class TestRun:
         assert config["profile"] == "finetune"
         assert config["seed"] == 4
 
+    def test_a_seed_grid_may_hold_seed_0(self, tmp_path, dataset_paths):
+        config_file = tmp_path / "grid.cfg"
+        config_file.write_text(
+            f"profile = finetune\nsystem = mc\nmemory = 0\nepochs = 1\nseeds = 0 1\ndata = {' '.join(dataset_paths)}\n"
+        )
+        grid = tmp_path / "grid"
+        assert run_cli("run", "--config", str(config_file), "--out", str(grid)) == 0
+        assert sorted(p.name for p in grid.iterdir()) == ["0", "1"]
+        assert json.loads((grid / "0" / "config.json").read_text())["seed"] == 0
+
     def test_seed_grid_equals_single_runs(self, tmp_path, dataset_paths):
         body = f"profile = replay\nsystem = mc\nmemory = 20\nepochs = 1\ndata = {dataset_paths[0]} {dataset_paths[1]}\n"
         single_file, grid_file = tmp_path / "single.cfg", tmp_path / "grid.cfg"
@@ -342,6 +352,27 @@ class TestEval:
         path.write_bytes(b"0.5,0.4\n,0.\xff7\n")
         assert run_cli("eval", str(path)) == 2
         assert capsys.readouterr().err == f"error: {path}: line 2: not UTF-8 text (invalid start byte)\n"
+
+    @pytest.mark.parametrize("edit, field", [
+        (lambda document: document.update(aa=document["aa"] + 0.25, map=0.0), "aa"),
+        (lambda document: document.pop("map"), "map"),
+        (lambda document: document.update(zz=None), "zz"),
+    ], ids=["aa-and-map-moved", "map-dropped", "field-added"])
+    def test_stored_metrics_that_differ_from_their_recomputation(self, hard_run, capsys, edit, field):
+        """``eval`` reports the first field, in the file's key order, in
+        which the stored ``metrics.json`` differs from what it recomputes."""
+        path = hard_run / "metrics.json"
+        document = json.loads(path.read_text())
+        edit(document)
+        path.write_text(json.dumps(document, sort_keys=True, indent=2) + "\n")
+        assert run_cli("eval", str(hard_run)) == 2
+        assert capsys.readouterr().err == f"error: {path}: field {field!r} differs from its recomputation\n"
+
+    def test_stored_metrics_that_are_not_an_object(self, hard_run, capsys):
+        path = hard_run / "metrics.json"
+        path.write_text("[]\n")
+        assert run_cli("eval", str(hard_run)) == 2
+        assert capsys.readouterr().err == f"error: {path}: line 1: expected a JSON object\n"
 
     def test_run_dir_with_an_empty_matrix(self, hard_run, capsys):
         path = hard_run / "accuracy_matrix.csv"
@@ -491,12 +522,13 @@ class TestCheckpointMemory:
         return out / "checkpoint.json"
 
     def test_a_class_trimmed_to_no_rows_loads(self, checkpoint):
-        _, memory = load_checkpoint(checkpoint)
-        assert memory["classes"]["3"] == []
+        model, memory = load_checkpoint(checkpoint)
+        assert memory["classes"]["3"].shape == (0, model.extractor.latent_width)
 
     @pytest.mark.parametrize("edit, field", [
         (lambda classes: classes.update({"99": classes.pop("0")}), "memory.classes['99']"),
-    ], ids=["class-key-outside-the-registry"])
+        (lambda classes: classes.update({"4": classes.pop("0")}), "memory.classes['4']: the model has 4 classes"),
+    ], ids=["class-key-outside-the-registry", "class-key-one-past-the-registry"])
     def test_memory_that_does_not_match_the_model(self, checkpoint, edit, field):
         blob = json.loads(checkpoint.read_text())
         edit(blob["memory"]["classes"])

@@ -1,16 +1,15 @@
-import io
-import json
 import re
 
 import numpy as np
 import pytest
+from conftest import b64
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cddet import memory as mem
 from cddet.errors import ConfigError, ContractError, EngineError
 from cddet.memory import ExemplarMemory, capture, herd_select, quotas
-from cddet.model import LINFC, Model, _write_json
+from cddet.model import LINFC, Model, load_checkpoint, save_checkpoint
 from cddet.verify import check_herding_oracle
 
 
@@ -168,12 +167,12 @@ class TestMemory:
 
     def test_all_exemplars_stack_in_class_order(self):
         """Rows stack by ascending class index, whatever the insertion order;
-        a class with no rows, as a checkpoint stores it, adds none."""
+        a class trimmed to no rows adds none."""
         memory = ExemplarMemory(budget=9)
         memory.add_class(3, np.full((2, 2), 3.0))
         memory.add_class(1, np.full((3, 2), 1.0))
         payload = memory.to_payload()
-        payload["classes"]["0"] = []
+        payload["classes"]["0"] = np.empty((0, 2))
         for stored in (memory, ExemplarMemory.from_payload(payload)):
             payloads, classes = stored.all_exemplars()
             assert classes.tolist() == [1, 1, 1, 3, 3]
@@ -211,8 +210,8 @@ class TestMemory:
 
     def test_payload_holds_each_class_rows_alone(self):
         """A class's payload entry is its stored array itself, with no task:
-        class c is task ``tasks[c // 2]``'s. A class trimmed to no rows is
-        written as ``[]``."""
+        class c is task ``tasks[c // 2]``'s. A class trimmed to no rows
+        keeps an array of no rows."""
         memory = ExemplarMemory(budget=2)
         for class_idx in (3, 0, 2):
             memory.add_class(class_idx, np.full((2, 2), float(class_idx)))
@@ -220,24 +219,28 @@ class TestMemory:
         payload = memory.to_payload()
         assert {key: rows.shape[0] for key, rows in payload["classes"].items()} == {"3": 0, "0": 1, "2": 1}
         assert all(payload["classes"][str(c)] is rows for c, rows in memory.classes.items())
-        written = io.StringIO()
-        _write_json(written, payload)
-        assert json.loads(written.getvalue())["classes"] == {"0": [[0.0, 0.0]], "2": [[2.0, 2.0]], "3": []}
+        assert payload["classes"]["3"].shape == (0, 2)
 
 
 class TestPayloadValidation:
-    """``from_payload`` rejects what ``to_payload`` cannot write, naming the field."""
+    """A memory payload that ``to_payload`` cannot write is rejected naming
+    the field: its rows by the checkpoint's decoder, the rest by
+    ``from_payload``."""
 
     def _payload(self):
-        """A payload in the form ``load_checkpoint`` hands to ``from_payload``:
-        rows as lists, as read back from the written JSON."""
         memory = ExemplarMemory(budget=4, payload_kind=mem.RAW)
         rng = np.random.default_rng(8)
         memory.add_class(0, rng.normal(size=(2, 5)))
         memory.add_class(1, rng.normal(size=(2, 5)))
-        written = io.StringIO()
-        _write_json(written, memory.to_payload())
-        return json.loads(written.getvalue())
+        return memory.to_payload()
+
+    def _load(self, tmp_path, payload, rows):
+        """Load a checkpoint of ``payload`` whose class 1 holds ``rows``
+        instead: the encoding of any array."""
+        path = tmp_path / "checkpoint.json"
+        save_checkpoint(path, self._model(), payload)
+        path.write_text(path.read_text().replace(b64(payload["classes"]["1"]), b64(rows)))
+        return load_checkpoint(path)
 
     def _model(self):
         rng = np.random.default_rng(9)
@@ -288,23 +291,25 @@ class TestPayloadValidation:
         with pytest.raises(ConfigError, match=re.escape(f"memory.classes[{key!r}]: class key is not a canonical")):
             ExemplarMemory.from_payload(payload)
 
-    def test_ragged_rows(self):
+    def test_ragged_rows(self, tmp_path):
+        """Stored rows that are not a whole number of the model's rows."""
         payload = self._payload()
-        payload["classes"]["1"][1].pop()
-        with pytest.raises(ConfigError, match=r"memory\.classes\['1'\]"):
-            ExemplarMemory.from_payload(payload)
+        message = "memory.classes['1']: 56 bytes do not hold float64s of shape (-1, 5)"
+        with pytest.raises(ConfigError, match=f"^checkpoint field {re.escape(message)}$"):
+            self._load(tmp_path, payload, payload["classes"]["1"].ravel()[:7])
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
-    def test_non_finite_rows(self, value):
+    def test_non_finite_rows(self, tmp_path, value):
         payload = self._payload()
-        payload["classes"]["1"][1][2] = value
-        with pytest.raises(ConfigError, match=r"memory\.classes\['1'\]: non-finite entries"):
-            ExemplarMemory.from_payload(payload, self._model())
+        rows = payload["classes"]["1"].copy()
+        rows[1, 2] = value
+        with pytest.raises(ConfigError, match=r"^checkpoint field memory\.classes\['1'\]: non-finite entries$"):
+            self._load(tmp_path, payload, rows)
 
     def test_row_width_must_match_the_model(self):
         payload = self._payload()
-        for row in payload["classes"]["0"] + payload["classes"]["1"]:
-            row.pop()
+        for key, rows in payload["classes"].items():
+            payload["classes"][key] = rows[:, :-1]
         ExemplarMemory.from_payload(payload)  # consistent on its own
         with pytest.raises(ConfigError, match=r"rows have 4 entries, the model's raw width is 5"):
             ExemplarMemory.from_payload(payload, self._model())

@@ -5,6 +5,7 @@ import re
 
 import numpy as np
 import pytest
+from conftest import b64
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -328,10 +329,18 @@ class TestCheckpointValidation:
         assert info.value.path == path
 
     def test_another_format_rejected(self, tmp_path):
-        path, blob = self._saved_payload(tmp_path)
-        blob["format"] = "cddet-checkpoint-v1"
-        path.write_text(json.dumps(blob))
-        with pytest.raises(ConfigError, match="^unsupported checkpoint format 'cddet-checkpoint-v1'$"):
+        """A v2 file, which stored every array as nested lists of floats."""
+        model = make_model(LINFC, tasks=2, seed=3)
+        ext, head = model.extractor, model.head
+        blob = {"format": "cddet-checkpoint-v2", "memory": None, "model": {
+            "widths": list(ext.widths), "capture_layer": ext.capture_layer, "variant": head.variant,
+            "tasks": head.registry.tasks, "extractor": {
+                "weights": [w.tolist() for w in ext.weights], "biases": [b.tolist() for b in ext.biases],
+            }, "head": {"theta": head.theta.tolist(), "bias": head.bias.tolist()},
+        }}
+        path = tmp_path / "ckpt.json"
+        path.write_text(json.dumps(blob, sort_keys=True))
+        with pytest.raises(ConfigError, match="^unsupported checkpoint format 'cddet-checkpoint-v2'$"):
             mdl.load_checkpoint(path)
 
     def _saved_payload(self, tmp_path):
@@ -358,54 +367,118 @@ class TestCheckpointValidation:
 
     def test_wrong_bias_shape_rejected(self, tmp_path):
         path, blob = self._saved_payload(tmp_path)
-        blob["model"]["extractor"]["biases"][1] = [0.0] * 7
+        blob["model"]["extractor"]["biases"][1] = b64(np.zeros(7))
         path.write_text(json.dumps(blob))
-        with pytest.raises(ConfigError, match=r"model\.extractor\.biases\[1\]: shape \(7,\), expected \(8,\)"):
+        message = "checkpoint field model.extractor.biases[1]: 56 bytes do not hold float64s of shape (8,)"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             mdl.load_checkpoint(path)
 
     def test_memory_rows_checked_against_the_model(self, tmp_path):
+        """Rows are read at the model's width for the memory's kind, so a
+        byte count that is no whole number of its rows is rejected."""
         path, blob = self._saved_payload(tmp_path)
-        rows = np.zeros((5, 5)).tolist()  # 5 exemplars, 5 wide, for a 6-input model under budget 1
+        rows = b64(np.zeros((5, 5)))  # 5 exemplars, 5 wide, for a 6-input model under budget 1
         blob["memory"] = {"kind": "raw", "budget": 1, "classes": {"0": rows}}
         path.write_text(json.dumps(blob))
-        with pytest.raises(ConfigError, match=r"memory\.classes\['0'\]: rows have 5 entries"):
+        message = "checkpoint field memory.classes['0']: 200 bytes do not hold float64s of shape (-1, 6)"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             mdl.load_checkpoint(path)
-        blob["memory"]["classes"]["0"] = np.zeros((5, 6)).tolist()
+        blob["memory"]["classes"]["0"] = b64(np.zeros((5, 6)))
         path.write_text(json.dumps(blob))
         with pytest.raises(ConfigError, match=r"5 exemplars exceed budget 1"):
             mdl.load_checkpoint(path)
 
-    def test_save_writes_what_json_dump_writes(self, tmp_path):
-        """Memory rows given as the arrays ``to_payload`` returns, or as the
-        lists ``load_checkpoint`` returns, are written as ``json.dump``
-        writes the lists."""
-        model = make_model(LINFC, tasks=2, seed=4)
-        arrays = {
-            "2": np.array([[0.1, 1e-300, -2.5]]),
-            "10": np.empty((0, 3)),
-            "11": np.array([[1.0, -0.0, 3e8], [5e-324, 2.0 / 3.0, -1.5], [7.0, 1e22, 0.25]]),
-        }
-        listed = {key: rows.tolist() for key, rows in arrays.items()}
-        memory = {"kind": "raw", "budget": 3, "classes": listed}
-        blob = {"format": mdl.CHECKPOINT_FORMAT, "model": mdl._model_payload(model), "memory": memory}
-        with open(tmp_path / "dumped.json", "w", encoding="utf-8") as fh:
-            json.dump(blob, fh, sort_keys=True)
+    def test_awkward_values_round_trip_bit_for_bit(self, tmp_path):
+        """Signed zero, the least subnormal, a tiny and a large normal and a
+        value with no short decimal come back bit for bit in parameters and
+        memory rows, as do an empty argmax head and a class trimmed to no
+        rows. Each array is stored as the base64 of its little-endian
+        float64 bytes, and the loaded state writes the same file again."""
+        awkward = np.array([-0.0, 5e-324, 1e-300, 2.0 / 3.0, 1e22])
+        for tasks in (0, 2):  # an empty head; a head with four classes and a memory over them
+            model = make_model(LINFC, tasks=tasks, seed=4)
+            model.extractor.weights[2][3] = awkward
+            model.extractor.biases[2] = -awkward
+            memory = None
+            if tasks:
+                model.head.theta[1] = awkward[::-1]
+                classes = {"1": np.resize(awkward, (3, 6)), "2": np.empty((0, 6)), "3": -np.resize(awkward, (1, 6))}
+                memory = {"kind": "raw", "budget": 4, "classes": classes}
+            path = tmp_path / f"ckpt-{tasks}.json"
+            mdl.save_checkpoint(path, model, memory)
+            written = path.read_bytes()
+            stored = json.loads(written)["model"]
+            assert stored["extractor"]["weights"][2] == b64(model.extractor.weights[2])
+            assert stored["head"]["theta"] == b64(model.head.theta)
+            loaded, payload = mdl.load_checkpoint(path)
+            for got, want in zip(loaded.parameters(), model.parameters(), strict=True):
+                assert_bit_equal(got, want)
+            assert loaded.head.theta.shape == (2 * tasks, 5)
+            if memory is None:
+                assert payload is None
+            else:
+                assert payload["classes"].keys() == classes.keys()
+                for key, rows in classes.items():
+                    assert_bit_equal(payload["classes"][key], rows)
+            mdl.save_checkpoint(path, loaded, payload)
+            assert path.read_bytes() == written
+
+    def test_save_rejects_rows_of_another_width(self, tmp_path):
+        """A file stores no row count, so rows of another width than the
+        model's would load as other rows: the memory must match the model
+        before anything is written."""
         path = tmp_path / "ckpt.json"
-        for classes in (listed, arrays):
-            mdl.save_checkpoint(path, model, {"kind": "raw", "budget": 3, "classes": classes})
-            assert path.read_bytes() == (tmp_path / "dumped.json").read_bytes()
+        memory = {"kind": "raw", "budget": 3, "classes": {"0": np.zeros((3, 4))}}  # 12 entries: two 6-wide rows
+        with pytest.raises(ConfigError, match=r"memory\.classes\['0'\]: rows have 4 entries, the model's raw width is 6"):
+            mdl.save_checkpoint(path, make_model(LINFC, tasks=2, seed=3), memory)
+        assert not path.exists()
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_non_finite_parameters_rejected(self, tmp_path, value):
         path, blob = self._saved_payload(tmp_path)
-        blob["model"]["extractor"]["weights"][1][0][0] = value
+        model = make_model(LINFC, tasks=2, seed=3)
+        weights = model.extractor.weights[1].copy()
+        weights[0, 0] = value
+        blob["model"]["extractor"]["weights"][1] = b64(weights)
         path.write_text(json.dumps(blob))
         with pytest.raises(ConfigError, match=r"model\.extractor\.weights\[1\]: non-finite entries"):
             mdl.load_checkpoint(path)
-        blob["model"]["extractor"]["weights"][1][0][0] = 0.0
-        blob["model"]["head"]["bias"][0] = value
+        blob["model"]["extractor"]["weights"][1] = b64(model.extractor.weights[1])
+        blob["model"]["head"]["bias"] = b64([value, 0.0, 0.0, 0.0])
         path.write_text(json.dumps(blob))
         with pytest.raises(ConfigError, match=r"model\.head\.bias: non-finite entries"):
+            mdl.load_checkpoint(path)
+
+    @pytest.mark.parametrize("where", ["model", "memory"])
+    def test_a_character_outside_base64_rejected(self, tmp_path, where):
+        """One character outside the base64 alphabet, inserted into a stored
+        array: a lenient decoder would drop it and load the array."""
+        path, blob = self._saved_payload(tmp_path)
+        blob["memory"] = {"kind": "raw", "budget": 2, "classes": {"3": b64(np.ones((2, 6)))}}
+        field = ("model", "extractor", "weights", 0) if where == "model" else ("memory", "classes", "3")
+        *parents, last = field
+        holder = blob
+        for key in parents:
+            holder = holder[key]
+        holder[last] = holder[last][:8] + "*" + holder[last][8:]
+        path.write_text(json.dumps(blob))
+        name = "model.extractor.weights[0]" if where == "model" else "memory.classes['3']"
+        with pytest.raises(ConfigError, match=f"^checkpoint field {re.escape(name)}: not a base64 string$"):
+            mdl.load_checkpoint(path)
+
+    def test_a_width_below_one_rejected(self, tmp_path):
+        """A width of 1 loads. A zero width is rejected before any array is
+        read at it: its arrays would be empty, and a memory's row width zero."""
+        narrow = Model.build(1, LINFC, np.random.default_rng(2), hidden=(1,), feature_width=1)
+        mdl.save_checkpoint(tmp_path / "narrow.json", narrow)
+        assert mdl.load_checkpoint(tmp_path / "narrow.json")[0].extractor.widths == (1, 1, 1)
+        path, blob = self._saved_payload(tmp_path)
+        blob["model"]["widths"][0] = 0
+        blob["model"]["extractor"]["weights"][0] = ""
+        blob["memory"] = {"kind": "raw", "budget": 2, "classes": {"0": ""}}
+        path.write_text(json.dumps(blob))
+        message = "checkpoint field model.widths: [0, 8, 8, 5] holds a width below 1"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             mdl.load_checkpoint(path)
 
     def test_a_task_held_twice_rejected(self, tmp_path):
@@ -441,7 +514,40 @@ class TestCheckpointValidation:
 
     def test_head_rows_follow_the_registry(self, tmp_path):
         path, blob = self._saved_payload(tmp_path)
-        blob["model"]["head"]["theta"].pop()
+        blob["model"]["head"]["theta"] = b64(make_model(LINFC, tasks=2, seed=3).head.theta[:-1])
         path.write_text(json.dumps(blob))
-        with pytest.raises(ConfigError, match=r"model\.head\.theta"):
+        with pytest.raises(ConfigError, match=r"model\.head\.theta: 120 bytes do not hold float64s of shape \(4, 5\)"):
             mdl.load_checkpoint(path)
+
+
+@pytest.fixture(scope="module")
+def small_checkpoint(tmp_path_factory):
+    """A checkpoint small enough that its structure is about half its bytes:
+    a two-task model and a latent memory, one class trimmed to no rows."""
+    rng = np.random.default_rng(11)
+    model = Model.build(2, LINFC, rng, hidden=(2,), feature_width=2)
+    for task_id in (1, 2):
+        model.head.expand(task_id, rng)
+    memory = ExemplarMemory(4, mem.LATENT)
+    memory.add_class(0, rng.normal(size=(3, 2)))
+    memory.add_class(3, np.empty((0, 2)))
+    path = tmp_path_factory.mktemp("fuzz") / "checkpoint.json"
+    mdl.save_checkpoint(path, model, memory.to_payload())
+    return path
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(at=st.integers(0, 2**32), value=st.integers(0, 255))
+def test_a_checkpoint_with_one_edited_byte_loads_or_is_rejected(small_checkpoint, at, value):
+    """The checkpoint contract: whatever byte one position of the file takes,
+    ``load_checkpoint`` loads it or raises ``ConfigError`` or ``ParseError``,
+    never another exception."""
+    original = small_checkpoint.read_bytes()
+    i = at % len(original)
+    small_checkpoint.write_bytes(original[:i] + bytes([value]) + original[i + 1 :])
+    try:
+        mdl.load_checkpoint(small_checkpoint)
+    except (ConfigError, ParseError):
+        pass
+    finally:
+        small_checkpoint.write_bytes(original)

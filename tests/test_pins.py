@@ -1,7 +1,9 @@
-"""Behaviour fingerprints: the exact ``metrics.json``, ``predictions.csv``
-and ``checkpoint.json`` bytes of four small ``cddet run`` invocations: one
-per learning system, and one that turns on the essentials (mixup, label
-smoothing, logit+feature distillation and the cosine head).
+"""Behaviour fingerprints: the exact ``metrics.json``, ``predictions.csv``,
+``checkpoint.json`` and ``config.json`` bytes of four small ``cddet run``
+invocations: one per learning system, and one that turns on the essentials
+(mixup, label smoothing, logit+feature distillation and the cosine head).
+The runs use relative paths, so ``config.json`` does not depend on where
+the test runs.
 
 The predictions and the checkpoint hold every score and weight to the last
 bit, so they move on a change that rounds differently but leaves the
@@ -54,7 +56,8 @@ PINS = {
         "map": 0.657642256344496,
         "sha256": "67560266a67bc066598348d38882aff23833e9afbf46007896623bb2811e2a16",
         "predictions_sha256": "ea8e06ccbdc3053168bbec0115586aa71581867bf322da6e6dff0254be23e901",
-        "checkpoint_sha256": "a924fc29e25b94d40ff8f574badb5cd6dc92a9b546a43b54b41e96f3a14b1e08",
+        "checkpoint_sha256": "ca8a8fdf5084088ba180c9a5e3f7e6f3695d14e179a1f8d0cb5ac2562c4fbd77",
+        "config_sha256": "8d260e22ad1a9d77c6fe81a52c630bb75b2f4372c5147c259a319208bc6ef560",
     },
     "mc-replaykd-latent": {
         "aa": 0.5133333333333333,
@@ -63,7 +66,8 @@ PINS = {
         "map": 0.537157819819344,
         "sha256": "5a25c7a8ba27df01ead30f6cc0baf16a041787a9c3100c2712b863a66223db84",
         "predictions_sha256": "220c8e22a3cbfff8a02e8b7a78d9d1b03b3b8065a271ee00aae18546499662b9",
-        "checkpoint_sha256": "10254fdc890d3d7820271fbea7554ce73b0327f35590264d64fa58cc7c2c369e",
+        "checkpoint_sha256": "0043220b54d8303bd55aed56cdfb2d17bac16e710b7b5cd1e3a340eb210dada6",
+        "config_sha256": "5097525637cb69ce7b4003af448dd53c5791a50195dab91145bf817909fa6ae6",
     },
     "mt-rebalance-sumlogit": {
         "aa": 0.5511111111111112,
@@ -72,7 +76,8 @@ PINS = {
         "map": 0.5494260915419041,
         "sha256": "463a90b217d7f6aae6e84ee7c7f6337c03194c642068a23f38c233ba60cbc039",
         "predictions_sha256": "df49fde892b705f5b67b22ad8368104371857f90359a70ccb754e27cde08d6ac",
-        "checkpoint_sha256": "b6071a416c549c3ddd6697c3b4fd2c51c6848d26469331635d290b0ddc5f1cfa",
+        "checkpoint_sha256": "aca40de1cdac3c1b8d28c9189ca543183694c1b841b25c7365268bc9bbfe3aa9",
+        "config_sha256": "9c79f7f74dfb8c04753d3309a9a3ed6db08bf0e4344ca1bbc5d89d35c5eb1f96",
     },
     "mc-rebalancecosfc-essentials": {
         "aa": 0.5688888888888889,
@@ -81,7 +86,8 @@ PINS = {
         "map": 0.5649040069415531,
         "sha256": "c6b33376e38f7cd58605a5ca6a13832ae560f6f7bebea7b1b828713ff1d3e42f",
         "predictions_sha256": "cb5618d70c14846b51d538e8f034c5e6c643b894aab6f4e1b843bc83e3d77cc3",
-        "checkpoint_sha256": "2a7ce48a0d7cdb0358c96f671c14c564238ccdc7af4fa9453cc99e263cc47fae",
+        "checkpoint_sha256": "ab2cf4e2270e1616beb2097863f774d10900bb32a9fd52e7a99bb84fb683e26c",
+        "config_sha256": "fe23fe029dc64768ed2c8a2239b871a6b4fc7d39f4fbcae5f9a76170d099490c",
     },
 }
 
@@ -114,6 +120,8 @@ def test_metrics_json_pinned(name, data_dir, monkeypatch):
     metrics = json.loads(blob)
     headline = {key: metrics[key] for key in ("aa", "af", "aa_m", "map")}
     headline["sha256"] = hashlib.sha256(blob).hexdigest()
-    for key, artifact in (("predictions_sha256", "predictions.csv"), ("checkpoint_sha256", "checkpoint.json")):
+    for key, artifact in (
+        ("predictions_sha256", "predictions.csv"), ("checkpoint_sha256", "checkpoint.json"), ("config_sha256", "config.json"),
+    ):
         headline[key] = hashlib.sha256((out / artifact).read_bytes()).hexdigest()
     assert headline == PINS[name]

@@ -522,7 +522,8 @@ class TestSplitRun:
     @pytest.mark.parametrize("name, system, k, copied", _split_cases())
     def test_a_split_run_equals_the_whole_one(self, tmp_path, name, system, k, copied):
         """A ``copied`` case resumes from a copy of the checkpoint that the
-        loaded state wrote again, which must equal the first byte for byte."""
+        loaded state wrote again, which must equal the first byte for byte.
+        Every loaded array is writeable."""
         n = len(self.SESSIONS)
         profile, model, memory = self._start(name, system)
         whole, whole_matrix = self._train(model, memory, 0, n, profile, system, tmp_path / "whole.json")
@@ -536,6 +537,8 @@ class TestSplitRun:
             assert checkpoint.read_bytes() == written
             loaded, payload = load_checkpoint(checkpoint)
         memory = ExemplarMemory.from_payload(payload, loaded)
+        # the loaded arrays are the resumed run's own, free to be written in place
+        assert all(arr.flags.writeable for arr in [*loaded.parameters(), *memory.classes.values()])
         split, rest = self._train(loaded, memory, k, n, profile, system, tmp_path / "split.json")
         assert split == whole
         assert first + rest == whole_matrix
