@@ -4,7 +4,10 @@ The memory stores rows only: each class keeps its exemplars as one 2-D array
 of payload rows in herding order, and its task is the class registry's (class
 c belongs to task ``registry.tasks[c // 2]``), so a checkpoint stores none.
 Trimming slices off the tail, so every stored array stays a prefix of the
-original selection.
+original selection. The memory owns its rows between sessions. A session
+borrows them: ``lend`` stacks them for the session and drops the stored
+arrays, so each row is held once while the session trains, and
+``take_back`` stores them again, bit for bit, when training ends.
 Payloads are either raw input vectors or latent activations captured at the
 extractor's replay layer, uniformly per memory instance.
 
@@ -136,6 +139,7 @@ class ExemplarMemory:
         self.budget = budget
         self.payload_kind = payload_kind
         self.classes: dict[int, Array] = {}
+        self._lent: dict[int, int] | None = None  # while lent: each class's row count
 
     def add_class(self, class_idx: int, payloads: Array) -> None:
         """Store a herding-ordered payload stack for a newly introduced class."""
@@ -172,6 +176,21 @@ class ExemplarMemory:
             return np.empty((0, 0)), np.empty(0, dtype=np.intp)
         classes = np.repeat(np.array([c for c, _ in stored], dtype=np.intp), [rows.shape[0] for _, rows in stored])
         return np.concatenate([rows for _, rows in stored]), classes
+
+    def lend(self) -> tuple[Array, Array]:
+        """``all_exemplars``, after which the memory drops its arrays: the
+        borrower holds the only copy of its rows until ``take_back``."""
+        stacked = self.all_exemplars()
+        self._lent = {c: rows.shape[0] for c, rows in sorted(self.classes.items())}
+        self.classes = {}
+        return stacked
+
+    def take_back(self, rows: Array) -> None:
+        """Store the lent rows again from ``rows``, their stack in
+        ``all_exemplars``' order: each class keeps a view of its run."""
+        counts = list(self._lent.values())
+        self.classes = dict(zip(self._lent, np.split(rows, np.cumsum(counts)[:-1])))
+        self._lent = None
 
     # -- persistence ---------------------------------------------------
 

@@ -149,7 +149,7 @@ class FeatureExtractor:
             raise ContractError(f"latent width {h.shape[1]} != {self.latent_width}")
         return self.np_activations(h, self.capture_layer + 1)[-1]
 
-    def np_activations(self, x: Array, start: int = 0, stop: int | None = None) -> list[Array]:
+    def np_activations(self, x: Array, start: int, stop: int | None = None) -> list[Array]:
         """Layers ``start`` onward (up to, not including, ``stop``) on plain
         arrays, with the tape's arithmetic and a finiteness check on every
         pre-activation: ``x``, then each hidden layer's relu output, then

@@ -25,15 +25,20 @@ Training records no tape, and each piece of its work is done at the
 coarsest level at which it is constant:
 
 - once per session, ``_plan_session`` checks the session against the live
-  model and, when the session distils replayed rows, records what its
-  distillation form reads of the live model's outputs on them
-  (``losses.snapshot_constants``), before the head expands or any layer
-  freezes: the model copies nothing. It then expands the head, freezes
-  the layers latent replay needs fixed and builds the session's rows as
-  one ``losses.StepRows`` with ``losses.step_rows``, the one builder of
-  that row layout: the new rows and every stored exemplar, each held
-  once as it enters the network at its first trainable layer, with its
-  target, and the replayed rows' classes and constants;
+  model and borrows the stored rows (``ExemplarMemory.lend``): the memory
+  stacks them and drops its arrays. When the session distils replayed
+  rows, it records what its distillation form reads of the live model's
+  outputs on them (``losses.snapshot_constants``), before the head
+  expands or any layer freezes: the model copies nothing. It then expands
+  the head, freezes the layers latent replay needs fixed and builds the
+  session's rows as one ``losses.StepRows`` with ``losses.step_rows``, the
+  one builder of that row layout: the new rows and every stored exemplar,
+  each held once as it enters the network at its first trainable layer,
+  with its target, and the replayed rows' classes and constants. Those
+  rows are the only copy of the stored ones until training ends; then,
+  whether the session returns or raises, the memory takes them back in
+  stored order (``ExemplarMemory.take_back``), and the session's rows go
+  before new exemplars are stored;
 - once per epoch, ``_regather`` lays those arrays out in the epoch's row
   order (``_epoch_order``), one array at a time, so that each step's
   window is one run of rows and its replayed rows one run of constants;
@@ -292,10 +297,14 @@ def _plan_session(
     profile: MethodProfile,
     head_rng: np.random.Generator,
 ) -> StepRows:
-    """Check the session against the live model, take the replayed rows'
-    constants, expand its head (drawing from ``head_rng``), freeze the
-    layers latent replay needs fixed, and build the session's rows: the
-    new rows, then every stored exemplar with its constants.
+    """Check the session against the live model, borrow the memory's rows,
+    take their constants, expand its head (drawing from ``head_rng``),
+    freeze the layers latent replay needs fixed, and build the session's
+    rows: the new rows, then every stored exemplar with its constants.
+
+    The memory holds no rows once this returns: the session's rows after
+    the first ``n_new`` are their only copy, which ``run_session`` hands
+    back when training ends. If this raises, the memory has them back.
 
     Once latent replay has frozen the layers up to the capture layer, each
     new row's activation there is fixed for the session: it is computed
@@ -308,32 +317,38 @@ def _plan_session(
     latent = memory is not None and memory.payload_kind == LATENT
     payloads = ex = None
     if memory is not None and memory.total():
-        payloads, ex_classes = memory.all_exemplars()
-        # distillation covers the replayed rows only, towards the outputs of
-        # the model before this session: the live model, read before its
-        # head expands or its layers freeze
-        if profile.weights.gamma_d > 0:
-            ex = snapshot_constants(model, payloads, ex_classes, profile.weights.T, profile.distill_form, latent)
+        payloads, ex_classes = memory.lend()
+    try:
+        if payloads is not None:
+            # distillation covers the replayed rows only, towards the outputs of
+            # the model before this session: the live model, read before its
+            # head expands or its layers freeze
+            if profile.weights.gamma_d > 0:
+                ex = snapshot_constants(model, payloads, ex_classes, profile.weights.T, profile.distill_form, latent)
+            else:
+                ex = ReplayConstants(ex_classes)
+
+        if model.head.variant == SIGMOID:
+            model.head.register_task(session.task_id)
         else:
-            ex = ReplayConstants(ex_classes)
+            model.head.expand(session.task_id, head_rng)
+        registry = model.head.registry
 
-    if model.head.variant == SIGMOID:
-        model.head.register_task(session.task_id)
-    else:
-        model.head.expand(session.task_id, head_rng)
-    registry = model.head.registry
+        ext = model.extractor
+        if latent and len(registry.tasks) > 1:
+            # latent replay keeps stored activations valid (and saves the
+            # backward pass) by freezing the layers below the capture layer
+            # once the first session has shaped them
+            ext.frozen = ext.capture_layer + 1
+        if payloads is not None and latent != (ext.frozen > ext.capture_layer):
+            raise ProtocolError("latent replay needs the layers below the capture layer frozen")
 
-    ext = model.extractor
-    if latent and len(registry.tasks) > 1:
-        # latent replay keeps stored activations valid (and saves the
-        # backward pass) by freezing the layers below the capture layer
-        # once the first session has shaped them
-        ext.frozen = ext.capture_layer + 1
-    if payloads is not None and latent != (ext.frozen > ext.capture_layer):
-        raise ProtocolError("latent replay needs the layers below the capture layer frozen")
-
-    classes = _class_targets(registry, session.task_id, session.train.y)
-    return step_rows(model, session.train.x, classes, payloads, ex, profile.label_smooth_eps)
+        classes = _class_targets(registry, session.task_id, session.train.y)
+        return step_rows(model, session.train.x, classes, payloads, ex, profile.label_smooth_eps)
+    except BaseException:
+        if payloads is not None:
+            memory.take_back(payloads)
+        raise
 
 
 def _epoch_order(perm: np.ndarray, n_new: int, batch_size: int) -> np.ndarray:
@@ -406,12 +421,12 @@ def run_session(
     mixup_rng = substream(config.seed, f"mixup:{session.task_id}")
     head_rng = substream(config.seed, f"head:{session.task_id}")
 
-    epoch = 0
+    epoch, rows, step = 0, None, None
     try:
         rows = _plan_session(model, memory, session, profile, head_rng)
-        optimizer = Adam(model, lr=lr)
         n_rows, batch_size = rows.x.shape[0], config.batch_size
         held = np.arange(n_rows)
+        optimizer = Adam(model, lr=lr)
         for epoch in range(config.epochs):
             order = _epoch_order(batching_rng.permutation(n_rows), rows.n_new, batch_size)
             step = None  # its views would keep the arrays that the regather replaces
@@ -423,6 +438,11 @@ def run_session(
                 optimizer.step()
     except NumericsError as exc:
         raise NumericsError(f"session {session.task_id}, epoch {epoch}: {exc}") from exc
+    finally:
+        if rows is not None and rows.ex is not None:
+            # the memory's rows, in stored order: session row i is x's row argsort(held)[i]
+            memory.take_back(rows.x.take(np.argsort(held)[rows.n_new :], axis=0))
+    rows = step = None  # the session's rows go before the memory stores new ones
 
     if memory is not None:
         _store_exemplars(model, memory, session)

@@ -26,22 +26,20 @@ ROOT = Path(__file__).resolve().parent.parent
 
 # two adjacent blocks of trainer._plan_session, which one mutant swaps
 _TAKE_CONSTANTS = (
-    "    payloads = ex = None\n"
-    "    if memory is not None and memory.total():\n"
-    "        payloads, ex_classes = memory.all_exemplars()\n"
-    "        # distillation covers the replayed rows only, towards the outputs of\n"
-    "        # the model before this session: the live model, read before its\n"
-    "        # head expands or its layers freeze\n"
-    "        if profile.weights.gamma_d > 0:\n"
-    "            ex = snapshot_constants(model, payloads, ex_classes, profile.weights.T, profile.distill_form, latent)\n"
-    "        else:\n"
-    "            ex = ReplayConstants(ex_classes)\n"
+    "        if payloads is not None:\n"
+    "            # distillation covers the replayed rows only, towards the outputs of\n"
+    "            # the model before this session: the live model, read before its\n"
+    "            # head expands or its layers freeze\n"
+    "            if profile.weights.gamma_d > 0:\n"
+    "                ex = snapshot_constants(model, payloads, ex_classes, profile.weights.T, profile.distill_form, latent)\n"
+    "            else:\n"
+    "                ex = ReplayConstants(ex_classes)\n"
 )
 _EXPAND_HEAD = (
-    "    if model.head.variant == SIGMOID:\n"
-    "        model.head.register_task(session.task_id)\n"
-    "    else:\n"
-    "        model.head.expand(session.task_id, head_rng)\n"
+    "        if model.head.variant == SIGMOID:\n"
+    "            model.head.register_task(session.task_id)\n"
+    "        else:\n"
+    "            model.head.expand(session.task_id, head_rng)\n"
 )
 
 # (name, file under src/cddet, text, replacement, tests that must fail)
@@ -183,6 +181,27 @@ MUTANTS = [
         "    rel = where[order]\n",
         "    rel = order\n",
         ["tests/test_step.py::test_epoch_layout_steps_equal_a_per_step_gather"],
+    ),
+    (
+        "memory-takes-its-rows-back-by-held", "trainer.py",
+        "np.argsort(held)[rows.n_new :]",
+        "held[rows.n_new :]",
+        [
+            "tests/test_trainer.py::TestLending::test_each_old_class_keeps_a_prefix_of_its_rows",
+            "tests/test_trainer.py::TestLending::test_a_session_that_raises_leaves_the_memory_as_it_was",
+        ],
+    ),
+    (
+        "memory-keeps-its-arrays-while-lent", "memory.py",
+        "        self.classes = {}\n        return stacked\n",
+        "        return stacked\n",
+        ["tests/test_trainer.py::TestLending::test_the_memory_holds_no_rows_while_the_session_trains"],
+    ),
+    (
+        "failed-plan-keeps-the-rows-lent", "trainer.py",
+        "            memory.take_back(payloads)\n",
+        "            pass\n",
+        ["tests/test_trainer.py::TestLending::test_a_session_that_raises_leaves_the_memory_as_it_was"],
     ),
     (
         "mixup-writes-the-held-window", "trainer.py",

@@ -215,12 +215,13 @@ def test_new_rows_enter_at_the_capture_layer_under_latent_replay(n_new):
     profile, sessions, model, memory = _setup(MC, "replay+kd", {})
     for session in sessions[:-1]:
         run_session(model, memory, session, profile, FAST)
+    stored = memory.all_exemplars()[0]  # the session borrows them
     rows = _plan_session(model, memory, sessions[-1], profile, np.random.default_rng(0))
     step = _step_over(profile, rows, np.arange(3, 3 + n_new), np.arange(4), np.random.default_rng(0))
     _, captured = model.extractor.forward_with_capture(sessions[-1].train.x)
     assert step.n_new == n_new
     assert step.x[:n_new].tobytes() == captured[3 : 3 + n_new].tobytes()
-    assert step.x[n_new:].tobytes() == memory.all_exemplars()[0][:4].tobytes()
+    assert step.x[n_new:].tobytes() == stored[:4].tobytes()
     _assert_step_matches_tape(profile, model, rows, slice(3, 3 + n_new), slice(0, 4), np.random.default_rng(0))
 
 
@@ -298,10 +299,10 @@ def test_epoch_layout_puts_each_windows_new_rows_first():
         profile, sessions, model, memory = _setup(MT, "rebalance", options)
         for session in sessions[:-1]:
             run_session(model, memory, session, profile, FAST)
+        x = np.concatenate([sessions[-1].train.x, memory.all_exemplars()[0]])  # the session borrows them
         rows = _plan_session(model, memory, sessions[-1], profile, np.random.default_rng(0))
         n_new = rows.n_new
         assert n_new == len(sessions[-1].train.x)
-        x = np.concatenate([sessions[-1].train.x, memory.all_exemplars()[0]])
         perm = np.random.default_rng(3).permutation(len(x))
         held, windows = _laid_out(rows, _epoch_order(perm, n_new, 5), 5)
         for start in range(0, len(x), 5):

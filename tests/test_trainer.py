@@ -5,7 +5,7 @@ from conftest import run_scenario, tiny_scenario, tiny_spec
 from cddet import trainer
 from cddet.errors import ConfigError, NumericsError, ProtocolError
 from cddet.losses import LossWeights, loss_and_gradients
-from cddet.memory import ExemplarMemory, LATENT, RAW
+from cddet.memory import ExemplarMemory, LATENT, RAW, quotas
 from cddet.model import BC, COSFC, FAKE, LINFC, MC, MT, REAL, SIGMOID, Model, load_checkpoint, save_checkpoint
 from cddet.seeding import substream
 from cddet.stream import Scenario, SessionData, Split, synth_generate
@@ -342,6 +342,97 @@ class TestRunSession:
         assert memory.payload_kind == LATENT
         payloads, _ = memory.all_exemplars()
         assert payloads.shape[1] == model.extractor.latent_width
+
+
+def _stored(memory):
+    """Each stored class's row shape and bytes."""
+    return {c: (rows.shape, rows.tobytes()) for c, rows in memory.classes.items()}
+
+
+LENDING_CASES = [
+    pytest.param(MC, "rebalance", {}, 30, id="raw-replay"),
+    pytest.param(MC, "replay+kd", {}, 30, id="latent-replay"),
+    pytest.param(MC, "distill", {"mixup_alpha": 0.4}, 30, id="mixup"),
+    pytest.param(MC, "replay", {}, 3, id="a-class-of-no-rows"),
+    pytest.param(MT, "replay", {}, 1000, id="latent-budget-above-the-data"),
+    pytest.param(BC, "distill", {}, 1000, id="raw-budget-above-the-data"),
+]
+
+
+class TestLending:
+    """A session borrows the memory's rows: while it trains, the session's
+    rows hold the only copy of them, and when it ends, whether it returns
+    or raises, the memory holds them again bit for bit."""
+
+    @staticmethod
+    def _trained(system, name, options, budget):
+        """A setup whose memory holds the first two sessions' classes, and
+        the session that replays them."""
+        profile = resolve_profile(name, system, **options)
+        sessions = [synth_generate(t, 5) for t in tiny_scenario(3, seed=5).tasks]
+        model = Model.build(6, profile.head_variant, substream(5, "init"))
+        memory = ExemplarMemory(budget, profile.replay_payload)
+        for session in sessions[:2]:
+            run_session(model, memory, session, profile, FAST)
+        return model, memory, sessions[2], profile
+
+    @pytest.mark.parametrize("system, name, options, budget", LENDING_CASES)
+    def test_the_memory_holds_no_rows_while_the_session_trains(self, monkeypatch, system, name, options, budget):
+        model, memory, session, profile = self._trained(system, name, options, budget)
+        planned, steps = [], []
+
+        def plan(*args):
+            planned.append(_plan_session(*args))
+            return planned[-1]
+
+        def step(*args, **kwargs):
+            steps.append(memory.total())
+            assert not any(np.shares_memory(rows, planned[0].x) for rows in memory.classes.values())
+            return loss_and_gradients(*args, **kwargs)
+
+        monkeypatch.setattr(trainer, "_plan_session", plan)
+        monkeypatch.setattr(trainer, "loss_and_gradients", step)
+        run_session(model, memory, session, profile, FAST)
+        assert planned[0].ex is not None and steps and not any(steps)
+
+    @pytest.mark.parametrize("system, name, options, budget", LENDING_CASES)
+    def test_each_old_class_keeps_a_prefix_of_its_rows(self, system, name, options, budget):
+        """Below the data the new classes' quotas trim the old ones; above
+        it every old row stays."""
+        model, memory, session, profile = self._trained(system, name, options, budget)
+        before = _stored(memory)
+        run_session(model, memory, session, profile, FAST)
+        quota = quotas(budget, len(model.head.registry))
+        for c, (shape, data) in before.items():
+            rows = memory.classes[c]
+            assert rows.shape == (min(shape[0], quota[c]), shape[1]) and rows.dtype == np.float64
+            assert rows.tobytes() == data[: rows.nbytes], f"class {c}"
+
+    @pytest.mark.parametrize("fails_in", ["plan", "step", "head"])
+    @pytest.mark.parametrize("system, name, options, budget", LENDING_CASES)
+    def test_a_session_that_raises_leaves_the_memory_as_it_was(
+        self, monkeypatch, system, name, options, budget, fails_in
+    ):
+        """The step raises at its fifth call, with the session's rows in an
+        epoch's order; the plan raises as it stacks the session's rows, and
+        the head when the session's task is already registered."""
+        model, memory, session, profile = self._trained(system, name, options, budget)
+        before = _stored(memory)
+        calls = []
+
+        def failing(*args, **kwargs):
+            calls.append(1)
+            if fails_in == "plan" or len(calls) > 4:
+                raise NumericsError("injected")
+            return loss_and_gradients(*args, **kwargs)
+
+        if fails_in == "head":
+            session = SessionData(1, session.train, session.test)
+        else:
+            monkeypatch.setattr(trainer, "step_rows" if fails_in == "plan" else "loss_and_gradients", failing)
+        with pytest.raises(ProtocolError if fails_in == "head" else NumericsError):
+            run_session(model, memory, session, profile, FAST)
+        assert _stored(memory) == before
 
 
 class TestRunScenario:
