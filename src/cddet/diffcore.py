@@ -22,10 +22,10 @@ Neither training nor inference records a tape: both run on plain arrays
 tape is the reference that the tests and ``cddet verify`` hold the step
 to, gradient for gradient and bit for bit, so it keeps only the ops that
 reference (``losses.total_loss``, whose forward ``losses._forward_joint``
-runs one block of rows) and the benchmark's microbenchmarks use. The
-model's parameters are plain arrays: only the reference wraps them in tape
-leaves (``losses.tape_leaves``). The ops that only the tests compose live
-in ``tests/tape_ops.py``.
+runs one block of rows) and the benchmark's microbenchmarks use; a
+constant is a ``Tensor``. The model's parameters are plain arrays: only
+the reference wraps them in tape leaves (``losses.tape_leaves``). The ops
+that only the tests compose live in ``tests/tape_ops.py``.
 """
 
 from __future__ import annotations
@@ -71,10 +71,6 @@ class Tensor:
     def backward(self) -> None:
         """Run a full backward sweep from this scalar output."""
         Tape.trace(self).backward(self)
-
-
-def constant(values) -> Tensor:
-    return Tensor(values)
 
 
 def _accumulate(t: Tensor, g: Array) -> None:
@@ -215,11 +211,6 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return _op(x.data @ w.data + b.data, (x, w, b), backward)
 
 
-def np_relu(h: Array) -> Array:
-    # equals np.where(h > 0, h, 0.0) on finite input, at a fraction of the cost
-    return np.maximum(h, 0.0)
-
-
 def affine_relu(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """One hidden layer, relu(x @ w + b), as a single op.
 
@@ -233,7 +224,8 @@ def affine_relu(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     def backward(g: Array) -> None:
         _affine_backward(x, w, b, g * mask)
 
-    return _op(np_relu(h), (x, w, b), backward)
+    # np.maximum equals np.where(h > 0, h, 0.0) on finite input, at a fraction of the cost
+    return _op(np.maximum(h, 0.0), (x, w, b), backward)
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -353,21 +345,14 @@ def cosine_matrix(a: Tensor, b: Tensor) -> Tensor:
 # indexing and stacking
 
 
-def take_rows(x: Tensor, rows) -> Tensor:
-    """Rows of a matrix by index vector, or by slice; backward scatter-adds."""
-    if not isinstance(rows, slice):
-        rows = np.asarray(rows, dtype=np.intp)
-        if rows.ndim != 1:
-            raise DimensionError("take_rows expects a matrix and an index vector")
+def take_rows(x: Tensor, rows: slice) -> Tensor:
+    """The rows of a matrix in a slice; backward writes their gradient back."""
     if x.data.ndim != 2:
-        raise DimensionError("take_rows expects a matrix and an index vector")
+        raise DimensionError("take_rows expects a matrix")
 
     def backward(g: Array) -> None:
         gx = np.zeros_like(x.data)
-        if isinstance(rows, slice):
-            gx[rows] = g
-        else:
-            np.add.at(gx, rows, g)
+        gx[rows] = g
         _accumulate(x, gx)
 
     return _op(x.data[rows], (x,), backward)

@@ -4,7 +4,9 @@ multi-task binary aggregation, plus label smoothing.
 All losses return scalar tensors and are differentiable through the live
 model only; the old model's outputs enter as plain arrays and never receive
 gradients. Each loss term is one tape op whose gradient is written in
-closed form. Log-probabilities come from a max-shifted log-softmax or a
+closed form, over the operands the step reads: label rows
+(``label_smooth``'s), the leading ``k`` logit columns, the replayed rows
+as a slice. Log-probabilities come from a max-shifted log-softmax or a
 softplus, so they stay finite without any probability floor.
 
 Each term's value and gradient are computed by one plain-array function
@@ -127,19 +129,6 @@ def _checked_loss(value, name: str) -> float:
     return value
 
 
-def _target_rows(targets, n: int, k: int) -> Array:
-    """Dense [n,k] target rows from class indices or soft label rows."""
-    targets = np.asarray(targets)
-    if targets.ndim == 2:
-        if targets.shape != (n, k):
-            raise ContractError(f"soft targets shape {targets.shape} != {(n, k)}")
-        return targets.astype(np.float64)
-    targets = targets.astype(np.intp)
-    if targets.min(initial=0) < 0 or targets.max(initial=0) >= k:
-        raise ContractError("target class out of range")
-    return label_smooth(targets, k, 0.0)  # at eps 0, exactly the one-hot rows
-
-
 def _ce_parts(logp: Array, rows: Array, p: Array | None = None) -> tuple[float, Array]:
     """-mean_i sum_k rows[i,k] logp[i,k] for logp = log softmax(z), and its
     gradient in z; ``p`` is exp(logp) when the caller already holds it."""
@@ -149,56 +138,42 @@ def _ce_parts(logp: Array, rows: Array, p: Array | None = None) -> tuple[float, 
     return value, grad
 
 
-def multiclass_ce(logits: Tensor, targets) -> Tensor:
-    """Mean negative log softmax probability of the target class.
-
-    ``targets`` may be integer class indices or soft label rows.
-    """
-    n, k = logits.shape
+def multiclass_ce(logits: Tensor, rows: Array) -> Tensor:
+    """Mean cross-entropy of softmax(logits) against label rows [n,k] (``step_rows``')."""
+    if rows.shape != logits.shape:  # numpy would broadcast a 1-row block silently
+        raise ContractError(f"label rows shape {rows.shape} != logits shape {logits.shape}")
     logp = dc.np_log_softmax(logits.data, axis=1)
-    return _loss_op(logits, *_ce_parts(logp, _target_rows(targets, n, k)), "multiclass_ce")
+    return _loss_op(logits, *_ce_parts(logp, rows), "multiclass_ce")
 
 
 def binary_ce(logit: Tensor, targets) -> Tensor:
     """Mean binary cross-entropy of sigmoid outputs against 0/1 targets,
     computed from the logits: softplus(-z) for fakes, softplus(z) for reals."""
     y = np.asarray(targets, dtype=np.float64)
-    if not np.all((y == 0.0) | (y == 1.0)):
-        raise ContractError("binary targets must be 0 or 1")
     return _loss_op(logit, *_bce_parts(logit.data, y), "binary_ce")
 
 
 def _bce_parts(logits: Array, y: Array) -> tuple[float, Array]:
-    """``binary_ce``'s value and its gradient in ``logits`` ([n] or [n,1])."""
-    z = logits[:, 0] if logits.ndim == 2 else logits
+    """``binary_ce``'s value and its gradient in the sigmoid head's logits [n,1]."""
+    z = logits[:, 0]
     if z.shape != y.shape:
         raise ContractError(f"logit shape {z.shape} does not match targets {y.shape}")
     value = np.add.reduce(y * np.logaddexp(0.0, -z) + (1.0 - y) * np.logaddexp(0.0, z), axis=None) / y.size
-    dz = (dc.np_sigmoid(z) - y) / y.size
-    if logits.ndim == 2:
-        grad = np.zeros(logits.shape)
-        grad[:, 0] = dz
-    else:
-        grad = dz
+    grad = np.zeros(logits.shape)
+    grad[:, 0] = (dc.np_sigmoid(z) - y) / y.size
     return value, grad
 
 
-def kd_kl(old_logits: Array, new_logits: Tensor, T: float, class_mask) -> Tensor:
-    """Temperature-scaled KL from the frozen old outputs to the live ones.
+def kd_kl(old_logits: Array, new_logits: Tensor, T: float, k: int) -> Tensor:
+    """Temperature-scaled KL from the frozen old outputs to the live ones
+    over the leading ``k`` columns, the old model's.
 
     The old distribution is the target and receives no gradient; the
-    gradient in the live logits is (softmax(z/T) - p) * T per row. A
-    single-column mask compares the sigmoid output as the 2-point
-    distribution softmax([0, z]).
+    gradient in the live logits is (softmax(z/T) - p) * T per row. At k = 1
+    it compares the sigmoid output as the 2-point distribution softmax([0, z]).
     """
-    mask = np.asarray(class_mask)
-    cols = np.flatnonzero(mask) if mask.dtype == bool else mask.astype(np.intp)
-    if cols.size == 0:
-        raise ContractError("distillation mask selects no classes")
-    if not np.array_equal(cols, np.arange(cols.size)):
-        raise ContractError("distillation covers the leading columns only")
-    logp, p = kd_targets(old_logits, cols.size, T)
-    return _loss_op(new_logits, *_kd_parts(logp, p, new_logits.data, cols.size, T), "kd_kl")
+    logp, p = kd_targets(old_logits, k, T)
+    return _loss_op(new_logits, *_kd_parts(logp, p, new_logits.data, k, T), "kd_kl")
 
 
 def _kd_columns(logits: Array, k: int) -> Array:
@@ -217,8 +192,7 @@ def kd_targets(old_logits: Array, k: int, T: float) -> tuple[Array, Array]:
     the step and its reference both read the targets ``snapshot_constants``
     computes once for all of a session's replayed rows.
     """
-    old = _kd_columns(np.atleast_2d(np.asarray(old_logits, dtype=np.float64)), k)
-    logp = dc.np_log_softmax(old / float(T), axis=1)
+    logp = dc.np_log_softmax(_kd_columns(old_logits, k) / float(T), axis=1)
     return logp, np.exp(logp)
 
 
@@ -261,7 +235,7 @@ def margin_ranking(features: Tensor, embeddings: Tensor, targets, tau: float, J:
         raise ContractError(f"J={J} exceeds the {k - 1} available rival classes")
     n = features.shape[0]
     if J == 0 or n == 0:
-        return dc.constant(0.0)
+        return Tensor(0.0)
     sims = dc.cosine_matrix(features, embeddings)
     return _loss_op(sims, *_margin_parts(sims.data, targets, tau, J), "margin_ranking")
 
@@ -346,27 +320,17 @@ def _aggregate(z: Array, logp: Array, p: Array, classes: tuple[Array, Array], ru
     return d_f, d_r, grad_f, grad_r
 
 
-def aggregate(logits_row, polarity, rule: str) -> tuple[float, float]:
-    """Single-row aggregation returning plain (d_F, d_R) values; ``polarity``
-    holds each class's polarity."""
-    d_f, d_r, _, _ = aggregate_batch(logits_row, np.asarray(polarity) == FAKE, rule)
-    return float(d_f[0]), float(d_r[0])
-
-
-def mt_class_loss(logits: Tensor, targets, polarity, lam: float, rule: str) -> Tensor:
-    """Convex mix of the multi-class loss and the aggregated binary one;
-    ``polarity`` holds each class's polarity, or is a fake mask.
+def mt_class_loss(logits: Tensor, rows: Array, polarity, lam: float, rule: str) -> Tensor:
+    """Convex mix of the multi-class loss against label ``rows`` and the
+    aggregated binary one; ``polarity`` holds each class's polarity, or is a fake mask.
 
     At lam = 0 this returns the multi-class cross-entropy itself, so the
     optimisation path is identical to the plain multi-class system.
     """
-    if not 0.0 <= lam <= 1.0:
-        raise ConfigError("lambda must lie in [0, 1]")
     if lam == 0.0:
-        return multiclass_ce(logits, targets)
-
-    n, k = logits.shape
-    rows = _target_rows(targets, n, k)
+        return multiclass_ce(logits, rows)
+    if rows.shape != logits.shape:
+        raise ContractError(f"label rows shape {rows.shape} != logits shape {logits.shape}")
     classes = polarity_classes(np.asarray(polarity) == FAKE, rule)
     return _loss_op(logits, *_mt_parts(logits.data, rows, classes, lam, rule), "mt_class_loss")
 
@@ -389,8 +353,6 @@ def _mt_parts(z: Array, rows: Array, classes: tuple[Array, Array], lam: float, r
 
 def label_smooth(targets, k: int, eps: float) -> Array:
     """One-hot rows pulled toward uniform: (1 - eps) * onehot + eps / k."""
-    if not 0.0 <= eps < 1.0:
-        raise ContractError("smoothing epsilon must lie in [0, 1)")
     targets = np.asarray(targets, dtype=np.intp)
     rows = np.full((targets.size, k), eps / k, dtype=np.float64)
     rows[np.arange(targets.size), targets] += 1.0 - eps

@@ -21,6 +21,16 @@ model. A session checks the head and the latent freeze, not the system;
 the class registry rejects a task it already holds. The memory owns the
 replay kind: a session replays, freezes and captures by ``payload_kind``.
 
+The built-in profiles against the paper's methods: ``finetune`` is plain
+fine-tuning (with a budget it replays raw rows), ``replay`` latent replay
+(Pellegrini et al., 2020), ``replay+kd`` adds ``distill``'s logit KD to it,
+``distill`` is LwF's KL, and ``rebalance`` LUCIR's feature KD and margin
+ranking, with a linear head (LUCIR's cosine head in ``rebalance-cosfc``).
+Unlike LwF, iCaRL and LUCIR, they distil the replayed rows only, so
+``distill`` at memory 0 trains the same model as ``finetune``. Herding
+picks the exemplars, as in iCaRL, but no profile classifies by iCaRL's
+nearest mean of exemplars.
+
 Training records no tape, and each piece of its work is done at the
 coarsest level at which it is constant:
 
@@ -369,20 +379,21 @@ def _regather(rows: StepRows, held: np.ndarray, order: np.ndarray, batch_size: i
 
     The replayed rows' constants follow the replayed rows' order, so each
     window's are one run. Each array is gathered alone and replaces its old
-    one before the next, so the rows are held once, plus one array."""
-    where = np.empty_like(held)
-    where[held] = np.arange(held.size)
-    rel = where[order]
-    rows.x = rows.x.take(rel, axis=0)
-    rows.targets = rows.targets.take(rel, axis=0)
+    one before the next, so the rows are held once, plus one array. The rows
+    go last: until this returns, ``held`` names their arrangement, by which
+    a session that raises hands the memory's rows back."""
+    rel = np.argsort(held)[order]  # argsort of an arrangement is its inverse
     replayed = order >= rows.n_new
     if rows.ex is not None:
         rows.ex = rows.ex.take((np.cumsum(held >= rows.n_new) - 1)[rel[replayed]])
+    rows.targets = rows.targets.take(rel, axis=0)
     starts = np.arange(0, order.size, batch_size)
     stops = np.minimum(starts + batch_size, order.size)
     n_ex = np.add.reduceat(replayed, starts)
     ats = np.cumsum(n_ex) - n_ex
-    return list(zip(starts.tolist(), stops.tolist(), (stops - starts - n_ex).tolist(), ats.tolist()))
+    windows = list(zip(starts.tolist(), stops.tolist(), (stops - starts - n_ex).tolist(), ats.tolist()))
+    rows.x = rows.x.take(rel, axis=0)
+    return windows
 
 
 def _assemble_batches(

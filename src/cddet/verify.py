@@ -35,20 +35,19 @@ def check_loss_gradients(seed: int, points: int = 10, tol: float = 1e-6) -> Chec
         worst = max(worst, err)
 
     for _ in range(points):
-        targets = rng.integers(0, 4, size=3)
-        track(dc.grad_check(lambda z: ls.multiclass_ce(z, targets), dc.Tensor(rng.normal(size=(3, 4)))))
+        rows = ls.label_smooth(rng.integers(0, 4, size=3), 4, 0.0)
+        track(dc.grad_check(lambda z: ls.multiclass_ce(z, rows), dc.Tensor(rng.normal(size=(3, 4)))))
         ybin = rng.integers(0, 2, size=4)
         track(dc.grad_check(lambda z: ls.binary_ce(z, ybin), dc.Tensor(rng.normal(size=(4, 1)))))
         old = rng.normal(size=(3, 4))
-        mask = np.ones(4, dtype=bool)
-        track(dc.grad_check(lambda z: ls.kd_kl(old, z, 2.0, mask), dc.Tensor(rng.normal(size=(3, 4)))))
+        track(dc.grad_check(lambda z: ls.kd_kl(old, z, 2.0, 4), dc.Tensor(rng.normal(size=(3, 4)))))
         feats = rng.normal(size=(3, 4))
         track(dc.grad_check(lambda z: ls.kd_feature(feats, z), dc.Tensor(rng.normal(size=(3, 4)))))
         pol = np.array([REAL, FAKE, REAL, FAKE])
         for rule in ls.AGG_RULES:
             track(
                 dc.grad_check(
-                    lambda z: ls.mt_class_loss(z, targets, pol, 0.3, rule),
+                    lambda z: ls.mt_class_loss(z, rows, pol, 0.3, rule),
                     dc.Tensor(rng.normal(size=(3, 4))),
                 )
             )
@@ -203,18 +202,17 @@ def check_ap_oracle(seed: int, trials: int = 200) -> CheckResult:
 
 def check_aggregation_coincidence(seed: int, trials: int = 1000) -> CheckResult:
     rng = substream(seed, "verify:agg")
-    pol_pair = np.array([REAL, FAKE])
-    pol_many = np.array([REAL, FAKE, REAL, FAKE, FAKE])
+    fake_pair = np.array([REAL, FAKE]) == FAKE
+    fake_many = np.array([REAL, FAKE, REAL, FAKE, FAKE]) == FAKE
     worst = 0.0
     for _ in range(trials):
         logits = rng.normal(size=2)
-        base = ls.aggregate(logits, pol_pair, "sumlog")
+        base_f, base_r, _, _ = ls.aggregate_batch(logits, fake_pair, "sumlog")
         for rule in ls.AGG_RULES[1:]:
-            other = ls.aggregate(logits, pol_pair, rule)
-            worst = max(worst, abs(other[0] - base[0]), abs(other[1] - base[1]))
-        wide = rng.normal(size=5)
-        d_f, d_r = ls.aggregate(wide, pol_many, "sumlogit")
-        worst = max(worst, abs(np.exp(d_f) + np.exp(d_r) - 1.0))
+            d_f, d_r, _, _ = ls.aggregate_batch(logits, fake_pair, rule)
+            worst = max(worst, abs(d_f[0] - base_f[0]), abs(d_r[0] - base_r[0]))
+        d_f, d_r, _, _ = ls.aggregate_batch(rng.normal(size=5), fake_many, "sumlogit")
+        worst = max(worst, abs(np.exp(d_f[0]) + np.exp(d_r[0]) - 1.0))
     return CheckResult("aggregation-coincidence", worst < 1e-12, f"max deviation {worst:.3e}")
 
 

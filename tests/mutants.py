@@ -41,6 +41,20 @@ _EXPAND_HEAD = (
     "        else:\n"
     "            model.head.expand(session.task_id, head_rng)\n"
 )
+# trainer._regather's gathers and window arithmetic before its last gather,
+# of the rows, which one mutant moves back to the top
+_REGATHER_BEFORE_X = (
+    "    replayed = order >= rows.n_new\n"
+    "    if rows.ex is not None:\n"
+    "        rows.ex = rows.ex.take((np.cumsum(held >= rows.n_new) - 1)[rel[replayed]])\n"
+    "    rows.targets = rows.targets.take(rel, axis=0)\n"
+    "    starts = np.arange(0, order.size, batch_size)\n"
+    "    stops = np.minimum(starts + batch_size, order.size)\n"
+    "    n_ex = np.add.reduceat(replayed, starts)\n"
+    "    ats = np.cumsum(n_ex) - n_ex\n"
+    "    windows = list(zip(starts.tolist(), stops.tolist(), (stops - starts - n_ex).tolist(), ats.tolist()))\n"
+)
+_GATHER_X = "    rows.x = rows.x.take(rel, axis=0)\n"
 
 # (name, file under src/cddet, text, replacement, tests that must fail)
 MUTANTS = [
@@ -178,7 +192,7 @@ MUTANTS = [
     ),
     (
         "regather-indexes-the-session-layout", "trainer.py",
-        "    rel = where[order]\n",
+        "    rel = np.argsort(held)[order]  # argsort of an arrangement is its inverse\n",
         "    rel = order\n",
         ["tests/test_step.py::test_epoch_layout_steps_equal_a_per_step_gather"],
     ),
@@ -201,6 +215,12 @@ MUTANTS = [
         "failed-plan-keeps-the-rows-lent", "trainer.py",
         "            memory.take_back(payloads)\n",
         "            pass\n",
+        ["tests/test_trainer.py::TestLending::test_a_session_that_raises_leaves_the_memory_as_it_was"],
+    ),
+    (
+        "regather-gathers-the-rows-first", "trainer.py",
+        _REGATHER_BEFORE_X + _GATHER_X,
+        _GATHER_X + _REGATHER_BEFORE_X,
         ["tests/test_trainer.py::TestLending::test_a_session_that_raises_leaves_the_memory_as_it_was"],
     ),
     (
@@ -260,6 +280,43 @@ MUTANTS = [
         "",
         ["tests/test_cli.py::TestVerify::test_battery_passes_and_is_deterministic"],
     ),
+    # the gradient suite's operands, each moved off what the step hands a term
+    (
+        "gradient-suite-never-targets-class-0", "verify.py",
+        "rows = ls.label_smooth(rng.integers(0, 4, size=3), 4, 0.0)",
+        "rows = ls.label_smooth(rng.integers(1, 4, size=3), 4, 0.0)",
+        ["tests/test_losses.py::TestLossGradients::test_the_battery_checks_the_terms_on_the_steps_operands"],
+    ),
+    (
+        "gradient-suite-smooths-its-rows-flat", "verify.py",
+        "rows = ls.label_smooth(rng.integers(0, 4, size=3), 4, 0.0)",
+        "rows = ls.label_smooth(rng.integers(0, 4, size=3), 4, 1.0)",
+        ["tests/test_losses.py::TestLossGradients::test_the_battery_checks_the_terms_on_the_steps_operands"],
+    ),
+    (
+        "gradient-suite-distils-past-the-old-columns", "verify.py",
+        "ls.kd_kl(old, z, 2.0, 4)",
+        "ls.kd_kl(old, z, 2.0, 5)",
+        ["tests/test_losses.py::TestLossGradients::test_the_battery_checks_the_terms_on_the_steps_operands"],
+    ),
+    (
+        "gradient-suite-lambda-outside-the-unit-interval", "verify.py",
+        "ls.mt_class_loss(z, rows, pol, 0.3, rule)",
+        "ls.mt_class_loss(z, rows, pol, 1.3, rule)",
+        ["tests/test_losses.py::TestLossGradients::test_the_battery_checks_the_terms_on_the_steps_operands"],
+    ),
+    (
+        "coincidence-bound-loosened", "verify.py",
+        '"aggregation-coincidence", worst < 1e-12',
+        '"aggregation-coincidence", worst < 1e-6',
+        ["tests/test_losses.py::TestAggregate::test_the_coincidence_check_fails_on_a_rule_that_drifts"],
+    ),
+    (
+        "gradient-suite-skips-feature-kd", "verify.py",
+        "        track(dc.grad_check(lambda z: ls.kd_feature(feats, z), dc.Tensor(rng.normal(size=(3, 4)))))\n",
+        "        dc.Tensor(rng.normal(size=(3, 4)))\n",
+        ["tests/test_losses.py::TestLossGradients::test_the_battery_fails_on_a_wrong_gradient"],
+    ),
     # one bit-moving regrouping per loss kernel: each divides by the window's
     # row count earlier or later, which rounds alike on the pinned runs'
     # power-of-two windows, so the 3-row oracles must catch it
@@ -271,8 +328,8 @@ MUTANTS = [
     ),
     (
         "bce-gradient-divides-early", "losses.py",
-        "dz = (dc.np_sigmoid(z) - y) / y.size",
-        "dz = dc.np_sigmoid(z) / y.size - y / y.size",
+        "grad[:, 0] = (dc.np_sigmoid(z) - y) / y.size",
+        "grad[:, 0] = dc.np_sigmoid(z) / y.size - y / y.size",
         ["tests/test_losses.py::TestKernelRounding::test_bce_gradient_divides_last"],
     ),
     (

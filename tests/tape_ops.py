@@ -63,7 +63,7 @@ def relu(x: Tensor) -> Tensor:
     def backward(g: Array) -> None:
         dc._accumulate(x, g * mask)
 
-    return dc._op(dc.np_relu(x.data), (x,), backward)
+    return dc._op(np.maximum(x.data, 0.0), (x,), backward)
 
 
 def sigmoid(x: Tensor) -> Tensor:

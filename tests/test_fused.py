@@ -54,14 +54,9 @@ def _clamped_log(p):
     return log(clamp(p, PROB_FLOOR, 1.0 - PROB_FLOOR))
 
 
-def composed_multiclass_ce(logits, targets):
-    n, _ = logits.shape
+def composed_multiclass_ce(logits, rows):
     logp = _clamped_log(dc.softmax(logits, axis=1))
-    targets = np.asarray(targets)
-    if targets.ndim == 2:
-        picked = dc.tsum(dc.mul(dc.constant(targets.astype(np.float64)), logp), axis=1)
-    else:
-        picked = gather_pairs(logp, np.arange(n), targets.astype(np.intp))
+    picked = dc.tsum(dc.mul(dc.Tensor(rows), logp), axis=1)
     return dc.scale(tmean(picked), -1.0)
 
 
@@ -69,34 +64,34 @@ def composed_binary_ce(logit, targets):
     y = np.asarray(targets, dtype=np.float64)
     z = dc.tsum(take_cols(logit, np.array([0])), axis=1)
     s = clamp(sigmoid(z), PROB_FLOOR, 1.0 - PROB_FLOOR)
-    pos_term = dc.mul(dc.constant(y), log(s))
-    neg_term = dc.mul(dc.constant(1.0 - y), log(sub(dc.constant(np.ones_like(y)), s)))
+    pos_term = dc.mul(dc.Tensor(y), log(s))
+    neg_term = dc.mul(dc.Tensor(1.0 - y), log(sub(dc.Tensor(np.ones_like(y)), s)))
     return dc.scale(tmean(dc.add(pos_term, neg_term)), -1.0)
 
 
-def composed_kd_kl(old_logits, new_logits, T, class_mask):
-    cols = np.flatnonzero(class_mask)
+def composed_kd_kl(old_logits, new_logits, T, k):
+    cols = np.arange(k)
     old = np.asarray(old_logits, dtype=np.float64)[:, cols]
     t = float(T)
-    if cols.size == 1:
+    if k == 1:
         p1 = np.clip(dc.np_sigmoid(old[:, 0] / t), PROB_FLOOR, 1.0 - PROB_FLOOR)
         p0 = 1.0 - p1
         z = dc.scale(dc.tsum(take_cols(new_logits, cols), axis=1), 1.0 / t)
         q1 = clamp(sigmoid(z), PROB_FLOOR, 1.0 - PROB_FLOOR)
-        q0 = sub(dc.constant(np.ones_like(p1)), q1)
+        q0 = sub(dc.Tensor(np.ones_like(p1)), q1)
         rows = dc.add(
-            dc.mul(dc.constant(p1), sub(dc.constant(np.log(p1)), log(q1))),
-            dc.mul(dc.constant(p0), sub(dc.constant(np.log(p0)), log(q0))),
+            dc.mul(dc.Tensor(p1), sub(dc.Tensor(np.log(p1)), log(q1))),
+            dc.mul(dc.Tensor(p0), sub(dc.Tensor(np.log(p0)), log(q0))),
         )
         return dc.scale(tmean(rows), t * t)
     p = np.clip(dc.np_softmax(old / t, axis=1), PROB_FLOOR, 1.0 - PROB_FLOOR)
     logq = _clamped_log(dc.softmax(dc.scale(take_cols(new_logits, cols), 1.0 / t), axis=1))
-    rows = dc.tsum(dc.mul(dc.constant(p), sub(dc.constant(np.log(p)), logq)), axis=1)
+    rows = dc.tsum(dc.mul(dc.Tensor(p), sub(dc.Tensor(np.log(p)), logq)), axis=1)
     return dc.scale(tmean(rows), t * t)
 
 
 def composed_kd_feature(old_feats, new_feats):
-    cos = cosine_pairs(dc.constant(old_feats), new_feats)
+    cos = cosine_pairs(dc.Tensor(old_feats), new_feats)
     return tmean(add_scalar(neg(cos), 1.0))
 
 
@@ -122,10 +117,10 @@ def composed_margin_ranking(features, embeddings, targets, tau, J):
 
 
 def _mask_matrix(mask, n):
-    return dc.constant(np.broadcast_to(mask.astype(np.float64), (n, mask.size)).copy())
+    return dc.Tensor(np.broadcast_to(mask.astype(np.float64), (n, mask.size)).copy())
 
 
-def composed_mt_class_loss(logits, targets, fake_mask, lam, rule):
+def composed_mt_class_loss(logits, rows, fake_mask, lam, rule):
     n = logits.shape[0]
     acts = dc.softmax(logits, axis=1)
     fm, rm = _mask_matrix(fake_mask, n), _mask_matrix(~fake_mask, n)
@@ -143,10 +138,10 @@ def composed_mt_class_loss(logits, targets, fake_mask, lam, rule):
         s_r = dc.tsum(dc.mul(logits, rm), axis=1)
         d_f = neg(softplus(sub(s_r, s_f)))
         d_r = neg(softplus(sub(s_f, s_r)))
-    w_fake = fake_mask[np.asarray(targets, dtype=np.intp)].astype(np.float64)
-    picked = dc.add(dc.mul(d_f, dc.constant(w_fake)), dc.mul(d_r, dc.constant(1.0 - w_fake)))
+    w_fake = rows[:, fake_mask].sum(axis=1)
+    picked = dc.add(dc.mul(d_f, dc.Tensor(w_fake)), dc.mul(d_r, dc.Tensor(1.0 - w_fake)))
     binary_term = dc.scale(tmean(picked), -1.0)
-    ce = composed_multiclass_ce(logits, targets)
+    ce = composed_multiclass_ce(logits, rows)
     return dc.add(dc.scale(ce, 1.0 - lam), dc.scale(binary_term, lam))
 
 
@@ -192,12 +187,12 @@ class TestAgainstComposed:
         rng = np.random.default_rng(100)
         for _ in range(30):
             z = rng.normal(scale=3.0, size=(4, 5))
-            hard = rng.integers(0, 5, size=4)
+            hard = ls.label_smooth(rng.integers(0, 5, size=4), 5, 0.0)
             soft = rng.dirichlet(np.ones(5), size=4)
-            for targets in (hard, soft):
+            for rows in (hard, soft):
                 assert_matches_composed(
-                    lambda t: ls.multiclass_ce(t, targets),
-                    lambda t: composed_multiclass_ce(t, targets),
+                    lambda t: ls.multiclass_ce(t, rows),
+                    lambda t: composed_multiclass_ce(t, rows),
                     z,
                 )
 
@@ -213,25 +208,23 @@ class TestAgainstComposed:
     @pytest.mark.parametrize("T", [1.0, 2.0])
     def test_kd_kl_softmax(self, T):
         rng = np.random.default_rng(102)
-        mask = np.array([True, True, True, False, False])
         for _ in range(30):
             old = rng.normal(scale=2.0, size=(3, 5))
             z = rng.normal(scale=2.0, size=(3, 5))
             assert_matches_composed(
-                lambda t: ls.kd_kl(old, t, T, mask),
-                lambda t: composed_kd_kl(old, t, T, mask),
+                lambda t: ls.kd_kl(old, t, T, 3),
+                lambda t: composed_kd_kl(old, t, T, 3),
                 z,
             )
 
     def test_kd_kl_binary(self):
         rng = np.random.default_rng(103)
-        mask = np.array([True])
         for _ in range(30):
             old = rng.normal(scale=2.0, size=(4, 1))
             z = rng.normal(scale=2.0, size=(4, 1))
             assert_matches_composed(
-                lambda t: ls.kd_kl(old, t, 2.0, mask),
-                lambda t: composed_kd_kl(old, t, 2.0, mask),
+                lambda t: ls.kd_kl(old, t, 2.0, 1),
+                lambda t: composed_kd_kl(old, t, 2.0, 1),
                 z,
             )
 
@@ -251,10 +244,10 @@ class TestAgainstComposed:
         rng = np.random.default_rng(105)
         for _ in range(30):
             z = rng.normal(scale=2.0, size=(4, 5))
-            targets = rng.integers(0, 5, size=4)
+            rows = ls.label_smooth(rng.integers(0, 5, size=4), 5, 0.0)
             assert_matches_composed(
-                lambda t: ls.mt_class_loss(t, targets, POL, lam, rule),
-                lambda t: composed_mt_class_loss(t, targets, POL == FAKE, lam, rule),
+                lambda t: ls.mt_class_loss(t, rows, POL, lam, rule),
+                lambda t: composed_mt_class_loss(t, rows, POL == FAKE, lam, rule),
                 z,
             )
 
@@ -357,24 +350,24 @@ class TestBeyondTheFloor:
     def test_multiclass_ce_unfloored(self):
         z = dc.Tensor([[0.0, 50.0]])
         exact = 50.0 + np.log1p(np.exp(-50.0))
-        assert ls.multiclass_ce(z, [0]).item() == pytest.approx(exact, rel=CLOSE)
-        assert composed_multiclass_ce(z, [0]).item() == pytest.approx(-FLOORED_LOG, rel=CLOSE)
+        rows = ls.label_smooth([0], 2, 0.0)
+        assert ls.multiclass_ce(z, rows).item() == pytest.approx(exact, rel=CLOSE)
+        assert composed_multiclass_ce(z, rows).item() == pytest.approx(-FLOORED_LOG, rel=CLOSE)
 
     def test_sumlogit_unfloored(self):
         z = np.array([[60.0, 0.0, 1.0]])
-        pol = np.array([REAL, FAKE, FAKE])
-        d_f, d_r = ls.aggregate(z[0], pol, ls.SUMLOGIT)
+        (d_f,), (d_r,), _, _ = ls.aggregate_batch(z, np.array([REAL, FAKE, FAKE]) == FAKE, ls.SUMLOGIT)
         assert d_f == pytest.approx(np.logaddexp(0.0, 1.0) - np.logaddexp.reduce(z[0]), rel=CLOSE)
         assert d_f < FLOORED_LOG
         assert np.isfinite(d_r)
 
     def test_fused_gradients_stay_finite_when_saturated(self):
         z = np.array([[0.0, 800.0, -800.0], [300.0, -300.0, 0.0]])
-        targets = np.array([0, 1])
+        rows = ls.label_smooth([0, 1], 3, 0.0)
         for f in (
-            lambda t: ls.multiclass_ce(t, targets),
-            lambda t: ls.mt_class_loss(t, targets, POL[:3], 0.3, ls.SUMLOGIT),
-            lambda t: ls.kd_kl(-z, t, 2.0, np.ones(3, dtype=bool)),
+            lambda t: ls.multiclass_ce(t, rows),
+            lambda t: ls.mt_class_loss(t, rows, POL[:3], 0.3, ls.SUMLOGIT),
+            lambda t: ls.kd_kl(-z, t, 2.0, 3),
         ):
             value, grad = value_and_grad(f, z)
             assert np.isfinite(value) and np.all(np.isfinite(grad))

@@ -9,32 +9,29 @@ from cddet.model import FAKE, LINFC, REAL, Model
 from cddet.verify import check_aggregation_coincidence, check_loss_gradients
 
 
+def _onehot(classes, k):
+    """The one-hot label rows of ``classes``, as ``step_rows`` builds them."""
+    return ls.label_smooth(classes, k, 0.0)
+
+
 class TestMulticlassCE:
     def test_uniform_logits(self):
         logits = dc.Tensor(np.zeros((3, 4)))
-        assert ls.multiclass_ce(logits, [0, 1, 2]).item() == pytest.approx(np.log(4.0), abs=1e-12)
+        assert ls.multiclass_ce(logits, _onehot([0, 1, 2], 4)).item() == pytest.approx(np.log(4.0), abs=1e-12)
 
     def test_closed_form(self):
-        loss = ls.multiclass_ce(dc.Tensor([[2.0, 0.0]]), [0])
+        loss = ls.multiclass_ce(dc.Tensor([[2.0, 0.0]]), _onehot([0], 2))
         assert loss.item() == pytest.approx(np.log(1.0 + np.exp(-2.0)), abs=1e-12)
         assert round(loss.item(), 4) == 0.1269
 
     def test_confident_target_is_zero(self):
-        loss = ls.multiclass_ce(dc.Tensor([[80.0, 0.0, 0.0]]), [0])
+        loss = ls.multiclass_ce(dc.Tensor([[80.0, 0.0, 0.0]]), _onehot([0], 3))
         assert loss.item() == pytest.approx(0.0, abs=1e-9)
 
-    def test_out_of_range_target(self):
-        with pytest.raises(ContractError):
-            ls.multiclass_ce(dc.Tensor(np.zeros((2, 3))), [0, 3])
-
-    def test_soft_rows_match_hard_targets(self):
-        rng = np.random.default_rng(0)
-        logits = dc.Tensor(rng.normal(size=(5, 4)))
-        hard = rng.integers(0, 4, size=5)
-        rows = np.eye(4)[hard]
-        a = ls.multiclass_ce(logits, hard).item()
-        b = ls.multiclass_ce(logits, rows).item()
-        assert a == pytest.approx(b, abs=1e-12)
+    def test_label_rows_of_another_shape_rejected(self):
+        """numpy would broadcast a 1-row block over every row."""
+        with pytest.raises(ContractError, match="label rows shape"):
+            ls.multiclass_ce(dc.Tensor(np.zeros((2, 3))), _onehot([0], 3))
 
 
 class TestBinaryCE:
@@ -43,26 +40,22 @@ class TestBinaryCE:
         assert loss.item() == pytest.approx(np.log(2.0), abs=1e-12)
 
     def test_closed_form(self):
-        loss = ls.binary_ce(dc.Tensor([1.0]), [1])
+        loss = ls.binary_ce(dc.Tensor([[1.0]]), [1])
         assert loss.item() == pytest.approx(np.log(1.0 + np.exp(-1.0)), abs=1e-12)
         assert round(loss.item(), 4) == 0.3133
 
     def test_saturated_limit(self):
-        assert ls.binary_ce(dc.Tensor([50.0]), [1]).item() <= 1e-12
-
-    def test_rejects_non_binary_targets(self):
-        with pytest.raises(ContractError):
-            ls.binary_ce(dc.Tensor([0.0]), [0.5])
+        assert ls.binary_ce(dc.Tensor([[50.0]]), [1]).item() <= 1e-12
 
 
 class TestKdKl:
     def test_identical_logits_zero(self):
         z = np.array([[0.4, -1.2, 2.0], [0.0, 0.5, -0.5]])
-        loss = ls.kd_kl(z, dc.Tensor(z), T=1.0, class_mask=np.ones(3, dtype=bool))
+        loss = ls.kd_kl(z, dc.Tensor(z), T=1.0, k=3)
         assert loss.item() == 0.0
 
     def test_two_class_closed_form(self):
-        loss = ls.kd_kl(np.array([[1.0, 0.0]]), dc.Tensor([[0.0, 1.0]]), 1.0, np.ones(2, dtype=bool))
+        loss = ls.kd_kl(np.array([[1.0, 0.0]]), dc.Tensor([[0.0, 1.0]]), 1.0, 2)
         p = dc.np_sigmoid(np.array([1.0]))[0]
         expected = (p - (1 - p)) * 1.0  # (p - q) * logit gap = 2*sigmoid(1) - 1
         assert loss.item() == pytest.approx(expected, abs=1e-12)
@@ -71,25 +64,17 @@ class TestKdKl:
     def test_temperature_scaling_keeps_zero_at_equality(self):
         z = np.array([[3.0, -1.0]])
         for t in (1.0, 2.0, 4.0):
-            assert ls.kd_kl(z, dc.Tensor(z), t, np.ones(2, dtype=bool)).item() == 0.0
+            assert ls.kd_kl(z, dc.Tensor(z), t, 2).item() == 0.0
 
     def test_nonnegative_and_zero_iff_equal(self):
         rng = np.random.default_rng(1)
         for _ in range(200):
             old = rng.normal(size=(4, 5))
             new = rng.normal(size=(4, 5))
-            val = ls.kd_kl(old, dc.Tensor(new), 2.0, np.ones(5, dtype=bool)).item()
+            val = ls.kd_kl(old, dc.Tensor(new), 2.0, 5).item()
             assert val >= -1e-15
             if not np.allclose(dc.np_softmax(old / 2.0, 1), dc.np_softmax(new / 2.0, 1)):
                 assert val > 1e-10
-
-    def test_empty_mask_rejected(self):
-        with pytest.raises(ContractError):
-            ls.kd_kl(np.zeros((1, 2)), dc.Tensor(np.zeros((1, 2))), 1.0, np.zeros(2, dtype=bool))
-
-    def test_a_mask_past_the_leading_columns_rejected(self):
-        with pytest.raises(ContractError, match="leading columns"):
-            ls.kd_kl(np.zeros((1, 3)), dc.Tensor(np.zeros((1, 3))), 1.0, np.array([False, True, True]))
 
     def test_the_distilled_columns_are_a_view_of_the_leading_ones(self):
         z = np.arange(12.0).reshape(3, 4)
@@ -98,8 +83,8 @@ class TestKdKl:
 
     def test_binary_mask_mode(self):
         z = np.array([[0.7], [-0.3]])
-        assert ls.kd_kl(z, dc.Tensor(z), 1.0, np.array([True])).item() == 0.0
-        moved = ls.kd_kl(z, dc.Tensor(z + 1.0), 1.0, np.array([True])).item()
+        assert ls.kd_kl(z, dc.Tensor(z), 1.0, 1).item() == 0.0
+        moved = ls.kd_kl(z, dc.Tensor(z + 1.0), 1.0, 1).item()
         assert moved > 0
 
 
@@ -163,13 +148,13 @@ class TestAggregate:
         # class layout: real, fakeA, fakeB with activations 0.2, 0.5, 0.3
         acts = np.array([0.2, 0.5, 0.3])
         logits = np.log(acts)
-        polarities = np.array([REAL, FAKE, FAKE])
-        d_f, _ = ls.aggregate(logits, polarities, "sumlog")
+        fake_mask = np.array([REAL, FAKE, FAKE]) == FAKE
+        (d_f,), _, _, _ = ls.aggregate_batch(logits, fake_mask, "sumlog")
         assert d_f == pytest.approx(np.log(0.5) + np.log(0.3), abs=1e-9)
         assert round(d_f, 4) == -1.8971
-        d_f, _ = ls.aggregate(logits, polarities, "sumlogit")
+        (d_f,), _, _, _ = ls.aggregate_batch(logits, fake_mask, "sumlogit")
         assert d_f == pytest.approx(np.log(0.8), abs=1e-9)
-        d_f, _ = ls.aggregate(logits, polarities, "max")
+        (d_f,), _, _, _ = ls.aggregate_batch(logits, fake_mask, "max")
         assert d_f == pytest.approx(np.log(0.5), abs=1e-9)
 
     def test_single_pair_coincidence(self):
@@ -178,17 +163,28 @@ class TestAggregate:
         result = check_aggregation_coincidence(3, trials=1000)
         assert result.passed, result.detail
 
+    def test_the_coincidence_check_fails_on_a_rule_that_drifts(self, monkeypatch):
+        """A rule whose fake score lies 1e-9 off SumLog's on a pair fails it."""
+        right = ls.aggregate_batch
+
+        def drifting(logits, fake_mask, rule):
+            d_f, d_r, grad_f, grad_r = right(logits, fake_mask, rule)
+            return (d_f + 1e-9 if rule == ls.MAX else d_f), d_r, grad_f, grad_r
+
+        monkeypatch.setattr(ls, "aggregate_batch", drifting)
+        assert not check_aggregation_coincidence(3, trials=10).passed
+
     def test_sumlogit_partition_of_unity(self):
         rng = np.random.default_rng(4)
-        polarities = np.array([REAL, FAKE, REAL, FAKE, FAKE])
+        fake_mask = np.array([REAL, FAKE, REAL, FAKE, FAKE]) == FAKE
         for _ in range(100):
             logits = rng.normal(size=5)
-            d_f, d_r = ls.aggregate(logits, polarities, "sumlogit")
+            (d_f,), (d_r,), _, _ = ls.aggregate_batch(logits, fake_mask, "sumlogit")
             assert np.exp(d_f) + np.exp(d_r) == pytest.approx(1.0, abs=1e-12)
 
     def test_single_polarity_rejected(self):
         with pytest.raises(ContractError):
-            ls.aggregate(np.zeros(2), np.array([FAKE, FAKE]), "max")
+            ls.aggregate_batch(np.zeros(2), np.array([FAKE, FAKE]) == FAKE, "max")
 
     @pytest.mark.parametrize("rule", ["sumlog", "sumlogit"])
     def test_a_group_adds_in_class_order(self, rule):
@@ -230,9 +226,9 @@ class TestKernelRounding:
 
     @pytest.mark.parametrize("seed", range(8))
     def test_bce_gradient_divides_last(self, seed):
-        z, y = np.random.default_rng(seed).normal(size=3), np.array([0.0, 1.0, 1.0])
-        s = dc.np_sigmoid(z)
-        want = np.array([(s[i] - y[i]) / 3 for i in range(3)])
+        z, y = np.random.default_rng(seed).normal(size=(3, 1)), np.array([0.0, 1.0, 1.0])
+        s = dc.np_sigmoid(z[:, 0])
+        want = np.array([[(s[i] - y[i]) / 3] for i in range(3)])
         assert ls._bce_parts(z, y)[1].tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("seed", range(8))
@@ -265,21 +261,27 @@ class TestMtClassLoss:
         logits = dc.Tensor(rng.normal(size=(n, k)))
         targets = rng.integers(0, k, size=n)
         polarities = np.array([REAL, FAKE, REAL, FAKE])
-        return logits, targets, polarities
+        return logits, targets, _onehot(targets, k), polarities
 
     def test_lambda_zero_equals_ce(self):
-        logits, targets, pol = self._setup()
-        mt = ls.mt_class_loss(logits, targets, pol, 0.0, "sumlogit")
-        ce = ls.multiclass_ce(logits, targets)
+        logits, _, rows, pol = self._setup()
+        mt = ls.mt_class_loss(logits, rows, pol, 0.0, "sumlogit")
+        ce = ls.multiclass_ce(logits, rows)
         assert mt.item() == ce.item()
 
     def test_lambda_one_is_pure_binary_term(self):
-        logits, targets, pol = self._setup()
-        mt = ls.mt_class_loss(logits, targets, pol, 1.0, "sumlogit")
+        logits, targets, rows, pol = self._setup()
+        mt = ls.mt_class_loss(logits, rows, pol, 1.0, "sumlogit")
         d_f, d_r, _, _ = ls.aggregate_batch(logits.data, np.asarray(pol) == FAKE, "sumlogit")
         w = (np.asarray(pol) == FAKE)[targets].astype(float)
         expected = -np.mean(w * d_f + (1 - w) * d_r)
         assert mt.item() == pytest.approx(expected, abs=1e-12)
+
+    @pytest.mark.parametrize("lam", [0.0, 0.3])
+    def test_label_rows_of_another_shape_rejected(self, lam):
+        logits, _, _, pol = self._setup()
+        with pytest.raises(ContractError, match="label rows shape"):
+            ls.mt_class_loss(logits, _onehot([1], 4), pol, lam, "sumlogit")
 
     def test_default_lambda_is_benchmark_value(self):
         assert LossWeights().lam == 0.3
@@ -329,7 +331,7 @@ class TestTotalLoss:
         w = LossWeights(gamma_d=0.0, gamma_m=0.0)
         combined = ls.total_loss(ls.step_rows(model, x, classes), model, w)
         _, logits = model.forward(x)
-        bare = ls.multiclass_ce(dc.Tensor(logits), classes)
+        bare = ls.multiclass_ce(dc.Tensor(logits), _onehot(classes, logits.shape[1]))
         assert combined.item() == bare.item()
 
     def test_step_rows_smooths_the_label_rows_by_eps(self):
@@ -381,8 +383,9 @@ class TestTotalLoss:
         grads = [np.empty_like(p) for p in model.parameters()]
         old_feats, old_logits = old.forward(ex_x)
         feats, logits = model.forward(np.concatenate([new_x, ex_x]))
-        ce = ls.multiclass_ce(dc.Tensor(logits), np.concatenate([new_classes, ex_classes])).item()
-        kd = ls.kd_kl(old_logits, dc.Tensor(logits[4:]), w.T, np.arange(old_logits.shape[1])).item()
+        rows = _onehot(np.concatenate([new_classes, ex_classes]), logits.shape[1])
+        ce = ls.multiclass_ce(dc.Tensor(logits), rows).item()
+        kd = ls.kd_kl(old_logits, dc.Tensor(logits[4:]), w.T, old_logits.shape[1]).item()
         feature = ls.kd_feature(old_feats, dc.Tensor(feats[4:])).item()
         terms = {"logit": kd, "feature": feature, "logit+feature": kd + feature}
         for form, distilled in terms.items():
@@ -401,7 +404,7 @@ class TestTotalLoss:
         step = ls.step_rows(model, new_x, new_classes, ex_x, ReplayConstants(ex_classes))
         combined = ls.total_loss(step, model, w)
         _, logits = model.forward(np.concatenate([new_x, ex_x]))
-        bare = ls.multiclass_ce(dc.Tensor(logits), np.concatenate([new_classes, ex_classes]))
+        bare = ls.multiclass_ce(dc.Tensor(logits), _onehot(np.concatenate([new_classes, ex_classes]), logits.shape[1]))
         assert combined.item() == bare.item()
 
     def test_distillation_profile_composes(self):
@@ -489,11 +492,56 @@ class TestLossGradients:
         result = check_loss_gradients(20, points=50)
         assert result.passed, result.detail
 
+    @pytest.mark.parametrize(
+        "kernel", ["_ce_parts", "_bce_parts", "_kd_parts", "_kd_feature_parts", "_margin_parts", "_mt_parts"]
+    )
+    def test_the_battery_fails_on_a_wrong_gradient(self, monkeypatch, kernel):
+        """The battery checks every term's gradient: any one kernel's,
+        0.1% off, fails it."""
+        right = getattr(ls, kernel)
+
+        def wrong(*args):
+            value, grad = right(*args)
+            return value, grad * (1.0 + 1e-3)
+
+        monkeypatch.setattr(ls, kernel, wrong)
+        assert check_loss_gradients(0, points=2).passed is False
+
+    def test_the_battery_checks_the_terms_on_the_steps_operands(self, monkeypatch):
+        """The battery hands each term operands the step can hand it: one-hot
+        label rows, which between them name every class; a lambda strictly
+        inside (0, 1), as ``LossWeights`` admits and where both halves of the
+        MT mix count; and distillation over the old logits' own columns."""
+        rows, lams, kd_cols = [], [], []
+        ce, mt, kd = ls.multiclass_ce, ls.mt_class_loss, ls.kd_kl
+
+        def spy_ce(logits, label_rows):
+            rows.append(label_rows)
+            return ce(logits, label_rows)
+
+        def spy_mt(logits, label_rows, polarity, lam, rule):
+            rows.append(label_rows)
+            lams.append(lam)
+            return mt(logits, label_rows, polarity, lam, rule)
+
+        def spy_kd(old_logits, new_logits, T, k):
+            kd_cols.append((k, old_logits.shape[1]))
+            return kd(old_logits, new_logits, T, k)
+
+        for name, spy in (("multiclass_ce", spy_ce), ("mt_class_loss", spy_mt), ("kd_kl", spy_kd)):
+            monkeypatch.setattr(ls, name, spy)
+        assert check_loss_gradients(0).passed
+        rows = np.concatenate(rows)
+        assert set(np.unique(rows)) == {0.0, 1.0} and np.all(rows.sum(axis=1) == 1.0)
+        assert rows.any(axis=0).all()
+        assert lams and all(0.0 < lam < 1.0 for lam in lams)
+        assert kd_cols and all(k == cols for k, cols in kd_cols)
+
     def test_multiclass_ce(self):
         rng = np.random.default_rng(20)
         for _ in range(50):
-            targets = rng.integers(0, 5, size=4)
-            f = lambda z: ls.multiclass_ce(z, targets)
+            rows = _onehot(rng.integers(0, 5, size=4), 5)
+            f = lambda z: ls.multiclass_ce(z, rows)
             assert dc.grad_check(f, dc.Tensor(rng.normal(size=(4, 5)))) < 1e-6
 
     def test_binary_ce(self):
@@ -505,17 +553,16 @@ class TestLossGradients:
 
     def test_kd_kl(self):
         rng = np.random.default_rng(22)
-        mask = np.array([True, True, True, False, False])
         for _ in range(50):
             old = rng.normal(size=(3, 3))
-            f = lambda z: ls.kd_kl(old, z, 2.0, mask)
+            f = lambda z: ls.kd_kl(old, z, 2.0, 3)
             assert dc.grad_check(f, dc.Tensor(rng.normal(size=(3, 5)))) < 1e-6
 
     def test_kd_kl_binary(self):
         rng = np.random.default_rng(23)
         for _ in range(50):
             old = rng.normal(size=(4, 1))
-            f = lambda z: ls.kd_kl(old, z, 1.0, np.array([True]))
+            f = lambda z: ls.kd_kl(old, z, 1.0, 1)
             assert dc.grad_check(f, dc.Tensor(rng.normal(size=(4, 1)))) < 1e-6
 
     def test_kd_feature(self):
@@ -539,10 +586,10 @@ class TestLossGradients:
         rng = np.random.default_rng(26)
         pol = np.array([REAL, FAKE, REAL, FAKE])
         for _ in range(50):
-            targets = rng.integers(0, 4, size=3)
+            rows = _onehot(rng.integers(0, 4, size=3), 4)
 
             def f(z):
-                return ls.mt_class_loss(z, targets, pol, 0.3, rule)
+                return ls.mt_class_loss(z, rows, pol, 0.3, rule)
 
             assert dc.grad_check(f, dc.Tensor(rng.normal(size=(3, 4)))) < 1e-6
 

@@ -4,7 +4,7 @@ from conftest import run_scenario, tiny_scenario, tiny_spec
 
 from cddet import trainer
 from cddet.errors import ConfigError, NumericsError, ProtocolError
-from cddet.losses import LossWeights, loss_and_gradients
+from cddet.losses import LossWeights, ReplayConstants, loss_and_gradients
 from cddet.memory import ExemplarMemory, LATENT, RAW, quotas
 from cddet.model import BC, COSFC, FAKE, LINFC, MC, MT, REAL, SIGMOID, Model, load_checkpoint, save_checkpoint
 from cddet.seeding import substream
@@ -408,14 +408,16 @@ class TestLending:
             assert rows.shape == (min(shape[0], quota[c]), shape[1]) and rows.dtype == np.float64
             assert rows.tobytes() == data[: rows.nbytes], f"class {c}"
 
-    @pytest.mark.parametrize("fails_in", ["plan", "step", "head"])
+    @pytest.mark.parametrize("fails_in", ["plan", "step", "regather", "head"])
     @pytest.mark.parametrize("system, name, options, budget", LENDING_CASES)
     def test_a_session_that_raises_leaves_the_memory_as_it_was(
         self, monkeypatch, system, name, options, budget, fails_in
     ):
         """The step raises at its fifth call, with the session's rows in an
-        epoch's order; the plan raises as it stacks the session's rows, and
-        the head when the session's task is already registered."""
+        epoch's order; the regather as it gathers the second epoch's
+        constants, after the first epoch's steps; the plan raises as it
+        stacks the session's rows, and the head when the session's task is
+        already registered."""
         model, memory, session, profile = self._trained(system, name, options, budget)
         before = _stored(memory)
         calls = []
@@ -426,11 +428,23 @@ class TestLending:
                 raise NumericsError("injected")
             return loss_and_gradients(*args, **kwargs)
 
+        take = ReplayConstants.take
+
+        def failing_take(ex, idx):
+            if not isinstance(idx, slice):  # the regather's gather, not a step's window
+                calls.append(1)
+                if len(calls) > 1:
+                    raise MemoryError("injected")
+            return take(ex, idx)
+
         if fails_in == "head":
             session = SessionData(1, session.train, session.test)
+        elif fails_in == "regather":
+            monkeypatch.setattr(ReplayConstants, "take", failing_take)
         else:
             monkeypatch.setattr(trainer, "step_rows" if fails_in == "plan" else "loss_and_gradients", failing)
-        with pytest.raises(ProtocolError if fails_in == "head" else NumericsError):
+        raised = {"head": ProtocolError, "regather": MemoryError}.get(fails_in, NumericsError)
+        with pytest.raises(raised):
             run_session(model, memory, session, profile, FAST)
         assert _stored(memory) == before
 
