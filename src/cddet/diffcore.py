@@ -255,14 +255,14 @@ def np_sigmoid(z: Array) -> Array:
     return out
 
 
-def np_softmax(z: Array, axis: int = -1) -> Array:
+def np_softmax(z: Array, axis: int) -> Array:
     """Softmax on a plain array; same arithmetic as the differentiable op."""
     shifted = z - np.max(z, axis=axis, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=axis, keepdims=True)
 
 
-def np_log_softmax(z: Array, axis: int = -1) -> Array:
+def np_log_softmax(z: Array, axis: int) -> Array:
     """Log-softmax on a plain array, from max-shifted logits: finite for any
     finite input, with no floor on small probabilities."""
     shifted = z - np.maximum.reduce(z, axis=axis, keepdims=True)

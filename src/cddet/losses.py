@@ -409,7 +409,10 @@ def snapshot_constants(
     distillation targets ``kd_logp``/``kd_p`` for the logit forms, the
     features and their row norms ``old_norms`` for the feature forms. The
     trainer passes the live model before its head expands or its layers
-    freeze, ``cddet verify`` and the tests a ``Model.snapshot``."""
+    freeze, ``cddet verify`` and the tests a ``Model.snapshot``. The form
+    "none" distils nothing: its constants are the classes, and no model runs."""
+    if distill_form == "none":
+        return ReplayConstants(classes)
     old_features, old_logits = _np_forward_joint(model, rows, latent)
     ex = ReplayConstants(classes, old_logits.shape[1])
     if distill_form in ("logit", "logit+feature"):

@@ -60,7 +60,6 @@ def herd_select(features: Array, m: int) -> list[int]:
     screen proves it is the exact search's pick; otherwise the exact search
     runs (see the module docstring).
     """
-    features = np.asarray(features, dtype=np.float64)
     n, d = features.shape
     if not 1 <= m <= n:
         raise ContractError(f"m={m} outside [1, {n}]")
@@ -116,13 +115,10 @@ def quotas(budget: int, num_classes: int) -> list[int]:
 
 
 def capture(extractor, x: Array, mode: str) -> Array:
-    """Payload rows for storage: the inputs themselves, or their activations
-    at the extractor's capture layer."""
-    if mode not in PAYLOAD_KINDS:
-        raise ConfigError(f"unknown payload kind {mode!r}")
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    """Payload rows for storage: the inputs themselves (a fresh array from the
+    caller, not copied), or their activations at the extractor's capture layer."""
     if mode == RAW:
-        return x.copy()
+        return x
     _, latent = extractor.forward_with_capture(x)
     return latent
 
@@ -145,7 +141,7 @@ class ExemplarMemory:
         """Store a herding-ordered payload stack for a newly introduced class."""
         if class_idx in self.classes:
             raise ContractError(f"class {class_idx} already stored")
-        self.classes[class_idx] = np.asarray(payloads, dtype=np.float64)
+        self.classes[class_idx] = payloads
 
     def rebalance(self, num_classes: int) -> None:
         """Trim every class to a copy of its first quota rows, freeing the herding tail.

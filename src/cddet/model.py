@@ -49,7 +49,7 @@ import numpy as np
 
 from . import diffcore as dc
 from .diffcore import Array
-from .errors import ConfigError, ContractError, DegenerateInputError, ProtocolError, read_text
+from .errors import ConfigError, ContractError, ProtocolError, read_text
 from .memory import PAYLOAD_KINDS, RAW, ExemplarMemory
 
 REAL = 0
@@ -134,7 +134,6 @@ class FeatureExtractor:
         ``forward_from_latent`` resumes from: on a single linear layer, the
         features themselves. The layers up to the capture layer run first,
         then the rest."""
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         if x.shape[1] != self.input_width:
             raise ContractError(f"input width {x.shape[1]} != {self.input_width}")
         if x.shape[0] == 0:
@@ -144,10 +143,9 @@ class FeatureExtractor:
 
     def forward_from_latent(self, latent) -> Array:
         """Resume the forward pass from a stored capture-layer activation."""
-        h = np.atleast_2d(np.asarray(latent, dtype=np.float64))
-        if h.shape[1] != self.latent_width:
-            raise ContractError(f"latent width {h.shape[1]} != {self.latent_width}")
-        return self.np_activations(h, self.capture_layer + 1)[-1]
+        if latent.shape[1] != self.latent_width:
+            raise ContractError(f"latent width {latent.shape[1]} != {self.latent_width}")
+        return self.np_activations(latent, self.capture_layer + 1)[-1]
 
     def np_activations(self, x: Array, start: int, stop: int | None = None) -> list[Array]:
         """Layers ``start`` onward (up to, not including, ``stop``) on plain
@@ -188,9 +186,11 @@ class ClassifierHead:
         return len(self.registry)
 
     def expand(self, task_id: int, rng: np.random.Generator) -> None:
-        """Append the real and fake class rows for a new task, drawn from ``rng``."""
+        """Add a task, on every head: a sigmoid head registers it and keeps its
+        single unit, drawing nothing from ``rng``; an argmax head appends the
+        task's real and fake class rows, drawn from ``rng``."""
         if self.variant == SIGMOID:
-            raise ProtocolError("sigmoid heads keep a single unit; register the task instead")
+            return self.register_task(task_id)
         self.registry.add_task(task_id)
         width = self.theta.shape[1]
         new_rows = _uniform_init(rng, (2, width), width)
@@ -199,7 +199,7 @@ class ClassifierHead:
             self.bias = np.concatenate([self.bias, np.zeros(2)])
 
     def register_task(self, task_id: int) -> None:
-        """Bookkeeping-only registration used by the sigmoid variant."""
+        """Bookkeeping-only registration: ``expand`` on a sigmoid head."""
         if self.variant != SIGMOID:
             raise ProtocolError("argmax heads must expand, not merely register")
         self.registry.add_task(task_id)
@@ -284,32 +284,25 @@ class Model:
 
 def predict_binary(head: ClassifierHead, logits: Array) -> Array:
     """Map logits to polarity labels; argmax ties resolve to the lowest class."""
-    logits = np.atleast_2d(np.asarray(logits, dtype=np.float64))
     if head.variant == SIGMOID:
         return (dc.np_sigmoid(logits[:, 0]) >= 0.5).astype(np.int64)
     return np.argmax(logits, axis=1) % 2
 
 
 def predict_class(logits: Array) -> Array:
-    logits = np.atleast_2d(np.asarray(logits, dtype=np.float64))
     return np.argmax(logits, axis=1)
 
 
 def fake_score(head: ClassifierHead, logits: Array) -> Array:
-    """Probability-like fake score: sigmoid output, or M_F / (M_F + M_R)."""
-    logits = np.atleast_2d(np.asarray(logits, dtype=np.float64))
+    """Probability-like fake score: sigmoid output, or M_F / (M_F + M_R), whose denominator is positive:
+    a row's largest softmax activation is 1 / sum(exp(z - max z)), at least 1 / k over k classes."""
     if head.variant == SIGMOID:
         return dc.np_sigmoid(logits[:, 0])
     mask = head.registry.fake_mask()
-    if not mask.size:
-        raise ContractError("registry must contain both fake and real classes")
     activations = dc.np_softmax(logits, axis=1)
     m_fake = activations[:, mask].max(axis=1)
     m_real = activations[:, ~mask].max(axis=1)
-    total = m_fake + m_real
-    if np.any(total == 0.0):
-        raise DegenerateInputError("zero activation mass on both polarities")
-    return m_fake / total
+    return m_fake / (m_fake + m_real)
 
 
 # ---------------------------------------------------------------------------

@@ -36,19 +36,20 @@ coarsest level at which it is constant:
 
 - once per session, ``_plan_session`` checks the session against the live
   model and borrows the stored rows (``ExemplarMemory.lend``): the memory
-  stacks them and drops its arrays. When the session distils replayed
-  rows, it records what its distillation form reads of the live model's
-  outputs on them (``losses.snapshot_constants``), before the head
-  expands or any layer freezes: the model copies nothing. It then expands
-  the head, freezes the layers latent replay needs fixed and builds the
-  session's rows as one ``losses.StepRows`` with ``losses.step_rows``, the
-  one builder of that row layout: the new rows and every stored exemplar,
-  each held once as it enters the network at its first trainable layer,
-  with its target, and the replayed rows' classes and constants. Those
-  rows are the only copy of the stored ones until training ends; then,
-  whether the session returns or raises, the memory takes them back in
-  stored order (``ExemplarMemory.take_back``), and the session's rows go
-  before new exemplars are stored;
+  stacks them and drops its arrays. It takes every replay's constants from
+  ``losses.snapshot_constants``: the replayed rows' classes, and, when the
+  session distils them, what its distillation form reads of the live
+  model's outputs on them, before the head expands or any layer freezes:
+  the model copies nothing. It then expands the head (``expand`` adds a
+  task on every head), freezes the layers latent replay needs fixed and
+  builds the session's rows as one ``losses.StepRows`` with
+  ``losses.step_rows``, the one builder of that row layout: the new rows
+  and every stored exemplar, each held once as it enters the network at
+  its first trainable layer, with its target, and the replayed rows'
+  classes and constants. Those rows are the only copy of the stored ones
+  until training ends; then, whether the session returns or raises, the
+  memory takes them back in stored order (``ExemplarMemory.take_back``),
+  and the session's rows go before new exemplars are stored;
 - once per epoch, ``_regather`` lays those arrays out in the epoch's row
   order (``_epoch_order``), one array at a time, so that each step's
   window is one run of rows and its replayed rows one run of constants;
@@ -78,7 +79,6 @@ from .losses import (
     AGG_RULES,
     SUMLOGIT,
     LossWeights,
-    ReplayConstants,
     StepRows,
     loss_and_gradients,
     snapshot_constants,
@@ -331,17 +331,11 @@ def _plan_session(
     try:
         if payloads is not None:
             # distillation covers the replayed rows only, towards the outputs of
-            # the model before this session: the live model, read before its
-            # head expands or its layers freeze
-            if profile.weights.gamma_d > 0:
-                ex = snapshot_constants(model, payloads, ex_classes, profile.weights.T, profile.distill_form, latent)
-            else:
-                ex = ReplayConstants(ex_classes)
+            # the model before this session: the live model, read (when the
+            # form distils) before its head expands or its layers freeze
+            ex = snapshot_constants(model, payloads, ex_classes, profile.weights.T, profile.distill_form, latent)
 
-        if model.head.variant == SIGMOID:
-            model.head.register_task(session.task_id)
-        else:
-            model.head.expand(session.task_id, head_rng)
+        model.head.expand(session.task_id, head_rng)
         registry = model.head.registry
 
         ext = model.extractor
@@ -465,10 +459,7 @@ def _store_exemplars(model, memory, session) -> None:
     cap = -(-memory.budget // len(registry))  # ceil; rebalance trims the rest
     for polarity in (REAL, FAKE):
         rows = session.train.x[session.train.y == polarity]
-        m = min(rows.shape[0], cap)
-        if m < 1:
-            continue
-        order = herd_select(model.extractor.forward(rows), m)
+        order = herd_select(model.extractor.forward(rows), min(rows.shape[0], cap))
         payloads = capture(model.extractor, rows[order], memory.payload_kind)
         memory.add_class(registry.class_of(session.task_id, polarity), payloads)
 

@@ -74,15 +74,9 @@ def _step_case(rng, variant: str, payload: str):
     of the system the head and the rule make. Latent replay freezes the
     layers up to the capture layer, as training does."""
     model = Model.build(6, variant, rng, hidden=(8, 7), feature_width=5)
-    if variant == SIGMOID:
-        model.head.register_task(1)
-    else:
-        model.head.expand(1, rng)
+    model.head.expand(1, rng)
     snap = model.snapshot()
-    if variant == SIGMOID:
-        model.head.register_task(2)
-    else:
-        model.head.expand(2, rng)
+    model.head.expand(2, rng)
     new_pol = rng.integers(0, 2, size=4)
     ex_pol = np.array([REAL, FAKE, FAKE])
     new_x = rng.normal(size=(4, 6))

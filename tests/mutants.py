@@ -28,19 +28,11 @@ ROOT = Path(__file__).resolve().parent.parent
 _TAKE_CONSTANTS = (
     "        if payloads is not None:\n"
     "            # distillation covers the replayed rows only, towards the outputs of\n"
-    "            # the model before this session: the live model, read before its\n"
-    "            # head expands or its layers freeze\n"
-    "            if profile.weights.gamma_d > 0:\n"
-    "                ex = snapshot_constants(model, payloads, ex_classes, profile.weights.T, profile.distill_form, latent)\n"
-    "            else:\n"
-    "                ex = ReplayConstants(ex_classes)\n"
+    "            # the model before this session: the live model, read (when the\n"
+    "            # form distils) before its head expands or its layers freeze\n"
+    "            ex = snapshot_constants(model, payloads, ex_classes, profile.weights.T, profile.distill_form, latent)\n"
 )
-_EXPAND_HEAD = (
-    "        if model.head.variant == SIGMOID:\n"
-    "            model.head.register_task(session.task_id)\n"
-    "        else:\n"
-    "            model.head.expand(session.task_id, head_rng)\n"
-)
+_EXPAND_HEAD = "        model.head.expand(session.task_id, head_rng)\n"
 # trainer._regather's gathers and window arithmetic before its last gather,
 # of the rows, which one mutant moves back to the top
 _REGATHER_BEFORE_X = (
@@ -153,9 +145,9 @@ MUTANTS = [
         ["tests/test_trainer.py::TestRunScenario::test_warmup_task_repeated_in_the_stream_rejected_before_training"],
     ),
     (
-        "snapshot-for-any-old-term-after-the-first-session", "trainer.py",
-        "        if profile.weights.gamma_d > 0:\n",
-        "        if profile.weights.gamma_d > 0 or profile.weights.gamma_m > 0:\n",
+        "snapshot-for-any-old-term-after-the-first-session", "losses.py",
+        '    if distill_form == "none":\n        return ReplayConstants(classes)\n',
+        "",
         ["tests/test_trainer.py::TestRunSession::test_a_snapshot_is_taken_only_to_distil_replayed_rows"],
     ),
     (
@@ -629,12 +621,6 @@ MUTANTS = [
         ["tests/test_cli.py::TestRun::test_the_default_epochs_are_six"],
     ),
     (
-        "one-row-polarity-never-stored", "trainer.py",
-        "        if m < 1:\n",
-        "        if m < 2:\n",
-        ["tests/test_trainer.py::TestRunSession::test_a_polarity_of_one_train_row_is_stored"],
-    ),
-    (
         "sigmoid-accepts-label-smoothing-alone", "trainer.py",
         "(self.label_smooth_eps > 0 or self.mixup_alpha > 0)",
         "(self.label_smooth_eps > 1 or self.mixup_alpha > 0)",
@@ -645,6 +631,45 @@ MUTANTS = [
         "(self.label_smooth_eps > 0 or self.mixup_alpha > 0)",
         "(self.label_smooth_eps > 0 or self.mixup_alpha > 1)",
         ["tests/test_trainer.py::TestProfiles::test_a_sigmoid_head_takes_neither_smoothing_nor_mixup"],
+    ),
+    # one way to add a task: expand on every head
+    (
+        "expand-appends-rows-on-a-sigmoid-head", "model.py",
+        "        if self.variant == SIGMOID:\n            return self.register_task(task_id)\n",
+        "",
+        ["tests/test_model.py::TestExpansion::test_sigmoid_keeps_one_unit"],
+    ),
+    # checks an input can reach, each with its exit code and message
+    (
+        "runtime-failure-exits-2", "cli.py",
+        "        return 1\n    return 0\n\n\ndef _usage_error",
+        "        return 2\n    return 0\n\n\ndef _usage_error",
+        ["tests/test_cli.py::TestRun::test_a_diverging_run_exits_1_naming_its_session_and_epoch"],
+    ),
+    (
+        "seed-fallback-that-is-not-an-integer-ignored", "cli.py",
+        '            raise ConfigError(f"CDD_SEED: expected an integer, found {env_seed!r}") from None\n',
+        "            pass\n",
+        ["tests/test_cli.py::TestChecksBeforeData::test_a_seed_fallback_that_is_not_an_integer"],
+    ),
+    (
+        "affine-bias-check-needs-both-faults", "diffcore.py",
+        "if b.data.ndim != 1 or b.shape[0] != k:",
+        "if b.data.ndim != 1 and b.shape[0] != k:",
+        ["tests/test_diffcore.py::test_each_op_rejects_the_input_its_check_names"],
+    ),
+    # the battery's printed strength
+    (
+        "step-check-counts-twice", "verify.py",
+        "                checked += 1\n",
+        "                checked += 2\n",
+        ["tests/test_cli.py::TestVerify::test_battery_passes_and_is_deterministic"],
+    ),
+    (
+        "step-check-samples-four-coordinates", "verify.py",
+        "coords: int = 3",
+        "coords: int = 4",
+        ["tests/test_cli.py::TestVerify::test_battery_passes_and_is_deterministic"],
     ),
 ]
 

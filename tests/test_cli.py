@@ -8,12 +8,16 @@ import re
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from conftest import tiny_scenario, tiny_spec
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cddet import cli, trainer
+from cddet import cli, losses, trainer, verify
+from cddet import memory as mem
+from cddet import metrics as met
+from cddet import model as mdl
 from cddet.cli import ExperimentConfig, main, recompute_metrics_json
 from cddet.errors import ConfigError, ParseError
 from cddet.model import load_checkpoint
@@ -115,6 +119,35 @@ class TestChecksBeforeData:
         assert err.startswith("error: ") and named in err, err
         assert not out.exists()
 
+    @pytest.mark.parametrize("lines, out, message", [
+        ("# a comment, then a blank line\n\nscenario = hard\nsystem = mc", True, "a method profile is required"),
+        ("scenario = hard\nprofile = distill\nsystem = mc", False, "an output directory is required"),
+        ("scenario = hard\nprofile = distill\nsystem = mc\nseeds = 1 -1", True, "seeds must be non-negative"),
+        ("epochs 3", True, "{path}: line 1: expected key = value"),
+        ("scenario = hard\nprofile = distill\nsystem = mc\ngamma_d = inf", True,
+         "gamma_d, gamma_m, lambda, T and tau must be finite"),
+        ("scenario = hard\nprofile = distill\nsystem = mc\ngamma_m = -1", True, "gamma weights must be non-negative"),
+        ("scenario = hard\nprofile = distill\nsystem = mc\nlambda = 2", True, "lambda must lie in [0, 1]"),
+        ("scenario = hard\nprofile = distill\nsystem = mc\ntau = -1", True, "tau and J must be non-negative"),
+        ("scenario = hard\nprofile = distill\nsystem = mc\nbatch_size = 1", True, "batch size must be at least 2"),
+        ("scenario = hard\nprofile = distill\nsystem = mc\nlr = 0", True, "lr must be positive and finite, found 0.0"),
+    ], ids=["no-profile", "no-out", "negative-seed", "no-equals", "infinite-gamma-d", "negative-gamma-m",
+            "lambda-above-1", "negative-tau", "batch-of-one", "zero-lr"])
+    def test_each_check_exits_2_with_its_message(self, tmp_path, capsys, lines, out, message):
+        config_file = tmp_path / "bad.cfg"
+        config_file.write_text(f"{lines}\n")
+        out_dir = tmp_path / "o"
+        assert run_cli("run", "--config", str(config_file), *(("--out", str(out_dir)) if out else ())) == 2
+        assert capsys.readouterr().err == f"error: {message.format(path=config_file)}\n"
+        assert not out_dir.exists()
+
+    def test_a_seed_fallback_that_is_not_an_integer(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("CDD_SEED", "abc")
+        config_file = tmp_path / "run.cfg"
+        config_file.write_text("scenario = hard\nprofile = distill\nsystem = mc\n")
+        assert run_cli("run", "--config", str(config_file), "--out", str(tmp_path / "o")) == 2
+        assert capsys.readouterr().err == "error: CDD_SEED: expected an integer, found 'abc'\n"
+
     @pytest.mark.parametrize("grid", ["", "seeds = 3 4\n"])
     def test_out_naming_a_file(self, tmp_path, capsys, grid):
         config_file = tmp_path / "run.cfg"
@@ -187,6 +220,15 @@ class TestRun:
         ) == 0
         config = json.loads((out / "config.json").read_text())
         assert config["seed"] == 21
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in matmul:RuntimeWarning")
+    def test_a_diverging_run_exits_1_naming_its_session_and_epoch(self, tmp_path, capsys):
+        config_file = tmp_path / "diverge.cfg"
+        config_file.write_text("scenario = hard\nprofile = finetune\nsystem = mc\nmemory = 0\nepochs = 1\nlr = 1e300\n")
+        assert run_cli("run", "--config", str(config_file), "--out", str(tmp_path / "o")) == 1
+        assert capsys.readouterr().err == (
+            "runtime failure: session 0, epoch 0: layer 1 pre-activation produced non-finite entries\n"
+        )
 
     def test_config_file_with_flag_override(self, tmp_path, dataset_paths):
         config_file = tmp_path / "grid.cfg"
@@ -537,6 +579,45 @@ class TestCheckpointMemory:
             load_checkpoint(checkpoint)
 
 
+def _loss_value_one_ulp_off(monkeypatch):
+    step = losses.loss_and_gradients
+    monkeypatch.setattr(losses, "loss_and_gradients", lambda *args, **kw: np.nextafter(step(*args, **kw), np.inf))
+
+
+def _gradient_off(shift):
+    """A bad engine whose step writes ``shift`` of the first entry of its last gradient."""
+
+    def install(monkeypatch):
+        step = losses.loss_and_gradients
+
+        def bad(rows, model, weights, grads, rule=None):
+            value = step(rows, model, weights, grads, rule=rule)
+            grads[-1].flat[0] = shift(grads[-1].flat[0])
+            return value
+
+        monkeypatch.setattr(losses, "loss_and_gradients", bad)
+
+    return install
+
+
+def _ap_off_by_1e_9(monkeypatch):
+    ap = verify.ap
+    monkeypatch.setattr(verify, "ap", lambda curve: ap(curve) + 1e-9)
+
+
+def _herding_reversed(monkeypatch):
+    monkeypatch.setattr(verify, "herd_select", lambda features, m: mem.herd_select(features, m)[::-1])
+
+
+def _snapshot_is_the_live_model(monkeypatch):
+    monkeypatch.setattr(mdl.Model, "snapshot", lambda self: self)
+
+
+def _af_off_by_1e_12(monkeypatch):
+    af = met.af
+    monkeypatch.setattr(met, "af", lambda matrix: af(matrix) + 1e-12)
+
+
 class TestVerify:
     def test_battery_passes_and_is_deterministic(self, capsys):
         assert run_cli("verify", "--seed", "1") == 0
@@ -544,18 +625,34 @@ class TestVerify:
         assert run_cli("verify", "--seed", "1") == 0
         second = capsys.readouterr().out
         assert first == second
-        names = [line.split()[1] for line in first.strip().splitlines()[:-1]]
-        assert names == [
-            "loss-gradient-suite",
-            "step-central-differences",
-            "step-equals-tape",
-            "herding-greedy-oracle",
-            "ap-threshold-oracle",
-            "aggregation-coincidence",
-            "snapshot-immutability",
-            "metric-bruteforce",
-        ]
-        assert all(line.startswith("PASS") for line in first.strip().splitlines()[:-1])
+        # every check passes at the strength it prints; the floats depend on the BLAS kernels
+        assert re.sub(r"\d\.\d{3}e[+-]\d\d", "<float>", first) == (
+            "PASS  loss-gradient-suite        max rel err <float>\n"
+            "PASS  step-central-differences   62 coordinates, max rel err <float>\n"
+            "PASS  step-equals-tape           3 systems, the value and every gradient bitwise equal\n"
+            "PASS  herding-greedy-oracle      20 seeded sets, every greedy step optimal\n"
+            "PASS  ap-threshold-oracle        max abs gap <float>\n"
+            "PASS  aggregation-coincidence    max deviation <float>\n"
+            "PASS  snapshot-immutability      10 inputs bitwise stable over 100 updates\n"
+            "PASS  metric-bruteforce          50 random matrices match exactly\n"
+            "8/8 checks passed\n"
+        )
+
+    @pytest.mark.parametrize("bad_engine, check, detail", [
+        (_loss_value_one_ulp_off, verify.check_step_against_tape, "linfc/sumlogit: the loss value differs from the tape"),
+        (_gradient_off(lambda g: np.nextafter(g, np.inf)), verify.check_step_against_tape,
+         "linfc/sumlogit: a gradient differs from the tape"),
+        (_gradient_off(lambda g: g + 1e-3), verify.check_step_gradients, "62 coordinates"),
+        (_ap_off_by_1e_9, verify.check_ap_oracle, "max abs gap"),
+        (_herding_reversed, verify.check_herding_oracle, "oracle"),
+        (_snapshot_is_the_live_model, verify.check_snapshot_immutability, "snapshot output drifted"),
+        (_af_off_by_1e_12, verify.check_metric_bruteforce, "AA/AF mismatch against full recomputation"),
+    ], ids=["loss-value", "gradient-entry", "gradient-1e-3", "ap", "herding-order", "snapshot", "af"])
+    def test_each_check_fails_on_a_known_bad_engine(self, monkeypatch, bad_engine, check, detail):
+        bad_engine(monkeypatch)
+        result = check(0)
+        assert result.passed is False
+        assert detail in result.detail
 
     def test_negative_seed_is_a_usage_error(self, capsys):
         assert run_cli("verify", "--seed", "-1") == 2

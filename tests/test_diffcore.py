@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from tape_ops import (
@@ -17,10 +19,12 @@ from tape_ops import (
 )
 
 from cddet import diffcore as dc
+from cddet import losses as ls
 from cddet.errors import (
     ContractError,
     DegenerateInputError,
     DimensionError,
+    NumericsError,
 )
 
 
@@ -253,3 +257,29 @@ class TestTape:
         x = dc.Tensor([1.0, 2.0], requires_grad=True)
         with pytest.raises(ContractError):
             relu(x).backward()
+
+
+def _ones(*shape):
+    return dc.Tensor(np.ones(shape))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: dc.add(_ones(2, 3), _ones(3, 2)), DimensionError, "add: shapes (2, 3) and (3, 2) differ"),
+    (lambda: dc.mul(_ones(2), _ones(3)), DimensionError, "mul: shapes (2,) and (3,) differ"),
+    (lambda: dc.affine(_ones(3), _ones(3, 2), _ones(2)), DimensionError, "affine expects 2-d x and w"),
+    (lambda: dc.affine(_ones(4, 3), _ones(3, 2), _ones(3)), DimensionError,
+     "affine: bias shape (3,) does not match k=2"),
+    (lambda: dc.affine_relu(_ones(4, 3), _ones(3, 2), _ones(3)), DimensionError,
+     "affine_relu: bias shape (3,) does not match k=2"),
+    (lambda: dc.linear(_ones(4, 3), _ones(2, 3), _ones(3)), DimensionError,
+     "linear: bias shape (3,) does not match k=2"),
+    (lambda: dc.cosine_matrix(_ones(4, 3), _ones(2, 4)), DimensionError, "cosine_matrix expects [n,f] and [k,f]"),
+    (lambda: dc.take_rows(_ones(4), slice(0, 2)), DimensionError, "take_rows expects a matrix"),
+    (lambda: dc.Tensor([1.0, np.inf]), NumericsError, "tensor holds non-finite entries"),
+    (lambda: _ones(2).item(), ContractError, "item() requires a single-element tensor"),
+    (lambda: ls.kd_feature(np.ones((3, 4)), _ones(3, 5)), DimensionError, "kd_feature expects two [n,f] feature blocks"),
+], ids=["add", "mul", "affine-1d-x", "affine-bias", "affine-relu-bias", "linear-bias", "cosine-widths",
+        "take-rows-vector", "non-finite-tensor", "item-non-scalar", "kd-feature-blocks"])
+def test_each_op_rejects_the_input_its_check_names(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()

@@ -308,10 +308,7 @@ def _small_model(variant=LINFC, tasks=2, seed=0, d=5):
     rng = np.random.default_rng(seed)
     model = Model.build(d, variant, rng, hidden=(6,), feature_width=4)
     for t in range(1, tasks + 1):
-        if variant == "sigmoid":
-            model.head.register_task(t)
-        else:
-            model.head.expand(t, rng)
+        model.head.expand(t, rng)
     return model
 
 

@@ -155,6 +155,10 @@ class TestQuotas:
 
 
 class TestMemory:
+    def test_unknown_payload_kind(self):
+        with pytest.raises(ConfigError, match="^unknown payload kind 'images'$"):
+            ExemplarMemory(4, "images")
+
     def test_trim_preserves_herding_prefix(self):
         memory = ExemplarMemory(budget=4)
         rows = np.arange(8.0).reshape(4, 2)
@@ -344,7 +348,3 @@ class TestCapture:
         stored = capture(extractor, x, mem.LATENT)
         resumed = extractor.forward_from_latent(stored)
         np.testing.assert_array_equal(full, resumed)
-
-    def test_unknown_mode(self):
-        with pytest.raises(ConfigError):
-            capture(self._extractor(), np.zeros((1, 5)), "images")

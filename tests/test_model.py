@@ -22,10 +22,7 @@ def make_model(variant, tasks=0, seed=0, d=6):
     rng = np.random.default_rng(seed)
     model = Model.build(d, variant, rng, hidden=(8, 8), feature_width=5)
     for task_id in range(1, tasks + 1):
-        if variant == SIGMOID:
-            model.head.register_task(task_id)
-        else:
-            model.head.expand(task_id, rng)
+        model.head.expand(task_id, rng)
     return model
 
 
@@ -60,6 +57,14 @@ class TestForward:
         model = make_model(LINFC, tasks=1)
         with pytest.raises(ContractError):
             model.forward(np.zeros((0, 6)))
+
+    def test_rows_of_another_width_rejected(self):
+        """The extractor checks the width of the rows it is handed, raw or latent."""
+        model = make_model(LINFC, tasks=1)
+        with pytest.raises(ContractError, match="^input width 5 != 6$"):
+            model.forward(np.zeros((2, 5)))
+        with pytest.raises(ContractError, match="^latent width 5 != 8$"):
+            model.forward_from_latent(np.zeros((2, 5)))
 
     @pytest.mark.parametrize("variant", [LINFC, COSFC, SIGMOID])
     def test_tape_free_path_matches_the_tape_bitwise(self, variant):
@@ -139,10 +144,15 @@ class TestExpansion:
         np.testing.assert_array_equal(a.head.theta, b.head.theta)
 
     def test_sigmoid_keeps_one_unit(self):
+        """``expand`` registers a sigmoid head's task, keeps its one unit
+        and draws nothing from the generator."""
         model = make_model(SIGMOID, tasks=3)
+        rng = np.random.default_rng(0)
+        model.head.expand(4, rng)
+        assert model.head.registry.tasks == [1, 2, 3, 4]
         assert model.head.theta.shape == (1, 5)
-        with pytest.raises(ProtocolError):
-            model.head.expand(4, np.random.default_rng(0))
+        assert model.head.bias.shape == (1,)
+        assert rng.random() == np.random.default_rng(0).random()
 
 
 class TestSnapshot:
@@ -218,6 +228,12 @@ class TestRegistryInvariants:
         model = make_model(LINFC, tasks=4)
         mask = model.head.registry.fake_mask()
         assert mask.sum() == 4 and (~mask).sum() == 4
+
+    def test_class_of_an_unregistered_task_or_polarity_raises(self):
+        registry = make_model(LINFC, tasks=1).head.registry
+        for task_id, polarity in ((2, REAL), (1, 2)):
+            with pytest.raises(ContractError, match=f"^no class registered for task {task_id} polarity {polarity}$"):
+                registry.class_of(task_id, polarity)
 
     def test_latent_replay_roundtrip(self):
         model = make_model(LINFC, tasks=1, seed=9)
@@ -348,6 +364,20 @@ class TestCheckpointValidation:
         path = tmp_path / "ckpt.json"
         mdl.save_checkpoint(path, model)
         return path, json.loads(path.read_text())
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda blob: blob["model"].update(capture_layer=2), "^capture layer 2 out of range for 2 hidden layers$"),
+        (lambda blob: blob["model"].update(extractor=[]), "^malformed checkpoint: "),
+        (lambda blob: blob.update(memory=[1]), "^checkpoint field memory: not an object$"),
+        (lambda blob: blob.update(memory={"kind": "raw", "budget": 4, "classes": []}),
+         r"^checkpoint field memory\.classes: not an object$"),
+    ], ids=["capture-layer-out-of-range", "extractor-a-list", "memory-a-list", "memory-classes-a-list"])
+    def test_a_field_of_the_wrong_kind_rejected(self, tmp_path, edit, message):
+        path, blob = self._saved_payload(tmp_path)
+        edit(blob)
+        path.write_text(json.dumps(blob))
+        with pytest.raises(ConfigError, match=message):
+            mdl.load_checkpoint(path)
 
     def test_truncated_layer_list_rejected(self, tmp_path):
         path, blob = self._saved_payload(tmp_path)

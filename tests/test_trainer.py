@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from conftest import run_scenario, tiny_scenario, tiny_spec
 
-from cddet import trainer
+from cddet import losses, trainer
 from cddet.errors import ConfigError, NumericsError, ProtocolError
 from cddet.losses import LossWeights, ReplayConstants, loss_and_gradients
 from cddet.memory import ExemplarMemory, LATENT, RAW, quotas
@@ -103,6 +103,16 @@ class TestProfiles:
         names = builtin_profiles()
         for required in ("finetune", "replay", "replay+kd", "distill", "rebalance"):
             assert required in names
+
+    def test_an_unknown_system_or_distillation_form_is_rejected(self):
+        with pytest.raises(ConfigError, match="^unknown learning system 'xc'; known: bc, mc, mt$"):
+            resolve_profile("distill", "xc")
+        with pytest.raises(ConfigError, match="^unknown distillation form 'logits'$"):
+            MethodProfile("bad", distill_form="logits")
+
+    def test_a_sigmoid_head_takes_no_margin_term(self):
+        with pytest.raises(ConfigError, match="^sigmoid heads drop the margin term; gamma_m must be 0$"):
+            MethodProfile("bad", LossWeights(gamma_m=0.1), head_variant=SIGMOID)
 
     def test_distill_profile_mc(self):
         p = resolve_profile("distill", MC)
@@ -294,9 +304,9 @@ class TestRunSession:
         model over its replayed rows."""
 
         def forbidden(*args):
-            raise AssertionError("a session took constants it does not read")
+            raise AssertionError("a session ran the old model for constants it does not read")
 
-        monkeypatch.setattr(trainer, "snapshot_constants", forbidden)
+        monkeypatch.setattr(losses, "_np_forward_joint", forbidden)
         scenario = tiny_scenario(3, seed=3)
         for name, budget, options in (("distill", 0, {}), ("rebalance", 40, {"gamma_d": 0.0, "distill_form": "none"})):
             model, memory, sessions, _ = fresh_setup(profile_name=name, budget=budget, scenario=scenario)
