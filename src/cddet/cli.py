@@ -6,11 +6,11 @@ embedded oracle battery.
 Configuration comes from an optional key=value text file (``#`` comments;
 an unknown key or a value that does not parse is an error naming its line)
 with command-line flags taking precedence; ``CDD_SEED`` serves as the seed
-fallback. A ``seeds`` key in the file expands into one sub-run per seed,
-written to ``<out>/<seed>/``; the seeds run one after another, each exactly
-as a single run of that seed. ``run`` checks every setting
-(``ExperimentConfig.resolve``) and creates every run directory before it
-builds any data.
+fallback, and seed 0 as the last. A ``seeds`` key in the file expands into
+one sub-run per seed, written to ``<out>/<seed>/``; the seeds run one after
+another, each exactly as a single run of that seed. ``run`` checks every
+setting (``ExperimentConfig.resolve``) and creates every run directory
+before it builds any data.
 
 Exit codes: 0 success; 2 a usage error: a bad setting or combination of
 settings, any input file that cannot be read (``errors.read_text`` reads

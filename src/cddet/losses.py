@@ -102,8 +102,9 @@ class ReplayConstants:
 
     def take(self, idx: Array) -> ReplayConstants:
         """The constants of rows ``idx``."""
-        picked = (None if a is None else a[idx] for a in (self.kd_logp, self.kd_p, self.old_features, self.old_norms))
-        return ReplayConstants(self.classes[idx], self.old_cols, *picked)
+        arrays = (self.kd_logp, self.kd_p, self.old_features, self.old_norms)
+        picked = (None if a is None else a.take(idx, axis=0) for a in arrays)
+        return ReplayConstants(self.classes.take(idx), self.old_cols, *picked)
 
 
 def _check_distillable(ex: ReplayConstants) -> None:

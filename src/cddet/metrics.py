@@ -243,18 +243,20 @@ _PREDICTIONS_HEADER = "task_id,record_id,true_label,pred_label,p_fake,true_class
 
 
 def write_predictions(path, logs: dict[int, PredictionLog]) -> None:
+    """predictions.csv from ``logs``: each task's rows as one string, from
+    its columns, each converted to Python numbers once."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(_PREDICTIONS_HEADER + "\n")
         for task_id in sorted(logs):
             log = logs[task_id]
-            has_classes = log.true_class is not None
-            for i, rid in enumerate(log.record_ids):
-                tc = str(int(log.true_class[i])) if has_classes else ""
-                pc = str(int(log.pred_class[i])) if has_classes else ""
-                fh.write(
-                    f"{task_id},{rid},{int(log.true_polarity[i])},"
-                    f"{int(log.pred_polarity[i])},{float(log.p_fake[i])!r},{tc},{pc}\n"
-                )
+            labels = (log.true_polarity, log.pred_polarity)
+            if log.true_class is not None:
+                labels += (log.true_class, log.pred_class)
+            true_pol, pred_pol, *classes = (np.asarray(a, np.int64).tolist() for a in labels)
+            true_cls, pred_cls = classes or ([""] * len(log.record_ids),) * 2
+            scores = np.asarray(log.p_fake, np.float64).tolist()
+            rows = zip(log.record_ids, true_pol, pred_pol, scores, true_cls, pred_cls)
+            fh.write("".join(f"{task_id},{rid},{t},{p},{score!r},{tc},{pc}\n" for rid, t, p, score, tc, pc in rows))
 
 
 def _numbers(values: tuple, dtype, where: Array) -> tuple[Array, Array, Array]:

@@ -147,6 +147,7 @@ class FeatureExtractor:
             raise ContractError(f"latent width {latent.shape[1]} != {self.latent_width}")
         return self.np_activations(latent, self.capture_layer + 1)[-1]
 
+    @np.errstate(over="ignore")  # the finiteness check names the layer that overflows
     def np_activations(self, x: Array, start: int, stop: int | None = None) -> list[Array]:
         """Layers ``start`` onward (up to, not including, ``stop``) on plain
         arrays, with the tape's arithmetic and a finiteness check on every

@@ -50,14 +50,14 @@ coarsest level at which it is constant:
   until training ends; then, whether the session returns or raises, the
   memory takes them back in stored order (``ExemplarMemory.take_back``),
   and the session's rows go before new exemplars are stored;
-- once per epoch, ``_regather`` lays those arrays out in the epoch's row
-  order (``_epoch_order``), one array at a time, so that each step's
-  window is one run of rows and its replayed rows one run of constants;
-- once per step: ``_assemble_batches`` takes the step's window as views
-  of those arrays, one ``StepRows`` (mixing a copy of the window under
-  mixup), ``losses.loss_and_gradients`` computes the loss and writes each
-  gradient into ``Adam.g``; ``Adam.step`` applies them in Adam's folded
-  form.
+- once per epoch, ``_epoch_order`` draws the epoch's row order, each step's
+  window holding its new rows first, and one ``np.add.reduceat`` counts
+  each window's new rows; the session's rows stay where ``_plan_session``
+  laid them out until the session ends;
+- once per step: ``_assemble_batches`` gathers the step's window from
+  them, one ``StepRows`` (mixing its gathered new rows under mixup),
+  ``losses.loss_and_gradients`` computes the loss and writes each gradient
+  into ``Adam.g``; ``Adam.step`` applies them in Adam's folded form.
 
 The gradients equal the tape's (``total_loss`` on the same ``StepRows``,
 ``.backward()``) bit for bit; the tape stays as the reference the tests and
@@ -364,51 +364,25 @@ def _epoch_order(perm: np.ndarray, n_new: int, batch_size: int) -> np.ndarray:
     return perm[np.argsort(window + (perm >= n_new), kind="stable")]
 
 
-def _regather(rows: StepRows, held: np.ndarray, order: np.ndarray, batch_size: int) -> list[tuple[int, int, int, int]]:
-    """Rearrange ``rows`` in place, whose position i holds the session's
-    row ``held[i]``, into the epoch's ``order`` (``_epoch_order``), and
-    return its windows of ``batch_size`` rows as ``(start, stop, n_new,
-    at)``: rows ``start`` to ``stop``, the first ``n_new`` of them new, the
-    replayed ones' constants ``rows.ex``'s rows from ``at`` on.
-
-    The replayed rows' constants follow the replayed rows' order, so each
-    window's are one run. Each array is gathered alone and replaces its old
-    one before the next, so the rows are held once, plus one array. The rows
-    go last: until this returns, ``held`` names their arrangement, by which
-    a session that raises hands the memory's rows back."""
-    rel = np.argsort(held)[order]  # argsort of an arrangement is its inverse
-    replayed = order >= rows.n_new
-    if rows.ex is not None:
-        rows.ex = rows.ex.take((np.cumsum(held >= rows.n_new) - 1)[rel[replayed]])
-    rows.targets = rows.targets.take(rel, axis=0)
-    starts = np.arange(0, order.size, batch_size)
-    stops = np.minimum(starts + batch_size, order.size)
-    n_ex = np.add.reduceat(replayed, starts)
-    ats = np.cumsum(n_ex) - n_ex
-    windows = list(zip(starts.tolist(), stops.tolist(), (stops - starts - n_ex).tolist(), ats.tolist()))
-    rows.x = rows.x.take(rel, axis=0)
-    return windows
-
-
 def _assemble_batches(
     rows: StepRows,
-    window: tuple[int, int, int, int],
+    idx: np.ndarray,
+    n_new: int,
     profile: MethodProfile,
     mixup_rng: np.random.Generator,
 ) -> StepRows:
-    """The step over one ``window`` of the rows as ``_regather`` laid them
-    out: views of its rows and of its replayed rows' constants, or, when
-    the profile asks for mixup, a copy of its rows with the new ones mixed."""
-    start, stop, n_new, at = window
-    x, targets = rows.x[start:stop], rows.targets[start:stop]
+    """The step over the session's rows ``idx``, one window of the epoch's
+    order (``_epoch_order``) whose first ``n_new`` rows are new: its rows,
+    targets and replayed rows' constants gathered from ``rows``, which stay
+    as they are, and its gathered new rows mixed when the profile asks for
+    mixup."""
+    x, targets = rows.x.take(idx, axis=0), rows.targets.take(idx, axis=0)
     if profile.mixup_alpha > 0 and n_new > 1:
-        x, targets = x.copy(), targets.copy()
         partner = mixup_rng.permutation(n_new)
         lam = float(mixup_rng.beta(profile.mixup_alpha, profile.mixup_alpha))
         for block in (x, targets):
             block[:n_new] = lam * block[:n_new] + (1.0 - lam) * block[partner]
-    n_ex = stop - start - n_new
-    return StepRows(x, n_new, targets, rows.ex.take(slice(at, at + n_ex)) if n_ex else None)
+    return StepRows(x, n_new, targets, rows.ex.take(idx[n_new:] - rows.n_new) if n_new < idx.size else None)
 
 
 def run_session(
@@ -426,27 +400,24 @@ def run_session(
     mixup_rng = substream(config.seed, f"mixup:{session.task_id}")
     head_rng = substream(config.seed, f"head:{session.task_id}")
 
-    epoch, rows, step = 0, None, None
+    epoch, rows = 0, None
     try:
         rows = _plan_session(model, memory, session, profile, head_rng)
         n_rows, batch_size = rows.x.shape[0], config.batch_size
-        held = np.arange(n_rows)
+        starts = np.arange(0, n_rows, batch_size)
         optimizer = Adam(model, lr=lr)
         for epoch in range(config.epochs):
             order = _epoch_order(batching_rng.permutation(n_rows), rows.n_new, batch_size)
-            step = None  # its views would keep the arrays that the regather replaces
-            windows = _regather(rows, held, order, batch_size)
-            held = order
-            for window in windows:
-                step = _assemble_batches(rows, window, profile, mixup_rng)
+            counts = np.add.reduceat(order < rows.n_new, starts)
+            for start, n_new in zip(starts.tolist(), counts.tolist()):
+                step = _assemble_batches(rows, order[start : start + batch_size], n_new, profile, mixup_rng)
                 loss_and_gradients(step, model, profile.weights, optimizer.grads, rule=profile.aggregation)
                 optimizer.step()
     except NumericsError as exc:
         raise NumericsError(f"session {session.task_id}, epoch {epoch}: {exc}") from exc
     finally:
         if rows is not None and rows.ex is not None:
-            # the memory's rows, in stored order: session row i is x's row argsort(held)[i]
-            memory.take_back(rows.x.take(np.argsort(held)[rows.n_new :], axis=0))
+            memory.take_back(rows.x[rows.n_new :].copy())  # the memory's rows, in stored order
     rows = step = None  # the session's rows go before the memory stores new ones
 
     if memory is not None:

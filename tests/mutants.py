@@ -33,20 +33,6 @@ _TAKE_CONSTANTS = (
     "            ex = snapshot_constants(model, payloads, ex_classes, profile.weights.T, profile.distill_form, latent)\n"
 )
 _EXPAND_HEAD = "        model.head.expand(session.task_id, head_rng)\n"
-# trainer._regather's gathers and window arithmetic before its last gather,
-# of the rows, which one mutant moves back to the top
-_REGATHER_BEFORE_X = (
-    "    replayed = order >= rows.n_new\n"
-    "    if rows.ex is not None:\n"
-    "        rows.ex = rows.ex.take((np.cumsum(held >= rows.n_new) - 1)[rel[replayed]])\n"
-    "    rows.targets = rows.targets.take(rel, axis=0)\n"
-    "    starts = np.arange(0, order.size, batch_size)\n"
-    "    stops = np.minimum(starts + batch_size, order.size)\n"
-    "    n_ex = np.add.reduceat(replayed, starts)\n"
-    "    ats = np.cumsum(n_ex) - n_ex\n"
-    "    windows = list(zip(starts.tolist(), stops.tolist(), (stops - starts - n_ex).tolist(), ats.tolist()))\n"
-)
-_GATHER_X = "    rows.x = rows.x.take(rel, axis=0)\n"
 
 # (name, file under src/cddet, text, replacement, tests that must fail)
 MUTANTS = [
@@ -183,19 +169,34 @@ MUTANTS = [
         ],
     ),
     (
-        "regather-indexes-the-session-layout", "trainer.py",
-        "    rel = np.argsort(held)[order]  # argsort of an arrangement is its inverse\n",
-        "    rel = order\n",
+        "step-takes-constants-at-session-rows", "trainer.py",
+        "rows.ex.take(idx[n_new:] - rows.n_new)",
+        "rows.ex.take(idx[n_new:])",
         ["tests/test_step.py::test_epoch_layout_steps_equal_a_per_step_gather"],
     ),
     (
-        "memory-takes-its-rows-back-by-held", "trainer.py",
-        "np.argsort(held)[rows.n_new :]",
-        "held[rows.n_new :]",
+        "window-counts-the-first-replayed-row-as-new", "trainer.py",
+        "np.add.reduceat(order < rows.n_new, starts)",
+        "np.add.reduceat(order <= rows.n_new, starts)",
+        [
+            "tests/test_step.py::test_epoch_layout_steps_equal_a_per_step_gather",
+            "tests/test_step.py::test_a_sessions_rows_never_move",
+        ],
+    ),
+    (
+        "memory-takes-back-one-row-early", "trainer.py",
+        "memory.take_back(rows.x[rows.n_new :].copy())",
+        "memory.take_back(rows.x[rows.n_new - 1 :].copy())",
         [
             "tests/test_trainer.py::TestLending::test_each_old_class_keeps_a_prefix_of_its_rows",
             "tests/test_trainer.py::TestLending::test_a_session_that_raises_leaves_the_memory_as_it_was",
         ],
+    ),
+    (
+        "memory-takes-back-views-of-the-session-rows", "trainer.py",
+        "memory.take_back(rows.x[rows.n_new :].copy())",
+        "memory.take_back(rows.x[rows.n_new :])",
+        ["tests/test_trainer.py::TestLending::test_the_memory_holds_no_rows_while_the_session_trains"],
     ),
     (
         "memory-keeps-its-arrays-while-lent", "memory.py",
@@ -210,16 +211,46 @@ MUTANTS = [
         ["tests/test_trainer.py::TestLending::test_a_session_that_raises_leaves_the_memory_as_it_was"],
     ),
     (
-        "regather-gathers-the-rows-first", "trainer.py",
-        _REGATHER_BEFORE_X + _GATHER_X,
-        _GATHER_X + _REGATHER_BEFORE_X,
-        ["tests/test_trainer.py::TestLending::test_a_session_that_raises_leaves_the_memory_as_it_was"],
+        "mixup-writes-the-session-rows", "trainer.py",
+        "        for block in (x, targets):\n",
+        "        for block in (rows.x, rows.targets):\n",
+        [
+            "tests/test_step.py::test_mixup_leaves_the_held_arrays_unwritten",
+            "tests/test_step.py::test_a_sessions_rows_never_move",
+        ],
     ),
     (
-        "mixup-writes-the-held-window", "trainer.py",
-        "        x, targets = x.copy(), targets.copy()\n",
+        "activations-warn-on-overflow", "model.py",
+        "    @np.errstate(over=\"ignore\")  # the finiteness check names the layer that overflows\n",
         "",
-        ["tests/test_step.py::test_mixup_leaves_the_held_arrays_unwritten"],
+        [
+            "tests/test_cli.py::TestRun::test_a_diverging_run_exits_1_naming_its_session_and_epoch",
+            "tests/test_trainer.py::TestNumericsErrors",
+        ],
+    ),
+    (
+        "batch-of-two-rejected", "trainer.py",
+        "if self.batch_size < 2:",
+        "if self.batch_size < 3:",
+        ["tests/test_trainer.py::TestRunScenario::test_a_batch_of_two_rows_trains"],
+    ),
+    (
+        "default-seed-one", "trainer.py",
+        "    seed: int = 0\n",
+        "    seed: int = 1\n",
+        ["tests/test_cli.py::TestRun::test_a_run_given_no_seed_uses_seed_0"],
+    ),
+    (
+        "memory-totals-count-a-missing-memory", "trainer.py",
+        "memory.total() if memory is not None else 0)",
+        "memory.total() if memory is not None else 1)",
+        ["tests/test_trainer.py::TestRunScenario::test_memory_totals_record_the_memory_after_each_session"],
+    ),
+    (
+        "rebalance-leaves-a-row-past-the-quotas", "memory.py",
+        "quota = per_class[rank] if rank < num_classes else 0",
+        "quota = per_class[rank] if rank < num_classes else 1",
+        ["tests/test_memory.py::TestMemory::test_a_class_past_the_quotas_keeps_no_rows"],
     ),
     (
         "adam-beta-rows-swapped", "trainer.py",

@@ -211,6 +211,15 @@ class TestRun:
         b = (tmp_path / "b" / "metrics.json").read_bytes()
         assert a == b
 
+    def test_a_run_given_no_seed_uses_seed_0(self, tmp_path, dataset_paths, monkeypatch):
+        monkeypatch.delenv("CDD_SEED", raising=False)
+        out = tmp_path / "default"
+        assert run_cli(
+            "run", "--data", *dataset_paths, "--profile", "finetune", "--system", "mc",
+            "--memory", "0", "--epochs", "1", "--out", str(out),
+        ) == 0
+        assert json.loads((out / "config.json").read_text())["seed"] == 0
+
     def test_seed_env_fallback(self, tmp_path, dataset_paths, monkeypatch):
         monkeypatch.setenv("CDD_SEED", "21")
         out = tmp_path / "env"
@@ -221,7 +230,7 @@ class TestRun:
         config = json.loads((out / "config.json").read_text())
         assert config["seed"] == 21
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered in matmul:RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_a_diverging_run_exits_1_naming_its_session_and_epoch(self, tmp_path, capsys):
         config_file = tmp_path / "diverge.cfg"
         config_file.write_text("scenario = hard\nprofile = finetune\nsystem = mc\nmemory = 0\nepochs = 1\nlr = 1e300\n")

@@ -169,6 +169,15 @@ class TestMemory:
         assert stored.tolist() == rows[:2].tolist()
         assert not np.shares_memory(stored, rows)  # the dropped tail is not kept alive
 
+    def test_a_class_past_the_quotas_keeps_no_rows(self):
+        """Quotas go to the stored classes in class order; a stored class
+        past ``num_classes`` gets none."""
+        memory = ExemplarMemory(budget=4)
+        for c in range(3):
+            memory.add_class(c, np.full((2, 2), float(c)))
+        memory.rebalance(num_classes=2)
+        assert [memory.classes[c].shape[0] for c in range(3)] == [2, 2, 0]
+
     def test_all_exemplars_stack_in_class_order(self):
         """Rows stack by ascending class index, whatever the insertion order;
         a class trimmed to no rows adds none."""

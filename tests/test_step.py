@@ -16,6 +16,7 @@ import pytest
 from conftest import tiny_scenario
 
 from cddet import losses as ls
+from cddet import trainer
 from cddet.losses import AGG_RULES, MAX, SUMFEAT, SUMLOG, SUMLOGIT
 from cddet.memory import LATENT, ExemplarMemory
 from cddet.model import BC, MC, MT, Model
@@ -27,7 +28,6 @@ from cddet.trainer import (
     _assemble_batches,
     _epoch_order,
     _plan_session,
-    _regather,
     builtin_profiles,
     resolve_profile,
     run_session,
@@ -82,17 +82,17 @@ def _replayed_in_order(rows, perm):
     return replace(rows, x=rows.x[order], targets=rows.targets[order], ex=rows.ex.take(perm))
 
 
-def _laid_out(rows, order, batch_size):
-    """A copy of the session's rows laid out in the epoch ``order``, and its
-    windows (``_regather``); ``rows`` stays as it is."""
-    held = copy.deepcopy(rows)
-    return held, _regather(held, np.arange(order.size), order, batch_size)
+def _windows(rows, order, batch_size):
+    """The epoch ``order``'s windows of ``batch_size`` rows: each window's
+    session rows, and how many of them are new."""
+    windows = [order[start : start + batch_size] for start in range(0, order.size, batch_size)]
+    return [(idx, int(np.count_nonzero(idx < rows.n_new))) for idx in windows]
 
 
 def _gathered_step(rows, idx, profile, mixup_rng):
     """The step over the session's rows ``idx``, one window of the epoch's
     order, gathered by fancy indexing from the session's layout: the
-    per-step reference for the epoch layout."""
+    reference for ``trainer._assemble_batches``."""
     n_new = int(np.count_nonzero(idx < rows.n_new))
     x, targets = rows.x[idx], rows.targets[idx]
     if profile.mixup_alpha > 0 and n_new > 1:
@@ -131,8 +131,7 @@ def _step_over(profile, rows, new_idx, pool_idx, rng):
     picked = np.concatenate([new_idx, rows.n_new + pool_idx]).astype(np.intp)
     rest = np.setdiff1d(np.arange(rows.x.shape[0]), picked)
     order = _epoch_order(np.concatenate([picked, rest]), rows.n_new, picked.size)
-    held, windows = _laid_out(rows, order, picked.size)
-    return _assemble_batches(held, windows[0], profile, rng)
+    return _assemble_batches(rows, *_windows(rows, order, picked.size)[0], profile, rng)
 
 
 def _assert_step_matches_tape(profile, model, rows, new_rows, pool_rows, rng):
@@ -226,22 +225,20 @@ def test_new_rows_enter_at_the_capture_layer_under_latent_replay(n_new):
 
 
 def test_mixup_leaves_the_held_arrays_unwritten():
-    """Each step mixes its own copy of its window: neither it nor the loss
-    writes the held arrays, which the next epoch regathers from."""
+    """Each step mixes its own gathered copy of its window: neither it nor
+    the loss writes the session's rows, which every later step gathers from."""
     profile, sessions, model, memory = _setup(MC, "distill", {"mixup_alpha": 0.4})
     for session in sessions[:-1]:
         run_session(model, memory, session, profile, FAST)
     rows = _plan_session(model, memory, sessions[-1], profile, np.random.default_rng(0))
     n_rows = rows.x.shape[0]
     order = _epoch_order(np.random.default_rng(1).permutation(n_rows), rows.n_new, 8)
-    windows = _regather(rows, np.arange(n_rows), order, 8)
     before = copy.deepcopy(rows)
     optimizer = Adam(model, lr=FAST.lr)
     mixed = 0
-    for window in windows:
-        start = window[0]
-        step = _assemble_batches(rows, window, profile, np.random.default_rng(start))
-        mixed += not np.array_equal(step.x[: step.n_new], before.x[start : start + step.n_new])
+    for start, (idx, n_new) in enumerate(_windows(rows, order, 8)):
+        step = _assemble_batches(rows, idx, n_new, profile, np.random.default_rng(start))
+        mixed += not np.array_equal(step.x[:n_new], before.x[idx[:n_new]])
         ls.loss_and_gradients(step, model, profile.weights, optimizer.grads, rule=profile.aggregation)
         optimizer.step()
     assert mixed
@@ -259,13 +256,9 @@ def test_mixup_mixes_the_gathered_new_rows_with_a_permutation_of_themselves():
     rows = _plan_session(model, memory, sessions[-1], profile, np.random.default_rng(0))
     n_rows = rows.x.shape[0]
     order = _epoch_order(np.random.default_rng(1).permutation(n_rows), rows.n_new, 8)
-    held, windows = _laid_out(rows, order, 8)
     alpha, mixed = profile.mixup_alpha, 0
-    for window in windows:
-        start, stop = window[:2]
-        idx = order[start:stop]
-        step = _assemble_batches(held, window, profile, np.random.default_rng(start))
-        n_new = step.n_new
+    for start, (idx, n_new) in enumerate(_windows(rows, order, 8)):
+        step = _assemble_batches(rows, idx, n_new, profile, np.random.default_rng(start))
         for got, gathered in ((step.x, rows.x[idx]), (step.targets, rows.targets[idx])):
             want = gathered.copy()
             if n_new > 1:
@@ -304,11 +297,11 @@ def test_epoch_layout_puts_each_windows_new_rows_first():
         n_new = rows.n_new
         assert n_new == len(sessions[-1].train.x)
         perm = np.random.default_rng(3).permutation(len(x))
-        held, windows = _laid_out(rows, _epoch_order(perm, n_new, 5), 5)
+        windows = _windows(rows, _epoch_order(perm, n_new, 5), 5)
         for start in range(0, len(x), 5):
             window = perm[start : start + 5]
             order = np.concatenate([window[window < n_new], window[window >= n_new]])
-            step = _assemble_batches(held, windows[start // 5], profile, np.random.default_rng(0))
+            step = _assemble_batches(rows, *windows[start // 5], profile, np.random.default_rng(0))
             assert step.n_new == np.count_nonzero(window < n_new)
             assert np.array_equal(step.x, x[order])
             assert np.array_equal(step.targets, rows.targets[order])
@@ -323,6 +316,38 @@ def test_epoch_layout_puts_each_windows_new_rows_first():
             assert step.ex.old_cols == rows.ex.old_cols
 
 
+class _Recorded:
+    """``run_session`` with its plan, its epoch orders and its steps
+    recorded: the session's rows and a copy of them as planned, each
+    epoch's order, and each step's window, count of new rows and rows, by
+    epoch. ``check`` runs at the start of every epoch."""
+
+    def __init__(self, monkeypatch, check=lambda recorded: None):
+        self.rows = self.planned = None
+        self.orders, self.steps = [], []
+        plan, order_of, assemble = trainer._plan_session, trainer._epoch_order, trainer._assemble_batches
+
+        def planned(*args):
+            self.rows = plan(*args)
+            self.planned = copy.deepcopy(self.rows)
+            return self.rows
+
+        def epoch_order(*args):
+            check(self)
+            self.orders.append(order_of(*args))
+            self.steps.append([])
+            return self.orders[-1]
+
+        def assembled(rows, idx, n_new, *args):
+            step = assemble(rows, idx, n_new, *args)
+            self.steps[-1].append((idx.copy(), n_new, step))
+            return step
+
+        monkeypatch.setattr(trainer, "_plan_session", planned)
+        monkeypatch.setattr(trainer, "_epoch_order", epoch_order)
+        monkeypatch.setattr(trainer, "_assemble_batches", assembled)
+
+
 @pytest.mark.parametrize("batch_size", [5, 7])
 @pytest.mark.parametrize("system,name,options,budget", [
     (MT, "rebalance", {}, 40),  # raw replay, feature constants
@@ -331,36 +356,60 @@ def test_epoch_layout_puts_each_windows_new_rows_first():
     (BC, "distill", {}, 40),
     (MC, "finetune", {}, 0),  # no memory: every row is new
 ])
-def test_epoch_layout_steps_equal_a_per_step_gather(system, name, options, budget, batch_size):
-    """Over three epochs, each step taken as views of the rows ``_regather``
-    laid out equals, byte for byte, the step gathered by fancy indexing
-    from the session's layout; after each epoch, a mixup one too, the held
-    arrays equal a fresh regather of the session's rows."""
+def test_epoch_layout_steps_equal_a_per_step_gather(monkeypatch, system, name, options, budget, batch_size):
+    """Over three epochs of ``run_session``, each epoch's order is the one
+    ``_epoch_order`` draws from the session's batching stream, cut into
+    windows of ``batch_size`` rows, and each step equals, byte for byte, the
+    step gathered by fancy indexing at its window from the session's rows,
+    its new rows counted and mixed from the session's mixup stream."""
     profile, sessions, model, memory = _setup(system, name, options)
     memory = memory if budget else None
     for session in sessions[:-1]:
         run_session(model, memory, session, profile, FAST)
-    rows = _plan_session(model, memory, sessions[-1], profile, np.random.default_rng(0))
+    config = replace(FAST, epochs=3, batch_size=batch_size)
+    recorded = _Recorded(monkeypatch)
+    run_session(model, memory, sessions[-1], profile, config)
+    rows, task_id = recorded.planned, sessions[-1].task_id
     assert (rows.ex is None) == (budget == 0)
-    session_rows = copy.deepcopy(rows)
-    n_rows, held = rows.x.shape[0], np.arange(rows.x.shape[0])
+    n_rows = rows.x.shape[0]
     assert n_rows % batch_size  # a short last window
-    batching, mixing, reference_mixing = (np.random.default_rng(seed) for seed in (1, 2, 2))
+    batching, mixing = substream(config.seed, f"batch:{task_id}"), substream(config.seed, f"mixup:{task_id}")
     mixed = 0
-    for _ in range(3):
-        order = _epoch_order(batching.permutation(n_rows), rows.n_new, batch_size)
-        windows = _regather(rows, held, order, batch_size)
-        held = order
-        assert [window[:2] for window in windows] == [
-            (start, min(start + batch_size, n_rows)) for start in range(0, n_rows, batch_size)
-        ]
-        for window in windows:
-            step = _assemble_batches(rows, window, profile, mixing)
-            want = _gathered_step(session_rows, order[window[0] : window[1]], profile, reference_mixing)
-            _assert_same_rows(step, want)
-            mixed += profile.mixup_alpha > 0 and step.n_new > 1
-        _assert_same_rows(rows, _laid_out(session_rows, order, batch_size)[0])
+    for order, steps in zip(recorded.orders, recorded.steps, strict=True):
+        assert order.tobytes() == _epoch_order(batching.permutation(n_rows), rows.n_new, batch_size).tobytes()
+        assert len(steps) == len(_windows(rows, order, batch_size))
+        for (idx, n_new, step), (want_idx, want_n_new) in zip(steps, _windows(rows, order, batch_size)):
+            assert idx.tobytes() == want_idx.tobytes() and n_new == want_n_new
+            _assert_same_rows(step, _gathered_step(rows, idx, profile, mixing))
+            mixed += profile.mixup_alpha > 0 and n_new > 1
+    assert len(recorded.orders) == 3
     assert bool(mixed) == (profile.mixup_alpha > 0)
+
+
+def test_a_sessions_rows_never_move(monkeypatch):
+    """Over a three-epoch session with mixup and logit+feature distillation,
+    the session's rows, targets and every array of the replayed rows'
+    constants stay bit for bit as ``_plan_session`` returned them after
+    each epoch, and each epoch's windows partition the session's rows,
+    every window's new rows first."""
+    profile, sessions, model, memory = _setup(MC, "distill", {"mixup_alpha": 0.4, "distill_form": "logit+feature"})
+    for session in sessions[:-1]:
+        run_session(model, memory, session, profile, FAST)
+    recorded = _Recorded(monkeypatch, check=lambda r: _assert_same_rows(r.rows, r.planned))
+    batch_size = 8
+    run_session(model, memory, sessions[-1], profile, replace(FAST, epochs=3, batch_size=batch_size))
+    rows = recorded.rows
+    _assert_same_rows(rows, recorded.planned)
+    assert rows.ex.kd_p is not None and rows.ex.old_features is not None
+    n_rows = rows.x.shape[0]
+    assert len(recorded.steps) == 3
+    for steps in recorded.steps:
+        assert [idx.size for idx, _, _ in steps] == [min(batch_size, n_rows - s) for s in range(0, n_rows, batch_size)]
+        assert np.array_equal(np.sort(np.concatenate([idx for idx, _, _ in steps])), np.arange(n_rows))
+        for idx, n_new, step in steps:
+            assert step.n_new == n_new
+            assert (idx[:n_new] < rows.n_new).all() and (idx[n_new:] >= rows.n_new).all()
+    assert any(0 < n_new < idx.size for steps in recorded.steps for idx, n_new, _ in steps)
 
 
 @pytest.mark.parametrize("system,name,distill_form", [

@@ -17,7 +17,6 @@ from cddet.trainer import (
     _epoch_order,
     _evaluate,
     _plan_session,
-    _regather,
     _store_exemplars,
     builtin_profiles,
     resolve_profile,
@@ -83,9 +82,8 @@ class TestAdam:
 
         def nan_filled_step(model, memory, session):
             rows = _plan_session(model, memory, session, profile, np.random.default_rng(0))
-            order = _epoch_order(np.random.default_rng(0).permutation(rows.x.shape[0]), rows.n_new, 16)
-            windows = _regather(rows, np.arange(order.size), order, 16)
-            step = _assemble_batches(rows, windows[0], profile, np.random.default_rng(0))
+            idx = _epoch_order(np.random.default_rng(0).permutation(rows.x.shape[0]), rows.n_new, 16)[:16]
+            step = _assemble_batches(rows, idx, int(np.count_nonzero(idx < rows.n_new)), profile, np.random.default_rng(0))
             optimizer = Adam(model, lr=FAST.lr)
             optimizer.g.fill(np.nan)
             loss_and_gradients(step, model, profile.weights, optimizer.grads, rule=profile.aggregation)
@@ -400,10 +398,18 @@ class TestLending:
             assert not any(np.shares_memory(rows, planned[0].x) for rows in memory.classes.values())
             return loss_and_gradients(*args, **kwargs)
 
+        def store(*args):
+            # the session's rows go before the memory stores new ones
+            assert not any(np.shares_memory(rows, planned[0].x) for rows in memory.classes.values())
+            stored.append(memory.total())
+            return _store_exemplars(*args)
+
+        stored = []
         monkeypatch.setattr(trainer, "_plan_session", plan)
         monkeypatch.setattr(trainer, "loss_and_gradients", step)
+        monkeypatch.setattr(trainer, "_store_exemplars", store)
         run_session(model, memory, session, profile, FAST)
-        assert planned[0].ex is not None and steps and not any(steps)
+        assert planned[0].ex is not None and steps and not any(steps) and stored[0]
 
     @pytest.mark.parametrize("system, name, options, budget", LENDING_CASES)
     def test_each_old_class_keeps_a_prefix_of_its_rows(self, system, name, options, budget):
@@ -418,16 +424,15 @@ class TestLending:
             assert rows.shape == (min(shape[0], quota[c]), shape[1]) and rows.dtype == np.float64
             assert rows.tobytes() == data[: rows.nbytes], f"class {c}"
 
-    @pytest.mark.parametrize("fails_in", ["plan", "step", "regather", "head"])
+    @pytest.mark.parametrize("fails_in", ["plan", "step", "gather", "head"])
     @pytest.mark.parametrize("system, name, options, budget", LENDING_CASES)
     def test_a_session_that_raises_leaves_the_memory_as_it_was(
         self, monkeypatch, system, name, options, budget, fails_in
     ):
-        """The step raises at its fifth call, with the session's rows in an
-        epoch's order; the regather as it gathers the second epoch's
-        constants, after the first epoch's steps; the plan raises as it
-        stacks the session's rows, and the head when the session's task is
-        already registered."""
+        """The loss raises at its fifth call; a step's gather of its
+        replayed rows' constants at its second, with a ``MemoryError``; the
+        plan as it stacks the session's rows, and the head when the
+        session's task is already registered."""
         model, memory, session, profile = self._trained(system, name, options, budget)
         before = _stored(memory)
         calls = []
@@ -441,25 +446,34 @@ class TestLending:
         take = ReplayConstants.take
 
         def failing_take(ex, idx):
-            if not isinstance(idx, slice):  # the regather's gather, not a step's window
-                calls.append(1)
-                if len(calls) > 1:
-                    raise MemoryError("injected")
+            calls.append(1)
+            if len(calls) > 1:
+                raise MemoryError("injected")
             return take(ex, idx)
 
         if fails_in == "head":
             session = SessionData(1, session.train, session.test)
-        elif fails_in == "regather":
+        elif fails_in == "gather":
             monkeypatch.setattr(ReplayConstants, "take", failing_take)
         else:
             monkeypatch.setattr(trainer, "step_rows" if fails_in == "plan" else "loss_and_gradients", failing)
-        raised = {"head": ProtocolError, "regather": MemoryError}.get(fails_in, NumericsError)
+        raised = {"head": ProtocolError, "gather": MemoryError}.get(fails_in, NumericsError)
         with pytest.raises(raised):
             run_session(model, memory, session, profile, FAST)
         assert _stored(memory) == before
 
 
 class TestRunScenario:
+    def test_memory_totals_record_the_memory_after_each_session(self):
+        """One total per session, the warm-up's too: the memory's row count,
+        or 0 when the run keeps no memory."""
+        scenario = tiny_scenario(2, seed=6)
+        n = len(scenario.tasks) + (scenario.warmup is not None)
+        record = run_scenario(scenario, 0, resolve_profile("finetune", MC), FAST, MC)
+        assert record.memory is None and record.memory_totals == [0] * n
+        record = run_scenario(scenario, 40, resolve_profile("replay", MC), FAST, MC)
+        assert len(record.memory_totals) == n and record.memory_totals[-1] == record.memory.total() > 0
+
     def test_single_task_matrix(self):
         scenario = tiny_scenario(1, seed=5)
         record = run_scenario(scenario, 40, resolve_profile("finetune", MC), FAST, MC)
@@ -524,6 +538,12 @@ class TestRunScenario:
         rows = len(synth_generate(scenario.tasks[0], scenario.seed).train)
         config = TrainConfig(epochs=2, lr=1e-3, batch_size=rows - 1, seed=3)
         record = run_scenario(scenario, 0, resolve_profile("finetune", MC), config, MC)
+        assert record.model.head.registry.tasks == [1]
+
+    def test_a_batch_of_two_rows_trains(self):
+        """The smallest batch size the optimisation settings accept."""
+        config = TrainConfig(epochs=1, lr=1e-3, batch_size=2, seed=3)
+        record = run_scenario(tiny_scenario(1, seed=5), 0, resolve_profile("finetune", MC), config, MC)
         assert record.model.head.registry.tasks == [1]
 
     def test_mt_lambda_zero_matches_mc_bitwise(self):
@@ -659,7 +679,7 @@ class TestSplitRun:
         assert first + rest == whole_matrix
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestNumericsErrors:
     """An overflowing weight raises NumericsError on every path that runs
     the model, naming what overflowed: a training step, evaluation and
